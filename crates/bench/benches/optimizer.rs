@@ -73,7 +73,6 @@ fn bench_hill_climb_scales(c: &mut Criterion) {
                     seed: 9,
                     event_budget: 2_000_000,
                     masks: Vec::new(),
-                    scheduler: Default::default(),
                     verbose: false,
                 };
                 Optimizer::new(vec![ScenarioSpec::calibration()], cfg).optimize("bench")

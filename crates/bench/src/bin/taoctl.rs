@@ -46,7 +46,10 @@ fn main() {
                 }
             }
             if names.is_empty() {
-                println!("no assets in {} — run train_assets first", dir.display());
+                println!(
+                    "no assets in {} — run `learnability train all` first",
+                    dir.display()
+                );
             }
         }
         Some("show") => {

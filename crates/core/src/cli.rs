@@ -14,10 +14,6 @@
 //! `--threads` value), prints the rendered tables, and emits one
 //! [`FigureData`](crate::report::FigureData) JSON artifact per experiment
 //! under `assets/figures/` (or `--json DIR`).
-//!
-//! The old per-figure binaries (`fig1` … `fig9`, `all_experiments`,
-//! `sig_knockout`, `ext_universal`) are deprecated shims over this CLI and
-//! will be removed after one release.
 
 use crate::experiments::{self, Experiment, Fidelity, RunOptions};
 use crate::report::{render_figure, Table};
@@ -61,17 +57,6 @@ pub fn main() -> ! {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let refs: Vec<&str> = args.iter().map(String::as_str).collect();
     std::process::exit(run(&refs))
-}
-
-/// Entry point for the deprecated per-figure shim binaries: announce the
-/// replacement, then forward to the CLI.
-pub fn forward(args: &[&str]) -> ! {
-    eprintln!(
-        "[learnability] this binary is a deprecated shim; use \
-         `cargo run --release -p bench --bin learnability -- {}`",
-        args.join(" ")
-    );
-    std::process::exit(run(args))
 }
 
 /// Run the CLI on pre-parsed arguments; returns the process exit code.
@@ -191,7 +176,7 @@ fn parse_run(args: &[&str]) -> Result<RunArgs, String> {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match flag {
-            "--fidelity" => opts.fidelity = Fidelity::from_flag(value()?)?,
+            "--fidelity" => opts.fidelity = value()?.parse()?,
             "--seeds" => {
                 let n: u64 = value()?
                     .parse()
@@ -613,8 +598,8 @@ mod tests {
             fn paper_artifact(&self) -> &'static str {
                 "test fixture"
             }
-            fn scheme_families(&self) -> &'static [&'static str] {
-                &[]
+            fn roster(&self) -> Vec<crate::experiments::scaffold::Contender> {
+                Vec::new()
             }
             fn train_specs(&self) -> Vec<TrainJob> {
                 Vec::new()

@@ -20,48 +20,31 @@
 //! runs — so `--seeds` overrides, poisoned cells, and thread counts all
 //! flow through the standard engine paths.
 
-use super::{Experiment, Fidelity, TrainJob};
-use crate::experiments::{calibration, mean_normalized_objective};
-use crate::omniscient::omniscient;
-use crate::report::{ChartData, FigureData, Series, Table, TableData};
-use crate::runner::{PointOutcome, Scheme, SweepPoint};
+use super::scaffold::{cell_key, lineup, prelude::*};
+use crate::experiments::calibration;
+use crate::report::Series;
 use crate::search::{adversarial_space, describe, find_worst_case, Certificate, SearchConfig};
 
-/// The schemes searched, in sweep order: the paper's calibration Tao,
-/// the fixed TCP baselines, and the PCC-style online learner.
-fn schemes() -> Vec<(Scheme, Option<&'static str>)> {
-    let tao = calibration::trained_tao();
-    vec![
-        (Scheme::tao(tao.tree, "tao"), Some(calibration::ASSET)),
-        (Scheme::Cubic, None),
-        (Scheme::NewReno, None),
-        (Scheme::Vegas, None),
-        (Scheme::Pcc, None),
-    ]
-}
-
-/// Cell key: `scheme|asset-or-dash|candidates-evaluated|point-csv`. The
+/// Cell key: the scaffold's `panel|label` with the search trail as the
+/// panel — `asset-or-dash|candidates-evaluated|point-csv|scheme`. The
 /// point CSV uses `f64`'s shortest-roundtrip `Display`, so parsing it
 /// back in `summarize` recovers the exact searched point.
 fn encode_key(label: &str, asset: Option<&str>, evaluated: usize, point: &[f64]) -> String {
     let csv: Vec<String> = point.iter().map(|v| v.to_string()).collect();
-    format!(
-        "{label}|{}|{evaluated}|{}",
-        asset.unwrap_or("-"),
-        csv.join(",")
-    )
+    let trail = format!("{}|{evaluated}|{}", asset.unwrap_or("-"), csv.join(","));
+    cell_key(&trail, label)
 }
 
 fn decode_key(key: &str) -> Option<(String, Option<String>, usize, Vec<f64>)> {
-    let mut parts = key.splitn(4, '|');
-    let label = parts.next()?.to_string();
+    let (trail, label) = split_key(key);
+    let mut parts = trail.splitn(3, '|');
     let asset = match parts.next()? {
         "-" => None,
         a => Some(a.to_string()),
     };
     let evaluated = parts.next()?.parse().ok()?;
     let point: Option<Vec<f64>> = parts.next()?.split(',').map(|v| v.parse().ok()).collect();
-    Some((label, asset, evaluated, point?))
+    Some((label.to_string(), asset, evaluated, point?))
 }
 
 /// The adversarial-search experiment (`learnability run adversarial`).
@@ -77,8 +60,11 @@ impl Experiment for Adversarial {
          over the full scenario box"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic", "newreno", "vegas", "pcc"]
+    /// The schemes searched, in sweep order: the paper's calibration Tao,
+    /// the fixed TCP baselines, and the PCC-style online learner.
+    fn roster(&self) -> Vec<Contender> {
+        let fixed = [Scheme::Cubic, Scheme::NewReno, Scheme::Vegas, Scheme::Pcc];
+        Contender::tao_vs(calibration::ASSET, fixed)
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -89,10 +75,11 @@ impl Experiment for Adversarial {
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
         let cfg = SearchConfig::for_fidelity(fidelity);
         let space = adversarial_space();
-        schemes()
+        lineup(self)
             .into_iter()
             .enumerate()
-            .map(|(i, (scheme, asset))| {
+            .map(|(i, (contender, scheme))| {
+                let asset = contender.asset_name();
                 let res = find_worst_case(&scheme, asset, &cfg);
                 // A search where every candidate poisoned still yields a
                 // cell (the box center), so the figure always has one row
@@ -147,8 +134,8 @@ impl Experiment for Adversarial {
                 ));
                 continue;
             }
-            let omn = omniscient(&p.point.net);
-            let score = mean_normalized_objective(&p.runs, omn[0].throughput_bps, omn[0].delay_s);
+            let norm = Norm::omniscient(&p.point.net);
+            let score = norm.objective(&p.runs);
             if !score.is_finite() {
                 fig.notes.push(format!(
                     "{label}: no certificate — no flow turned on in the worst-case cell"
@@ -162,8 +149,8 @@ impl Experiment for Adversarial {
                 point: point.clone(),
                 seeds: p.point.seeds.clone().collect(),
                 duration_s: p.point.duration_s,
-                fair_tpt_bps: omn[0].throughput_bps,
-                base_delay_s: omn[0].delay_s,
+                fair_tpt_bps: norm.fair_tpt_bps,
+                base_delay_s: norm.base_delay_s,
                 score,
                 score_bits: score.to_bits(),
                 candidates_evaluated: evaluated,

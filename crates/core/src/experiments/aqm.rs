@@ -13,22 +13,9 @@
 //! learned protocol's assumptions about *loss semantics* generalize the
 //! way its assumptions about link speed do.
 
-use super::{fmt_stat, mean_normalized_objective, run_train_job, Experiment, Fidelity, TrainJob};
+use super::scaffold::prelude::*;
 use crate::experiments::calibration;
-use crate::omniscient;
-use crate::report::{ChartData, FigureData, Series, Table, TableData};
-use crate::runner::{summarize, with_aqm, AqmKind, PointOutcome, Scheme, SweepPoint};
-
-/// Scheme labels of the sweep, in series order.
-const SCHEMES: [&str; 3] = ["tao", "cubic", "newreno"];
-
-fn schemes(tao: &remy::TrainedProtocol) -> Vec<(String, Scheme)> {
-    vec![
-        ("tao".into(), Scheme::tao(tao.tree.clone(), "tao")),
-        ("cubic".into(), Scheme::Cubic),
-        ("newreno".into(), Scheme::NewReno),
-    ]
-}
+use crate::runner::{with_aqm, AqmKind};
 
 /// The AQM-generality experiment (`learnability run aqm`).
 pub struct Aqm;
@@ -42,8 +29,8 @@ impl Experiment for Aqm {
         "extension — AQM generality: drop-tail-trained Tao vs RED/CoDel/sfqCoDel gateways"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic", "newreno"]
+    fn roster(&self) -> Vec<Contender> {
+        Contender::tao_vs(calibration::ASSET, [Scheme::Cubic, Scheme::NewReno])
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -53,33 +40,17 @@ impl Experiment for Aqm {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let tao = run_train_job(&self.train_specs().remove(0))
-            .pop()
-            .expect("one protocol");
         let base = calibration::test_network();
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points = Vec::new();
+        let mut grid = Grid::new(self, fidelity);
         for (ki, kind) in AqmKind::ALL.iter().enumerate() {
-            let net = with_aqm(&base, *kind);
-            for (label, scheme) in schemes(&tao) {
-                points.push(SweepPoint::homogeneous(
-                    format!("{}|{label}", kind.name()),
-                    ki as f64,
-                    net.clone(),
-                    scheme,
-                    seeds.clone(),
-                    dur,
-                ));
-            }
+            grid.cells(kind.name(), ki as f64, &with_aqm(&base, *kind));
         }
-        points
+        grid.into_points()
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        let omn = omniscient::omniscient(&calibration::test_network());
-        let (fair_tpt, base_delay) = (omn[0].throughput_bps, omn[0].delay_s);
+        let norm = Norm::omniscient(&calibration::test_network());
 
         let mut t = Table::new(
             "AQM generality — 32 Mbps, 150 ms RTT, 2 senders, 5 BDP buffer",
@@ -91,23 +62,19 @@ impl Experiment for Aqm {
                 "norm. objective",
             ],
         );
-        let mut series: Vec<Series> = SCHEMES.iter().map(|s| Series::new(*s)).collect();
+        let mut series = SeriesSet::of(self);
         for p in points {
-            let (kind, scheme) = p.key().split_once('|').expect("key is gateway|scheme");
-            let (tpt, qd) = crate::runner::flow_points(&p.runs, |_| true);
-            let obj = mean_normalized_objective(&p.runs, fair_tpt, base_delay);
+            let (kind, scheme) = split_key(p.key());
+            let [tpt, qd] = TptQd::all(&p.runs).cells();
+            let obj = norm.objective(&p.runs);
             t.row(vec![
                 kind.to_string(),
                 scheme.to_string(),
-                fmt_stat(&summarize(&tpt), " Mbps"),
-                fmt_stat(&summarize(&qd), " ms"),
+                tpt,
+                qd,
                 format!("{obj:.3}"),
             ]);
-            let si = SCHEMES
-                .iter()
-                .position(|s| *s == scheme)
-                .expect("known scheme");
-            series[si].push(p.x(), obj);
+            series.push(scheme, p.x(), obj);
             fig.push_summary(format!("{scheme}_{kind}_objective"), obj);
         }
         fig.tables.push(TableData::from_table(&t));
@@ -115,12 +82,12 @@ impl Experiment for Aqm {
             "normalized objective by gateway discipline \
              (0 = droptail, 1 = red, 2 = codel, 3 = sfqcodel)",
             "gateway",
-            &series,
+            series.all(),
         ));
 
         // Headline: how much of the Tao's drop-tail operating point
         // survives the worst foreign discipline.
-        if let Some(tao) = fig.chart_series(0, "tao") {
+        if let Some(tao) = series.get("tao") {
             let home = tao.value_at(0.0).unwrap_or(f64::NEG_INFINITY);
             // Foreign disciplines only (x > 0): the home point must not
             // masquerade as its own worst case.
@@ -145,15 +112,20 @@ impl Experiment for Aqm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::omniscient;
 
     #[test]
     fn sweep_covers_every_discipline_and_scheme() {
-        // cheap check on the declarative side only (no assets touched):
-        // 4 gateways x 3 schemes when the asset is a fixture.
-        assert_eq!(AqmKind::ALL.len() * SCHEMES.len(), 12);
         let jobs = Aqm.train_specs();
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].assets, vec![calibration::ASSET.to_string()]);
+        // 4 gateways x 3 contenders, from the committed calibration asset.
+        let points = Aqm.sweep(Fidelity::Quick);
+        assert_eq!(points.len(), 12);
+        for kind in AqmKind::ALL {
+            let panel = points.iter().filter(|p| split_key(&p.key).0 == kind.name());
+            assert_eq!(panel.count(), 3, "{}", kind.name());
+        }
     }
 
     #[test]

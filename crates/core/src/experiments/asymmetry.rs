@@ -13,17 +13,12 @@
 //! that ceiling, and whether the learned protocol's RTT-sensitive
 //! whiskers misread ACK-queueing as forward congestion.
 
-use super::{fmt_stat, mean_normalized_objective, run_train_job, Experiment, Fidelity, TrainJob};
+use super::scaffold::prelude::*;
 use crate::experiments::calibration;
-use crate::omniscient;
-use crate::report::{ChartData, FigureData, Series, Table, TableData};
-use crate::runner::{summarize, PointOutcome, Scheme, SweepPoint};
 
-/// Scheme labels of the sweep, in series order.
-const SCHEMES: [&str; 3] = ["tao", "cubic", "newreno"];
-
-/// Reverse-path slowdown factors swept (reverse rate = forward / factor).
-fn slowdowns(fidelity: Fidelity) -> Vec<f64> {
+/// Reverse-path slowdown factors swept (reverse rate = forward / factor);
+/// the shared-uplink experiment sweeps the same grid.
+pub(super) fn slowdowns(fidelity: Fidelity) -> Vec<f64> {
     match fidelity {
         Fidelity::Quick => vec![1.0, 8.0, 50.0],
         Fidelity::Full => vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 50.0],
@@ -42,8 +37,8 @@ impl Experiment for Asymmetry {
         "extension — asymmetric links: reverse (ACK) rate swept 1x -> 1/50x of forward"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic", "newreno"]
+    fn roster(&self) -> Vec<Contender> {
+        Contender::tao_vs(calibration::ASSET, [Scheme::Cubic, Scheme::NewReno])
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -53,73 +48,47 @@ impl Experiment for Asymmetry {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let tao = run_train_job(&self.train_specs().remove(0))
-            .pop()
-            .expect("one protocol");
         let base = calibration::test_network();
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points = Vec::new();
+        let mut grid = Grid::new(self, fidelity);
         for &factor in &slowdowns(fidelity) {
-            let net = base.with_reverse_slowdown(factor);
-            for (label, scheme) in [
-                ("tao", Scheme::tao(tao.tree.clone(), "tao")),
-                ("cubic", Scheme::Cubic),
-                ("newreno", Scheme::NewReno),
-            ] {
-                points.push(SweepPoint::homogeneous(
-                    label,
-                    factor,
-                    net.clone(),
-                    scheme,
-                    seeds.clone(),
-                    dur,
-                ));
-            }
+            grid.cells("", factor, &base.with_reverse_slowdown(factor));
         }
-        points
+        grid.into_points()
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        let omn = omniscient::omniscient(&calibration::test_network());
-        let (fair_tpt, base_delay) = (omn[0].throughput_bps, omn[0].delay_s);
+        let norm = Norm::omniscient(&calibration::test_network());
 
         let mut t = Table::new(
             "ACK-path asymmetry — 32 Mbps forward, 150 ms RTT, 2 senders",
             &["reverse slowdown", "scheme", "throughput", "queueing delay"],
         );
-        let mut series: Vec<Series> = SCHEMES.iter().map(|s| Series::new(*s)).collect();
+        let mut series = SeriesSet::of(self);
         for p in points {
-            let (tpt, qd) = crate::runner::flow_points(&p.runs, |_| true);
-            let obj = mean_normalized_objective(&p.runs, fair_tpt, base_delay);
+            let [tpt, qd] = TptQd::all(&p.runs).cells();
             t.row(vec![
                 format!("1/{:.0}x", p.x()),
                 p.key().to_string(),
-                fmt_stat(&summarize(&tpt), " Mbps"),
-                fmt_stat(&summarize(&qd), " ms"),
+                tpt,
+                qd,
             ]);
-            let si = SCHEMES
-                .iter()
-                .position(|s| *s == p.key())
-                .expect("known scheme");
-            series[si].push(p.x(), obj);
+            series.push(p.key(), p.x(), norm.objective(&p.runs));
         }
         fig.tables.push(TableData::from_table(&t));
         fig.charts.push(ChartData::from_series(
             "normalized objective vs reverse-path slowdown",
             "slowdown (forward rate / reverse rate)",
-            &series,
+            series.all(),
         ));
 
-        for name in SCHEMES {
-            if let Some(s) = fig.chart_series(0, name) {
-                let at_1 = s.value_at(1.0).unwrap_or(f64::NEG_INFINITY);
-                let at_50 = s.value_at(50.0).unwrap_or(f64::NEG_INFINITY);
-                fig.push_summary(format!("{name}_objective_at_1x"), at_1);
-                fig.push_summary(format!("{name}_objective_at_50x"), at_50);
-                fig.push_summary(format!("{name}_degradation_1_to_50"), at_1 - at_50);
-            }
+        for s in series.all() {
+            let name = &s.name;
+            let at_1 = s.value_at(1.0).unwrap_or(f64::NEG_INFINITY);
+            let at_50 = s.value_at(50.0).unwrap_or(f64::NEG_INFINITY);
+            fig.push_summary(format!("{name}_objective_at_1x"), at_1);
+            fig.push_summary(format!("{name}_objective_at_50x"), at_50);
+            fig.push_summary(format!("{name}_degradation_1_to_50"), at_1 - at_50);
         }
         if let (Some(tao), Some(reno)) = (
             fig.summary_value("tao_degradation_1_to_50"),

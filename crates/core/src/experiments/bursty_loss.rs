@@ -11,15 +11,8 @@
 //! congestion; Vegas is the delay-based foil that should not. The question
 //! is which side of that divide the Tao's learned responses land on.
 
-use super::{fmt_stat, mean_normalized_objective, run_train_job, Experiment, Fidelity, TrainJob};
+use super::scaffold::prelude::*;
 use crate::experiments::calibration;
-use crate::omniscient;
-use crate::report::{ChartData, FigureData, Series, Table, TableData};
-use crate::runner::{summarize, PointOutcome, Scheme, SweepPoint};
-use netsim::topology::FaultSpec;
-
-/// Scheme labels of the sweep, in series order.
-const SCHEMES: [&str; 4] = ["tao", "cubic", "newreno", "vegas"];
 
 /// Loss probability inside the bad state at each sweep level (level 0 is
 /// the clean baseline and carries no fault at all — `fault: None`, the
@@ -31,15 +24,6 @@ const LOSS_BAD: [f64; 5] = [0.0, 0.1, 0.25, 0.5, 1.0];
 /// unconditional loss rate is ~0.048 × `loss_bad`.
 const GOOD_TO_BAD: f64 = 0.005;
 const BAD_TO_GOOD: f64 = 0.1;
-
-fn schemes(tao: &remy::TrainedProtocol) -> Vec<(String, Scheme)> {
-    vec![
-        ("tao".into(), Scheme::tao(tao.tree.clone(), "tao")),
-        ("cubic".into(), Scheme::Cubic),
-        ("newreno".into(), Scheme::NewReno),
-        ("vegas".into(), Scheme::Vegas),
-    ]
-}
 
 /// The bursty-loss experiment (`learnability run bursty_loss`).
 pub struct BurstyLoss;
@@ -53,8 +37,9 @@ impl Experiment for BurstyLoss {
         "extension — Gilbert–Elliott bursty loss: drop-tail-trained Tao vs loss- and delay-based TCPs"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic", "newreno", "vegas"]
+    fn roster(&self) -> Vec<Contender> {
+        let fixed = [Scheme::Cubic, Scheme::NewReno, Scheme::Vegas];
+        Contender::tao_vs(calibration::ASSET, fixed)
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -64,13 +49,8 @@ impl Experiment for BurstyLoss {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let tao = run_train_job(&self.train_specs().remove(0))
-            .pop()
-            .expect("one protocol");
         let base = calibration::test_network();
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points = Vec::new();
+        let mut grid = Grid::new(self, fidelity);
         for &loss_bad in &LOSS_BAD {
             let mut net = base.clone();
             if loss_bad > 0.0 {
@@ -81,26 +61,16 @@ impl Experiment for BurstyLoss {
                     bad_to_good: BAD_TO_GOOD,
                 });
             }
-            for (label, scheme) in schemes(&tao) {
-                points.push(SweepPoint::homogeneous(
-                    format!("{loss_bad}|{label}"),
-                    loss_bad,
-                    net.clone(),
-                    scheme,
-                    seeds.clone(),
-                    dur,
-                ));
-            }
+            grid.cells("", loss_bad, &net);
         }
-        points
+        grid.into_points()
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
         // Normalize against the clean network's omniscient point: the fault
         // is exogenous, so the ideal stays the ideal.
-        let omn = omniscient::omniscient(&calibration::test_network());
-        let (fair_tpt, base_delay) = (omn[0].throughput_bps, omn[0].delay_s);
+        let norm = Norm::omniscient(&calibration::test_network());
 
         let mut t = Table::new(
             "bursty loss — calibration dumbbell, GE bursts (~10 pkt) at rising severity",
@@ -113,44 +83,35 @@ impl Experiment for BurstyLoss {
                 "norm. objective",
             ],
         );
-        let mut series: Vec<Series> = SCHEMES.iter().map(|s| Series::new(*s)).collect();
+        let mut series = SeriesSet::of(self);
         for p in points {
-            let (level, scheme) = p.key().split_once('|').expect("key is loss_bad|scheme");
-            let (tpt, qd) = crate::runner::flow_points(&p.runs, |_| true);
-            let obj = mean_normalized_objective(&p.runs, fair_tpt, base_delay);
-            let fault_drops: u64 = p
-                .runs
-                .iter()
-                .flat_map(|r| r.flows.iter())
-                .map(|f| f.drops.fault)
-                .sum();
+            let (level, scheme) = (p.x().to_string(), p.key());
+            let [tpt, qd] = TptQd::all(&p.runs).cells();
+            let obj = norm.objective(&p.runs);
+            let fault_drops = flow_sum(&p.runs, |f| f.drops.fault);
             t.row(vec![
-                level.to_string(),
+                level.clone(),
                 scheme.to_string(),
-                fmt_stat(&summarize(&tpt), " Mbps"),
-                fmt_stat(&summarize(&qd), " ms"),
+                tpt,
+                qd,
                 fault_drops.to_string(),
                 format!("{obj:.3}"),
             ]);
-            let si = SCHEMES
-                .iter()
-                .position(|s| *s == scheme)
-                .expect("known scheme");
-            series[si].push(p.x(), obj);
+            series.push(scheme, p.x(), obj);
             fig.push_summary(format!("{scheme}_loss{level}_objective"), obj);
         }
         fig.tables.push(TableData::from_table(&t));
         fig.charts.push(ChartData::from_series(
             "normalized objective vs bad-state loss probability",
             "loss_bad",
-            &series,
+            series.all(),
         ));
 
         // Headline: does the learned protocol degrade like a loss-based
         // TCP (mistaking bursts for congestion) or like the delay-based
         // foil? Compare each scheme's clean-vs-severe objective drop.
         let drop_of = |name: &str| {
-            fig.chart_series(0, name).map(|s| {
+            series.get(name).map(|s| {
                 s.value_at(0.0).unwrap_or(f64::NEG_INFINITY)
                     - s.value_at(1.0).unwrap_or(f64::NEG_INFINITY)
             })
@@ -178,9 +139,12 @@ mod tests {
 
     #[test]
     fn sweep_shape_and_clean_baseline() {
-        // Declarative side only: 5 levels × 4 schemes, level 0 fault-free.
-        assert_eq!(LOSS_BAD.len() * SCHEMES.len(), 20);
+        // 5 levels × 4 contenders, level 0 fault-free.
+        let points = BurstyLoss.sweep(Fidelity::Quick);
+        assert_eq!(points.len(), 20);
         assert_eq!(LOSS_BAD[0], 0.0);
+        assert!(points[..4].iter().all(|p| p.net.links[0].fault.is_none()));
+        assert!(points[4..].iter().all(|p| p.net.links[0].fault.is_some()));
         let jobs = BurstyLoss.train_specs();
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].assets, vec![calibration::ASSET.to_string()]);

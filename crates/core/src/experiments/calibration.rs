@@ -6,34 +6,14 @@
 //! The paper finds the Tao within 5% of omniscient throughput and 10% on
 //! delay, and considerably ahead of both human-designed baselines.
 
-use super::{fmt_stat, run_train_job, train_cfg, Experiment, Fidelity, TrainCost, TrainJob};
-use crate::omniscient;
-use crate::report::{FigureData, Table, TableData};
-use crate::runner::{summarize, with_sfq_codel, PointOutcome, Scheme, SweepPoint};
-use netsim::prelude::*;
-use netsim::queue::QueueSpec;
-use netsim::topology::dumbbell;
-use netsim::workload::WorkloadSpec;
+use super::scaffold::prelude::*;
 use remy::ScenarioSpec;
 
 pub const ASSET: &str = "tao-calibration";
 
 /// The testing network of Table 1.
 pub fn test_network() -> NetworkConfig {
-    dumbbell(
-        2,
-        32e6,
-        0.150,
-        QueueSpec::drop_tail_bdp(32e6, 0.150, 5.0),
-        WorkloadSpec::on_off_1s(),
-    )
-}
-
-/// Train (or load) the calibration Tao.
-pub fn trained_tao() -> remy::TrainedProtocol {
-    run_train_job(&Calibration.train_specs().remove(0))
-        .pop()
-        .expect("one protocol")
+    paper_dumbbell(2, 32e6, 0.150, WorkloadSpec::on_off_1s())
 }
 
 /// The calibration experiment (`learnability run calibration`).
@@ -48,8 +28,8 @@ impl Experiment for Calibration {
         "Fig 1 / Table 1 — Tao vs Cubic vs Cubic-over-sfqCoDel vs omniscient"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic"]
+    fn roster(&self) -> Vec<Contender> {
+        Contender::with_cubic_pair([Contender::tao("tao", ASSET)])
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -61,23 +41,9 @@ impl Experiment for Calibration {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let tao = trained_tao();
-        let net = test_network();
-        let sfq_net = with_sfq_codel(&net);
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        vec![
-            SweepPoint::homogeneous(
-                "tao",
-                0.0,
-                net.clone(),
-                Scheme::tao(tao.tree.clone(), "tao"),
-                seeds.clone(),
-                dur,
-            ),
-            SweepPoint::homogeneous("cubic", 0.0, net, Scheme::Cubic, seeds.clone(), dur),
-            SweepPoint::homogeneous("cubic-sfqcodel", 0.0, sfq_net, Scheme::Cubic, seeds, dur),
-        ]
+        let mut grid = Grid::new(self, fidelity);
+        grid.cells("", 0.0, &test_network());
+        grid.into_points()
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
@@ -88,24 +54,18 @@ impl Experiment for Calibration {
         );
         let mut tao_median_tpt = None;
         for p in points {
-            let (tpt, qd) = crate::runner::flow_points(&p.runs, |_| true);
-            let tpt = summarize(&tpt);
-            let qd = summarize(&qd);
+            let stats = TptQd::all(&p.runs);
             if p.key() == "tao" {
-                tao_median_tpt = Some(tpt.median);
+                tao_median_tpt = Some(stats.tpt.median);
             }
-            t.row(vec![
-                p.key().to_string(),
-                fmt_stat(&tpt, " Mbps"),
-                fmt_stat(&qd, " ms"),
-            ]);
-            fig.push_summary(format!("{}_tpt_mbps_median", p.key()), tpt.median);
-            fig.push_summary(format!("{}_qdelay_ms_median", p.key()), qd.median);
+            let [tpt, qd] = stats.cells();
+            t.row(vec![p.key().to_string(), tpt, qd]);
+            fig.push_summary(format!("{}_tpt_mbps_median", p.key()), stats.tpt.median);
+            fig.push_summary(format!("{}_qdelay_ms_median", p.key()), stats.qd.median);
         }
 
         // Omniscient operating point (closed form, no simulation).
-        let omn = omniscient::omniscient(&test_network());
-        let omn_tpt = omn[0].throughput_bps / 1e6;
+        let omn_tpt = Norm::omniscient(&test_network()).fair_tpt_bps / 1e6;
         t.row(vec![
             "omniscient".into(),
             format!("{omn_tpt:.2} Mbps"),
@@ -129,6 +89,7 @@ impl Experiment for Calibration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::omniscient;
 
     #[test]
     fn omniscient_point_matches_closed_form() {

@@ -16,31 +16,19 @@
 //! sharing two bottlenecks with near-continuous NewReno flows) adds the
 //! multi-hop contention case.
 
-use super::{
-    fmt_stat, mean_normalized_objective, run_train_job, train_cfg, Experiment, Fidelity, TrainCost,
-    TrainJob,
-};
+use super::scaffold::prelude::*;
 use crate::experiments::multiplexing;
-use crate::omniscient;
-use crate::report::{ChartData, FigureData, Series, Table, TableData};
-use crate::runner::{summarize, PointOutcome, Scheme, SweepPoint};
-use netsim::prelude::*;
-use netsim::topology::{FlowSpec, LinkSpec};
-use remy::{BufferSpec, ScenarioSpec};
 
 /// Asset shared with the multiplexing experiment: the 1–10-way Tao.
 pub const ASSET: &str = "tao-mux-10";
 
-/// Scheme labels of the sweep, in series order.
-const SCHEMES: [&str; 3] = ["tao", "cubic", "newreno"];
-
 /// Sender slots on the dumbbell (the trained multiplexing range's top).
-const SLOTS: usize = 10;
+pub(super) const SLOTS: usize = 10;
 
 /// Mean flow duration (seconds); λ sweeps around the paper's 1/s point.
-const MEAN_DURATION_S: f64 = 1.0;
+pub(super) const MEAN_DURATION_S: f64 = 1.0;
 
-fn arrival_rates(fidelity: Fidelity) -> Vec<f64> {
+pub(super) fn arrival_rates(fidelity: Fidelity) -> Vec<f64> {
     match fidelity {
         Fidelity::Quick => vec![0.2, 1.0, 5.0],
         Fidelity::Full => vec![0.1, 0.2, 0.5, 1.0, 2.0, 5.0],
@@ -49,60 +37,23 @@ fn arrival_rates(fidelity: Fidelity) -> Vec<f64> {
 
 /// The churn dumbbell: Fig 3's network with churning sender slots.
 fn churn_network(arrival_rate_hz: f64) -> NetworkConfig {
-    dumbbell(
-        SLOTS,
-        15e6,
-        0.150,
-        QueueSpec::drop_tail_bdp(15e6, 0.150, 5.0),
-        WorkloadSpec::churn(arrival_rate_hz, MEAN_DURATION_S),
-    )
+    let churn = WorkloadSpec::churn(arrival_rate_hz, MEAN_DURATION_S);
+    paper_dumbbell(SLOTS, 15e6, 0.150, churn)
 }
 
 /// The static-multiplexing baseline the protocols were trained against.
 fn static_network() -> NetworkConfig {
-    dumbbell(
-        SLOTS,
-        15e6,
-        0.150,
-        QueueSpec::drop_tail_bdp(15e6, 0.150, 5.0),
-        WorkloadSpec::on_off_1s(),
-    )
+    paper_dumbbell(SLOTS, 15e6, 0.150, WorkloadSpec::on_off_1s())
 }
 
 /// Parking-lot cross-traffic mix: flow 0 (the scheme under test) churns
 /// across both bottlenecks; two near-continuous NewReno flows each pin one.
 fn cross_traffic_network() -> NetworkConfig {
-    let queue = |rate: f64| QueueSpec::drop_tail_bdp(rate, 0.150, 5.0);
-    NetworkConfig {
-        links: vec![
-            LinkSpec::symmetric(10e6, 0.075, queue(10e6)),
-            LinkSpec::symmetric(10e6, 0.075, queue(10e6)),
-        ],
-        flows: vec![
-            FlowSpec {
-                route: vec![0, 1],
-                workload: WorkloadSpec::churn(1.0, MEAN_DURATION_S),
-                receiver: None,
-                reverse_data: false,
-            },
-            FlowSpec {
-                route: vec![0],
-                workload: WorkloadSpec::almost_continuous(),
-                receiver: None,
-                reverse_data: false,
-            },
-            FlowSpec {
-                route: vec![1],
-                workload: WorkloadSpec::almost_continuous(),
-                receiver: None,
-                reverse_data: false,
-            },
-        ],
-    }
-}
-
-fn fair_share(net: &NetworkConfig) -> f64 {
-    omniscient::omniscient(net)[0].throughput_bps
+    let queue = QueueSpec::drop_tail_bdp(10e6, 0.150, 5.0);
+    let pinned = WorkloadSpec::almost_continuous();
+    let mut net = parking_lot(10e6, 10e6, 0.075, queue.clone(), queue, pinned);
+    net.flows[0].workload = WorkloadSpec::churn(1.0, MEAN_DURATION_S);
+    net
 }
 
 /// The flow-churn experiment (`learnability run churn`).
@@ -117,136 +68,77 @@ impl Experiment for Churn {
         "extension — flow churn: Poisson arrival rate vs the static multiplexing baseline"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic", "newreno"]
+    fn roster(&self) -> Vec<Contender> {
+        Contender::tao_vs(ASSET, [Scheme::Cubic, Scheme::NewReno])
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
-        // Identical job to the multiplexing experiment's tao-mux-10 slot,
-        // so one committed asset serves both.
-        vec![TrainJob::single(
-            ASSET,
-            vec![ScenarioSpec::multiplexing(
-                multiplexing::RANGES[1].1,
-                BufferSpec::BdpMultiple(5.0),
-            )],
-            train_cfg(TrainCost::Normal),
-        )]
+        // The multiplexing experiment's tao-mux-10 job, so one committed
+        // asset serves both.
+        jobs_of(&multiplexing::Multiplexing, &[ASSET])
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let tao = run_train_job(&self.train_specs().remove(0))
-            .pop()
-            .expect("one protocol");
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let schemes = |tree: &protocols::WhiskerTree| {
-            [
-                ("tao", Scheme::tao(tree.clone(), "tao")),
-                ("cubic", Scheme::Cubic),
-                ("newreno", Scheme::NewReno),
-            ]
-        };
-        let mut points = Vec::new();
+        let mut grid = Grid::new(self, fidelity);
         for &rate in &arrival_rates(fidelity) {
-            let net = churn_network(rate);
-            for (label, scheme) in schemes(&tao.tree) {
-                points.push(SweepPoint::homogeneous(
-                    format!("churn|{label}"),
-                    rate,
-                    net.clone(),
-                    scheme,
-                    seeds.clone(),
-                    dur,
-                ));
-            }
+            grid.cells("churn", rate, &churn_network(rate));
         }
         // Static ON/OFF baseline (distributionally = churn at λ = 1/s).
-        for (label, scheme) in schemes(&tao.tree) {
-            points.push(SweepPoint::homogeneous(
-                format!("static|{label}"),
-                1.0,
-                static_network(),
-                scheme,
-                seeds.clone(),
-                dur,
-            ));
-        }
+        grid.cells("static", 1.0, &static_network());
         // Parking-lot cross-traffic mix: scheme under test churns across
         // both hops against near-continuous NewReno.
-        for (label, scheme) in schemes(&tao.tree) {
-            points.push(SweepPoint::mix(
-                format!("xtraffic|{label}"),
-                0.0,
-                cross_traffic_network(),
-                vec![scheme, Scheme::NewReno, Scheme::NewReno],
-                seeds.clone(),
-                dur,
-            ));
+        for label in grid.labels() {
+            let schemes = vec![grid.scheme(&label), Scheme::NewReno, Scheme::NewReno];
+            grid.mix("xtraffic", &label, 0.0, cross_traffic_network(), schemes);
         }
-        points
+        grid.into_points()
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        let base_delay = 0.075;
 
-        let mut series: Vec<Series> = SCHEMES.iter().map(|s| Series::new(*s)).collect();
+        let mut series = SeriesSet::of(self);
         let mut static_obj: Vec<(String, f64)> = Vec::new();
-        let mut xt = Table::new(
-            "parking-lot cross-traffic (flow 0 churns over both hops, \
-             NewReno pins each hop)",
-            &["scheme under test", "side", "throughput", "queueing delay"],
-        );
         for p in points {
-            let (group, label) = p.key().split_once('|').expect("key is group|scheme");
+            let (group, label) = split_key(p.key());
+            let obj = || Norm::omniscient(&p.point.net).objective(&p.runs);
             match group {
-                "churn" => {
-                    let obj =
-                        mean_normalized_objective(&p.runs, fair_share(&p.point.net), base_delay);
-                    let si = SCHEMES.iter().position(|s| *s == label).expect("known");
-                    series[si].push(p.x(), obj);
-                }
+                "churn" => series.push(label, p.x(), obj()),
                 "static" => {
-                    let obj =
-                        mean_normalized_objective(&p.runs, fair_share(&p.point.net), base_delay);
+                    let obj = obj();
                     static_obj.push((label.to_string(), obj));
                     fig.push_summary(format!("{label}_static_objective"), obj);
                 }
-                "xtraffic" => {
-                    for side in p.unique_labels() {
-                        let (tpt, qd) = p.flow_points_labeled(&side);
-                        xt.row(vec![
-                            label.to_string(),
-                            side.clone(),
-                            fmt_stat(&summarize(&tpt), " Mbps"),
-                            fmt_stat(&summarize(&qd), " ms"),
-                        ]);
-                    }
-                }
+                "xtraffic" => {} // the cross-traffic mix is tabulated below
                 other => panic!("unknown point group '{other}'"),
             }
         }
+        sides_table(
+            &mut fig,
+            "parking-lot cross-traffic (flow 0 churns over both hops, \
+             NewReno pins each hop)",
+            &["scheme under test", "side", "throughput", "queueing delay"],
+            points,
+            "xtraffic",
+        );
         fig.charts.push(ChartData::from_series(
             "normalized objective vs per-slot flow arrival rate \
              (10 slots, mean flow duration 1 s)",
             "arrivals per second",
-            &series,
+            series.all(),
         ));
-        fig.tables.push(TableData::from_table(&xt));
 
-        for name in SCHEMES {
-            if let Some(s) = fig.chart_series(0, name) {
-                if let Some(at_1) = s.value_at(1.0) {
-                    fig.push_summary(format!("{name}_churn_objective_at_1hz"), at_1);
-                }
-                if let Some(&(x_max, y_max)) = s
-                    .points
-                    .iter()
-                    .max_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN x"))
-                {
-                    fig.push_summary(format!("{name}_churn_objective_at_{x_max:.0}hz"), y_max);
-                }
+        for s in series.all() {
+            let name = &s.name;
+            if let Some(at_1) = s.value_at(1.0) {
+                fig.push_summary(format!("{name}_churn_objective_at_1hz"), at_1);
+            }
+            if let Some(&(x_max, y_max)) = s
+                .points
+                .iter()
+                .max_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN x"))
+            {
+                fig.push_summary(format!("{name}_churn_objective_at_{x_max:.0}hz"), y_max);
             }
         }
         // Consistency anchor: churn at λ = 1/s is the same process as the
@@ -280,8 +172,8 @@ mod tests {
         assert_eq!(c.flows.len(), s.flows.len());
         // λ = 1/s, d = 1 s: same stationary ON probability as 1s/1s ON/OFF
         assert_eq!(
-            omniscient::on_probability(&c.flows[0].workload),
-            omniscient::on_probability(&s.flows[0].workload),
+            crate::omniscient::on_probability(&c.flows[0].workload),
+            crate::omniscient::on_probability(&s.flows[0].workload),
         );
         c.validate().unwrap();
     }

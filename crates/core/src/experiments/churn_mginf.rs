@@ -14,38 +14,11 @@
 //! processes offer similar load and the comparison isolates the burst
 //! structure. Blocked points ride along as the in-sweep baseline.
 
-use super::{
-    fmt_stat, mean_normalized_objective, run_train_job, train_cfg, Experiment, Fidelity, TrainCost,
-    TrainJob,
-};
-use crate::experiments::multiplexing;
-use crate::omniscient;
-use crate::report::{ChartData, FigureData, Series, Table, TableData};
-use crate::runner::{summarize, PointOutcome, Scheme, SweepPoint};
-use netsim::prelude::*;
-use remy::{BufferSpec, ScenarioSpec};
-
-/// Asset shared with the multiplexing/churn experiments: the 1–10-way Tao.
-pub const ASSET: &str = "tao-mux-10";
-
-/// Scheme labels of the sweep, in series order.
-const SCHEMES: [&str; 3] = ["tao", "cubic", "newreno"];
+use super::churn::{arrival_rates, Churn, ASSET, MEAN_DURATION_S, SLOTS};
+use super::scaffold::prelude::*;
 
 /// Arrival-process variants, in series order.
 const MODES: [&str; 2] = ["mginf", "blocked"];
-
-/// Sender slots on the dumbbell (the trained multiplexing range's top).
-const SLOTS: usize = 10;
-
-/// Mean flow duration (seconds); λ sweeps around the paper's 1/s point.
-const MEAN_DURATION_S: f64 = 1.0;
-
-fn arrival_rates(fidelity: Fidelity) -> Vec<f64> {
-    match fidelity {
-        Fidelity::Quick => vec![0.2, 1.0, 5.0],
-        Fidelity::Full => vec![0.1, 0.2, 0.5, 1.0, 2.0, 5.0],
-    }
-}
 
 /// The ten-slot dumbbell under either churn variant.
 fn churn_network(arrival_rate_hz: f64, unblocked: bool) -> NetworkConfig {
@@ -54,17 +27,7 @@ fn churn_network(arrival_rate_hz: f64, unblocked: bool) -> NetworkConfig {
     } else {
         WorkloadSpec::churn(arrival_rate_hz, MEAN_DURATION_S)
     };
-    dumbbell(
-        SLOTS,
-        15e6,
-        0.150,
-        QueueSpec::drop_tail_bdp(15e6, 0.150, 5.0),
-        workload,
-    )
-}
-
-fn fair_share(net: &NetworkConfig) -> f64 {
-    omniscient::omniscient(net)[0].throughput_bps
+    paper_dumbbell(SLOTS, 15e6, 0.150, workload)
 }
 
 /// The M/G/∞ churn experiment (`learnability run churn_mginf`).
@@ -80,60 +43,31 @@ impl Experiment for ChurnMginf {
          blocked-arrival baseline"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic", "newreno"]
+    fn roster(&self) -> Vec<Contender> {
+        Contender::tao_vs(ASSET, [Scheme::Cubic, Scheme::NewReno])
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
-        // Identical job to the multiplexing experiment's tao-mux-10 slot,
-        // so one committed asset serves all three churn-family sweeps.
-        vec![TrainJob::single(
-            ASSET,
-            vec![ScenarioSpec::multiplexing(
-                multiplexing::RANGES[1].1,
-                BufferSpec::BdpMultiple(5.0),
-            )],
-            train_cfg(TrainCost::Normal),
-        )]
+        // The multiplexing experiment's tao-mux-10 job, so one committed
+        // asset serves all three churn-family sweeps.
+        Churn.train_specs()
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let tao = run_train_job(&self.train_specs().remove(0))
-            .pop()
-            .expect("one protocol");
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points = Vec::new();
+        let mut grid = Grid::new(self, fidelity);
         for &rate in &arrival_rates(fidelity) {
-            for (mode, unblocked) in [("mginf", true), ("blocked", false)] {
-                let net = churn_network(rate, unblocked);
-                for (label, scheme) in [
-                    ("tao", Scheme::tao(tao.tree.clone(), "tao")),
-                    ("cubic", Scheme::Cubic),
-                    ("newreno", Scheme::NewReno),
-                ] {
-                    points.push(SweepPoint::homogeneous(
-                        format!("{mode}|{label}"),
-                        rate,
-                        net.clone(),
-                        scheme,
-                        seeds.clone(),
-                        dur,
-                    ));
-                }
+            for mode in MODES {
+                grid.cells(mode, rate, &churn_network(rate, mode == "mginf"));
             }
         }
-        points
+        grid.into_points()
     }
 
     fn summarize(&self, fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        let base_delay = 0.075;
+        let roster = self.roster();
 
-        let mut series: Vec<Series> = MODES
-            .iter()
-            .flat_map(|m| SCHEMES.iter().map(move |s| Series::new(format!("{s}@{m}"))))
-            .collect();
+        let mut series = SeriesSet::new(self.id(), names_at(&MODES, &roster));
         let mut t = Table::new(
             "M/G/inf vs blocked churn — 15 Mbps, 150 ms RTT, 10 slots, mean \
              flow duration 1 s",
@@ -146,35 +80,30 @@ impl Experiment for ChurnMginf {
             ],
         );
         for p in points {
-            let (mode, label) = p.key().split_once('|').expect("key is mode|scheme");
-            let obj = mean_normalized_objective(&p.runs, fair_share(&p.point.net), base_delay);
-            let name = format!("{label}@{mode}");
-            let si = series
-                .iter()
-                .position(|s| s.name == name)
-                .expect("known series");
-            series[si].push(p.x(), obj);
-            let (tpt, qd) = crate::runner::flow_points(&p.runs, |_| true);
+            let (mode, label) = split_key(p.key());
+            let obj = Norm::omniscient(&p.point.net).objective(&p.runs);
+            series.push(&format!("{label}@{mode}"), p.x(), obj);
+            let [tpt, qd] = TptQd::all(&p.runs).cells();
             t.row(vec![
                 format!("{:.1}/s", p.x()),
                 mode.to_string(),
                 label.to_string(),
-                fmt_stat(&summarize(&tpt), " Mbps"),
-                fmt_stat(&summarize(&qd), " ms"),
+                tpt,
+                qd,
             ]);
         }
         fig.charts.push(ChartData::from_series(
             "normalized objective vs per-slot arrival rate (unblocked M/G/inf \
              vs blocked arrivals)",
             "arrivals per second",
-            &series,
+            series.all(),
         ));
         fig.tables.push(TableData::from_table(&t));
 
         let max_rate = *arrival_rates(fidelity).last().unwrap();
-        for s in SCHEMES {
+        for s in roster.iter().map(|c| &c.label) {
             for m in MODES {
-                if let Some(sr) = fig.chart_series(0, &format!("{s}@{m}")) {
+                if let Some(sr) = series.get(&format!("{s}@{m}")) {
                     if let Some(at_1) = sr.value_at(1.0) {
                         fig.push_summary(format!("{s}_{m}_objective_at_1hz"), at_1);
                     }
@@ -224,8 +153,8 @@ mod tests {
     #[test]
     fn mginf_offers_more_load_at_high_rates() {
         // duty 1 − e^{−5} ≈ 0.993 vs blocked 5/6 ≈ 0.833
-        let mg = omniscient::on_probability(&churn_network(5.0, true).flows[0].workload);
-        let bl = omniscient::on_probability(&churn_network(5.0, false).flows[0].workload);
+        let on = |net: NetworkConfig| crate::omniscient::on_probability(&net.flows[0].workload);
+        let (mg, bl) = (on(churn_network(5.0, true)), on(churn_network(5.0, false)));
         assert!((mg - 0.9933).abs() < 1e-3, "{mg}");
         assert!((bl - 5.0 / 6.0).abs() < 1e-9, "{bl}");
         assert!(mg > bl);
@@ -234,7 +163,7 @@ mod tests {
     #[test]
     fn train_job_matches_multiplexing_asset() {
         let ours = ChurnMginf.train_specs().remove(0);
-        let theirs = multiplexing::Multiplexing
+        let theirs = crate::experiments::multiplexing::Multiplexing
             .train_specs()
             .into_iter()
             .find(|j| j.assets == vec![ASSET.to_string()])

@@ -16,19 +16,9 @@
 //! carry. The question is whether the learned protocol's advantage
 //! survives an ack stream it never saw during design.
 
-use super::{fmt_stat, mean_normalized_objective, run_train_job, Experiment, Fidelity, TrainJob};
+use super::scaffold::prelude::*;
+use super::shared_uplink::base_network;
 use crate::experiments::calibration;
-use crate::omniscient;
-use crate::report::{ChartData, FigureData, Series, Table, TableData};
-use crate::runner::{summarize, PointOutcome, Scheme, SweepPoint};
-use netsim::prelude::*;
-
-/// Scheme labels of the sweep, in series order.
-const SCHEMES: [&str; 3] = ["tao", "cubic", "newreno"];
-
-/// Senders on the bottleneck (the shared-uplink population, so the
-/// reverse link sees real cross-flow ACK interleaving).
-const SENDERS: usize = 4;
 
 /// Delayed-ACK flush timer: the classic BSD 40 ms tick. A partial batch
 /// never waits longer than this, so k bounds signal thinning, not
@@ -53,18 +43,9 @@ fn slowdowns(fidelity: Fidelity) -> Vec<f64> {
     }
 }
 
-/// The forward network: the calibration bottleneck with four senders.
-fn base_network() -> NetworkConfig {
-    dumbbell(
-        SENDERS,
-        32e6,
-        0.150,
-        QueueSpec::drop_tail_bdp(32e6, 0.150, 5.0),
-        WorkloadSpec::on_off_1s(),
-    )
-}
-
-/// The swept network: every receiver acknowledges every `k`-th packet
+/// The swept network: the shared-uplink population (four senders on the
+/// calibration bottleneck, so the reverse link sees real cross-flow ACK
+/// interleaving), every receiver acknowledging every `k`-th packet
 /// (40 ms flush), all ACKs through one shared drop-tail reverse link at
 /// `forward / slowdown`.
 fn delayed_network(k: u32, slowdown: f64) -> NetworkConfig {
@@ -73,6 +54,11 @@ fn delayed_network(k: u32, slowdown: f64) -> NetworkConfig {
             QueueSpec::drop_tail_bdp(rate, 0.150, 5.0)
         })
         .with_receiver(ReceiverSpec::delayed(k, FLUSH_TIMER_S))
+}
+
+/// Panel name (and series suffix) of an uplink slowdown: `1x`, `50x`.
+fn panel(slowdown: f64) -> String {
+    format!("{slowdown:.0}x")
 }
 
 /// The delayed-ACK experiment (`learnability run delayed_ack`).
@@ -88,8 +74,8 @@ impl Experiment for DelayedAck {
          40 ms flush) crossed with a shared ACK uplink (1x -> 1/50x)"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic", "newreno"]
+    fn roster(&self) -> Vec<Contender> {
+        Contender::tao_vs(calibration::ASSET, [Scheme::Cubic, Scheme::NewReno])
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -99,38 +85,20 @@ impl Experiment for DelayedAck {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let tao = run_train_job(&self.train_specs().remove(0))
-            .pop()
-            .expect("one protocol");
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points = Vec::new();
+        let mut grid = Grid::new(self, fidelity);
         for &slowdown in &slowdowns(fidelity) {
             for &k in &stretch_factors(fidelity) {
-                let net = delayed_network(k, slowdown);
-                for (label, scheme) in [
-                    ("tao", Scheme::tao(tao.tree.clone(), "tao")),
-                    ("cubic", Scheme::Cubic),
-                    ("newreno", Scheme::NewReno),
-                ] {
-                    points.push(SweepPoint::homogeneous(
-                        format!("{slowdown:.0}|{label}"),
-                        k as f64,
-                        net.clone(),
-                        scheme,
-                        seeds.clone(),
-                        dur,
-                    ));
-                }
+                grid.cells(&panel(slowdown), k as f64, &delayed_network(k, slowdown));
             }
         }
-        points
+        grid.into_points()
     }
 
     fn summarize(&self, fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        let omn = omniscient::omniscient(&base_network());
-        let (fair_tpt, base_delay) = (omn[0].throughput_bps, omn[0].delay_s);
+        let norm = Norm::omniscient(&base_network());
+        let roster = self.roster();
+        let panels: Vec<String> = slowdowns(fidelity).into_iter().map(panel).collect();
 
         let mut t = Table::new(
             "delayed ACKs — 32 Mbps forward, 150 ms RTT, 4 senders, ack-every-k \
@@ -144,55 +112,41 @@ impl Experiment for DelayedAck {
                 "timeouts/run",
             ],
         );
-        let mut series: Vec<Series> = slowdowns(fidelity)
-            .iter()
-            .flat_map(|sl| {
-                SCHEMES
-                    .iter()
-                    .map(move |s| Series::new(format!("{s}@{sl:.0}x")))
-            })
-            .collect();
+        let mut series = SeriesSet::new(self.id(), names_at(&panels, &roster));
         for p in points {
-            let (slowdown, label) = p.key().split_once('|').expect("key is slowdown|scheme");
-            let (tpt, qd) = crate::runner::flow_points(&p.runs, |_| true);
-            let obj = mean_normalized_objective(&p.runs, fair_tpt, base_delay);
-            let timeouts: f64 = p
-                .runs
-                .iter()
-                .map(|r| r.flows.iter().map(|f| f.timeouts).sum::<u64>() as f64)
-                .sum::<f64>()
-                / p.runs.len().max(1) as f64;
+            let (slowdown, label) = split_key(p.key());
+            let [tpt, qd] = TptQd::all(&p.runs).cells();
+            let timeouts = flow_sum(&p.runs, |f| f.timeouts) as f64 / p.runs.len().max(1) as f64;
             t.row(vec![
                 format!("{:.0}", p.x()),
-                format!("1/{slowdown}x"),
+                format!("1/{slowdown}"),
                 label.to_string(),
-                fmt_stat(&summarize(&tpt), " Mbps"),
-                fmt_stat(&summarize(&qd), " ms"),
+                tpt,
+                qd,
                 format!("{timeouts:.1}"),
             ]);
-            let name = format!("{label}@{slowdown}x");
-            let si = series
-                .iter()
-                .position(|s| s.name == name)
-                .expect("known series");
-            series[si].push(p.x(), obj);
+            series.push(
+                &format!("{label}@{slowdown}"),
+                p.x(),
+                norm.objective(&p.runs),
+            );
         }
         fig.tables.push(TableData::from_table(&t));
         fig.charts.push(ChartData::from_series(
             "normalized objective vs ACK stretch factor, by shared-uplink slowdown",
             "k (receiver acknowledges every k-th packet)",
-            &series,
+            series.all(),
         ));
 
         let k_max = *stretch_factors(fidelity).last().expect("non-empty") as f64;
-        for sl in slowdowns(fidelity) {
-            for s in SCHEMES {
-                if let Some(sr) = fig.chart_series(0, &format!("{s}@{sl:.0}x")) {
+        for sl in &panels {
+            for s in roster.iter().map(|c| &c.label) {
+                if let Some(sr) = series.get(&format!("{s}@{sl}")) {
                     let at_1 = sr.value_at(1.0).unwrap_or(f64::NEG_INFINITY);
                     let at_k = sr.value_at(k_max).unwrap_or(f64::NEG_INFINITY);
-                    fig.push_summary(format!("{s}_{sl:.0}x_objective_at_k1"), at_1);
-                    fig.push_summary(format!("{s}_{sl:.0}x_objective_at_k{k_max:.0}"), at_k);
-                    fig.push_summary(format!("{s}_{sl:.0}x_stretch_degradation"), at_1 - at_k);
+                    fig.push_summary(format!("{s}_{sl}_objective_at_k1"), at_1);
+                    fig.push_summary(format!("{s}_{sl}_objective_at_k{k_max:.0}"), at_k);
+                    fig.push_summary(format!("{s}_{sl}_stretch_degradation"), at_1 - at_k);
                 }
             }
         }

@@ -10,16 +10,9 @@
 //! the delay-sensitive sender keep low delay in the mix, paid for by the
 //! throughput-sensitive sender's "niceness".
 
-use super::{fmt_stat, run_train_job, train_cfg, Experiment, Fidelity, TrainCost, TrainJob};
-use crate::report::{FigureData, Table, TableData};
-use crate::runner::{summarize, PointOutcome, Scheme, SweepPoint};
-use netsim::prelude::*;
-use netsim::queue::QueueSpec;
-use netsim::topology::dumbbell;
-use netsim::workload::WorkloadSpec;
+use super::scaffold::prelude::*;
 use remy::{
-    BufferSpec, CountSpec, Objective, RoleSpec, Sample, ScenarioSpec, SenderClassSpec,
-    TopologySpec, TrainedProtocol,
+    BufferSpec, CountSpec, Objective, RoleSpec, Sample, ScenarioSpec, SenderClassSpec, TopologySpec,
 };
 
 pub const ASSET_TPT_NAIVE: &str = "tao-tpt-naive";
@@ -43,20 +36,6 @@ fn naive_spec(delta: f64) -> ScenarioSpec {
         }],
         buffer: BufferSpec::Infinite,
     }
-}
-
-/// Train (or load) all four protocols: naive and co-optimized variants of
-/// the throughput- and delay-sensitive senders, in
-/// `[tpt-naive, del-naive, tpt-coopt, del-coopt]` order.
-pub fn trained_taos() -> [TrainedProtocol; 4] {
-    let protos: Vec<TrainedProtocol> = Diversity
-        .train_specs()
-        .iter()
-        .flat_map(run_train_job)
-        .collect();
-    protos
-        .try_into()
-        .unwrap_or_else(|v: Vec<TrainedProtocol>| panic!("expected 4 protocols, got {}", v.len()))
 }
 
 /// Table 7b's network: 10 Mbps, 100 ms, no-drop buffer, 1 s ON/OFF.
@@ -112,8 +91,15 @@ impl Experiment for Diversity {
         "Fig 9 / Table 7 — the price of sender diversity"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao"]
+    fn roster(&self) -> Vec<Contender> {
+        [
+            ASSET_TPT_NAIVE,
+            ASSET_DEL_NAIVE,
+            ASSET_TPT_COOPT,
+            ASSET_DEL_COOPT,
+        ]
+        .map(Contender::asset)
+        .into()
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -140,36 +126,17 @@ impl Experiment for Diversity {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let [tpt_naive, del_naive, tpt_coopt, del_coopt] = trained_taos();
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let tree_of = |label: &str| match label {
-            ASSET_TPT_NAIVE => &tpt_naive.tree,
-            ASSET_DEL_NAIVE => &del_naive.tree,
-            ASSET_TPT_COOPT => &tpt_coopt.tree,
-            _ => &del_coopt.tree,
-        };
-        ROWS.iter()
-            .map(|&(group, config, labels)| {
-                let schemes: Vec<Scheme> = labels
-                    .iter()
-                    .map(|&l| Scheme::tao(tree_of(l).clone(), l))
-                    .collect();
-                SweepPoint::mix(
-                    format!("{group}|{config}"),
-                    0.0,
-                    test_network(schemes.len()),
-                    schemes,
-                    seeds.clone(),
-                    dur,
-                )
-            })
-            .collect()
+        let mut grid = Grid::new(self, fidelity);
+        for (group, config, flows) in ROWS {
+            let schemes = flows.iter().map(|l| grid.scheme(l)).collect();
+            grid.mix(group, config, 0.0, test_network(flows.len()), schemes);
+        }
+        grid.into_points()
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        let mut medians: Vec<(String, String, f64, f64)> = Vec::new();
+        let mut rows = Vec::new();
         for (group, title) in [
             ("homogeneous", "Fig 9a — homogeneous (each pair by itself)"),
             (
@@ -177,36 +144,16 @@ impl Experiment for Diversity {
                 "Fig 9b — mixed network (1 tpt-sender + 1 del-sender)",
             ),
         ] {
-            let mut t = Table::new(
-                title,
-                &["configuration", "sender", "throughput", "queueing delay"],
-            );
-            for p in points {
-                let Some(config) = p.key().strip_prefix(&format!("{group}|")) else {
-                    continue;
-                };
-                for label in p.unique_labels() {
-                    let (tpt, qd) = p.flow_points_labeled(&label);
-                    let (tpt, qd) = (summarize(&tpt), summarize(&qd));
-                    t.row(vec![
-                        config.to_string(),
-                        label.clone(),
-                        fmt_stat(&tpt, " Mbps"),
-                        fmt_stat(&qd, " ms"),
-                    ]);
-                    medians.push((config.to_string(), label, tpt.median, qd.median));
-                }
-            }
-            fig.tables.push(TableData::from_table(&t));
+            let headers = ["configuration", "sender", "throughput", "queueing delay"];
+            rows.extend(sides_table(&mut fig, title, &headers, points, group));
         }
 
         // In the co-optimized mix, the delay-sensitive sender should see
         // less queueing delay than the throughput-sensitive one.
         let qd_of = |config: &str, label: &str| {
-            medians
-                .iter()
-                .find(|(c, l, _, _)| c == config && l == label)
-                .map(|&(_, _, _, qd)| qd)
+            rows.iter()
+                .find(|(c, l, _)| *c == config && l == label)
+                .map(|(_, _, s)| s.qd.median)
         };
         if let (Some(tpt_qd), Some(del_qd)) = (
             qd_of("co-optimized mix", ASSET_TPT_COOPT),

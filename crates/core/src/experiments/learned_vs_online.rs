@@ -9,52 +9,12 @@
 //! human-designed yardstick — all normalized against the omniscient
 //! reference, so 0 means "as good as knowing the network exactly".
 
-use super::{
-    log_grid, mean_normalized_objective, run_train_job, train_cfg, Experiment, Fidelity, TrainCost,
-    TrainJob,
-};
-use crate::omniscient;
-use crate::report::{ChartData, FigureData, Series};
-use crate::runner::{PointOutcome, Scheme, SweepPoint};
-use netsim::prelude::*;
-use netsim::queue::QueueSpec;
-use netsim::topology::dumbbell;
-use netsim::workload::WorkloadSpec;
-use remy::{ScenarioSpec, TrainedProtocol};
+use super::link_speed::{speed_sweep, test_network, LinkSpeed};
+use super::scaffold::prelude::*;
 
 /// The offline-learned contender: the broadest-range Tao from the
 /// link-speed experiment (same asset name, so training is shared).
 pub const ASSET: &str = "tao-1000x";
-
-/// The per-sweep scheme labels, in series order.
-const NAMES: [&str; 3] = ["tao-1000x", "pcc", "cubic"];
-
-fn trained_tao() -> TrainedProtocol {
-    run_train_job(&TrainJob::single(
-        ASSET,
-        vec![ScenarioSpec::link_speed_range(1.0, 1000.0)],
-        train_cfg(TrainCost::Heavy),
-    ))
-    .remove(0)
-}
-
-fn test_network(speed_mbps: f64) -> NetworkConfig {
-    let rate = speed_mbps * 1e6;
-    dumbbell(
-        2,
-        rate,
-        0.150,
-        QueueSpec::drop_tail_bdp(rate, 0.150, 5.0),
-        WorkloadSpec::on_off_1s(),
-    )
-}
-
-fn speeds(fidelity: Fidelity) -> Vec<f64> {
-    match fidelity {
-        Fidelity::Quick => log_grid(1.0, 1000.0, 7),
-        Fidelity::Full => log_grid(1.0, 1000.0, 13),
-    }
-}
 
 /// The offline-vs-online learning experiment
 /// (`learnability run learned_vs_online`).
@@ -69,76 +29,41 @@ impl Experiment for LearnedVsOnline {
         "§6 discussion — offline-designed Tao vs online-learned (PCC-style) control"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "pcc", "cubic"]
+    fn roster(&self) -> Vec<Contender> {
+        vec![
+            Contender::asset(ASSET),
+            Contender::fixed(Scheme::Pcc),
+            Contender::fixed(Scheme::Cubic),
+        ]
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
-        vec![TrainJob::single(
-            ASSET,
-            vec![ScenarioSpec::link_speed_range(1.0, 1000.0)],
-            train_cfg(TrainCost::Heavy),
-        )]
+        jobs_of(&LinkSpeed, &[ASSET])
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let tao = trained_tao();
-        let base_dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points = Vec::new();
-        for &speed in &speeds(fidelity) {
-            let net = test_network(speed);
-            // Same high-speed event-count guard as the link-speed sweep.
-            let dur = if speed > 300.0 {
-                base_dur.min(20.0)
-            } else {
-                base_dur
-            };
-            for (key, scheme) in [
-                ("tao-1000x", Scheme::tao(tao.tree.clone(), &tao.name)),
-                ("pcc", Scheme::Pcc),
-                ("cubic", Scheme::Cubic),
-            ] {
-                points.push(SweepPoint::homogeneous(
-                    key,
-                    speed,
-                    net.clone(),
-                    scheme,
-                    seeds.clone(),
-                    dur,
-                ));
-            }
-        }
-        points
+        // The link-speed sweep itself, high-speed event-count guard
+        // included, over this roster.
+        speed_sweep(Grid::new(self, fidelity), fidelity)
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        let mut series: Vec<Series> = NAMES.iter().map(|n| Series::new(*n)).collect();
+        let mut series = SeriesSet::of(self);
         for p in points {
-            let omn = omniscient::omniscient(&test_network(p.x()));
-            let obj = mean_normalized_objective(&p.runs, omn[0].throughput_bps, omn[0].delay_s);
-            let si = NAMES
-                .iter()
-                .position(|n| *n == p.key())
-                .expect("known series");
-            series[si].push(p.x(), obj);
+            let norm = Norm::omniscient(&test_network(p.x()));
+            series.push(p.key(), p.x(), norm.objective(&p.runs));
         }
         fig.charts.push(ChartData::from_series(
             "normalized objective vs link speed: offline Tao vs online PCC (omniscient = 0)",
             "Mbps",
-            &series,
+            series.all(),
         ));
 
         // Headline: how much of the gap to the offline design does online
         // learning close relative to the human baseline, over the range
         // the Tao was actually trained for?
-        let mean_of = |name: &str| {
-            series
-                .iter()
-                .find(|s| s.name == name)
-                .and_then(|s| s.mean_in(1.0, 1000.0))
-        };
+        let mean_of = |name: &str| series.get(name)?.mean_in(1.0, 1000.0);
         if let (Some(tao), Some(pcc), Some(cubic)) =
             (mean_of("tao-1000x"), mean_of("pcc"), mean_of("cubic"))
         {
@@ -170,13 +95,8 @@ mod tests {
 
     #[test]
     fn quick_sweep_covers_the_grid() {
-        assert_eq!(speeds(Fidelity::Quick).len(), 7);
-        assert_eq!(speeds(Fidelity::Full).len(), 13);
-    }
-
-    #[test]
-    fn series_names_match_sweep_keys() {
-        // sweep() would train; pin the label set structurally instead.
-        assert_eq!(NAMES, ["tao-1000x", "pcc", "cubic"]);
+        // 7 (quick) / 13 (full) speeds x 3 contenders.
+        assert_eq!(LearnedVsOnline.sweep(Fidelity::Quick).len(), 7 * 3);
+        assert_eq!(LearnedVsOnline.sweep(Fidelity::Full).len(), 13 * 3);
     }
 }

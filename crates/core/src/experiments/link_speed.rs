@@ -7,18 +7,9 @@
 //! normalized objective (omniscient = 0). The paper finds only a weak
 //! tradeoff between operating range and performance.
 
-use super::{
-    log_grid, mean_normalized_objective, run_train_job, train_cfg, Experiment, Fidelity, TrainCost,
-    TrainJob,
-};
-use crate::omniscient;
-use crate::report::{ChartData, FigureData, Series};
-use crate::runner::{with_sfq_codel, PointOutcome, Scheme, SweepPoint};
-use netsim::prelude::*;
-use netsim::queue::QueueSpec;
-use netsim::topology::dumbbell;
-use netsim::workload::WorkloadSpec;
-use remy::{ScenarioSpec, TrainedProtocol};
+use super::log_grid;
+use super::scaffold::prelude::*;
+use remy::ScenarioSpec;
 
 /// The four trained operating ranges, as (asset name, lo Mbps, hi Mbps).
 pub const RANGES: [(&str, f64, f64); 4] = [
@@ -28,24 +19,8 @@ pub const RANGES: [(&str, f64, f64); 4] = [
     ("tao-2x", 22.0, 44.0),
 ];
 
-/// Train (or load) the four range protocols.
-pub fn trained_taos() -> Vec<TrainedProtocol> {
-    LinkSpeed
-        .train_specs()
-        .iter()
-        .flat_map(run_train_job)
-        .collect()
-}
-
-fn test_network(speed_mbps: f64) -> NetworkConfig {
-    let rate = speed_mbps * 1e6;
-    dumbbell(
-        2,
-        rate,
-        0.150,
-        QueueSpec::drop_tail_bdp(rate, 0.150, 5.0),
-        WorkloadSpec::on_off_1s(),
-    )
+pub(super) fn test_network(speed_mbps: f64) -> NetworkConfig {
+    paper_dumbbell(2, speed_mbps * 1e6, 0.150, WorkloadSpec::on_off_1s())
 }
 
 fn speeds(fidelity: Fidelity) -> Vec<f64> {
@@ -53,6 +28,22 @@ fn speeds(fidelity: Fidelity) -> Vec<f64> {
         Fidelity::Quick => log_grid(1.0, 1000.0, 7),
         Fidelity::Full => log_grid(1.0, 1000.0, 13),
     }
+}
+
+/// One cell per contender at each swept speed (shared with the
+/// offline-vs-online comparison, which sweeps the same axis).
+pub(super) fn speed_sweep(mut grid: Grid, fidelity: Fidelity) -> Vec<SweepPoint> {
+    let base_dur = grid.duration_s;
+    for &speed in &speeds(fidelity) {
+        // Scale test time down at very high speeds to bound event counts.
+        grid.duration_s = if speed > 300.0 {
+            base_dur.min(20.0)
+        } else {
+            base_dur
+        };
+        grid.cells("", speed, &test_network(speed));
+    }
+    grid.into_points()
 }
 
 /// The link-speed operating-range experiment (`learnability run link_speed`).
@@ -67,8 +58,8 @@ impl Experiment for LinkSpeed {
         "Fig 2 / Table 2 — operating range in link speed"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic"]
+    fn roster(&self) -> Vec<Contender> {
+        Contender::with_cubic_pair(RANGES.iter().map(|r| Contender::asset(r.0)))
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -90,79 +81,25 @@ impl Experiment for LinkSpeed {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let taos = trained_taos();
-        let base_dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points = Vec::new();
-        for &speed in &speeds(fidelity) {
-            let net = test_network(speed);
-            // Scale test time down at very high speeds to bound event counts.
-            let dur = if speed > 300.0 {
-                base_dur.min(20.0)
-            } else {
-                base_dur
-            };
-            for tao in &taos {
-                points.push(SweepPoint::homogeneous(
-                    tao.name.clone(),
-                    speed,
-                    net.clone(),
-                    Scheme::tao(tao.tree.clone(), &tao.name),
-                    seeds.clone(),
-                    dur,
-                ));
-            }
-            points.push(SweepPoint::homogeneous(
-                "cubic",
-                speed,
-                net.clone(),
-                Scheme::Cubic,
-                seeds.clone(),
-                dur,
-            ));
-            points.push(SweepPoint::homogeneous(
-                "cubic-sfqcodel",
-                speed,
-                with_sfq_codel(&net),
-                Scheme::Cubic,
-                seeds.clone(),
-                dur,
-            ));
-        }
-        points
+        speed_sweep(Grid::new(self, fidelity), fidelity)
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        let names: Vec<String> = RANGES
-            .iter()
-            .map(|&(n, _, _)| n.to_string())
-            .chain(["cubic".into(), "cubic-sfqcodel".into()])
-            .collect();
-        let mut series: Vec<Series> = names.iter().map(Series::new).collect();
+        let mut series = SeriesSet::of(self);
         for p in points {
             // Omniscient reference for normalization at this speed.
-            let omn = omniscient::omniscient(&test_network(p.x()));
-            let obj = mean_normalized_objective(&p.runs, omn[0].throughput_bps, omn[0].delay_s);
-            let si = names
-                .iter()
-                .position(|n| n == p.key())
-                .expect("known series");
-            series[si].push(p.x(), obj);
+            let norm = Norm::omniscient(&test_network(p.x()));
+            series.push(p.key(), p.x(), norm.objective(&p.runs));
         }
         fig.charts.push(ChartData::from_series(
             "Fig 2 — normalized objective vs link speed (omniscient = 0)",
             "Mbps",
-            &series,
+            series.all(),
         ));
 
         // Headline comparison: broad vs narrow protocol inside the 2x range.
-        let mean_in = |name: &str, lo: f64, hi: f64| {
-            series
-                .iter()
-                .find(|s| s.name == name)
-                .and_then(|s| s.mean_in(lo, hi))
-        };
+        let mean_in = |name: &str, lo: f64, hi: f64| series.get(name)?.mean_in(lo, hi);
         if let (Some(broad), Some(narrow)) = (
             mean_in("tao-1000x", 22.0, 44.0),
             mean_in("tao-2x", 22.0, 44.0),

@@ -30,21 +30,12 @@
 //! pre-sizing at the population the `sim_events_per_sec_10k` perf-gate
 //! metric tracks.
 
-use super::{
-    fmt_stat, mean_normalized_objective, run_train_job, train_cfg, Experiment, Fidelity, TrainCost,
-    TrainJob,
-};
-use crate::report::{ChartData, FigureData, Series, Table, TableData};
-use crate::runner::{summarize, PointOutcome, Scheme, SweepPoint};
-use netsim::prelude::*;
-use remy::{BufferSpec, ScenarioSpec};
+use super::multiplexing;
+use super::scaffold::prelude::*;
 
 /// Asset shared with the multiplexing experiment's widest range: the
 /// 1–100-way Tao, the closest committed protocol to this regime.
 pub const ASSET: &str = "tao-mux-100";
-
-/// Scheme labels of the sweep, in series order.
-const SCHEMES: [&str; 4] = ["tao", "cubic", "newreno", "pcc"];
 
 /// Topology variants, in series order.
 const TOPOS: [&str; 2] = ["incast", "parkinglot"];
@@ -200,68 +191,37 @@ impl Experiment for ManyFlows {
          per-decile throughput fairness"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic", "newreno", "pcc"]
+    fn roster(&self) -> Vec<Contender> {
+        Contender::tao_vs(ASSET, [Scheme::Cubic, Scheme::NewReno, Scheme::Pcc])
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
-        // Byte-identical to the multiplexing experiment's tao-mux-100
-        // job, so the committed asset serves both and nothing retrains.
-        vec![TrainJob::single(
-            ASSET,
-            vec![ScenarioSpec::multiplexing(
-                100,
-                BufferSpec::BdpMultiple(5.0),
-            )],
-            train_cfg(TrainCost::Heavy),
-        )]
+        // The multiplexing experiment's tao-mux-100 job, so the committed
+        // asset serves both and nothing retrains.
+        jobs_of(&multiplexing::Multiplexing, &[ASSET])
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let tao = run_train_job(&self.train_specs().remove(0))
-            .pop()
-            .expect("one protocol");
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points = Vec::new();
+        let mut grid = Grid::new(self, fidelity);
         for &n in &flow_counts(fidelity) {
             for topo in TOPOS {
                 let net = match topo {
                     "incast" => incast(n),
                     _ => access_parking_lot(n),
                 };
-                for (label, scheme) in [
-                    ("tao", Scheme::tao(tao.tree.clone(), "tao")),
-                    ("cubic", Scheme::Cubic),
-                    ("newreno", Scheme::NewReno),
-                    ("pcc", Scheme::Pcc),
-                ] {
-                    points.push(SweepPoint::homogeneous(
-                        format!("{topo}|{label}"),
-                        n as f64,
-                        net.clone(),
-                        scheme,
-                        seeds.clone(),
-                        dur,
-                    ));
-                }
+                grid.cells(topo, n as f64, &net);
             }
         }
-        points
+        grid.into_points()
     }
 
     fn summarize(&self, fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
         let max_n = *flow_counts(fidelity).last().unwrap() as f64;
 
-        let mut obj_series: Vec<Series> = TOPOS
-            .iter()
-            .flat_map(|t| SCHEMES.iter().map(move |s| Series::new(format!("{s}@{t}"))))
-            .collect();
-        let mut decile_series: Vec<Series> = TOPOS
-            .iter()
-            .flat_map(|t| SCHEMES.iter().map(move |s| Series::new(format!("{s}@{t}"))))
-            .collect();
+        let names = names_at(&TOPOS, &self.roster());
+        let mut obj_series = SeriesSet::new(self.id(), names.clone());
+        let mut decile_series = SeriesSet::new(self.id(), names);
         let mut t = Table::new(
             "Internet-scale churn — incast (400 Mbps, 4 ms) and access \
              parking lot (2x100 Mbps, 80 ms long path), M/G/inf slots at \
@@ -276,40 +236,40 @@ impl Experiment for ManyFlows {
             ],
         );
         for p in points {
-            let (topo, label) = p.key().split_once('|').expect("key is topo|scheme");
+            let (topo, label) = split_key(p.key());
             let n = p.x() as usize;
-            let share = fair_share(topo, n);
-            let obj = mean_normalized_objective(&p.runs, share, base_delay(topo));
+            let norm = Norm {
+                fair_tpt_bps: fair_share(topo, n),
+                base_delay_s: base_delay(topo),
+            };
+            let obj = norm.objective(&p.runs);
             let name = format!("{label}@{topo}");
-            let si = obj_series
-                .iter()
-                .position(|s| s.name == name)
-                .expect("known series");
-            obj_series[si].push(p.x(), obj);
+            obj_series.push(&name, p.x(), obj);
             let (tpt, qd) = crate::runner::flow_points(&p.runs, |_| true);
             let jain = jain_index(&tpt);
-            t.row(vec![
-                format!("{n}"),
-                topo.to_string(),
-                label.to_string(),
-                fmt_stat(&summarize(&tpt), " Mbps"),
-                fmt_stat(&summarize(&qd), " ms"),
-                format!("{jain:.3}"),
-            ]);
             if p.x() == max_n {
                 // Decile profile of the widest cell, normalized by the
                 // cell's fair share so both topologies plot on one axis.
                 for (d, m) in decile_means(&tpt).iter().enumerate() {
-                    decile_series[si].push((d + 1) as f64, m * 1e6 / share);
+                    decile_series.push(&name, (d + 1) as f64, m * 1e6 / norm.fair_tpt_bps);
                 }
                 fig.push_summary(format!("{label}_{topo}_jain_at_{n}"), jain);
                 fig.push_summary(format!("{label}_{topo}_objective_at_{n}"), obj);
             }
+            let [tpt, qd] = TptQd::of((tpt, qd)).cells();
+            t.row(vec![
+                format!("{n}"),
+                topo.to_string(),
+                label.to_string(),
+                tpt,
+                qd,
+                format!("{jain:.3}"),
+            ]);
         }
         fig.charts.push(ChartData::from_series(
             "normalized objective vs degree of multiplexing (M/G/inf churn slots)",
             "concurrent churn slots",
-            &obj_series,
+            obj_series.all(),
         ));
         fig.charts.push(ChartData::from_series(
             format!(
@@ -318,7 +278,7 @@ impl Experiment for ManyFlows {
                 max_n as usize
             ),
             "throughput decile",
-            &decile_series,
+            decile_series.all(),
         ));
         fig.tables.push(TableData::from_table(&t));
 
@@ -351,7 +311,6 @@ fn base_delay(topo: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::multiplexing;
     use crate::omniscient;
 
     #[test]

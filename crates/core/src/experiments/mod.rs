@@ -27,12 +27,17 @@
 //!
 //! An experiment is *data*, not code: [`Experiment::train_specs`] lists the
 //! Tao protocols it needs (trained once, cached as JSON assets like the
-//! protocols the paper published), [`Experiment::sweep`] expands the
-//! testing side into [`SweepPoint`] cells the shared engine executes in
-//! parallel ([`crate::runner::execute_sweep`]), and
-//! [`Experiment::summarize`] folds the outcomes into a serializable
-//! [`FigureData`] from which both the JSON artifacts and the printed
-//! tables are rendered.
+//! protocols the paper published), [`Experiment::roster`] names its
+//! contenders once, [`Experiment::sweep`] expands the testing side into
+//! [`SweepPoint`] cells the shared engine executes in parallel
+//! ([`crate::runner::execute_sweep`]), and [`Experiment::summarize`] folds
+//! the outcomes into a serializable [`FigureData`] from which both the
+//! JSON artifacts and the printed tables are rendered.
+//!
+//! Every module is written on the one [`scaffold`] (roster → grid of
+//! cells → series and standard table cells); what is left in a module is
+//! its scenario, its axis and its one custom sentence — see "Writing an
+//! experiment" in the README.
 
 pub mod adversarial;
 pub mod aqm;
@@ -49,6 +54,7 @@ pub mod many_flows;
 pub mod multiplexing;
 pub mod outage_recovery;
 pub mod rtt;
+pub mod scaffold;
 pub mod shared_uplink;
 pub mod signals;
 pub mod tcp_aware;
@@ -56,8 +62,11 @@ pub mod topology;
 pub mod universal;
 
 use crate::report::{FigureData, RunMeta};
-use crate::runner::{PointOutcome, SummaryStat, SweepPoint};
+use crate::runner::{PointOutcome, SweepPoint};
 use netsim::flow::FlowOutcome;
+use netsim::queue::QueueSpec;
+use netsim::topology::{dumbbell, NetworkConfig};
+use netsim::workload::WorkloadSpec;
 use protocols::WhiskerTree;
 use remy::{Objective, OptimizerConfig, ScenarioSpec, TrainedProtocol};
 use std::sync::OnceLock;
@@ -74,9 +83,9 @@ pub enum Fidelity {
 /// CLI names (`quick`/`full`) plus the `LEARNABILITY_FULL` boolean
 /// convention (`1`/`true` → full; ``/`0`/`false` → quick, any case).
 /// Pure, so it is testable without touching the process environment
-/// (env mutation races parallel tests); [`Fidelity::from_env`] and
-/// [`Fidelity::from_flag`] are thin wrappers differing only in how they
-/// treat unrecognized input.
+/// (env mutation races parallel tests). The `--fidelity` flag parses
+/// strictly (unrecognized input is an error the user sees);
+/// [`Fidelity::from_env`] falls back to quick.
 impl std::str::FromStr for Fidelity {
     type Err = String;
 
@@ -100,12 +109,6 @@ impl Fidelity {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(Fidelity::Quick)
-    }
-
-    /// Parse a `--fidelity` CLI flag value (strict: unrecognized input is
-    /// an error the user sees).
-    pub fn from_flag(value: &str) -> Result<Self, String> {
-        value.parse()
     }
 
     pub fn name(self) -> &'static str {
@@ -184,11 +187,18 @@ pub trait Experiment: Sync {
     /// Which paper figure/table this reproduces.
     fn paper_artifact(&self) -> &'static str;
 
-    /// The scheme families this experiment evaluates, as sweep labels
-    /// ("tao" covers every trained Tao variant). Shown by
-    /// `learnability list` so users can see at a glance which protocols
-    /// each figure compares.
-    fn scheme_families(&self) -> &'static [&'static str];
+    /// The contenders this experiment compares, in series order — the
+    /// single source of its sweep cells ([`scaffold::Grid`]), its series
+    /// ([`scaffold::SeriesSet`]) and its [`Experiment::scheme_families`].
+    /// Description only: no asset is touched.
+    fn roster(&self) -> Vec<scaffold::Contender>;
+
+    /// The scheme families this experiment evaluates ("tao" covers every
+    /// trained Tao variant). Shown by `learnability list` so users can
+    /// see at a glance which protocols each figure compares.
+    fn scheme_families(&self) -> Vec<&'static str> {
+        scaffold::families(&self.roster())
+    }
 
     /// The Tao protocols this experiment needs (description only; training
     /// happens lazily via [`run_train_job`] / `learnability train`).
@@ -239,7 +249,7 @@ pub fn find(id: &str) -> Option<&'static dyn Experiment> {
     registry().iter().copied().find(|e| e.id() == id)
 }
 
-/// Execution knobs for [`run_experiment`].
+/// Execution knobs for [`run_experiment_report`].
 #[derive(Clone, Copy, Debug)]
 pub struct RunOptions {
     pub fidelity: Fidelity,
@@ -294,7 +304,8 @@ pub fn git_describe() -> &'static str {
 /// from the surviving cells.
 pub struct RunReport {
     pub fig: FigureData,
-    /// `"cell '<key>' seed <seed>: <panic message>"` per crashed cell.
+    /// `"cell '<key>' x=<x> seed <seed>: <panic message>"` per crashed
+    /// cell ([`scaffold::cell_id`]).
     pub poisoned: Vec<String>,
 }
 
@@ -319,7 +330,7 @@ pub fn run_experiment_report(exp: &dyn Experiment, opts: &RunOptions) -> RunRepo
         .flat_map(|p| {
             p.poisoned
                 .iter()
-                .map(|(seed, msg)| format!("cell '{}' seed {seed}: {msg}", p.key()))
+                .map(|(seed, msg)| format!("{}: {msg}", scaffold::cell_id(p.key(), p.x(), *seed)))
         })
         .collect();
     let truncated: Vec<String> = outcomes
@@ -329,7 +340,7 @@ pub fn run_experiment_report(exp: &dyn Experiment, opts: &RunOptions) -> RunRepo
                 .iter()
                 .zip(p.point.seeds.clone())
                 .filter(|(run, _)| run.truncated)
-                .map(|(_, seed)| format!("cell '{}' seed {seed}", p.key()))
+                .map(|(_, seed)| scaffold::cell_id(p.key(), p.x(), seed))
         })
         .collect();
     let mut fig = exp.summarize(opts.fidelity, &outcomes);
@@ -350,11 +361,6 @@ pub fn run_experiment_report(exp: &dyn Experiment, opts: &RunOptions) -> RunRepo
         git_describe: git_describe().into(),
     };
     RunReport { fig, poisoned }
-}
-
-/// [`run_experiment_report`] for callers that only want the figure.
-pub fn run_experiment(exp: &dyn Experiment, opts: &RunOptions) -> FigureData {
-    run_experiment_report(exp, opts).fig
 }
 
 /// Execute a training job: load every produced asset if committed,
@@ -396,12 +402,6 @@ pub fn run_train_job(job: &TrainJob) -> Vec<TrainedProtocol> {
             protos
         }
     }
-}
-
-/// Load-or-train every protocol an experiment depends on, in
-/// [`Experiment::train_specs`] order.
-pub fn ensure_trained(exp: &dyn Experiment) -> Vec<TrainedProtocol> {
-    exp.train_specs().iter().flat_map(run_train_job).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -476,6 +476,19 @@ pub fn mean_normalized_objective(
     }
 }
 
+/// The paper's testing dumbbell (Tables 1b–4b): `senders` sharing one
+/// `rate_bps` bottleneck at minimum RTT `rtt_s`, behind a 5-BDP drop-tail
+/// buffer.
+pub fn paper_dumbbell(
+    senders: usize,
+    rate_bps: f64,
+    rtt_s: f64,
+    workload: WorkloadSpec,
+) -> NetworkConfig {
+    let queue = QueueSpec::drop_tail_bdp(rate_bps, rtt_s, 5.0);
+    dumbbell(senders, rate_bps, rtt_s, queue, workload)
+}
+
 /// Logarithmically spaced grid including both endpoints.
 pub fn log_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
     assert!(lo > 0.0 && hi > lo && n >= 2);
@@ -485,19 +498,6 @@ pub fn log_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
             (lo.ln() + t * (hi.ln() - lo.ln())).exp()
         })
         .collect()
-}
-
-/// Linearly spaced grid including both endpoints.
-pub fn lin_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    assert!(n >= 2);
-    (0..n)
-        .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
-        .collect()
-}
-
-/// Format a [`SummaryStat`] as `median (±std)`.
-pub fn fmt_stat(s: &SummaryStat, unit: &str) -> String {
-    format!("{:.2}{unit} (±{:.2})", s.median, s.std)
 }
 
 #[cfg(test)]
@@ -510,8 +510,6 @@ mod tests {
         assert!((g[0] - 1.0).abs() < 1e-9);
         assert!((g[3] - 1000.0).abs() < 1e-6);
         assert!((g[1] - 10.0).abs() < 1e-6, "log spacing: {g:?}");
-        let l = lin_grid(0.0, 10.0, 6);
-        assert_eq!(l, vec![0.0, 2.0, 4.0, 6.0, 8.0, 10.0]);
     }
 
     #[test]
@@ -532,9 +530,9 @@ mod tests {
 
     #[test]
     fn fidelity_flag_parsing() {
-        assert_eq!(Fidelity::from_flag("quick"), Ok(Fidelity::Quick));
-        assert_eq!(Fidelity::from_flag("full"), Ok(Fidelity::Full));
-        assert!(Fidelity::from_flag("medium").is_err());
+        assert_eq!("quick".parse(), Ok(Fidelity::Quick));
+        assert_eq!("full".parse(), Ok(Fidelity::Full));
+        assert!("medium".parse::<Fidelity>().is_err());
         assert_eq!(Fidelity::Quick.name(), "quick");
         assert_eq!(Fidelity::Full.name(), "full");
     }
@@ -621,6 +619,49 @@ mod tests {
                 if let Some(alt) = j.co_alternations {
                     assert!(alt > 0);
                     assert!(j.assets.len() > 1, "co-optimization needs several slots");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_sweep_is_well_formed_from_committed_assets() {
+        // From committed assets only: a missing asset must fail here, not
+        // silently start a training run.
+        for e in registry() {
+            let roster = e.roster();
+            let jobs = e.train_specs();
+            let declared = jobs
+                .iter()
+                .flat_map(|j| j.assets.iter().map(String::as_str));
+            for asset in declared.chain(roster.iter().filter_map(|c| c.asset_name())) {
+                let path = remy::serialize::asset_path(asset);
+                assert!(
+                    path.exists(),
+                    "{}: {} is not committed",
+                    e.id(),
+                    path.display()
+                );
+            }
+            let families = e.scheme_families();
+            let points = e.sweep(Fidelity::Quick);
+            assert!(!points.is_empty(), "{} sweeps something", e.id());
+            for (i, p) in points.iter().enumerate() {
+                assert!(
+                    !points[..i].iter().any(|q| q.key == p.key && q.x == p.x),
+                    "{}: cell ('{}', {}) appears twice",
+                    e.id(),
+                    p.key,
+                    p.x
+                );
+                for scheme in &p.schemes {
+                    assert!(
+                        families.contains(&scheme.family()),
+                        "{}: cell '{}' runs '{}', outside families {families:?}",
+                        e.id(),
+                        p.key,
+                        scheme.label()
+                    );
                 }
             }
         }

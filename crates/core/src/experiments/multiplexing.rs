@@ -8,17 +8,8 @@
 //! protocols trained for few senders collapse at 100 (large queues or
 //! repeated drops).
 
-use super::{
-    mean_normalized_objective, run_train_job, train_cfg, Experiment, Fidelity, TrainCost, TrainJob,
-};
-use crate::omniscient;
-use crate::report::{ChartData, FigureData, Series};
-use crate::runner::{with_sfq_codel, PointOutcome, Scheme, SweepPoint};
-use netsim::prelude::*;
-use netsim::queue::QueueSpec;
-use netsim::topology::dumbbell;
-use netsim::workload::WorkloadSpec;
-use remy::{BufferSpec, ScenarioSpec, TrainedProtocol};
+use super::scaffold::prelude::*;
+use remy::{BufferSpec, ScenarioSpec};
 
 /// Trained multiplexing ranges: (asset name, max senders in training).
 pub const RANGES: [(&str, u32); 5] = [
@@ -32,15 +23,6 @@ pub const RANGES: [(&str, u32); 5] = [
 /// The two buffer models of Fig 3's panels: (panel label, infinite?).
 const PANELS: [(&str, bool); 2] = [("buffer 5x BDP", false), ("no packet drops", true)];
 
-/// Train (or load) the five multiplexing protocols (Table 3a).
-pub fn trained_taos() -> Vec<TrainedProtocol> {
-    Multiplexing
-        .train_specs()
-        .iter()
-        .flat_map(run_train_job)
-        .collect()
-}
-
 fn test_network(n_senders: usize, infinite_buffer: bool) -> NetworkConfig {
     let queue = if infinite_buffer {
         QueueSpec::infinite()
@@ -50,26 +32,11 @@ fn test_network(n_senders: usize, infinite_buffer: bool) -> NetworkConfig {
     dumbbell(n_senders, 15e6, 0.150, queue, WorkloadSpec::on_off_1s())
 }
 
-/// Expected per-sender omniscient throughput with `n` exchangeable ON/OFF
-/// senders (p = 1/2) on 15 Mbps.
-fn fair_share(n: usize) -> f64 {
-    let net = test_network(n, true);
-    omniscient::omniscient(&net)[0].throughput_bps
-}
-
 fn sender_counts(fidelity: Fidelity) -> Vec<usize> {
     match fidelity {
         Fidelity::Quick => vec![1, 2, 10, 50, 100],
         Fidelity::Full => vec![1, 2, 5, 10, 20, 35, 50, 75, 100],
     }
-}
-
-fn series_names() -> Vec<String> {
-    RANGES
-        .iter()
-        .map(|&(n, _)| n.to_string())
-        .chain(["cubic".into(), "cubic-sfqcodel".into()])
-        .collect()
 }
 
 /// The degree-of-multiplexing experiment (`learnability run multiplexing`).
@@ -84,8 +51,8 @@ impl Experiment for Multiplexing {
         "Fig 3 / Table 3 — degree of multiplexing"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic"]
+    fn roster(&self) -> Vec<Contender> {
+        Contender::with_cubic_pair(RANGES.iter().map(|r| Contender::asset(r.0)))
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -107,63 +74,31 @@ impl Experiment for Multiplexing {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let taos = trained_taos();
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points = Vec::new();
+        let mut grid = Grid::new(self, fidelity);
         for (panel, infinite) in PANELS {
             for &n in &sender_counts(fidelity) {
-                let net = test_network(n, infinite);
-                for tao in &taos {
-                    points.push(SweepPoint::homogeneous(
-                        format!("{panel}|{}", tao.name),
-                        n as f64,
-                        net.clone(),
-                        Scheme::tao(tao.tree.clone(), &tao.name),
-                        seeds.clone(),
-                        dur,
-                    ));
-                }
-                points.push(SweepPoint::homogeneous(
-                    format!("{panel}|cubic"),
-                    n as f64,
-                    net.clone(),
-                    Scheme::Cubic,
-                    seeds.clone(),
-                    dur,
-                ));
-                points.push(SweepPoint::homogeneous(
-                    format!("{panel}|cubic-sfqcodel"),
-                    n as f64,
-                    with_sfq_codel(&net),
-                    Scheme::Cubic,
-                    seeds.clone(),
-                    dur,
-                ));
+                grid.cells(panel, n as f64, &test_network(n, infinite));
             }
         }
-        points
+        grid.into_points()
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        let names = series_names();
-        let base_delay = 0.075;
         for (panel, _) in PANELS {
-            let mut series: Vec<Series> = names.iter().map(Series::new).collect();
+            let mut series = SeriesSet::of(self);
             for p in points {
-                let Some(name) = p.key().strip_prefix(&format!("{panel}|")) else {
-                    continue;
-                };
-                let n = p.x() as usize;
-                let obj = mean_normalized_objective(&p.runs, fair_share(n), base_delay);
-                let si = names.iter().position(|x| x == name).expect("known series");
-                series[si].push(p.x(), obj);
+                let (of_panel, name) = split_key(p.key());
+                if of_panel == panel {
+                    // n exchangeable ON/OFF senders (p = 1/2) on 15 Mbps.
+                    let norm = Norm::omniscient(&p.point.net);
+                    series.push(name, p.x(), norm.objective(&p.runs));
+                }
             }
             fig.charts.push(ChartData::from_series(
                 format!("Fig 3 ({panel}) — normalized objective vs number of senders"),
                 "senders",
-                &series,
+                series.all(),
             ));
         }
 
@@ -200,6 +135,7 @@ mod tests {
 
     #[test]
     fn fair_share_shrinks_with_senders() {
+        let fair_share = |n| Norm::omniscient(&test_network(n, true)).fair_tpt_bps;
         let f1 = fair_share(1);
         let f10 = fair_share(10);
         let f100 = fair_share(100);
@@ -237,7 +173,11 @@ mod tests {
     fn panel_keys_roundtrip() {
         // summarize splits keys back into (panel, series); the names must
         // cover both cubic baselines and all five taos.
-        assert_eq!(series_names().len(), 7);
+        assert_eq!(Multiplexing.roster().len(), 7);
+        for (panel, _) in PANELS {
+            let key = super::super::scaffold::cell_key(panel, "tao-mux-2");
+            assert_eq!(split_key(&key), (panel, "tao-mux-2"));
+        }
         assert_eq!(sender_counts(Fidelity::Quick).len(), 5);
         assert_eq!(sender_counts(Fidelity::Full).len(), 9);
     }

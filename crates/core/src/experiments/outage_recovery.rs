@@ -12,15 +12,8 @@
 //! returns (overhead ≈ 0); a backed-off one idles until its next
 //! retransmission timer fires.
 
-use super::{fmt_stat, run_train_job, Experiment, Fidelity, TrainJob};
+use super::scaffold::prelude::*;
 use crate::experiments::calibration;
-use crate::report::{ChartData, FigureData, Series, Table, TableData};
-use crate::runner::{summarize, PointOutcome, Scheme, SweepPoint};
-use netsim::prelude::*;
-use netsim::topology::{dumbbell, FaultSpec};
-
-/// Scheme labels of the sweep, in series order.
-const SCHEMES: [&str; 3] = ["tao", "cubic", "newreno"];
 
 /// Blackout lengths swept (seconds down per cycle). The baseline point
 /// (`down_s == 0.0`) carries no fault at all — `fault: None` — and anchors
@@ -30,23 +23,9 @@ const DOWN_S: [f64; 6] = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0];
 /// Seconds of service between blackouts.
 const UP_S: f64 = 6.0;
 
-fn schemes(tao: &remy::TrainedProtocol) -> Vec<(String, Scheme)> {
-    vec![
-        ("tao".into(), Scheme::tao(tao.tree.clone(), "tao")),
-        ("cubic".into(), Scheme::Cubic),
-        ("newreno".into(), Scheme::NewReno),
-    ]
-}
-
 /// The single-flow outage network: 16 Mbps, 100 ms RTT, 5-BDP drop-tail.
 fn test_network(down_s: f64) -> NetworkConfig {
-    let mut net = dumbbell(
-        1,
-        16e6,
-        0.100,
-        QueueSpec::drop_tail_bdp(16e6, 0.100, 5.0),
-        WorkloadSpec::AlwaysOn,
-    );
+    let mut net = paper_dumbbell(1, 16e6, 0.100, WorkloadSpec::AlwaysOn);
     if down_s > 0.0 {
         net.links[0].fault = Some(FaultSpec::outage_scheduled(UP_S, down_s, true));
     }
@@ -73,13 +52,7 @@ fn mean_delivered(p: &PointOutcome) -> f64 {
     if p.runs.is_empty() {
         return 0.0;
     }
-    let total: u64 = p
-        .runs
-        .iter()
-        .flat_map(|r| r.flows.iter())
-        .map(|f| f.bytes_delivered)
-        .sum();
-    total as f64 / p.runs.len() as f64
+    flow_sum(&p.runs, |f| f.bytes_delivered) as f64 / p.runs.len() as f64
 }
 
 /// The outage-recovery experiment (`learnability run outage_recovery`).
@@ -94,8 +67,8 @@ impl Experiment for OutageRecovery {
         "extension — recovery overhead after link blackouts (the RTO-backoff axis)"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic", "newreno"]
+    fn roster(&self) -> Vec<Contender> {
+        Contender::tao_vs(calibration::ASSET, [Scheme::Cubic, Scheme::NewReno])
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -105,26 +78,11 @@ impl Experiment for OutageRecovery {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let tao = run_train_job(&self.train_specs().remove(0))
-            .pop()
-            .expect("one protocol");
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points = Vec::new();
+        let mut grid = Grid::new(self, fidelity);
         for &down_s in &DOWN_S {
-            let net = test_network(down_s);
-            for (label, scheme) in schemes(&tao) {
-                points.push(SweepPoint::homogeneous(
-                    format!("{down_s}|{label}"),
-                    down_s,
-                    net.clone(),
-                    scheme,
-                    seeds.clone(),
-                    dur,
-                ));
-            }
+            grid.cells("", down_s, &test_network(down_s));
         }
-        points
+        grid.into_points()
     }
 
     fn summarize(&self, fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
@@ -132,20 +90,9 @@ impl Experiment for OutageRecovery {
         let total_s = fidelity.test_duration_s();
 
         // Baseline delivered bytes per scheme (the down_s == 0 cells).
-        let baseline: Vec<(String, f64)> = points
-            .iter()
-            .filter(|p| p.x() == 0.0)
-            .map(|p| {
-                let (_, scheme) = p.key().split_once('|').expect("key is down_s|scheme");
-                (scheme.to_string(), mean_delivered(p))
-            })
-            .collect();
         let base_of = |name: &str| {
-            baseline
-                .iter()
-                .find(|(s, _)| s == name)
-                .map(|&(_, b)| b)
-                .unwrap_or(0.0)
+            let baseline = points.iter().find(|p| p.x() == 0.0 && p.key() == name);
+            baseline.map_or(0.0, mean_delivered)
         };
 
         let mut t = Table::new(
@@ -159,22 +106,12 @@ impl Experiment for OutageRecovery {
                 "recovery s/blackout",
             ],
         );
-        let mut series: Vec<Series> = SCHEMES.iter().map(|s| Series::new(*s)).collect();
+        let mut series = SeriesSet::of(self);
         for p in points {
-            let (level, scheme) = p.key().split_once('|').expect("key is down_s|scheme");
-            let (tpt, _) = crate::runner::flow_points(&p.runs, |_| true);
-            let timeouts: u64 = p
-                .runs
-                .iter()
-                .flat_map(|r| r.flows.iter())
-                .map(|f| f.timeouts)
-                .sum();
-            let fault_drops: u64 = p
-                .runs
-                .iter()
-                .flat_map(|r| r.flows.iter())
-                .map(|f| f.drops.fault)
-                .sum();
+            let (level, scheme) = (p.x().to_string(), p.key());
+            let [tpt, _] = TptQd::all(&p.runs).cells();
+            let timeouts = flow_sum(&p.runs, |f| f.timeouts);
+            let fault_drops = flow_sum(&p.runs, |f| f.drops.fault);
             // Equivalent-capacity seconds lost to the outage beyond the
             // blackout itself, per blackout: the baseline run turns bytes
             // into seconds (uniform service), the analytic square wave
@@ -192,19 +129,15 @@ impl Experiment for OutageRecovery {
                 None
             };
             t.row(vec![
-                level.to_string(),
+                level.clone(),
                 scheme.to_string(),
-                fmt_stat(&summarize(&tpt), " Mbps"),
+                tpt,
                 timeouts.to_string(),
                 fault_drops.to_string(),
                 recovery.map_or("—".into(), |r| format!("{r:.2} s")),
             ]);
             if let Some(r) = recovery {
-                let si = SCHEMES
-                    .iter()
-                    .position(|s| *s == scheme)
-                    .expect("known scheme");
-                series[si].push(p.x(), r);
+                series.push(scheme, p.x(), r);
                 fig.push_summary(format!("{scheme}_down{level}_recovery_s"), r);
             }
         }
@@ -212,13 +145,13 @@ impl Experiment for OutageRecovery {
         fig.charts.push(ChartData::from_series(
             "recovery overhead (s per blackout) vs blackout length",
             "down_s",
-            &series,
+            series.all(),
         ));
 
         // Headline: recovery overhead at the longest blackout — who sits
         // on the backoff ladder longest after the link returns.
         let worst = DOWN_S[DOWN_S.len() - 1];
-        let at_worst = |name: &str| fig.chart_series(0, name).and_then(|s| s.value_at(worst));
+        let at_worst = |name: &str| series.get(name)?.value_at(worst);
         if let (Some(tao), Some(cubic)) = (at_worst("tao"), at_worst("cubic")) {
             fig.push_summary("tao_minus_cubic_recovery_at_4s", tao - cubic);
             fig.notes.push(format!(

@@ -7,17 +7,8 @@
 //! training diversity yields performance commensurate with the 50–250 ms
 //! protocol over the whole sweep.
 
-use super::{
-    mean_normalized_objective, run_train_job, train_cfg, Experiment, Fidelity, TrainCost, TrainJob,
-};
-use crate::omniscient;
-use crate::report::{ChartData, FigureData, Series};
-use crate::runner::{with_sfq_codel, PointOutcome, Scheme, SweepPoint};
-use netsim::prelude::*;
-use netsim::queue::QueueSpec;
-use netsim::topology::dumbbell;
-use netsim::workload::WorkloadSpec;
-use remy::{ScenarioSpec, TrainedProtocol};
+use super::scaffold::prelude::*;
+use remy::ScenarioSpec;
 
 /// Trained RTT ranges: (asset name, lo ms, hi ms).
 pub const RANGES: [(&str, f64, f64); 4] = [
@@ -27,20 +18,8 @@ pub const RANGES: [(&str, f64, f64); 4] = [
     ("tao-rtt-50-250", 50.0, 250.0),
 ];
 
-/// Train (or load) the four RTT-range protocols (Table 4a).
-pub fn trained_taos() -> Vec<TrainedProtocol> {
-    Rtt.train_specs().iter().flat_map(run_train_job).collect()
-}
-
 fn test_network(rtt_ms: f64) -> NetworkConfig {
-    let rtt_s = rtt_ms / 1e3;
-    dumbbell(
-        2,
-        33e6,
-        rtt_s,
-        QueueSpec::drop_tail_bdp(33e6, rtt_s, 5.0),
-        WorkloadSpec::on_off_1s(),
-    )
+    paper_dumbbell(2, 33e6, rtt_ms / 1e3, WorkloadSpec::on_off_1s())
 }
 
 fn rtts(fidelity: Fidelity) -> Vec<f64> {
@@ -65,8 +44,8 @@ impl Experiment for Rtt {
         "Fig 4 / Table 4 — knowledge of propagation delay"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic"]
+    fn roster(&self) -> Vec<Contender> {
+        Contender::with_cubic_pair(RANGES.iter().map(|r| Contender::asset(r.0)))
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -83,72 +62,28 @@ impl Experiment for Rtt {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let taos = trained_taos();
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points = Vec::new();
+        let mut grid = Grid::new(self, fidelity);
         for &rtt in &rtts(fidelity) {
-            let net = test_network(rtt);
-            for tao in &taos {
-                points.push(SweepPoint::homogeneous(
-                    tao.name.clone(),
-                    rtt,
-                    net.clone(),
-                    Scheme::tao(tao.tree.clone(), &tao.name),
-                    seeds.clone(),
-                    dur,
-                ));
-            }
-            points.push(SweepPoint::homogeneous(
-                "cubic",
-                rtt,
-                net.clone(),
-                Scheme::Cubic,
-                seeds.clone(),
-                dur,
-            ));
-            points.push(SweepPoint::homogeneous(
-                "cubic-sfqcodel",
-                rtt,
-                with_sfq_codel(&net),
-                Scheme::Cubic,
-                seeds.clone(),
-                dur,
-            ));
+            grid.cells("", rtt, &test_network(rtt));
         }
-        points
+        grid.into_points()
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        let names: Vec<String> = RANGES
-            .iter()
-            .map(|&(n, _, _)| n.to_string())
-            .chain(["cubic".into(), "cubic-sfqcodel".into()])
-            .collect();
-        let mut series: Vec<Series> = names.iter().map(Series::new).collect();
+        let mut series = SeriesSet::of(self);
         for p in points {
-            let omn = omniscient::omniscient(&test_network(p.x()));
-            let obj = mean_normalized_objective(&p.runs, omn[0].throughput_bps, omn[0].delay_s);
-            let si = names
-                .iter()
-                .position(|n| n == p.key())
-                .expect("known series");
-            series[si].push(p.x(), obj);
+            let norm = Norm::omniscient(&test_network(p.x()));
+            series.push(p.key(), p.x(), norm.objective(&p.runs));
         }
         fig.charts.push(ChartData::from_series(
             "Fig 4 — normalized objective vs minimum RTT (omniscient = 0)",
             "RTT ms",
-            &series,
+            series.all(),
         ));
 
         // Headline: a little training diversity ≈ a lot.
-        let mean_of = |name: &str| {
-            series
-                .iter()
-                .find(|s| s.name == name)
-                .and_then(|s| s.mean_in(1.0, 300.0))
-        };
+        let mean_of = |name: &str| series.get(name)?.mean_in(1.0, 300.0);
         if let (Some(exact), Some(pm5), Some(broad)) = (
             mean_of("tao-rtt-150"),
             mean_of("tao-rtt-145-155"),

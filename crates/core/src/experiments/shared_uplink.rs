@@ -13,40 +13,20 @@
 //! regime exists in the training distribution; the question is which
 //! failure mode the learned protocol mishandles worse.
 
-use super::{fmt_stat, mean_normalized_objective, run_train_job, Experiment, Fidelity, TrainJob};
+use super::asymmetry::slowdowns;
+use super::scaffold::prelude::*;
 use crate::experiments::calibration;
-use crate::omniscient;
-use crate::report::{ChartData, FigureData, Series, Table, TableData};
-use crate::runner::{summarize, PointOutcome, Scheme, SweepPoint};
-use netsim::prelude::*;
-
-/// Scheme labels of the sweep, in series order.
-const SCHEMES: [&str; 3] = ["tao", "cubic", "newreno"];
 
 /// Reverse queue disciplines swept, in series order.
 const QUEUES: [&str; 2] = ["droptail", "codel"];
 
 /// Senders sharing the uplink (the calibration dumbbell, doubled, so the
 /// shared reverse link sees real cross-flow interleaving).
-const SENDERS: usize = 4;
-
-/// Reverse-path slowdown factors swept (shared rate = forward / factor).
-fn slowdowns(fidelity: Fidelity) -> Vec<f64> {
-    match fidelity {
-        Fidelity::Quick => vec![1.0, 8.0, 50.0],
-        Fidelity::Full => vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 50.0],
-    }
-}
+pub(super) const SENDERS: usize = 4;
 
 /// The forward network: the calibration bottleneck with four senders.
-fn base_network() -> NetworkConfig {
-    dumbbell(
-        SENDERS,
-        32e6,
-        0.150,
-        QueueSpec::drop_tail_bdp(32e6, 0.150, 5.0),
-        WorkloadSpec::on_off_1s(),
-    )
+pub(super) fn base_network() -> NetworkConfig {
+    paper_dumbbell(SENDERS, 32e6, 0.150, WorkloadSpec::on_off_1s())
 }
 
 /// The swept network: shared reverse link at `forward / slowdown` under
@@ -72,8 +52,8 @@ impl Experiment for SharedUplink {
          (1x -> 1/50x), drop-tail vs CoDel ACK queue"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic", "newreno"]
+    fn roster(&self) -> Vec<Contender> {
+        Contender::tao_vs(calibration::ASSET, [Scheme::Cubic, Scheme::NewReno])
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -83,38 +63,19 @@ impl Experiment for SharedUplink {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let tao = run_train_job(&self.train_specs().remove(0))
-            .pop()
-            .expect("one protocol");
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points = Vec::new();
+        let mut grid = Grid::new(self, fidelity);
         for &factor in &slowdowns(fidelity) {
             for queue in QUEUES {
-                let net = shared_network(factor, queue);
-                for (label, scheme) in [
-                    ("tao", Scheme::tao(tao.tree.clone(), "tao")),
-                    ("cubic", Scheme::Cubic),
-                    ("newreno", Scheme::NewReno),
-                ] {
-                    points.push(SweepPoint::homogeneous(
-                        format!("{queue}|{label}"),
-                        factor,
-                        net.clone(),
-                        scheme,
-                        seeds.clone(),
-                        dur,
-                    ));
-                }
+                grid.cells(queue, factor, &shared_network(factor, queue));
             }
         }
-        points
+        grid.into_points()
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        let omn = omniscient::omniscient(&base_network());
-        let (fair_tpt, base_delay) = (omn[0].throughput_bps, omn[0].delay_s);
+        let norm = Norm::omniscient(&base_network());
+        let roster = self.roster();
 
         let mut t = Table::new(
             "shared uplink — 32 Mbps forward, 150 ms RTT, 4 senders, one \
@@ -128,45 +89,31 @@ impl Experiment for SharedUplink {
                 "ACK drops/run",
             ],
         );
-        let mut series: Vec<Series> = QUEUES
-            .iter()
-            .flat_map(|q| SCHEMES.iter().map(move |s| Series::new(format!("{s}@{q}"))))
-            .collect();
+        let mut series = SeriesSet::new(self.id(), names_at(&QUEUES, &roster));
         for p in points {
-            let (queue, label) = p.key().split_once('|').expect("key is queue|scheme");
-            let (tpt, qd) = crate::runner::flow_points(&p.runs, |_| true);
-            let obj = mean_normalized_objective(&p.runs, fair_tpt, base_delay);
-            let ack_drops: f64 = p
-                .runs
-                .iter()
-                .map(|r| r.flows.iter().map(|f| f.drops.ack).sum::<u64>() as f64)
-                .sum::<f64>()
-                / p.runs.len().max(1) as f64;
+            let (queue, label) = split_key(p.key());
+            let [tpt, qd] = TptQd::all(&p.runs).cells();
+            let ack_drops = flow_sum(&p.runs, |f| f.drops.ack) as f64 / p.runs.len().max(1) as f64;
             t.row(vec![
                 format!("1/{:.0}x", p.x()),
                 queue.to_string(),
                 label.to_string(),
-                fmt_stat(&summarize(&tpt), " Mbps"),
-                fmt_stat(&summarize(&qd), " ms"),
+                tpt,
+                qd,
                 format!("{ack_drops:.0}"),
             ]);
-            let name = format!("{label}@{queue}");
-            let si = series
-                .iter()
-                .position(|s| s.name == name)
-                .expect("known series");
-            series[si].push(p.x(), obj);
+            series.push(&format!("{label}@{queue}"), p.x(), norm.objective(&p.runs));
         }
         fig.tables.push(TableData::from_table(&t));
         fig.charts.push(ChartData::from_series(
             "normalized objective vs shared-uplink slowdown, by reverse ACK queue",
             "slowdown (forward rate / shared reverse rate)",
-            &series,
+            series.all(),
         ));
 
         for q in QUEUES {
-            for s in SCHEMES {
-                if let Some(sr) = fig.chart_series(0, &format!("{s}@{q}")) {
+            for s in roster.iter().map(|c| &c.label) {
+                if let Some(sr) = series.get(&format!("{s}@{q}")) {
                     let at_1 = sr.value_at(1.0).unwrap_or(f64::NEG_INFINITY);
                     let at_50 = sr.value_at(50.0).unwrap_or(f64::NEG_INFINITY);
                     fig.push_summary(format!("{s}_{q}_objective_at_1x"), at_1);

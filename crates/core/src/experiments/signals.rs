@@ -7,11 +7,9 @@
 //! contributes. The paper found every signal carried independent value,
 //! with `rec_ewma` (short-term ack interarrivals) the most valuable.
 
-use super::{run_train_job, train_cfg, Experiment, Fidelity, TrainCost, TrainJob};
-use crate::report::{FigureData, Table, TableData};
-use crate::runner::{PointOutcome, Scheme, SweepPoint};
+use super::scaffold::prelude::*;
 use protocols::{Signal, SignalMask};
-use remy::{Objective, ScenarioSpec, TrainedProtocol};
+use remy::{Objective, ScenarioSpec};
 
 /// The knockout set, in table order: the full protocol, then one knockout
 /// per signal.
@@ -36,15 +34,6 @@ fn mask_for(knocked_out: Option<Signal>) -> SignalMask {
         None => SignalMask::all(),
         Some(s) => SignalMask::without(s),
     }
-}
-
-/// Train (or load) the five protocols: full plus one per knockout.
-pub fn trained_taos() -> Vec<(Option<Signal>, TrainedProtocol)> {
-    KNOCKOUTS
-        .iter()
-        .zip(Signals.train_specs().iter())
-        .map(|(&knocked, job)| (knocked, run_train_job(job).remove(0)))
-        .collect()
 }
 
 /// Harm of each knockout given `(knocked_out, objective)` rows: full
@@ -76,8 +65,11 @@ impl Experiment for Signals {
         "§3.4 — value of the congestion signals (knockout study)"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao"]
+    fn roster(&self) -> Vec<Contender> {
+        KNOCKOUTS
+            .iter()
+            .map(|&k| Contender::asset(&asset_name(k)).masked(mask_for(k)))
+            .collect()
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -92,27 +84,9 @@ impl Experiment for Signals {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let net = super::calibration::test_network();
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        trained_taos()
-            .into_iter()
-            .map(|(knocked, p)| {
-                let scheme = Scheme::Tao {
-                    tree: p.tree.clone(),
-                    mask: mask_for(knocked),
-                    label: p.name.clone(),
-                };
-                SweepPoint::homogeneous(
-                    p.name.clone(),
-                    0.0,
-                    net.clone(),
-                    scheme,
-                    seeds.clone(),
-                    dur,
-                )
-            })
-            .collect()
+        let mut grid = Grid::new(self, fidelity);
+        grid.cells("", 0.0, &super::calibration::test_network());
+        grid.into_points()
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {

@@ -8,18 +8,9 @@
 //! in the time domain against a contrived TCP pulse (ON exactly during
 //! t ∈ [5, 10) s).
 
-use super::{fmt_stat, run_train_job, train_cfg, Experiment, Fidelity, TrainCost, TrainJob};
-use crate::report::{FigureData, Table, TableData};
-use crate::runner::{summarize, PointOutcome, Scheme, SweepPoint};
-use netsim::packet::LinkId;
-use netsim::prelude::*;
-use netsim::queue::QueueSpec;
-use netsim::topology::dumbbell_mixed;
+use super::scaffold::prelude::*;
+use crate::runner::TraceSpec;
 use netsim::trace::Trace;
-use netsim::transport::CongestionControl;
-use netsim::workload::WorkloadSpec;
-use protocols::TaoCc;
-use remy::TrainedProtocol;
 use std::fmt;
 
 pub const ASSET_NAIVE: &str = "tao-tcp-naive";
@@ -28,48 +19,25 @@ pub const ASSET_AWARE: &str = "tao-tcp-aware";
 /// Fig 7's testing network: 10 Mbps, 100 ms RTT, 250 kB buffer
 /// (2 BDP = 200 ms of maximum queueing delay), near-continuous load.
 pub fn test_network() -> NetworkConfig {
-    dumbbell_mixed(
-        10e6,
-        0.100,
-        QueueSpec::DropTail {
-            capacity_bytes: Some(250_000),
-        },
-        vec![WorkloadSpec::almost_continuous(); 2],
-    )
+    network(vec![WorkloadSpec::almost_continuous(); 2])
 }
 
-/// Train (or load) both protocols of Table 6a.
-pub fn trained_taos() -> (TrainedProtocol, TrainedProtocol) {
-    let mut protos: Vec<TrainedProtocol> = TcpAware
-        .train_specs()
-        .iter()
-        .flat_map(run_train_job)
-        .collect();
-    let aware = protos.pop().expect("two protocols");
-    let naive = protos.pop().expect("two protocols");
-    (naive, aware)
+fn network(workloads: Vec<WorkloadSpec>) -> NetworkConfig {
+    let queue = QueueSpec::DropTail {
+        capacity_bytes: Some(250_000),
+    };
+    dumbbell_mixed(10e6, 0.100, queue, workloads)
 }
 
-/// The Fig 7 contention matrix: (group, row config) in table order.
-const ROWS: [(&str, &str); 5] = [
-    ("homogeneous", "2x tcp-naive"),
-    ("homogeneous", "2x tcp-aware"),
-    ("homogeneous", "2x newreno"),
-    ("mixed", "tcp-naive vs newreno"),
-    ("mixed", "tcp-aware vs newreno"),
+/// The Fig 7 contention matrix: (group, row config, per-flow contender
+/// labels) in table order.
+const ROWS: [(&str, &str, [&str; 2]); 5] = [
+    ("homogeneous", "2x tcp-naive", [ASSET_NAIVE, ASSET_NAIVE]),
+    ("homogeneous", "2x tcp-aware", [ASSET_AWARE, ASSET_AWARE]),
+    ("homogeneous", "2x newreno", ["newreno", "newreno"]),
+    ("mixed", "tcp-naive vs newreno", [ASSET_NAIVE, "newreno"]),
+    ("mixed", "tcp-aware vs newreno", [ASSET_AWARE, "newreno"]),
 ];
-
-fn row_schemes(config: &str, naive: &TrainedProtocol, aware: &TrainedProtocol) -> Vec<Scheme> {
-    let naive_s = Scheme::tao(naive.tree.clone(), ASSET_NAIVE);
-    let aware_s = Scheme::tao(aware.tree.clone(), ASSET_AWARE);
-    match config {
-        "2x tcp-naive" => vec![naive_s.clone(), naive_s],
-        "2x tcp-aware" => vec![aware_s.clone(), aware_s],
-        "2x newreno" => vec![Scheme::NewReno, Scheme::NewReno],
-        "tcp-naive vs newreno" => vec![naive_s, Scheme::NewReno],
-        _ => vec![aware_s, Scheme::NewReno],
-    }
-}
 
 /// The incumbent-endpoint experiment (`learnability run tcp_aware`),
 /// covering both the Fig 7 contention matrix and the Fig 8 time-domain
@@ -85,8 +53,12 @@ impl Experiment for TcpAware {
         "Figs 7-8 / Table 6 — knowledge about incumbent endpoints"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "newreno"]
+    fn roster(&self) -> Vec<Contender> {
+        vec![
+            Contender::asset(ASSET_NAIVE),
+            Contender::asset(ASSET_AWARE),
+            Contender::fixed(Scheme::NewReno),
+        ]
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -105,77 +77,42 @@ impl Experiment for TcpAware {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let (naive, aware) = trained_taos();
-        let net = test_network();
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points: Vec<SweepPoint> = ROWS
-            .iter()
-            .map(|&(group, config)| {
-                SweepPoint::mix(
-                    format!("{group}|{config}"),
-                    0.0,
-                    net.clone(),
-                    row_schemes(config, &naive, &aware),
-                    seeds.clone(),
-                    dur,
-                )
-            })
-            .collect();
+        let mut grid = Grid::new(self, fidelity);
+        for (group, config, flows) in ROWS {
+            let schemes = flows.iter().map(|l| grid.scheme(l)).collect();
+            grid.mix(group, config, 0.0, test_network(), schemes);
+        }
         // Fig 8: illustrative single-seed traced runs (seed pinned at 1,
         // exempt from --seeds overrides).
-        for (label, tao) in [("TCP-aware", &aware), ("TCP-naive", &naive)] {
-            points.push(
-                SweepPoint::mix(
-                    format!("fig8|{label}"),
-                    0.0,
-                    time_domain_network(),
-                    vec![Scheme::tao(tao.tree.clone(), label), Scheme::NewReno],
-                    1..2,
-                    15.0,
-                )
-                .with_trace(vec![0], 100.0),
-            );
+        for (label, tao) in [("TCP-aware", ASSET_AWARE), ("TCP-naive", ASSET_NAIVE)] {
+            let schemes = vec![grid.scheme(tao), Scheme::NewReno];
+            let p = grid.mix("fig8", label, 0.0, time_domain_network(), schemes);
+            p.seeds = 1..2;
+            p.duration_s = 15.0;
+            p.trace = Some(TraceSpec {
+                links: vec![0],
+                interval_ms: 100.0,
+            });
         }
-        points
+        grid.into_points()
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
         // Fig 7: one table per group, sides split by per-flow scheme label.
-        let mut medians: Vec<(String, String, f64, f64)> = Vec::new();
+        let mut rows = Vec::new();
         for (group, title) in [
             ("homogeneous", "Fig 7 (left) — homogeneous network"),
             ("mixed", "Fig 7 (right) — mixed network"),
         ] {
-            let mut t = Table::new(
-                title,
-                &["configuration", "side", "throughput", "queueing delay"],
-            );
-            for p in points {
-                let Some(config) = p.key().strip_prefix(&format!("{group}|")) else {
-                    continue;
-                };
-                for label in p.unique_labels() {
-                    let (tpt, qd) = p.flow_points_labeled(&label);
-                    let (tpt, qd) = (summarize(&tpt), summarize(&qd));
-                    t.row(vec![
-                        config.to_string(),
-                        label.clone(),
-                        fmt_stat(&tpt, " Mbps"),
-                        fmt_stat(&qd, " ms"),
-                    ]);
-                    medians.push((config.to_string(), label, tpt.median, qd.median));
-                }
-            }
-            fig.tables.push(TableData::from_table(&t));
+            let headers = ["configuration", "side", "throughput", "queueing delay"];
+            rows.extend(sides_table(&mut fig, title, &headers, points, group));
         }
 
         let median_of = |config: &str, label: &str| {
-            medians
-                .iter()
-                .find(|(c, l, _, _)| c == config && l == label)
-                .map(|&(_, _, tpt, qd)| (tpt, qd))
+            rows.iter()
+                .find(|(c, l, _)| *c == config && l == label)
+                .map(|(_, _, s)| (s.tpt.median, s.qd.median))
         };
         // Queueing-delay cost of TCP-awareness in the homogeneous setting
         // (paper: the naive protocol achieved 55% less queueing delay).
@@ -203,10 +140,8 @@ impl Experiment for TcpAware {
         }
 
         // Fig 8: phase means + sparkline per traced variant.
-        for p in points {
-            let Some(label) = p.key().strip_prefix("fig8|") else {
-                continue;
-            };
+        for p in points.iter().filter(|p| split_key(p.key()).0 == "fig8") {
+            let label = split_key(p.key()).1;
             let Some(trace) = p.traces.first().and_then(|t| t.as_ref()) else {
                 continue;
             };
@@ -231,14 +166,7 @@ impl Experiment for TcpAware {
 /// Fig 8's network: Tao sender always on; TCP cross-traffic on exactly
 /// [5, 10) s.
 fn time_domain_network() -> NetworkConfig {
-    dumbbell_mixed(
-        10e6,
-        0.100,
-        QueueSpec::DropTail {
-            capacity_bytes: Some(250_000),
-        },
-        vec![WorkloadSpec::AlwaysOn, WorkloadSpec::pulse(5.0, 10.0)],
-    )
+    network(vec![WorkloadSpec::AlwaysOn, WorkloadSpec::pulse(5.0, 10.0)])
 }
 
 /// Queue-occupancy trace of one Tao variant against pulsed TCP.
@@ -296,20 +224,6 @@ pub fn time_domain_from_trace(trace: &Trace, label: &str) -> TimeDomainResult {
     }
 }
 
-/// Run the Fig 8 time-domain experiment for one protocol tree.
-pub fn time_domain(tree: &protocols::WhiskerTree, label: &str, seed: u64) -> TimeDomainResult {
-    let net = time_domain_network();
-    let protocols: Vec<Box<dyn CongestionControl>> = vec![
-        Box::new(TaoCc::new(tree.clone(), label.to_string())),
-        Box::new(protocols::NewReno::new()),
-    ];
-    let mut sim = Simulation::new(&net, protocols, seed);
-    sim.enable_trace(vec![LinkId(0)], SimDuration::from_millis(100));
-    sim.run(SimDuration::from_secs(15));
-    let trace: Trace = sim.take_trace().expect("trace enabled");
-    time_domain_from_trace(&trace, label)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,7 +247,14 @@ mod tests {
         // the BDP) leaves the queue empty when alone, so the TCP pulse's
         // queue buildup stands out.
         let tree = protocols::WhiskerTree::uniform(protocols::Action::new(0.8, 1.0, 1.0));
-        let r = time_domain(&tree, "demo", 3);
+        let schemes = vec![Scheme::tao(tree, "demo"), Scheme::NewReno];
+        let mut point = SweepPoint::mix("demo", 0.0, time_domain_network(), schemes, 3..4, 15.0);
+        point.trace = Some(TraceSpec {
+            links: vec![0],
+            interval_ms: 100.0,
+        });
+        let out = crate::runner::execute_sweep(vec![point], 1);
+        let r = time_domain_from_trace(out[0].traces[0].as_ref().expect("traced"), "demo");
         assert!(
             r.phase_means[1] > r.phase_means[2],
             "queue with TCP ({:.1}) should exceed queue after ({:.1})",
@@ -352,8 +273,8 @@ mod tests {
 
     #[test]
     fn contention_rows_cover_both_settings() {
-        let homogeneous = ROWS.iter().filter(|(g, _)| *g == "homogeneous").count();
-        let mixed = ROWS.iter().filter(|(g, _)| *g == "mixed").count();
+        let homogeneous = ROWS.iter().filter(|r| r.0 == "homogeneous").count();
+        let mixed = ROWS.iter().filter(|r| r.0 == "mixed").count();
         assert_eq!(homogeneous, 3);
         assert_eq!(mixed, 2);
         let jobs = TcpAware.train_specs();

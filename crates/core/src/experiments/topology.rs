@@ -9,15 +9,9 @@
 //! the slower link's speed, for the diagonal (faster = slower) and the
 //! faster-link-pinned-at-100 edge of the locus.
 
-use super::{run_train_job, train_cfg, Experiment, Fidelity, TrainCost, TrainJob};
+use super::scaffold::prelude::*;
 use crate::omniscient;
-use crate::report::{ChartData, FigureData, Series};
-use crate::runner::{with_sfq_codel, PointOutcome, Scheme, SweepPoint};
-use netsim::prelude::*;
-use netsim::queue::QueueSpec;
-use netsim::topology::parking_lot;
-use netsim::workload::WorkloadSpec;
-use remy::{ScenarioSpec, TrainedProtocol};
+use remy::ScenarioSpec;
 
 pub const ASSET_ONE: &str = "tao-onebottleneck";
 pub const ASSET_TWO: &str = "tao-twobottleneck";
@@ -33,18 +27,6 @@ const EDGES: [(&str, &str); 2] = [
         "Fig 6 (faster link = 100 Mbps) — Flow 1 throughput (Mbps)",
     ),
 ];
-
-/// Train (or load) both protocols of Table 5.
-pub fn trained_taos() -> (TrainedProtocol, TrainedProtocol) {
-    let mut protos: Vec<TrainedProtocol> = Topology
-        .train_specs()
-        .iter()
-        .flat_map(run_train_job)
-        .collect();
-    let two = protos.pop().expect("two protocols");
-    let one = protos.pop().expect("two protocols");
-    (one, two)
-}
 
 /// The testing parking lot with given link speeds (Mbps).
 pub fn test_network(link1_mbps: f64, link2_mbps: f64) -> NetworkConfig {
@@ -79,10 +61,6 @@ fn sweep_speeds(fidelity: Fidelity) -> Vec<f64> {
     }
 }
 
-fn scheme_names() -> [&'static str; 4] {
-    [ASSET_ONE, ASSET_TWO, "cubic", "cubic-sfqcodel"]
-}
-
 /// The structural-knowledge experiment (`learnability run topology`).
 pub struct Topology;
 
@@ -95,8 +73,8 @@ impl Experiment for Topology {
         "Figs 5-6 / Table 5 — one- vs two-bottleneck knowledge"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic"]
+    fn roster(&self) -> Vec<Contender> {
+        Contender::with_cubic_pair([ASSET_ONE, ASSET_TWO].map(Contender::asset))
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -115,48 +93,28 @@ impl Experiment for Topology {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let (one, two) = trained_taos();
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points = Vec::new();
+        let mut grid = Grid::new(self, fidelity);
         for (edge, _) in EDGES {
             for &slower in &sweep_speeds(fidelity) {
                 let (l1, l2) = link_speeds(edge, slower);
-                let net = test_network(l1, l2);
-                for name in scheme_names() {
-                    let (net_used, scheme) = match name {
-                        ASSET_ONE => (net.clone(), Scheme::tao(one.tree.clone(), name)),
-                        ASSET_TWO => (net.clone(), Scheme::tao(two.tree.clone(), name)),
-                        "cubic" => (net.clone(), Scheme::Cubic),
-                        _ => (with_sfq_codel(&net), Scheme::Cubic),
-                    };
-                    points.push(SweepPoint::homogeneous(
-                        format!("{edge}|{name}"),
-                        slower,
-                        net_used,
-                        scheme,
-                        seeds.clone(),
-                        dur,
-                    ));
-                }
+                grid.cells(edge, slower, &test_network(l1, l2));
             }
         }
-        points
+        grid.into_points()
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        let mut edge_series: Vec<Vec<Series>> = Vec::new();
+        let roster = self.roster();
+        let mut edge_series: Vec<SeriesSet> = Vec::new();
         for (edge, title) in EDGES {
-            let mut series: Vec<Series> = scheme_names()
-                .iter()
-                .map(|&n| Series::new(n))
-                .chain([Series::new("omniscient")])
-                .collect();
+            let names = roster.iter().map(|c| c.label.as_str());
+            let mut series = SeriesSet::new(self.id(), names.chain(["omniscient"]));
             for p in points {
-                let Some(name) = p.key().strip_prefix(&format!("{edge}|")) else {
+                let (of_edge, name) = split_key(p.key());
+                if of_edge != edge {
                     continue;
-                };
+                }
                 // Flow 0 is the two-hop flow ("Flow 1" in the paper).
                 let tpts: Vec<f64> = p
                     .runs
@@ -169,35 +127,31 @@ impl Experiment for Topology {
                 } else {
                     tpts.iter().sum::<f64>() / tpts.len() as f64
                 };
-                let si = scheme_names()
-                    .iter()
-                    .position(|&n| n == name)
-                    .expect("known scheme");
-                series[si].push(p.x(), mean);
+                series.push(name, p.x(), mean);
             }
             // Analytic omniscient reference per swept speed.
-            let xs: Vec<f64> = series[0].points.iter().map(|&(x, _)| x).collect();
+            let xs: Vec<f64> = series.all()[0].points.iter().map(|&(x, _)| x).collect();
             for x in xs {
                 let (l1, l2) = link_speeds(edge, x);
-                series[4].push(x, omniscient_flow1_mbps(l1, l2));
+                series.push("omniscient", x, omniscient_flow1_mbps(l1, l2));
             }
             fig.charts
-                .push(ChartData::from_series(title, "slower Mbps", &series));
+                .push(ChartData::from_series(title, "slower Mbps", series.all()));
             edge_series.push(series);
         }
 
         // Mean across both edges per scheme.
         let mut notes = vec!["mean Flow-1 throughput across sweep:".to_string()];
         let mut means = Vec::new();
-        for (i, name) in scheme_names().iter().enumerate() {
+        for (i, name) in roster.iter().map(|c| c.label.as_str()).enumerate() {
             let ys: Vec<f64> = edge_series
                 .iter()
-                .flat_map(|s| s[i].points.iter().map(|&(_, y)| y))
+                .flat_map(|s| s.all()[i].points.iter().map(|&(_, y)| y))
                 .collect();
             let mean = ys.iter().sum::<f64>() / ys.len().max(1) as f64;
             notes.push(format!("  {name:<18} {mean:>7.2} Mbps"));
             fig.push_summary(format!("mean_flow1_tpt_mbps_{name}"), mean);
-            means.push((*name, mean));
+            means.push((name, mean));
         }
         fig.notes.extend(notes);
 

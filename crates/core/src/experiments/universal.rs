@@ -10,17 +10,8 @@
 //! testing sweep against Cubic and the specialist protocol for that
 //! sweep.
 
-use super::{
-    mean_normalized_objective, run_train_job, tao_asset, Experiment, Fidelity, TrainCost, TrainJob,
-};
-use crate::omniscient;
-use crate::report::{FigureData, Table, TableData};
-use crate::runner::{PointOutcome, Scheme, SweepPoint};
-use netsim::prelude::*;
-use netsim::queue::QueueSpec;
-use netsim::topology::dumbbell;
-use netsim::workload::WorkloadSpec;
-use remy::{BufferSpec, OptimizerConfig, ScenarioSpec, TrainedProtocol};
+use super::scaffold::prelude::*;
+use remy::{BufferSpec, OptimizerConfig, ScenarioSpec};
 
 pub const ASSET: &str = "tao-universal";
 
@@ -43,86 +34,37 @@ fn universal_cfg() -> OptimizerConfig {
     cfg
 }
 
-/// Train (or load) the universal protocol.
-pub fn trained_tao() -> TrainedProtocol {
-    run_train_job(&Universal.train_specs().remove(0))
-        .pop()
-        .expect("one protocol")
-}
-
-pub fn train_with(cfg: OptimizerConfig) -> TrainedProtocol {
-    tao_asset(ASSET, training_specs(), cfg)
-}
-
-struct Probe {
-    label: String,
-    net: NetworkConfig,
-    specialist: TrainedProtocol,
-}
-
-fn probes() -> Vec<Probe> {
-    let mut out = Vec::new();
-
+/// The probe networks, each with the specialist Tao whose home turf it
+/// is — an asset of the link_speed, rtt or multiplexing experiment:
+/// (label, senders, link Mbps, RTT s, specialist asset).
+const PROBES: [(&str, usize, f64, f64, &str); 4] = [
     // Probe 1: mid link speed (the 2x specialist's home turf).
-    let taos_speed = super::link_speed::trained_taos();
-    out.push(Probe {
-        label: "32 Mbps / 150 ms / 2 senders".into(),
-        net: dumbbell(
-            2,
-            32e6,
-            0.150,
-            QueueSpec::drop_tail_bdp(32e6, 0.150, 5.0),
-            WorkloadSpec::on_off_1s(),
-        ),
-        specialist: taos_speed[3].clone(), // tao-2x
-    });
-
+    ("32 Mbps / 150 ms / 2 senders", 2, 32.0, 0.150, "tao-2x"),
     // Probe 2: extreme link speed (inside only the 1000x range).
-    out.push(Probe {
-        label: "700 Mbps / 150 ms / 2 senders".into(),
-        net: dumbbell(
-            2,
-            700e6,
-            0.150,
-            QueueSpec::drop_tail_bdp(700e6, 0.150, 5.0),
-            WorkloadSpec::on_off_1s(),
-        ),
-        specialist: taos_speed[0].clone(), // tao-1000x
-    });
-
+    (
+        "700 Mbps / 150 ms / 2 senders",
+        2,
+        700.0,
+        0.150,
+        "tao-1000x",
+    ),
     // Probe 3: short RTT (the rtt-50-250 specialist's range edge).
-    let taos_rtt = super::rtt::trained_taos();
-    out.push(Probe {
-        label: "33 Mbps / 50 ms / 2 senders".into(),
-        net: dumbbell(
-            2,
-            33e6,
-            0.050,
-            QueueSpec::drop_tail_bdp(33e6, 0.050, 5.0),
-            WorkloadSpec::on_off_1s(),
-        ),
-        specialist: taos_rtt[3].clone(), // tao-rtt-50-250
-    });
-
+    (
+        "33 Mbps / 50 ms / 2 senders",
+        2,
+        33.0,
+        0.050,
+        "tao-rtt-50-250",
+    ),
     // Probe 4: heavy multiplexing.
-    let taos_mux = super::multiplexing::trained_taos();
-    out.push(Probe {
-        label: "15 Mbps / 150 ms / 40 senders".into(),
-        net: dumbbell(
-            40,
-            15e6,
-            0.150,
-            QueueSpec::drop_tail_bdp(15e6, 0.150, 5.0),
-            WorkloadSpec::on_off_1s(),
-        ),
-        specialist: taos_mux[3].clone(), // tao-mux-50
-    });
-
-    out
-}
-
-/// The contender columns of the universal comparison.
-const CONTENDERS: [&str; 3] = ["universal", "specialist", "cubic"];
+    (
+        "15 Mbps / 150 ms / 40 senders",
+        40,
+        15.0,
+        0.150,
+        "tao-mux-50",
+    ),
+];
 
 /// The one-protocol-for-everything experiment
 /// (`learnability run universal`).
@@ -137,8 +79,11 @@ impl Experiment for Universal {
         "extension — the conclusion's \"one protocol for everything\" question"
     }
 
-    fn scheme_families(&self) -> &'static [&'static str] {
-        &["tao", "cubic"]
+    fn roster(&self) -> Vec<Contender> {
+        std::iter::once(Contender::asset(ASSET))
+            .chain(PROBES.iter().map(|p| Contender::asset(p.4)))
+            .chain([Contender::fixed(Scheme::Cubic)])
+            .collect()
     }
 
     fn train_specs(&self) -> Vec<TrainJob> {
@@ -146,64 +91,34 @@ impl Experiment for Universal {
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
-        let universal = trained_tao();
-        let dur = fidelity.test_duration_s();
-        let seeds = fidelity.seeds();
-        let mut points = Vec::new();
-        for p in probes() {
-            for contender in CONTENDERS {
-                let scheme = match contender {
-                    "universal" => Scheme::tao(universal.tree.clone(), ASSET),
-                    "specialist" => Scheme::tao(p.specialist.tree.clone(), &p.specialist.name),
-                    _ => Scheme::Cubic,
-                };
-                points.push(SweepPoint::homogeneous(
-                    format!("{}|{contender}", p.label),
-                    0.0,
-                    p.net.clone(),
-                    scheme,
-                    seeds.clone(),
-                    dur,
-                ));
+        let mut grid = Grid::new(self, fidelity);
+        for (label, senders, mbps, rtt_s, specialist) in PROBES {
+            let net = paper_dumbbell(senders, mbps * 1e6, rtt_s, WorkloadSpec::on_off_1s());
+            for contender in [ASSET, specialist, "cubic"] {
+                grid.cell(label, 0.0, &net, contender);
             }
         }
-        points
+        grid.into_points()
     }
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        // Probe labels in sweep order.
-        let mut probes: Vec<String> = Vec::new();
-        for p in points {
-            let label = p.key().rsplit_once('|').expect("probe|contender key").0;
-            if !probes.iter().any(|x| x == label) {
-                probes.push(label.to_string());
-            }
-        }
-
         let mut t = Table::new(
             "Extension — one protocol for everything (normalized objective, omniscient = 0)",
             &["probe network", "tao-universal", "specialist", "cubic"],
         );
+        // A cell's objective against the omniscient reference of its
+        // probe's network.
+        let obj = |probe: &str, label: &str| {
+            let p = points.iter().find(|p| split_key(p.key()) == (probe, label));
+            let p = p.unwrap_or_else(|| panic!("universal: no cell '{probe}|{label}'"));
+            Norm::omniscient(&p.point.net).objective(&p.runs)
+        };
         let mut rows: Vec<(f64, f64, f64)> = Vec::new();
-        for probe in &probes {
-            let mut objs = [0.0f64; 3];
-            for (ci, contender) in CONTENDERS.iter().enumerate() {
-                let p = points
-                    .iter()
-                    .find(|p| p.key() == format!("{probe}|{contender}"))
-                    .expect("probe cell present");
-                // Omniscient reference of this probe's network.
-                let omn = omniscient::omniscient(&p.point.net);
-                objs[ci] =
-                    mean_normalized_objective(&p.runs, omn[0].throughput_bps, omn[0].delay_s);
-            }
-            t.row(vec![
-                probe.clone(),
-                format!("{:.3}", objs[0]),
-                format!("{:.3}", objs[1]),
-                format!("{:.3}", objs[2]),
-            ]);
+        for (probe, .., specialist) in PROBES {
+            let objs = [ASSET, specialist, "cubic"].map(|label| obj(probe, label));
+            let cells = objs.map(|o| format!("{o:.3}"));
+            t.row([vec![probe.to_string()], cells.to_vec()].concat());
             rows.push((objs[0], objs[1], objs[2]));
         }
         fig.tables.push(TableData::from_table(&t));

@@ -5,10 +5,12 @@
 //!
 //! * the [`netsim`] simulator (testing substrate),
 //! * the [`remy`] protocol-design tool (training substrate),
-//! * the [`protocols`] zoo (Tao executor, Cubic, NewReno),
+//! * the [`protocols`] zoo (the Tao executor, Cubic, NewReno, Vegas and a
+//!   PCC-style online learner — the five [`Scheme`] families),
 //! * the analytic [`omniscient()`] reference protocol, and
 //! * one [`experiments`] module per paper figure/table, all behind the
-//!   declarative [`Experiment`] trait.
+//!   declarative [`Experiment`] trait and written on one
+//!   [`experiments::scaffold`].
 //!
 //! Everything is driven by the `learnability` CLI (in the `bench` crate):
 //! `learnability list` enumerates the [`experiments::registry()`],
@@ -26,7 +28,7 @@ pub mod report;
 pub mod runner;
 pub mod search;
 
-pub use experiments::{run_experiment, run_train_job, Experiment, Fidelity, RunOptions, TrainJob};
+pub use experiments::{run_train_job, Experiment, Fidelity, RunOptions, TrainJob};
 #[doc(hidden)]
 pub use omniscient as omniscient_mod;
 pub use omniscient::{omniscient, proportional_fair, OmniscientFlow};

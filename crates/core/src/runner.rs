@@ -58,13 +58,21 @@ impl Scheme {
         }
     }
 
+    /// The scheme family (`tao` covers every trained Tao variant).
+    pub fn family(&self) -> &'static str {
+        match self {
+            Scheme::Tao { .. } => "tao",
+            Scheme::Cubic => "cubic",
+            Scheme::NewReno => "newreno",
+            Scheme::Vegas => "vegas",
+            Scheme::Pcc => "pcc",
+        }
+    }
+
     pub fn label(&self) -> String {
         match self {
             Scheme::Tao { label, .. } => label.clone(),
-            Scheme::Cubic => "cubic".into(),
-            Scheme::NewReno => "newreno".into(),
-            Scheme::Vegas => "vegas".into(),
-            Scheme::Pcc => "pcc".into(),
+            fixed => fixed.family().into(),
         }
     }
 
@@ -307,12 +315,6 @@ impl SweepPoint {
             duration_s,
             trace: None,
         }
-    }
-
-    /// Enable queue tracing on the given links.
-    pub fn with_trace(mut self, links: Vec<usize>, interval_ms: f64) -> Self {
-        self.trace = Some(TraceSpec { links, interval_ms });
-        self
     }
 }
 
@@ -830,8 +832,11 @@ mod tests {
 
     #[test]
     fn sweep_traces_only_when_requested() {
-        let traced = SweepPoint::homogeneous("t", 0.0, net(), Scheme::Cubic, 0..1, 4.0)
-            .with_trace(vec![0], 100.0);
+        let mut traced = SweepPoint::homogeneous("t", 0.0, net(), Scheme::Cubic, 0..1, 4.0);
+        traced.trace = Some(TraceSpec {
+            links: vec![0],
+            interval_ms: 100.0,
+        });
         let plain = SweepPoint::homogeneous("p", 0.0, net(), Scheme::Cubic, 0..1, 4.0);
         let outs = execute_sweep(vec![traced, plain], 2);
         assert!(outs[0].traces[0].is_some(), "trace requested");

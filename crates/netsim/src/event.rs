@@ -268,37 +268,6 @@ pub enum SchedulerKind {
     Calendar,
 }
 
-impl SchedulerKind {
-    /// Parse a backend name (`"heap"` / `"calendar"`), for CLI flags and
-    /// the `NETSIM_SCHEDULER` environment override.
-    pub fn parse(s: &str) -> Option<SchedulerKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "heap" | "binary-heap" | "binaryheap" => Some(SchedulerKind::Heap),
-            "calendar" | "calendar-queue" | "calendarqueue" => Some(SchedulerKind::Calendar),
-            _ => None,
-        }
-    }
-
-    /// The default backend, overridable via `NETSIM_SCHEDULER=heap|calendar`
-    /// (useful for A/B-ing backends without recompiling callers).
-    pub fn from_env() -> SchedulerKind {
-        std::env::var("NETSIM_SCHEDULER")
-            .ok()
-            .and_then(|v| SchedulerKind::parse(&v))
-            .unwrap_or_default()
-    }
-
-    /// [`from_env`](Self::from_env), read once per process. This is what
-    /// [`crate::sim::Simulation::new`] uses, so simulations are built by
-    /// the thousand without re-parsing the environment. Order
-    /// equivalence makes the override observationally safe: it can only
-    /// change speed, never a result.
-    pub fn env_default() -> SchedulerKind {
-        static CACHE: std::sync::OnceLock<SchedulerKind> = std::sync::OnceLock::new();
-        *CACHE.get_or_init(SchedulerKind::from_env)
-    }
-}
-
 enum Backend {
     Heap(BinaryHeapScheduler),
     Calendar(CalendarQueue),
@@ -575,12 +544,6 @@ mod tests {
 
     #[test]
     fn kind_parsing_and_default() {
-        assert_eq!(SchedulerKind::parse("heap"), Some(SchedulerKind::Heap));
-        assert_eq!(
-            SchedulerKind::parse(" Calendar "),
-            Some(SchedulerKind::Calendar)
-        );
-        assert_eq!(SchedulerKind::parse("fibonacci"), None);
         assert_eq!(SchedulerKind::default(), SchedulerKind::Calendar);
         assert_eq!(
             EventQueue::new().kind(),

@@ -73,9 +73,9 @@
 //!   knobs). Buckets store `(time, seq)` keys separately from event
 //!   payloads, so the scans that dominate at high standing populations
 //!   touch only a dense 16-byte-per-entry key array. The previous
-//!   `BinaryHeap` backend stays selectable at runtime
-//!   ([`event::SchedulerKind::Heap`], or `NETSIM_SCHEDULER=heap`)
-//!   as the O(log n) reference.
+//!   `BinaryHeap` backend stays selectable per simulation
+//!   ([`event::SchedulerKind::Heap`] through
+//!   [`sim::Simulation::with_scheduler`]) as the O(log n) reference.
 //! * **Determinism is load-bearing.** All of the above preserve the
 //!   bit-for-bit `(config, protocols, seed) → outcome` contract that the
 //!   optimizer's common-random-number comparisons rest on. Both scheduler

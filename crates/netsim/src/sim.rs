@@ -232,7 +232,7 @@ pub struct Simulation {
 
 impl Simulation {
     /// Build a simulation on the default scheduler backend (the calendar
-    /// queue, unless overridden via `NETSIM_SCHEDULER=heap|calendar`).
+    /// queue).
     /// `protocols[i]` drives `config.flows[i]`; the whole run is
     /// deterministic in `seed`.
     pub fn new(
@@ -240,7 +240,7 @@ impl Simulation {
         protocols: Vec<Box<dyn CongestionControl>>,
         seed: u64,
     ) -> Self {
-        Self::with_scheduler(config, protocols, seed, SchedulerKind::env_default())
+        Self::with_scheduler(config, protocols, seed, SchedulerKind::default())
     }
 
     /// Build a simulation on an explicit scheduler backend. Backends are

@@ -51,10 +51,6 @@ pub struct EvalConfig {
     /// Per-slot signal-knockout masks (§3.4). Empty = all signals enabled
     /// for every slot.
     pub masks: Vec<SignalMask>,
-    /// Event-scheduler backend for every simulation in the batch. Both
-    /// backends are order-equivalent, so this never changes results —
-    /// only per-event cost (calendar is the fast default).
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for EvalConfig {
@@ -64,7 +60,6 @@ impl Default for EvalConfig {
             event_budget: 40_000_000,
             threads: 0,
             masks: Vec::new(),
-            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -137,8 +132,7 @@ pub fn run_scenario_compiled(
     cfg: &EvalConfig,
 ) -> (f64, Vec<UsageCounts>) {
     let protocols = build_protocols(scenario, trees, &cfg.masks);
-    let mut sim =
-        Simulation::with_scheduler(&scenario.net, protocols, scenario.seed, cfg.scheduler);
+    let mut sim = Simulation::new(&scenario.net, protocols, scenario.seed);
     sim.set_event_budget(cfg.event_budget);
     let outcome = sim.run(SimDuration::from_secs_f64(cfg.sim_duration_s));
 

@@ -45,10 +45,6 @@ pub struct OptimizerConfig {
     pub event_budget: u64,
     /// Per-slot signal-knockout masks (§3.4); empty = all signals.
     pub masks: Vec<SignalMask>,
-    /// Event-scheduler backend for evaluation simulations (never changes
-    /// results; see [`EvalConfig::scheduler`]).
-    #[serde(default)]
-    pub scheduler: netsim::event::SchedulerKind,
     /// Print progress to stderr.
     pub verbose: bool,
 }
@@ -65,7 +61,6 @@ impl Default for OptimizerConfig {
             seed: 0xC0FFEE,
             event_budget: 30_000_000,
             masks: Vec::new(),
-            scheduler: netsim::event::SchedulerKind::default(),
             verbose: false,
         }
     }
@@ -91,7 +86,6 @@ impl OptimizerConfig {
             event_budget: self.event_budget,
             threads: self.threads,
             masks: self.masks.clone(),
-            scheduler: self.scheduler,
         }
     }
 }

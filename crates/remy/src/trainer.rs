@@ -19,8 +19,8 @@
 //!   with the same bounded [`ScenarioSpace::mutate_with`] step the
 //!   adversarial search uses, selected by deterministic tournaments, and
 //!   scored with the pool's claim-by-index parallel evaluation — so the
-//!   result is bit-identical for any thread count and either scheduler
-//!   backend, exactly like the sweep engine.
+//!   result is bit-identical for any thread count, exactly like the
+//!   sweep engine.
 //!
 //! All trainer randomness flows through one caller-supplied [`SimRng`]
 //! on the calling thread; workers only simulate. That is what makes the
@@ -30,7 +30,6 @@ use crate::eval::{draw_scenarios, EvalConfig, EvalPool};
 use crate::optimizer::{Optimizer, OptimizerConfig, TrainedProtocol};
 use crate::scenario::{Sample, ScenarioSpec};
 use crate::space::ScenarioSpace;
-use netsim::event::SchedulerKind;
 use netsim::rng::SimRng;
 use protocols::action::{
     MAX_INTERSEND_MS, MAX_WINDOW_INCREMENT, MAX_WINDOW_MULTIPLE, MIN_INTERSEND_MS,
@@ -74,8 +73,6 @@ pub struct TrainBudget {
     pub event_budget: u64,
     /// Per-slot signal-knockout masks (§3.4); empty = all signals.
     pub masks: Vec<SignalMask>,
-    /// Event-scheduler backend (order-equivalent; never changes results).
-    pub scheduler: SchedulerKind,
     /// Print progress to stderr.
     pub verbose: bool,
 }
@@ -99,7 +96,6 @@ impl TrainBudget {
             seed: cfg.seed,
             event_budget: cfg.event_budget,
             masks: cfg.masks,
-            scheduler: cfg.scheduler,
             verbose: cfg.verbose,
         }
     }
@@ -130,7 +126,6 @@ impl TrainBudget {
             seed: 0x51C0_2014,
             event_budget: 8_000_000,
             masks: Vec::new(),
-            scheduler: Default::default(),
             verbose: std::env::var("LEARNABILITY_VERBOSE").is_ok(),
         };
         if cost == TrainCost::Heavy {
@@ -165,7 +160,6 @@ impl TrainBudget {
             seed: self.seed,
             event_budget: self.event_budget,
             masks: self.masks.clone(),
-            scheduler: self.scheduler,
             verbose: self.verbose,
         }
     }
@@ -177,7 +171,6 @@ impl TrainBudget {
             event_budget: self.event_budget,
             threads: self.threads,
             masks: self.masks.clone(),
-            scheduler: self.scheduler,
         }
     }
 }
@@ -187,7 +180,7 @@ impl TrainBudget {
 ///
 /// Contract: `train` must be a pure function of `(specs, the trainer's
 /// own budget, rng state)` — in particular, bit-identical for any pool
-/// size, `threads` setting, and scheduler backend. Trainer randomness
+/// size and `threads` setting. Trainer randomness
 /// must be drawn from `rng` on the calling thread only.
 pub trait Trainer {
     /// Short id, as spelled on the CLI (`--trainer tree|genetic`).

@@ -1,28 +1,27 @@
 //! Property tests for the trainer subsystem's determinism contract: a
 //! [`Trainer`] must be a pure function of `(specs, budget, rng seed)` —
-//! in particular, bit-identical for any evaluation-pool size and either
-//! order-equivalent scheduler backend. This is the same guarantee the
-//! sweep engine makes, extended to protocol *design*.
+//! in particular, bit-identical for any evaluation-pool size. This is the
+//! same guarantee the sweep engine makes, extended to protocol *design*.
+//! (Heap ≡ calendar is proven one layer down, in netsim's digest
+//! proptests; the trainer no longer chooses a scheduler backend.)
 
-use netsim::event::SchedulerKind;
 use netsim::rng::SimRng;
 use proptest::prelude::*;
 use remy::{EvalPool, GeneticTrainer, ScenarioSpec, TrainBudget, TrainedProtocol, Trainer};
 use std::sync::Arc;
 
 /// A budget small enough to train many times per property case.
-fn tiny_budget(scheduler: SchedulerKind) -> TrainBudget {
+fn tiny_budget() -> TrainBudget {
     let mut b = TrainBudget::smoke();
     b.rounds = 1; // one generation
     b.draws_per_eval = 1;
     b.sim_duration_s = 2.0;
     b.event_budget = 1_000_000;
-    b.scheduler = scheduler;
     b
 }
 
-fn tiny_trainer(scheduler: SchedulerKind) -> GeneticTrainer {
-    let mut t = GeneticTrainer::new(tiny_budget(scheduler));
+fn tiny_trainer() -> GeneticTrainer {
+    let mut t = GeneticTrainer::new(tiny_budget());
     t.population = 4;
     t.elites = 1;
     t
@@ -42,23 +41,12 @@ proptest! {
     /// same genome and the same score, bit for bit.
     #[test]
     fn genetic_training_is_bit_identical_across_thread_counts(seed in 0u64..1_000) {
-        let trainer = tiny_trainer(SchedulerKind::default());
+        let trainer = tiny_trainer();
         let one = train(&trainer, 1, seed);
         for threads in [2usize, 8] {
             let other = train(&trainer, threads, seed);
             prop_assert_eq!(&one.tree, &other.tree, "genome drifted at {} threads", threads);
             prop_assert_eq!(one.score.to_bits(), other.score.to_bits());
         }
-    }
-
-    /// The two order-equivalent scheduler backends must also agree: the
-    /// backend is an implementation detail of the event loop, never of
-    /// the protocol being designed.
-    #[test]
-    fn genetic_training_is_bit_identical_across_schedulers(seed in 0u64..1_000) {
-        let heap = train(&tiny_trainer(SchedulerKind::Heap), 2, seed);
-        let calendar = train(&tiny_trainer(SchedulerKind::Calendar), 2, seed);
-        prop_assert_eq!(&heap.tree, &calendar.tree);
-        prop_assert_eq!(heap.score.to_bits(), calendar.score.to_bits());
     }
 }

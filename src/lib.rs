@@ -5,14 +5,15 @@
 //! (SIGCOMM 2014). Re-exports the four library crates:
 //!
 //! * [`netsim`] — deterministic packet-level network simulator.
-//! * [`protocols`] — Tao (RemyCC) executor, TCP NewReno, TCP Cubic.
+//! * [`protocols`] — the five scheme families: the Tao (RemyCC) executor,
+//!   TCP Cubic, TCP NewReno, TCP Vegas and a PCC-style online learner.
 //! * [`remy`] — the automatic protocol-design tool (whisker-tree
 //!   optimizer).
 //! * [`lcc_core`] — the study itself: objectives, the omniscient
 //!   reference, and one experiment module per paper figure/table.
 //!
 //! See `examples/` for runnable walkthroughs and the `bench` crate for
-//! per-figure regeneration binaries.
+//! the `learnability` CLI that regenerates every figure.
 
 pub use lcc_core;
 pub use netsim;

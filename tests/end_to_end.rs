@@ -18,7 +18,6 @@ fn tiny_cfg() -> OptimizerConfig {
         seed: 77,
         event_budget: 1_500_000,
         masks: Vec::new(),
-        scheduler: Default::default(),
         verbose: false,
     }
 }
