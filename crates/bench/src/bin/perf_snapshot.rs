@@ -345,7 +345,12 @@ fn main() {
                  dumbbell with ack-every-4 delayed-ACK receivers (40 ms flush timer); \
                  _10k = the many_flows incast cell (10^4 M/G/inf churn slots, Cubic) \
                  10 s; sim_allocs_per_event_* = heap allocations per processed event \
-                 during the run (counting global allocator, construction excluded)"
+                 during the run (counting global allocator, construction excluded). \
+                 Every per-event number divides by events dispatched: since the event \
+                 diet (same-instant lane, one armed RtoCheck per flow, no duplicate \
+                 pacing wakes) the same simulated traffic dispatches 14-29 % fewer \
+                 events, so events/s and allocs/event are not comparable with \
+                 snapshots taken before it (wall time and total allocations fell)"
                     .to_string(),
             ),
         ),

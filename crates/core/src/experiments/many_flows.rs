@@ -324,6 +324,22 @@ mod tests {
     }
 
     #[test]
+    fn pcc_incast_runs_to_the_end_inside_the_event_budget() {
+        // PCC moves its pacing rate every monitor interval; while a stale
+        // pacing wake could clear the pending-wake marker, each rate
+        // change queued another wake chain and this cell dispatched ~130
+        // events per transmission until the 200 M budget cut it short.
+        let out = crate::runner::run_homogeneous(&incast(100), &Scheme::Pcc, 0, 5.0);
+        assert!(!out.truncated);
+        let sent = flow_sum(std::slice::from_ref(&out), |f| f.transmissions);
+        assert!(
+            out.events_processed <= 6 * sent,
+            "{} events for {sent} transmissions",
+            out.events_processed
+        );
+    }
+
+    #[test]
     fn parking_lot_splits_slots_three_to_four_per_hop() {
         let net = access_parking_lot(1000);
         assert_eq!(net.flows.len(), 1000);

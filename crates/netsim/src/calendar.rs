@@ -187,12 +187,14 @@ pub struct CalendarQueue {
     today_at: u64,
     /// Drain front of `today`; entries before it are already popped.
     today_cursor: usize,
-    /// Set by a bucket-scan pop that saw at least one more entry due at
-    /// the instant it returned — the hint that lets [`Scheduler::pop_at`]
-    /// answer with one bucket rescan instead of a full peek. Purely an
-    /// optimization gate: the rescan re-validates against the actual
-    /// bucket contents, so a stale flag can waste a scan but never
-    /// misorder a pop.
+    /// Set by a pop that may have left another entry due at the instant
+    /// it returned — the gate that lets [`Scheduler::pop_at`] answer
+    /// "none" without looking. It may be set when no tie remains (the
+    /// rescan re-validates against the bucket, so that only wastes a
+    /// scan) but must never be clear when one does: `pop_at`'s contract
+    /// is that `None` means the instant is drained. A bucket scan knows
+    /// the tie count; a rebuild and the sparse global-minimum pop do
+    /// not, and set it.
     tie_pending: bool,
     /// Collection scratch reused across [`rebuild`](Self::rebuild)s so a
     /// retune allocates nothing once grown to the standing population —
@@ -327,7 +329,11 @@ impl CalendarQueue {
         }
         self.today.clear();
         self.today_cursor = 0;
-        self.tie_pending = false;
+        // A rebuild can run between a pop and the `pop_at` that follows
+        // it (a degenerate pop retunes on its way out), after the scan
+        // already counted the ties. Whatever it knew is gone with the
+        // old layout, so answer conservatively: look.
+        self.tie_pending = true;
         for b in &mut self.buckets {
             keys.append(&mut b.keys);
             payloads.append(&mut b.payloads);
@@ -561,7 +567,9 @@ impl Scheduler for CalendarQueue {
         let entry = self.buckets[bi].swap_remove(i);
         self.len -= 1;
         self.seek_to(entry.at.as_nanos());
-        self.tie_pending = false;
+        // The direct search did not count ties; the day just sought to is
+        // the popped entry's, so a `pop_at` rescan of it settles them.
+        self.tie_pending = true;
         self.note_degenerate_pop();
         Some(entry)
     }
@@ -590,7 +598,16 @@ impl Scheduler for CalendarQueue {
         // only waste this rescan, never misorder.
         let width = 1u64 << self.shift;
         let day_last = self.day_start.saturating_add(width - 1);
-        if day_last == u64::MAX || nanos < self.day_start || nanos > day_last {
+        if day_last == u64::MAX {
+            // Day arithmetic saturates here (see `pop`): only the direct
+            // search can say whether a tie remains.
+            return if self.peek_time() == Some(at) {
+                self.pop()
+            } else {
+                None
+            };
+        }
+        if nanos < self.day_start || nanos > day_last {
             return None;
         }
         let bucket = &self.buckets[self.cursor];

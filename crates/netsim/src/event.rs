@@ -19,6 +19,21 @@
 //! [`EventQueue::with_kind`]); both are provably order-equivalent (see
 //! `netsim/tests/proptest_scheduler.rs`), so fixed-seed simulations are
 //! bit-identical whichever backend runs them.
+//!
+//! # The same-instant lane
+//!
+//! Nearly a fifth of what the engine schedules fires at the instant
+//! already being dispatched: the `Arrive` a sender's transmission, a hop
+//! forward or a link-tier acknowledgment produces. Such an event carries a
+//! later insertion seq than everything [`EventQueue::pop_batch`] just
+//! handed out, and `pop_batch` hands out the *whole* instant (the
+//! [`Scheduler::pop_at`] contract), so it sorts exactly after the current
+//! batch and before everything else pending. [`EventQueue::schedule`]
+//! therefore appends it to a plain `Vec` — the lane — which the next
+//! `pop_batch` returns as the next batch: the order a backend would have
+//! realized, without the backend insert, scan and pop. The lane draws its
+//! seq like any other event, so the numbering of everything that does go
+//! through the backend is unchanged.
 
 use crate::arena::PktId;
 use crate::calendar::CalendarQueue;
@@ -137,6 +152,54 @@ pub enum Event {
     },
 }
 
+/// The kind of an [`Event`] without its payload, each variant named after
+/// the `Event` variant it stands for; `kind as usize` indexes
+/// [`crate::sim::RunOutcome::events_by_kind`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum EventKind {
+    Arrive,
+    TxComplete,
+    Propagated,
+    AckArrive,
+    SenderWake,
+    RtoCheck,
+    WorkloadToggle,
+    FlowArrival,
+    FlowDeparture,
+    TraceSample,
+    LinkDown,
+    LinkUp,
+    AckTimer,
+}
+
+impl EventKind {
+    /// Number of kinds.
+    pub const COUNT: usize = EventKind::AckTimer as usize + 1;
+}
+
+impl Event {
+    /// This event's kind.
+    #[inline]
+    pub fn kind(&self) -> EventKind {
+        match self {
+            Event::Arrive { .. } => EventKind::Arrive,
+            Event::TxComplete { .. } => EventKind::TxComplete,
+            Event::Propagated { .. } => EventKind::Propagated,
+            Event::AckArrive { .. } => EventKind::AckArrive,
+            Event::SenderWake { .. } => EventKind::SenderWake,
+            Event::RtoCheck { .. } => EventKind::RtoCheck,
+            Event::WorkloadToggle { .. } => EventKind::WorkloadToggle,
+            Event::FlowArrival { .. } => EventKind::FlowArrival,
+            Event::FlowDeparture { .. } => EventKind::FlowDeparture,
+            Event::TraceSample => EventKind::TraceSample,
+            Event::LinkDown { .. } => EventKind::LinkDown,
+            Event::LinkUp { .. } => EventKind::LinkUp,
+            Event::AckTimer { .. } => EventKind::AckTimer,
+        }
+    }
+}
+
 /// FNV-1a offset basis: the seed for the run's determinism digests.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
@@ -202,6 +265,13 @@ pub trait Scheduler {
     /// (the calendar queue's today buffer and tie flag make this O(1)
     /// in the common case). [`EventQueue::pop_batch`] uses it to drain
     /// same-instant runs without a full peek per event.
+    ///
+    /// **Contract:** called with the instant the preceding [`Self::pop`]
+    /// or `pop_at` returned, it must answer `None` only when *no* entry
+    /// at that instant remains. A backend's shortcut may be conservative
+    /// (look when it need not) but never optimistic: the same-instant
+    /// lane of [`EventQueue`] lets later arrivals at the instant run
+    /// ahead of anything a `None` left behind.
     fn pop_at(&mut self, at: SimTime) -> Option<Entry> {
         if self.peek_time() == Some(at) {
             self.pop()
@@ -284,6 +354,13 @@ enum Backend {
 pub struct EventQueue {
     backend: Backend,
     next_seq: u64,
+    /// The instant [`pop_batch`](Self::pop_batch) last handed out: the
+    /// backend holds nothing at it, so whatever is scheduled for it next
+    /// goes to `lane`.
+    lane_at: Option<SimTime>,
+    /// Events scheduled for `lane_at` since that batch, in seq order —
+    /// the next batch (see the module docs).
+    lane: Vec<Event>,
 }
 
 impl Default for EventQueue {
@@ -315,18 +392,21 @@ impl EventQueue {
                 None => CalendarQueue::new(),
             }),
         };
+        Self::over(backend)
+    }
+
+    fn over(backend: Backend) -> Self {
         EventQueue {
             backend,
             next_seq: 0,
+            lane_at: None,
+            lane: Vec::new(),
         }
     }
 
     /// An event queue over an externally supplied backend.
     pub fn custom(scheduler: Box<dyn Scheduler>) -> Self {
-        EventQueue {
-            backend: Backend::Custom(scheduler),
-            next_seq: 0,
-        }
+        Self::over(Backend::Custom(scheduler))
     }
 
     /// Which built-in backend this queue runs on (`None` for custom).
@@ -338,11 +418,41 @@ impl EventQueue {
         }
     }
 
-    /// Schedule `event` to fire at `at`.
+    /// Schedule `event` to fire at `at`. Time only moves forward through
+    /// the queue: `at` must not precede the instant
+    /// [`pop_batch`](Self::pop_batch) last handed out.
     #[inline]
     pub fn schedule(&mut self, at: SimTime, event: Event) {
+        let seq = self.reserve_seq();
+        if self.lane_at == Some(at) {
+            self.lane.push(event);
+        } else {
+            self.insert_reserved(at, seq, event);
+        }
+    }
+
+    /// Draw the next insertion seq without scheduling anything: the
+    /// tie-break position an event would take were it scheduled now,
+    /// claimable later through [`insert_reserved`](Self::insert_reserved).
+    /// The engine's lazily re-armed RTO check uses the pair to fire at
+    /// the queue position the eagerly scheduled one had.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Insert `event` at `(at, seq)`, `seq` drawn earlier from
+    /// [`reserve_seq`](Self::reserve_seq) and used at most once. `at`
+    /// must be later than the instant `pop_batch` last handed out: a
+    /// reserved seq may predate the lane's, so it cannot join it.
+    #[inline]
+    pub fn insert_reserved(&mut self, at: SimTime, seq: u64, event: Event) {
+        debug_assert!(
+            self.lane_at.is_none_or(|t| at > t),
+            "scheduled into the past of the batch being dispatched"
+        );
         match &mut self.backend {
             Backend::Heap(s) => s.insert(at, seq, event),
             Backend::Calendar(s) => s.insert(at, seq, event),
@@ -353,6 +463,10 @@ impl EventQueue {
     /// Pop the earliest event (FIFO among same-instant events).
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
+        if !self.lane.is_empty() {
+            let at = self.lane_at.expect("a nonempty lane has its instant");
+            return Some((at, self.lane.remove(0)));
+        }
         let e = match &mut self.backend {
             Backend::Heap(s) => s.pop(),
             Backend::Calendar(s) => s.pop(),
@@ -372,14 +486,24 @@ impl EventQueue {
     /// while working through `buf` carries a later insertion seq than
     /// every event drained here, so it sorts after them even at the same
     /// instant and is picked up by the next call.
+    ///
+    /// **Contract:** the batch is the *whole* instant — when this
+    /// returns, no event at the returned time is left in the backend.
+    /// That is what lets [`schedule`](Self::schedule) keep later arrivals
+    /// at that time in the lane, which becomes the next batch.
     #[inline]
     pub fn pop_batch(&mut self, buf: &mut Vec<Event>) -> Option<SimTime> {
+        if !self.lane.is_empty() {
+            buf.append(&mut self.lane);
+            return self.lane_at;
+        }
         let first = match &mut self.backend {
             Backend::Heap(s) => s.pop(),
             Backend::Calendar(s) => s.pop(),
             Backend::Custom(s) => s.pop(),
         }?;
         let at = first.at;
+        self.lane_at = Some(at);
         buf.push(first.event);
         loop {
             let next = match &mut self.backend {
@@ -396,6 +520,9 @@ impl EventQueue {
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
+        if !self.lane.is_empty() {
+            return self.lane_at;
+        }
         match &self.backend {
             Backend::Heap(s) => s.peek_time(),
             Backend::Calendar(s) => s.peek_time(),
@@ -403,13 +530,14 @@ impl EventQueue {
         }
     }
 
-    /// Number of pending events.
+    /// Number of pending events, the lane's included.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(s) => s.len(),
-            Backend::Calendar(s) => s.len(),
-            Backend::Custom(s) => s.len(),
-        }
+        self.lane.len()
+            + match &self.backend {
+                Backend::Heap(s) => s.len(),
+                Backend::Calendar(s) => s.len(),
+                Backend::Custom(s) => s.len(),
+            }
     }
 
     /// Whether no events are pending.
@@ -539,6 +667,60 @@ mod tests {
                 }
             }
             assert_eq!(batched, single);
+        }
+    }
+
+    fn flows(buf: &mut Vec<Event>) -> Vec<u32> {
+        buf.drain(..)
+            .map(|ev| match ev {
+                Event::SenderWake { flow } => flow.0,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn same_instant_arrivals_become_the_next_batch() {
+        for mut q in queues_under_test() {
+            let t = SimTime::from_nanos;
+            q.schedule(t(100), wake(0));
+            q.schedule(t(100), wake(1));
+            q.schedule(t(200), wake(2));
+            let mut buf = Vec::new();
+            assert_eq!(q.pop_batch(&mut buf), Some(t(100)));
+            assert_eq!(flows(&mut buf), vec![0, 1]);
+            // What dispatching that batch schedules: two more at the
+            // instant (the lane), one between it and the next.
+            q.schedule(t(100), wake(3));
+            q.schedule(t(150), wake(4));
+            q.schedule(t(100), wake(5));
+            assert_eq!(q.len(), 4, "the lane counts");
+            assert!(!q.is_empty());
+            assert_eq!(q.peek_time(), Some(t(100)));
+            assert_eq!(q.pop_batch(&mut buf), Some(t(100)));
+            assert_eq!(flows(&mut buf), vec![3, 5]);
+            // A single pop serves the lane first, too.
+            q.schedule(t(100), wake(6));
+            assert_eq!(q.pop().map(|(at, _)| at), Some(t(100)));
+            assert_eq!(q.pop_batch(&mut buf), Some(t(150)));
+            assert_eq!(q.pop_batch(&mut buf), Some(t(200)));
+            assert_eq!(flows(&mut buf), vec![4, 2]);
+            assert_eq!(q.pop_batch(&mut buf), None);
+            assert!(q.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_reserved_position_sorts_where_it_was_drawn() {
+        for mut q in queues_under_test() {
+            let t = SimTime::from_nanos(500);
+            q.schedule(t, wake(0));
+            let seq = q.reserve_seq();
+            q.schedule(t, wake(2));
+            q.insert_reserved(t, seq, wake(1));
+            let mut buf = Vec::new();
+            assert_eq!(q.pop_batch(&mut buf), Some(t));
+            assert_eq!(flows(&mut buf), vec![0, 1, 2]);
         }
     }
 

@@ -53,9 +53,56 @@
 //! direction via the paper arithmetic. A flow without a spec (or with
 //! the default spec) takes the historical immediate-ACK path bit for
 //! bit.
+//!
+//! # Timers and the same-instant lane
+//!
+//! The scheduler only sees events that have to wait. Three kinds of work
+//! are elided; none changes which live event is dispatched when, or in
+//! what order at one instant (`tests/engine_equivalence.rs` holds every
+//! flow's ack sequence and counters to values recorded before any of
+//! this existed).
+//!
+//! * **Same-instant events skip the scheduler.** An event scheduled for
+//!   the instant being dispatched — the `Arrive` of a transmission, of a
+//!   hop forward, of a link-tier acknowledgment — already sorts after the
+//!   whole current batch, so [`EventQueue`] appends it to a lane that
+//!   becomes the next batch (see [`crate::event`]).
+//! * **One armed `RtoCheck` per flow.** Every valid ACK moves the RTO
+//!   deadline, and a check used to be scheduled at each new deadline;
+//!   all but the last found themselves superseded when they fired
+//!   (0.05 % ever fired a timeout), and until then they stood in the
+//!   queue a full RTO deep. Now `reschedule_rto` *reserves* the queue
+//!   position the eager check would have taken
+//!   ([`EventQueue::reserve_seq`]) and inserts a check only when none of
+//!   the current RTO generation is queued at or before the new deadline.
+//!   The armed check that fires early re-inserts itself at the current
+//!   deadline under the reserved `(time, seq)`, so the timeout fires at
+//!   the queue position it always did. Two details keep that exact.
+//!   A deadline that does not move (several ACKs in one instant) keeps
+//!   its *earliest* reservation, the one whose check fired first. And a
+//!   check that is queued but no longer the armed one (the deadline
+//!   moved earlier and a new check was inserted in front of it) still
+//!   obeys the old rule — dead unless its `gen` is current and the
+//!   deadline has passed — so it can fire only where the eager timer
+//!   also had a check, never re-arms, and is never relied on. (One
+//!   position is not reproduced: a deadline that leaves for a different
+//!   one and later returns to the very same nanosecond takes the later
+//!   reservation unless the earlier check is still queued. That needs
+//!   two float-derived RTOs to coincide exactly *and* a competing event
+//!   at that instant to be observable; the fixture and the figure
+//!   goldens show none.)
+//! * **One pending pacing wake.** `pending_wake` names the earliest
+//!   queued [`Event::SenderWake`], and only that wake clears it. When any
+//!   wake cleared it, a stale one made the next `try_send` queue a
+//!   duplicate of a wake that was still waiting, each duplicate did the
+//!   same, and a sender whose intersend time moves with every ACK woke
+//!   several times per packet (a PCC sender without bound). Every wake
+//!   still calls `try_send`, and a sender blocked on pacing always has a
+//!   wake queued at or before the instant it may send, so transmissions
+//!   leave at the instants they did.
 
 use crate::arena::PacketArena;
-use crate::event::{Event, EventQueue, SchedulerKind};
+use crate::event::{Event, EventKind, EventQueue, SchedulerKind};
 use crate::flow::{FlowOutcome, FlowStats, OnTimeTracker};
 use crate::link::{Link, Offer};
 use crate::packet::{Ack, FlowId, LinkId, Packet, PacketDir, ACK_BYTES};
@@ -89,10 +136,17 @@ struct SenderSlot {
     on_tracker: OnTimeTracker,
     /// Time of the last transmission, for pacing.
     last_send: Option<SimTime>,
-    /// Earliest pending SenderWake, to avoid duplicate timers.
+    /// Firing time of the earliest queued SenderWake; cleared only by
+    /// that wake, so a later one is never scheduled twice.
     pending_wake: Option<SimTime>,
     /// Current RTO deadline (valid only at the matching rto_gen).
     rto_deadline: SimTime,
+    /// Queue seq reserved for a check at `rto_deadline` (see "Timers and
+    /// the same-instant lane" in the module docs).
+    rto_seq: u64,
+    /// Firing time of the queued RtoCheck of the current generation that
+    /// will carry the deadline forward (`SimTime::MAX`: none is queued).
+    rto_armed: SimTime,
     toggle_gen: u64,
     rng: SimRng,
 }
@@ -178,6 +232,10 @@ pub struct RunOutcome {
     pub forward_links: usize,
     /// Total events dispatched.
     pub events_processed: u64,
+    /// Events dispatched, indexed by [`EventKind`] (see
+    /// [`events_of`](Self::events_of)). Always on: one array increment
+    /// per dispatch.
+    pub events_by_kind: [u64; EventKind::COUNT],
     /// `true` when the run stopped because it exhausted the event budget
     /// ([`Simulation::set_event_budget`]) rather than reaching the
     /// requested duration. Every per-flow statistic then covers only the
@@ -192,6 +250,11 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
+    /// Events of one kind dispatched over the run.
+    pub fn events_of(&self, kind: EventKind) -> u64 {
+        self.events_by_kind[kind as usize]
+    }
+
     /// Utilization of a link over the run.
     pub fn utilization(&self, link: usize, rate_bps: f64) -> f64 {
         self.link_bytes[link] as f64 * 8.0 / (rate_bps * self.duration_s)
@@ -222,6 +285,7 @@ pub struct Simulation {
     min_one_way: Vec<SimDuration>,
     trace: Option<Trace>,
     events_processed: u64,
+    events_by_kind: [u64; EventKind::COUNT],
     /// Hard cap on events to guard against pathological protocol settings
     /// (e.g. a candidate action with near-zero pacing during optimization).
     event_budget: u64,
@@ -289,6 +353,8 @@ impl Simulation {
                 last_send: None,
                 pending_wake: None,
                 rto_deadline: SimTime::MAX,
+                rto_seq: 0,
+                rto_armed: SimTime::MAX,
                 toggle_gen: 0,
                 rng: root.fork(0x2222 + i as u64),
             })
@@ -441,6 +507,7 @@ impl Simulation {
                 .collect(),
             trace: None,
             events_processed: 0,
+            events_by_kind: [0; EventKind::COUNT],
             event_budget: u64::MAX,
             scheduler,
             event_digest: None,
@@ -558,6 +625,7 @@ impl Simulation {
                     truncated = true;
                     break 'event_loop;
                 }
+                self.events_by_kind[ev.kind() as usize] += 1;
                 if let Some(digest) = &mut self.event_digest {
                     *digest = fold_event(*digest, at, &ev, &self.arena);
                 }
@@ -583,6 +651,7 @@ impl Simulation {
             link_bytes: self.links.iter().map(|l| l.bytes_transmitted()).collect(),
             forward_links: self.n_forward,
             events_processed: self.events_processed,
+            events_by_kind: self.events_by_kind,
             truncated,
             event_digest: self.event_digest,
         }
@@ -631,7 +700,13 @@ impl Simulation {
             }
             Event::SenderWake { flow } => {
                 let i = flow.0 as usize;
-                self.senders[i].pending_wake = None;
+                // Only the pending wake clears the marker: a stale one
+                // clearing it made the next `try_send` schedule a
+                // duplicate of a wake that is still queued.
+                let s = &mut self.senders[i];
+                if s.pending_wake == Some(self.now) {
+                    s.pending_wake = None;
+                }
                 self.try_send(i);
             }
             Event::RtoCheck { flow, gen } => self.handle_rto(flow, gen),
@@ -949,15 +1024,33 @@ impl Simulation {
         if !s.on || gen != s.transport.rto_gen() {
             return;
         }
+        // A live check leaves the queue here; if it is the armed one,
+        // nothing of this generation is known to be queued any more.
+        let armed = s.rto_armed == self.now;
+        if armed {
+            s.rto_armed = SimTime::MAX;
+        }
         if self.now < s.rto_deadline {
-            return; // superseded deadline
+            // Superseded deadline. The armed check carries the timer to
+            // the current one, at the queue position reserved for it.
+            if armed {
+                s.rto_armed = s.rto_deadline;
+                self.events.insert_reserved(
+                    s.rto_deadline,
+                    s.rto_seq,
+                    Event::RtoCheck { flow, gen },
+                );
+            }
+            return;
         }
         if s.transport.in_flight() == 0 && !s.transport.has_retx_pending() {
             return;
         }
         self.stats[i].timeouts += 1;
         s.cc.on_timeout(self.now);
+        // Bumps the RTO generation: every queued check is dead.
         s.transport.on_timeout();
+        s.rto_armed = SimTime::MAX;
         self.reschedule_rto(i);
         self.try_send(i);
     }
@@ -1045,6 +1138,7 @@ impl Simulation {
         s.cc.reset(self.now);
         s.last_send = None;
         s.rto_deadline = SimTime::MAX;
+        s.rto_armed = SimTime::MAX;
         let rx = &mut self.receivers[i];
         rx.epoch = epoch;
         rx.seen.clear();
@@ -1061,6 +1155,7 @@ impl Simulation {
         self.stats[i].on_time += d;
         s.transport.abort();
         s.rto_deadline = SimTime::MAX;
+        s.rto_armed = SimTime::MAX;
     }
 
     /// Send as many packets as window and pacing allow; schedule a pacing
@@ -1123,24 +1218,39 @@ impl Simulation {
         }
     }
 
+    /// Move the RTO deadline (called per valid ACK, per first send and per
+    /// timeout). The timer is lazy: the deadline always takes its place in
+    /// the queue order, but a check is only inserted when none of this
+    /// generation is already queued at or before it — see "Timers and the
+    /// same-instant lane" in the module docs.
     fn reschedule_rto(&mut self, i: usize) {
         let s = &mut self.senders[i];
         if s.transport.in_flight() == 0 && !s.transport.has_retx_pending() {
             s.transport.bump_rto_gen();
             s.rto_deadline = SimTime::MAX;
+            s.rto_armed = SimTime::MAX;
             return;
         }
         let base = s.transport.oldest_outstanding_at().unwrap_or(self.now);
         let deadline = base.max(self.now) + s.transport.rto();
-        s.rto_deadline = deadline;
-        let gen = s.transport.rto_gen();
-        self.events.schedule(
-            deadline,
-            Event::RtoCheck {
-                flow: FlowId(i as u32),
-                gen,
-            },
-        );
+        let seq = self.events.reserve_seq();
+        if deadline != s.rto_deadline {
+            // An unchanged deadline keeps its earliest reservation.
+            s.rto_deadline = deadline;
+            s.rto_seq = seq;
+        }
+        if deadline < s.rto_armed {
+            s.rto_armed = deadline;
+            let gen = s.transport.rto_gen();
+            self.events.insert_reserved(
+                deadline,
+                s.rto_seq,
+                Event::RtoCheck {
+                    flow: FlowId(i as u32),
+                    gen,
+                },
+            );
+        }
     }
 
     /// An outage blackout begins: stop the link and schedule its return.
