@@ -4,7 +4,8 @@
 //! release (a stale wake used to clear the pending-wake marker, so every
 //! later `try_send` queued a duplicate — 2.3 wakes per packet for Tao,
 //! unbounded for PCC), and an `RtoCheck` per acknowledgment where one per
-//! elapsed RTO is enough.
+//! elapsed RTO is enough. Also the queue's routing counters: the packet
+//! events wait on delay lines, in order, and the backend keeps the rest.
 
 use lcc_core::experiments::calibration;
 use lcc_core::experiments::scaffold::flow_sum;
@@ -69,5 +70,25 @@ fn rto_checks_follow_elapsed_time_not_acks() {
             bound * 10 < acks,
             "{name}: the bound must bite ({acks} acks)"
         );
+    }
+}
+
+#[test]
+fn packet_events_ride_delay_lines() {
+    for (name, out) in paced_runs() {
+        let q = out.queue;
+        assert_eq!(q.fallback, 0, "{name}: every line was filled in order");
+        assert!(q.backend < q.line, "{name}: the backend holds the timers");
+        // Per packet: a lane Arrive, three line events (TxComplete,
+        // Propagated, AckArrive) and at most one pacing wake; PCC's wake
+        // per packet puts it near that floor, Tao's sparser ones above.
+        if name == "tao" {
+            assert!(
+                q.line * 10 >= out.events_processed * 6,
+                "{name}: {} of {} events on delay lines",
+                q.line,
+                out.events_processed
+            );
+        }
     }
 }

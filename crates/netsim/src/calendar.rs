@@ -5,10 +5,14 @@
 //! hashes each event by time into an array of buckets — "days" of a
 //! circular "year" — and pops by walking days in order, so both insert
 //! and pop are O(1) amortized when the bucket width matches the typical
-//! inter-event spacing. Discrete-event network simulation is the ideal
-//! case: most pending events (serializations, propagations, acks) sit
-//! within an RTT of now, with a thin far-future tail of RTO and workload
-//! timers.
+//! inter-event spacing.
+//!
+//! In the engine it holds timers: pacing wakes, RTO checks, workload,
+//! outage and flush timers, plus the rare packet event that could not
+//! ride its delay line. The packet events themselves — serializations,
+//! propagations, returning acknowledgments — are scheduled in an order
+//! known in advance and wait in the [`crate::event::EventQueue`]'s delay
+//! lines instead.
 //!
 //! This implementation preserves the exact `(time, insertion-seq)` total
 //! order of the [`crate::event::BinaryHeapScheduler`] reference — ties at
@@ -60,12 +64,6 @@
 //! *wide* (many distinct instants) still goes through the scan path and
 //! its degeneracy accounting, so a mis-tuned width retunes exactly as
 //! before.
-//!
-//! The buffer also powers [`Scheduler::pop_at`]: after any pop, the
-//! queue knows whether another entry shares the popped instant (buffer
-//! front, or a tie flag maintained by the bucket scan), so the engine
-//! can drain same-instant batches without paying a full `peek` per
-//! event.
 
 use crate::event::{Entry, Event, Scheduler};
 use crate::time::{SimDuration, SimTime};
@@ -114,8 +112,8 @@ pub const TODAY_DRAIN: usize = 64;
 
 /// One calendar day: `(time-nanos, seq)` keys stored separately from the
 /// event payloads, index-aligned. Bucket scans (the minimum search in
-/// `pop`, the filter in `peek_time`, the global-minimum fallback) touch
-/// only the dense 16-byte key array — an `Event` carries a full `Packet`
+/// `pop`, the global-minimum fallback) touch only the dense 16-byte key
+/// array — an `Event` carries a full `Packet`
 /// and is several cache lines of payload per entry that the scan never
 /// needs — so a day's worth of keys stays in cache even at high standing
 /// populations.
@@ -156,6 +154,20 @@ impl Bucket {
     }
 }
 
+/// What a [`CalendarQueue`] did over its life (reported through
+/// [`crate::event::QueueCounters`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CalendarStats {
+    /// Entries popped.
+    pub pops: u64,
+    /// Keys the pops' bucket scans looked at.
+    pub scanned: u64,
+    /// Rebuilds: growth, shrinkage and width retunes.
+    pub rebuilds: u64,
+    /// Oversized same-instant runs sorted into the today buffer.
+    pub drains: u64,
+}
+
 /// Bucketed calendar queue ordered by `(time, seq)`.
 ///
 /// See the module docs for the algorithm; see [`Scheduler`] for the
@@ -174,7 +186,7 @@ pub struct CalendarQueue {
     len: usize,
     /// Consecutive-ish degenerate pops since the last retune.
     degenerate_pops: u32,
-    /// Degenerate pops are ignored until `stat_pops` passes this mark
+    /// Degenerate pops are ignored until `stats.pops` passes this mark
     /// (see [`RETUNE_COOLDOWN_MIN`]).
     cooldown_until: u64,
     /// Sort-and-drain buffer for an oversized same-instant run (see the
@@ -187,15 +199,6 @@ pub struct CalendarQueue {
     today_at: u64,
     /// Drain front of `today`; entries before it are already popped.
     today_cursor: usize,
-    /// Set by a pop that may have left another entry due at the instant
-    /// it returned — the gate that lets [`Scheduler::pop_at`] answer
-    /// "none" without looking. It may be set when no tie remains (the
-    /// rescan re-validates against the bucket, so that only wastes a
-    /// scan) but must never be clear when one does: `pop_at`'s contract
-    /// is that `None` means the instant is drained. A bucket scan knows
-    /// the tie count; a rebuild and the sparse global-minimum pop do
-    /// not, and set it.
-    tie_pending: bool,
     /// Collection scratch reused across [`rebuild`](Self::rebuild)s so a
     /// retune allocates nothing once grown to the standing population —
     /// retunes are frequent enough in tie-heavy dense runs that fresh
@@ -203,37 +206,7 @@ pub struct CalendarQueue {
     scratch_keys: Vec<(u64, u64)>,
     /// Payload half of the rebuild scratch (parallel to `scratch_keys`).
     scratch_payloads: Vec<Event>,
-    stat_pops: u64,
-    stat_scanned: u64,
-    stat_walked: u64,
-    stat_global_min: u64,
-    stat_rebuilds: u64,
-    stat_drains: u64,
-}
-
-/// `NETSIM_CAL_DEBUG=1` prints per-queue scan/retune counters on drop —
-/// the diagnostic surface that found the tie-burst retune thrash.
-fn debug_enabled() -> bool {
-    static CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| std::env::var_os("NETSIM_CAL_DEBUG").is_some())
-}
-
-impl Drop for CalendarQueue {
-    fn drop(&mut self) {
-        if debug_enabled() && self.stat_pops > 0 {
-            eprintln!(
-                "[cal] pops={} scanned/pop={:.2} walked/pop={:.2} global_min={} rebuilds={} drains={} shift={} buckets={}",
-                self.stat_pops,
-                self.stat_scanned as f64 / self.stat_pops as f64,
-                self.stat_walked as f64 / self.stat_pops as f64,
-                self.stat_global_min,
-                self.stat_rebuilds,
-                self.stat_drains,
-                self.shift,
-                self.buckets.len(),
-            );
-        }
-    }
+    stats: CalendarStats,
 }
 
 impl Default for CalendarQueue {
@@ -270,26 +243,15 @@ impl CalendarQueue {
             today: Vec::new(),
             today_at: 0,
             today_cursor: 0,
-            tie_pending: false,
             scratch_keys: Vec::new(),
             scratch_payloads: Vec::new(),
-            stat_pops: 0,
-            stat_scanned: 0,
-            stat_walked: 0,
-            stat_global_min: 0,
-            stat_rebuilds: 0,
-            stat_drains: 0,
+            stats: CalendarStats::default(),
         }
     }
 
-    /// Current bucket width (test/diagnostic surface).
-    pub fn bucket_width(&self) -> SimDuration {
-        SimDuration::from_nanos(1u64 << self.shift)
-    }
-
-    /// Current bucket count (test/diagnostic surface).
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
+    /// What the queue did so far.
+    pub fn stats(&self) -> CalendarStats {
+        self.stats
     }
 
     #[inline]
@@ -329,11 +291,6 @@ impl CalendarQueue {
         }
         self.today.clear();
         self.today_cursor = 0;
-        // A rebuild can run between a pop and the `pop_at` that follows
-        // it (a degenerate pop retunes on its way out), after the scan
-        // already counted the ties. Whatever it knew is gone with the
-        // old layout, so answer conservatively: look.
-        self.tie_pending = true;
         for b in &mut self.buckets {
             keys.append(&mut b.keys);
             payloads.append(&mut b.payloads);
@@ -359,12 +316,12 @@ impl CalendarQueue {
         self.scratch_keys = keys;
         self.scratch_payloads = payloads;
         self.degenerate_pops = 0;
-        self.cooldown_until = self.stat_pops + (self.len as u64).max(RETUNE_COOLDOWN_MIN);
-        self.stat_rebuilds += 1;
+        self.cooldown_until = self.stats.pops + (self.len as u64).max(RETUNE_COOLDOWN_MIN);
+        self.stats.rebuilds += 1;
     }
 
     fn note_degenerate_pop(&mut self) {
-        if self.stat_pops < self.cooldown_until {
+        if self.stats.pops < self.cooldown_until {
             return;
         }
         self.degenerate_pops += 1;
@@ -392,7 +349,6 @@ impl CalendarQueue {
         self.today.sort_unstable_by_key(|&(seq, _)| seq);
         self.today_at = at;
         self.today_cursor = 0;
-        self.tie_pending = false;
     }
 
     /// Pop the front of the active today buffer. The buffer front is the
@@ -493,7 +449,7 @@ impl Scheduler for CalendarQueue {
         if self.len == 0 {
             return None;
         }
-        self.stat_pops += 1;
+        self.stats.pops += 1;
         if self.today_cursor < self.today.len() {
             return Some(self.pop_from_today());
         }
@@ -535,19 +491,17 @@ impl Scheduler for CalendarQueue {
                 }
                 if besti != usize::MAX {
                     let scanned = bucket.len();
-                    self.stat_scanned += scanned as u64;
-                    self.stat_walked += walked as u64;
+                    self.stats.scanned += scanned as u64;
                     if ties > TODAY_DRAIN {
                         // Oversized same-instant run: no width can spread
                         // it, and per-pop rescans would make it O(k²).
                         // Sort the run once and drain it (module docs).
-                        self.stat_drains += 1;
+                        self.stats.drains += 1;
                         self.start_today_drain(best.0);
                         return Some(self.pop_from_today());
                     }
                     let entry = self.buckets[self.cursor].swap_remove(besti);
                     self.len -= 1;
-                    self.tie_pending = ties >= 2;
                     // Either degeneracy triggers a retune: a long scan of
                     // one bucket (width too coarse) or a long march over
                     // empty days (width too fine).
@@ -562,114 +516,12 @@ impl Scheduler for CalendarQueue {
         }
         // A full year of days held nothing due: the queue is sparse
         // relative to its width. Jump straight to the global minimum.
-        self.stat_global_min += 1;
         let (bi, i) = self.find_global_min().expect("len > 0 entries exist");
         let entry = self.buckets[bi].swap_remove(i);
         self.len -= 1;
         self.seek_to(entry.at.as_nanos());
-        // The direct search did not count ties; the day just sought to is
-        // the popped entry's, so a `pop_at` rescan of it settles them.
-        self.tie_pending = true;
         self.note_degenerate_pop();
         Some(entry)
-    }
-
-    fn pop_at(&mut self, at: SimTime) -> Option<Entry> {
-        if self.len == 0 {
-            return None;
-        }
-        let nanos = at.as_nanos();
-        if self.today_cursor < self.today.len() {
-            // Buffer front is the global minimum; one instant compare.
-            if self.today_at != nanos {
-                return None;
-            }
-            self.stat_pops += 1;
-            return Some(self.pop_from_today());
-        }
-        if !self.tie_pending {
-            return None;
-        }
-        self.tie_pending = false;
-        // The last bucket-scan pop saw another entry due at its instant.
-        // Re-validate: the in-day minimum of the cursor bucket is the
-        // global minimum (same invariant the pop scan rests on), so if
-        // it equals `at` it is safe to return. The flag being stale can
-        // only waste this rescan, never misorder.
-        let width = 1u64 << self.shift;
-        let day_last = self.day_start.saturating_add(width - 1);
-        if day_last == u64::MAX {
-            // Day arithmetic saturates here (see `pop`): only the direct
-            // search can say whether a tie remains.
-            return if self.peek_time() == Some(at) {
-                self.pop()
-            } else {
-                None
-            };
-        }
-        if nanos < self.day_start || nanos > day_last {
-            return None;
-        }
-        let bucket = &self.buckets[self.cursor];
-        let mut besti = usize::MAX;
-        let mut best = (u64::MAX, u64::MAX);
-        let mut ties = 0usize;
-        for (i, &(bat, bseq)) in bucket.keys.iter().enumerate() {
-            if bat > day_last {
-                continue;
-            }
-            if bat < best.0 {
-                best = (bat, bseq);
-                besti = i;
-                ties = 1;
-            } else if bat == best.0 {
-                ties += 1;
-                if bseq < best.1 {
-                    best = (bat, bseq);
-                    besti = i;
-                }
-            }
-        }
-        if besti == usize::MAX || best.0 != nanos {
-            return None;
-        }
-        self.stat_pops += 1;
-        self.stat_scanned += bucket.len() as u64;
-        let entry = self.buckets[self.cursor].swap_remove(besti);
-        self.len -= 1;
-        self.tie_pending = ties >= 2;
-        Some(entry)
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.today_cursor < self.today.len() {
-            return Some(SimTime::from_nanos(self.today_at));
-        }
-        let width = 1u64 << self.shift;
-        let mut day_start = self.day_start;
-        let mut cursor = self.cursor;
-        for _ in 0..self.buckets.len() {
-            let day_last = day_start.saturating_add(width - 1);
-            if day_last == u64::MAX {
-                break;
-            }
-            if let Some(at) = self.buckets[cursor]
-                .keys
-                .iter()
-                .map(|&(at, _)| at)
-                .filter(|&at| at <= day_last)
-                .min()
-            {
-                return Some(SimTime::from_nanos(at));
-            }
-            cursor = (cursor + 1) & self.mask;
-            day_start = day_start.saturating_add(width);
-        }
-        let (bi, i) = self.find_global_min()?;
-        Some(SimTime::from_nanos(self.buckets[bi].keys[i].0))
     }
 
     fn len(&self) -> usize {
@@ -789,14 +641,14 @@ mod tests {
         for seq in 0..10_000u64 {
             q.insert(t(seq * 1_000), seq, wake(0));
         }
-        assert!(q.num_buckets() >= 4096, "array grew: {}", q.num_buckets());
+        assert!(q.buckets.len() >= 4096, "array grew: {}", q.buckets.len());
         for _ in 0..9_990 {
             q.pop().unwrap();
         }
         assert!(
-            q.num_buckets() <= 64,
+            q.buckets.len() <= 64,
             "array shrank back: {}",
-            q.num_buckets()
+            q.buckets.len()
         );
         assert_eq!(q.len(), 10);
     }
@@ -852,7 +704,7 @@ mod tests {
         // Seed with an absurdly wide hint; dense sub-microsecond traffic
         // must trigger retuning rather than degrade to linear scans.
         let mut q = CalendarQueue::with_width_hint(SimDuration::from_secs(3600));
-        let wide = q.bucket_width();
+        let wide = q.shift;
         for seq in 0..4096u64 {
             q.insert(t(seq * 500), seq, wake(0));
         }
@@ -860,25 +712,10 @@ mod tests {
             assert_eq!(q.pop().unwrap().seq, seq);
         }
         assert!(
-            q.bucket_width() < wide,
-            "width re-estimated: {:?} -> {:?}",
-            wide,
-            q.bucket_width()
+            q.shift < wide,
+            "width re-estimated: 2^{wide} -> 2^{} ns",
+            q.shift
         );
-    }
-
-    #[test]
-    fn peek_never_disturbs_order() {
-        let mut q = CalendarQueue::new();
-        let times = [7u64, 3, 3, 900_000_000_000, 12, 5];
-        for (seq, &at) in times.iter().enumerate() {
-            q.insert(t(at), seq as u64, wake(0));
-        }
-        while let Some(peeked) = q.peek_time() {
-            let popped = q.pop().unwrap();
-            assert_eq!(peeked, popped.at);
-        }
-        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -946,49 +783,11 @@ mod tests {
     }
 
     #[test]
-    fn pop_at_agrees_with_peek_then_pop() {
-        // Mixed regime: a tie burst (buffer path), small tie runs (the
-        // tie_pending rescan path) and unique times (pop_at must refuse).
-        let mk = || {
-            let mut q = CalendarQueue::new();
-            let mut seq = 0u64;
-            for _ in 0..3 * TODAY_DRAIN {
-                q.insert(t(2_000), seq, wake(0));
-                seq += 1;
-            }
-            // Small tie runs spaced far apart, so they land in days of
-            // their own (the tie_pending rescan path, not the buffer).
-            for i in 0..51u64 {
-                q.insert(t(10_000_000 + 1_000_000 * (i / 3)), seq, wake(1));
-                seq += 1;
-            }
-            for i in 0..50u64 {
-                q.insert(t(100_000_000 + 1_000_000 * i), seq, wake(2));
-                seq += 1;
-            }
-            q
-        };
-        let mut a = mk();
-        let mut b = mk();
-        // Drain `a` with pop + pop_at batching, `b` with pop only.
-        let mut batched = Vec::new();
-        while let Some(e) = a.pop() {
-            let at = e.at;
-            batched.push((e.at.as_nanos(), e.seq));
-            while let Some(f) = a.pop_at(at) {
-                assert_eq!(f.at, at);
-                batched.push((f.at.as_nanos(), f.seq));
-            }
-        }
-        assert_eq!(batched, drain_sorted(&mut b));
-    }
-
-    #[test]
     fn width_hint_seeds_bucket_width() {
         let q = CalendarQueue::with_width_hint(SimDuration::from_micros(300));
         // 3 × 300 µs rounded up to a power of two = 2^20 ns ≈ 1.05 ms.
-        assert_eq!(q.bucket_width(), SimDuration::from_nanos(1 << 20));
+        assert_eq!(q.shift, 20);
         let q = CalendarQueue::with_width_hint(SimDuration::ZERO);
-        assert_eq!(q.bucket_width(), SimDuration::from_nanos(1));
+        assert_eq!(q.shift, 0);
     }
 }

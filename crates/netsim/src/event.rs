@@ -20,28 +20,49 @@
 //! `netsim/tests/proptest_scheduler.rs`), so fixed-seed simulations are
 //! bit-identical whichever backend runs them.
 //!
+//! An [`EventQueue`] keeps three kinds of sources in front of its backend
+//! and merges them by `(time, seq)`. Every event draws its seq from one
+//! counter whichever source holds it, and each source is sorted, so the
+//! merge is the one global order — no event moves, by construction.
+//!
 //! # The same-instant lane
 //!
 //! Nearly a fifth of what the engine schedules fires at the instant
 //! already being dispatched: the `Arrive` a sender's transmission, a hop
 //! forward or a link-tier acknowledgment produces. Such an event carries a
 //! later insertion seq than everything [`EventQueue::pop_batch`] just
-//! handed out, and `pop_batch` hands out the *whole* instant (the
-//! [`Scheduler::pop_at`] contract), so it sorts exactly after the current
-//! batch and before everything else pending. [`EventQueue::schedule`]
-//! therefore appends it to a plain `Vec` — the lane — which the next
-//! `pop_batch` returns as the next batch: the order a backend would have
-//! realized, without the backend insert, scan and pop. The lane draws its
-//! seq like any other event, so the numbering of everything that does go
-//! through the backend is unchanged.
+//! handed out, and `pop_batch` hands out the *whole* instant, so it sorts
+//! exactly after the current batch and before everything else pending.
+//! [`EventQueue::schedule`] therefore appends it to a plain `Vec` — the
+//! lane — which the next `pop_batch` returns as the next batch.
+//!
+//! # Delay lines
+//!
+//! Most of the rest is scheduled in an order that is already known: a
+//! link's propagations each leave `delay` after the previous one's
+//! instant or later, and an acknowledgment returning over a fixed delay
+//! does too. [`EventQueue::line`] opens a FIFO line for such a stream and
+//! [`EventQueue::schedule_on`] appends to it. The queue does not take the
+//! caller's word for the order: an event earlier than its line's tail
+//! takes the ordinary backend insert instead (the *fallback*, counted in
+//! [`QueueCounters::fallback`]), so a line is sorted whatever is put on
+//! it. The fronts of the nonempty lines sit in a small binary heap.
+//!
+//! # The head entry
+//!
+//! The backend's earliest entry is held out of it, beside the line
+//! fronts; an insert that sorts before it swaps places with it. Whether
+//! the next event shares the instant being drained is therefore two
+//! comparisons on every backend — the backend is only asked to `insert`
+//! and `pop`, and it holds only what has to wait: timers, and fallbacks.
 
 use crate::arena::PktId;
-use crate::calendar::CalendarQueue;
+use crate::calendar::{CalendarQueue, CalendarStats};
 use crate::packet::{FlowId, LinkId};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Everything that can happen in the network simulator.
 #[derive(Clone, Debug)]
@@ -258,31 +279,6 @@ pub trait Scheduler {
     /// Remove and return the entry with the smallest `(at, seq)`.
     fn pop(&mut self) -> Option<Entry>;
 
-    /// Remove and return the earliest entry only if it fires exactly at
-    /// `at`. Equivalent to checking `peek_time() == Some(at)` before
-    /// popping — the default does exactly that — but a backend may
-    /// answer from state the preceding [`Self::pop`] already computed
-    /// (the calendar queue's today buffer and tie flag make this O(1)
-    /// in the common case). [`EventQueue::pop_batch`] uses it to drain
-    /// same-instant runs without a full peek per event.
-    ///
-    /// **Contract:** called with the instant the preceding [`Self::pop`]
-    /// or `pop_at` returned, it must answer `None` only when *no* entry
-    /// at that instant remains. A backend's shortcut may be conservative
-    /// (look when it need not) but never optimistic: the same-instant
-    /// lane of [`EventQueue`] lets later arrivals at the instant run
-    /// ahead of anything a `None` left behind.
-    fn pop_at(&mut self, at: SimTime) -> Option<Entry> {
-        if self.peek_time() == Some(at) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Time of the next entry without removing it.
-    fn peek_time(&self) -> Option<SimTime>;
-
     /// Number of pending entries.
     fn len(&self) -> usize;
 
@@ -314,10 +310,6 @@ impl Scheduler for BinaryHeapScheduler {
         self.heap.pop().map(|Reverse(e)| e)
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
     fn len(&self) -> usize {
         self.heap.len()
     }
@@ -345,22 +337,61 @@ enum Backend {
     Custom(Box<dyn Scheduler>),
 }
 
+/// A delay line of an [`EventQueue`] (see the module docs), opened by
+/// [`EventQueue::line`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Line(u32);
+
+/// Where an [`EventQueue`]'s events went, counted as they were scheduled,
+/// and what its calendar backend did with its share. Always on: one
+/// increment per event.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueueCounters {
+    /// Events appended to the same-instant lane.
+    pub lane: u64,
+    /// Events appended to a delay line.
+    pub line: u64,
+    /// Events inserted into the backend: timers, and line fallbacks.
+    pub backend: u64,
+    /// Events scheduled on a line that were earlier than its tail and took
+    /// the backend insert instead (also counted in `backend`).
+    pub fallback: u64,
+    /// The calendar backend's own counters (zero on other backends).
+    pub calendar: CalendarStats,
+}
+
 /// Deterministic time-ordered event queue over a pluggable backend.
 ///
-/// Owns the tie-breaking sequence counter and dispatches to the selected
-/// [`Scheduler`]. The two built-in backends are enum-dispatched (no
+/// Owns the tie-breaking sequence counter, the same-instant lane, the
+/// delay lines and the held-out head of the selected [`Scheduler`] (see
+/// the module docs). The two built-in backends are enum-dispatched (no
 /// virtual call on the hot path); arbitrary backends plug in through
 /// [`EventQueue::custom`].
 pub struct EventQueue {
     backend: Backend,
+    /// The backend's earliest entry, held out of it: `None` exactly when
+    /// the backend is empty.
+    head: Option<Entry>,
+    /// The delay lines, each sorted by `(at, seq)`.
+    lines: Vec<VecDeque<Entry>>,
+    /// `(at, seq, line)` of each nonempty line's front, earliest on top.
+    fronts: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     next_seq: u64,
-    /// The instant [`pop_batch`](Self::pop_batch) last handed out: the
-    /// backend holds nothing at it, so whatever is scheduled for it next
-    /// goes to `lane`.
+    /// The instant [`pop_batch`](Self::pop_batch) last handed out: no
+    /// line and no backend entry is at it, so whatever is scheduled for
+    /// it next goes to `lane`.
     lane_at: Option<SimTime>,
     /// Events scheduled for `lane_at` since that batch, in seq order —
     /// the next batch (see the module docs).
     lane: Vec<Event>,
+    counters: QueueCounters,
+}
+
+/// Which source holds the earliest event outside the lane.
+#[derive(Clone, Copy)]
+enum Source {
+    Line(u32),
+    Head,
 }
 
 impl Default for EventQueue {
@@ -398,9 +429,13 @@ impl EventQueue {
     fn over(backend: Backend) -> Self {
         EventQueue {
             backend,
+            head: None,
+            lines: Vec::new(),
+            fronts: BinaryHeap::new(),
             next_seq: 0,
             lane_at: None,
             lane: Vec::new(),
+            counters: QueueCounters::default(),
         }
     }
 
@@ -418,6 +453,21 @@ impl EventQueue {
         }
     }
 
+    /// Open a new, empty delay line.
+    pub fn line(&mut self) -> Line {
+        self.lines.push(VecDeque::new());
+        Line(self.lines.len() as u32 - 1)
+    }
+
+    /// The routing and backend counters so far.
+    pub fn counters(&self) -> QueueCounters {
+        let mut c = self.counters;
+        if let Backend::Calendar(cal) = &self.backend {
+            c.calendar = cal.stats();
+        }
+        c
+    }
+
     /// Schedule `event` to fire at `at`. Time only moves forward through
     /// the queue: `at` must not precede the instant
     /// [`pop_batch`](Self::pop_batch) last handed out.
@@ -425,9 +475,38 @@ impl EventQueue {
     pub fn schedule(&mut self, at: SimTime, event: Event) {
         let seq = self.reserve_seq();
         if self.lane_at == Some(at) {
+            self.counters.lane += 1;
             self.lane.push(event);
         } else {
             self.insert_reserved(at, seq, event);
+        }
+    }
+
+    /// Schedule `event` at `at` on `line`: appended to it when not earlier
+    /// than its tail, otherwise inserted into the backend. Either way it
+    /// takes the position [`schedule`](Self::schedule) would have given
+    /// it.
+    #[inline]
+    pub fn schedule_on(&mut self, line: Line, at: SimTime, event: Event) {
+        let seq = self.reserve_seq();
+        if self.lane_at == Some(at) {
+            self.counters.lane += 1;
+            self.lane.push(event);
+            return;
+        }
+        let q = &mut self.lines[line.0 as usize];
+        match q.back() {
+            Some(tail) if at < tail.at => {
+                self.counters.fallback += 1;
+                self.insert_reserved(at, seq, event);
+            }
+            tail => {
+                if tail.is_none() {
+                    self.fronts.push(Reverse((at, seq, line.0)));
+                }
+                q.push_back(Entry { at, seq, event });
+                self.counters.line += 1;
+            }
         }
     }
 
@@ -443,8 +522,8 @@ impl EventQueue {
         seq
     }
 
-    /// Insert `event` at `(at, seq)`, `seq` drawn earlier from
-    /// [`reserve_seq`](Self::reserve_seq) and used at most once. `at`
+    /// Insert `event` into the backend at `(at, seq)`, `seq` drawn earlier
+    /// from [`reserve_seq`](Self::reserve_seq) and used at most once. `at`
     /// must be later than the instant `pop_batch` last handed out: a
     /// reserved seq may predate the lane's, so it cannot join it.
     #[inline]
@@ -453,10 +532,64 @@ impl EventQueue {
             self.lane_at.is_none_or(|t| at > t),
             "scheduled into the past of the batch being dispatched"
         );
+        self.counters.backend += 1;
+        let entry = Entry { at, seq, event };
+        let spill = match &mut self.head {
+            None => {
+                self.head = Some(entry);
+                return;
+            }
+            Some(head) if entry < *head => std::mem::replace(head, entry),
+            Some(_) => entry,
+        };
         match &mut self.backend {
-            Backend::Heap(s) => s.insert(at, seq, event),
-            Backend::Calendar(s) => s.insert(at, seq, event),
-            Backend::Custom(s) => s.insert(at, seq, event),
+            Backend::Heap(s) => s.insert(spill.at, spill.seq, spill.event),
+            Backend::Calendar(s) => s.insert(spill.at, spill.seq, spill.event),
+            Backend::Custom(s) => s.insert(spill.at, spill.seq, spill.event),
+        }
+    }
+
+    /// The source of the earliest event outside the lane, and its time.
+    #[inline]
+    fn next(&self) -> Option<(SimTime, Source)> {
+        let line = self.fronts.peek().map(|&Reverse(front)| front);
+        match (line, &self.head) {
+            (Some((at, seq, l)), Some(h)) if (at, seq) < (h.at, h.seq) => {
+                Some((at, Source::Line(l)))
+            }
+            (_, Some(h)) => Some((h.at, Source::Head)),
+            (Some((at, _, l)), None) => Some((at, Source::Line(l))),
+            (None, None) => None,
+        }
+    }
+
+    /// Remove the earliest event of `source` (which [`next`](Self::next)
+    /// named).
+    #[inline]
+    fn take(&mut self, source: Source) -> Entry {
+        match source {
+            Source::Line(l) => {
+                let q = &mut self.lines[l as usize];
+                let e = q.pop_front().expect("a line in `fronts` is nonempty");
+                match q.front() {
+                    Some(f) => {
+                        *self.fronts.peek_mut().expect("its front is on top") =
+                            Reverse((f.at, f.seq, l));
+                    }
+                    None => {
+                        self.fronts.pop();
+                    }
+                }
+                e
+            }
+            Source::Head => {
+                let next = match &mut self.backend {
+                    Backend::Heap(s) => s.pop(),
+                    Backend::Calendar(s) => s.pop(),
+                    Backend::Custom(s) => s.pop(),
+                };
+                std::mem::replace(&mut self.head, next).expect("`next` named the head")
+            }
         }
     }
 
@@ -467,12 +600,9 @@ impl EventQueue {
             let at = self.lane_at.expect("a nonempty lane has its instant");
             return Some((at, self.lane.remove(0)));
         }
-        let e = match &mut self.backend {
-            Backend::Heap(s) => s.pop(),
-            Backend::Calendar(s) => s.pop(),
-            Backend::Custom(s) => s.pop(),
-        };
-        e.map(|e| (e.at, e.event))
+        let (_, source) = self.next()?;
+        let e = self.take(source);
+        Some((e.at, e.event))
     }
 
     /// Pop the earliest event plus every further event scheduled for the
@@ -485,37 +615,24 @@ impl EventQueue {
     /// from popping one event at a time: anything the caller schedules
     /// while working through `buf` carries a later insertion seq than
     /// every event drained here, so it sorts after them even at the same
-    /// instant and is picked up by the next call.
-    ///
-    /// **Contract:** the batch is the *whole* instant — when this
-    /// returns, no event at the returned time is left in the backend.
-    /// That is what lets [`schedule`](Self::schedule) keep later arrivals
-    /// at that time in the lane, which becomes the next batch.
+    /// instant and is picked up by the next call — through the lane,
+    /// since no line and no backend entry is left at the returned time.
     #[inline]
     pub fn pop_batch(&mut self, buf: &mut Vec<Event>) -> Option<SimTime> {
         if !self.lane.is_empty() {
             buf.append(&mut self.lane);
             return self.lane_at;
         }
-        let first = match &mut self.backend {
-            Backend::Heap(s) => s.pop(),
-            Backend::Calendar(s) => s.pop(),
-            Backend::Custom(s) => s.pop(),
-        }?;
-        let at = first.at;
+        let (at, source) = self.next()?;
         self.lane_at = Some(at);
-        buf.push(first.event);
-        loop {
-            let next = match &mut self.backend {
-                Backend::Heap(s) => s.pop_at(at),
-                Backend::Calendar(s) => s.pop_at(at),
-                Backend::Custom(s) => s.pop_at(at),
-            };
-            match next {
-                Some(e) => buf.push(e.event),
-                None => return Some(at),
+        buf.push(self.take(source).event);
+        while let Some((t, source)) = self.next() {
+            if t != at {
+                break;
             }
+            buf.push(self.take(source).event);
         }
+        Some(at)
     }
 
     /// Time of the next event without removing it.
@@ -523,21 +640,20 @@ impl EventQueue {
         if !self.lane.is_empty() {
             return self.lane_at;
         }
-        match &self.backend {
-            Backend::Heap(s) => s.peek_time(),
-            Backend::Calendar(s) => s.peek_time(),
-            Backend::Custom(s) => s.peek_time(),
-        }
+        self.next().map(|(at, _)| at)
     }
 
-    /// Number of pending events, the lane's included.
+    /// Number of pending events, wherever they wait.
     pub fn len(&self) -> usize {
+        let backend = match &self.backend {
+            Backend::Heap(s) => s.len(),
+            Backend::Calendar(s) => s.len(),
+            Backend::Custom(s) => s.len(),
+        };
         self.lane.len()
-            + match &self.backend {
-                Backend::Heap(s) => s.len(),
-                Backend::Calendar(s) => s.len(),
-                Backend::Custom(s) => s.len(),
-            }
+            + self.lines.iter().map(VecDeque::len).sum::<usize>()
+            + usize::from(self.head.is_some())
+            + backend
     }
 
     /// Whether no events are pending.
@@ -721,6 +837,38 @@ mod tests {
             let mut buf = Vec::new();
             assert_eq!(q.pop_batch(&mut buf), Some(t));
             assert_eq!(flows(&mut buf), vec![0, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn lines_merge_with_the_backend_and_refuse_disorder() {
+        for mut q in queues_under_test() {
+            let t = SimTime::from_nanos;
+            let (a, b) = (q.line(), q.line());
+            q.schedule_on(a, t(300), wake(0));
+            q.schedule(t(200), wake(1));
+            q.schedule_on(b, t(300), wake(2));
+            q.schedule_on(a, t(400), wake(3));
+            // Earlier than line a's tail: it must not wait behind wake 3.
+            q.schedule_on(a, t(100), wake(4));
+            assert_eq!(q.len(), 5);
+            assert_eq!(q.peek_time(), Some(t(100)));
+            let mut buf = Vec::new();
+            let mut batches = Vec::new();
+            while let Some(at) = q.pop_batch(&mut buf) {
+                batches.push((at.as_nanos(), flows(&mut buf)));
+            }
+            assert_eq!(
+                batches,
+                vec![
+                    (100, vec![4]),
+                    (200, vec![1]),
+                    (300, vec![0, 2]),
+                    (400, vec![3])
+                ]
+            );
+            let c = q.counters();
+            assert_eq!((c.lane, c.line, c.backend, c.fallback), (0, 3, 2, 1));
         }
     }
 

@@ -100,9 +100,36 @@
 //!   still calls `try_send`, and a sender blocked on pacing always has a
 //!   wake queued at or before the instant it may send, so transmissions
 //!   leave at the instants they did.
+//!
+//! # Delay lines
+//!
+//! What does have to wait is mostly packet events whose order is known
+//! when they are scheduled, and those wait in FIFO delay lines of the
+//! [`EventQueue`] rather than in its backend (see [`crate::event`]):
+//!
+//! * **a tx line per link** carries its [`Event::TxComplete`]. A link
+//!   serializes one packet at a time, so the line never holds more than
+//!   one (this covers the restart of a held queue in `handle_link_up`);
+//! * **a propagation line per link** carries its [`Event::Propagated`],
+//!   each scheduled at `now + delay` for the link's fixed delay;
+//! * **one ack line per distinct return delay** carries
+//!   [`Event::AckArrive`]: the paper tier's `now + ack_delay` (the 1 Gbps
+//!   serialization folded into the delay once, not converted per ACK)
+//!   and the link tier's residual delay after the last reverse link.
+//!
+//! Every event on a line is scheduled at `now` plus that line's constant,
+//! or — on a tx line — when nothing else is queued on it, so each line is
+//! sorted by `(time, seq)` as it is filled, and the queue merges the
+//! lines with its backend by `(time, seq)`. Each event still draws its
+//! seq when it is scheduled, exactly as before, so the merge dispatches
+//! the identical sequence (`tests/engine_equivalence.rs` holds every
+//! cell's event count and digest to values recorded before the lines
+//! existed). An event that breaks its line's order would not move either:
+//! the queue sends it to the backend. The backend keeps the timers: 12 %
+//! of what the quick figures dispatch.
 
 use crate::arena::PacketArena;
-use crate::event::{Event, EventKind, EventQueue, SchedulerKind};
+use crate::event::{Event, EventKind, EventQueue, Line, QueueCounters, SchedulerKind};
 use crate::flow::{FlowOutcome, FlowStats, OnTimeTracker};
 use crate::link::{Link, Offer};
 use crate::packet::{Ack, FlowId, LinkId, Packet, PacketDir, ACK_BYTES};
@@ -119,16 +146,15 @@ struct SenderSlot {
     transport: Transport,
     workload: crate::workload::Workload,
     route: Vec<usize>,
-    /// Full reverse-path propagation delay (the paper-model arithmetic
-    /// tier uses it directly).
+    /// Pure delay an acknowledgment spends after its last reverse link:
+    /// in the paper tier the whole reverse path (propagation plus the
+    /// 1 Gbps serialization), in the link tier the propagation of route
+    /// hops without a [`crate::topology::ReverseSpec`].
     ack_delay: SimDuration,
     /// Reverse links (indices into `Simulation::links`) this flow's ACKs
     /// traverse, in reverse-route order; empty selects the paper's
     /// uncongested-reverse arithmetic.
     ack_route: Vec<usize>,
-    /// Propagation of route hops without a [`crate::topology::ReverseSpec`]
-    /// (pure delay applied after the last reverse link).
-    ack_residual_delay: SimDuration,
     /// Concurrent transfers hosted by this slot (unblocked M/G/∞ churn);
     /// the slot is ON while this is nonzero.
     active_flows: u32,
@@ -236,6 +262,9 @@ pub struct RunOutcome {
     /// [`events_of`](Self::events_of)). Always on: one array increment
     /// per dispatch.
     pub events_by_kind: [u64; EventKind::COUNT],
+    /// Where the event queue put what was scheduled (lane, delay line,
+    /// backend) and what its calendar backend did. Always on.
+    pub queue: QueueCounters,
     /// `true` when the run stopped because it exhausted the event budget
     /// ([`Simulation::set_event_budget`]) rather than reaching the
     /// requested duration. Every per-flow statistic then covers only the
@@ -274,6 +303,13 @@ pub struct Simulation {
     links: Vec<Link>,
     /// Number of forward links; `links[n_forward..]` are reverse links.
     n_forward: usize,
+    /// Per link, the delay line of its `TxComplete` events.
+    tx_line: Vec<Line>,
+    /// Per link, the delay line of its `Propagated` events.
+    prop_line: Vec<Line>,
+    /// Per flow, the delay line of its `AckArrive` events (shared by the
+    /// flows with the same `ack_delay`).
+    ack_line: Vec<Line>,
     /// Shared reverse link index per forward link (`None` when the link
     /// has no shared [`crate::topology::ReverseSpec`]).
     shared_rev: Vec<Option<usize>>,
@@ -327,6 +363,8 @@ impl Simulation {
             "one protocol per flow required"
         );
         let mut root = SimRng::from_seed(seed);
+        // The paper tier's acknowledgment serialization (negligible, 1 Gbps).
+        let paper_ack_tx = SimDuration::from_secs_f64(ACK_BYTES as f64 * 8.0 / 1e9);
         let mut links: Vec<Link> = config
             .links
             .iter()
@@ -344,9 +382,8 @@ impl Simulation {
                 transport: Transport::new(FlowId(i as u32)),
                 workload: crate::workload::Workload::new(config.flows[i].workload.clone()),
                 route: config.flows[i].route.clone(),
-                ack_delay: config.ack_delay(i),
+                ack_delay: config.ack_delay(i) + paper_ack_tx,
                 ack_route: Vec::new(),
-                ack_residual_delay: SimDuration::ZERO,
                 active_flows: 0,
                 on: false,
                 on_tracker: OnTimeTracker::default(),
@@ -433,10 +470,10 @@ impl Simulation {
                 // guarantees every route hop declared a ReverseSpec, so
                 // the reverse chain covers the whole path.
                 senders[i].route = ack_route;
-                senders[i].ack_delay = config.min_one_way(i);
+                senders[i].ack_delay = config.min_one_way(i) + paper_ack_tx;
             } else if !ack_route.is_empty() {
                 senders[i].ack_route = ack_route;
-                senders[i].ack_residual_delay = residual;
+                senders[i].ack_delay = residual;
             }
         }
         // Fault-process RNGs, forked last and only for links declaring a
@@ -470,12 +507,23 @@ impl Simulation {
                 }
             })
             .min();
+        let mut events = EventQueue::with_kind_and_hint(scheduler, spacing_hint);
+        let tx_line = links.iter().map(|_| events.line()).collect();
+        let prop_line = links.iter().map(|_| events.line()).collect();
+        let mut by_delay = std::collections::BTreeMap::new();
+        let ack_line = senders
+            .iter()
+            .map(|s| *by_delay.entry(s.ack_delay).or_insert_with(|| events.line()))
+            .collect();
         Simulation {
             now: SimTime::ZERO,
-            events: EventQueue::with_kind_and_hint(scheduler, spacing_hint),
+            events,
             arena: PacketArena::new(),
             links,
             n_forward,
+            tx_line,
+            prop_line,
+            ack_line,
             shared_rev,
             senders,
             receivers: config
@@ -605,13 +653,14 @@ impl Simulation {
         }
 
         // Batched stepping: drain each instant's same-time run in one
-        // scheduler round-trip (the calendar answers the "more at this
-        // instant?" question in O(1) from its pop state), then dispatch
-        // the run with the clock advanced once. Events scheduled while a
-        // batch is dispatched carry later insertion seqs, so they sort
-        // after every batch member and are picked up by the next
-        // `pop_batch` — the dispatch order, digests, budget accounting
-        // and truncation point are identical to one-at-a-time popping.
+        // queue round-trip (the queue answers the "more at this instant?"
+        // question in O(1) from its line fronts and held-out backend
+        // head), then dispatch the run with the clock advanced once.
+        // Events scheduled while a batch is dispatched carry later
+        // insertion seqs, so they sort after every batch member and are
+        // picked up by the next `pop_batch` — the dispatch order,
+        // digests, budget accounting and truncation point are identical
+        // to one-at-a-time popping.
         let mut truncated = false;
         let mut batch: Vec<Event> = Vec::new();
         'event_loop: while let Some(at) = self.events.pop_batch(&mut batch) {
@@ -652,6 +701,7 @@ impl Simulation {
             forward_links: self.n_forward,
             events_processed: self.events_processed,
             events_by_kind: self.events_by_kind,
+            queue: self.events.counters(),
             truncated,
             event_digest: self.event_digest,
         }
@@ -758,8 +808,11 @@ impl Simulation {
         match self.links[l].offer(pkt, self.now) {
             Offer::StartTx(d) => {
                 let pkt = self.arena.alloc(pkt);
-                self.events
-                    .schedule(self.now + d, Event::TxComplete { link, pkt })
+                self.events.schedule_on(
+                    self.tx_line[l],
+                    self.now + d,
+                    Event::TxComplete { link, pkt },
+                )
             }
             Offer::Queued => {}
             Offer::Dropped => {
@@ -782,15 +835,19 @@ impl Simulation {
         // The finished packet begins propagating (its freed arena slot is
         // immediately reclaimed here — the steady-state recycle).
         let id = self.arena.alloc(pkt);
-        self.events.schedule(
+        self.events.schedule_on(
+            self.prop_line[l],
             self.now + self.links[l].delay(),
             Event::Propagated { link, pkt: id },
         );
         // Pull the next packet from the queue.
         if let Some((next, d)) = self.links[l].tx_complete(&pkt, self.now) {
             let next = self.arena.alloc(next);
-            self.events
-                .schedule(self.now + d, Event::TxComplete { link, pkt: next });
+            self.events.schedule_on(
+                self.tx_line[l],
+                self.now + d,
+                Event::TxComplete { link, pkt: next },
+            );
         }
     }
 
@@ -926,13 +983,18 @@ impl Simulation {
         let s = &self.senders[flow];
         if s.ack_route.is_empty() {
             // Paper model, preserved bit for bit: uncongested reverse
-            // path, negligible (1 Gbps) ACK serialization.
-            let arrive_at =
-                self.now + s.ack_delay + SimDuration::from_secs_f64(ACK_BYTES as f64 * 8.0 / 1e9);
-            let flow = ack_pkt.flow;
+            // path, negligible (1 Gbps) ACK serialization (both in
+            // `ack_delay`).
+            let arrive_at = self.now + s.ack_delay;
             let id = self.arena.alloc(ack_pkt);
-            self.events
-                .schedule(arrive_at, Event::AckArrive { flow, pkt: id });
+            self.events.schedule_on(
+                self.ack_line[flow],
+                arrive_at,
+                Event::AckArrive {
+                    flow: ack_pkt.flow,
+                    pkt: id,
+                },
+            );
         } else {
             // The ACK is a real packet: it enters the first reverse link
             // and queues, serializes and propagates like any other
@@ -987,13 +1049,19 @@ impl Simulation {
             );
             return;
         }
-        if s.ack_residual_delay.is_zero() {
+        if s.ack_delay.is_zero() {
             self.handle_ack(pkt.flow, pkt.as_ack());
         } else {
-            let at = self.now + s.ack_residual_delay;
-            let flow = pkt.flow;
+            let at = self.now + s.ack_delay;
             let id = self.arena.alloc(pkt);
-            self.events.schedule(at, Event::AckArrive { flow, pkt: id });
+            self.events.schedule_on(
+                self.ack_line[flow],
+                at,
+                Event::AckArrive {
+                    flow: pkt.flow,
+                    pkt: id,
+                },
+            );
         }
     }
 
@@ -1275,8 +1343,11 @@ impl Simulation {
         let l = link.0 as usize;
         if let Some((pkt, d)) = self.links[l].set_up(self.now) {
             let pkt = self.arena.alloc(pkt);
-            self.events
-                .schedule(self.now + d, Event::TxComplete { link, pkt });
+            self.events.schedule_on(
+                self.tx_line[l],
+                self.now + d,
+                Event::TxComplete { link, pkt },
+            );
         }
         let Some(f) = &mut self.faults[l] else { return };
         let FaultSpec::Outage {

@@ -25,6 +25,19 @@ pub const NANOS_PER_MILLI: u64 = 1_000_000;
 /// Nanoseconds per microsecond.
 pub const NANOS_PER_MICRO: u64 = 1_000;
 
+/// `x.round() as u64`, bit for bit, without the call: baseline x86-64 has
+/// no rounding instruction, so `f64::round` is a library routine, and
+/// every acknowledgment converts several durations. Truncate (the cast
+/// saturates: NaN and negatives to 0, beyond range to `u64::MAX`), then
+/// add one if the dropped fraction is at least a half. The subtraction is
+/// exact (for `x ≥ 1`, `t ≤ x < 2t`, Sterbenz), so a fraction just below
+/// a half never rounds up the way `(x + 0.5) as u64` does.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
+}
+
 impl SimTime {
     /// The simulation start instant.
     pub const ZERO: SimTime = SimTime(0);
@@ -44,7 +57,7 @@ impl SimTime {
     /// Instant from (non-negative) seconds since simulation start.
     pub fn from_secs_f64(secs: f64) -> Self {
         debug_assert!(secs >= 0.0, "negative SimTime");
-        SimTime((secs * NANOS_PER_SEC as f64).round() as u64)
+        SimTime(round_to_u64(secs * NANOS_PER_SEC as f64))
     }
 
     /// Seconds since simulation start.
@@ -102,7 +115,7 @@ impl SimDuration {
             secs >= 0.0 && secs.is_finite(),
             "invalid SimDuration: {secs}"
         );
-        SimDuration((secs * NANOS_PER_SEC as f64).round() as u64)
+        SimDuration(round_to_u64(secs * NANOS_PER_SEC as f64))
     }
 
     /// Span from fractional milliseconds.
@@ -138,7 +151,7 @@ impl SimDuration {
     /// Scale a duration by a non-negative factor.
     pub fn mul_f64(self, k: f64) -> SimDuration {
         debug_assert!(k >= 0.0);
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * k))
     }
 
     /// Integer division by a count (used by CoDel's `interval / sqrt(count)`
@@ -269,6 +282,64 @@ mod tests {
         let b = SimTime::from_secs_f64(1.000000001);
         assert!(a < b);
         assert!(SimTime::MAX > b);
+    }
+
+    #[test]
+    fn round_to_u64_is_round_then_cast() {
+        let check = |x: f64| {
+            assert_eq!(
+                round_to_u64(x),
+                x.round() as u64,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        };
+        for x in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            -0.5,
+            -1.5,
+            -1e300,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            4503599627370495.5, // 2⁵² − 0.5
+            4503599627370496.0 + 0.5,
+            2251799813685248.5, // 2⁵¹ + 0.5
+            9007199254740993.0,
+            9223372036854775808.0, // 2⁶³
+            18446744073709549568.0,
+            18446744073709551616.0, // 2⁶⁴
+            1e30,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+        ] {
+            check(x);
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..5_000_000 {
+            let bits = next();
+            // Any bit pattern: NaNs, infinities, subnormals, negatives.
+            check(f64::from_bits(bits));
+            // Integers and half-integers near every magnitude the engine
+            // sees, scaled off the grid by a power of two.
+            let int = (next() >> (bits % 64)) as f64;
+            check(int + 0.5);
+            check(int / (1u64 << (bits % 16)) as f64);
+        }
     }
 
     #[test]

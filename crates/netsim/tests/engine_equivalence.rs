@@ -15,6 +15,13 @@
 //! are not recorded — eliding dead timers legitimately changes them — but
 //! they must still agree between the heap and the calendar.
 //!
+//! `tests/fixtures/engine_dispatch.txt` is the second, stricter record:
+//! each cell's `events_processed` and event digest, taken once the elided
+//! work was gone. It judges changes to *how* the queue orders what it
+//! holds (the delay lines of [`netsim::event::EventQueue`]): those must
+//! dispatch the very same sequence, event for event, so both numbers must
+//! reproduce exactly on both backends.
+//!
 //! Each cell runs three senders with three pacing behaviours (rotated
 //! across the flows by cell index, so the churning flow 0 takes each in
 //! turn): an unpaced AIMD window, a Tao-like AIMD whose intersend time
@@ -22,7 +29,8 @@
 //! window. The paced two are what the pacing-wake path is judged by.
 //!
 //! Re-record (only on a commit whose behaviour is the reference) with
-//! `cargo test -p netsim --test engine_equivalence -- --ignored record`.
+//! `cargo test -p netsim --test engine_equivalence -- --ignored record`
+//! (outcomes) or `... record_dispatch` (dispatch sequence).
 
 use netsim::prelude::*;
 use std::fmt::Write as _;
@@ -30,6 +38,11 @@ use std::fmt::Write as _;
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/engine_equivalence.txt"
+);
+
+const DISPATCH_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/engine_dispatch.txt"
 );
 
 /// AIMD aggressive enough to pressure finite buffers and AQMs; no pacing.
@@ -311,18 +324,41 @@ fn decode(line: &str) -> (Axes, u64, Vec<FlowRecord>) {
     (axes, num(tok[5]), flows)
 }
 
-#[test]
-fn recorded_outcomes_reproduce_on_both_backends() {
-    let fixture = std::fs::read_to_string(FIXTURE).expect("fixture is committed");
-    let recorded: Vec<_> = fixture
+/// The data lines of a committed fixture.
+fn fixture_lines(path: &str) -> Vec<String> {
+    std::fs::read_to_string(path)
+        .expect("fixture is committed")
         .lines()
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .map(decode)
+        .map(str::to_owned)
+        .collect()
+}
+
+/// One dispatch-fixture line: `events_processed` and the event digest
+/// (hex).
+fn decode_dispatch(line: &str) -> (u64, u64) {
+    let tok: Vec<&str> = line.split_whitespace().collect();
+    assert_eq!(tok.len(), 2, "malformed dispatch line: {line}");
+    (
+        tok[0].parse().expect("decimal events"),
+        u64::from_str_radix(tok[1], 16).expect("hex digest"),
+    )
+}
+
+#[test]
+fn recorded_outcomes_reproduce_on_both_backends() {
+    let recorded: Vec<_> = fixture_lines(FIXTURE).iter().map(|l| decode(l)).collect();
+    let dispatch: Vec<_> = fixture_lines(DISPATCH_FIXTURE)
+        .iter()
+        .map(|l| decode_dispatch(l))
         .collect();
     let cells = cells();
     assert_eq!(recorded.len(), cells.len(), "one fixture line per cell");
+    assert_eq!(dispatch.len(), cells.len(), "one dispatch line per cell");
     let (mut timeouts, mut retx, mut elided) = (0, 0, 0);
-    for (index, (a, (axes, events, flows))) in cells.iter().zip(&recorded).enumerate() {
+    for (index, ((a, (axes, events, flows)), sequence)) in
+        cells.iter().zip(&recorded).zip(&dispatch).enumerate()
+    {
         assert_eq!(a, axes, "fixture order is the enumeration order");
         let heap = run_cell(index, *a, SchedulerKind::Heap);
         let cal = run_cell(index, *a, SchedulerKind::Calendar);
@@ -332,9 +368,14 @@ fn recorded_outcomes_reproduce_on_both_backends() {
             "calendar diverged from the record at {a:?}"
         );
         assert_eq!(
-            (heap.events, heap.event_digest),
-            (cal.events, cal.event_digest),
-            "heap and calendar dispatched different sequences at {a:?}"
+            &(heap.events, heap.event_digest),
+            sequence,
+            "heap dispatched a different sequence than recorded at {a:?}"
+        );
+        assert_eq!(
+            &(cal.events, cal.event_digest),
+            sequence,
+            "calendar dispatched a different sequence than recorded at {a:?}"
         );
         assert!(
             cal.events <= *events,
@@ -368,11 +409,18 @@ fn record() {
         text.push_str(&encode(a, &run));
         text.push('\n');
     }
-    std::fs::create_dir_all(
-        std::path::Path::new(FIXTURE)
-            .parent()
-            .expect("has a parent"),
-    )
-    .expect("fixture directory");
     std::fs::write(FIXTURE, text).expect("fixture written");
+}
+
+/// Writes the dispatch fixture from the engine as it is. Only meaningful
+/// on a commit whose dispatch sequence is the reference.
+#[test]
+#[ignore = "re-records the dispatch fixture"]
+fn record_dispatch() {
+    let mut text = String::from("# per cell, in fixture order: events_processed event_digest\n");
+    for (index, a) in cells().into_iter().enumerate() {
+        let run = run_cell(index, a, SchedulerKind::Calendar);
+        writeln!(text, "{} {:016x}", run.events, run.event_digest).expect("writing to a String");
+    }
+    std::fs::write(DISPATCH_FIXTURE, text).expect("fixture written");
 }

@@ -8,17 +8,20 @@
 //! times, far-future RTO-like timers, and instants at the saturated end
 //! of the u64-nanosecond horizon — and require every pop to match.
 //!
-//! They also pin the contract the engine's same-instant lane rests on:
-//! `pop` followed by `pop_at` until `None` drains the *whole* instant, on
-//! both backends, across forced retunes and sparse global-minimum pops;
-//! and an [`EventQueue`] whose same-instant arrivals ride the lane
-//! dispatches exactly what a plain heap fed one event at a time would.
+//! They also pin what the engine's [`EventQueue`] adds in front of its
+//! backend: whatever mix of plain schedules, delay-line appends (in
+//! order, or out of order and so sent to the backend), reserved
+//! positions and same-instant lane hits it is fed, `pop_batch` hands out
+//! exactly the batches a plain `BinaryHeap<(time, seq)>` holds — on every
+//! backend, across forced retunes and sparse global-minimum pops.
 
 use netsim::calendar::CalendarQueue;
 use netsim::event::{BinaryHeapScheduler, Event, EventQueue, Scheduler};
 use netsim::packet::FlowId;
 use netsim::prelude::*;
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One scripted queue operation.
 #[derive(Clone, Copy, Debug)]
@@ -78,7 +81,6 @@ proptest! {
                     seq += 1;
                 }
                 Op::Pop => {
-                    prop_assert_eq!(cal.peek_time(), heap.peek_time());
                     let (h, c) = (heap.pop(), cal.pop());
                     match (h, c) {
                         (None, None) => {}
@@ -165,19 +167,6 @@ proptest! {
     }
 }
 
-/// `pop`, then `pop_at` until it says the instant is drained.
-fn pop_instant(s: &mut impl Scheduler) -> Vec<(SimTime, u64)> {
-    let Some(first) = s.pop() else {
-        return Vec::new();
-    };
-    let at = first.at;
-    let mut run = vec![(at, first.seq)];
-    while let Some(e) = s.pop_at(at) {
-        run.push((e.at, e.seq));
-    }
-    run
-}
-
 /// Width hints that force each degenerate pop path: one-nanosecond days
 /// (every pop walks a dry year and falls to the global-minimum search),
 /// hour-wide days (every pop scans one overfull bucket until the retune
@@ -188,55 +177,6 @@ fn width_hint() -> impl Strategy<Value = u64> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
-
-    /// `pop_at` answers `None` only once nothing at the instant is left,
-    /// whatever the calendar did in between (retune rebuild after the tie
-    /// count was taken, sparse global-minimum pop, today-buffer drain),
-    /// and the runs it hands out are the heap's.
-    #[test]
-    fn pop_at_drains_the_whole_instant_on_both_backends(
-        hint_nanos in width_hint(),
-        // Few distinct instants over a small population keeps ties common
-        // at every width; runs above TODAY_DRAIN take the buffer path.
-        script in collection::vec((0u8..=5, 0u64..=u64::MAX), 0..400),
-    ) {
-        let mut heap = BinaryHeapScheduler::new();
-        let mut cal = CalendarQueue::with_width_hint(SimDuration::from_nanos(hint_nanos));
-        let mut seq = 0u64;
-        let mut floor = 0u64;
-        for (mode, raw) in script {
-            let nanos = match mode {
-                // One whole instant off both queues.
-                0 => {
-                    let (h, c) = (pop_instant(&mut heap), pop_instant(&mut cal));
-                    prop_assert_eq!(&h, &c);
-                    if let Some(&(at, _)) = c.first() {
-                        prop_assert!(cal.peek_time() != Some(at), "calendar left a tie behind");
-                        floor = at.as_nanos();
-                    }
-                    prop_assert_eq!(heap.len(), cal.len());
-                    continue;
-                }
-                // Ahead of the last drained instant, as the engine
-                // schedules: on a coarse grid (ties), spread out (sparse
-                // years), or piled onto one instant (tie bursts).
-                1 | 2 => floor + 1 + (raw % 8) * 1_000,
-                3 => floor + 1 + raw % 1_000_000_000,
-                4 => floor + 5_000,
-                _ => 1_000_000_000 + raw % 60_000_000_000,
-            };
-            let at = SimTime::from_nanos(nanos);
-            heap.insert(at, seq, wake(seq));
-            cal.insert(at, seq, wake(seq));
-            seq += 1;
-        }
-        loop {
-            let (h, c) = (pop_instant(&mut heap), pop_instant(&mut cal));
-            prop_assert_eq!(&h, &c);
-            let Some(&(at, _)) = c.first() else { break };
-            prop_assert!(cal.peek_time() != Some(at), "calendar left a tie behind");
-        }
-    }
 
     /// An [`EventQueue`] drained by `pop_batch`, with everything the
     /// handlers schedule for the instant being dispatched riding the
@@ -264,25 +204,25 @@ proptest! {
             }
         };
 
-        // Reference: one heap, one pop per dispatch, no lane.
-        let mut heap = BinaryHeapScheduler::new();
+        // Reference: one heap of `(time, id)`, the id doubling as the
+        // insertion seq; one pop per dispatch, no lane.
+        let mut heap = BinaryHeap::new();
         let mut next_id = 0u64;
         for &s in &seeds {
-            heap.insert(SimTime::from_nanos(s * 1_000), next_id, wake(next_id));
+            heap.push(Reverse((SimTime::from_nanos(s * 1_000), next_id)));
             next_id += 1;
         }
         let mut expect = Vec::new();
         let mut state_after = Vec::new();
-        while let Some(e) = heap.pop() {
-            let id = wake_flow(&e.event) as u64;
-            expect.push((e.at, id));
-            for t in children(id, e.at.as_nanos()) {
+        while let Some(Reverse((at, id))) = heap.pop() {
+            expect.push((at, id));
+            for t in children(id, at.as_nanos()) {
                 if next_id < MAX_EVENTS {
-                    heap.insert(SimTime::from_nanos(t), next_id, wake(next_id));
+                    heap.push(Reverse((SimTime::from_nanos(t), next_id)));
                     next_id += 1;
                 }
             }
-            state_after.push((heap.len(), heap.peek_time()));
+            state_after.push((heap.len(), heap.peek().map(|Reverse((t, _))| *t)));
         }
 
         let hint = Some(SimDuration::from_nanos(hint_nanos));
@@ -319,32 +259,180 @@ proptest! {
     }
 }
 
-/// The sparse global-minimum pop never counted ties, so `pop_at` used
-/// to answer "none" with the second of a pair still queued.
-#[test]
-fn pop_at_drains_the_instant_after_a_global_min_pop() {
-    // One-nanosecond days, sixteen of them to a year: pairs a microsecond
-    // apart are many dry years from each other, so every pop after the
-    // first walks a whole year and falls to the direct search (32 entries
-    // stay under the first growth rebuild, which would fix the width).
-    let mut cal = CalendarQueue::with_width_hint(SimDuration::ZERO);
-    for seq in 0..32u64 {
-        cal.insert(SimTime::from_nanos(1 + (seq / 2) * 1_000), seq, wake(seq));
-    }
-    for pair in 0..16u64 {
-        let run = pop_instant(&mut cal);
-        assert_eq!(run.len(), 2, "pair {pair} came out split: {run:?}");
+/// One scripted [`EventQueue`] operation. Times are offsets from the
+/// instant the last batch handed out, as the engine schedules.
+#[derive(Clone, Copy, Debug)]
+enum QueueOp {
+    /// `schedule` (offset 0 is a lane hit once a batch has been popped).
+    Schedule(u64),
+    /// `schedule_on` a line, `offset` past the instant: out of order with
+    /// the line's tail whenever the tail lies further out (the fallback).
+    OnLine(usize, u64),
+    /// `schedule_on` a line at or after its tail: an in-order append.
+    AfterTail(usize, u64),
+    /// Draw a seq for a later `insert_reserved`.
+    Reserve,
+    /// Claim the oldest unclaimed reservation, strictly after the instant.
+    Claim(u64),
+    /// One `pop_batch`.
+    Batch,
+}
+
+const LINES: usize = 3;
+
+fn decode_queue_op(mode: u8, raw: u64) -> QueueOp {
+    // Offsets on a coarse grid (ties), spread out, or RTO-far.
+    let offset = match raw % 3 {
+        0 => (raw >> 8) % 8 * 1_000,
+        1 => (raw >> 8) % 1_000_000_000,
+        _ => 1_000_000_000 + (raw >> 8) % 60_000_000_000,
+    };
+    let line = (raw >> 4) as usize % LINES;
+    match mode {
+        0 | 1 => QueueOp::Batch,
+        2 => QueueOp::Schedule(offset),
+        3 => QueueOp::Schedule(0),
+        4 => QueueOp::OnLine(line, offset),
+        5 => QueueOp::AfterTail(line, (raw >> 8) % 3 * 1_000),
+        6 => QueueOp::Reserve,
+        _ => QueueOp::Claim(1 + offset),
     }
 }
 
-/// A degenerate pop retunes on its way out — after its scan counted the
-/// ties — and the rebuild used to reset the tie flag.
+/// Check `q`'s `len`, `is_empty` and `peek_time` against the model.
+fn same_state(q: &EventQueue, model: &BinaryHeap<Reverse<(SimTime, u64)>>) {
+    assert_eq!(q.len(), model.len());
+    assert_eq!(q.is_empty(), model.is_empty());
+    assert_eq!(q.peek_time(), model.peek().map(|Reverse((at, _))| *at));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Lane, delay lines (appends and fallbacks), reserved positions and
+    /// the backend together hand out, batch for batch, what a plain heap
+    /// of `(time, seq)` holds — on every backend.
+    #[test]
+    fn queue_batches_are_the_plain_heap_s(
+        hint_nanos in width_hint(),
+        script in collection::vec((0u8..=7, 0u64..=u64::MAX), 0..400),
+    ) {
+        let hint = Some(SimDuration::from_nanos(hint_nanos));
+        for mut q in [
+            EventQueue::with_kind_and_hint(SchedulerKind::Heap, hint),
+            EventQueue::with_kind_and_hint(SchedulerKind::Calendar, hint),
+            EventQueue::custom(Box::new(BinaryHeapScheduler::new())),
+        ] {
+            let lines: Vec<_> = (0..LINES).map(|_| q.line()).collect();
+            let mut model = BinaryHeap::new();
+            let mut tails = [SimTime::ZERO; LINES];
+            let mut reserved = std::collections::VecDeque::new();
+            let (mut seq, mut floor, mut scheduled) = (0u64, 0u64, 0u64);
+            let mut buf = Vec::new();
+            for &(mode, raw) in &script {
+                let at = |offset: u64| SimTime::from_nanos(floor + offset);
+                let pushed = match decode_queue_op(mode, raw) {
+                    QueueOp::Batch => {
+                        let got = q.pop_batch(&mut buf);
+                        let Some(Reverse((first, _))) = model.peek().copied() else {
+                            prop_assert_eq!(got, None);
+                            continue;
+                        };
+                        prop_assert_eq!(got, Some(first));
+                        let mut want = Vec::new();
+                        while let Some(&Reverse((t, s))) = model.peek() {
+                            if t != first {
+                                break;
+                            }
+                            model.pop();
+                            want.push(s as u32);
+                        }
+                        let popped: Vec<u32> = buf.drain(..).map(|e| wake_flow(&e)).collect();
+                        prop_assert_eq!(popped, want, "batch at {:?}", first);
+                        floor = first.as_nanos();
+                        same_state(&q, &model);
+                        continue;
+                    }
+                    QueueOp::Schedule(offset) => {
+                        q.schedule(at(offset), wake(seq));
+                        Some(at(offset))
+                    }
+                    QueueOp::OnLine(l, offset) => {
+                        q.schedule_on(lines[l], at(offset), wake(seq));
+                        tails[l] = tails[l].max(at(offset));
+                        Some(at(offset))
+                    }
+                    QueueOp::AfterTail(l, offset) => {
+                        let t = tails[l].max(at(0)) + SimDuration::from_nanos(offset);
+                        q.schedule_on(lines[l], t, wake(seq));
+                        tails[l] = t;
+                        Some(t)
+                    }
+                    QueueOp::Reserve => {
+                        reserved.push_back(q.reserve_seq());
+                        None
+                    }
+                    QueueOp::Claim(offset) => {
+                        let Some(s) = reserved.pop_front() else { continue };
+                        q.insert_reserved(at(offset), s, wake(s));
+                        model.push(Reverse((at(offset), s)));
+                        scheduled += 1;
+                        continue;
+                    }
+                };
+                if let Some(t) = pushed {
+                    model.push(Reverse((t, seq)));
+                    scheduled += 1;
+                }
+                seq += 1;
+            }
+            let c = q.counters();
+            prop_assert_eq!(c.lane + c.line + c.backend, scheduled, "every event routed once");
+            prop_assert!(c.fallback <= c.backend);
+            while let Some(first) = q.pop_batch(&mut buf) {
+                let mut want = Vec::new();
+                while let Some(&Reverse((t, s))) = model.peek() {
+                    if t != first {
+                        break;
+                    }
+                    model.pop();
+                    want.push(s as u32);
+                }
+                let popped: Vec<u32> = buf.drain(..).map(|e| wake_flow(&e)).collect();
+                prop_assert_eq!(popped, want, "drain batch at {:?}", first);
+                same_state(&q, &model);
+            }
+            prop_assert!(model.is_empty());
+        }
+    }
+}
+
+/// `pop_batch` on the held-out head of a calendar whose pops all take the
+/// sparse global-minimum search still hands out whole instants.
 #[test]
-fn pop_at_drains_the_instant_across_a_retune() {
-    let mut cal = CalendarQueue::new();
+fn pop_batch_drains_the_instant_after_a_global_min_pop() {
+    // One-nanosecond days, sixteen of them to a year: pairs a microsecond
+    // apart are many dry years from each other, so every backend pop
+    // after the first walks a whole year and falls to the direct search.
+    let mut q = EventQueue::with_kind_and_hint(SchedulerKind::Calendar, Some(SimDuration::ZERO));
+    for seq in 0..32u64 {
+        q.schedule(SimTime::from_nanos(1 + (seq / 2) * 1_000), wake(seq));
+    }
+    let mut buf = Vec::new();
+    for pair in 0..16u64 {
+        q.pop_batch(&mut buf);
+        assert_eq!(buf.len(), 2, "pair {pair} came out split");
+        buf.clear();
+    }
+}
+
+/// The same across a width retune of the calendar backend.
+#[test]
+fn pop_batch_drains_the_instant_across_a_retune() {
+    let mut q = EventQueue::with_kind(SchedulerKind::Calendar);
     let mut seq = 0u64;
-    let mut push = |cal: &mut CalendarQueue, nanos: u64| {
-        cal.insert(SimTime::from_nanos(nanos), seq, wake(seq));
+    let mut push = |q: &mut EventQueue, nanos: u64| {
+        q.schedule(SimTime::from_nanos(nanos), wake(seq));
         seq += 1;
     };
     // Far-apart timers first, so the growth rebuilds estimate second-wide
@@ -352,30 +440,28 @@ fn pop_at_drains_the_instant_across_a_retune() {
     // into one such day. The population stays between the growth and
     // shrink thresholds from here on, so only a retune can fix the width.
     for i in 1..=33u64 {
-        push(&mut cal, i * 1_000_000_000);
+        push(&mut q, i * 1_000_000_000);
     }
     let mut next_pair = 1_000u64;
     for _ in 0..40 {
-        push(&mut cal, next_pair);
-        push(&mut cal, next_pair);
+        push(&mut q, next_pair);
+        push(&mut q, next_pair);
         next_pair += 500;
     }
-    let wide = cal.bucket_width();
-    assert!(
-        wide > SimDuration::from_millis(100),
-        "days are wide: {wide:?}"
-    );
+    let rebuilds = q.counters().calendar.rebuilds;
     // Hold model: every pop scans the 80-entry day (degenerate); once the
     // post-rebuild cooldown has passed, the sixteenth such pop retunes.
+    let mut buf = Vec::new();
     for round in 0..1_200 {
-        let run = pop_instant(&mut cal);
-        assert_eq!(run.len(), 2, "round {round} came out split: {run:?}");
-        push(&mut cal, next_pair);
-        push(&mut cal, next_pair);
+        q.pop_batch(&mut buf);
+        assert_eq!(buf.len(), 2, "round {round} came out split");
+        buf.clear();
+        push(&mut q, next_pair);
+        push(&mut q, next_pair);
         next_pair += 500;
     }
     assert!(
-        cal.bucket_width() < wide,
+        q.counters().calendar.rebuilds > rebuilds,
         "the retune this test is about ran"
     );
 }
