@@ -12,6 +12,9 @@
 //!   committed × tolerance, with a small absolute floor so an
 //!   allocation-free committed baseline doesn't make every nonzero
 //!   measurement a failure
+//! * `sim_peak_heap_mb_10k` — fresh must be ≤ committed × tolerance (the
+//!   10⁴-flow cell's peak heap: memory that follows the path instead of
+//!   what is live comes back as a multiple, not as jitter)
 //! * `smoke_train_wall_s` — fresh must be ≤ committed × tolerance
 //! * `genetic_smoke_train_secs` — fresh must be ≤ committed × tolerance
 //!   (doubles as CI's genetic smoke-train: the measurement *is* a full
@@ -141,6 +144,23 @@ fn load(path: &str) -> Value {
     serde_json::from_str(&text).unwrap_or_else(|e| panic!("perf_gate: {path} is not JSON: {e}"))
 }
 
+/// Every metric compared with the committed snapshot, and its good
+/// direction.
+const GATED: &[(&str, Direction)] = &[
+    ("sim_events_per_sec", Direction::HigherIsBetter),
+    ("sim_events_per_sec_dense", Direction::HigherIsBetter),
+    (
+        "sim_events_per_sec_receiver_policy",
+        Direction::HigherIsBetter,
+    ),
+    ("sim_events_per_sec_10k", Direction::HigherIsBetter),
+    ("sim_allocs_per_event_dense", Direction::LowerIsBetter),
+    ("sim_allocs_per_event_10k", Direction::LowerIsBetter),
+    ("sim_peak_heap_mb_10k", Direction::LowerIsBetter),
+    ("smoke_train_wall_s", Direction::LowerIsBetter),
+    ("genetic_smoke_train_secs", Direction::LowerIsBetter),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let baseline_path =
@@ -155,19 +175,7 @@ fn main() -> ExitCode {
     let fresh = load(&fresh_path);
 
     let mut failures = Vec::new();
-    for (name, dir) in [
-        ("sim_events_per_sec", Direction::HigherIsBetter),
-        ("sim_events_per_sec_dense", Direction::HigherIsBetter),
-        (
-            "sim_events_per_sec_receiver_policy",
-            Direction::HigherIsBetter,
-        ),
-        ("sim_events_per_sec_10k", Direction::HigherIsBetter),
-        ("sim_allocs_per_event_dense", Direction::LowerIsBetter),
-        ("sim_allocs_per_event_10k", Direction::LowerIsBetter),
-        ("smoke_train_wall_s", Direction::LowerIsBetter),
-        ("genetic_smoke_train_secs", Direction::LowerIsBetter),
-    ] {
+    for &(name, dir) in GATED {
         if let Err(e) = check(name, &baseline, &fresh, tolerance, dir) {
             failures.push(e);
         }
@@ -293,6 +301,21 @@ mod tests {
             "sim_allocs_per_event_dense",
             &base,
             &real,
+            2.0,
+            Direction::LowerIsBetter
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn peak_heap_is_gated_lower_is_better() {
+        assert!(GATED.contains(&("sim_peak_heap_mb_10k", Direction::LowerIsBetter)));
+        let base = obj(&[("sim_peak_heap_mb_10k", 30.0)]);
+        let fresh = obj(&[("sim_peak_heap_mb_10k", 70.0)]);
+        assert!(check(
+            "sim_peak_heap_mb_10k",
+            &base,
+            &fresh,
             2.0,
             Direction::LowerIsBetter
         )

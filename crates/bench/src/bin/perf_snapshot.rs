@@ -25,18 +25,24 @@
 //! * `sim_events_per_sec_10k` (+ `_10k_heap`) — the `many_flows`
 //!   experiment's incast cell: 10⁴ M/G/∞ churn slots into a 400 Mbps /
 //!   4 ms bottleneck. This is the Internet-scale regime the packet arena
-//!   and the transport pre-sizing are accountable to, and — with some
-//!   2×10⁴ RTO and workload timers standing in the backend — the one
-//!   that compares the calendar queue with the heap on a large timer
+//!   and the per-flow state are accountable to, and — with some 2×10⁴
+//!   RTO and workload timers standing in the backend — the one that
+//!   compares the calendar queue with the heap on a large timer
 //!   population (recorded, not gated: see `perf_gate`).
 //! * `sim_allocs_per_event_dense` / `sim_allocs_per_event_10k` — heap
 //!   allocations per processed event during the corresponding runs,
 //!   counted by a wrapping global allocator. The hot path is designed to
 //!   be allocation-free at steady state (the event arena recycles slots,
-//!   per-flow maps are pre-sized from the BDP), so the only allocations
-//!   left are one-time growth to peak population — amortized to ~0 per
-//!   event. A creeping per-event allocation shows up here long before it
-//!   shows up in events/sec on a fast machine.
+//!   per-flow rings and calendar days keep what they grew to), so the
+//!   only allocations left are growth to peak population — amortized to
+//!   ~0 per event. A creeping per-event allocation shows up here long
+//!   before it shows up in events/sec on a fast machine.
+//! * `sim_peak_heap_mb_10k` — the most heap the 10⁴-flow cell held at
+//!   once, from building the simulation to the end of its run, as the
+//!   same allocator counts it (MB = 10⁶ bytes). Per-flow state and the
+//!   calendar's buckets grow with what is live, not with the path's
+//!   bandwidth-delay product or a day's worth of pops; a structure that
+//!   starts reserving ahead again shows up here.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin perf_snapshot            # print only
@@ -55,29 +61,48 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Global allocator wrapper that counts every heap allocation (one
-/// relaxed atomic add per alloc — unmeasurable against a real malloc).
-/// Snapshotting the counter around `Simulation::run` yields the
-/// allocations-per-event metrics.
+/// Global allocator wrapper that counts every heap allocation and the
+/// bytes live on the heap, with their high-water mark (a few relaxed
+/// atomics per call — unmeasurable against a real malloc). Snapshotting
+/// the counters around a simulation yields the allocations-per-event and
+/// peak-heap metrics; both are exact while one thread allocates.
 struct CountingAlloc;
 
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 // SAFETY: defers every operation to `System`; only adds counting.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+        match new_size.checked_sub(layout.size()) {
+            Some(more) => grow(more),
+            None => shrink(layout.size() - new_size),
+        }
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -87,6 +112,13 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocs_now() -> u64 {
     ALLOC_COUNT.load(Ordering::Relaxed)
+}
+
+/// Restart the high-water mark at the bytes live now; returns them.
+fn reset_peak() -> u64 {
+    let live = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(live, Ordering::Relaxed);
+    live
 }
 
 /// Repetitions of the smoke training run (median reported).
@@ -195,43 +227,57 @@ fn dense_net(receiver: Option<ReceiverSpec>) -> NetworkConfig {
     }
 }
 
-/// Runs `net` to completion and returns `(events/sec, allocs/event)`,
-/// counting only allocations made *during* the run — construction-time
-/// allocation (transports, queues, scheduler) is deliberately excluded
-/// so the metric isolates the hot path.
+/// What [`run_counted`] measured.
+struct Counted {
+    events_per_sec: f64,
+    /// Allocations made *during* the run per event — construction-time
+    /// allocation (transports, queues, scheduler) is deliberately
+    /// excluded so the metric isolates the hot path.
+    allocs_per_event: f64,
+    /// The most heap the simulation held at once, construction included,
+    /// MB.
+    peak_heap_mb: f64,
+}
+
+/// Builds a simulation of `net` and runs it to completion.
 fn run_counted(
     net: &NetworkConfig,
     protocols: Vec<Box<dyn netsim::transport::CongestionControl>>,
     scheduler: SchedulerKind,
     secs: u64,
-) -> (f64, f64) {
+) -> Counted {
+    let heap_before = reset_peak();
     let mut sim = Simulation::with_scheduler(net, protocols, 42, scheduler);
     let allocs_before = allocs_now();
     let start = Instant::now();
     let out = sim.run(SimDuration::from_secs(secs));
     let dt = start.elapsed().as_secs_f64();
     let allocs = (allocs_now() - allocs_before) as f64;
-    (
-        out.events_processed as f64 / dt,
-        allocs / out.events_processed as f64,
-    )
+    let peak = PEAK_BYTES
+        .load(Ordering::Relaxed)
+        .saturating_sub(heap_before);
+    Counted {
+        events_per_sec: out.events_processed as f64 / dt,
+        allocs_per_event: allocs / out.events_processed as f64,
+        peak_heap_mb: peak as f64 / 1e6,
+    }
 }
 
-fn run_dense(net: &NetworkConfig, scheduler: SchedulerKind) -> (f64, f64) {
+fn run_dense(net: &NetworkConfig, scheduler: SchedulerKind) -> Counted {
     let protocols: Vec<Box<dyn netsim::transport::CongestionControl>> = (0..64)
         .map(|_| Box::new(FixedWindow(256.0)) as Box<dyn netsim::transport::CongestionControl>)
         .collect();
     run_counted(net, protocols, scheduler, 10)
 }
 
-fn sim_events_per_sec_dense(scheduler: SchedulerKind) -> (f64, f64) {
+fn sim_events_per_sec_dense(scheduler: SchedulerKind) -> Counted {
     run_dense(&dense_net(None), scheduler)
 }
 
 /// The Internet-scale cell: the `many_flows` experiment's 10⁴-slot
 /// incast under Cubic (the cheapest real scheme — the measurement is of
 /// the engine, not the controller).
-fn sim_events_per_sec_10k(scheduler: SchedulerKind) -> (f64, f64) {
+fn sim_events_per_sec_10k(scheduler: SchedulerKind) -> Counted {
     let net = lcc_core::experiments::many_flows::incast(10_000);
     let protocols: Vec<Box<dyn netsim::transport::CongestionControl>> = (0..10_000)
         .map(|_| Box::new(protocols::Cubic::new()) as Box<dyn netsim::transport::CongestionControl>)
@@ -243,7 +289,7 @@ fn sim_events_per_sec_receiver_policy(scheduler: SchedulerKind) -> f64 {
     // Same dense scenario, every receiver coalescing 4:1 with a 40 ms
     // flush timer: the ack-every-k bookkeeping and the AckTimer
     // arm/fire/cancel chain run on every delivery.
-    run_dense(&dense_net(Some(ReceiverSpec::delayed(4, 0.040))), scheduler).0
+    run_dense(&dense_net(Some(ReceiverSpec::delayed(4, 0.040))), scheduler).events_per_sec
 }
 
 fn main() {
@@ -274,10 +320,10 @@ fn main() {
     eprintln!("[perf] simulator/heap: {eps_heap:.0} events/s");
 
     eprintln!("[perf] timing dense-population dumbbell (calendar backend)...");
-    let (eps_dense, allocs_dense) = sim_events_per_sec_dense(SchedulerKind::Calendar);
+    let dense = sim_events_per_sec_dense(SchedulerKind::Calendar);
     eprintln!(
-        "[perf] simulator-dense/calendar: {eps_dense:.0} events/s, \
-         {allocs_dense:.5} allocs/event"
+        "[perf] simulator-dense/calendar: {:.0} events/s, {:.5} allocs/event",
+        dense.events_per_sec, dense.allocs_per_event
     );
 
     eprintln!("[perf] timing dense dumbbell with delayed-ACK receivers...");
@@ -285,14 +331,15 @@ fn main() {
     eprintln!("[perf] simulator-receiver-policy: {eps_receiver:.0} events/s");
 
     eprintln!("[perf] timing 10k-flow incast (many_flows cell, calendar backend)...");
-    let (eps_10k, allocs_10k) = sim_events_per_sec_10k(SchedulerKind::Calendar);
+    let flows_10k = sim_events_per_sec_10k(SchedulerKind::Calendar);
     eprintln!(
-        "[perf] simulator-10k/calendar: {eps_10k:.0} events/s, \
-         {allocs_10k:.5} allocs/event"
+        "[perf] simulator-10k/calendar: {:.0} events/s, {:.5} allocs/event, \
+         peak heap {:.1} MB",
+        flows_10k.events_per_sec, flows_10k.allocs_per_event, flows_10k.peak_heap_mb
     );
 
     eprintln!("[perf] timing 10k-flow incast (heap backend)...");
-    let (eps_10k_heap, _) = sim_events_per_sec_10k(SchedulerKind::Heap);
+    let eps_10k_heap = sim_events_per_sec_10k(SchedulerKind::Heap).events_per_sec;
     eprintln!("[perf] simulator-10k/heap: {eps_10k_heap:.0} events/s");
 
     let threads = std::thread::available_parallelism()
@@ -315,24 +362,31 @@ fn main() {
         ("sim_events_per_sec_heap".to_string(), Value::F64(eps_heap)),
         (
             "sim_events_per_sec_dense".to_string(),
-            Value::F64(eps_dense),
+            Value::F64(dense.events_per_sec),
         ),
         (
             "sim_events_per_sec_receiver_policy".to_string(),
             Value::F64(eps_receiver),
         ),
-        ("sim_events_per_sec_10k".to_string(), Value::F64(eps_10k)),
+        (
+            "sim_events_per_sec_10k".to_string(),
+            Value::F64(flows_10k.events_per_sec),
+        ),
         (
             "sim_events_per_sec_10k_heap".to_string(),
             Value::F64(eps_10k_heap),
         ),
         (
             "sim_allocs_per_event_dense".to_string(),
-            Value::F64(allocs_dense),
+            Value::F64(dense.allocs_per_event),
         ),
         (
             "sim_allocs_per_event_10k".to_string(),
-            Value::F64(allocs_10k),
+            Value::F64(flows_10k.allocs_per_event),
+        ),
+        (
+            "sim_peak_heap_mb_10k".to_string(),
+            Value::F64(flows_10k.peak_heap_mb),
         ),
         ("scheduler".to_string(), Value::Str("calendar".to_string())),
         ("threads".to_string(), Value::U64(threads as u64)),
@@ -348,14 +402,19 @@ fn main() {
                  _10k = the many_flows incast cell (10^4 M/G/inf churn slots, Cubic) \
                  10 s, _10k_heap the same on the BinaryHeap reference; \
                  sim_allocs_per_event_* = heap allocations per processed event \
-                 during the run (counting global allocator, construction excluded). \
+                 during the run (counting global allocator, construction excluded); \
+                 sim_peak_heap_mb_10k = the most heap (10^6 bytes) the _10k cell held \
+                 at once, construction included. \
                  Every per-event number divides by events dispatched: since the event \
                  diet (same-instant lane, one armed RtoCheck per flow, no duplicate \
                  pacing wakes) the same simulated traffic dispatches 14-29 % fewer \
                  events, so events/s and allocs/event are not comparable with \
                  snapshots taken before it (wall time and total allocations fell). \
                  Since the delay lines the scheduler backend holds only timers, so \
-                 the _heap numbers compare the backends on timers alone"
+                 the _heap numbers compare the backends on timers alone. Since loss \
+                 detection stopped allocating and large calendars size their days to \
+                 the dequeue rate, the _10k cell allocates less for the same traffic \
+                 (0.143 -> 0.089 allocs/event, peak heap 81 -> 25 MB on a shared 2-vCPU box)"
                     .to_string(),
             ),
         ),

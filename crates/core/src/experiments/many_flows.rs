@@ -26,9 +26,10 @@
 //! difference between "fair at scale" and "lucky on average" visible.
 //!
 //! This sweep is also the engine's scale gate: a 10⁴-flow cell exercises
-//! the dense calendar-queue paths, the packet arena and the transport
-//! pre-sizing at the population the `sim_events_per_sec_10k` perf-gate
-//! metric tracks.
+//! the calendar queue's dequeue-rate retune, the packet arena and 10⁴
+//! flows' reliability state at the population the
+//! `sim_events_per_sec_10k` and `sim_peak_heap_mb_10k` perf-gate metrics
+//! track.
 
 use super::multiplexing;
 use super::scaffold::prelude::*;

@@ -29,6 +29,21 @@
 //!   on every resize as three times the mean gap among the earliest
 //!   pending events — head-local density, deliberately blind to the
 //!   far-future timer tail (see [`estimate_shift`](self)).
+//! * **Dequeue-rate retune.** The standing population is not what pops:
+//!   among 10⁴ flows' RTO, arrival and departure timers the head gap is
+//!   long, while short-lived pacing wakes and re-armed checks come and go
+//!   between rebuilds. A day sized to the head then holds dozens of pops,
+//!   each scanning the day, and every bucket keeps capacity for a day's
+//!   worth. So the queue counts keys scanned per pop over a window —
+//!   from one rebuild or check to the next, at least `max(len, 1024)`
+//!   pops — and when a queue of at least `RETUNE_MIN_LEN` entries scanned
+//!   more than `SCAN_RETUNE` per pop, it rebuilds with days of about
+//!   `DAY_POPS` pops at the window's mean dequeue spacing (any rebuild
+//!   in such a window does the same). The window needs only the
+//!   [`CalendarStats`] deltas and the dequeue time at its start; nothing
+//!   is stored per pop. Small queues keep the head estimate: a scan of a
+//!   few dozen keys costs little, and their timers would retune for
+//!   nothing.
 //! * **Bucket count** is a power of two kept within a factor of two of
 //!   the population: the array doubles when `len > 2 × buckets` and
 //!   halves when `len < buckets / 4` (never below [`MIN_BUCKETS`]).
@@ -102,6 +117,22 @@ const WIDTH_SAMPLE: usize = 64;
 /// every [`RETUNE_AFTER`] pops, turning one oversized day into a
 /// throughput collapse.
 const RETUNE_COOLDOWN_MIN: u64 = 1024;
+
+/// Mean keys scanned per pop, over a scan-cost window, above which the
+/// bucket width is re-derived from the dequeue rate (see the module
+/// docs). A day of *k* due entries costs about *k*/2 keys per pop, so a
+/// width that matches the dequeue rate stays well below this.
+const SCAN_RETUNE: u64 = 6;
+
+/// Smallest population the dequeue-rate retune acts on. Below it a
+/// bucket scan, however wide the day, touches a few cache lines, the
+/// degeneracy retune still catches a day that swallowed everything, and
+/// the buckets' capacity is immaterial.
+const RETUNE_MIN_LEN: usize = 1024;
+
+/// Pops a day retuned from the dequeue rate is sized for, before the
+/// width rounds up to a power of two.
+const DAY_POPS: u64 = 2;
 
 /// Same-instant entries found by one pop before it stops rescanning and
 /// instead extracts the whole run into the sorted today buffer (see the
@@ -207,6 +238,12 @@ pub struct CalendarQueue {
     /// Payload half of the rebuild scratch (parallel to `scratch_keys`).
     scratch_payloads: Vec<Event>,
     stats: CalendarStats,
+    /// `stats.pops`, `stats.scanned` and the dequeue time (nanos) when
+    /// the current scan-cost window opened: at the last rebuild or scan
+    /// check.
+    window: (u64, u64, u64),
+    /// The window's scan cost is checked once `stats.pops` reaches this.
+    check_at: u64,
 }
 
 impl Default for CalendarQueue {
@@ -246,6 +283,8 @@ impl CalendarQueue {
             scratch_keys: Vec::new(),
             scratch_payloads: Vec::new(),
             stats: CalendarStats::default(),
+            window: (0, 0, 0),
+            check_at: RETUNE_COOLDOWN_MIN,
         }
     }
 
@@ -270,8 +309,9 @@ impl CalendarQueue {
         self.cursor = self.bucket_of(nanos);
     }
 
-    /// Rebuild with `nbuckets` buckets, re-estimating the bucket width
-    /// from the live population.
+    /// Rebuild with `nbuckets` buckets, re-estimating the bucket width:
+    /// from the dequeue rate when the window's scans say the width is
+    /// wrong, from the live population's head otherwise.
     fn rebuild(&mut self, nbuckets: usize) {
         debug_assert!(nbuckets.is_power_of_two());
         // Collect through the persistent scratch: after the first rebuild
@@ -295,7 +335,9 @@ impl CalendarQueue {
             keys.append(&mut b.keys);
             payloads.append(&mut b.payloads);
         }
-        if let Some(shift) = estimate_shift(&keys) {
+        let min = keys.iter().map(|&(at, _)| at).min();
+        let now = min.unwrap_or(self.day_start);
+        if let Some(shift) = self.dequeue_shift(now).or_else(|| estimate_shift(&keys)) {
             self.shift = shift;
         }
         if nbuckets != self.buckets.len() {
@@ -305,10 +347,7 @@ impl CalendarQueue {
             self.buckets.resize_with(nbuckets, Bucket::default);
             self.mask = nbuckets - 1;
         }
-        match keys.iter().map(|&(at, _)| at).min() {
-            Some(min) => self.seek_to(min),
-            None => self.seek_to(0),
-        }
+        self.seek_to(min.unwrap_or(0));
         for ((at, seq), event) in keys.drain(..).zip(payloads.drain(..)) {
             let idx = self.bucket_of(at);
             self.buckets[idx].push(at, seq, event);
@@ -316,8 +355,33 @@ impl CalendarQueue {
         self.scratch_keys = keys;
         self.scratch_payloads = payloads;
         self.degenerate_pops = 0;
-        self.cooldown_until = self.stats.pops + (self.len as u64).max(RETUNE_COOLDOWN_MIN);
         self.stats.rebuilds += 1;
+        self.open_window(now);
+        self.cooldown_until = self.check_at;
+    }
+
+    /// Start a scan-cost window at dequeue time `now`, to be checked after
+    /// `max(len, RETUNE_COOLDOWN_MIN)` pops — so the rebuild a check may
+    /// trigger costs O(1) per pop, amortized, like a degeneracy retune.
+    fn open_window(&mut self, now: u64) {
+        self.window = (self.stats.pops, self.stats.scanned, now);
+        self.check_at = self.stats.pops + (self.len as u64).max(RETUNE_COOLDOWN_MIN);
+    }
+
+    /// The width that fits the window's dequeue rate — [`DAY_POPS`] pops
+    /// per day — if its pops scanned more than [`SCAN_RETUNE`] keys each
+    /// on average; `None` while the width serves (or no time passed).
+    fn dequeue_shift(&self, now: u64) -> Option<u32> {
+        let (pops0, scanned0, at0) = self.window;
+        let pops = self.stats.pops - pops0;
+        if self.len < RETUNE_MIN_LEN
+            || pops == 0
+            || self.stats.scanned - scanned0 <= SCAN_RETUNE * pops
+        {
+            return None;
+        }
+        let span = now.checked_sub(at0).filter(|&s| s > 0)?;
+        Some(shift_for_width(span.saturating_mul(DAY_POPS) / pops))
     }
 
     fn note_degenerate_pop(&mut self) {
@@ -507,6 +571,14 @@ impl Scheduler for CalendarQueue {
                     // empty days (width too fine).
                     if scanned > WIDE_SCAN || walked > LONG_WALK {
                         self.note_degenerate_pop();
+                    }
+                    // Close the scan-cost window: rebuild at the dequeue
+                    // rate if it scanned too much, else open the next.
+                    if self.stats.pops >= self.check_at {
+                        match self.dequeue_shift(best.0) {
+                            Some(_) => self.rebuild(self.buckets.len()),
+                            None => self.open_window(best.0),
+                        }
                     }
                     return Some(entry);
                 }
@@ -780,6 +852,49 @@ mod tests {
             assert_eq!(q.pop().unwrap().seq, seq);
         }
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn short_timers_over_long_ones_get_days_sized_to_the_dequeue_rate() {
+        // 10⁴ long timers 10 µs apart, each re-armed 100 ms ahead when it
+        // fires (RTO-like), under 32 short timers re-armed 32 µs ahead
+        // (pacing-like): the standing population's head spacing says
+        // 32 µs days, but pops come ~0.9 µs apart, so such a day holds
+        // some 36 of them. Kept at that width, every pop scans ~18 keys
+        // and every bucket ends up with capacity for 64.
+        let mut q = CalendarQueue::new();
+        let mut seq = 0u64;
+        let mut insert = |q: &mut CalendarQueue, at: u64, flow: u32| {
+            q.insert(t(at), seq, wake(flow));
+            seq += 1;
+        };
+        for i in 0..10_000u64 {
+            insert(&mut q, 10_000_000 + i * 10_000, 0);
+        }
+        for i in 0..32u64 {
+            insert(&mut q, i * 1_000, 1);
+        }
+        let mut warm = CalendarStats::default();
+        for n in 0..400_000 {
+            let e = q.pop().unwrap();
+            let (at, Event::SenderWake { flow }) = (e.at.as_nanos(), e.event) else {
+                unreachable!()
+            };
+            let period = if flow.0 == 1 { 32_000 } else { 100_000_000 };
+            insert(&mut q, at + period, flow.0);
+            if n == 50_000 {
+                warm = q.stats();
+            }
+        }
+        let s = q.stats();
+        let per_pop = (s.scanned - warm.scanned) as f64 / (s.pops - warm.pops) as f64;
+        assert!(per_pop <= 6.0, "{per_pop:.1} keys scanned per pop");
+        let capacity: usize = q.buckets.iter().map(|b| b.keys.capacity()).sum();
+        assert!(
+            capacity <= 8 * q.len(),
+            "buckets hold capacity for {capacity} keys, {} live",
+            q.len()
+        );
     }
 
     #[test]

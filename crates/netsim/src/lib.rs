@@ -60,10 +60,16 @@
 //!   indexed arena ([`arena::PacketArena`]) and events carry an 8-byte
 //!   handle, so the calendar queue moves slim payloads and the
 //!   Arrive → TxComplete → Propagated chain recycles slots through a
-//!   free-list instead of touching the heap. Per-flow reliability maps
-//!   are pre-sized from the route BDP; at steady state the hot handlers
+//!   free-list instead of touching the heap. Loss detection counts what
+//!   it declares lost instead of collecting it. What still allocates is
+//!   growth: a flow's reliability rings grow to the largest window it has
+//!   kept in flight (and keep that capacity across epochs), calendar
+//!   buckets to the most a day has held. At steady state the hot handlers
 //!   and the scheduler allocate nothing (tracked by the
-//!   `sim_allocs_per_event_*` perf-gate metrics).
+//!   `sim_allocs_per_event_*` perf-gate metrics), and nothing is reserved
+//!   from a path's bandwidth-delay product, which at 10⁴ flows with
+//!   sub-packet fair shares would be most of the heap
+//!   (`sim_peak_heap_mb_10k`).
 //! * **Packet events bypass the priority queue.** A link's
 //!   serializations, its propagations and the acknowledgments returning
 //!   over one fixed delay are each scheduled in an order known in
@@ -80,12 +86,13 @@
 //!   pluggable [`event::Scheduler`]; the default backend is a bucketed
 //!   calendar queue ([`calendar::CalendarQueue`]) whose bucket width is a
 //!   power-of-two nanosecond span seeded from the bottleneck
-//!   serialization time and re-estimated from the live event population
-//!   on every resize (see the `calendar` module docs for the tuning
-//!   knobs). Buckets store `(time, seq)` keys separately from event
-//!   payloads, so bucket scans touch only a dense 16-byte-per-entry key
-//!   array. The `BinaryHeap` backend stays selectable per simulation
-//!   ([`event::SchedulerKind::Heap`] through
+//!   serialization time, re-estimated from the live event population
+//!   on every resize, and re-derived from the dequeue rate when a large
+//!   queue's pops keep scanning crowded days (see the `calendar` module
+//!   docs for the tuning knobs). Buckets store `(time, seq)` keys
+//!   separately from event payloads, so bucket scans touch only a dense
+//!   16-byte-per-entry key array. The `BinaryHeap` backend stays
+//!   selectable per simulation ([`event::SchedulerKind::Heap`] through
 //!   [`sim::Simulation::with_scheduler`]) as the O(log n) reference; on
 //!   timers alone the two run close, and the calendar does not reliably
 //!   beat the heap even with 2×10⁴ of them standing.

@@ -397,25 +397,6 @@ impl Simulation {
             })
             .collect();
         let n = senders.len();
-        // Pre-size each sender's reliability maps to its path's
-        // bandwidth-delay product (the steady-state window bound), so
-        // the first window ramp of every epoch grows into reserved
-        // capacity instead of a chain of doubling reallocations — with
-        // 10^4 churn flows each restarting repeatedly, those reallocs
-        // were a measurable slice of the run. Clamped: tiny paths still
-        // get a useful floor, and a long-fat path can't pin megabytes
-        // per idle flow.
-        for (i, s) in senders.iter_mut().enumerate() {
-            let rate = config.bottleneck_rate(i);
-            let rtt_s: f64 = config.flows[i]
-                .route
-                .iter()
-                .map(|&l| config.links[l].delay_s)
-                .sum();
-            let bdp_packets = rate * rtt_s / (crate::packet::DATA_PACKET_BYTES as f64 * 8.0);
-            s.transport
-                .set_window_hint((bdp_packets.ceil() as usize).clamp(8, 512));
-        }
         // Reverse links, appended after the forward links: one shared
         // link per spec'd LinkSpec (link order), then one private link
         // per (flow, unshared spec'd hop) pair (flow order, reverse-route
@@ -1075,8 +1056,8 @@ impl Simulation {
         if !outcome.valid {
             return;
         }
-        for _ in &outcome.newly_lost {
-            self.stats[i].losses += 1;
+        self.stats[i].losses += outcome.newly_lost as u64;
+        for _ in 0..outcome.newly_lost {
             s.cc.on_loss(self.now);
         }
         if let Some(info) = &outcome.info {
@@ -1777,6 +1758,36 @@ mod tests {
             );
             assert!(f.bytes_delivered > 0);
         }
+    }
+
+    #[test]
+    fn reliability_rings_follow_the_window_not_the_path() {
+        // 10³ churn slots on a 1 Gbps, 200 ms RTT dumbbell: a bandwidth-
+        // delay product of thousands of packets per flow. Each transfer
+        // keeps at most its window of 4 in flight, so its rings need
+        // slots for 4, whatever the path could hold.
+        let (slots, window) = (1_000, 4.0);
+        let net = dumbbell(
+            slots,
+            1e9,
+            0.200,
+            QueueSpec::infinite(),
+            WorkloadSpec::churn_mginf(0.5, 2.0),
+        );
+        let mut sim = Simulation::new(&net, (0..slots).map(|_| fixed(window)).collect(), 5);
+        let out = sim.run(SimDuration::from_secs(5));
+        let started = out.flows.iter().filter(|f| f.transmissions > 0).count();
+        assert!(started > slots / 2, "only {started} flows ever sent");
+        let capacity: usize = sim
+            .senders
+            .iter()
+            .map(|s| s.transport.ring_capacity())
+            .sum();
+        let peak_in_flight = started * window as usize;
+        assert!(
+            capacity <= 4 * peak_in_flight,
+            "rings hold {capacity} slots for at most {peak_in_flight} packets in flight"
+        );
     }
 
     #[test]

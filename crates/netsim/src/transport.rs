@@ -20,7 +20,9 @@ use std::collections::VecDeque;
 /// slots instead of a search tree. All hot operations — insert at the
 /// frontier, remove by key, first-key lookup — are O(1) amortized; this
 /// runs several times per packet, where `BTreeMap` paid a tree descent
-/// and node allocations.
+/// and node allocations. The ring grows to the largest window the flow
+/// has had and [`clear`](Self::clear) keeps that capacity, so a flow
+/// holds memory for what it actually kept in flight, not for its path.
 #[derive(Debug, Default)]
 struct WindowMap<T> {
     /// Key of `slots[0]`.
@@ -46,15 +48,6 @@ impl<T> WindowMap<T> {
         self.slots.clear();
         self.len = 0;
         self.base = 0;
-    }
-
-    /// Grow the backing ring to hold `cap` slots without reallocating
-    /// (no-op once capacity is there — `clear` keeps it).
-    fn reserve(&mut self, cap: usize) {
-        if self.slots.capacity() < cap {
-            let extra = cap - self.slots.len();
-            self.slots.reserve(extra);
-        }
     }
 
     fn insert(&mut self, key: u64, value: T) {
@@ -119,22 +112,24 @@ impl<T> WindowMap<T> {
             .map(|v| (self.base, v))
     }
 
-    /// Remove and return all entries with `key <= cutoff`, ascending.
-    fn drain_upto(&mut self, cutoff: u64) -> Vec<(u64, T)> {
-        let mut out = Vec::new();
+    /// Remove all entries with `key <= cutoff`, handing each value to
+    /// `f` in ascending key order; returns how many there were.
+    fn drain_upto(&mut self, cutoff: u64, mut f: impl FnMut(T)) -> usize {
+        let mut n = 0;
         while let Some(front) = self.slots.front_mut() {
             if self.base > cutoff {
                 break;
             }
             if let Some(v) = front.take() {
                 self.len -= 1;
-                out.push((self.base, v));
+                n += 1;
+                f(v);
             }
             self.slots.pop_front();
             self.base += 1;
         }
         self.trim_front();
-        out
+        n
     }
 
     /// Iterate entries in ascending key order.
@@ -252,12 +247,6 @@ pub struct Transport {
     backoff: u32,
     /// Generation counter invalidating stale RTO events.
     rto_gen: u64,
-    /// Expected steady-state window in packets (0 = no hint). Set once
-    /// from the flow's bottleneck bandwidth-delay product; every
-    /// [`start_epoch`](Self::start_epoch) pre-sizes the in-flight maps
-    /// to it, so churn flows ramp their first window without a chain of
-    /// doubling reallocations.
-    window_hint: usize,
     /// Order-sensitive FNV-1a digest of every ack processed (valid or
     /// not), `None` until [`enable_ack_digest`](Self::enable_ack_digest).
     /// Opt-in like the engine's event digest: it is a test-only probe,
@@ -277,7 +266,7 @@ pub struct AckOutcome {
     pub info: Option<AckInfo>,
     /// Packets declared lost by the reordering detector (now queued for
     /// retransmission).
-    pub newly_lost: Vec<u64>,
+    pub newly_lost: usize,
 }
 
 impl Transport {
@@ -298,15 +287,8 @@ impl Transport {
             peer_rwnd: None,
             backoff: 0,
             rto_gen: 0,
-            window_hint: 0,
             ack_digest: None,
         }
-    }
-
-    /// Record the expected steady-state window (packets); subsequent
-    /// epochs pre-size the in-flight maps to it. Zero disables.
-    pub fn set_window_hint(&mut self, hint: usize) {
-        self.window_hint = hint;
     }
 
     /// Current flow epoch (bumped on each workload ON transition).
@@ -366,10 +348,6 @@ impl Transport {
         self.peer_rwnd = None;
         self.backoff = 0;
         self.rto_gen += 1;
-        if self.window_hint > 0 {
-            self.outstanding.reserve(self.window_hint);
-            self.by_tx_index.reserve(self.window_hint);
-        }
         self.epoch
     }
 
@@ -427,7 +405,7 @@ impl Transport {
             return AckOutcome {
                 valid: false,
                 info: None,
-                newly_lost: Vec::new(),
+                newly_lost: 0,
             };
         }
         if ack.rwnd > 0 {
@@ -457,7 +435,7 @@ impl Transport {
             return AckOutcome {
                 valid: false,
                 info: None,
-                newly_lost: Vec::new(),
+                newly_lost: 0,
             };
         };
         self.by_tx_index.remove(out.tx_index);
@@ -480,15 +458,14 @@ impl Transport {
 
         // Reordering loss detection: everything sent REORDER_THRESHOLD
         // transmissions before the newest ack is presumed lost.
-        let mut newly_lost = Vec::new();
+        let mut newly_lost = 0;
         if let Some(h) = self.highest_acked_tx_index {
             if h >= REORDER_THRESHOLD {
-                let cutoff = h - REORDER_THRESHOLD;
-                for (_tx, seq) in self.by_tx_index.drain_upto(cutoff) {
-                    self.outstanding.remove(seq);
-                    self.retx_queue.push_back(seq);
-                    newly_lost.push(seq);
-                }
+                let (outstanding, retx_queue) = (&mut self.outstanding, &mut self.retx_queue);
+                newly_lost = self.by_tx_index.drain_upto(h - REORDER_THRESHOLD, |seq| {
+                    outstanding.remove(seq);
+                    retx_queue.push_back(seq);
+                });
             }
         }
 
@@ -577,6 +554,14 @@ impl Transport {
 }
 
 #[cfg(test)]
+impl Transport {
+    /// Slots the two in-flight rings hold capacity for.
+    pub(crate) fn ring_capacity(&self) -> usize {
+        self.outstanding.slots.capacity() + self.by_tx_index.slots.capacity()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -619,7 +604,7 @@ mod tests {
         assert_eq!(info.rtt, Some(SimDuration::from_millis(150)));
         assert_eq!(info.min_rtt, SimDuration::from_millis(150));
         assert_eq!(info.in_flight, 0);
-        assert!(out.newly_lost.is_empty());
+        assert_eq!(out.newly_lost, 0);
     }
 
     #[test]
@@ -648,21 +633,37 @@ mod tests {
         let pkts: Vec<Packet> = (0..6).map(|_| tr.produce(t(0), 10).unwrap()).collect();
         // Packet 0 is "lost": ack packets 1..=3. After ack of tx_index 3,
         // packet 0 (tx_index 0) has 3 later acks -> lost.
-        assert!(tr
-            .on_ack(t(150), &ack_for(&pkts[1], t(75)))
-            .newly_lost
-            .is_empty());
-        assert!(tr
-            .on_ack(t(151), &ack_for(&pkts[2], t(75)))
-            .newly_lost
-            .is_empty());
+        assert_eq!(tr.on_ack(t(150), &ack_for(&pkts[1], t(75))).newly_lost, 0);
+        assert_eq!(tr.on_ack(t(151), &ack_for(&pkts[2], t(75))).newly_lost, 0);
         let out = tr.on_ack(t(152), &ack_for(&pkts[3], t(75)));
-        assert_eq!(out.newly_lost, vec![0], "seq 0 declared lost");
+        assert_eq!(out.newly_lost, 1, "one packet declared lost");
+        assert_eq!(out.info.unwrap().in_flight, 2, "seqs 4 and 5 remain");
         assert!(tr.has_retx_pending());
-        // The retransmission goes out first and carries is_retx.
+        // The retransmission of seq 0 goes out first and carries is_retx.
         let r = tr.produce(t(200), 10).unwrap();
         assert_eq!(r.seq, 0);
         assert!(r.is_retx());
+        assert!(!tr.has_retx_pending(), "only seq 0 was lost");
+    }
+
+    #[test]
+    fn loss_detection_drains_every_packet_below_the_cutoff_in_order() {
+        let mut tr = Transport::new(FlowId(0));
+        tr.start_epoch();
+        let pkts: Vec<Packet> = (0..8).map(|_| tr.produce(t(0), 10).unwrap()).collect();
+        // Acks for tx 0, 3 and 7: the last puts the cutoff at tx 4, so
+        // tx 1, 2 and 4 are lost together and tx 3 (acked) is not.
+        for i in [0, 3] {
+            assert_eq!(tr.on_ack(t(100), &ack_for(&pkts[i], t(50))).newly_lost, 0);
+        }
+        let out = tr.on_ack(t(101), &ack_for(&pkts[7], t(50)));
+        assert_eq!(out.newly_lost, 3);
+        assert_eq!(out.info.unwrap().in_flight, 2, "seqs 5 and 6 remain");
+        let retx: Vec<u64> = (0..3)
+            .map(|_| tr.produce(t(200), 10).unwrap().seq)
+            .collect();
+        assert_eq!(retx, vec![1, 2, 4], "retransmitted in tx order");
+        assert!(!tr.has_retx_pending());
     }
 
     #[test]
@@ -803,8 +804,8 @@ mod tests {
             Some(SimDuration::from_millis(150)),
             "RTT sampled from the top (echoed) sequence"
         );
-        assert!(
-            out.newly_lost.is_empty(),
+        assert_eq!(
+            out.newly_lost, 0,
             "implicitly acked packets must not trip the loss detector"
         );
         // The remaining packet acks normally.

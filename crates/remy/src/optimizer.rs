@@ -17,10 +17,13 @@
 //! several tree slots for the sender-diversity experiment (§4.6).
 
 use crate::eval::{draw_scenarios, EvalConfig, EvalPool, EvalResult};
-use crate::scenario::ScenarioSpec;
+use crate::scenario::{ConcreteScenario, ScenarioSpec};
 use protocols::whisker::{LeafId, SIGNAL_MAX};
 use protocols::{SignalMask, WhiskerTree};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Minimum utility gain for a candidate to be adopted.
 const IMPROVEMENT_EPS: f64 = 1e-4;
@@ -109,28 +112,31 @@ pub struct Optimizer {
     /// reused by every candidate evaluation (`improve_leaf` runs
     /// thousands of them per training run). Shared (`Arc`) so several
     /// trainers can feed one pool (see [`crate::trainer`]).
-    pool: std::sync::Arc<EvalPool>,
+    pool: Arc<EvalPool>,
+    /// See [`evaluations`](Self::evaluations).
+    evaluations: AtomicU64,
 }
 
 impl Optimizer {
     pub fn new(specs: Vec<ScenarioSpec>, cfg: OptimizerConfig) -> Self {
-        let pool = std::sync::Arc::new(EvalPool::new(cfg.threads));
+        let pool = Arc::new(EvalPool::new(cfg.threads));
         Self::with_pool(specs, cfg, pool)
     }
 
     /// Build an optimizer that evaluates on an existing shared pool
     /// instead of spawning its own workers. Results are identical either
     /// way — the pool only carries threads, never randomness.
-    pub fn with_pool(
-        specs: Vec<ScenarioSpec>,
-        cfg: OptimizerConfig,
-        pool: std::sync::Arc<EvalPool>,
-    ) -> Self {
+    pub fn with_pool(specs: Vec<ScenarioSpec>, cfg: OptimizerConfig, pool: Arc<EvalPool>) -> Self {
         assert!(
             !specs.is_empty(),
             "optimizer needs at least one training spec"
         );
-        Optimizer { specs, cfg, pool }
+        Optimizer {
+            specs,
+            cfg,
+            pool,
+            evaluations: AtomicU64::new(0),
+        }
     }
 
     pub fn config(&self) -> &OptimizerConfig {
@@ -196,22 +202,33 @@ impl Optimizer {
             .collect()
     }
 
+    /// Candidate evaluations this optimizer has simulated so far. A tree
+    /// whose exact leaf set was already scored on a round's scenario
+    /// batch takes that score instead of another simulation, so this
+    /// counts distinct `(round, leaf set)` pairs.
+    pub fn evaluations(&self) -> u64 {
+        self.evaluations.load(Ordering::Relaxed)
+    }
+
     /// The core loop, improving `trees[slot]` in place. Returns the final
     /// training score.
     fn optimize_slot(&self, trees: &mut [WhiskerTree], slot: usize) -> f64 {
-        let cfg = self.cfg.eval_config();
         let mut last_score = f64::NEG_INFINITY;
         for round in 0..self.cfg.rounds {
             // Fresh draws each round; candidates within the round share
             // them (as an Arc, so pooled evaluations never copy the batch).
-            let scenarios: std::sync::Arc<[crate::scenario::ConcreteScenario]> = draw_scenarios(
-                &self.specs,
-                self.cfg.draws_per_eval,
-                self.cfg.seed ^ ((round as u64 + 1) * 0x9E37),
-            )
-            .into();
-            let base: EvalResult = self.pool.evaluate_shared(&scenarios, trees, &cfg);
-            let mut score = base.mean_utility;
+            let mut batch = RoundBatch {
+                scenarios: draw_scenarios(
+                    &self.specs,
+                    self.cfg.draws_per_eval,
+                    self.cfg.seed ^ ((round as u64 + 1) * 0x9E37),
+                )
+                .into(),
+                cfg: self.cfg.eval_config(),
+                scored: HashMap::new(),
+            };
+            let base = batch.evaluate(self, trees);
+            let (base_score, mut score) = (base.mean_utility, base.mean_utility);
 
             // Whiskers ordered by usage, busiest first.
             let mut order: Vec<(usize, u64)> = base.usage[slot]
@@ -226,15 +243,15 @@ impl Optimizer {
                 if uses == 0 {
                     continue;
                 }
-                self.improve_leaf(trees, slot, LeafId(leaf_idx), &scenarios, &mut score, &cfg);
+                self.improve_leaf(trees, slot, LeafId(leaf_idx), &mut batch, &mut score);
             }
 
             if self.cfg.verbose {
                 eprintln!(
-                    "[remy] round {round}: score {:.4} -> {:.4}, {} leaves",
-                    base.mean_utility,
-                    score,
-                    trees[slot].num_leaves()
+                    "[remy] round {round}: score {base_score:.4} -> {score:.4}, {} leaves, \
+                     {} evaluations simulated",
+                    trees[slot].num_leaves(),
+                    self.evaluations()
                 );
             }
             last_score = score;
@@ -246,8 +263,9 @@ impl Optimizer {
             // so gating the split on "no improvement" would starve the
             // tree of structure.
             if trees[slot].num_leaves() < self.cfg.max_leaves && round + 1 < self.cfg.rounds {
-                // Re-evaluate usage on the final actions of this round.
-                let usage = self.pool.evaluate_shared(&scenarios, trees, &cfg).usage;
+                // Usage on the final actions of this round: the base tree
+                // or the last candidate adopted, both scored already.
+                let usage = &batch.evaluate(self, trees).usage;
                 let Some(target) = usage[slot].most_used_leaf() else {
                     continue;
                 };
@@ -280,9 +298,8 @@ impl Optimizer {
         trees: &mut [WhiskerTree],
         slot: usize,
         leaf: LeafId,
-        scenarios: &std::sync::Arc<[crate::scenario::ConcreteScenario]>,
+        batch: &mut RoundBatch,
         score: &mut f64,
-        cfg: &EvalConfig,
     ) -> bool {
         let mut changed = false;
         for &scale in &self.cfg.scales {
@@ -295,9 +312,9 @@ impl Optimizer {
                 let mut best_action = None;
                 for cand in current.neighbors(scale) {
                     trees[slot].set_leaf_action(leaf, cand);
-                    let r = self.pool.evaluate_shared(scenarios, trees, cfg);
-                    if r.mean_utility > best + IMPROVEMENT_EPS {
-                        best = r.mean_utility;
+                    let utility = batch.evaluate(self, trees).mean_utility;
+                    if utility > best + IMPROVEMENT_EPS {
+                        best = utility;
                         best_action = Some(cand);
                     }
                 }
@@ -316,6 +333,46 @@ impl Optimizer {
         }
         changed
     }
+}
+
+/// One round's scenario batch and every evaluation already made on it.
+///
+/// A simulation is a pure function of the batch and the leaf set, so a
+/// tree whose exact leaf set was scored on this batch — the hill climb
+/// stepping back onto the action it just left, or the round's final tree
+/// re-evaluated for the split — takes the stored result, bit for bit the
+/// one a fresh simulation would return.
+struct RoundBatch {
+    scenarios: Arc<[ConcreteScenario]>,
+    cfg: EvalConfig,
+    /// Results by [`leaf_set`].
+    scored: HashMap<Vec<u64>, EvalResult>,
+}
+
+impl RoundBatch {
+    fn evaluate(&mut self, opt: &Optimizer, trees: &[WhiskerTree]) -> &EvalResult {
+        self.scored.entry(leaf_set(trees)).or_insert_with(|| {
+            opt.evaluations.fetch_add(1, Ordering::Relaxed);
+            opt.pool.evaluate_shared(&self.scenarios, trees, &self.cfg)
+        })
+    }
+}
+
+/// The exact leaf set of every slot: per slot its leaf count, then each
+/// whisker's domain bounds and action as bit patterns.
+fn leaf_set(trees: &[WhiskerTree]) -> Vec<u64> {
+    let mut key = Vec::new();
+    for tree in trees {
+        let leaves = tree.leaves();
+        key.push(leaves.len() as u64);
+        for w in leaves {
+            let a = w.action;
+            let bounds = w.domain.lower.iter().chain(&w.domain.upper);
+            let action = [a.window_multiple, a.window_increment, a.intersend_ms];
+            key.extend(bounds.chain(&action).map(|x| x.to_bits()));
+        }
+    }
+    key
 }
 
 /// Choose the dimension to split a whisker along: the enabled signal with
@@ -405,6 +462,46 @@ mod tests {
             "thread count changed the protocol"
         );
         assert_eq!(serial.score, parallel.score);
+    }
+
+    #[test]
+    fn a_leaf_set_scored_on_the_batch_is_not_simulated_again() {
+        let specs = vec![ScenarioSpec::calibration()];
+        let mut cfg = OptimizerConfig::smoke();
+        cfg.threads = 1;
+        let opt = Optimizer::new(specs.clone(), cfg);
+        let mut batch = RoundBatch {
+            scenarios: draw_scenarios(&specs, 2, 3).into(),
+            cfg: opt.cfg.eval_config(),
+            scored: HashMap::new(),
+        };
+        let mut trees = vec![WhiskerTree::default_tree()];
+        let start = Action::default();
+        let first = batch.evaluate(&opt, &trees).mean_utility;
+        // A climb step out and back onto the action it left.
+        trees[0].set_leaf_action(LeafId(0), start.neighbors(4.0)[0]);
+        batch.evaluate(&opt, &trees);
+        trees[0].set_leaf_action(LeafId(0), start);
+        let again = batch.evaluate(&opt, &trees).mean_utility;
+        assert_eq!(opt.evaluations(), 2, "the step back was simulated");
+        let fresh = opt
+            .pool
+            .evaluate_shared(&batch.scenarios, &trees, &batch.cfg)
+            .mean_utility;
+        assert_eq!(again.to_bits(), first.to_bits());
+        assert_eq!(again.to_bits(), fresh.to_bits());
+    }
+
+    #[test]
+    fn leaf_sets_tell_slots_apart() {
+        let mut two = WhiskerTree::default_tree();
+        two.split_leaf(LeafId(0), 0);
+        let one = WhiskerTree::default_tree();
+        assert_ne!(
+            leaf_set(&[two.clone(), one.clone()]),
+            leaf_set(&[one.clone(), two.clone()])
+        );
+        assert_eq!(leaf_set(&[one.clone(), two.clone()]), leaf_set(&[one, two]));
     }
 
     #[test]
