@@ -33,16 +33,17 @@
 //!   allocations per processed event during the corresponding runs,
 //!   counted by a wrapping global allocator. The hot path is designed to
 //!   be allocation-free at steady state (the event arena recycles slots,
-//!   per-flow rings and calendar days keep what they grew to), so the
+//!   per-flow rings and the calendar's slab keep what they grew to), so the
 //!   only allocations left are growth to peak population — amortized to
 //!   ~0 per event. A creeping per-event allocation shows up here long
 //!   before it shows up in events/sec on a fast machine.
 //! * `sim_peak_heap_mb_10k` — the most heap the 10⁴-flow cell held at
 //!   once, from building the simulation to the end of its run, as the
 //!   same allocator counts it (MB = 10⁶ bytes). Per-flow state and the
-//!   calendar's buckets grow with what is live, not with the path's
-//!   bandwidth-delay product or a day's worth of pops; a structure that
-//!   starts reserving ahead again shows up here.
+//!   calendar's slab grow with what is live, not with the path's
+//!   bandwidth-delay product or a day's worth of pops, and a flow slot
+//!   carries no idle padding; a structure that starts reserving ahead
+//!   again shows up here.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin perf_snapshot            # print only
@@ -414,7 +415,12 @@ fn main() {
                  the _heap numbers compare the backends on timers alone. Since loss \
                  detection stopped allocating and large calendars size their days to \
                  the dequeue rate, the _10k cell allocates less for the same traffic \
-                 (0.143 -> 0.089 allocs/event, peak heap 81 -> 25 MB on a shared 2-vCPU box)"
+                 (0.143 -> 0.089 allocs/event, peak heap 81 -> 25 MB on a shared 2-vCPU box). \
+                 Since the calendar keeps its timers in one slab (40 bytes a pending \
+                 entry, 4 a bucket, instead of two Vecs per bucket sized for the most a \
+                 day ever held) and flow slots lost their idle padding (sender slot 512 \
+                 -> 368 bytes, receiver slot 160 -> 56), the _10k cell's peak heap fell \
+                 again (25 -> 10 MB)"
                     .to_string(),
             ),
         ),

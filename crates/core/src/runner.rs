@@ -16,13 +16,17 @@
 //! [`parallel_map_indexed`]) — so test-side sweeps use every core the way
 //! training already does. Per-cell results land in index-ordered slots and
 //! are merged in input order, so the outcome is **bit-identical for any
-//! thread count**.
+//! thread count**. A cell that repeats an earlier cell of the same sweep
+//! — same network, protocols, seed, duration and trace request, whatever
+//! its key, axis position or Tao label — is simulated once: runs are pure
+//! functions of those inputs, so the repeat gets a copy of the outcome.
 
 use netsim::prelude::*;
 use netsim::trace::Trace;
 use netsim::transport::CongestionControl;
 use protocols::compiled::CompiledTree;
 use protocols::{Cubic, NewReno, Pcc, SignalMask, TaoCc, Vegas, WhiskerTree};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -76,6 +80,20 @@ impl Scheme {
         }
     }
 
+    /// Whether `self` and `other` build the same controller: a Tao's
+    /// label only names it.
+    fn same_protocol(&self, other: &Scheme) -> bool {
+        match (self, other) {
+            (
+                Scheme::Tao { tree, mask, .. },
+                Scheme::Tao {
+                    tree: t, mask: m, ..
+                },
+            ) => mask == m && tree == t,
+            _ => std::mem::discriminant(self) == std::mem::discriminant(other),
+        }
+    }
+
     pub fn build(&self) -> Box<dyn CongestionControl> {
         match self {
             Scheme::Tao { tree, mask, label } => {
@@ -90,13 +108,14 @@ impl Scheme {
 }
 
 /// Build one congestion-control instance per flow, compiling each
-/// distinct Tao tree exactly once and sharing the compiled arena across
-/// all its senders. [`Scheme::build`] compiles per call, which is fine
-/// for ten flows and pathological for a 10^4-sender `many_flows` cell —
-/// the homogeneous scheme vector would clone and flatten the identical
-/// tree ten thousand times.
+/// distinct Tao tree exactly once and sharing the compiled arena (and the
+/// label) across all its senders. [`Scheme::build`] compiles per call,
+/// which is fine for ten flows and pathological for a 10^4-sender
+/// `many_flows` cell — the homogeneous scheme vector would clone and
+/// flatten the identical tree ten thousand times.
 pub fn build_protocols(schemes: &[Scheme]) -> Vec<Box<dyn CongestionControl>> {
     let mut compiled: Vec<(&WhiskerTree, SignalMask, Arc<CompiledTree>)> = Vec::new();
+    let mut names: Vec<Arc<str>> = Vec::new();
     schemes
         .iter()
         .map(|s| -> Box<dyn CongestionControl> {
@@ -111,7 +130,14 @@ pub fn build_protocols(schemes: &[Scheme]) -> Vec<Box<dyn CongestionControl>> {
                             compiled.push((tree, *mask, c.clone()));
                             c
                         });
-                    Box::new(TaoCc::from_compiled(shared, *mask, label.clone()))
+                    let name = match names.iter().find(|n| ***n == **label) {
+                        Some(n) => n.clone(),
+                        None => {
+                            names.push(label.as_str().into());
+                            names[names.len() - 1].clone()
+                        }
+                    };
+                    Box::new(TaoCc::from_compiled(shared, *mask, name))
                 }
                 other => other.build(),
             }
@@ -244,7 +270,7 @@ pub fn run_seeds(
 
 /// Request queue-occupancy tracing for a cell (Fig 8-style time-domain
 /// points).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceSpec {
     /// Link indices to sample.
     pub links: Vec<usize>,
@@ -276,6 +302,23 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
+    /// Whether a seed runs the same simulation under `self` and `other`:
+    /// everything [`run_cell`] reads but the key, the axis position and
+    /// the seed range. Cheap fields first; a 10⁴-flow network compares
+    /// last.
+    fn same_simulation(&self, other: &SweepPoint) -> bool {
+        self.duration_s == other.duration_s
+            && self.trace == other.trace
+            && self.schemes.len() == other.schemes.len()
+            && self.net.links == other.net.links
+            && self
+                .schemes
+                .iter()
+                .zip(&other.schemes)
+                .all(|(a, b)| a.same_protocol(b))
+            && self.net == other.net
+    }
+
     /// Point running `scheme` on every flow of `net`.
     pub fn homogeneous(
         key: impl Into<String>,
@@ -476,19 +519,33 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Execute a sweep: expand every point into `(point, seed)` cells, run
-/// them on the work-stealing pool (`threads == 0` uses all cores), and
-/// merge outcomes back per point in seed order. Deterministic: the merge
-/// is index-ordered, so results are bit-identical for any thread count.
+/// each distinct one on the work-stealing pool (`threads == 0` uses all
+/// cores) — a cell repeating an earlier one gets a copy of its outcome —
+/// and merge outcomes back per point in seed order. Deterministic: the
+/// merge is index-ordered, so results are bit-identical for any thread
+/// count.
 pub fn execute_sweep(points: Vec<SweepPoint>, threads: usize) -> Vec<PointOutcome> {
     let cells: Vec<(usize, u64)> = points
         .iter()
         .enumerate()
         .flat_map(|(pi, p)| p.seeds.clone().map(move |s| (pi, s)))
         .collect();
-    let results = parallel_try_map_indexed(cells.len(), threads, |i| {
-        let (pi, seed) = cells[i];
+    let first = first_equal_cells(&points, &cells);
+    let distinct: Vec<usize> = (0..cells.len()).filter(|&i| first[i] == i).collect();
+    let ran = parallel_try_map_indexed(distinct.len(), threads, |k| {
+        let (pi, seed) = cells[distinct[k]];
         run_cell(&points[pi], seed)
     });
+    // Each distinct cell's outcome, and how many cells want it: the last
+    // one takes it, the others get a copy.
+    let mut results = vec![None; cells.len()];
+    for (i, result) in distinct.into_iter().zip(ran) {
+        results[i] = Some(result);
+    }
+    let mut wanted = vec![0usize; cells.len()];
+    for &f in &first {
+        wanted[f] += 1;
+    }
     let mut out: Vec<PointOutcome> = points
         .into_iter()
         .map(|point| PointOutcome {
@@ -498,7 +555,13 @@ pub fn execute_sweep(points: Vec<SweepPoint>, threads: usize) -> Vec<PointOutcom
             poisoned: Vec::new(),
         })
         .collect();
-    for ((pi, seed), result) in cells.into_iter().zip(results) {
+    for ((pi, seed), f) in cells.into_iter().zip(first) {
+        wanted[f] -= 1;
+        let result = match wanted[f] {
+            0 => results[f].take(),
+            _ => results[f].clone(),
+        }
+        .expect("a distinct cell's outcome is taken by its last user");
         match result {
             Ok((run, trace)) => {
                 out[pi].runs.push(run);
@@ -508,6 +571,26 @@ pub fn execute_sweep(points: Vec<SweepPoint>, threads: usize) -> Vec<PointOutcom
         }
     }
     out
+}
+
+/// For each `(point, seed)` cell, the first cell of the sweep that runs
+/// the same simulation ([`SweepPoint::same_simulation`] and the same
+/// seed) — itself, unless it repeats an earlier one.
+fn first_equal_cells(points: &[SweepPoint], cells: &[(usize, u64)]) -> Vec<usize> {
+    // Each point's first equal point stands for its whole class.
+    let class: Vec<usize> = (0..points.len())
+        .map(|pi| {
+            (0..pi)
+                .find(|&pj| points[pj].same_simulation(&points[pi]))
+                .unwrap_or(pi)
+        })
+        .collect();
+    let mut seen = HashMap::new();
+    cells
+        .iter()
+        .enumerate()
+        .map(|(i, &(pi, seed))| *seen.entry((class[pi], seed)).or_insert(i))
+        .collect()
 }
 
 /// Mean / standard deviation / median of a sample.
@@ -828,6 +911,54 @@ mod tests {
         assert_eq!(serial, parallel, "merge must be index-ordered");
         // sanity: runs are grouped per point in seed order
         assert_eq!(serial[0].1, 3);
+    }
+
+    #[test]
+    fn sweep_runs_each_distinct_cell_once() {
+        let tao = |increment: f64, label: &str| {
+            Scheme::tao(
+                WhiskerTree::uniform(Action::new(1.0, increment, 1.0)),
+                label,
+            )
+        };
+        let a = SweepPoint::homogeneous("a", 0.0, net(), tao(1.0, "first"), 0..2, 4.0);
+        // The same simulations under another key, position and label.
+        let b = SweepPoint::homogeneous("b", 1.0, net(), tao(1.0, "second"), 1..3, 4.0);
+        // Differs from `a` only in its trace request.
+        let mut c = a.clone();
+        c.trace = Some(TraceSpec {
+            links: vec![0],
+            interval_ms: 100.0,
+        });
+        // Another protocol under the same label.
+        let d = SweepPoint::homogeneous("d", 0.0, net(), tao(2.0, "first"), 0..1, 4.0);
+        let points = vec![a, b, c, d];
+        let cells: Vec<(usize, u64)> = points
+            .iter()
+            .enumerate()
+            .flat_map(|(pi, p)| p.seeds.clone().map(move |s| (pi, s)))
+            .collect();
+        assert_eq!(
+            first_equal_cells(&points, &cells),
+            vec![0, 1, 1, 3, 4, 5, 6],
+            "only b's seed 1 repeats a cell"
+        );
+        let outs = execute_sweep(points.clone(), 2);
+        let fingerprint = |r: &RunOutcome| {
+            let delivered: Vec<u64> = r.flows.iter().map(|f| f.bytes_delivered).collect();
+            (r.events_processed, delivered)
+        };
+        assert_eq!(fingerprint(&outs[0].runs[1]), fingerprint(&outs[1].runs[0]));
+        for (run, seed) in outs[1].runs.iter().zip(1..) {
+            assert_eq!(fingerprint(run), fingerprint(&run_cell(&points[1], seed).0));
+        }
+        assert_eq!(outs[1].flow_labels()[0], "second");
+        assert!(outs[0].traces.iter().all(Option::is_none));
+        assert!(
+            outs[2].traces.iter().all(Option::is_some),
+            "c traced its own runs"
+        );
+        assert_ne!(fingerprint(&outs[3].runs[0]), fingerprint(&outs[0].runs[0]));
     }
 
     #[test]

@@ -20,6 +20,19 @@
 //! without disturbing bit-for-bit determinism (property-tested in
 //! `netsim/tests/proptest_scheduler.rs`).
 //!
+//! # Storage: one slab, a list per day
+//!
+//! Every entry — its `(time, seq)` key, its 16-byte [`Event`] and a
+//! `u32` link — lives in one slab, 40 bytes a slot; a day is a singly
+//! linked list through the slab, and the bucket array holds only each
+//! day's `u32` list head. Freed slots go on a free list threaded through
+//! the same links, so the slab never holds more slots than the most
+//! entries that were ever pending at once (it grows by an eighth, not by
+//! doubling). A rebuild relinks the entries where they are. Storage is
+//! therefore about 40 bytes per live entry plus 4 per bucket, however
+//! the entries spread over the days — a day that once held dozens keeps
+//! nothing for them once they have popped.
+//!
 //! # Tuning knobs (all self-adjusting)
 //!
 //! * **Bucket width** is a power of two nanoseconds (`1 << shift`), so
@@ -33,17 +46,16 @@
 //!   among 10⁴ flows' RTO, arrival and departure timers the head gap is
 //!   long, while short-lived pacing wakes and re-armed checks come and go
 //!   between rebuilds. A day sized to the head then holds dozens of pops,
-//!   each scanning the day, and every bucket keeps capacity for a day's
-//!   worth. So the queue counts keys scanned per pop over a window —
-//!   from one rebuild or check to the next, at least `max(len, 1024)`
-//!   pops — and when a queue of at least `RETUNE_MIN_LEN` entries scanned
-//!   more than `SCAN_RETUNE` per pop, it rebuilds with days of about
-//!   `DAY_POPS` pops at the window's mean dequeue spacing (any rebuild
-//!   in such a window does the same). The window needs only the
-//!   [`CalendarStats`] deltas and the dequeue time at its start; nothing
-//!   is stored per pop. Small queues keep the head estimate: a scan of a
-//!   few dozen keys costs little, and their timers would retune for
-//!   nothing.
+//!   each scanning the day. So the queue counts keys scanned per pop over
+//!   a window — from one rebuild or check to the next, at least
+//!   `max(len, 1024)` pops — and when a queue of at least
+//!   `RETUNE_MIN_LEN` entries scanned more than `SCAN_RETUNE` per pop, it
+//!   rebuilds with days of about `DAY_POPS` pops at the window's mean
+//!   dequeue spacing (any rebuild in such a window does the same). The
+//!   window needs only the [`CalendarStats`] deltas and the dequeue time
+//!   at its start; nothing is stored per pop. Small queues keep the head
+//!   estimate: a scan of a few dozen keys costs little, and their timers
+//!   would retune for nothing.
 //! * **Bucket count** is a power of two kept within a factor of two of
 //!   the population: the array doubles when `len > 2 × buckets` and
 //!   halves when `len < buckets / 4` (never below [`MIN_BUCKETS`]).
@@ -62,23 +74,20 @@
 //!
 //! No bucket width can spread a same-instant tie burst — a window blast
 //! released in one ack batch puts thousands of entries at a single
-//! instant, and every pop would rescan them all, O(k²) per burst. PR 5
-//! capped the *retune thrash* this caused with a cooldown; the scan cost
-//! itself remained, and it is why the calendar trailed the heap in the
-//! dense standing-population regime. The fix is a **sort-and-drain
-//! buffer**: when a pop finds more than [`TODAY_DRAIN`] entries due at
-//! the minimum instant of the current day, the whole run is extracted
-//! from its bucket, sorted once by seq (O(k log k)), and drained
-//! front-to-front in O(1) pops. While the buffer is active its front is
-//! the global minimum, so pops bypass the bucket walk entirely. Inserts
-//! at exactly the buffered instant append at their seq position (the
-//! engine's monotonic seq makes that the back, O(1)); inserts at later
-//! times take the ordinary bucket path untouched; inserts before the
-//! buffered instant return the remainder to its bucket first and rewind
-//! as usual. Only same-instant runs are buffered — a day that is merely
-//! *wide* (many distinct instants) still goes through the scan path and
-//! its degeneracy accounting, so a mis-tuned width retunes exactly as
-//! before.
+//! instant, and every pop would rescan them all, O(k²) per burst. The fix
+//! is a **sort-and-drain buffer**: when a pop finds more than
+//! [`TODAY_DRAIN`] entries due at the minimum instant of the current day,
+//! the whole run is unlinked from its day, its slab indices are sorted
+//! once by seq (O(k log k)), and drained front-to-front in O(1) pops.
+//! While the buffer is active its front is the global minimum, so pops
+//! bypass the bucket walk entirely. Inserts at exactly the buffered
+//! instant join the buffer at their seq position (the engine's monotonic
+//! seq makes that the back, O(1)); inserts at later times take the
+//! ordinary bucket path untouched; inserts before the buffered instant
+//! return the remainder to its day first and rewind as usual. Only
+//! same-instant runs are buffered — a day that is merely *wide* (many
+//! distinct instants) still goes through the scan path and its
+//! degeneracy accounting, so a mis-tuned width retunes exactly as before.
 
 use crate::event::{Entry, Event, Scheduler};
 use crate::time::{SimDuration, SimTime};
@@ -125,9 +134,8 @@ const RETUNE_COOLDOWN_MIN: u64 = 1024;
 const SCAN_RETUNE: u64 = 6;
 
 /// Smallest population the dequeue-rate retune acts on. Below it a
-/// bucket scan, however wide the day, touches a few cache lines, the
-/// degeneracy retune still catches a day that swallowed everything, and
-/// the buckets' capacity is immaterial.
+/// bucket scan, however wide the day, touches a few cache lines, and the
+/// degeneracy retune still catches a day that swallowed everything.
 const RETUNE_MIN_LEN: usize = 1024;
 
 /// Pops a day retuned from the dequeue rate is sized for, before the
@@ -141,49 +149,20 @@ const DAY_POPS: u64 = 2;
 /// O(k) rescan every subsequent pop of the run would pay.
 pub const TODAY_DRAIN: usize = 64;
 
-/// One calendar day: `(time-nanos, seq)` keys stored separately from the
-/// event payloads, index-aligned. Bucket scans (the minimum search in
-/// `pop`, the global-minimum fallback) touch only the dense 16-byte key
-/// array — an `Event` carries a full `Packet`
-/// and is several cache lines of payload per entry that the scan never
-/// needs — so a day's worth of keys stays in cache even at high standing
-/// populations.
-#[derive(Default)]
-struct Bucket {
-    keys: Vec<(u64, u64)>,
-    payloads: Vec<Event>,
+/// The end of a list: no next slot, or an empty day.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a pending entry and the link to the next entry of its
+/// day — or, while the slot is free, to the next free slot.
+struct Slot {
+    at: u64,
+    seq: u64,
+    event: Event,
+    next: u32,
 }
 
-impl Bucket {
-    #[inline]
-    fn push(&mut self, at: u64, seq: u64, event: Event) {
-        self.keys.push((at, seq));
-        self.payloads.push(event);
-    }
-
-    /// Remove entry `i` in O(1), like `Vec::swap_remove`, keeping the key
-    /// and payload arrays aligned.
-    #[inline]
-    fn swap_remove(&mut self, i: usize) -> Entry {
-        let (at, seq) = self.keys.swap_remove(i);
-        let event = self.payloads.swap_remove(i);
-        Entry {
-            at: SimTime::from_nanos(at),
-            seq,
-            event,
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-}
+/// Five words a slot: the storage cost of one pending entry.
+const _SLOT_IS_FIVE_WORDS: () = assert!(std::mem::size_of::<Slot>() <= 40);
 
 /// What a [`CalendarQueue`] did over its life (reported through
 /// [`crate::event::QueueCounters`]).
@@ -204,8 +183,14 @@ pub struct CalendarStats {
 /// See the module docs for the algorithm; see [`Scheduler`] for the
 /// ordering contract.
 pub struct CalendarQueue {
-    buckets: Vec<Bucket>,
-    /// `buckets.len() - 1`; bucket count is always a power of two.
+    /// Every entry, pending or free (see "Storage" in the module docs).
+    slab: Vec<Slot>,
+    /// First free slot of `slab` (`NIL`: none).
+    free: u32,
+    /// First entry of each day's list (`NIL`: an empty day). The bucket
+    /// count is `heads.len()`, always a power of two.
+    heads: Vec<u32>,
+    /// `heads.len() - 1`.
     mask: usize,
     /// Bucket width is `1 << shift` nanoseconds.
     shift: u32,
@@ -221,22 +206,15 @@ pub struct CalendarQueue {
     /// (see [`RETUNE_COOLDOWN_MIN`]).
     cooldown_until: u64,
     /// Sort-and-drain buffer for an oversized same-instant run (see the
-    /// module docs): `(seq, event)` entries all due at `today_at`,
+    /// module docs): slab indices of entries all due at `today_at`,
     /// sorted ascending by seq, with `today_cursor` marking the drain
-    /// front. Entries here still count in `len`. Empty (`cursor ==
-    /// len`) means the buffer is inactive.
-    today: Vec<(u64, Event)>,
+    /// front. Entries here still count in `len` but are on no day's
+    /// list. Empty (`cursor == len`) means the buffer is inactive.
+    today: Vec<u32>,
     /// The single instant (nanos) every buffered entry fires at.
     today_at: u64,
     /// Drain front of `today`; entries before it are already popped.
     today_cursor: usize,
-    /// Collection scratch reused across [`rebuild`](Self::rebuild)s so a
-    /// retune allocates nothing once grown to the standing population —
-    /// retunes are frequent enough in tie-heavy dense runs that fresh
-    /// per-rebuild Vecs dominated the engine's allocation profile.
-    scratch_keys: Vec<(u64, u64)>,
-    /// Payload half of the rebuild scratch (parallel to `scratch_keys`).
-    scratch_payloads: Vec<Event>,
     stats: CalendarStats,
     /// `stats.pops`, `stats.scanned` and the dequeue time (nanos) when
     /// the current scan-cost window opened: at the last rebuild or scan
@@ -269,7 +247,9 @@ impl CalendarQueue {
 
     fn with_shift(shift: u32) -> Self {
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Bucket::default()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; MIN_BUCKETS],
             mask: MIN_BUCKETS - 1,
             shift,
             day_start: 0,
@@ -280,8 +260,6 @@ impl CalendarQueue {
             today: Vec::new(),
             today_at: 0,
             today_cursor: 0,
-            scratch_keys: Vec::new(),
-            scratch_payloads: Vec::new(),
             stats: CalendarStats::default(),
             window: (0, 0, 0),
             check_at: RETUNE_COOLDOWN_MIN,
@@ -309,55 +287,121 @@ impl CalendarQueue {
         self.cursor = self.bucket_of(nanos);
     }
 
+    /// Store an entry in a free slot and return the slot's index. With
+    /// none free the slab grows by an eighth, so its capacity stays
+    /// within about 1.125× the most entries ever pending at once.
+    #[inline]
+    fn alloc(&mut self, at: u64, seq: u64, event: Event) -> u32 {
+        if self.free != NIL {
+            let i = self.free;
+            let slot = &mut self.slab[i as usize];
+            self.free = slot.next;
+            slot.at = at;
+            slot.seq = seq;
+            slot.event = event;
+            return i;
+        }
+        if self.slab.len() == self.slab.capacity() {
+            self.slab.reserve_exact(self.slab.len() / 8 + 16);
+        }
+        self.slab.push(Slot {
+            at,
+            seq,
+            event,
+            next: NIL,
+        });
+        (self.slab.len() - 1) as u32
+    }
+
+    /// Free slot `i` (already on no list) and return its entry.
+    #[inline]
+    fn release(&mut self, i: u32) -> Entry {
+        let slot = &mut self.slab[i as usize];
+        slot.next = self.free;
+        self.free = i;
+        Entry {
+            at: SimTime::from_nanos(slot.at),
+            seq: slot.seq,
+            event: slot.event,
+        }
+    }
+
+    /// Put slot `i` at the front of `bucket`'s list.
+    #[inline]
+    fn link(&mut self, i: u32, bucket: usize) {
+        self.slab[i as usize].next = self.heads[bucket];
+        self.heads[bucket] = i;
+    }
+
+    /// Take slot `i` off `bucket`'s list, `prev` being the slot before it
+    /// (`NIL` when `i` is the head).
+    #[inline]
+    fn unlink(&mut self, bucket: usize, prev: u32, i: u32) {
+        let next = self.slab[i as usize].next;
+        match prev {
+            NIL => self.heads[bucket] = next,
+            p => self.slab[p as usize].next = next,
+        }
+    }
+
     /// Rebuild with `nbuckets` buckets, re-estimating the bucket width:
     /// from the dequeue rate when the window's scans say the width is
-    /// wrong, from the live population's head otherwise.
+    /// wrong, from the live population's head otherwise. The entries stay
+    /// in their slots; only the links change.
     fn rebuild(&mut self, nbuckets: usize) {
         debug_assert!(nbuckets.is_power_of_two());
-        // Collect through the persistent scratch: after the first rebuild
-        // at a given population, retunes allocate nothing.
-        let mut keys = std::mem::take(&mut self.scratch_keys);
-        let mut payloads = std::mem::take(&mut self.scratch_payloads);
-        keys.clear();
-        payloads.clear();
-        keys.reserve(self.len);
-        payloads.reserve(self.len);
-        // An active today buffer rejoins the population (its already-
-        // drained prefix is dropped with the clear below).
-        let today_at = self.today_at;
-        for (seq, event) in self.today.drain(self.today_cursor..) {
-            keys.push((today_at, seq));
-            payloads.push(event);
+        // Chain every pending entry into one list: an active today buffer
+        // rejoins the population, then every day's list.
+        let mut all = NIL;
+        for k in self.today_cursor..self.today.len() {
+            let i = self.today[k];
+            self.slab[i as usize].next = all;
+            all = i;
         }
         self.today.clear();
         self.today_cursor = 0;
-        for b in &mut self.buckets {
-            keys.append(&mut b.keys);
-            payloads.append(&mut b.payloads);
+        for b in 0..self.heads.len() {
+            let mut i = std::mem::replace(&mut self.heads[b], NIL);
+            while i != NIL {
+                let next = self.slab[i as usize].next;
+                self.slab[i as usize].next = all;
+                all = i;
+                i = next;
+            }
         }
-        let min = keys.iter().map(|&(at, _)| at).min();
+        let min = self.chain(all).map(|s| s.at).min();
         let now = min.unwrap_or(self.day_start);
-        if let Some(shift) = self.dequeue_shift(now).or_else(|| estimate_shift(&keys)) {
+        let shift = self
+            .dequeue_shift(now)
+            .or_else(|| estimate_shift(self.chain(all).map(|s| s.at).collect()));
+        if let Some(shift) = shift {
             self.shift = shift;
         }
-        if nbuckets != self.buckets.len() {
-            // Resize in place: surviving (and emptied-by-append) buckets
-            // keep their key/payload capacity, so halve→double ping-pongs
-            // around a population threshold stop churning the heap.
-            self.buckets.resize_with(nbuckets, Bucket::default);
-            self.mask = nbuckets - 1;
-        }
+        self.heads.clear();
+        self.heads.resize(nbuckets, NIL);
+        self.mask = nbuckets - 1;
         self.seek_to(min.unwrap_or(0));
-        for ((at, seq), event) in keys.drain(..).zip(payloads.drain(..)) {
-            let idx = self.bucket_of(at);
-            self.buckets[idx].push(at, seq, event);
+        let mut i = all;
+        while i != NIL {
+            let next = self.slab[i as usize].next;
+            self.link(i, self.bucket_of(self.slab[i as usize].at));
+            i = next;
         }
-        self.scratch_keys = keys;
-        self.scratch_payloads = payloads;
         self.degenerate_pops = 0;
         self.stats.rebuilds += 1;
         self.open_window(now);
         self.cooldown_until = self.check_at;
+    }
+
+    /// The slots of the list starting at `head`, in list order (`NIL` is
+    /// past the end of any slab, so it ends the walk).
+    fn chain(&self, head: u32) -> impl Iterator<Item = &Slot> {
+        let mut i = head;
+        std::iter::from_fn(move || {
+            let slot = self.slab.get(i as usize)?;
+            i = slot.next;
+            Some(slot)
+        })
     }
 
     /// Start a scan-cost window at dequeue time `now`, to be checked after
@@ -390,27 +434,28 @@ impl CalendarQueue {
         }
         self.degenerate_pops += 1;
         if self.degenerate_pops >= RETUNE_AFTER {
-            self.rebuild(self.buckets.len());
+            self.rebuild(self.heads.len());
         }
     }
 
-    /// Extract every entry due at exactly `at` from the cursor bucket
-    /// into the today buffer and sort the run once by seq. Callers pop
-    /// the front via [`Self::pop_from_today`].
+    /// Move every entry due at exactly `at` from the cursor day into the
+    /// today buffer and sort the run once by seq. Callers pop the front
+    /// via [`Self::pop_from_today`].
     fn start_today_drain(&mut self, at: u64) {
         debug_assert!(self.today.is_empty());
-        let bucket = &mut self.buckets[self.cursor];
-        let mut i = 0;
-        while i < bucket.keys.len() {
-            if bucket.keys[i].0 == at {
-                let (_, seq) = bucket.keys.swap_remove(i);
-                let event = bucket.payloads.swap_remove(i);
-                self.today.push((seq, event));
+        let (mut prev, mut i) = (NIL, self.heads[self.cursor]);
+        while i != NIL {
+            let next = self.slab[i as usize].next;
+            if self.slab[i as usize].at == at {
+                self.unlink(self.cursor, prev, i);
+                self.today.push(i);
             } else {
-                i += 1;
+                prev = i;
             }
+            i = next;
         }
-        self.today.sort_unstable_by_key(|&(seq, _)| seq);
+        let slab = &self.slab;
+        self.today.sort_unstable_by_key(|&i| slab[i as usize].seq);
         self.today_at = at;
         self.today_cursor = 0;
     }
@@ -422,59 +467,54 @@ impl CalendarQueue {
     /// inserts before it flush the buffer first), and the buffer is
     /// seq-sorted.
     fn pop_from_today(&mut self) -> Entry {
-        let (seq, slot) = &mut self.today[self.today_cursor];
-        let seq = *seq;
-        // The payload is moved out and replaced with a unit-variant
-        // placeholder; the consumed slot sits behind the cursor until the
-        // buffer drains or rejoins a rebuild, both of which discard it.
-        let event = std::mem::replace(slot, Event::TraceSample);
+        let i = self.today[self.today_cursor];
         self.today_cursor += 1;
         self.len -= 1;
         if self.today_cursor == self.today.len() {
             self.today.clear();
             self.today_cursor = 0;
         }
-        Entry {
-            at: SimTime::from_nanos(self.today_at),
-            seq,
-            event,
-        }
+        self.release(i)
     }
 
-    /// Return the undrained remainder of the today buffer to its bucket
+    /// Return the undrained remainder of the today buffer to its day
     /// (used before an insert earlier than the buffered instant; the
     /// rewound walk will find the entries where the hash says they
     /// live).
     fn flush_today(&mut self) {
-        let idx = self.bucket_of(self.today_at);
-        while self.today.len() > self.today_cursor {
-            let (seq, event) = self.today.pop().expect("buffer is nonempty");
-            self.buckets[idx].push(self.today_at, seq, event);
+        let bucket = self.bucket_of(self.today_at);
+        for k in self.today_cursor..self.today.len() {
+            self.link(self.today[k], bucket);
         }
         self.today.clear();
         self.today_cursor = 0;
     }
 
-    /// Locate the entry with the global minimum `(at, seq)`. O(n +
-    /// buckets); only used when the day walk comes up dry (sparse queue
-    /// or a time horizon saturating u64 nanoseconds).
-    fn find_global_min(&self) -> Option<(usize, usize)> {
-        let mut best: Option<(usize, usize, u64, u64)> = None;
-        for (bi, b) in self.buckets.iter().enumerate() {
-            for (i, &(at, seq)) in b.keys.iter().enumerate() {
-                if best.is_none_or(|(_, _, bat, bseq)| (at, seq) < (bat, bseq)) {
-                    best = Some((bi, i, at, seq));
+    /// Locate the entry with the global minimum `(at, seq)` as `(bucket,
+    /// previous slot, slot)`. O(n + buckets); only used when the day walk
+    /// comes up dry (sparse queue or a time horizon saturating u64
+    /// nanoseconds).
+    fn find_global_min(&self) -> Option<(usize, u32, u32)> {
+        let mut best: Option<(usize, u32, u32, (u64, u64))> = None;
+        for (b, &head) in self.heads.iter().enumerate() {
+            let (mut prev, mut i) = (NIL, head);
+            while i != NIL {
+                let s = &self.slab[i as usize];
+                if best.is_none_or(|(.., key)| (s.at, s.seq) < key) {
+                    best = Some((b, prev, i, (s.at, s.seq)));
                 }
+                prev = i;
+                i = s.next;
             }
         }
-        best.map(|(bi, i, _, _)| (bi, i))
+        best.map(|(b, prev, i, _)| (b, prev, i))
     }
 }
 
 impl Scheduler for CalendarQueue {
     fn insert(&mut self, at: SimTime, seq: u64, event: Event) {
-        if self.len + 1 > self.buckets.len() * 2 {
-            self.rebuild(self.buckets.len() * 2);
+        if self.len + 1 > self.heads.len() * 2 {
+            self.rebuild(self.heads.len() * 2);
         }
         let nanos = at.as_nanos();
         if self.today_cursor < self.today.len() {
@@ -482,17 +522,20 @@ impl Scheduler for CalendarQueue {
                 // The insert fires at the buffered instant: merge it at
                 // its seq position. The engine's seq is monotonic, so
                 // this is an O(1) append at the back.
+                let i = self.alloc(nanos, seq, event);
+                let slab = &self.slab;
                 let pos = self.today_cursor
-                    + self.today[self.today_cursor..].partition_point(|&(s, _)| s < seq);
-                self.today.insert(pos, (seq, event));
+                    + self.today[self.today_cursor..]
+                        .partition_point(|&j| slab[j as usize].seq < seq);
+                self.today.insert(pos, i);
                 self.len += 1;
                 return;
             }
             if nanos < self.today_at {
                 // Inserting before the buffered instant: the buffer is
-                // no longer the global front. Return it to its bucket
-                // and fall through to the ordinary path (which rewinds
-                // if the insert also predates the current day).
+                // no longer the global front. Return it to its day and
+                // fall through to the ordinary path (which rewinds if
+                // the insert also predates the current day).
                 self.flush_today();
             }
             // nanos > today_at: later entries take the ordinary bucket
@@ -504,8 +547,8 @@ impl Scheduler for CalendarQueue {
         if self.len == 0 || nanos < self.day_start {
             self.seek_to(nanos);
         }
-        let idx = self.bucket_of(nanos);
-        self.buckets[idx].push(nanos, seq, event);
+        let i = self.alloc(nanos, seq, event);
+        self.link(i, self.bucket_of(nanos));
         self.len += 1;
     }
 
@@ -517,79 +560,81 @@ impl Scheduler for CalendarQueue {
         if self.today_cursor < self.today.len() {
             return Some(self.pop_from_today());
         }
-        if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            self.rebuild(self.buckets.len() / 2);
+        if self.len < self.heads.len() / 4 && self.heads.len() > MIN_BUCKETS {
+            self.rebuild(self.heads.len() / 2);
         }
         let width = 1u64 << self.shift;
-        for walked in 0..self.buckets.len() {
+        for walked in 0..self.heads.len() {
             let day_last = self.day_start.saturating_add(width - 1);
             if day_last == u64::MAX {
                 // The day span saturates u64: day arithmetic can no longer
                 // distinguish years, so fall through to the direct search.
                 break;
             }
-            let bucket = &self.buckets[self.cursor];
-            if !bucket.is_empty() {
-                // The whole current day lives in this one bucket, and no
-                // entry predates the current day, so the bucket-local
-                // minimum within the day is the global minimum. Only the
-                // key array is scanned; payloads stay untouched.
-                let mut besti = usize::MAX;
-                let mut best = (u64::MAX, u64::MAX);
-                let mut ties = 0usize;
-                for (i, &(at, seq)) in bucket.keys.iter().enumerate() {
-                    if at > day_last {
-                        continue;
-                    }
-                    if at < best.0 {
-                        best = (at, seq);
-                        besti = i;
+            // The whole current day lives in this one bucket, and no entry
+            // predates the current day, so the bucket-local minimum within
+            // the day is the global minimum.
+            let (mut prev, mut i) = (NIL, self.heads[self.cursor]);
+            let (mut best_prev, mut best_i) = (NIL, NIL);
+            let mut best = (u64::MAX, u64::MAX);
+            let mut ties = 0usize;
+            let mut scanned = 0usize;
+            while i != NIL {
+                let s = &self.slab[i as usize];
+                scanned += 1;
+                if s.at <= day_last {
+                    if s.at < best.0 {
+                        best = (s.at, s.seq);
+                        (best_prev, best_i) = (prev, i);
                         ties = 1;
-                    } else if at == best.0 {
+                    } else if s.at == best.0 {
                         ties += 1;
-                        if seq < best.1 {
-                            best = (at, seq);
-                            besti = i;
+                        if s.seq < best.1 {
+                            best = (s.at, s.seq);
+                            (best_prev, best_i) = (prev, i);
                         }
                     }
                 }
-                if besti != usize::MAX {
-                    let scanned = bucket.len();
-                    self.stats.scanned += scanned as u64;
-                    if ties > TODAY_DRAIN {
-                        // Oversized same-instant run: no width can spread
-                        // it, and per-pop rescans would make it O(k²).
-                        // Sort the run once and drain it (module docs).
-                        self.stats.drains += 1;
-                        self.start_today_drain(best.0);
-                        return Some(self.pop_from_today());
-                    }
-                    let entry = self.buckets[self.cursor].swap_remove(besti);
-                    self.len -= 1;
-                    // Either degeneracy triggers a retune: a long scan of
-                    // one bucket (width too coarse) or a long march over
-                    // empty days (width too fine).
-                    if scanned > WIDE_SCAN || walked > LONG_WALK {
-                        self.note_degenerate_pop();
-                    }
-                    // Close the scan-cost window: rebuild at the dequeue
-                    // rate if it scanned too much, else open the next.
-                    if self.stats.pops >= self.check_at {
-                        match self.dequeue_shift(best.0) {
-                            Some(_) => self.rebuild(self.buckets.len()),
-                            None => self.open_window(best.0),
-                        }
-                    }
-                    return Some(entry);
+                prev = i;
+                i = s.next;
+            }
+            if best_i != NIL {
+                self.stats.scanned += scanned as u64;
+                if ties > TODAY_DRAIN {
+                    // Oversized same-instant run: no width can spread it,
+                    // and per-pop rescans would make it O(k²). Sort the
+                    // run once and drain it (module docs).
+                    self.stats.drains += 1;
+                    self.start_today_drain(best.0);
+                    return Some(self.pop_from_today());
                 }
+                self.unlink(self.cursor, best_prev, best_i);
+                let entry = self.release(best_i);
+                self.len -= 1;
+                // Either degeneracy triggers a retune: a long scan of one
+                // bucket (width too coarse) or a long march over empty
+                // days (width too fine).
+                if scanned > WIDE_SCAN || walked > LONG_WALK {
+                    self.note_degenerate_pop();
+                }
+                // Close the scan-cost window: rebuild at the dequeue rate
+                // if it scanned too much, else open the next.
+                if self.stats.pops >= self.check_at {
+                    match self.dequeue_shift(best.0) {
+                        Some(_) => self.rebuild(self.heads.len()),
+                        None => self.open_window(best.0),
+                    }
+                }
+                return Some(entry);
             }
             self.cursor = (self.cursor + 1) & self.mask;
             self.day_start = self.day_start.saturating_add(width);
         }
         // A full year of days held nothing due: the queue is sparse
         // relative to its width. Jump straight to the global minimum.
-        let (bi, i) = self.find_global_min().expect("len > 0 entries exist");
-        let entry = self.buckets[bi].swap_remove(i);
+        let (bucket, prev, i) = self.find_global_min().expect("len > 0 entries exist");
+        self.unlink(bucket, prev, i);
+        let entry = self.release(i);
         self.len -= 1;
         self.seek_to(entry.at.as_nanos());
         self.note_degenerate_pop();
@@ -607,26 +652,25 @@ fn shift_for_width(width_nanos: u64) -> u32 {
     w.next_power_of_two().trailing_zeros().min(MAX_SHIFT)
 }
 
-/// Width heuristic: three times the mean gap across the *earlier half*
-/// of the pending population (never fewer than [`WIDTH_SAMPLE`]
-/// entries). Pop cost is governed by event density near the head of the
-/// queue — the far-future timer tail must not influence the estimate (a
-/// global mean would let one 60 s RTO timer widen the buckets that the
-/// microsecond-scale packet events live in), which rules out a full-span
-/// mean; but a head sample must also be deep enough that a same-instant
-/// burst (64 senders released by one ack batch) cannot collapse the
-/// estimate to nanoseconds and leave every pop marching over empty days.
-/// Half the population is both: burst-proof at scale, tail-blind because
-/// timers sort last. The head is found with an O(n) partial selection,
-/// not a full sort. Returns `None` when the whole sampled head is a
-/// single instant (ties pop FIFO from one bucket regardless of width, so
-/// any width serves).
-fn estimate_shift(keys: &[(u64, u64)]) -> Option<u32> {
-    let n = keys.len();
+/// Width heuristic over the pending entries' `times`: three times the
+/// mean gap across the *earlier half* of the population (never fewer
+/// than [`WIDTH_SAMPLE`] entries). Pop cost is governed by event density
+/// near the head of the queue — the far-future timer tail must not
+/// influence the estimate (a global mean would let one 60 s RTO timer
+/// widen the buckets that the microsecond-scale packet events live in),
+/// which rules out a full-span mean; but a head sample must also be deep
+/// enough that a same-instant burst (64 senders released by one ack
+/// batch) cannot collapse the estimate to nanoseconds and leave every pop
+/// marching over empty days. Half the population is both: burst-proof at
+/// scale, tail-blind because timers sort last. The head is found with an
+/// O(n) partial selection, not a full sort. Returns `None` when the whole
+/// sampled head is a single instant (ties pop FIFO from one bucket
+/// regardless of width, so any width serves).
+fn estimate_shift(mut times: Vec<u64>) -> Option<u32> {
+    let n = times.len();
     if n < 2 {
         return None;
     }
-    let mut times: Vec<u64> = keys.iter().map(|&(at, _)| at).collect();
     let k = (n / 2).clamp(WIDTH_SAMPLE.min(n - 1), n - 1);
     times.select_nth_unstable(k);
     let head = &times[..=k];
@@ -713,15 +757,11 @@ mod tests {
         for seq in 0..10_000u64 {
             q.insert(t(seq * 1_000), seq, wake(0));
         }
-        assert!(q.buckets.len() >= 4096, "array grew: {}", q.buckets.len());
+        assert!(q.heads.len() >= 4096, "array grew: {}", q.heads.len());
         for _ in 0..9_990 {
             q.pop().unwrap();
         }
-        assert!(
-            q.buckets.len() <= 64,
-            "array shrank back: {}",
-            q.buckets.len()
-        );
+        assert!(q.heads.len() <= 64, "array shrank back: {}", q.heads.len());
         assert_eq!(q.len(), 10);
     }
 
@@ -889,11 +929,73 @@ mod tests {
         let s = q.stats();
         let per_pop = (s.scanned - warm.scanned) as f64 / (s.pops - warm.pops) as f64;
         assert!(per_pop <= 6.0, "{per_pop:.1} keys scanned per pop");
-        let capacity: usize = q.buckets.iter().map(|b| b.keys.capacity()).sum();
+    }
+
+    impl CalendarQueue {
+        /// Bytes the queue holds allocated: slab, day heads, today buffer.
+        fn storage_bytes(&self) -> usize {
+            self.slab.capacity() * std::mem::size_of::<Slot>()
+                + (self.heads.capacity() + self.today.capacity()) * std::mem::size_of::<u32>()
+        }
+    }
+
+    #[test]
+    fn storage_follows_the_live_population_through_retunes() {
+        // 10⁴ long timers (RTO-like, re-armed 100 ms ahead) under 32 short
+        // ones whose re-arm period changes by phase, while a second 10⁴
+        // long timers join halfway: the dequeue rate and the population
+        // both move, so the queue resizes and retunes its days several
+        // times. Whatever a day once held, storage stays within 48 bytes
+        // per entry of the peak population, plus 8 per bucket.
+        let mut q = CalendarQueue::new();
+        let mut seq = 0u64;
+        let mut insert = |q: &mut CalendarQueue, at: u64, flow: u32| {
+            q.insert(t(at), seq, wake(flow));
+            seq += 1;
+        };
+        for i in 0..10_000u64 {
+            insert(&mut q, 10_000_000 + i * 10_000, 0);
+        }
+        for i in 0..32u64 {
+            insert(&mut q, i * 1_000, 1);
+        }
+        let (mut peak, mut now) = (q.len(), 0);
+        let rebuilds = q.stats().rebuilds;
+        let assert_storage = |q: &CalendarQueue, peak: usize| {
+            assert!(
+                q.storage_bytes() <= 48 * peak + 8 * q.heads.len(),
+                "{} bytes for a peak of {peak} entries and {} buckets",
+                q.storage_bytes(),
+                q.heads.len()
+            );
+        };
+        for (phase, short_period) in [32_000u64, 3_200, 320_000, 32_000].into_iter().enumerate() {
+            if phase == 2 {
+                for i in 0..10_000u64 {
+                    insert(&mut q, now + 1_000_000 + i * 10_000, 0);
+                }
+            }
+            for _ in 0..200_000 {
+                let e = q.pop().unwrap();
+                let (at, Event::SenderWake { flow }) = (e.at.as_nanos(), e.event) else {
+                    unreachable!()
+                };
+                now = at;
+                let period = if flow.0 == 1 {
+                    short_period
+                } else {
+                    100_000_000
+                };
+                insert(&mut q, at + period, flow.0);
+                peak = peak.max(q.len());
+            }
+            assert_storage(&q, peak);
+        }
+        assert_eq!(peak, 20_032);
         assert!(
-            capacity <= 8 * q.len(),
-            "buckets hold capacity for {capacity} keys, {} live",
-            q.len()
+            q.stats().rebuilds >= rebuilds + 3,
+            "the queue resized and retuned: {:?}",
+            q.stats()
         );
     }
 

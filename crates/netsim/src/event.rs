@@ -65,7 +65,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Everything that can happen in the network simulator.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub enum Event {
     /// A packet arrives at the ingress of `link` and must be enqueued
     /// (or transmitted immediately if the link is idle).
@@ -120,30 +120,24 @@ pub enum Event {
         /// RTO generation the timer was armed for.
         gen: u64,
     },
-    /// The ON/OFF workload process for `flow` toggles state.
+    /// The ON/OFF workload process for `flow` toggles state. Workload
+    /// timers are never cancelled, so they carry no generation.
     WorkloadToggle {
         /// Flow whose workload toggles.
         flow: FlowId,
-        /// Workload-timer generation the toggle was armed for.
-        gen: u64,
     },
     /// A new transfer arrives at an unblocked (M/G/∞) churn slot: the
     /// slot's concurrent-flow count increments and the next Poisson
-    /// arrival is drawn. `gen` guards against stale timers exactly as in
-    /// [`Event::WorkloadToggle`].
+    /// arrival is drawn.
     FlowArrival {
         /// Churn slot the transfer arrives at.
         flow: FlowId,
-        /// Workload-timer generation the arrival was drawn for.
-        gen: u64,
     },
     /// One transfer of an unblocked churn slot completes; the slot turns
     /// OFF when its concurrent-flow count reaches zero.
     FlowDeparture {
         /// Churn slot the transfer departs from.
         flow: FlowId,
-        /// Workload-timer generation the departure was drawn for.
-        gen: u64,
     },
     /// Periodic trace sample (queue occupancy time series, Fig 8).
     TraceSample,

@@ -147,24 +147,31 @@ impl FlowOutcome {
 
 /// Tracks ON intervals so `on_time` is exact even when the simulation ends
 /// mid-burst.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct OnTimeTracker {
-    on_since: Option<SimTime>,
+    /// Start of the open interval (`SimTime::MAX`: none open).
+    on_since: SimTime,
+}
+
+impl Default for OnTimeTracker {
+    fn default() -> Self {
+        OnTimeTracker {
+            on_since: SimTime::MAX,
+        }
+    }
 }
 
 impl OnTimeTracker {
     /// Mark the flow ON starting at `now`.
     pub fn turn_on(&mut self, now: SimTime) {
-        debug_assert!(self.on_since.is_none(), "double turn_on");
-        self.on_since = Some(now);
+        debug_assert!(!self.is_on(), "double turn_on");
+        self.on_since = now;
     }
 
     /// Returns the completed interval length.
     pub fn turn_off(&mut self, now: SimTime) -> SimDuration {
-        match self.on_since.take() {
-            Some(s) => now - s,
-            None => SimDuration::ZERO,
-        }
+        let since = std::mem::replace(&mut self.on_since, SimTime::MAX);
+        now - since
     }
 
     /// Close out a dangling interval at simulation end.
@@ -174,7 +181,7 @@ impl OnTimeTracker {
 
     /// Whether an interval is currently open.
     pub fn is_on(&self) -> bool {
-        self.on_since.is_some()
+        self.on_since != SimTime::MAX
     }
 }
 

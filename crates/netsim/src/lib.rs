@@ -63,13 +63,22 @@
 //!   free-list instead of touching the heap. Loss detection counts what
 //!   it declares lost instead of collecting it. What still allocates is
 //!   growth: a flow's reliability rings grow to the largest window it has
-//!   kept in flight (and keep that capacity across epochs), calendar
-//!   buckets to the most a day has held. At steady state the hot handlers
-//!   and the scheduler allocate nothing (tracked by the
-//!   `sim_allocs_per_event_*` perf-gate metrics), and nothing is reserved
-//!   from a path's bandwidth-delay product, which at 10⁴ flows with
-//!   sub-packet fair shares would be most of the heap
+//!   kept in flight (and keep that capacity across epochs), the
+//!   calendar's slab to the most timers ever pending at once. At steady
+//!   state the hot handlers and the scheduler allocate nothing (tracked by
+//!   the `sim_allocs_per_event_*` perf-gate metrics), and nothing is
+//!   reserved from a path's bandwidth-delay product, which at 10⁴ flows
+//!   with sub-packet fair shares would be most of the heap
 //!   (`sim_peak_heap_mb_10k`).
+//! * **Per-flow state without idle padding.** At 10⁴ flows each word of
+//!   a flow slot costs 80 kB, so the slots hold what is live: sentinels
+//!   instead of `Option`s in the sender slot, the transport and its ring
+//!   slots (16 and 8 bytes, the value itself), data and ACK routes as
+//!   ranges of one per-simulation route table, and the delayed-ACK state
+//!   boxed where only delayed-ACK receivers pay for it. Compile-time
+//!   asserts hold the sender slot to 400 bytes and the receiver slot to
+//!   64; a built 10⁴-flow cell holds about 0.67 kB per flow, controller
+//!   included (`netsim.sim.kb_per_flow` in the benchmark).
 //! * **Packet events bypass the priority queue.** A link's
 //!   serializations, its propagations and the acknowledgments returning
 //!   over one fixed delay are each scheduled in an order known in
@@ -89,18 +98,26 @@
 //!   serialization time, re-estimated from the live event population
 //!   on every resize, and re-derived from the dequeue rate when a large
 //!   queue's pops keep scanning crowded days (see the `calendar` module
-//!   docs for the tuning knobs). Buckets store `(time, seq)` keys
-//!   separately from event payloads, so bucket scans touch only a dense
-//!   16-byte-per-entry key array. The `BinaryHeap` backend stays
+//!   docs for the tuning knobs). Entries live in one slab and a day is a
+//!   linked list through it, so the queue holds about 40 bytes per
+//!   pending timer plus 4 per bucket, whatever a day once held. The
+//!   `BinaryHeap` backend stays
 //!   selectable per simulation ([`event::SchedulerKind::Heap`] through
 //!   [`sim::Simulation::with_scheduler`]) as the O(log n) reference; on
 //!   timers alone the two run close, and the calendar does not reliably
 //!   beat the heap even with 2×10⁴ of them standing.
-//! * **No library rounding on the per-ACK path.** Seconds-to-nanosecond
-//!   conversions and duration scaling round with an inline
-//!   truncate-and-compare that is bit-identical to `f64::round` (which
-//!   is a library call on baseline x86-64); the paper tier's per-ACK
-//!   1 Gbps serialization is folded into the flow's return delay once.
+//! * **No float work the per-ACK path can do without.** The RTT
+//!   estimator and the RTO scale by their RFC 6298 gains in integers —
+//!   `(n·x + d/2) >> log2 d`, exact for every duration the simulator
+//!   reaches — and back off by a saturating multiply; a link converts its
+//!   data and ACK serialization times once; a Tao leaf carries its pacing
+//!   as a `SimDuration` from compile time; and the send loop reads the
+//!   window and pacing interval the engine cached after the controller's
+//!   last callback, so it makes no virtual call. What float conversion
+//!   remains rounds with an inline truncate-and-compare that is
+//!   bit-identical to `f64::round` (a library call on baseline x86-64);
+//!   the paper tier's per-ACK 1 Gbps serialization is folded into the
+//!   flow's return delay once.
 //! * **The scheduler only sees events that have to wait.** Events due at
 //!   the instant being dispatched ride a plain `Vec` lane past the
 //!   backend ([`event::EventQueue`]); a flow keeps one armed `RtoCheck`

@@ -6,7 +6,7 @@
 //! model ns-2's `DelayLink` + queue object pair implements, which the paper
 //! uses for all experiments.
 
-use crate::packet::Packet;
+use crate::packet::{Packet, PacketDir, ACK_BYTES, DATA_PACKET_BYTES};
 use crate::queue::{QueueDiscipline, QueueStats, QueuedPacket};
 use crate::time::{SimDuration, SimTime};
 
@@ -28,6 +28,10 @@ pub struct Link {
     rate_bps: f64,
     /// One-way propagation delay.
     delay: SimDuration,
+    /// Serialization time of a data packet and of an acknowledgment
+    /// (every packet is one or the other), computed once.
+    data_tx: SimDuration,
+    ack_tx: SimDuration,
     queue: Box<dyn QueueDiscipline>,
     busy: bool,
     /// Outage state: while down the link starts no new transmissions —
@@ -46,6 +50,8 @@ impl Link {
         Link {
             rate_bps,
             delay,
+            data_tx: serialization(DATA_PACKET_BYTES, rate_bps),
+            ack_tx: serialization(ACK_BYTES, rate_bps),
             queue,
             busy: false,
             down: false,
@@ -65,7 +71,7 @@ impl Link {
 
     /// Time to serialize `bytes` onto the wire.
     pub fn tx_time(&self, bytes: u32) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 * 8.0 / self.rate_bps)
+        serialization(bytes, self.rate_bps)
     }
 
     /// Typical spacing between the per-packet events this link generates
@@ -73,14 +79,23 @@ impl Link {
     /// takes the minimum over all links to seed the calendar scheduler's
     /// bucket width (see [`crate::calendar::CalendarQueue`]).
     pub fn event_spacing_hint(&self) -> SimDuration {
-        self.tx_time(crate::packet::DATA_PACKET_BYTES)
+        self.data_tx
+    }
+
+    /// Time to serialize `pkt` onto the wire.
+    #[inline]
+    fn pkt_tx_time(&self, pkt: &Packet) -> SimDuration {
+        match pkt.dir() {
+            PacketDir::Data => self.data_tx,
+            PacketDir::Ack => self.ack_tx,
+        }
     }
 
     /// A packet arrives at the link ingress.
     pub fn offer(&mut self, pkt: Packet, now: SimTime) -> Offer {
         if !self.busy && !self.down {
             self.busy = true;
-            Offer::StartTx(self.tx_time(pkt.size()))
+            Offer::StartTx(self.pkt_tx_time(&pkt))
         } else if self.queue.enqueue(
             QueuedPacket {
                 pkt,
@@ -111,7 +126,7 @@ impl Link {
             return None;
         }
         match self.queue.dequeue(now) {
-            Some(qp) => Some((qp.pkt, self.tx_time(qp.pkt.size()))),
+            Some(qp) => Some((qp.pkt, self.pkt_tx_time(&qp.pkt))),
             None => {
                 self.busy = false;
                 None
@@ -166,8 +181,13 @@ impl Link {
         }
         let qp = self.queue.dequeue(now)?;
         self.busy = true;
-        Some((qp.pkt, self.tx_time(qp.pkt.size())))
+        Some((qp.pkt, self.pkt_tx_time(&qp.pkt)))
     }
+}
+
+/// Time to serialize `bytes` at `rate_bps`.
+fn serialization(bytes: u32, rate_bps: f64) -> SimDuration {
+    SimDuration::from_secs_f64(bytes as f64 * 8.0 / rate_bps)
 }
 
 #[cfg(test)]

@@ -141,30 +141,57 @@ use crate::topology::{FaultSpec, NetworkConfig, ReceiverSpec};
 use crate::trace::{QueueSample, Trace};
 use crate::transport::{CongestionControl, Transport};
 
+/// A flow's path: a range of [`Simulation::routes`], in hop order.
+#[derive(Clone, Copy)]
+struct Route {
+    start: u32,
+    len: u32,
+}
+
+impl Route {
+    const EMPTY: Route = Route { start: 0, len: 0 };
+
+    /// Append `links` to the route table as a new route.
+    fn push(table: &mut Vec<LinkId>, links: impl IntoIterator<Item = LinkId>) -> Route {
+        let start = table.len();
+        table.extend(links);
+        Route {
+            start: start as u32,
+            len: (table.len() - start) as u32,
+        }
+    }
+
+    fn links(self, table: &[LinkId]) -> &[LinkId] {
+        &table[self.start as usize..][..self.len as usize]
+    }
+}
+
 struct SenderSlot {
     cc: Box<dyn CongestionControl>,
+    /// `cc.window()` as a packet count and `cc.intersend()`, read after
+    /// every callback that can change them (`reset`, `on_ack`, `on_loss`,
+    /// `on_timeout`; both are `&self` functions of the controller's
+    /// state), so the send loop makes no virtual call.
+    window: usize,
+    intersend: SimDuration,
     transport: Transport,
     workload: crate::workload::Workload,
-    route: Vec<usize>,
-    /// Pure delay an acknowledgment spends after its last reverse link:
-    /// in the paper tier the whole reverse path (propagation plus the
-    /// 1 Gbps serialization), in the link tier the propagation of route
-    /// hops without a [`crate::topology::ReverseSpec`].
-    ack_delay: SimDuration,
-    /// Reverse links (indices into `Simulation::links`) this flow's ACKs
-    /// traverse, in reverse-route order; empty selects the paper's
-    /// uncongested-reverse arithmetic.
-    ack_route: Vec<usize>,
+    route: Route,
+    /// Reverse links this flow's ACKs traverse, in reverse-route order;
+    /// empty selects the paper's uncongested-reverse arithmetic.
+    ack_route: Route,
     /// Concurrent transfers hosted by this slot (unblocked M/G/∞ churn);
     /// the slot is ON while this is nonzero.
     active_flows: u32,
     on: bool,
     on_tracker: OnTimeTracker,
-    /// Time of the last transmission, for pacing.
-    last_send: Option<SimTime>,
-    /// Firing time of the earliest queued SenderWake; cleared only by
-    /// that wake, so a later one is never scheduled twice.
-    pending_wake: Option<SimTime>,
+    /// Time of the last transmission, for pacing (`SimTime::MAX`: none
+    /// this epoch).
+    last_send: SimTime,
+    /// Firing time of the earliest queued SenderWake (`SimTime::MAX`:
+    /// none); cleared only by that wake, so a later one is never
+    /// scheduled twice.
+    pending_wake: SimTime,
     /// Current RTO deadline (valid only at the matching rto_gen).
     rto_deadline: SimTime,
     /// Queue seq reserved for a check at `rto_deadline` (see "Timers and
@@ -173,9 +200,22 @@ struct SenderSlot {
     /// Firing time of the queued RtoCheck of the current generation that
     /// will carry the deadline forward (`SimTime::MAX`: none is queued).
     rto_armed: SimTime,
-    toggle_gen: u64,
     rng: SimRng,
 }
+
+impl SenderSlot {
+    /// Refresh the cached window and pacing interval after a callback.
+    fn read_cc(&mut self) {
+        self.window = self.cc.window() as usize;
+        self.intersend = self.cc.intersend();
+    }
+}
+
+/// Per-flow engine state stays within these sizes: at 10⁴ flows each
+/// word of a slot costs 80 kB (`sim_peak_heap_mb_10k`,
+/// `netsim.sim.kb_per_flow`).
+const _FLOW_SLOTS_STAY_SMALL: () =
+    assert!(std::mem::size_of::<SenderSlot>() <= 400 && std::mem::size_of::<ReceiverSlot>() <= 64);
 
 /// Runtime state of one forward link's [`FaultSpec`] process: the
 /// per-link child RNG (forked only for links that declare a fault, so
@@ -197,8 +237,9 @@ struct ReceiverSlot {
     seen: SeqTracker,
     /// ACK-policy state machine; `None` (every flow whose spec is absent
     /// or [`ReceiverSpec::is_immediate`]) selects the historical
-    /// immediate per-packet-ack path, bit for bit.
-    policy: Option<PolicyState>,
+    /// immediate per-packet-ack path, bit for bit. Boxed: only
+    /// delayed-ACK receivers pay for it.
+    policy: Option<Box<PolicyState>>,
 }
 
 /// Runtime state of one receiver's non-immediate ACK policy.
@@ -239,7 +280,7 @@ impl PolicyState {
 }
 
 /// Aggregate outcome of a simulation run.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct RunOutcome {
     /// Per-flow results, indexed by flow id.
     pub flows: Vec<FlowOutcome>,
@@ -301,15 +342,23 @@ pub struct Simulation {
     /// Forward links (config order), then reverse links (see
     /// [`RunOutcome::link_queues`] for the layout).
     links: Vec<Link>,
+    /// Every flow's data and ACK routes, end to end ([`Route`]).
+    routes: Vec<LinkId>,
     /// Number of forward links; `links[n_forward..]` are reverse links.
     n_forward: usize,
     /// Per link, the delay line of its `TxComplete` events.
     tx_line: Vec<Line>,
     /// Per link, the delay line of its `Propagated` events.
     prop_line: Vec<Line>,
-    /// Per flow, the delay line of its `AckArrive` events (shared by the
-    /// flows with the same `ack_delay`).
-    ack_line: Vec<Line>,
+    /// Per flow, an index into `ack_returns`.
+    ack_return: Vec<u32>,
+    /// Each distinct pure delay an acknowledgment spends after its flow's
+    /// last reverse link — in the paper tier the whole reverse path
+    /// (propagation plus the 1 Gbps serialization), in the link tier the
+    /// propagation of route hops without a
+    /// [`crate::topology::ReverseSpec`] — with the delay line its
+    /// `AckArrive` events wait on.
+    ack_returns: Vec<(Line, SimDuration)>,
     /// Shared reverse link index per forward link (`None` when the link
     /// has no shared [`crate::topology::ReverseSpec`]).
     shared_rev: Vec<Option<usize>>,
@@ -328,6 +377,9 @@ pub struct Simulation {
     scheduler: SchedulerKind,
     /// Running FNV-1a digest over dispatched events (None = disabled).
     event_digest: Option<u64>,
+    /// Per flow, a running FNV-1a digest of every acknowledgment its
+    /// reliability layer processed; empty unless digests are enabled.
+    ack_digests: Vec<u64>,
 }
 
 impl Simulation {
@@ -374,29 +426,35 @@ impl Simulation {
                 Link::new(ls.rate_bps, ls.one_way_delay(), ls.queue.build(salt))
             })
             .collect();
+        let mut routes = Vec::new();
         let mut senders: Vec<SenderSlot> = protocols
             .into_iter()
             .enumerate()
             .map(|(i, cc)| SenderSlot {
                 cc,
+                window: 0,
+                intersend: SimDuration::ZERO,
                 transport: Transport::new(FlowId(i as u32)),
                 workload: crate::workload::Workload::new(config.flows[i].workload.clone()),
-                route: config.flows[i].route.clone(),
-                ack_delay: config.ack_delay(i) + paper_ack_tx,
-                ack_route: Vec::new(),
+                route: Route::push(
+                    &mut routes,
+                    config.flows[i].route.iter().map(|&l| LinkId(l as u32)),
+                ),
+                ack_route: Route::EMPTY,
                 active_flows: 0,
                 on: false,
                 on_tracker: OnTimeTracker::default(),
-                last_send: None,
-                pending_wake: None,
+                last_send: SimTime::MAX,
+                pending_wake: SimTime::MAX,
                 rto_deadline: SimTime::MAX,
                 rto_seq: 0,
                 rto_armed: SimTime::MAX,
-                toggle_gen: 0,
                 rng: root.fork(0x2222 + i as u64),
             })
             .collect();
         let n = senders.len();
+        let mut ack_delay: Vec<SimDuration> =
+            (0..n).map(|i| config.ack_delay(i) + paper_ack_tx).collect();
         // Reverse links, appended after the forward links: one shared
         // link per spec'd LinkSpec (link order), then one private link
         // per (flow, unshared spec'd hop) pair (flow order, reverse-route
@@ -423,11 +481,11 @@ impl Simulation {
             }
         }
         for (i, f) in config.flows.iter().enumerate() {
-            let mut ack_route = Vec::new();
+            let start = routes.len();
             let mut residual = SimDuration::ZERO;
             for &l in f.route.iter().rev() {
                 match &config.links[l].reverse {
-                    Some(r) => ack_route.push(match shared_rev[l] {
+                    Some(r) => routes.push(LinkId(match shared_rev[l] {
                         Some(idx) => idx,
                         None => {
                             let idx = links.len();
@@ -438,10 +496,14 @@ impl Simulation {
                             ));
                             idx
                         }
-                    }),
+                    } as u32)),
                     None => residual += config.links[l].one_way_delay(),
                 }
             }
+            let ack_route = Route {
+                start: start as u32,
+                len: (routes.len() - start) as u32,
+            };
             if f.reverse_data {
                 // Upload flow: its *data* traverses the route's reverse
                 // links (in reverse-route order), while its own
@@ -451,10 +513,10 @@ impl Simulation {
                 // guarantees every route hop declared a ReverseSpec, so
                 // the reverse chain covers the whole path.
                 senders[i].route = ack_route;
-                senders[i].ack_delay = config.min_one_way(i) + paper_ack_tx;
-            } else if !ack_route.is_empty() {
+                ack_delay[i] = config.min_one_way(i) + paper_ack_tx;
+            } else if ack_route.len > 0 {
                 senders[i].ack_route = ack_route;
-                senders[i].ack_delay = residual;
+                ack_delay[i] = residual;
             }
         }
         // Fault-process RNGs, forked last and only for links declaring a
@@ -491,20 +553,28 @@ impl Simulation {
         let mut events = EventQueue::with_kind_and_hint(scheduler, spacing_hint);
         let tx_line = links.iter().map(|_| events.line()).collect();
         let prop_line = links.iter().map(|_| events.line()).collect();
+        let mut ack_returns = Vec::new();
         let mut by_delay = std::collections::BTreeMap::new();
-        let ack_line = senders
-            .iter()
-            .map(|s| *by_delay.entry(s.ack_delay).or_insert_with(|| events.line()))
+        let ack_return = ack_delay
+            .into_iter()
+            .map(|d| {
+                *by_delay.entry(d).or_insert_with(|| {
+                    ack_returns.push((events.line(), d));
+                    ack_returns.len() as u32 - 1
+                })
+            })
             .collect();
         Simulation {
             now: SimTime::ZERO,
             events,
             arena: PacketArena::new(),
             links,
+            routes,
             n_forward,
             tx_line,
             prop_line,
-            ack_line,
+            ack_return,
+            ack_returns,
             shared_rev,
             senders,
             receivers: config
@@ -517,7 +587,7 @@ impl Simulation {
                         .receiver
                         .as_ref()
                         .filter(|r| !r.is_immediate())
-                        .map(|spec| PolicyState::new(spec.clone())),
+                        .map(|spec| Box::new(PolicyState::new(spec.clone()))),
                 })
                 .collect(),
             faults,
@@ -540,6 +610,7 @@ impl Simulation {
             event_budget: u64::MAX,
             scheduler,
             event_digest: None,
+            ack_digests: Vec::new(),
         }
     }
 
@@ -571,9 +642,7 @@ impl Simulation {
     /// runs dispatched the identical event sequence.
     pub fn enable_event_digest(&mut self) {
         self.event_digest = Some(crate::event::FNV_OFFSET);
-        for s in &mut self.senders {
-            s.transport.enable_ack_digest();
-        }
+        self.ack_digests = vec![crate::event::FNV_OFFSET; self.senders.len()];
     }
 
     /// Cap the number of processed events (optimizer safety valve).
@@ -601,11 +670,10 @@ impl Simulation {
                 };
                 if let Some(t) = first {
                     let flow = FlowId(i as u32);
-                    let gen = self.senders[i].toggle_gen;
                     let ev = if self.senders[i].workload.mginf_rates().is_some() {
-                        Event::FlowArrival { flow, gen }
+                        Event::FlowArrival { flow }
                     } else {
-                        Event::WorkloadToggle { flow, gen }
+                        Event::WorkloadToggle { flow }
                     };
                     self.events.schedule(t, ev);
                 }
@@ -689,14 +757,16 @@ impl Simulation {
     }
 
     /// Per-flow running digests of every acknowledgment the reliability
-    /// layer processed (see [`Transport::ack_digest`]); the determinism
-    /// tests compare these across scheduler backends. `None` per flow
-    /// unless [`enable_event_digest`](Self::enable_event_digest) was
-    /// called before the run.
+    /// layer processed — valid or not, folding its arrival time, sequence
+    /// and epoch, echoed transmission index and retransmission flag; the
+    /// determinism tests compare these across scheduler backends. Two runs
+    /// with equal digests fed a flow's transport the identical ack
+    /// sequence. `None` per flow unless
+    /// [`enable_event_digest`](Self::enable_event_digest) was called
+    /// before the run.
     pub fn ack_digests(&self) -> Vec<Option<u64>> {
-        self.senders
-            .iter()
-            .map(|s| s.transport.ack_digest())
+        (0..self.senders.len())
+            .map(|i| self.ack_digests.get(i).copied())
             .collect()
     }
 
@@ -735,15 +805,15 @@ impl Simulation {
                 // clearing it made the next `try_send` schedule a
                 // duplicate of a wake that is still queued.
                 let s = &mut self.senders[i];
-                if s.pending_wake == Some(self.now) {
-                    s.pending_wake = None;
+                if s.pending_wake == self.now {
+                    s.pending_wake = SimTime::MAX;
                 }
                 self.try_send(i);
             }
             Event::RtoCheck { flow, gen } => self.handle_rto(flow, gen),
-            Event::WorkloadToggle { flow, gen } => self.handle_toggle(flow, gen),
-            Event::FlowArrival { flow, gen } => self.handle_flow_arrival(flow, gen),
-            Event::FlowDeparture { flow, gen } => self.handle_flow_departure(flow, gen),
+            Event::WorkloadToggle { flow } => self.handle_toggle(flow),
+            Event::FlowArrival { flow } => self.handle_flow_arrival(flow),
+            Event::FlowDeparture { flow } => self.handle_flow_departure(flow),
             Event::TraceSample => self.handle_trace_sample(end),
             Event::LinkDown { link } => self.handle_link_down(link),
             Event::LinkUp { link } => self.handle_link_up(link),
@@ -853,12 +923,12 @@ impl Simulation {
             }
         }
         let flow = pkt.flow.0 as usize;
-        let route = &self.senders[flow].route;
+        let route = self.senders[flow].route.links(&self.routes);
         let next_hop = pkt.hop() as usize + 1;
         if next_hop < route.len() {
             let mut fwd = pkt;
             fwd.set_hop(next_hop as u8);
-            let next_link = LinkId(route[next_hop] as u32);
+            let next_link = route[next_hop];
             let fwd = self.arena.alloc(fwd);
             self.events.schedule(
                 self.now,
@@ -869,7 +939,7 @@ impl Simulation {
             );
             return;
         }
-        debug_assert_eq!(route[pkt.hop() as usize], link.0 as usize);
+        debug_assert_eq!(route[pkt.hop() as usize], link);
 
         // Delivery at the receiver.
         let rx = &mut self.receivers[flow];
@@ -962,15 +1032,15 @@ impl Simulation {
     /// tier.
     fn emit_ack(&mut self, flow: usize, ack_pkt: Packet) {
         let s = &self.senders[flow];
-        if s.ack_route.is_empty() {
+        if s.ack_route.len == 0 {
             // Paper model, preserved bit for bit: uncongested reverse
-            // path, negligible (1 Gbps) ACK serialization (both in
-            // `ack_delay`).
-            let arrive_at = self.now + s.ack_delay;
+            // path, negligible (1 Gbps) ACK serialization (both in the
+            // return delay).
+            let (line, delay) = self.ack_returns[self.ack_return[flow] as usize];
             let id = self.arena.alloc(ack_pkt);
             self.events.schedule_on(
-                self.ack_line[flow],
-                arrive_at,
+                line,
+                self.now + delay,
                 Event::AckArrive {
                     flow: ack_pkt.flow,
                     pkt: id,
@@ -981,7 +1051,7 @@ impl Simulation {
             // and queues, serializes and propagates like any other
             // traffic (contending with every other flow's ACKs when the
             // reverse link is shared).
-            let first = LinkId(s.ack_route[0] as u32);
+            let first = self.routes[s.ack_route.start as usize];
             let id = self.arena.alloc(ack_pkt);
             self.events.schedule(
                 self.now,
@@ -1015,11 +1085,12 @@ impl Simulation {
     fn handle_ack_propagated(&mut self, pkt: Packet) {
         let flow = pkt.flow.0 as usize;
         let s = &self.senders[flow];
+        let ack_route = s.ack_route.links(&self.routes);
         let next_hop = pkt.hop() as usize + 1;
-        if next_hop < s.ack_route.len() {
+        if next_hop < ack_route.len() {
             let mut fwd = pkt;
             fwd.set_hop(next_hop as u8);
-            let next_link = LinkId(s.ack_route[next_hop] as u32);
+            let next_link = ack_route[next_hop];
             let fwd = self.arena.alloc(fwd);
             self.events.schedule(
                 self.now,
@@ -1030,14 +1101,14 @@ impl Simulation {
             );
             return;
         }
-        if s.ack_delay.is_zero() {
+        let (line, delay) = self.ack_returns[self.ack_return[flow] as usize];
+        if delay.is_zero() {
             self.handle_ack(pkt.flow, pkt.as_ack());
         } else {
-            let at = self.now + s.ack_delay;
             let id = self.arena.alloc(pkt);
             self.events.schedule_on(
-                self.ack_line[flow],
-                at,
+                line,
+                self.now + delay,
                 Event::AckArrive {
                     flow: pkt.flow,
                     pkt: id,
@@ -1052,6 +1123,15 @@ impl Simulation {
         if !s.on {
             return; // burst already ended; ignore late acks
         }
+        if let Some(digest) = self.ack_digests.get_mut(i) {
+            for word in [
+                self.now.as_nanos(),
+                ack.seq ^ ((ack.epoch as u64) << 48),
+                ack.echo_tx_index ^ ((ack.was_retx as u64) << 63),
+            ] {
+                *digest = fnv(*digest, word);
+            }
+        }
         let outcome = s.transport.on_ack(self.now, &ack);
         if !outcome.valid {
             return;
@@ -1063,6 +1143,7 @@ impl Simulation {
         if let Some(info) = &outcome.info {
             s.cc.on_ack(self.now, &ack, info);
         }
+        s.read_cc();
         self.reschedule_rto(i);
         self.try_send(i);
     }
@@ -1097,6 +1178,7 @@ impl Simulation {
         }
         self.stats[i].timeouts += 1;
         s.cc.on_timeout(self.now);
+        s.read_cc();
         // Bumps the RTO generation: every queued check is dead.
         s.transport.on_timeout();
         s.rto_armed = SimTime::MAX;
@@ -1104,19 +1186,15 @@ impl Simulation {
         self.try_send(i);
     }
 
-    fn handle_toggle(&mut self, flow: FlowId, gen: u64) {
+    fn handle_toggle(&mut self, flow: FlowId) {
         let i = flow.0 as usize;
-        if gen != self.senders[i].toggle_gen {
-            return;
-        }
         let (on, next) = {
             let s = &mut self.senders[i];
             let mut rng = s.rng.fork(0xAAAA ^ self.now.as_nanos());
             s.workload.toggle(self.now, &mut rng)
         };
         if let Some(t) = next {
-            let gen = self.senders[i].toggle_gen;
-            self.events.schedule(t, Event::WorkloadToggle { flow, gen });
+            self.events.schedule(t, Event::WorkloadToggle { flow });
         }
         if on && !self.senders[i].on {
             self.turn_on(i);
@@ -1130,11 +1208,8 @@ impl Simulation {
     /// duration, bump the concurrent-transfer count, and turn the slot ON
     /// if it was idle. Arrivals never block — overlapping transfers
     /// extend the slot's busy period.
-    fn handle_flow_arrival(&mut self, flow: FlowId, gen: u64) {
+    fn handle_flow_arrival(&mut self, flow: FlowId) {
         let i = flow.0 as usize;
-        if gen != self.senders[i].toggle_gen {
-            return;
-        }
         let (next_arrival, duration) = {
             let s = &mut self.senders[i];
             let (lambda, d) = s.workload.mginf_rates().expect("M/G/inf churn slot");
@@ -1155,9 +1230,9 @@ impl Simulation {
             )
         };
         self.events
-            .schedule(self.now + next_arrival, Event::FlowArrival { flow, gen });
+            .schedule(self.now + next_arrival, Event::FlowArrival { flow });
         self.events
-            .schedule(self.now + duration, Event::FlowDeparture { flow, gen });
+            .schedule(self.now + duration, Event::FlowDeparture { flow });
         self.senders[i].active_flows += 1;
         if self.senders[i].active_flows == 1 {
             self.turn_on(i);
@@ -1166,16 +1241,12 @@ impl Simulation {
 
     /// One transfer of an unblocked churn slot completes; the slot turns
     /// OFF when the last concurrent transfer drains.
-    fn handle_flow_departure(&mut self, flow: FlowId, gen: u64) {
-        let i = flow.0 as usize;
-        if gen != self.senders[i].toggle_gen {
-            return;
-        }
-        let s = &mut self.senders[i];
+    fn handle_flow_departure(&mut self, flow: FlowId) {
+        let s = &mut self.senders[flow.0 as usize];
         debug_assert!(s.active_flows > 0, "departure without arrival");
         s.active_flows -= 1;
         if s.active_flows == 0 {
-            self.turn_off(i);
+            self.turn_off(flow.0 as usize);
         }
     }
 
@@ -1185,7 +1256,8 @@ impl Simulation {
         s.on_tracker.turn_on(self.now);
         let epoch = s.transport.start_epoch();
         s.cc.reset(self.now);
-        s.last_send = None;
+        s.read_cc();
+        s.last_send = SimTime::MAX;
         s.rto_deadline = SimTime::MAX;
         s.rto_armed = SimTime::MAX;
         let rx = &mut self.receivers[i];
@@ -1218,21 +1290,19 @@ impl Simulation {
             // Effective window: the congestion window, capped by the
             // receiver's advertised window when one has been seen this
             // epoch.
-            let cwnd = s.cc.window().floor().max(0.0) as usize;
             let window = match s.transport.peer_rwnd() {
-                Some(r) => cwnd.min(r as usize),
-                None => cwnd,
+                Some(r) => s.window.min(r as usize),
+                None => s.window,
             };
             if s.transport.in_flight() >= window {
                 return;
             }
             // Pacing check.
-            let intersend = s.cc.intersend();
-            if let (Some(last), false) = (s.last_send, intersend.is_zero()) {
-                let allowed = last + intersend;
+            if s.last_send != SimTime::MAX && !s.intersend.is_zero() {
+                let allowed = s.last_send + s.intersend;
                 if allowed > self.now {
-                    if s.pending_wake.is_none_or(|w| allowed < w) {
-                        s.pending_wake = Some(allowed);
+                    if allowed < s.pending_wake {
+                        s.pending_wake = allowed;
                         self.events.schedule(
                             allowed,
                             Event::SenderWake {
@@ -1246,12 +1316,12 @@ impl Simulation {
             let Some(pkt) = s.transport.produce(self.now, window) else {
                 return;
             };
-            s.last_send = Some(self.now);
+            s.last_send = self.now;
             self.stats[i].transmissions += 1;
             if pkt.is_retx() {
                 self.stats[i].retransmissions += 1;
             }
-            let first_link = LinkId(s.route[0] as u32);
+            let first_link = self.routes[s.route.start as usize];
             let had_outstanding = s.transport.in_flight() > 1;
             let id = self.arena.alloc(pkt);
             self.events.schedule(
@@ -1380,7 +1450,9 @@ fn outage_dwell(mean_s: f64, scheduled: bool, rng: &mut SimRng) -> SimDuration {
 }
 
 /// Fold one dispatched event into the order-sensitive run digest: firing
-/// time, event kind, and the identifying payload (flow/link/seq/gen).
+/// time, event kind, and the identifying payload (flow/link/seq/gen). A
+/// workload timer folds a zero where the generation it no longer carries
+/// used to be, so digests stay comparable with recorded ones.
 /// Packet-carrying events resolve their [`crate::arena::PktId`] through
 /// `arena` — the handle is still live here because the digest folds
 /// *before* dispatch frees the slot — and fold exactly the words the
@@ -1419,10 +1491,10 @@ fn fold_event(digest: u64, at: SimTime, ev: &Event, arena: &PacketArena) -> u64 
         }
         Event::SenderWake { flow } => fnv(fnv(digest, 5), flow.0 as u64),
         Event::RtoCheck { flow, gen } => fnv(fnv(fnv(digest, 6), flow.0 as u64), *gen),
-        Event::WorkloadToggle { flow, gen } => fnv(fnv(fnv(digest, 7), flow.0 as u64), *gen),
+        Event::WorkloadToggle { flow } => fnv(fnv(fnv(digest, 7), flow.0 as u64), 0),
         Event::TraceSample => fnv(digest, 8),
-        Event::FlowArrival { flow, gen } => fnv(fnv(fnv(digest, 9), flow.0 as u64), *gen),
-        Event::FlowDeparture { flow, gen } => fnv(fnv(fnv(digest, 10), flow.0 as u64), *gen),
+        Event::FlowArrival { flow } => fnv(fnv(fnv(digest, 9), flow.0 as u64), 0),
+        Event::FlowDeparture { flow } => fnv(fnv(fnv(digest, 10), flow.0 as u64), 0),
         Event::LinkDown { link } => fnv(fnv(digest, 11), link.0 as u64),
         Event::LinkUp { link } => fnv(fnv(digest, 12), link.0 as u64),
         Event::AckTimer { flow, gen } => fnv(fnv(fnv(digest, 13), flow.0 as u64), *gen),

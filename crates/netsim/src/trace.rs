@@ -21,7 +21,7 @@ pub struct QueueSample {
 }
 
 /// Recorder configuration and storage.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Trace {
     /// Which links to sample.
     pub links: Vec<LinkId>,

@@ -15,6 +15,23 @@ use crate::packet::{Ack, FlowId, Packet};
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
+/// A value a [`WindowMap`] slot holds, with one bit pattern set aside
+/// for an empty slot, so a slot costs no more than its value.
+trait Slot: Copy {
+    /// The empty slot; never a stored value.
+    const EMPTY: Self;
+    fn is_empty(&self) -> bool;
+}
+
+/// A sequence number; sequences and transmission indices count up from
+/// zero each epoch, so `u64::MAX` never occurs.
+impl Slot for u64 {
+    const EMPTY: u64 = u64::MAX;
+    fn is_empty(&self) -> bool {
+        *self == u64::MAX
+    }
+}
+
 /// Ordered map over near-dense, window-bounded integer keys (sequence
 /// numbers, transmission indices), backed by a sliding `VecDeque` of
 /// slots instead of a search tree. All hot operations — insert at the
@@ -23,78 +40,70 @@ use std::collections::VecDeque;
 /// and node allocations. The ring grows to the largest window the flow
 /// has had and [`clear`](Self::clear) keeps that capacity, so a flow
 /// holds memory for what it actually kept in flight, not for its path.
+/// The map does not count its entries: the transport's two maps always
+/// hold the same packets, and it counts them once.
 #[derive(Debug, Default)]
 struct WindowMap<T> {
     /// Key of `slots[0]`.
     base: u64,
-    slots: VecDeque<Option<T>>,
-    len: usize,
+    slots: VecDeque<T>,
 }
 
-impl<T> WindowMap<T> {
+impl<T: Slot> WindowMap<T> {
     fn new() -> Self {
         WindowMap {
             base: 0,
             slots: VecDeque::new(),
-            len: 0,
         }
-    }
-
-    fn len(&self) -> usize {
-        self.len
     }
 
     fn clear(&mut self) {
         self.slots.clear();
-        self.len = 0;
         self.base = 0;
     }
 
     fn insert(&mut self, key: u64, value: T) {
+        debug_assert!(!value.is_empty(), "the empty-slot value stored at {key}");
         if self.slots.is_empty() {
             self.base = key;
         } else if key < self.base {
             // Retransmissions can reuse a sequence below the trimmed
             // front; re-expand (bounded by the reordering window).
             for _ in key..self.base {
-                self.slots.push_front(None);
+                self.slots.push_front(T::EMPTY);
             }
             self.base = key;
         }
         let idx = (key - self.base) as usize;
         if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, || None);
+            self.slots.resize(idx + 1, T::EMPTY);
         }
-        debug_assert!(self.slots[idx].is_none(), "duplicate key {key}");
-        self.slots[idx] = Some(value);
-        self.len += 1;
+        debug_assert!(self.slots[idx].is_empty(), "duplicate key {key}");
+        self.slots[idx] = value;
     }
 
-    fn get(&self, key: u64) -> Option<&T> {
-        if key < self.base {
-            return None;
-        }
+    fn get(&self, key: u64) -> Option<T> {
+        let idx = key.checked_sub(self.base)?;
         self.slots
-            .get((key - self.base) as usize)
-            .and_then(|s| s.as_ref())
+            .get(idx as usize)
+            .copied()
+            .filter(|s| !s.is_empty())
     }
 
     fn remove(&mut self, key: u64) -> Option<T> {
-        if key < self.base {
+        let idx = key.checked_sub(self.base)?;
+        let slot = self.slots.get_mut(idx as usize)?;
+        if slot.is_empty() {
             return None;
         }
-        let idx = (key - self.base) as usize;
-        let taken = self.slots.get_mut(idx)?.take();
-        if taken.is_some() {
-            self.len -= 1;
-            self.trim_front();
-        }
-        taken
+        let taken = std::mem::replace(slot, T::EMPTY);
+        self.trim_front();
+        Some(taken)
     }
 
     /// Drop leading empty slots so `first` stays O(1).
     fn trim_front(&mut self) {
-        while matches!(self.slots.front(), Some(None)) {
+        while self.slots.front().is_some_and(T::is_empty) {
             self.slots.pop_front();
             self.base += 1;
         }
@@ -104,26 +113,25 @@ impl<T> WindowMap<T> {
     }
 
     /// Smallest key and its value.
-    fn first(&self) -> Option<(u64, &T)> {
+    fn first(&self) -> Option<(u64, T)> {
         // trim_front keeps slot 0 occupied whenever the map is nonempty.
         self.slots
             .front()
-            .and_then(|s| s.as_ref())
-            .map(|v| (self.base, v))
+            .filter(|s| !s.is_empty())
+            .map(|&v| (self.base, v))
     }
 
     /// Remove all entries with `key <= cutoff`, handing each value to
     /// `f` in ascending key order; returns how many there were.
     fn drain_upto(&mut self, cutoff: u64, mut f: impl FnMut(T)) -> usize {
         let mut n = 0;
-        while let Some(front) = self.slots.front_mut() {
+        while let Some(&front) = self.slots.front() {
             if self.base > cutoff {
                 break;
             }
-            if let Some(v) = front.take() {
-                self.len -= 1;
+            if !front.is_empty() {
                 n += 1;
-                f(v);
+                f(front);
             }
             self.slots.pop_front();
             self.base += 1;
@@ -133,11 +141,12 @@ impl<T> WindowMap<T> {
     }
 
     /// Iterate entries in ascending key order.
-    fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+    fn iter(&self) -> impl Iterator<Item = (u64, T)> + '_ {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(move |(i, s)| s.as_ref().map(|v| (self.base + i as u64, v)))
+            .filter(|(_, s)| !s.is_empty())
+            .map(move |(i, &v)| (self.base + i as u64, v))
     }
 }
 
@@ -198,6 +207,11 @@ pub trait CongestionControl: Send {
 
     /// Current congestion window in packets. The transport sends while
     /// `in_flight < floor(window)`.
+    ///
+    /// The engine reads this and [`intersend`](Self::intersend) once after
+    /// `reset` and after each batch of callbacks, and sends by those
+    /// values until the next callback: both must depend only on state the
+    /// callbacks change.
     fn window(&self) -> f64;
 
     /// Minimum interval between transmissions (τ in the paper's action
@@ -221,6 +235,33 @@ struct Outstanding {
     sent_at: SimTime,
 }
 
+/// An in-flight packet; its transmission index, like a sequence, is never
+/// `u64::MAX`.
+impl Slot for Outstanding {
+    const EMPTY: Outstanding = Outstanding {
+        tx_index: u64::MAX,
+        sent_at: SimTime::ZERO,
+    };
+    fn is_empty(&self) -> bool {
+        self.tx_index == u64::MAX
+    }
+}
+
+/// Two words and one word a ring slot: a slot is its value.
+const _RING_SLOTS_ARE_VALUES: () =
+    assert!(std::mem::size_of::<Outstanding>() == 16 && std::mem::size_of::<u64>() == 8);
+
+/// `round(x · n / 2^k)`, for the RFC 6298 gains below: every product is
+/// a dyadic rational with at most `k` fraction bits, so this equals
+/// `SimDuration::mul_f64` with factor `n / 2^k` (round half up, as
+/// `f64::round` does for these non-negative values) for every duration
+/// whose product stays below 2⁵³ ns — some 104 days — without a float
+/// conversion.
+#[inline]
+fn scaled(x: SimDuration, n: u64, k: u32) -> SimDuration {
+    SimDuration::from_nanos(x.as_nanos().saturating_mul(n).saturating_add(1 << (k - 1)) >> k)
+}
+
 /// Sender-side reliability state for one flow.
 #[derive(Debug)]
 pub struct Transport {
@@ -228,33 +269,31 @@ pub struct Transport {
     epoch: u32,
     next_seq: u64,
     next_tx_index: u64,
+    /// Packets in flight: the entries of each of the two maps below.
+    in_flight: usize,
     /// In-flight packets keyed by sequence number.
     outstanding: WindowMap<Outstanding>,
     /// In-flight packets keyed by transmission index (loss detector order).
     by_tx_index: WindowMap<u64>,
     /// Sequences awaiting retransmission.
     retx_queue: VecDeque<u64>,
-    highest_acked_tx_index: Option<u64>,
-    /// RTT estimation (RFC 6298).
-    srtt: Option<SimDuration>,
+    /// One past the highest transmission index acknowledged this epoch
+    /// (0: none yet).
+    acked_tx_end: u64,
+    /// RTT estimation (RFC 6298); `SimDuration::MAX` until the first
+    /// sample of the epoch.
+    srtt: SimDuration,
     rttvar: SimDuration,
-    min_rtt: Option<SimDuration>,
+    /// Smallest RTT sample this epoch (`SimDuration::MAX`: none yet).
+    min_rtt: SimDuration,
     /// Latest receive-window advertisement from the peer, in packets
-    /// (`None` until an ack carries one; reset each epoch). The engine
-    /// sends while `in_flight < min(floor(cwnd), peer_rwnd)`.
-    peer_rwnd: Option<u32>,
+    /// (0 until an ack carries one; reset each epoch). The engine sends
+    /// while `in_flight < min(floor(cwnd), peer_rwnd)`.
+    peer_rwnd: u32,
     /// Exponential RTO backoff multiplier (resets on a valid ack).
     backoff: u32,
     /// Generation counter invalidating stale RTO events.
     rto_gen: u64,
-    /// Order-sensitive FNV-1a digest of every ack processed (valid or
-    /// not), `None` until [`enable_ack_digest`](Self::enable_ack_digest).
-    /// Opt-in like the engine's event digest: it is a test-only probe,
-    /// and `on_ack` runs millions of times per training run.
-    /// Cross-scheduler determinism tests compare this per flow: two
-    /// runs with equal digests fed this transport the identical ack
-    /// sequence.
-    ack_digest: Option<u64>,
 }
 
 /// Result of processing one acknowledgment.
@@ -277,17 +316,17 @@ impl Transport {
             epoch: 0,
             next_seq: 0,
             next_tx_index: 0,
+            in_flight: 0,
             outstanding: WindowMap::new(),
             by_tx_index: WindowMap::new(),
             retx_queue: VecDeque::new(),
-            highest_acked_tx_index: None,
-            srtt: None,
+            acked_tx_end: 0,
+            srtt: SimDuration::MAX,
             rttvar: SimDuration::ZERO,
-            min_rtt: None,
-            peer_rwnd: None,
+            min_rtt: SimDuration::MAX,
+            peer_rwnd: 0,
             backoff: 0,
             rto_gen: 0,
-            ack_digest: None,
         }
     }
 
@@ -298,7 +337,7 @@ impl Transport {
 
     /// Packets outstanding (sent, neither acked nor declared lost).
     pub fn in_flight(&self) -> usize {
-        self.outstanding.len()
+        self.in_flight
     }
 
     /// Whether any declared-lost packets await retransmission.
@@ -308,13 +347,13 @@ impl Transport {
 
     /// Smallest RTT observed so far this epoch.
     pub fn min_rtt(&self) -> Option<SimDuration> {
-        self.min_rtt
+        (self.min_rtt != SimDuration::MAX).then_some(self.min_rtt)
     }
 
     /// Latest receive-window advertisement from the peer, in packets
     /// (`None` until an ack of the current epoch carried one).
     pub fn peer_rwnd(&self) -> Option<u32> {
-        self.peer_rwnd
+        (self.peer_rwnd > 0).then_some(self.peer_rwnd)
     }
 
     /// Current RTO timer generation (stale-timer detection).
@@ -322,30 +361,18 @@ impl Transport {
         self.rto_gen
     }
 
-    /// Start digesting processed acks (determinism tests only).
-    pub fn enable_ack_digest(&mut self) {
-        self.ack_digest.get_or_insert(crate::event::FNV_OFFSET);
-    }
-
-    /// Running digest of the ack sequence this transport has processed
-    /// (`None` unless [`enable_ack_digest`](Self::enable_ack_digest)).
-    pub fn ack_digest(&self) -> Option<u64> {
-        self.ack_digest
-    }
-
     /// Begin a new epoch (workload turned ON): abandon all in-flight state.
     pub fn start_epoch(&mut self) -> u32 {
         self.epoch = self.epoch.wrapping_add(1);
         self.next_seq = 0;
         self.next_tx_index = 0;
-        self.outstanding.clear();
-        self.by_tx_index.clear();
+        self.forget_in_flight();
         self.retx_queue.clear();
-        self.highest_acked_tx_index = None;
-        self.srtt = None;
+        self.acked_tx_end = 0;
+        self.srtt = SimDuration::MAX;
         self.rttvar = SimDuration::ZERO;
-        self.min_rtt = None;
-        self.peer_rwnd = None;
+        self.min_rtt = SimDuration::MAX;
+        self.peer_rwnd = 0;
         self.backoff = 0;
         self.rto_gen += 1;
         self.epoch
@@ -354,16 +381,21 @@ impl Transport {
     /// Abandon in-flight state without starting a new epoch (workload
     /// turned OFF).
     pub fn abort(&mut self) {
-        self.outstanding.clear();
-        self.by_tx_index.clear();
+        self.forget_in_flight();
         self.retx_queue.clear();
         self.rto_gen += 1;
+    }
+
+    fn forget_in_flight(&mut self) {
+        self.outstanding.clear();
+        self.by_tx_index.clear();
+        self.in_flight = 0;
     }
 
     /// Produce the next packet to transmit (retransmissions first), or
     /// `None` if sending must be limited by the window.
     pub fn produce(&mut self, now: SimTime, window: usize) -> Option<Packet> {
-        if self.outstanding.len() >= window {
+        if self.in_flight >= window {
             return None;
         }
         let (seq, is_retx) = match self.retx_queue.pop_front() {
@@ -384,6 +416,7 @@ impl Transport {
             },
         );
         self.by_tx_index.insert(tx_index, seq);
+        self.in_flight += 1;
         Some(Packet::data(
             self.flow, seq, self.epoch, now, tx_index, is_retx,
         ))
@@ -392,15 +425,6 @@ impl Transport {
     /// Process an acknowledgment: RTT estimation, removal from the
     /// in-flight set, and reordering-based loss detection.
     pub fn on_ack(&mut self, now: SimTime, ack: &Ack) -> AckOutcome {
-        if let Some(digest) = &mut self.ack_digest {
-            for word in [
-                now.as_nanos(),
-                ack.seq ^ ((ack.epoch as u64) << 48),
-                ack.echo_tx_index ^ ((ack.was_retx as u64) << 63),
-            ] {
-                *digest = crate::event::fnv(*digest, word);
-            }
-        }
         if ack.epoch != self.epoch {
             return AckOutcome {
                 valid: false,
@@ -409,7 +433,7 @@ impl Transport {
             };
         }
         if ack.rwnd > 0 {
-            self.peer_rwnd = Some(ack.rwnd);
+            self.peer_rwnd = ack.rwnd;
         }
         // A stretch ack (batch > 1) covers a run of consecutive
         // sequences ending at `ack.seq`: the lower sequences leave the
@@ -423,10 +447,8 @@ impl Transport {
             for seq in first..ack.seq {
                 if let Some(out) = self.outstanding.remove(seq) {
                     self.by_tx_index.remove(out.tx_index);
-                    self.highest_acked_tx_index = Some(
-                        self.highest_acked_tx_index
-                            .map_or(out.tx_index, |h| h.max(out.tx_index)),
-                    );
+                    self.in_flight -= 1;
+                    self.acked_tx_end = self.acked_tx_end.max(out.tx_index + 1);
                 }
             }
         }
@@ -439,6 +461,7 @@ impl Transport {
             };
         };
         self.by_tx_index.remove(out.tx_index);
+        self.in_flight -= 1;
         self.backoff = 0;
 
         // Karn's rule: only un-ambiguous samples update the estimators.
@@ -450,29 +473,26 @@ impl Transport {
             Some(sample)
         };
 
-        let acked_tx = ack.echo_tx_index;
-        self.highest_acked_tx_index = Some(
-            self.highest_acked_tx_index
-                .map_or(acked_tx, |h| h.max(acked_tx)),
-        );
+        self.acked_tx_end = self.acked_tx_end.max(ack.echo_tx_index + 1);
 
         // Reordering loss detection: everything sent REORDER_THRESHOLD
         // transmissions before the newest ack is presumed lost.
         let mut newly_lost = 0;
-        if let Some(h) = self.highest_acked_tx_index {
-            if h >= REORDER_THRESHOLD {
-                let (outstanding, retx_queue) = (&mut self.outstanding, &mut self.retx_queue);
-                newly_lost = self.by_tx_index.drain_upto(h - REORDER_THRESHOLD, |seq| {
-                    outstanding.remove(seq);
-                    retx_queue.push_back(seq);
-                });
-            }
+        if self.acked_tx_end > REORDER_THRESHOLD {
+            let cutoff = self.acked_tx_end - 1 - REORDER_THRESHOLD;
+            let (outstanding, retx_queue) = (&mut self.outstanding, &mut self.retx_queue);
+            newly_lost = self.by_tx_index.drain_upto(cutoff, |seq| {
+                let lost = outstanding.remove(seq);
+                debug_assert!(lost.is_some(), "the two maps hold the same packets");
+                retx_queue.push_back(seq);
+            });
+            self.in_flight -= newly_lost;
         }
 
         let info = AckInfo {
             rtt,
-            min_rtt: self.min_rtt.unwrap_or(SimDuration::ZERO),
-            in_flight: self.outstanding.len(),
+            min_rtt: self.min_rtt().unwrap_or(SimDuration::ZERO),
+            in_flight: self.in_flight,
             rwnd: (ack.rwnd > 0).then_some(ack.rwnd),
         };
         AckOutcome {
@@ -483,52 +503,44 @@ impl Transport {
     }
 
     fn update_rtt(&mut self, sample: SimDuration) {
-        self.min_rtt = Some(match self.min_rtt {
-            Some(m) => m.min(sample),
-            None => sample,
-        });
-        match self.srtt {
-            None => {
-                self.srtt = Some(sample);
-                self.rttvar = sample.div_u64(2);
-            }
-            Some(srtt) => {
-                // RFC 6298: rttvar = 3/4 rttvar + 1/4 |srtt - sample|
-                let err = if sample > srtt {
-                    sample - srtt
-                } else {
-                    srtt - sample
-                };
-                self.rttvar = self.rttvar.mul_f64(0.75) + err.mul_f64(0.25);
-                self.srtt = Some(srtt.mul_f64(0.875) + sample.mul_f64(0.125));
-            }
+        self.min_rtt = self.min_rtt.min(sample);
+        if self.srtt == SimDuration::MAX {
+            self.srtt = sample;
+            self.rttvar = sample.div_u64(2);
+            return;
         }
+        // RFC 6298: rttvar = 3/4 rttvar + 1/4 |srtt - sample|,
+        // srtt = 7/8 srtt + 1/8 sample, each term rounded.
+        let (srtt, rttvar) = (self.srtt, self.rttvar);
+        let err = if sample > srtt {
+            sample - srtt
+        } else {
+            srtt - sample
+        };
+        self.rttvar = scaled(rttvar, 3, 2) + scaled(err, 1, 2);
+        self.srtt = scaled(srtt, 7, 3) + scaled(sample, 1, 3);
     }
 
     /// Current retransmission timeout with backoff applied.
     pub fn rto(&self) -> SimDuration {
-        let base = match self.srtt {
-            Some(srtt) => {
-                let candidate = srtt + self.rttvar.mul_f64(4.0);
-                candidate.max(MIN_RTO)
-            }
-            None => INITIAL_RTO,
+        let base = if self.srtt == SimDuration::MAX {
+            INITIAL_RTO
+        } else {
+            (self.srtt + self.rttvar * 4).max(MIN_RTO)
         };
-        let backed = base.mul_f64((1u64 << self.backoff.min(8)) as f64);
-        backed.min(MAX_RTO)
+        (base * (1 << self.backoff.min(8))).min(MAX_RTO)
     }
 
     /// Handle an expired retransmission timer: every outstanding packet is
     /// queued for retransmission (go-back-N) and the RTO backs off.
     /// Returns the number of packets queued.
     pub fn on_timeout(&mut self) -> usize {
-        let n = self.outstanding.len();
+        let n = self.in_flight;
         // Re-queue in sequence order for in-order recovery.
         for (seq, _) in self.outstanding.iter() {
             self.retx_queue.push_back(seq);
         }
-        self.outstanding.clear();
-        self.by_tx_index.clear();
+        self.forget_in_flight();
         self.backoff = (self.backoff + 1).min(16);
         self.rto_gen += 1;
         n
@@ -548,7 +560,7 @@ impl Transport {
     /// the smallest tx_index — an O(1) front lookup rather than a full
     /// scan. This runs on every ack via `reschedule_rto`.
     pub fn oldest_outstanding_at(&self) -> Option<SimTime> {
-        let (_, &seq) = self.by_tx_index.first()?;
+        let (_, seq) = self.by_tx_index.first()?;
         Some(self.outstanding.get(seq).expect("indexed").sent_at)
     }
 }
@@ -846,6 +858,82 @@ mod tests {
         // A new epoch forgets the peer's window.
         tr.start_epoch();
         assert_eq!(tr.peer_rwnd(), None);
+    }
+
+    #[test]
+    fn integer_estimator_matches_the_float_formula() {
+        // The RFC 6298 update and the RTO as they were computed in f64:
+        // every gain through `mul_f64`.
+        let float_update = |srtt: SimDuration, rttvar: SimDuration, sample: SimDuration| {
+            let err = if sample > srtt {
+                sample - srtt
+            } else {
+                srtt - sample
+            };
+            (
+                srtt.mul_f64(0.875) + sample.mul_f64(0.125),
+                rttvar.mul_f64(0.75) + err.mul_f64(0.25),
+            )
+        };
+        let float_rto = |srtt: SimDuration, rttvar: SimDuration, backoff: u32| {
+            let base = (srtt + rttvar.mul_f64(4.0)).max(MIN_RTO);
+            base.mul_f64((1u64 << backoff.min(8)) as f64).min(MAX_RTO)
+        };
+        let check = |srtt: u64, rttvar: u64, sample: u64, backoff: u32| {
+            let d = SimDuration::from_nanos;
+            let mut tr = Transport::new(FlowId(0));
+            (tr.srtt, tr.rttvar, tr.backoff) = (d(srtt), d(rttvar), backoff);
+            assert_eq!(tr.rto(), float_rto(d(srtt), d(rttvar), backoff), "rto");
+            tr.update_rtt(d(sample));
+            assert_eq!(
+                (tr.srtt, tr.rttvar),
+                float_update(d(srtt), d(rttvar), d(sample)),
+                "update from srtt {srtt}, rttvar {rttvar}, sample {sample}"
+            );
+        };
+        let edges = [
+            0,
+            1,
+            2,
+            3,
+            4,
+            5,
+            7,
+            8,
+            9,
+            15,
+            16,
+            17,
+            (1 << 50) - 1,
+            1 << 50,
+        ];
+        for &a in &edges {
+            for &b in &edges {
+                for &c in &edges {
+                    check(a, b, c, (a % 17) as u32);
+                }
+            }
+        }
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..1_000_000 {
+            let r = next();
+            // Every magnitude below 2⁵⁰ ns, not just the top few bits.
+            let mut below = |bits: u64| next() >> (14 + bits % 50);
+            check(
+                below(r),
+                below(r >> 8),
+                below(r >> 16),
+                (r >> 24) as u32 % 17,
+            );
+        }
     }
 
     #[test]

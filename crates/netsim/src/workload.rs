@@ -143,33 +143,27 @@ impl WorkloadSpec {
 pub struct Workload {
     spec: WorkloadSpec,
     on: bool,
-    /// Remaining schedule entries (for `Schedule` specs).
-    schedule: Vec<(SimTime, bool)>,
-    schedule_pos: usize,
+    /// Next switchpoint of a `Schedule` spec.
+    schedule_pos: u32,
+}
+
+/// The instant of a `Schedule` switchpoint.
+fn switch_at(&(secs, _): &(f64, bool)) -> SimTime {
+    SimTime::from_secs_f64(secs)
 }
 
 impl Workload {
     /// A workload state machine in its initial state for `spec`.
     pub fn new(spec: WorkloadSpec) -> Self {
-        let (on, schedule) = match &spec {
-            WorkloadSpec::AlwaysOn => (true, Vec::new()),
-            WorkloadSpec::OnOff { .. } | WorkloadSpec::Churn { .. } => (false, Vec::new()),
-            WorkloadSpec::Schedule(points) => {
-                let sched: Vec<(SimTime, bool)> = points
-                    .iter()
-                    .map(|&(s, on)| (SimTime::from_secs_f64(s), on))
-                    .collect();
-                debug_assert!(
-                    sched.windows(2).all(|w| w[0].0 <= w[1].0),
-                    "schedule must be time-sorted"
-                );
-                (false, sched)
-            }
-        };
+        if let WorkloadSpec::Schedule(points) = &spec {
+            debug_assert!(
+                points.windows(2).all(|w| w[0].0 <= w[1].0),
+                "schedule must be time-sorted"
+            );
+        }
         Workload {
+            on: matches!(spec, WorkloadSpec::AlwaysOn),
             spec,
-            on,
-            schedule,
             schedule_pos: 0,
         }
     }
@@ -192,7 +186,7 @@ impl Workload {
                 let (_, mean_off_s) = self.spec.dwell_means().expect("stochastic spec");
                 Some(SimTime::ZERO + rng.exp_duration(SimDuration::from_secs_f64(mean_off_s)))
             }
-            WorkloadSpec::Schedule(_) => self.schedule.first().map(|&(t, _)| t),
+            WorkloadSpec::Schedule(points) => points.first().map(switch_at),
         }
     }
 
@@ -217,12 +211,12 @@ impl Workload {
                 }
                 (self.on, Some(now + dwell))
             }
-            WorkloadSpec::Schedule(_) => {
-                if self.schedule_pos < self.schedule.len() {
-                    self.on = self.schedule[self.schedule_pos].1;
+            WorkloadSpec::Schedule(points) => {
+                if let Some(&(_, on)) = points.get(self.schedule_pos as usize) {
+                    self.on = on;
                     self.schedule_pos += 1;
                 }
-                let next = self.schedule.get(self.schedule_pos).map(|&(t, _)| t);
+                let next = points.get(self.schedule_pos as usize).map(switch_at);
                 (self.on, next)
             }
         }

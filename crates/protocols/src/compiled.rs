@@ -19,6 +19,7 @@
 use crate::action::Action;
 use crate::memory::{MemoryPoint, NUM_SIGNALS};
 use crate::whisker::{LeafId, MemoryRange, WhiskerTree};
+use netsim::time::SimDuration;
 use std::sync::Arc;
 
 /// Child link in the arena: index into `nodes` or, with the high bit set,
@@ -71,6 +72,9 @@ struct Node {
 pub struct CompiledLeaf {
     pub domain: MemoryRange,
     pub action: Action,
+    /// The action's pacing floor τ, converted once at compile time rather
+    /// than on every acknowledgment.
+    pub pacing: SimDuration,
 }
 
 /// Immutable, contiguous compilation of a [`WhiskerTree`].
@@ -106,6 +110,7 @@ impl CompiledTree {
                 self.leaves.push(CompiledLeaf {
                     domain: w.domain,
                     action: w.action,
+                    pacing: SimDuration::from_millis_f64(w.action.intersend_ms),
                 });
                 NodeRef::leaf(idx)
             }

@@ -31,7 +31,8 @@ pub struct TaoCc {
     memory: Memory,
     cwnd: f64,
     intersend: SimDuration,
-    name: String,
+    /// Shared by every sender a builder makes from one scheme.
+    name: Arc<str>,
     /// Latest receive-window advertisement; clamps
     /// [`CongestionControl::window`] (the transport clamps too — this
     /// keeps the scheme's own view honest).
@@ -39,12 +40,12 @@ pub struct TaoCc {
 }
 
 impl TaoCc {
-    pub fn new(tree: WhiskerTree, name: impl Into<String>) -> Self {
+    pub fn new(tree: WhiskerTree, name: impl Into<Arc<str>>) -> Self {
         Self::with_mask(tree, SignalMask::all(), name)
     }
 
     /// Executor with a §3.4 signal-knockout mask.
-    pub fn with_mask(tree: WhiskerTree, mask: SignalMask, name: impl Into<String>) -> Self {
+    pub fn with_mask(tree: WhiskerTree, mask: SignalMask, name: impl Into<Arc<str>>) -> Self {
         Self::from_compiled(CompiledTree::compile_shared(&tree), mask, name)
     }
 
@@ -54,7 +55,7 @@ impl TaoCc {
     pub fn from_compiled(
         tree: Arc<CompiledTree>,
         mask: SignalMask,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
     ) -> Self {
         let usage = UsageCounts::new(tree.num_leaves());
         let mut cc = TaoCc {
@@ -73,8 +74,8 @@ impl TaoCc {
     fn apply_current_whisker_pacing(&mut self) {
         // Between reset and the first ack, pace with the action at the
         // all-zero memory point (the flow-start whisker).
-        let a = self.tree.action_for(&self.memory.point());
-        self.intersend = SimDuration::from_millis_f64(a.intersend_ms);
+        let leaf = self.tree.lookup(&self.memory.point());
+        self.intersend = self.tree.leaf(leaf).pacing;
     }
 
     /// Usage statistics collected during execution (the optimizer reads
@@ -115,9 +116,9 @@ impl CongestionControl for TaoCc {
         let p = MemoryRange::clamp_point(&self.memory.point());
         let leaf = self.tree.lookup_clamped(&p);
         self.usage.record(leaf, &p);
-        let action = self.tree.action(leaf);
-        self.cwnd = action.apply_to_window(self.cwnd);
-        self.intersend = SimDuration::from_millis_f64(action.intersend_ms);
+        let leaf = self.tree.leaf(leaf);
+        self.cwnd = leaf.action.apply_to_window(self.cwnd);
+        self.intersend = leaf.pacing;
     }
 
     fn on_loss(&mut self, _now: SimTime) {
@@ -147,7 +148,7 @@ impl CongestionControl for TaoCc {
     }
 
     fn name(&self) -> String {
-        self.name.clone()
+        self.name.to_string()
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
