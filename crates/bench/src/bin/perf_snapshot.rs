@@ -59,7 +59,6 @@ use remy::{
 use serde_json::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Global allocator wrapper that counts every heap allocation and the
@@ -147,7 +146,7 @@ fn time_genetic_smoke_training() -> f64 {
         let mut budget = TrainBudget::smoke();
         budget.seed = 7;
         let trainer = GeneticTrainer::new(budget.clone());
-        let pool = Arc::new(EvalPool::new(budget.threads));
+        let pool = EvalPool::new(budget.threads);
         let specs = vec![ScenarioSpec::calibration()];
         let start = Instant::now();
         let trained = trainer.train(

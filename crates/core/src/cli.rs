@@ -7,6 +7,7 @@
 //! learnability run calibration      # run one experiment (quick fidelity)
 //! learnability run all --fidelity full --seeds 8 --json out/
 //! learnability train link_speed --force   # retrain an experiment's protocols
+//! learnability assets verify        # collapse-check every protocol asset
 //! ```
 //!
 //! `run` executes the experiment's sweep on the shared work-stealing
@@ -17,6 +18,8 @@
 
 use crate::experiments::{self, Experiment, Fidelity, RunOptions};
 use crate::report::{render_figure, Table};
+use protocols::{MemoryPoint, NUM_SIGNALS};
+use remy::TrainedProtocol;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -39,10 +42,16 @@ commands:
                                 backends; fails unless each score
                                 reproduces bit-identically
                                 (default: assets/figures/adversarial.json)
+  assets list                   every protocol asset with its whisker count
+                                and score (exits 1 if one cannot be read)
+  assets show NAME              one asset's training model and whisker tree
+  assets probe NAME REC SLOW SEND RTTR
+                                the action NAME takes at that memory point
+  assets verify                 run the congestion-collapse verifier on
+                                every asset (exits 1 if any is flagged)
 
 run options:
-  --fidelity quick|full         compute budget (default: quick, or
-                                LEARNABILITY_FULL=1 for full)
+  --fidelity quick|full         compute budget (default: quick)
   --seeds N                     override seeds per sweep cell (trace cells
                                 keep their pinned seeds)
   --threads N                   sweep worker threads (default: all cores;
@@ -80,6 +89,7 @@ pub fn run(args: &[&str]) -> i32 {
                 2
             }
         },
+        Some(&"assets") => cmd_assets(&args[1..]),
         Some(&"replay") => match args.get(2) {
             Some(extra) => {
                 eprintln!("error: unexpected replay argument '{extra}'\n\n{USAGE}");
@@ -166,7 +176,7 @@ type RunArgs = (Vec<&'static dyn Experiment>, RunOptions, Option<PathBuf>);
 
 fn parse_run(args: &[&str]) -> Result<RunArgs, String> {
     let exps = select(args.first().copied())?;
-    let mut opts = RunOptions::new(Fidelity::from_env());
+    let mut opts = RunOptions::new(Fidelity::Quick);
     let mut json_dir = Some(default_json_dir());
     let mut it = args[1..].iter();
     while let Some(&flag) = it.next() {
@@ -200,7 +210,7 @@ fn parse_run(args: &[&str]) -> Result<RunArgs, String> {
 }
 
 /// Default JSON artifact directory: `assets/figures/` next to the protocol
-/// assets (honors `REMY_ASSETS_DIR`).
+/// assets.
 pub fn default_json_dir() -> PathBuf {
     remy::serialize::assets_dir().join("figures")
 }
@@ -214,7 +224,7 @@ fn run_one(e: &dyn Experiment, opts: &RunOptions, json_dir: Option<&Path>) -> Re
     let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         experiments::run_experiment_report(e, opts)
     }))
-    .map_err(|payload| format!("panicked: {}", crate::runner::panic_message(payload)))?;
+    .map_err(|payload| format!("panicked: {}", remy::eval::panic_message(payload)))?;
     print!("{}", render_figure(&report.fig));
     if let Some(dir) = json_dir {
         let path = dir.join(format!("{}.json", e.id()));
@@ -403,11 +413,12 @@ fn run_genetic_job(job: &experiments::TrainJob) -> Vec<remy::TrainedProtocol> {
         return experiments::run_train_job(job);
     }
     let name = format!("{}-genetic", job.assets[0]);
-    vec![remy::serialize::load_or_train(&name, || {
+    let path = remy::serialize::asset_path(&name);
+    vec![remy::serialize::load_or_train(&path, || {
         eprintln!("[learnability] genetic-training {name} (no committed asset found)...");
         let t0 = Instant::now();
         let budget = TrainBudget::from_config(job.cfg.clone());
-        let pool = std::sync::Arc::new(remy::EvalPool::new(budget.threads));
+        let pool = remy::EvalPool::new(budget.threads);
         let mut rng = netsim::rng::SimRng::from_seed(budget.seed);
         let p = GeneticTrainer::new(budget).train(&name, &job.specs, &pool, &mut rng);
         eprintln!(
@@ -423,7 +434,8 @@ fn cmd_train(exps: &[&'static dyn Experiment], force: bool, trainer: TrainerKind
     let t0 = Instant::now();
     for e in exps {
         let s = Instant::now();
-        for job in e.train_specs() {
+        for mut job in e.train_specs() {
+            job.cfg.verbose = true;
             if force {
                 // Discard cached assets so the trainer actually retrains.
                 for name in train_asset_names(&job, trainer) {
@@ -454,6 +466,135 @@ fn cmd_train(exps: &[&'static dyn Experiment], force: bool, trainer: TrainerKind
         );
     }
     0
+}
+
+/// `learnability assets ...`: inspect and verify the protocol assets.
+fn cmd_assets(args: &[&str]) -> i32 {
+    match args {
+        ["list"] => {
+            let unreadable = each_asset(|p| {
+                println!(
+                    "{:<24} {:>2} whiskers  score {:>8.3}",
+                    p.name,
+                    p.tree.num_leaves(),
+                    p.score
+                )
+            });
+            i32::from(unreadable > 0)
+        }
+        ["show", name] => load_asset(name).map_or_else(
+            |code| code,
+            |p| {
+                println!("name:  {}", p.name);
+                println!("score: {:.4}", p.score);
+                println!("model: {}", p.description);
+                println!("{}", p.tree);
+                0
+            },
+        ),
+        ["probe", name, signals @ ..] => {
+            let point: Option<MemoryPoint> = signals
+                .iter()
+                .map(|s| s.parse().ok())
+                .collect::<Option<Vec<f64>>>()
+                .and_then(|v| v.try_into().ok());
+            let Some(point @ [rec, slow, send, rttr]) = point else {
+                eprintln!("error: probe needs {NUM_SIGNALS} numbers\n\n{USAGE}");
+                return 2;
+            };
+            load_asset(name).map_or_else(
+                |code| code,
+                |p| {
+                    let action = p.tree.action_for(&point);
+                    println!(
+                        "memory (rec={rec}, slow={slow}, send={send}, rttr={rttr}) -> {action}"
+                    );
+                    0
+                },
+            )
+        }
+        ["verify"] => {
+            use remy::verifier::{verify, VerifyConfig};
+            let cfg = VerifyConfig::default();
+            let mut flagged = 0;
+            let unreadable = each_asset(|p| {
+                let report = verify(&p.tree, &p.name, &cfg);
+                if report.passed() {
+                    println!(
+                        "PASS {:<22} ({} probes)",
+                        report.protocol, report.probes_run
+                    );
+                    return;
+                }
+                flagged += 1;
+                println!(
+                    "FAIL {:<22} ({} probes, {} violations)",
+                    report.protocol,
+                    report.probes_run,
+                    report.violations.len()
+                );
+                for v in report.violations.iter().take(4) {
+                    println!("       [{:?}] {} — {}", v.kind, v.probe, v.detail);
+                }
+            });
+            if flagged > 0 {
+                println!("\n{flagged} protocol(s) flagged — see above.");
+            } else if unreadable == 0 {
+                println!("\nall protocol assets pass the collapse verifier.");
+            }
+            i32::from(flagged + unreadable > 0)
+        }
+        _ => {
+            eprintln!(
+                "error: unknown assets command '{}'\n\n{USAGE}",
+                args.join(" ")
+            );
+            2
+        }
+    }
+}
+
+/// Load the asset named `name`; on failure say why and return exit code 1.
+fn load_asset(name: &str) -> Result<TrainedProtocol, i32> {
+    remy::serialize::load(&remy::serialize::asset_path(name)).map_err(|e| {
+        eprintln!("error: cannot load {name}: {e}");
+        1
+    })
+}
+
+/// Hand every `*.json` protocol asset, in file-name order, to `visit`.
+/// Returns how many could not be read (each named on stderr); an assets
+/// directory that cannot be listed counts as one.
+fn each_asset(mut visit: impl FnMut(&TrainedProtocol)) -> usize {
+    let dir = remy::serialize::assets_dir();
+    let mut paths: Vec<PathBuf> = match std::fs::read_dir(&dir) {
+        Ok(rd) => rd
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect(),
+        Err(e) => {
+            eprintln!("error: cannot list {}: {e}", dir.display());
+            return 1;
+        }
+    };
+    if paths.is_empty() {
+        println!(
+            "no assets in {} — run `learnability train all` first",
+            dir.display()
+        );
+    }
+    paths.sort();
+    let mut unreadable = 0;
+    for path in &paths {
+        match remy::serialize::load(path) {
+            Ok(p) => visit(&p),
+            Err(e) => {
+                eprintln!("error: unreadable asset {}: {e}", path.display());
+                unreadable += 1;
+            }
+        }
+    }
+    unreadable
 }
 
 #[cfg(test)]
@@ -680,6 +821,34 @@ mod tests {
         assert_eq!(
             train_asset_names(&job, TrainerKind::Genetic),
             vec!["tao-test-genetic"]
+        );
+    }
+
+    #[test]
+    fn assets_commands_check_their_arguments() {
+        assert_eq!(run(&["assets"]), 2);
+        assert_eq!(run(&["assets", "frobnicate"]), 2);
+        assert_eq!(run(&["assets", "show"]), 2);
+        assert_eq!(run(&["assets", "list", "extra"]), 2);
+        assert_eq!(run(&["assets", "probe", "tao-2x", "20", "20", "20"]), 2);
+        assert_eq!(
+            run(&["assets", "probe", "tao-2x", "20", "20", "20", "x"]),
+            2
+        );
+        assert_eq!(run(&["assets", "show", "no-such-asset"]), 1);
+        assert_eq!(
+            run(&["assets", "probe", "no-such-asset", "1", "1", "1", "1"]),
+            1
+        );
+    }
+
+    #[test]
+    fn assets_list_show_and_probe_read_the_committed_assets() {
+        assert_eq!(run(&["assets", "list"]), 0, "every asset is readable");
+        assert_eq!(run(&["assets", "show", "tao-2x"]), 0);
+        assert_eq!(
+            run(&["assets", "probe", "tao-2x", "20", "20", "20", "1.0"]),
+            0
         );
     }
 

@@ -79,38 +79,20 @@ pub enum Fidelity {
     Full,
 }
 
-/// One parser for every spelling a fidelity arrives in: the canonical
-/// CLI names (`quick`/`full`) plus the `LEARNABILITY_FULL` boolean
-/// convention (`1`/`true` → full; ``/`0`/`false` → quick, any case).
-/// Pure, so it is testable without touching the process environment
-/// (env mutation races parallel tests). The `--fidelity` flag parses
-/// strictly (unrecognized input is an error the user sees);
-/// [`Fidelity::from_env`] falls back to quick.
+/// The `--fidelity` flag's parser: `quick` or `full`, nothing else.
 impl std::str::FromStr for Fidelity {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, String> {
-        if s == "quick" || s.is_empty() || s == "0" || s.eq_ignore_ascii_case("false") {
-            Ok(Fidelity::Quick)
-        } else if s == "full" || s == "1" || s.eq_ignore_ascii_case("true") {
-            Ok(Fidelity::Full)
-        } else {
-            Err(format!("unknown fidelity '{s}' (quick|full)"))
+        match s {
+            "quick" => Ok(Fidelity::Quick),
+            "full" => Ok(Fidelity::Full),
+            _ => Err(format!("unknown fidelity '{s}' (quick|full)")),
         }
     }
 }
 
 impl Fidelity {
-    /// `LEARNABILITY_FULL=1` selects full fidelity; anything
-    /// unrecognized — including absence — stays quick (an env var must
-    /// never abort a run).
-    pub fn from_env() -> Self {
-        std::env::var("LEARNABILITY_FULL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(Fidelity::Quick)
-    }
-
     pub fn name(self) -> &'static str {
         match self {
             Fidelity::Quick => "quick",
@@ -415,16 +397,16 @@ pub use remy::TrainCost;
 /// Standard training budget used for all committed protocol assets.
 ///
 /// Delegates to [`remy::TrainBudget::for_fidelity`] — the one copy of the
-/// per-fidelity presets (including the `LEARNABILITY_FAST_TRAIN` /
-/// `LEARNABILITY_VERBOSE` env handling) — rendered as the tree trainer's
-/// [`OptimizerConfig`].
+/// per-fidelity presets (including the `LEARNABILITY_FAST_TRAIN` env
+/// handling) — rendered as the tree trainer's [`OptimizerConfig`].
 pub fn train_cfg(cost: TrainCost) -> OptimizerConfig {
     remy::TrainBudget::for_fidelity(cost).tree_config()
 }
 
 /// Train (or load the committed asset for) a Tao protocol.
 pub fn tao_asset(name: &str, specs: Vec<ScenarioSpec>, cfg: OptimizerConfig) -> TrainedProtocol {
-    remy::serialize::load_or_train(name, || {
+    let path = remy::serialize::asset_path(name);
+    remy::serialize::load_or_train(&path, || {
         eprintln!("[learnability] training {name} (no committed asset found)...");
         let t0 = std::time::Instant::now();
         let p = remy::Optimizer::new(specs, cfg).optimize(name);
@@ -513,28 +495,26 @@ mod tests {
     }
 
     #[test]
-    fn fidelity_from_str_covers_both_conventions() {
-        // Canonical CLI names and the LEARNABILITY_FULL boolean spelling
-        // go through the one FromStr impl.
-        assert_eq!("quick".parse(), Ok(Fidelity::Quick));
-        assert_eq!("full".parse(), Ok(Fidelity::Full));
-        assert_eq!("".parse(), Ok(Fidelity::Quick));
-        assert_eq!("0".parse(), Ok(Fidelity::Quick));
-        assert_eq!("false".parse(), Ok(Fidelity::Quick));
-        assert_eq!("1".parse(), Ok(Fidelity::Full));
-        assert_eq!("true".parse(), Ok(Fidelity::Full));
-        assert_eq!("TRUE".parse(), Ok(Fidelity::Full));
-        assert!("yes".parse::<Fidelity>().is_err());
-        assert!("medium".parse::<Fidelity>().is_err());
-    }
-
-    #[test]
     fn fidelity_flag_parsing() {
         assert_eq!("quick".parse(), Ok(Fidelity::Quick));
         assert_eq!("full".parse(), Ok(Fidelity::Full));
-        assert!("medium".parse::<Fidelity>().is_err());
+        for bad in ["medium", "Full"] {
+            assert!(bad.parse::<Fidelity>().is_err(), "'{bad}' must not parse");
+        }
         assert_eq!(Fidelity::Quick.name(), "quick");
         assert_eq!(Fidelity::Full.name(), "full");
+    }
+
+    #[test]
+    fn fidelity_from_str_covers_both_conventions() {
+        // The flag convention (`quick`|`full`) is the only one that parses;
+        // the boolean environment-variable spellings are all rejected.
+        for f in [Fidelity::Quick, Fidelity::Full] {
+            assert_eq!(f.name().parse(), Ok(f));
+        }
+        for bad in ["", "0", "1", "true", "false"] {
+            assert!(bad.parse::<Fidelity>().is_err(), "'{bad}' must not parse");
+        }
     }
 
     #[test]

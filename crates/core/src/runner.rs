@@ -11,25 +11,26 @@
 //! An experiment's [`sweep`](crate::experiments::Experiment::sweep) is pure
 //! *data*: a list of [`SweepPoint`]s, each a `(network, scheme mix, seed
 //! range)` cell description. [`execute_sweep`] expands the points into
-//! `(point, seed)` cells and runs them on a work-stealing thread pool —
-//! the same claim-by-atomic-index pattern as remy's `EvalPool` (see
-//! [`parallel_map_indexed`]) — so test-side sweeps use every core the way
-//! training already does. Per-cell results land in index-ordered slots and
-//! are merged in input order, so the outcome is **bit-identical for any
-//! thread count**. A cell that repeats an earlier cell of the same sweep
-//! — same network, protocols, seed, duration and trace request, whatever
-//! its key, axis position or Tao label — is simulated once: runs are pure
-//! functions of those inputs, so the repeat gets a copy of the outcome.
+//! `(point, seed)` cells and runs them on [`remy::eval::try_map_indexed`],
+//! the scoped work-stealing map training evaluates its scenario batches
+//! on, so test-side sweeps use every core the way training does. Per-cell
+//! results land in index-ordered slots and are merged in input order, so
+//! the outcome is **bit-identical for any thread count**, and a cell that
+//! panics becomes a flagged hole ([`PointOutcome::poisoned`]) instead of
+//! taking the sweep down. A cell that repeats an earlier cell of the same
+//! sweep — same network, protocols, seed, duration and trace request,
+//! whatever its key, axis position or Tao label — is simulated once: runs
+//! are pure functions of those inputs, so the repeat gets a copy of the
+//! outcome.
 
 use netsim::prelude::*;
 use netsim::trace::Trace;
 use netsim::transport::CongestionControl;
 use protocols::compiled::CompiledTree;
 use protocols::{Cubic, NewReno, Pcc, SignalMask, TaoCc, Vegas, WhiskerTree};
+use remy::eval::try_map_indexed;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A congestion-control scheme under test.
 #[derive(Clone)]
@@ -433,93 +434,8 @@ fn run_cell(point: &SweepPoint, seed: u64) -> (RunOutcome, Option<Trace>) {
     (run, trace)
 }
 
-/// Work-stealing indexed map — the claim-by-atomic-index pattern of remy's
-/// `EvalPool`, generalized: `workers` scoped threads (the calling thread
-/// participates, so `threads == 1` is pure serial execution) claim indices
-/// `0..n` from an atomic cursor, and results are returned **in index
-/// order** regardless of which worker computed what. Skewed per-index
-/// costs never idle a core, and the output is identical for any thread
-/// count.
-pub fn parallel_map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_try_map_indexed(n, threads, f)
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            // Re-raise with the original message: callers of the
-            // infallible map keep panic-on-failure semantics, but the
-            // panic now happens on the calling thread after the pool
-            // drained instead of poisoning a slot mutex mid-merge.
-            Err(msg) => panic!("parallel_map_indexed worker panicked: {msg}"),
-        })
-        .collect()
-}
-
-/// Panic-tolerant variant of [`parallel_map_indexed`]: each `f(i)` runs
-/// under `catch_unwind`, so one panicking index yields `Err(message)` in
-/// its slot while every other index completes normally. The closure's
-/// result is computed *before* the slot lock is taken — a panic can never
-/// poison the mutex, so the merge always finishes.
-pub fn parallel_try_map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<Result<T, String>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    let workers = threads.min(n.max(1));
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<T, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let work = || loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            return;
-        }
-        let result = catch_unwind(AssertUnwindSafe(|| f(i))).map_err(panic_message);
-        *slots[i].lock().expect("result slot poisoned") = Some(result);
-    };
-    if workers <= 1 {
-        work();
-    } else {
-        std::thread::scope(|s| {
-            for _ in 1..workers {
-                s.spawn(work);
-            }
-            work();
-        });
-    }
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every index claimed")
-        })
-        .collect()
-}
-
-/// Extract a human-readable message from a panic payload (`&str` and
-/// `String` payloads cover every `panic!`/`assert!` in the workspace).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Execute a sweep: expand every point into `(point, seed)` cells, run
-/// each distinct one on the work-stealing pool (`threads == 0` uses all
+/// each distinct one on the work-stealing map (`threads == 0` uses all
 /// cores) — a cell repeating an earlier one gets a copy of its outcome —
 /// and merge outcomes back per point in seed order. Deterministic: the
 /// merge is index-ordered, so results are bit-identical for any thread
@@ -532,7 +448,7 @@ pub fn execute_sweep(points: Vec<SweepPoint>, threads: usize) -> Vec<PointOutcom
         .collect();
     let first = first_equal_cells(&points, &cells);
     let distinct: Vec<usize> = (0..cells.len()).filter(|&i| first[i] == i).collect();
-    let ran = parallel_try_map_indexed(distinct.len(), threads, |k| {
+    let ran = try_map_indexed(distinct.len(), threads, |k| {
         let (pi, seed) = cells[distinct[k]];
         run_cell(&points[pi], seed)
     });
@@ -794,12 +710,13 @@ mod tests {
 
     #[test]
     fn parallel_map_is_index_ordered_for_any_thread_count() {
-        let serial = parallel_map_indexed(17, 1, |i| i * i);
+        let serial = try_map_indexed(17, 1, |i| i * i);
+        assert_eq!(serial, (0..17).map(|i| Ok(i * i)).collect::<Vec<_>>());
         for threads in [2usize, 4, 16] {
-            let par = parallel_map_indexed(17, threads, |i| i * i);
+            let par = try_map_indexed(17, threads, |i| i * i);
             assert_eq!(par, serial, "threads={threads}");
         }
-        assert!(parallel_map_indexed(0, 4, |i| i).is_empty());
+        assert!(try_map_indexed(0, 4, |i| i).is_empty());
     }
 
     #[test]
@@ -808,7 +725,7 @@ mod tests {
         // or hang the merge: every other index completes, and the panic
         // message survives verbatim.
         for threads in [1usize, 2, 8] {
-            let results = parallel_try_map_indexed(9, threads, |i| {
+            let results = try_map_indexed(9, threads, |i| {
                 if i == 4 {
                     panic!("cell {i} exploded deliberately");
                 }
@@ -827,17 +744,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "boom at index 2")]
-    fn infallible_map_repanics_with_original_message() {
-        let _ = parallel_map_indexed(4, 2, |i| {
-            if i == 2 {
-                panic!("boom at index 2");
-            }
-            i
-        });
     }
 
     #[test]

@@ -8,10 +8,7 @@
 //! rate/delay/buffer, AQM discipline, workload/churn, reverse-path
 //! slowdown, and the [`netsim::topology::FaultSpec`] dimensions
 //! (Gilbert–Elliott severity, outage cadence, corruption rate).
-//! [`adversarial_space_endpoints`] widens the same box with the
-//! receiver-policy axes (stretch-ACK factor, delayed-ACK flush timer);
-//! the original space is a frozen prefix of it, and [`realize`] is total
-//! over points from either.
+//! [`realize`] is total over the box and off it.
 //!
 //! The optimizer follows the whisker optimizer's coarse-to-fine pattern
 //! one level up: a seeded random population first (global coverage), then
@@ -19,8 +16,8 @@
 //! [`ScenarioSpace::mutate_with`] (bounded steps, so candidates can never
 //! leave the box). Every candidate population is executed through the
 //! shared sweep engine ([`execute_sweep`] →
-//! [`crate::runner::parallel_try_map_indexed`]), so one pathological
-//! candidate becomes a poisoned-cell record, not a dead search.
+//! [`remy::eval::try_map_indexed`]), so one pathological candidate
+//! becomes a poisoned-cell record, not a dead search.
 //!
 //! The product is a [`Certificate`]: the found config, its score gap
 //! against the omniscient benchmark, and everything needed to replay the
@@ -86,24 +83,6 @@ pub fn adversarial_space() -> ScenarioSpace {
         .with_continuous("corrupt_prob", Sample::Uniform { lo: 0.0, hi: 0.05 })
 }
 
-/// Stretch factors the `ack_every` choice axis of
-/// [`adversarial_space_endpoints`] indexes into (index 0 = the paper's
-/// immediate-ACK receiver).
-pub const ACK_EVERY_CHOICES: [u32; 5] = [1, 2, 4, 8, 16];
-
-/// [`adversarial_space`] extended with the receiver-policy axes the
-/// endpoint redesign opened up: `ack_every` indexes
-/// [`ACK_EVERY_CHOICES`] (stretch-ACK factor) and `ack_flush_ms` is the
-/// delayed-ACK flush timer. The eleven original axes come first and in
-/// the same order, so the base space's sampling sequence is a frozen
-/// prefix of this one — committed certificates keep replaying and
-/// [`realize`] is total over points from either space.
-pub fn adversarial_space_endpoints() -> ScenarioSpace {
-    adversarial_space()
-        .with_choice("ack_every", ACK_EVERY_CHOICES.len() as u32)
-        .with_continuous("ack_flush_ms", Sample::LogUniform { lo: 5.0, hi: 200.0 })
-}
-
 /// Realize a point of [`adversarial_space`] as a concrete two-sender
 /// dumbbell. Total by construction: the point is first projected into the
 /// box ([`ScenarioSpace::clamp`]), the link axes are then written through
@@ -139,18 +118,6 @@ pub fn realize(space: &ScenarioSpace, point: &[f64]) -> NetworkConfig {
         net.try_set_fault(0, f)
             .expect("adversarial_space ranges only produce valid fault specs");
     }
-    // Receiver-policy axes, present only in `adversarial_space_endpoints`
-    // (guarded by axis_index so base-space points stay realizable).
-    if space.axis_index("ack_every").is_some() {
-        let k = ACK_EVERY_CHOICES[v("ack_every") as usize];
-        let flush_s = match space.axis_index("ack_flush_ms") {
-            Some(_) => v("ack_flush_ms") / 1e3,
-            None => 0.040,
-        };
-        // k = 1 realizes the immediate fast path bit-for-bit, so the
-        // search box contains the paper's receiver as an interior point.
-        net = net.with_receiver(ReceiverSpec::delayed(k, flush_s));
-    }
     net
 }
 
@@ -169,27 +136,15 @@ pub fn describe(space: &ScenarioSpace, point: &[f64]) -> String {
         3 => format!("corrupt {:.3}", v("corrupt_prob")),
         _ => "no fault".to_string(),
     };
-    let endpoints = match space.axis_index("ack_every") {
-        Some(_) => format!(
-            ", ack every {}{}",
-            ACK_EVERY_CHOICES[v("ack_every") as usize],
-            match space.axis_index("ack_flush_ms") {
-                Some(_) => format!(" (flush {:.0} ms)", v("ack_flush_ms")),
-                None => String::new(),
-            }
-        ),
-        None => String::new(),
-    };
     format!(
-        "{:.1} Mbps, {:.0} ms, {:.1} BDP, {}, {}, rev 1/{:.1}x, {}{}",
+        "{:.1} Mbps, {:.0} ms, {:.1} BDP, {}, {}, rev 1/{:.1}x, {}",
         v("link_mbps"),
         v("rtt_ms"),
         v("buffer_bdp"),
         AqmKind::ALL[v("aqm") as usize].name(),
         workload,
         v("reverse_slowdown"),
-        fault,
-        endpoints
+        fault
     )
 }
 
@@ -486,70 +441,6 @@ mod tests {
         let space = adversarial_space();
         let wild = vec![1e12, -1.0, 0.0, 99.0, -3.0, 0.0, 1e6, 17.0, 5.0, -1.0, 2.0];
         realize(&space, &wild).validate().unwrap();
-    }
-
-    #[test]
-    fn endpoints_space_is_a_frozen_superset() {
-        let base = adversarial_space();
-        let ext = adversarial_space_endpoints();
-        for (i, name) in AXES.iter().enumerate() {
-            assert_eq!(base.axis_index(name), Some(i));
-            assert_eq!(ext.axis_index(name), Some(i), "prefix order frozen");
-        }
-        assert_eq!(ext.axis_index("ack_every"), Some(AXES.len()));
-        assert_eq!(ext.axis_index("ack_flush_ms"), Some(AXES.len() + 1));
-        // Sampling draws axis-by-axis, so the base space's sequence must
-        // survive as a prefix: same seed, identical first eleven draws —
-        // committed certificates' points stay meaningful.
-        for seed in 0..20 {
-            let b = base.sample(seed);
-            let e = ext.sample(seed);
-            assert_eq!(&e[..AXES.len()], &b[..], "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn endpoint_points_realize_to_valid_receiver_configs() {
-        let space = adversarial_space_endpoints();
-        let mut saw_delayed = false;
-        for seed in 0..60 {
-            let p = space.sample(seed);
-            let net = realize(&space, &p);
-            net.validate()
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}\npoint {p:?}"));
-            let k = ACK_EVERY_CHOICES[space.value(&space.clamp(&p), "ack_every") as usize];
-            let r = net.flows[0]
-                .receiver
-                .as_ref()
-                .expect("endpoint axis sets a receiver on every flow");
-            assert_eq!(r.ack_every, k);
-            assert_eq!(r.is_immediate(), k == 1);
-            if k > 1 {
-                saw_delayed = true;
-            }
-        }
-        assert!(saw_delayed, "the choice axis must reach delayed policies");
-    }
-
-    #[test]
-    fn endpoints_realize_is_total_off_the_box() {
-        let space = adversarial_space_endpoints();
-        let wild = vec![
-            1e12, -1.0, 0.0, 99.0, -3.0, 0.0, 1e6, 17.0, 5.0, -1.0, 2.0, 42.0, -7.0,
-        ];
-        realize(&space, &wild).validate().unwrap();
-    }
-
-    #[test]
-    fn describe_names_the_ack_policy_only_when_present() {
-        let base = adversarial_space();
-        assert!(!describe(&base, &base.center()).contains("ack every"));
-        let ext = adversarial_space_endpoints();
-        let mut p = ext.center();
-        p[ext.axis_index("ack_every").unwrap()] = 2.0; // index 2 -> k = 4
-        let d = describe(&ext, &p);
-        assert!(d.contains("ack every 4"), "got: {d}");
-        assert!(d.contains("flush"), "got: {d}");
     }
 
     #[test]

@@ -140,10 +140,11 @@
 //!   end-to-end-tested in `tests/proptest_scheduler.rs` and
 //!   `tests/scheduler_determinism.rs`).
 //!
-//! Measure with `cargo bench -p bench --bench simulator` (engine event
-//! throughput by protocol and by scheduler backend) and `cargo run
-//! --release -p bench --bin perf_snapshot` (events/sec of a fixed
-//! dumbbell under both backends, written to `BENCH_optimizer.json`).
+//! Measure with `benchmark/run.sh` (the repo's benchmark: engine event
+//! throughput, calendar vs heap hold costs and per-discipline link costs
+//! in its per-layer ledger) and `cargo run --release -p bench --bin
+//! perf_snapshot` (events/sec of a fixed dumbbell under both backends,
+//! written to `BENCH_optimizer.json`).
 
 #![deny(missing_docs)]
 

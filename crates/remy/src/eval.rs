@@ -18,25 +18,27 @@
 //!    every scenario walks the same compilation and accumulates usage in
 //!    its own flat [`UsageCounts`] buffer. No per-scenario tree clones,
 //!    no recursive boxed-node walks on the per-ack path.
-//! 2. **Persistent pool, work-stealing queue.** [`EvalPool`] spawns its
-//!    workers once (per [`Optimizer`](crate::Optimizer) run, or once per
-//!    process for the shared [`EvalPool::global`] pool) and feeds them
-//!    through a channel; scenarios are claimed with an atomic index, so
-//!    skewed scenario costs never idle a core and no threads are spawned
-//!    or joined per candidate evaluation.
+//! 2. **One work-stealing map.** [`EvalPool`] is only a thread count;
+//!    each evaluation runs its batch through [`try_map_indexed`], the
+//!    scoped claim-by-atomic-index map the figure sweeps run on too.
+//!    Skewed scenario costs never idle a core, workers borrow the batch
+//!    instead of copying it, and at one thread the map runs inline and
+//!    spawns nothing. At more, each evaluation spawns and joins its
+//!    helpers (tens of µs against the milliseconds a scenario costs).
 //! 3. **Deterministic merge.** Per-scenario results land in index-order
 //!    slots and are folded on the calling thread in input order, so the
 //!    result is bit-identical for any worker count — `threads: 1` and
 //!    `threads: N` produce the same utilities *and* the same usage trees.
+//!    A panicking scenario panics the caller with its message.
 
 use crate::objective::Objective;
 use crate::scenario::{ConcreteScenario, Role, ScenarioSpec};
 use netsim::prelude::*;
 use netsim::transport::CongestionControl;
 use protocols::{CompiledTree, NewReno, SignalMask, TaoCc, UsageCounts, WhiskerTree};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Evaluation knobs.
 #[derive(Clone, Debug)]
@@ -66,13 +68,7 @@ impl Default for EvalConfig {
 
 impl EvalConfig {
     pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+        resolve_threads(self.threads)
     }
 }
 
@@ -184,152 +180,51 @@ pub fn run_scenario(
 ) -> (f64, Vec<WhiskerTree>) {
     let compiled: Vec<Arc<CompiledTree>> = trees.iter().map(CompiledTree::compile_shared).collect();
     let (utility, counts) = run_scenario_compiled(scenario, &compiled, cfg);
-    let usage = trees
+    (utility, annotate(trees, &counts))
+}
+
+/// Clones of `trees` carrying exactly the per-slot usage `counts`.
+fn annotate(trees: &[WhiskerTree], counts: &[UsageCounts]) -> Vec<WhiskerTree> {
+    trees
         .iter()
-        .zip(&counts)
+        .zip(counts)
         .map(|(t, c)| {
             let mut annotated = t.clone();
             annotated.reset_counts();
             annotated.absorb_usage(c);
             annotated
         })
-        .collect();
-    (utility, usage)
+        .collect()
 }
 
-/// Utility and per-slot usage counters from one scenario run.
-type ScenarioOutput = (f64, Vec<UsageCounts>);
-
-/// One evaluation batch shared with pool workers.
-struct JobState {
-    scenarios: Arc<[ConcreteScenario]>,
-    trees: Vec<Arc<CompiledTree>>,
-    cfg: EvalConfig,
-    /// Work-stealing cursor: next unclaimed scenario index.
-    next: AtomicUsize,
-    /// Per-scenario result slots (index-aligned with `scenarios`).
-    results: Vec<Mutex<Option<ScenarioOutput>>>,
-    /// Count of scenarios still running, with completion signaling.
-    remaining: Mutex<usize>,
-    done: Condvar,
-    /// First panic payload from any thread's scenario run; re-raised on
-    /// the calling thread so a crash can't deadlock the wait below.
-    panic: Mutex<Option<String>>,
-}
-
-impl JobState {
-    /// Claim-and-run loop shared by workers and the calling thread.
-    fn work(&self) {
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.scenarios.len() {
-                return;
-            }
-            // A panicking scenario must still count down `remaining`
-            // (and keep the worker alive), or `evaluate` would wait on
-            // the condvar forever and the pool would leak capacity.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_scenario_compiled(&self.scenarios[i], &self.trees, &self.cfg)
-            }));
-            match outcome {
-                Ok(res) => {
-                    *self.results[i].lock().expect("result slot poisoned") = Some(res);
-                }
-                Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "scenario evaluation panicked".to_string());
-                    self.panic
-                        .lock()
-                        .expect("panic slot poisoned")
-                        .get_or_insert(msg);
-                }
-            }
-            let mut rem = self.remaining.lock().expect("remaining poisoned");
-            *rem -= 1;
-            if *rem == 0 {
-                self.done.notify_all();
-            }
-        }
-    }
-}
-
-type Job = Arc<JobState>;
-
-/// Persistent evaluation worker pool.
-///
-/// Workers are spawned once and fed jobs through a channel; each job's
-/// scenarios are claimed via an atomic cursor (work stealing), so skewed
-/// scenario costs don't idle threads and nothing is spawned per
-/// evaluation. The calling thread always participates, so a pool sized
-/// `threads` uses `threads - 1` spawned workers, and `threads == 1` is
-/// pure serial execution.
+/// Evaluation workers: a thread count, nothing else. Each
+/// [`evaluate`](Self::evaluate) runs its batch on scoped threads through
+/// [`try_map_indexed`] (the calling thread participates, so a pool of
+/// one runs inline and spawns nothing) and folds the results in input
+/// order, so the result is bit-identical for any pool size.
+#[derive(Clone, Copy, Debug)]
 pub struct EvalPool {
-    injector: Mutex<Sender<Job>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
     size: usize,
 }
 
 impl EvalPool {
     /// Pool sized for `threads` concurrent evaluators (0 = all cores).
     pub fn new(threads: usize) -> Self {
-        let size = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        let (tx, rx) = channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..size.saturating_sub(1))
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("remy-eval-{i}"))
-                    .spawn(move || Self::worker_loop(rx))
-                    .expect("spawn eval worker")
-            })
-            .collect();
         EvalPool {
-            injector: Mutex::new(tx),
-            handles,
-            size,
+            size: resolve_threads(threads),
         }
     }
 
-    fn worker_loop(rx: Arc<Mutex<Receiver<Job>>>) {
-        loop {
-            let job = match rx.lock() {
-                Ok(guard) => guard.recv(),
-                Err(_) => return,
-            };
-            match job {
-                Ok(job) => job.work(),
-                Err(_) => return, // pool dropped
-            }
-        }
-    }
-
-    /// Total evaluator slots (spawned workers + the calling thread).
+    /// Concurrent evaluators (the calling thread included).
     pub fn size(&self) -> usize {
         self.size
     }
 
-    /// The process-wide shared pool (sized to all cores), used by the free
-    /// [`evaluate_scenarios`] function.
-    pub fn global() -> &'static EvalPool {
-        static POOL: OnceLock<EvalPool> = OnceLock::new();
-        POOL.get_or_init(|| EvalPool::new(0))
-    }
-
-    /// Evaluate `trees` on a borrowed scenario batch. Convenience over
-    /// [`evaluate_shared`](Self::evaluate_shared): when helpers kick in,
-    /// the batch is copied once into an `Arc`. Callers that reuse one
-    /// batch across many evaluations (the optimizer's hill climb) should
-    /// hold the `Arc` themselves and call `evaluate_shared`.
+    /// Evaluate `trees` (co-optimized slots) on a scenario batch: compile
+    /// the trees once, simulate the scenarios on at most
+    /// `min(cfg.effective_threads(), size)` threads, and fold the results
+    /// in input order. A scenario that panics panics the caller with its
+    /// message once the batch has drained.
     pub fn evaluate(
         &self,
         scenarios: &[ConcreteScenario],
@@ -337,174 +232,137 @@ impl EvalPool {
         cfg: &EvalConfig,
     ) -> EvalResult {
         assert!(!scenarios.is_empty(), "empty scenario batch");
-        if self.helpers_for(scenarios.len(), cfg) == 0 {
-            return self.evaluate_inner(scenarios, None, trees, cfg);
+        let compiled: Vec<Arc<CompiledTree>> =
+            trees.iter().map(CompiledTree::compile_shared).collect();
+        let threads = cfg.effective_threads().min(self.size);
+        let runs = try_map_indexed(scenarios.len(), threads, |i| {
+            run_scenario_compiled(&scenarios[i], &compiled, cfg)
+        });
+
+        let mut per_scenario = Vec::with_capacity(scenarios.len());
+        let mut slot_usage: Vec<UsageCounts> = compiled
+            .iter()
+            .map(|t| UsageCounts::new(t.num_leaves()))
+            .collect();
+        for run in runs {
+            let (u, counts) =
+                run.unwrap_or_else(|msg| panic!("scenario evaluation panicked: {msg}"));
+            per_scenario.push(u);
+            for (slot, c) in counts.iter().enumerate() {
+                slot_usage[slot].merge(c);
+            }
         }
-        let shared: Arc<[ConcreteScenario]> = scenarios.to_vec().into();
-        self.evaluate_shared(&shared, trees, cfg)
+
+        let mean_utility = per_scenario.iter().sum::<f64>() / per_scenario.len() as f64;
+        EvalResult {
+            mean_utility,
+            per_scenario,
+            usage: annotate(trees, &slot_usage),
+        }
     }
 
     /// Evaluate each tree *independently* (as a single-slot population
-    /// member, not co-optimized slots) on one shared common-random-number
+    /// member, not co-optimized slots) on one common-random-number
     /// batch; returns mean utilities in input order. The population
-    /// trainer's fitness pass: each genome's scenarios are claimed by
-    /// atomic index and folded deterministically, so the fitness vector
-    /// is bit-identical for any thread count.
+    /// trainer's fitness pass.
     pub fn evaluate_each(
         &self,
-        scenarios: &Arc<[ConcreteScenario]>,
+        scenarios: &[ConcreteScenario],
         trees: &[WhiskerTree],
         cfg: &EvalConfig,
     ) -> Vec<f64> {
         trees
             .iter()
             .map(|t| {
-                self.evaluate_shared(scenarios, std::slice::from_ref(t), cfg)
+                self.evaluate(scenarios, std::slice::from_ref(t), cfg)
                     .mean_utility
             })
             .collect()
     }
-
-    /// Evaluate `trees` on a shared scenario batch without copying it. At
-    /// most `cfg.effective_threads()` threads touch the batch regardless
-    /// of pool size; results are bit-identical for any thread count.
-    pub fn evaluate_shared(
-        &self,
-        scenarios: &Arc<[ConcreteScenario]>,
-        trees: &[WhiskerTree],
-        cfg: &EvalConfig,
-    ) -> EvalResult {
-        assert!(!scenarios.is_empty(), "empty scenario batch");
-        self.evaluate_inner(scenarios, Some(scenarios), trees, cfg)
-    }
-
-    /// Helpers beyond the calling thread: capped by the config's thread
-    /// knob, the pool size, and the batch length.
-    fn helpers_for(&self, batch_len: usize, cfg: &EvalConfig) -> usize {
-        cfg.effective_threads()
-            .min(self.size)
-            .min(batch_len)
-            .saturating_sub(1)
-    }
-
-    fn evaluate_inner(
-        &self,
-        scenarios: &[ConcreteScenario],
-        shared: Option<&Arc<[ConcreteScenario]>>,
-        trees: &[WhiskerTree],
-        cfg: &EvalConfig,
-    ) -> EvalResult {
-        let compiled: Vec<Arc<CompiledTree>> =
-            trees.iter().map(CompiledTree::compile_shared).collect();
-        let helpers = self.helpers_for(scenarios.len(), cfg);
-
-        let (per_scenario, slot_usage) = if helpers == 0 {
-            // Serial fast path: no job allocation, no scenario clones.
-            let mut per_scenario = Vec::with_capacity(scenarios.len());
-            let mut slot_usage: Vec<UsageCounts> = compiled
-                .iter()
-                .map(|t| UsageCounts::new(t.num_leaves()))
-                .collect();
-            for sc in scenarios {
-                let (u, counts) = run_scenario_compiled(sc, &compiled, cfg);
-                per_scenario.push(u);
-                for (slot, c) in counts.iter().enumerate() {
-                    slot_usage[slot].merge(c);
-                }
-            }
-            (per_scenario, slot_usage)
-        } else {
-            let job: Job = Arc::new(JobState {
-                scenarios: Arc::clone(shared.expect("parallel path requires a shared batch")),
-                trees: compiled.clone(),
-                cfg: cfg.clone(),
-                next: AtomicUsize::new(0),
-                results: (0..scenarios.len()).map(|_| Mutex::new(None)).collect(),
-                remaining: Mutex::new(scenarios.len()),
-                done: Condvar::new(),
-                panic: Mutex::new(None),
-            });
-            {
-                let tx = self.injector.lock().expect("injector poisoned");
-                for _ in 0..helpers {
-                    // A ticket per helper; idle workers pick them up. Stale
-                    // tickets (job already drained) exit immediately.
-                    tx.send(Arc::clone(&job)).expect("pool channel closed");
-                }
-            }
-            job.work();
-            let mut rem = job.remaining.lock().expect("remaining poisoned");
-            while *rem > 0 {
-                rem = job.done.wait(rem).expect("wait poisoned");
-            }
-            drop(rem);
-            if let Some(msg) = job.panic.lock().expect("panic slot poisoned").take() {
-                panic!("scenario evaluation panicked: {msg}");
-            }
-
-            // Deterministic fold in input order, independent of which
-            // worker ran what.
-            let mut per_scenario = Vec::with_capacity(scenarios.len());
-            let mut slot_usage: Vec<UsageCounts> = compiled
-                .iter()
-                .map(|t| UsageCounts::new(t.num_leaves()))
-                .collect();
-            for slot in &job.results {
-                let (u, counts) = slot
-                    .lock()
-                    .expect("result slot poisoned")
-                    .take()
-                    .expect("scenario result missing");
-                per_scenario.push(u);
-                for (s, c) in counts.iter().enumerate() {
-                    slot_usage[s].merge(c);
-                }
-            }
-            (per_scenario, slot_usage)
-        };
-
-        let usage: Vec<WhiskerTree> = trees
-            .iter()
-            .zip(&slot_usage)
-            .map(|(t, c)| {
-                let mut annotated = t.clone();
-                annotated.reset_counts();
-                annotated.absorb_usage(c);
-                annotated
-            })
-            .collect();
-        let mean_utility = per_scenario.iter().sum::<f64>() / per_scenario.len() as f64;
-        EvalResult {
-            mean_utility,
-            per_scenario,
-            usage,
-        }
-    }
 }
 
-impl Drop for EvalPool {
-    fn drop(&mut self) {
-        // Replacing the sender closes the channel; workers drain pending
-        // jobs and exit on the recv error.
-        {
-            let (tx, _rx) = channel::<Job>();
-            *self.injector.lock().expect("injector poisoned") = tx;
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Evaluate `trees` on a batch of scenarios using the process-wide shared
-/// [`EvalPool`]. `cfg.threads` caps the concurrency; results are
-/// bit-identical for any thread count.
+/// Evaluate `trees` on a batch of scenarios with a pool sized to all
+/// cores. `cfg.threads` caps the concurrency; results are bit-identical
+/// for any thread count.
 pub fn evaluate_scenarios(
     scenarios: &[ConcreteScenario],
     trees: &[WhiskerTree],
     cfg: &EvalConfig,
 ) -> EvalResult {
-    EvalPool::global().evaluate(scenarios, trees, cfg)
+    EvalPool::new(0).evaluate(scenarios, trees, cfg)
+}
+
+/// `threads`, with 0 meaning every available core.
+fn resolve_threads(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    }
+}
+
+/// Work-stealing indexed map, the one parallel primitive of the
+/// workspace (training batches here, figure sweeps in
+/// `lcc_core::runner::execute_sweep`): `threads` scoped threads (0 = all
+/// cores; the calling thread participates, so `threads == 1` is pure
+/// serial execution) claim indices `0..n` from an atomic cursor, and
+/// results are returned **in index order** regardless of which worker
+/// computed what. Skewed per-index costs never idle a core, and the
+/// output is identical for any thread count.
+///
+/// Each `f(i)` runs under `catch_unwind`, so one panicking index yields
+/// `Err(message)` in its slot while every other index completes
+/// normally. The closure's result is computed *before* the slot lock is
+/// taken — a panic can never poison the mutex, so the merge always
+/// finishes.
+pub fn try_map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<Result<T, String>>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = resolve_threads(threads).min(n.max(1));
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Result<T, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return;
+        }
+        let result = catch_unwind(AssertUnwindSafe(|| f(i))).map_err(panic_message);
+        *slots[i].lock().expect("result slot poisoned") = Some(result);
+    };
+    if workers <= 1 {
+        work();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(work);
+            }
+            work();
+        });
+    }
+    slots
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("result slot poisoned")
+                .expect("every index claimed")
+        })
+        .collect()
+}
+
+/// Extract a human-readable message from a panic payload (`&str` and
+/// `String` payloads cover every `panic!`/`assert!` in the workspace).
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 #[cfg(test)]
@@ -577,8 +435,8 @@ mod tests {
 
     #[test]
     fn dedicated_pool_matches_global_pool() {
-        // The threads knob flows into a per-optimizer pool; a dedicated
-        // pool of any size must agree bit-for-bit with the shared one.
+        // The threads knob flows into a per-optimizer pool; a pool of any
+        // size must agree bit-for-bit with the all-cores default.
         let specs = [ScenarioSpec::calibration()];
         let scenarios = draw_scenarios(&specs, 3, 17);
         let tree = WhiskerTree::default_tree();
@@ -593,6 +451,29 @@ mod tests {
                 "pool size {pool_threads}"
             );
             assert_eq!(r.usage, shared.usage);
+        }
+    }
+
+    #[test]
+    fn a_panicking_scenario_panics_the_caller_with_its_message() {
+        // A network the validator rejects panics inside Simulation::new;
+        // the pool must finish the batch and re-raise that message on
+        // the calling thread, inline or with a helper.
+        let mut scenarios = draw_scenarios(&[ScenarioSpec::calibration()], 3, 7);
+        scenarios[1].net.flows[0].route = vec![];
+        let tree = WhiskerTree::default_tree();
+        for threads in [1usize, 2] {
+            let pool = EvalPool::new(threads);
+            let payload = std::panic::catch_unwind(|| {
+                pool.evaluate(&scenarios, std::slice::from_ref(&tree), &quick_cfg())
+            })
+            .expect_err("the bad scenario panics the evaluation");
+            let msg = panic_message(payload);
+            assert!(
+                msg.starts_with("scenario evaluation panicked: ")
+                    && msg.contains("invalid network config"),
+                "threads={threads}: {msg}"
+            );
         }
     }
 

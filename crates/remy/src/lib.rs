@@ -40,18 +40,17 @@
 //!   statistics accumulate in flat per-executor
 //!   [`protocols::UsageCounts`] buffers instead of per-scenario tree
 //!   clones.
-//! * **Persistent evaluation pool.** An [`eval::EvalPool`] is created
-//!   once per [`Optimizer`] (and once per process for the free
-//!   [`evaluate_scenarios`] function); scenarios are claimed from a
-//!   work-stealing atomic cursor, so no threads are spawned per
-//!   candidate and skewed scenario costs don't idle cores.
-//!   `OptimizerConfig::threads` sizes the pool; results are
-//!   bit-identical for any thread count.
+//! * **One work-stealing map.** An [`eval::EvalPool`] is a thread count
+//!   (`OptimizerConfig::threads`); each evaluation claims its scenarios
+//!   from an atomic cursor on scoped threads through
+//!   [`eval::try_map_indexed`], the map the figure sweeps run on too, so
+//!   skewed scenario costs don't idle cores. At one thread it runs inline.
+//!   Results are bit-identical for any thread count.
 //!
-//! Benchmarks: `cargo bench -p bench --bench optimizer` (evaluation
-//! scaling, spec costs) and `--bench hotpath` (lookup + pool paths);
-//! `cargo run --release -p bench --bin perf_snapshot -- --write` records
-//! the training wall-time trajectory in `BENCH_optimizer.json`.
+//! Measured by the repo's benchmark (`benchmark/run.sh`: the
+//! `train_calibration` workload and the `remy.*` rows of its per-layer
+//! ledger); `cargo run --release -p bench --bin perf_snapshot -- --write`
+//! records the smoke-training wall time in `BENCH_optimizer.json`.
 
 pub mod eval;
 pub mod objective;

@@ -23,7 +23,6 @@ use protocols::{SignalMask, WhiskerTree};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Minimum utility gain for a candidate to be adopted.
 const IMPROVEMENT_EPS: f64 = 1e-4;
@@ -108,25 +107,22 @@ pub struct TrainedProtocol {
 pub struct Optimizer {
     specs: Vec<ScenarioSpec>,
     cfg: OptimizerConfig,
-    /// Persistent evaluation workers, created once per optimizer and
-    /// reused by every candidate evaluation (`improve_leaf` runs
-    /// thousands of them per training run). Shared (`Arc`) so several
-    /// trainers can feed one pool (see [`crate::trainer`]).
-    pool: Arc<EvalPool>,
+    /// How many threads each candidate evaluation runs on.
+    pool: EvalPool,
     /// See [`evaluations`](Self::evaluations).
     evaluations: AtomicU64,
 }
 
 impl Optimizer {
     pub fn new(specs: Vec<ScenarioSpec>, cfg: OptimizerConfig) -> Self {
-        let pool = Arc::new(EvalPool::new(cfg.threads));
+        let pool = EvalPool::new(cfg.threads);
         Self::with_pool(specs, cfg, pool)
     }
 
-    /// Build an optimizer that evaluates on an existing shared pool
-    /// instead of spawning its own workers. Results are identical either
-    /// way — the pool only carries threads, never randomness.
-    pub fn with_pool(specs: Vec<ScenarioSpec>, cfg: OptimizerConfig, pool: Arc<EvalPool>) -> Self {
+    /// Build an optimizer that evaluates on `pool` instead of one sized
+    /// from `cfg.threads`. Results are identical either way — the pool
+    /// only carries threads, never randomness.
+    pub fn with_pool(specs: Vec<ScenarioSpec>, cfg: OptimizerConfig, pool: EvalPool) -> Self {
         assert!(
             !specs.is_empty(),
             "optimizer needs at least one training spec"
@@ -145,8 +141,8 @@ impl Optimizer {
 
     /// The evaluation pool this optimizer feeds (sized from
     /// `OptimizerConfig::threads`).
-    pub fn pool(&self) -> &EvalPool {
-        &self.pool
+    pub fn pool(&self) -> EvalPool {
+        self.pool
     }
 
     /// Design a protocol from scratch for these training scenarios.
@@ -216,14 +212,13 @@ impl Optimizer {
         let mut last_score = f64::NEG_INFINITY;
         for round in 0..self.cfg.rounds {
             // Fresh draws each round; candidates within the round share
-            // them (as an Arc, so pooled evaluations never copy the batch).
+            // them.
             let mut batch = RoundBatch {
                 scenarios: draw_scenarios(
                     &self.specs,
                     self.cfg.draws_per_eval,
                     self.cfg.seed ^ ((round as u64 + 1) * 0x9E37),
-                )
-                .into(),
+                ),
                 cfg: self.cfg.eval_config(),
                 scored: HashMap::new(),
             };
@@ -343,7 +338,7 @@ impl Optimizer {
 /// re-evaluated for the split — takes the stored result, bit for bit the
 /// one a fresh simulation would return.
 struct RoundBatch {
-    scenarios: Arc<[ConcreteScenario]>,
+    scenarios: Vec<ConcreteScenario>,
     cfg: EvalConfig,
     /// Results by [`leaf_set`].
     scored: HashMap<Vec<u64>, EvalResult>,
@@ -353,7 +348,7 @@ impl RoundBatch {
     fn evaluate(&mut self, opt: &Optimizer, trees: &[WhiskerTree]) -> &EvalResult {
         self.scored.entry(leaf_set(trees)).or_insert_with(|| {
             opt.evaluations.fetch_add(1, Ordering::Relaxed);
-            opt.pool.evaluate_shared(&self.scenarios, trees, &self.cfg)
+            opt.pool.evaluate(&self.scenarios, trees, &self.cfg)
         })
     }
 }
@@ -442,7 +437,7 @@ mod tests {
     #[test]
     fn threads_knob_is_honored_and_equivalent() {
         // Regression for the dead-knob bug: `OptimizerConfig::threads`
-        // must size the optimizer's persistent pool, and training with
+        // must size the optimizer's pool, and training with
         // threads: 1 vs threads: N must produce bit-identical protocols.
         let specs = vec![ScenarioSpec::calibration()];
         let mut cfg = OptimizerConfig::smoke();
@@ -471,7 +466,7 @@ mod tests {
         cfg.threads = 1;
         let opt = Optimizer::new(specs.clone(), cfg);
         let mut batch = RoundBatch {
-            scenarios: draw_scenarios(&specs, 2, 3).into(),
+            scenarios: draw_scenarios(&specs, 2, 3),
             cfg: opt.cfg.eval_config(),
             scored: HashMap::new(),
         };
@@ -486,7 +481,7 @@ mod tests {
         assert_eq!(opt.evaluations(), 2, "the step back was simulated");
         let fresh = opt
             .pool
-            .evaluate_shared(&batch.scenarios, &trees, &batch.cfg)
+            .evaluate(&batch.scenarios, &trees, &batch.cfg)
             .mean_utility;
         assert_eq!(again.to_bits(), first.to_bits());
         assert_eq!(again.to_bits(), fresh.to_bits());

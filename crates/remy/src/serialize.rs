@@ -37,19 +37,16 @@ pub fn load(path: &Path) -> io::Result<TrainedProtocol> {
 
 static ASSETS_DIR_OVERRIDE: std::sync::Mutex<Option<PathBuf>> = std::sync::Mutex::new(None);
 
-/// Programmatically override [`assets_dir`] for this process (`None`
-/// restores the default). Prefer this over mutating `REMY_ASSETS_DIR` in
-/// tests — concurrent `setenv`/`getenv` from parallel test threads is
-/// undefined behavior on glibc.
+/// Override [`assets_dir`] for this process (`None` restores the
+/// default).
 pub fn set_assets_dir(dir: Option<PathBuf>) {
     *ASSETS_DIR_OVERRIDE
         .lock()
         .expect("assets override poisoned") = dir;
 }
 
-/// The workspace `assets/` directory. Overridable programmatically with
-/// [`set_assets_dir`] or via the `REMY_ASSETS_DIR` environment variable
-/// (useful for CI).
+/// The workspace `assets/` directory, unless [`set_assets_dir`]
+/// overrides it.
 pub fn assets_dir() -> PathBuf {
     if let Some(dir) = ASSETS_DIR_OVERRIDE
         .lock()
@@ -57,9 +54,6 @@ pub fn assets_dir() -> PathBuf {
         .clone()
     {
         return dir;
-    }
-    if let Ok(dir) = std::env::var("REMY_ASSETS_DIR") {
-        return PathBuf::from(dir);
     }
     // crates/remy -> workspace root
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -74,16 +68,16 @@ pub fn asset_path(name: &str) -> PathBuf {
     assets_dir().join(format!("{name}.json"))
 }
 
-/// Load the named asset if present; otherwise run `train`, save the
-/// result, and return it. This mirrors the paper's workflow: protocols are
-/// designed offline (CPU-intensive) and published; evaluations reuse them.
-pub fn load_or_train(name: &str, train: impl FnOnce() -> TrainedProtocol) -> TrainedProtocol {
-    let path = asset_path(name);
-    if let Ok(p) = load(&path) {
+/// Load the asset at `path` if present; otherwise run `train`, save the
+/// result there, and return it. This mirrors the paper's workflow:
+/// protocols are designed offline (CPU-intensive) and published;
+/// evaluations reuse them.
+pub fn load_or_train(path: &Path, train: impl FnOnce() -> TrainedProtocol) -> TrainedProtocol {
+    if let Ok(p) = load(path) {
         return p;
     }
     let p = train();
-    if let Err(e) = save(&p, &path) {
+    if let Err(e) = save(&p, path) {
         eprintln!(
             "[remy] warning: could not save asset {}: {e}",
             path.display()
@@ -134,21 +128,20 @@ mod tests {
     #[test]
     fn load_or_train_caches() {
         let dir = std::env::temp_dir().join(format!("remy-lot-{}", std::process::id()));
-        std::env::set_var("REMY_ASSETS_DIR", &dir);
+        let path = dir.join("cache-test.json");
         let mut trained_calls = 0;
-        let p1 = load_or_train("cache-test", || {
+        let p1 = load_or_train(&path, || {
             trained_calls += 1;
             proto("cache-test")
         });
         assert_eq!(trained_calls, 1);
         // second call hits the cache
-        let p2 = load_or_train("cache-test", || {
+        let p2 = load_or_train(&path, || {
             trained_calls += 1;
             proto("other")
         });
         assert_eq!(trained_calls, 1);
         assert_eq!(p1.tree, p2.tree);
-        std::env::remove_var("REMY_ASSETS_DIR");
         std::fs::remove_dir_all(&dir).ok();
     }
 

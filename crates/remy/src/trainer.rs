@@ -5,12 +5,12 @@
 //! [`Optimizer`]). This module breaks the second hardcoding: a
 //! [`Trainer`] is any procedure that turns training [`ScenarioSpec`]s
 //! into a [`TrainedProtocol`] under a shared [`TrainBudget`], evaluating
-//! candidates on a caller-provided [`EvalPool`].
+//! candidates on a caller-chosen [`EvalPool`] (a thread count).
 //!
 //! Two implementations ship today:
 //!
 //! * [`TreeTrainer`] — the existing Remy hill-climb, unchanged: it wraps
-//!   [`Optimizer`] around the shared pool and produces **bit-identical**
+//!   [`Optimizer`] around the caller's pool and produces **bit-identical**
 //!   protocols for the same [`OptimizerConfig`] (the committed Tao assets
 //!   and figure goldens do not move).
 //! * [`GeneticTrainer`] — a population search over *serialized whisker
@@ -18,9 +18,9 @@
 //!   per-genome action [`ScenarioSpace`] (three axes per leaf), mutated
 //!   with the same bounded [`ScenarioSpace::mutate_with`] step the
 //!   adversarial search uses, selected by deterministic tournaments, and
-//!   scored with the pool's claim-by-index parallel evaluation — so the
-//!   result is bit-identical for any thread count, exactly like the
-//!   sweep engine.
+//!   scored with the pool's claim-by-index parallel evaluation (the
+//!   sweep engine's map) — so the result is bit-identical for any thread
+//!   count.
 //!
 //! All trainer randomness flows through one caller-supplied [`SimRng`]
 //! on the calling thread; workers only simulate. That is what makes the
@@ -37,7 +37,6 @@ use protocols::action::{
 };
 use protocols::whisker::{LeafId, SIGNAL_MAX};
 use protocols::{Action, SignalMask, WhiskerTree};
-use std::sync::Arc;
 
 /// Cost class of a training spec: heavy specs (very fast links, 100-way
 /// multiplexing) get shorter simulations so training budgets stay sane.
@@ -114,7 +113,8 @@ impl TrainBudget {
     /// these budgets train in minutes and reproduce the *orderings* the
     /// study is about. `LEARNABILITY_FAST_TRAIN=1` slashes budgets
     /// further for time-boxed retrains (the committed assets' source of
-    /// truth in CI), and `LEARNABILITY_VERBOSE` turns on progress logs.
+    /// truth in CI). Progress logs are off; `learnability train` turns
+    /// them on for the jobs it runs.
     pub fn for_fidelity(cost: TrainCost) -> Self {
         let mut b = TrainBudget {
             draws_per_eval: 6,
@@ -126,7 +126,7 @@ impl TrainBudget {
             seed: 0x51C0_2014,
             event_budget: 8_000_000,
             masks: Vec::new(),
-            verbose: std::env::var("LEARNABILITY_VERBOSE").is_ok(),
+            verbose: false,
         };
         if cost == TrainCost::Heavy {
             b.sim_duration_s = 3.0;
@@ -176,7 +176,7 @@ impl TrainBudget {
 }
 
 /// A protocol-design strategy: turn training scenario models into one
-/// trained protocol, evaluating candidates on the shared pool.
+/// trained protocol, evaluating candidates on the caller's pool.
 ///
 /// Contract: `train` must be a pure function of `(specs, the trainer's
 /// own budget, rng state)` — in particular, bit-identical for any pool
@@ -191,7 +191,7 @@ pub trait Trainer {
         &self,
         name: &str,
         specs: &[ScenarioSpec],
-        pool: &Arc<EvalPool>,
+        pool: &EvalPool,
         rng: &mut SimRng,
     ) -> TrainedProtocol;
 }
@@ -227,12 +227,12 @@ impl Trainer for TreeTrainer {
         &self,
         name: &str,
         specs: &[ScenarioSpec],
-        pool: &Arc<EvalPool>,
+        pool: &EvalPool,
         _rng: &mut SimRng,
     ) -> TrainedProtocol {
         // The tree search is fully determined by cfg.seed; the trait rng
         // is left untouched so tree output never depends on it.
-        Optimizer::with_pool(specs.to_vec(), self.cfg.clone(), Arc::clone(pool)).optimize(name)
+        Optimizer::with_pool(specs.to_vec(), self.cfg.clone(), *pool).optimize(name)
     }
 }
 
@@ -244,7 +244,7 @@ impl Trainer for TreeTrainer {
 /// the hill-climb explores geometrically). One generation is:
 ///
 /// 1. score every genome on a fresh common-random-number scenario batch
-///    (claim-by-index parallel on the shared [`EvalPool`]);
+///    (claim-by-index parallel on the caller's [`EvalPool`]);
 /// 2. carry the `elites` best genomes over unchanged (deterministic
 ///    ranking: fitness, then input index);
 /// 3. refill the population with tournament winners mutated by
@@ -374,7 +374,7 @@ impl Trainer for GeneticTrainer {
         &self,
         name: &str,
         specs: &[ScenarioSpec],
-        pool: &Arc<EvalPool>,
+        pool: &EvalPool,
         rng: &mut SimRng,
     ) -> TrainedProtocol {
         assert!(
@@ -396,12 +396,11 @@ impl Trainer for GeneticTrainer {
         for generation in 0..generations {
             // Fresh common-random-number draws per generation, same seed
             // schedule as the tree optimizer's rounds.
-            let scenarios: Arc<[crate::scenario::ConcreteScenario]> = draw_scenarios(
+            let scenarios = draw_scenarios(
                 specs,
                 self.budget.draws_per_eval,
                 self.budget.seed ^ ((generation as u64 + 1) * 0x9E37),
-            )
-            .into();
+            );
             let fitness = pool.evaluate_each(&scenarios, &population, &cfg);
 
             // Deterministic ranking: fitness descending, input index as
@@ -485,7 +484,7 @@ mod tests {
         let mut cfg = OptimizerConfig::smoke();
         cfg.seed = 9;
         let direct = Optimizer::new(specs.clone(), cfg.clone()).optimize("direct");
-        let pool = Arc::new(EvalPool::new(2));
+        let pool = EvalPool::new(2);
         let via_trait = TreeTrainer::from_config(cfg).train(
             "via-trait",
             &specs,
@@ -514,7 +513,7 @@ mod tests {
     fn genetic_training_is_deterministic_and_improves() {
         let specs = vec![ScenarioSpec::calibration()];
         let trainer = GeneticTrainer::new(quick_budget());
-        let pool = Arc::new(EvalPool::new(2));
+        let pool = EvalPool::new(2);
         let a = trainer.train("a", &specs, &pool, &mut SimRng::from_seed(7));
         let b = trainer.train("b", &specs, &pool, &mut SimRng::from_seed(7));
         assert_eq!(a.tree, b.tree, "same rng seed, same genome");

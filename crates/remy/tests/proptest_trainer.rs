@@ -8,7 +8,6 @@
 use netsim::rng::SimRng;
 use proptest::prelude::*;
 use remy::{EvalPool, GeneticTrainer, ScenarioSpec, TrainBudget, TrainedProtocol, Trainer};
-use std::sync::Arc;
 
 /// A budget small enough to train many times per property case.
 fn tiny_budget() -> TrainBudget {
@@ -29,7 +28,7 @@ fn tiny_trainer() -> GeneticTrainer {
 
 fn train(trainer: &GeneticTrainer, threads: usize, rng_seed: u64) -> TrainedProtocol {
     let specs = vec![ScenarioSpec::calibration()];
-    let pool = Arc::new(EvalPool::new(threads));
+    let pool = EvalPool::new(threads);
     trainer.train("prop", &specs, &pool, &mut SimRng::from_seed(rng_seed))
 }
 
