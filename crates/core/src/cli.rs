@@ -304,6 +304,11 @@ fn cmd_replay(path: &Path) -> i32 {
     }
     let mut failures = 0;
     for cert in &certs {
+        if let Err(e) = cert.net.validate() {
+            eprintln!("[{}] invalid network: {e}", cert.scheme);
+            failures += 1;
+            continue;
+        }
         let scheme = match crate::search::scheme_for_certificate(cert) {
             Ok(s) => s,
             Err(e) => {
@@ -719,6 +724,27 @@ mod tests {
             "CERTIFICATE: {}",
             serde_json::to_string(&bad).unwrap()
         ));
+        std::fs::write(&path, fig.to_json()).unwrap();
+        assert_eq!(run(&["replay", path.to_str().unwrap()]), 1);
+    }
+
+    #[test]
+    fn replay_rejects_a_certificate_whose_network_is_invalid() {
+        // A hand-edited certificate (a negative link rate) fails replay
+        // with the validator's message instead of panicking mid-build.
+        let golden = std::fs::read_to_string(super::default_json_dir().join("adversarial.json"))
+            .expect("the adversarial golden is committed");
+        let fig = crate::report::FigureData::from_json(&golden).unwrap();
+        let mut cert = crate::experiments::adversarial::certificates_from_figure(&fig).remove(0);
+        cert.net.links[0].rate_bps = -1.0;
+        let mut fig = crate::report::FigureData::new("adversarial", "test");
+        fig.notes.push(format!(
+            "CERTIFICATE: {}",
+            serde_json::to_string(&cert).unwrap()
+        ));
+        let dir = std::env::temp_dir().join("lcc-replay-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("invalid-net.json");
         std::fs::write(&path, fig.to_json()).unwrap();
         assert_eq!(run(&["replay", path.to_str().unwrap()]), 1);
     }

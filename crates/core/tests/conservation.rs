@@ -1,10 +1,12 @@
 //! Cross-crate invariant tests: whatever the protocol does, the network
 //! must conserve packets, bound delays from below by propagation, and
-//! never deliver more than the line rate.
+//! never deliver more than the line rate — on every link a run reports,
+//! the config's and the reverse and delay-only links its flows' return
+//! paths were lowered to.
 
-use learnability::lcc_core::{run_homogeneous, run_mix, Scheme};
-use learnability::netsim::prelude::*;
-use learnability::protocols::{Action, WhiskerTree};
+use lcc_core::{run_homogeneous, run_mix, Scheme};
+use netsim::prelude::*;
+use protocols::{Action, WhiskerTree};
 
 fn schemes_under_test() -> Vec<Scheme> {
     vec![
@@ -21,10 +23,16 @@ fn schemes_under_test() -> Vec<Scheme> {
     ]
 }
 
-fn check_invariants(net: &NetworkConfig, out: &netsim::sim::RunOutcome, duration_s: f64) {
+fn check_invariants(net: &NetworkConfig, out: &RunOutcome, duration_s: f64) {
     for f in &out.flows {
-        // Throughput can never exceed the flow's bottleneck rate.
-        let bottleneck = net.bottleneck_rate(f.flow);
+        // Throughput can never exceed the bottleneck of the flow's data
+        // path (an upload's data crosses the reverse links).
+        let bottleneck = if net.flows[f.flow].reverse_data {
+            net.reverse_rate(f.flow)
+                .expect("an upload's route is spec'd")
+        } else {
+            net.bottleneck_rate(f.flow)
+        };
         assert!(
             f.throughput_bps <= bottleneck * 1.02,
             "flow {} throughput {} exceeds bottleneck {}",
@@ -48,9 +56,12 @@ fn check_invariants(net: &NetworkConfig, out: &netsim::sim::RunOutcome, duration
         assert!(f.transmissions >= f.packets_delivered);
         assert!(f.retransmissions <= f.transmissions);
     }
-    // Link counters: a link cannot transmit more than rate * time.
-    for (l, spec) in net.links.iter().enumerate() {
-        let max_bytes = spec.rate_bps / 8.0 * duration_s;
+    // Link counters: a link cannot transmit more than rate * time. The
+    // config's links come first, then the ones the lowering built.
+    let config_rates: Vec<f64> = net.links.iter().map(|l| l.rate_bps).collect();
+    assert_eq!(out.link_rates_bps[..net.links.len()], config_rates[..]);
+    for (l, &rate) in out.link_rates_bps.iter().enumerate() {
+        let max_bytes = rate / 8.0 * duration_s;
         assert!(
             out.link_bytes[l] as f64 <= max_bytes * 1.01,
             "link {l} transmitted {} > capacity {}",
@@ -107,9 +118,73 @@ fn invariants_under_sfq_codel() {
         QueueSpec::drop_tail_bdp(8e6, 0.080, 3.0),
         WorkloadSpec::AlwaysOn,
     );
-    let net = learnability::lcc_core::with_sfq_codel(&fifo);
+    let net = lcc_core::with_sfq_codel(&fifo);
     for scheme in schemes_under_test() {
         let out = run_homogeneous(&net, &scheme, 3, duration);
+        check_invariants(&net, &out, duration);
+    }
+}
+
+#[test]
+fn invariants_on_a_shared_uplink() {
+    // Every flow's ACKs queue through one slow, finite reverse link.
+    let duration = 12.0;
+    let net = dumbbell(
+        4,
+        8e6,
+        0.100,
+        QueueSpec::drop_tail_bdp(8e6, 0.100, 2.0),
+        WorkloadSpec::on_off_1s(),
+    )
+    .with_shared_reverse(20.0, |rate, _| QueueSpec::drop_tail_bdp(rate, 0.100, 2.0));
+    for scheme in schemes_under_test() {
+        let out = run_homogeneous(&net, &scheme, 11, duration);
+        assert_eq!(out.link_rates_bps, [8e6, 8e6 / 20.0], "one shared uplink");
+        check_invariants(&net, &out, duration);
+    }
+}
+
+#[test]
+fn invariants_on_per_flow_asymmetric_paths() {
+    // A private slow reverse channel on the parking lot's first link
+    // only: the long flow returns over it and a delay-only hop for the
+    // second link, the short flow on the first link over it alone, and
+    // the short flow on the second link over the paper's delay-only path.
+    let duration = 12.0;
+    let mut net = parking_lot(
+        8e6,
+        20e6,
+        0.075,
+        QueueSpec::drop_tail_bdp(8e6, 0.150, 3.0),
+        QueueSpec::drop_tail_bdp(20e6, 0.150, 3.0),
+        WorkloadSpec::on_off_1s(),
+    );
+    net.links[0].reverse = Some(ReverseSpec::per_flow(200e3, 0.0375));
+    for scheme in schemes_under_test() {
+        let out = run_homogeneous(&net, &scheme, 5, duration);
+        let inf = f64::INFINITY;
+        assert_eq!(out.link_rates_bps, [8e6, 20e6, 200e3, 200e3, inf, inf]);
+        check_invariants(&net, &out, duration);
+    }
+}
+
+#[test]
+fn invariants_with_an_upload_on_the_uplink() {
+    // Flow 0 uploads over the shared uplink the others' ACKs cross.
+    let duration = 12.0;
+    let mut net = dumbbell(
+        3,
+        8e6,
+        0.100,
+        QueueSpec::drop_tail_bdp(8e6, 0.100, 2.0),
+        WorkloadSpec::on_off_1s(),
+    )
+    .with_shared_reverse(4.0, |rate, _| QueueSpec::drop_tail_bdp(rate, 0.100, 2.0));
+    net.flows[0].reverse_data = true;
+    for scheme in schemes_under_test() {
+        let out = run_homogeneous(&net, &scheme, 13, duration);
+        assert_eq!(out.link_rates_bps, [8e6, 2e6, f64::INFINITY]);
+        assert!(out.flows[0].bytes_delivered > 0, "the upload delivers");
         check_invariants(&net, &out, duration);
     }
 }

@@ -53,7 +53,9 @@ fn pacing_wakes_do_not_outnumber_transmissions() {
 fn rto_checks_follow_elapsed_time_not_acks() {
     for (name, out) in paced_runs() {
         let checks = out.events_of(EventKind::RtoCheck);
-        let acks = out.events_of(EventKind::AckArrive);
+        // On the paper's return path an ACK is one `Propagated` on a
+        // delay-only link, which no `TxComplete` precedes.
+        let acks = out.events_of(EventKind::Propagated) - out.events_of(EventKind::TxComplete);
         let on_s: f64 = out.flows.iter().map(|f| f.on_time_s).sum();
         // One check carries the deadline forward per elapsed RTO of a busy
         // flow; every timeout and every restart from idle (each burst,
@@ -79,9 +81,10 @@ fn packet_events_ride_delay_lines() {
         let q = out.queue;
         assert_eq!(q.fallback, 0, "{name}: every line was filled in order");
         assert!(q.backend < q.line, "{name}: the backend holds the timers");
-        // Per packet: a lane Arrive, three line events (TxComplete,
-        // Propagated, AckArrive) and at most one pacing wake; PCC's wake
-        // per packet puts it near that floor, Tao's sparser ones above.
+        // Per packet: a lane Arrive, three line events (its TxComplete and
+        // Propagated, and its ACK's Propagated on the delay-only return
+        // link) and at most one pacing wake; PCC's wake per packet puts it
+        // near that floor, Tao's sparser ones above.
         if name == "tao" {
             assert!(
                 q.line * 10 >= out.events_processed * 6,

@@ -1,9 +1,8 @@
 //! Generation-indexed arena for packets parked in the event queue.
 //!
-//! Every data packet and every real (reverse-link) acknowledgment spends
-//! most of its simulated life *inside the scheduler* — as the payload of
-//! an `Arrive`, `TxComplete`, `Propagated` or `AckArrive` event waiting
-//! to fire. Carrying the full 48-byte [`Packet`] by value in
+//! Every data packet and every acknowledgment spends most of its
+//! simulated life *inside the scheduler* — as the payload of an
+//! `Arrive`, `TxComplete` or `Propagated` event waiting to fire. Carrying the full 48-byte [`Packet`] by value in
 //! [`crate::event::Event`] made the event enum the widest thing the
 //! calendar queue moves: every bucket insert, swap-remove and today-
 //! buffer drain memmoved the packet along with it.

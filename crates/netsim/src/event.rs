@@ -29,10 +29,11 @@
 //!
 //! Nearly a fifth of what the engine schedules fires at the instant
 //! already being dispatched: the `Arrive` a sender's transmission, a hop
-//! forward or a link-tier acknowledgment produces. Such an event carries a
-//! later insertion seq than everything [`EventQueue::pop_batch`] just
-//! handed out, and `pop_batch` hands out the *whole* instant, so it sorts
-//! exactly after the current batch and before everything else pending.
+//! forward or an acknowledgment entering a reverse link produces. Such an
+//! event carries a later insertion seq than everything
+//! [`EventQueue::pop_batch`] just handed out, and `pop_batch` hands out
+//! the *whole* instant, so it sorts exactly after the current batch and
+//! before everything else pending.
 //! [`EventQueue::schedule`] therefore appends it to a plain `Vec` — the
 //! lane — which the next `pop_batch` returns as the next batch.
 //!
@@ -40,8 +41,8 @@
 //!
 //! Most of the rest is scheduled in an order that is already known: a
 //! link's propagations each leave `delay` after the previous one's
-//! instant or later, and an acknowledgment returning over a fixed delay
-//! does too. [`EventQueue::line`] opens a FIFO line for such a stream and
+//! instant or later (on a delay-only link, `delay` after entry).
+//! [`EventQueue::line`] opens a FIFO line for such a stream and
 //! [`EventQueue::schedule_on`] appends to it. The queue does not take the
 //! caller's word for the order: an event earlier than its line's tail
 //! takes the ordinary backend insert instead (the *fallback*, counted in
@@ -90,20 +91,12 @@ pub enum Event {
         pkt: PktId,
     },
     /// `pkt` finished propagating across `link` and is delivered to the far
-    /// end (either the next hop or the receiver).
+    /// end: the next hop of its path, the receiver (data) or the sender
+    /// (an acknowledgment).
     Propagated {
         /// Link whose far end the packet reached.
         link: LinkId,
         /// Arena handle of the delivered packet.
-        pkt: PktId,
-    },
-    /// An acknowledgment packet arrives back at the sender of `flow`
-    /// after its pure-delay reverse segment (it converts to an
-    /// [`crate::packet::Ack`] at delivery).
-    AckArrive {
-        /// Flow whose sender the acknowledgment reaches.
-        flow: FlowId,
-        /// Arena handle of the delivered acknowledgment packet.
         pkt: PktId,
     },
     /// Pacing-timer wakeup for a sender that was clocked out.
@@ -176,7 +169,6 @@ pub enum EventKind {
     Arrive,
     TxComplete,
     Propagated,
-    AckArrive,
     SenderWake,
     RtoCheck,
     WorkloadToggle,
@@ -201,7 +193,6 @@ impl Event {
             Event::Arrive { .. } => EventKind::Arrive,
             Event::TxComplete { .. } => EventKind::TxComplete,
             Event::Propagated { .. } => EventKind::Propagated,
-            Event::AckArrive { .. } => EventKind::AckArrive,
             Event::SenderWake { .. } => EventKind::SenderWake,
             Event::RtoCheck { .. } => EventKind::RtoCheck,
             Event::WorkloadToggle { .. } => EventKind::WorkloadToggle,

@@ -9,12 +9,13 @@
 //! algorithms plug via the [`transport::CongestionControl`] trait.
 //!
 //! The network is bidirectional: acknowledgments are first-class
-//! [`packet::Packet`]s. A link with a [`topology::ReverseSpec`] carries
-//! its ACK traffic over a real reverse [`link::Link`] with its own queue
-//! discipline — per-flow private channels, or one shared reverse link on
-//! which every flow's ACKs queue, interleave and drop together (see
-//! [`sim`] for the three compatibility tiers; without a spec, the
-//! paper's uncongested-reverse arithmetic is preserved bit for bit).
+//! [`packet::Packet`]s, and every flow is lowered to a data path and a
+//! return path of [`link::Link`]s (see [`sim`]). A link with a
+//! [`topology::ReverseSpec`] carries its ACK traffic over a real reverse
+//! link with its own queue discipline — per-flow private channels, or
+//! one shared reverse link on which every flow's ACKs queue, interleave
+//! and drop together; without a spec, ACKs cross a delay-only link, the
+//! paper's uncongested reverse path bit for bit.
 //!
 //! Every run is a pure function of `(NetworkConfig, protocols, seed)`:
 //! integer nanosecond time, a deterministic event queue, and per-component
@@ -80,8 +81,8 @@
 //!   64; a built 10⁴-flow cell holds about 0.67 kB per flow, controller
 //!   included (`netsim.sim.kb_per_flow` in the benchmark).
 //! * **Packet events bypass the priority queue.** A link's
-//!   serializations, its propagations and the acknowledgments returning
-//!   over one fixed delay are each scheduled in an order known in
+//!   serializations and its propagations (on a delay-only link, every
+//!   packet that enters it) are each scheduled in an order known in
 //!   advance, so [`event::EventQueue`] keeps them in FIFO delay lines
 //!   and merges the lines' fronts with its backend by `(time, seq)` (see
 //!   "Delay lines" in [`sim`]). That is 63 % of what the quick figures
@@ -116,8 +117,8 @@
 //!   last callback, so it makes no virtual call. What float conversion
 //!   remains rounds with an inline truncate-and-compare that is
 //!   bit-identical to `f64::round` (a library call on baseline x86-64);
-//!   the paper tier's per-ACK 1 Gbps serialization is folded into the
-//!   flow's return delay once.
+//!   the paper path's per-ACK 1 Gbps serialization is folded into its
+//!   delay-only link's delay once.
 //! * **The scheduler only sees events that have to wait.** Events due at
 //!   the instant being dispatched ride a plain `Vec` lane past the
 //!   backend ([`event::EventQueue`]); a flow keeps one armed `RtoCheck`

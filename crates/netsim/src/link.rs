@@ -4,10 +4,11 @@
 //! packet propagates for the link's one-way delay. Packets arriving while
 //! the link is busy wait in the attached queue discipline. This is the same
 //! model ns-2's `DelayLink` + queue object pair implements, which the paper
-//! uses for all experiments.
+//! uses for all experiments. A delay-only link ([`Link::delay_only`]) keeps
+//! the propagation and nothing else: the paper's uncongested ACK path.
 
 use crate::packet::{Packet, PacketDir, ACK_BYTES, DATA_PACKET_BYTES};
-use crate::queue::{QueueDiscipline, QueueStats, QueuedPacket};
+use crate::queue::{DropTail, QueueDiscipline, QueueStats, QueuedPacket};
 use crate::time::{SimDuration, SimTime};
 
 /// What the link wants the engine to do after a packet is offered to it.
@@ -57,6 +58,20 @@ impl Link {
             down: false,
             bytes_transmitted: 0,
         }
+    }
+
+    /// A delay-only link: no queue and no serialization, so a packet
+    /// that enters it leaves `delay` later, whatever else is crossing.
+    /// The engine schedules that exit directly ([`Link::offer`] is never
+    /// called); its rate reads as infinite.
+    pub fn delay_only(delay: SimDuration) -> Self {
+        Link::new(f64::INFINITY, delay, Box::new(DropTail::new(Some(0))))
+    }
+
+    /// Whether this is a [`delay_only`](Self::delay_only) link.
+    #[inline]
+    pub fn is_delay_only(&self) -> bool {
+        self.rate_bps == f64::INFINITY
     }
 
     /// Serialization rate in bits per second.
@@ -194,7 +209,6 @@ fn serialization(bytes: u32, rate_bps: f64) -> SimDuration {
 mod tests {
     use super::*;
     use crate::packet::{FlowId, Packet};
-    use crate::queue::DropTail;
 
     fn pkt(seq: u64, size: u32) -> Packet {
         let data = Packet::data(FlowId(0), seq, 0, SimTime::ZERO, seq, false);

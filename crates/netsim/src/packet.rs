@@ -10,11 +10,11 @@
 //! Both kinds are the same [`Packet`] struct: an acknowledgment is a
 //! packet travelling in [`PacketDir::Ack`] whose echo fields reuse the
 //! data packet's slots (`sent_at`/`tx_index`/`is_retx` become the echoes)
-//! plus the receiver timestamp `recv_at`. On links whose [`ReverseSpec`]
-//! declares an explicit reverse channel, ACK packets traverse real
-//! [`crate::link::Link`] objects — queueing, serializing and (under an AQM
-//! or a full buffer) dropping exactly like data; without one, the engine
-//! keeps the paper's uncongested-reverse arithmetic.
+//! plus the receiver timestamp `recv_at`. ACK packets cross their flow's
+//! return path of [`crate::link::Link`]s: where a [`ReverseSpec`]
+//! declares an explicit reverse channel they queue, serialize and (under
+//! an AQM or a full buffer) drop exactly like data; elsewhere they cross
+//! a delay-only link, the paper's uncongested reverse path.
 //!
 //! [`ReverseSpec`]: crate::topology::ReverseSpec
 
@@ -168,8 +168,8 @@ impl Packet {
         self.flags & FLAG_RETX != 0
     }
 
-    /// Remaining hops: index into the flow's route (data) or ACK route
-    /// (acknowledgment) of the *next* link to traverse after this one.
+    /// Index of the link being crossed in the flow's data path (data) or
+    /// return path (acknowledgment).
     #[inline]
     pub fn hop(&self) -> u8 {
         self.flags & HOP_MASK
@@ -283,7 +283,7 @@ mod tests {
         let ap = Packet::ack_for(&data, recv);
         assert_eq!(ap.dir(), PacketDir::Ack);
         assert_eq!(ap.size(), ACK_BYTES);
-        assert_eq!(ap.hop(), 0, "ack starts at the first reverse hop");
+        assert_eq!(ap.hop(), 0, "ack starts at its return path's first hop");
         assert_eq!(ap.batch, 1, "per-packet ack by default");
         assert_eq!(ap.rwnd, 0, "no receive-window advertisement by default");
         let ack = ap.as_ack();

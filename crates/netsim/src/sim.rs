@@ -6,35 +6,33 @@
 //! processes gate offered load. A run is a pure function of
 //! `(NetworkConfig, protocols, seed)`.
 //!
-//! # The reverse (ACK) path
+//! # Data and return paths
 //!
-//! The network is bidirectional in three compatibility tiers, decided per
-//! flow from the [`crate::topology::ReverseSpec`]s on its route:
+//! Building a simulation lowers every flow to two routes into one
+//! link table: a **data path** its packets cross to the receiver and a
+//! **return path** its acknowledgments ([`PacketDir::Ack`] packets) cross
+//! back. The table holds the config's links, then what the lowering
+//! builds: a reverse [`Link`] per [`crate::topology::ReverseSpec`] — one
+//! per spec'd link when the spec is `shared`, so every crossing flow's
+//! ACKs queue, interleave and drop together, else one per flow and
+//! spec'd hop — and a **delay-only link** (no queue, no serialization,
+//! a fixed latency) per distinct delay a return path ends with. Shared
+//! or private is only whether two flows name the same link. A flow
+//! returns over its reverse links in reverse-route order, then over a
+//! delay-only link for the propagation of its hops without a spec, if
+//! that is nonzero; with no spec at all, that delay-only link adds the
+//! negligible 1 Gbps ACK serialization and is the paper's uncongested
+//! reverse path. A `reverse_data` flow's data path is its reverse links
+//! instead, and its return path one delay-only link of its forward
+//! propagation plus that serialization.
 //!
-//! * **No spec on any route link** — the paper's model, preserved bit for
-//!   bit: the acknowledgment arrives after the flow's reverse propagation
-//!   delay plus a negligible 1 Gbps serialization. No reverse links exist.
-//! * **`shared: false` specs** — each flow gets a *private* reverse
-//!   [`Link`] per spec'd hop: its ACKs serialize one at a time at the
-//!   reverse rate (the historical per-flow channel, now a real link
-//!   object with a real queue discipline), but never contend with other
-//!   flows. On routes whose reverse path has **one** spec'd hop — every
-//!   committed figure configuration — this reproduces the old
-//!   `busy_until` arithmetic bit for bit. On multi-hop reverse paths the
-//!   semantics are deliberately *more physical* than before: the ACK
-//!   serializes at every spec'd hop (store-and-forward), where the old
-//!   scalar serialized it once at the route's minimum reverse rate.
-//! * **`shared: true` specs** — one reverse [`Link`] per spec'd forward
-//!   link carries *every* crossing flow's ACKs: they queue, interleave
-//!   and (under a finite or AQM reverse queue) drop together, so ACK
-//!   compression on a shared uplink is a property of the simulated
-//!   network rather than an arithmetic approximation.
-//!
-//! In the link tiers, ACKs are first-class [`Packet`]s
-//! ([`PacketDir::Ack`]) dispatched through the same
-//! `Arrive → TxComplete → Propagated` event chain as data. Route hops
-//! without a spec contribute pure propagation delay, applied after the
-//! last reverse link.
+//! A packet enters a link only through `Simulation::enter` and leaves it
+//! only through `handle_propagated`, which forwards it to the next hop of
+//! the path its direction selects, or delivers it: data to the receiver,
+//! an ACK to the sender. A real link takes data and ACKs alike through
+//! `Arrive → TxComplete → Propagated`; a delay-only link schedules the
+//! packet's `Propagated` at entry, so a paper-path ACK costs one event.
+//! Faults are held per link, `None` off the config's links.
 //!
 //! # Endpoint policies
 //!
@@ -45,14 +43,9 @@
 //! bounding how long a partial run is held), and advertised receive
 //! windows (every ACK stamps `rwnd`; the sender transmits while
 //! `in_flight < min(cwnd, rwnd)`). All acknowledgments — immediate or
-//! coalesced — leave through one `Simulation::emit_ack` gateway, which
-//! picks the flow's reverse tier. A flow may also set `reverse_data`:
-//! its *data* then travels over the route's reverse links (the upload
-//! direction of an access network, contending with everyone's ACKs on a
-//! shared uplink) while its own acknowledgments return over the forward
-//! direction via the paper arithmetic. A flow without a spec (or with
-//! the default spec) takes the historical immediate-ACK path bit for
-//! bit.
+//! coalesced — leave through one `Simulation::emit_ack` gateway onto the
+//! flow's return path. A flow without a spec (or with the default spec)
+//! takes the historical immediate-ACK path bit for bit.
 //!
 //! # Timers and the same-instant lane
 //!
@@ -64,7 +57,7 @@
 //!
 //! * **Same-instant events skip the scheduler.** An event scheduled for
 //!   the instant being dispatched — the `Arrive` of a transmission, of a
-//!   hop forward, of a link-tier acknowledgment — already sorts after the
+//!   hop forward, of an acknowledgment at a reverse link — sorts after the
 //!   whole current batch, so [`EventQueue`] appends it to a lane that
 //!   becomes the next batch (see [`crate::event`]).
 //! * **One armed `RtoCheck` per flow.** Every valid ACK moves the RTO
@@ -111,11 +104,12 @@
 //!   serializes one packet at a time, so the line never holds more than
 //!   one (this covers the restart of a held queue in `handle_link_up`);
 //! * **a propagation line per link** carries its [`Event::Propagated`],
-//!   each scheduled at `now + delay` for the link's fixed delay;
-//! * **one ack line per distinct return delay** carries
-//!   [`Event::AckArrive`]: the paper tier's `now + ack_delay` (the 1 Gbps
-//!   serialization folded into the delay once, not converted per ACK)
-//!   and the link tier's residual delay after the last reverse link.
+//!   each scheduled at `now + delay` for the link's fixed delay — after
+//!   serialization on a real link, at entry on a delay-only one. Return
+//!   paths share a delay-only link per distinct delay (the paper path's
+//!   1 Gbps serialization folded in once, not converted per ACK), so
+//!   their ACKs wait on one line per return delay, whatever the flow
+//!   count.
 //!
 //! Every event on a line is scheduled at `now` plus that line's constant,
 //! or — on a tx line — when nothing else is queued on it, so each line is
@@ -137,7 +131,7 @@ use crate::queue::QueueStats;
 use crate::rng::SimRng;
 use crate::seqtrack::SeqTracker;
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{FaultSpec, NetworkConfig, ReceiverSpec};
+use crate::topology::{FaultSpec, NetworkConfig, ReceiverSpec, ReverseSpec};
 use crate::trace::{QueueSample, Trace};
 use crate::transport::{CongestionControl, Transport};
 
@@ -151,14 +145,19 @@ struct Route {
 impl Route {
     const EMPTY: Route = Route { start: 0, len: 0 };
 
-    /// Append `links` to the route table as a new route.
-    fn push(table: &mut Vec<LinkId>, links: impl IntoIterator<Item = LinkId>) -> Route {
-        let start = table.len();
-        table.extend(links);
+    /// The route table's entries from `start` to its end.
+    fn since(table: &[LinkId], start: usize) -> Route {
         Route {
             start: start as u32,
             len: (table.len() - start) as u32,
         }
+    }
+
+    /// Append `links` to the route table as a new route.
+    fn push(table: &mut Vec<LinkId>, links: impl IntoIterator<Item = LinkId>) -> Route {
+        let start = table.len();
+        table.extend(links);
+        Route::since(table, start)
     }
 
     fn links(self, table: &[LinkId]) -> &[LinkId] {
@@ -176,10 +175,10 @@ struct SenderSlot {
     intersend: SimDuration,
     transport: Transport,
     workload: crate::workload::Workload,
-    route: Route,
-    /// Reverse links this flow's ACKs traverse, in reverse-route order;
-    /// empty selects the paper's uncongested-reverse arithmetic.
-    ack_route: Route,
+    /// The links this flow's data crosses, and those its ACKs cross back
+    /// (see "Data and return paths" in the module docs).
+    data_path: Route,
+    return_path: Route,
     /// Concurrent transfers hosted by this slot (unblocked M/G/∞ churn);
     /// the slot is ON while this is nonzero.
     active_flows: u32,
@@ -217,7 +216,7 @@ impl SenderSlot {
 const _FLOW_SLOTS_STAY_SMALL: () =
     assert!(std::mem::size_of::<SenderSlot>() <= 400 && std::mem::size_of::<ReceiverSlot>() <= 64);
 
-/// Runtime state of one forward link's [`FaultSpec`] process: the
+/// Runtime state of one config link's [`FaultSpec`] process: the
 /// per-link child RNG (forked only for links that declare a fault, so
 /// `fault: None` configs keep their exact pre-fault streams) and the
 /// Gilbert–Elliott channel state.
@@ -286,17 +285,17 @@ pub struct RunOutcome {
     pub flows: Vec<FlowOutcome>,
     /// Simulated wall-clock length, seconds.
     pub duration_s: f64,
-    /// Final queue counters per link. Indices `0..forward_links` are the
-    /// config's links in order; any further entries are reverse (ACK)
-    /// links (shared ones first, in link order, then per-flow private
-    /// ones in flow order).
+    /// Final queue counters per link: the config links, then the links
+    /// the lowering built, in build order (see "Data and return paths" in
+    /// the module docs).
     pub link_queues: Vec<QueueStats>,
     /// Bytes each link transmitted (utilization = bytes*8 / rate / T),
     /// indexed like `link_queues`.
     pub link_bytes: Vec<u64>,
-    /// Number of forward links (`== config.links.len()`); entries past
-    /// this index in `link_queues`/`link_bytes` are reverse links.
-    pub forward_links: usize,
+    /// Line rate of each link in bits per second, indexed like
+    /// `link_queues` (infinite for a delay-only link, which serializes
+    /// nothing).
+    pub link_rates_bps: Vec<f64>,
     /// Total events dispatched.
     pub events_processed: u64,
     /// Events dispatched, indexed by [`EventKind`] (see
@@ -339,32 +338,18 @@ pub struct Simulation {
     /// [`crate::arena`]); slots recycle through the free-list, so at
     /// steady state scheduling a packet event allocates nothing.
     arena: PacketArena,
-    /// Forward links (config order), then reverse links (see
+    /// The config's links, then the lowering's (see
     /// [`RunOutcome::link_queues`] for the layout).
     links: Vec<Link>,
-    /// Every flow's data and ACK routes, end to end ([`Route`]).
+    /// Every flow's data and return paths, end to end ([`Route`]).
     routes: Vec<LinkId>,
-    /// Number of forward links; `links[n_forward..]` are reverse links.
-    n_forward: usize,
     /// Per link, the delay line of its `TxComplete` events.
     tx_line: Vec<Line>,
     /// Per link, the delay line of its `Propagated` events.
     prop_line: Vec<Line>,
-    /// Per flow, an index into `ack_returns`.
-    ack_return: Vec<u32>,
-    /// Each distinct pure delay an acknowledgment spends after its flow's
-    /// last reverse link — in the paper tier the whole reverse path
-    /// (propagation plus the 1 Gbps serialization), in the link tier the
-    /// propagation of route hops without a
-    /// [`crate::topology::ReverseSpec`] — with the delay line its
-    /// `AckArrive` events wait on.
-    ack_returns: Vec<(Line, SimDuration)>,
-    /// Shared reverse link index per forward link (`None` when the link
-    /// has no shared [`crate::topology::ReverseSpec`]).
-    shared_rev: Vec<Option<usize>>,
     senders: Vec<SenderSlot>,
     receivers: Vec<ReceiverSlot>,
-    /// Fault-process state per forward link (`None` = no fault declared).
+    /// Fault-process state per link (`None` = no fault declared).
     faults: Vec<Option<FaultState>>,
     stats: Vec<FlowStats>,
     min_one_way: Vec<SimDuration>,
@@ -415,8 +400,6 @@ impl Simulation {
             "one protocol per flow required"
         );
         let mut root = SimRng::from_seed(seed);
-        // The paper tier's acknowledgment serialization (negligible, 1 Gbps).
-        let paper_ack_tx = SimDuration::from_secs_f64(ACK_BYTES as f64 * 8.0 / 1e9);
         let mut links: Vec<Link> = config
             .links
             .iter()
@@ -436,11 +419,11 @@ impl Simulation {
                 intersend: SimDuration::ZERO,
                 transport: Transport::new(FlowId(i as u32)),
                 workload: crate::workload::Workload::new(config.flows[i].workload.clone()),
-                route: Route::push(
+                data_path: Route::push(
                     &mut routes,
                     config.flows[i].route.iter().map(|&l| LinkId(l as u32)),
                 ),
-                ack_route: Route::EMPTY,
+                return_path: Route::EMPTY,
                 active_flows: 0,
                 on: false,
                 on_tracker: OnTimeTracker::default(),
@@ -453,76 +436,72 @@ impl Simulation {
             })
             .collect();
         let n = senders.len();
-        let mut ack_delay: Vec<SimDuration> =
-            (0..n).map(|i| config.ack_delay(i) + paper_ack_tx).collect();
-        // Reverse links, appended after the forward links: one shared
-        // link per spec'd LinkSpec (link order), then one private link
-        // per (flow, unshared spec'd hop) pair (flow order, reverse-route
-        // order). Built after the sender RNG forks so configs without
-        // shared reverse links keep their exact pre-refactor streams.
-        let n_forward = links.len();
+        // Reverse links, each forking its queue salt in build order after
+        // the sender RNGs: one per shared spec (link order), then one per
+        // flow and private spec'd hop (flow order, reverse-route order).
         let mut rev_fork = 0u64;
-        let mut salt = |root: &mut SimRng| {
-            let s = root.fork(0x3333 + rev_fork).gen_u64();
+        let mut reverse_link = |root: &mut SimRng, links: &mut Vec<Link>, r: &ReverseSpec| {
+            let salt = root.fork(0x3333 + rev_fork).gen_u64();
             rev_fork += 1;
-            s
+            let delay = SimDuration::from_secs_f64(r.delay_s);
+            links.push(Link::new(r.rate_bps, delay, r.queue.build(salt)));
+            LinkId(links.len() as u32 - 1)
         };
-        let mut shared_rev: Vec<Option<usize>> = vec![None; n_forward];
-        for (l, ls) in config.links.iter().enumerate() {
-            if let Some(r) = &ls.reverse {
-                if r.shared {
-                    shared_rev[l] = Some(links.len());
-                    links.push(Link::new(
-                        r.rate_bps,
-                        SimDuration::from_secs_f64(r.delay_s),
-                        r.queue.build(salt(&mut root)),
-                    ));
-                }
-            }
-        }
+        let uplinks: Vec<Option<LinkId>> = config
+            .links
+            .iter()
+            .map(|ls| match &ls.reverse {
+                Some(r) if r.shared => Some(reverse_link(&mut root, &mut links, r)),
+                _ => None,
+            })
+            .collect();
+        // The paper's acknowledgment serialization (negligible, 1 Gbps).
+        let ack_tx = SimDuration::from_secs_f64(ACK_BYTES as f64 * 8.0 / 1e9);
+        // Each return path's closing delay-only hop, as (route slot,
+        // delay) in flow order: its link is built once every reverse link
+        // has its id.
+        let mut delay_hops = Vec::new();
         for (i, f) in config.flows.iter().enumerate() {
             let start = routes.len();
             let mut residual = SimDuration::ZERO;
             for &l in f.route.iter().rev() {
-                match &config.links[l].reverse {
-                    Some(r) => routes.push(LinkId(match shared_rev[l] {
-                        Some(idx) => idx,
-                        None => {
-                            let idx = links.len();
-                            links.push(Link::new(
-                                r.rate_bps,
-                                SimDuration::from_secs_f64(r.delay_s),
-                                r.queue.build(salt(&mut root)),
-                            ));
-                            idx
-                        }
-                    } as u32)),
-                    None => residual += config.links[l].one_way_delay(),
+                match (uplinks[l], &config.links[l].reverse) {
+                    (Some(uplink), _) => routes.push(uplink),
+                    (None, Some(r)) => {
+                        let private = reverse_link(&mut root, &mut links, r);
+                        routes.push(private);
+                    }
+                    (None, None) => residual += config.links[l].one_way_delay(),
                 }
             }
-            let ack_route = Route {
-                start: start as u32,
-                len: (routes.len() - start) as u32,
+            let reverse = Route::since(&routes, start);
+            let (ret_start, delay) = if f.reverse_data {
+                // Validation guarantees a spec on every hop, so the
+                // reverse links cover the whole path.
+                senders[i].data_path = reverse;
+                (routes.len(), config.min_one_way(i) + ack_tx)
+            } else if reverse.len == 0 {
+                (start, residual + ack_tx)
+            } else {
+                (start, residual)
             };
-            if f.reverse_data {
-                // Upload flow: its *data* traverses the route's reverse
-                // links (in reverse-route order), while its own
-                // acknowledgments return over the forward direction via
-                // the paper arithmetic — so ack_route stays empty and
-                // ack_delay becomes the forward propagation. Validation
-                // guarantees every route hop declared a ReverseSpec, so
-                // the reverse chain covers the whole path.
-                senders[i].route = ack_route;
-                ack_delay[i] = config.min_one_way(i) + paper_ack_tx;
-            } else if ack_route.len > 0 {
-                senders[i].ack_route = ack_route;
-                ack_delay[i] = residual;
+            if !delay.is_zero() {
+                delay_hops.push((routes.len(), delay));
+                routes.push(LinkId(u32::MAX));
             }
+            senders[i].return_path = Route::since(&routes, ret_start);
+        }
+        let mut by_delay = std::collections::BTreeMap::new();
+        for (slot, delay) in delay_hops {
+            routes[slot] = *by_delay.entry(delay).or_insert_with(|| {
+                links.push(Link::delay_only(delay));
+                LinkId(links.len() as u32 - 1)
+            });
         }
         // Fault-process RNGs, forked last and only for links declaring a
         // fault: a `fault: None` config performs the identical fork
         // sequence as before this field existed, keeping it bit-identical.
-        let faults: Vec<Option<FaultState>> = config
+        let mut faults: Vec<Option<FaultState>> = config
             .links
             .iter()
             .enumerate()
@@ -534,16 +513,18 @@ impl Simulation {
                 })
             })
             .collect();
+        faults.resize_with(links.len(), || None);
         // Seed the calendar queue's bucket width with the tightest
-        // per-packet event spacing in the topology: the fastest forward
+        // per-packet event spacing in the topology: the fastest config
         // link's data serialization time, or a reverse link's ACK
         // serialization time if that is tighter. The queue self-tunes
         // from there.
         let spacing_hint = links
             .iter()
             .enumerate()
+            .filter(|(_, l)| !l.is_delay_only())
             .map(|(i, l)| {
-                if i < n_forward {
+                if i < config.links.len() {
                     l.event_spacing_hint()
                 } else {
                     l.tx_time(ACK_BYTES)
@@ -553,29 +534,14 @@ impl Simulation {
         let mut events = EventQueue::with_kind_and_hint(scheduler, spacing_hint);
         let tx_line = links.iter().map(|_| events.line()).collect();
         let prop_line = links.iter().map(|_| events.line()).collect();
-        let mut ack_returns = Vec::new();
-        let mut by_delay = std::collections::BTreeMap::new();
-        let ack_return = ack_delay
-            .into_iter()
-            .map(|d| {
-                *by_delay.entry(d).or_insert_with(|| {
-                    ack_returns.push((events.line(), d));
-                    ack_returns.len() as u32 - 1
-                })
-            })
-            .collect();
         Simulation {
             now: SimTime::ZERO,
             events,
             arena: PacketArena::new(),
             links,
             routes,
-            n_forward,
             tx_line,
             prop_line,
-            ack_return,
-            ack_returns,
-            shared_rev,
             senders,
             receivers: config
                 .flows
@@ -617,18 +583,6 @@ impl Simulation {
     /// The scheduler backend this simulation dispatches through.
     pub fn scheduler_kind(&self) -> SchedulerKind {
         self.scheduler
-    }
-
-    /// The [`LinkId`] of the shared reverse link built for forward link
-    /// `link`, if its [`crate::topology::ReverseSpec`] is `shared` —
-    /// usable with [`enable_trace`](Self::enable_trace) to sample the
-    /// shared ACK queue.
-    pub fn shared_reverse_link(&self, link: usize) -> Option<LinkId> {
-        self.shared_rev
-            .get(link)
-            .copied()
-            .flatten()
-            .map(|idx| LinkId(idx as u32))
     }
 
     /// Record queue occupancy of `links` every `period` (Fig 8).
@@ -684,7 +638,7 @@ impl Simulation {
         }
         // Prime outage processes: every Outage-faulted link starts up and
         // goes down after its first up dwell.
-        for l in 0..self.n_forward {
+        for l in 0..self.faults.len() {
             if let Some(f) = &mut self.faults[l] {
                 if let FaultSpec::Outage {
                     up_s, scheduled, ..
@@ -747,7 +701,7 @@ impl Simulation {
             duration_s: duration.as_secs_f64(),
             link_queues: self.links.iter().map(|l| l.queue_stats()).collect(),
             link_bytes: self.links.iter().map(|l| l.bytes_transmitted()).collect(),
-            forward_links: self.n_forward,
+            link_rates_bps: self.links.iter().map(|l| l.rate_bps()).collect(),
             events_processed: self.events_processed,
             events_by_kind: self.events_by_kind,
             queue: self.events.counters(),
@@ -795,10 +749,6 @@ impl Simulation {
                 let pkt = self.arena.take(pkt);
                 self.handle_propagated(link, pkt)
             }
-            Event::AckArrive { flow, pkt } => {
-                let ack = self.arena.take(pkt).as_ack();
-                self.handle_ack(flow, ack)
-            }
             Event::SenderWake { flow } => {
                 let i = flow.0 as usize;
                 // Only the pending wake clears the marker: a stale one
@@ -823,37 +773,34 @@ impl Simulation {
 
     fn handle_arrive(&mut self, link: LinkId, pkt: Packet) {
         let l = link.0 as usize;
-        // Ingress fault checks (forward links only; ACKs arrive only at
-        // reverse links, which carry no fault process).
-        if l < self.n_forward {
-            if let Some(f) = &mut self.faults[l] {
-                match f.spec {
-                    FaultSpec::GilbertElliott {
-                        loss_good,
-                        loss_bad,
-                        good_to_bad,
-                        bad_to_good,
-                    } => {
-                        // Fixed draw order (loss, then transition) keeps
-                        // the stream identical across scheduler backends.
-                        let lost = f.rng.chance(if f.bad { loss_bad } else { loss_good });
-                        if f.rng.chance(if f.bad { bad_to_good } else { good_to_bad }) {
-                            f.bad = !f.bad;
-                        }
-                        if lost {
-                            self.stats[pkt.flow.0 as usize].drops.fault += 1;
-                            return;
-                        }
+        // Ingress fault checks.
+        if let Some(f) = &mut self.faults[l] {
+            match f.spec {
+                FaultSpec::GilbertElliott {
+                    loss_good,
+                    loss_bad,
+                    good_to_bad,
+                    bad_to_good,
+                } => {
+                    // Fixed draw order (loss, then transition) keeps
+                    // the stream identical across scheduler backends.
+                    let lost = f.rng.chance(if f.bad { loss_bad } else { loss_good });
+                    if f.rng.chance(if f.bad { bad_to_good } else { good_to_bad }) {
+                        f.bad = !f.bad;
                     }
-                    FaultSpec::Outage {
-                        drop_while_down: true,
-                        ..
-                    } if self.links[l].is_down() => {
+                    if lost {
                         self.stats[pkt.flow.0 as usize].drops.fault += 1;
                         return;
                     }
-                    _ => {}
                 }
+                FaultSpec::Outage {
+                    drop_while_down: true,
+                    ..
+                } if self.links[l].is_down() => {
+                    self.stats[pkt.flow.0 as usize].drops.fault += 1;
+                    return;
+                }
+                _ => {}
             }
         }
         match self.links[l].offer(pkt, self.now) {
@@ -902,44 +849,53 @@ impl Simulation {
         }
     }
 
-    fn handle_propagated(&mut self, link: LinkId, pkt: Packet) {
-        if pkt.dir() == PacketDir::Ack {
-            return self.handle_ack_propagated(pkt);
+    /// The one way a packet enters a link: a real link's ingress takes it
+    /// at this instant, through the same-instant lane; a delay-only link
+    /// hands it to its far end `delay` later, on its propagation line.
+    fn enter(&mut self, link: LinkId, pkt: Packet) {
+        let l = link.0 as usize;
+        let pkt = self.arena.alloc(pkt);
+        if self.links[l].is_delay_only() {
+            let at = self.now + self.links[l].delay();
+            self.events
+                .schedule_on(self.prop_line[l], at, Event::Propagated { link, pkt });
+        } else {
+            self.events.schedule(self.now, Event::Arrive { link, pkt });
         }
+    }
+
+    /// The one way a packet leaves a link: on to the next hop of the path
+    /// its direction selects, or delivered — data to the receiver, an ACK
+    /// to the sender.
+    fn handle_propagated(&mut self, link: LinkId, pkt: Packet) {
         // Corruption destroys the packet *after* it crossed the link: it
         // consumed serialization capacity and queue space (unlike a queue
         // drop, which never transmits) but is discarded at the far end.
-        // Fault processes exist only on forward links; a reverse_data
-        // flow's data packets cross reverse links, which carry none.
-        let l = link.0 as usize;
-        if l < self.n_forward {
-            if let Some(f) = &mut self.faults[l] {
-                if let FaultSpec::Corruption { prob } = f.spec {
-                    if f.rng.chance(prob) {
-                        self.stats[pkt.flow.0 as usize].drops.fault += 1;
-                        return;
-                    }
+        if let Some(f) = &mut self.faults[link.0 as usize] {
+            if let FaultSpec::Corruption { prob } = f.spec {
+                if f.rng.chance(prob) {
+                    self.stats[pkt.flow.0 as usize].drops.fault += 1;
+                    return;
                 }
             }
         }
         let flow = pkt.flow.0 as usize;
-        let route = self.senders[flow].route.links(&self.routes);
+        let s = &self.senders[flow];
+        let path = match pkt.dir() {
+            PacketDir::Data => s.data_path,
+            PacketDir::Ack => s.return_path,
+        }
+        .links(&self.routes);
         let next_hop = pkt.hop() as usize + 1;
-        if next_hop < route.len() {
+        if let Some(&next) = path.get(next_hop) {
             let mut fwd = pkt;
             fwd.set_hop(next_hop as u8);
-            let next_link = route[next_hop];
-            let fwd = self.arena.alloc(fwd);
-            self.events.schedule(
-                self.now,
-                Event::Arrive {
-                    link: next_link,
-                    pkt: fwd,
-                },
-            );
-            return;
+            return self.enter(next, fwd);
         }
-        debug_assert_eq!(route[pkt.hop() as usize], link);
+        debug_assert_eq!(path[pkt.hop() as usize], link);
+        if pkt.dir() == PacketDir::Ack {
+            return self.handle_ack(pkt.flow, pkt.as_ack());
+        }
 
         // Delivery at the receiver.
         let rx = &mut self.receivers[flow];
@@ -1028,39 +984,10 @@ impl Simulation {
     }
 
     /// The single ACK gateway: every acknowledgment — immediate or
-    /// coalesced — leaves the receiver here, over the flow's reverse
-    /// tier.
+    /// coalesced — leaves the receiver here, onto the flow's return path.
     fn emit_ack(&mut self, flow: usize, ack_pkt: Packet) {
-        let s = &self.senders[flow];
-        if s.ack_route.len == 0 {
-            // Paper model, preserved bit for bit: uncongested reverse
-            // path, negligible (1 Gbps) ACK serialization (both in the
-            // return delay).
-            let (line, delay) = self.ack_returns[self.ack_return[flow] as usize];
-            let id = self.arena.alloc(ack_pkt);
-            self.events.schedule_on(
-                line,
-                self.now + delay,
-                Event::AckArrive {
-                    flow: ack_pkt.flow,
-                    pkt: id,
-                },
-            );
-        } else {
-            // The ACK is a real packet: it enters the first reverse link
-            // and queues, serializes and propagates like any other
-            // traffic (contending with every other flow's ACKs when the
-            // reverse link is shared).
-            let first = self.routes[s.ack_route.start as usize];
-            let id = self.arena.alloc(ack_pkt);
-            self.events.schedule(
-                self.now,
-                Event::Arrive {
-                    link: first,
-                    pkt: id,
-                },
-            );
-        }
+        let first = self.routes[self.senders[flow].return_path.start as usize];
+        self.enter(first, ack_pkt);
     }
 
     /// A receiver's delayed-ACK flush timer fired: emit the held partial
@@ -1076,45 +1003,6 @@ impl Simulation {
         }
         p.timer_armed = false;
         self.flush_ack(i);
-    }
-
-    /// An ACK packet finished propagating across a reverse link: forward
-    /// it to the next reverse hop, or deliver it to the sender (after any
-    /// residual pure-delay segment from route hops without a reverse
-    /// spec).
-    fn handle_ack_propagated(&mut self, pkt: Packet) {
-        let flow = pkt.flow.0 as usize;
-        let s = &self.senders[flow];
-        let ack_route = s.ack_route.links(&self.routes);
-        let next_hop = pkt.hop() as usize + 1;
-        if next_hop < ack_route.len() {
-            let mut fwd = pkt;
-            fwd.set_hop(next_hop as u8);
-            let next_link = ack_route[next_hop];
-            let fwd = self.arena.alloc(fwd);
-            self.events.schedule(
-                self.now,
-                Event::Arrive {
-                    link: next_link,
-                    pkt: fwd,
-                },
-            );
-            return;
-        }
-        let (line, delay) = self.ack_returns[self.ack_return[flow] as usize];
-        if delay.is_zero() {
-            self.handle_ack(pkt.flow, pkt.as_ack());
-        } else {
-            let id = self.arena.alloc(pkt);
-            self.events.schedule_on(
-                line,
-                self.now + delay,
-                Event::AckArrive {
-                    flow: pkt.flow,
-                    pkt: id,
-                },
-            );
-        }
     }
 
     fn handle_ack(&mut self, flow: FlowId, ack: Ack) {
@@ -1321,16 +1209,9 @@ impl Simulation {
             if pkt.is_retx() {
                 self.stats[i].retransmissions += 1;
             }
-            let first_link = self.routes[s.route.start as usize];
+            let first_link = self.routes[s.data_path.start as usize];
             let had_outstanding = s.transport.in_flight() > 1;
-            let id = self.arena.alloc(pkt);
-            self.events.schedule(
-                self.now,
-                Event::Arrive {
-                    link: first_link,
-                    pkt: id,
-                },
-            );
+            self.enter(first_link, pkt);
             if !had_outstanding {
                 self.reschedule_rto(i);
             }
@@ -1480,13 +1361,6 @@ fn fold_event(digest: u64, at: SimTime, ev: &Event, arena: &PacketArena) -> u64 
             fnv(
                 fnv(fnv(digest, 3), link.0 as u64),
                 pkt.seq ^ ((pkt.flow.0 as u64) << 48),
-            )
-        }
-        Event::AckArrive { flow, pkt } => {
-            let ack = arena.get(*pkt);
-            fnv(
-                fnv(fnv(digest, 4), flow.0 as u64),
-                ack.seq ^ ack.tx_index.rotate_left(32),
             )
         }
         Event::SenderWake { flow } => fnv(fnv(digest, 5), flow.0 as u64),
@@ -1970,9 +1844,9 @@ mod tests {
         for f in &out.flows {
             assert!(f.bytes_delivered > 0, "flow {} starved", f.flow);
         }
-        // Reverse links are reported after the forward links.
-        assert_eq!(out.forward_links, 1);
-        assert_eq!(out.link_queues.len(), 2, "one shared reverse link");
+        // The shared uplink is reported after the config link; its hop
+        // is the whole return path, so no delay-only link follows.
+        assert_eq!(out.link_rates_bps, [10e6, 100e3]);
         assert_eq!(out.link_queues[1].dropped, ack_drops);
     }
 
@@ -2091,9 +1965,9 @@ mod tests {
     #[test]
     fn reverse_data_rides_the_reverse_links() {
         // An upload flow: data crosses the shared reverse uplink (the
-        // binding 2 Mbps constraint), ACKs return over the forward
-        // direction via the paper arithmetic — so the forward link
-        // carries no traffic at all.
+        // binding 2 Mbps constraint), ACKs return over a delay-only link
+        // of the forward propagation — so the forward link carries no
+        // traffic at all.
         let mut net = dumbbell(
             1,
             10e6,

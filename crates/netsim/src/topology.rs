@@ -344,9 +344,9 @@ pub struct FlowSpec {
     /// route (every route link must then declare a [`ReverseSpec`]) —
     /// the upload direction of an access network, contending with
     /// everyone's ACKs on a shared uplink. Its own acknowledgments
-    /// return over the forward direction via the paper's uncongested
-    /// arithmetic. `false` (the serde default) is the ordinary forward
-    /// data flow.
+    /// return over a delay-only link of the forward propagation, the
+    /// paper's uncongested reverse path. `false` (the serde default) is
+    /// the ordinary forward data flow.
     #[serde(default, skip_serializing_if = "is_false")]
     pub reverse_data: bool,
 }

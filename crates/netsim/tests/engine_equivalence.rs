@@ -1,7 +1,7 @@
 //! Recorded-outcome equivalence of the engine.
 //!
 //! `tests/fixtures/engine_equivalence.txt` holds, for every cell of the
-//! AQM × reverse-tier × fault × workload × receiver cross-product at a
+//! AQM × return-path × fault × workload × receiver cross-product at a
 //! fixed seed, what each flow's reliability layer saw and did: the
 //! per-flow ack digest ([`Simulation::ack_digests`]) plus
 //! `bytes_delivered`, `transmissions`, `retransmissions`, `timeouts` and
@@ -20,7 +20,12 @@
 //! work was gone. It judges changes to *how* the queue orders what it
 //! holds (the delay lines of [`netsim::event::EventQueue`]): those must
 //! dispatch the very same sequence, event for event, so both numbers must
-//! reproduce exactly on both backends.
+//! reproduce exactly on both backends. Its digests were re-recorded once,
+//! when the paper's ACK return became a delay-only link: each ACK's
+//! arrival is now that link's `Propagated`, folded as one, at the same
+//! instant and queue position; the parent engine folding its ACK arrivals
+//! that way produced the very digests recorded, and every
+//! `events_processed` stayed as it was.
 //!
 //! Each cell runs three senders with three pacing behaviours (rotated
 //! across the flows by cell index, so the churning flow 0 takes each in

@@ -7,7 +7,7 @@
 //! 1. **Default transparency.** A flow with an explicit default spec
 //!    (`Some(ReceiverSpec::default())`) dispatches the *bit-identical*
 //!    event sequence as a flow with no spec at all (`None`), whatever
-//!    AQM discipline, churn process, fault mode, or reverse-path tier is
+//!    AQM discipline, churn process, fault mode, or return path is
 //!    active, on both scheduler backends. The policy machinery may not
 //!    perturb a single committed figure.
 //! 2. **Backend equivalence.** When a policy *is* active (delayed ACKs,
@@ -62,12 +62,13 @@ fn aqm_queue(which: u8) -> QueueSpec {
 }
 
 /// A dumbbell exercising the orthogonal scenario axes the policy has to
-/// be transparent across: AQM, reverse-path tier (arithmetic, private, or
-/// shared with a tight ACK buffer), fault mode, and flow churn.
+/// be transparent across: AQM, return path (the paper's delay-only link,
+/// private reverse links, or a shared one with a tight ACK buffer), fault
+/// mode, and flow churn.
 fn axis_net(aqm: u8, reverse: u8, fault: u8, mginf: bool) -> NetworkConfig {
     let mut net = dumbbell(3, 8e6, 0.120, aqm_queue(aqm), WorkloadSpec::AlwaysOn);
     net = match reverse % 3 {
-        0 => net, // paper's uncongested reverse arithmetic
+        0 => net, // the paper's uncongested reverse path
         1 => net.with_reverse_slowdown(20.0),
         _ => net.with_shared_reverse(20.0, |_, _| QueueSpec::DropTail {
             capacity_bytes: Some(4_000),
@@ -206,7 +207,7 @@ proptest! {
 
     /// Default transparency across the whole axis cross-product: an
     /// explicit default spec and no spec dispatch the identical event
-    /// sequence on both scheduler backends, whatever AQM, reverse tier,
+    /// sequence on both scheduler backends, whatever AQM, return path,
     /// fault mode, or churn process is active.
     #[test]
     fn default_spec_never_perturbs_any_scenario_axis(

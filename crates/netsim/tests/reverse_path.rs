@@ -142,7 +142,11 @@ fn reverse_queue_disciplines_manage_ack_traffic() {
             (0..8).map(|_| Box::new(Aimd { w: 2.0 }) as _).collect();
         let mut sim = Simulation::new(&net, protocols, 7);
         let out = sim.run(SimDuration::from_secs(20));
-        assert_eq!(out.forward_links, 1, "reverse link reported after forward");
+        assert_eq!(
+            out.link_rates_bps,
+            [20e6, 300e3],
+            "the shared uplink is reported after the config link"
+        );
         (
             out.link_queues[1].dropped,
             out.flows.iter().map(|f| f.drops.ack).sum::<u64>(),
