@@ -51,11 +51,8 @@
 //! ```
 
 use netsim::prelude::*;
-use netsim::rng::SimRng;
 use protocols::{Action, TaoCc, WhiskerTree};
-use remy::{
-    EvalPool, GeneticTrainer, Optimizer, OptimizerConfig, ScenarioSpec, TrainBudget, Trainer,
-};
+use remy::{GeneticTrainer, Optimizer, OptimizerConfig, ScenarioSpec};
 use serde_json::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,18 +140,12 @@ fn time_smoke_training() -> f64 {
 fn time_genetic_smoke_training() -> f64 {
     let mut samples = Vec::with_capacity(TRAIN_REPS);
     for _ in 0..TRAIN_REPS {
-        let mut budget = TrainBudget::smoke();
-        budget.seed = 7;
-        let trainer = GeneticTrainer::new(budget.clone());
-        let pool = EvalPool::new(budget.threads);
+        let mut cfg = OptimizerConfig::smoke();
+        cfg.seed = 7;
+        let trainer = GeneticTrainer::new(cfg);
         let specs = vec![ScenarioSpec::calibration()];
         let start = Instant::now();
-        let trained = trainer.train(
-            "perf-snapshot-genetic",
-            &specs,
-            &pool,
-            &mut SimRng::from_seed(7),
-        );
+        let trained = trainer.train("perf-snapshot-genetic", &specs);
         let dt = start.elapsed().as_secs_f64();
         assert!(trained.score.is_finite(), "genetic training degenerated");
         samples.push(dt);

@@ -16,7 +16,7 @@
 //! [`FigureData`](crate::report::FigureData) JSON artifact per experiment
 //! under `assets/figures/` (or `--json DIR`).
 
-use crate::experiments::{self, Experiment, Fidelity, RunOptions};
+use crate::experiments::{self, train_asset_names, Experiment, Fidelity, RunOptions, TrainerKind};
 use crate::report::{render_figure, Table};
 use protocols::{MemoryPoint, NUM_SIGNALS};
 use remy::TrainedProtocol;
@@ -36,7 +36,8 @@ commands:
                                 --trainer genetic runs the population
                                 search instead of the whisker-tree hill
                                 climb, producing '<asset>-genetic' assets
-                                so the committed tree assets never move)
+                                so the committed tree assets never move;
+                                it skips co-optimized jobs)
   replay [figure.json]          re-measure every worst-case certificate in
                                 an adversarial figure on both scheduler
                                 backends; fails unless each score
@@ -361,17 +362,6 @@ fn write_json(fig: &crate::report::FigureData, path: &Path) -> std::io::Result<(
     std::fs::write(path, json)
 }
 
-/// Which [`remy::Trainer`] `learnability train` runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TrainerKind {
-    /// The whisker-tree hill climb — the strategy behind every committed
-    /// asset.
-    Tree,
-    /// The genetic population search; results are saved under
-    /// `<asset>-genetic` names so the committed tree assets never move.
-    Genetic,
-}
-
 fn parse_train(args: &[&str]) -> Result<(Vec<&'static dyn Experiment>, bool, TrainerKind), String> {
     let exps = select(args.first().copied())?;
     let mut force = false;
@@ -396,45 +386,6 @@ fn parse_train(args: &[&str]) -> Result<(Vec<&'static dyn Experiment>, bool, Tra
     Ok((exps, force, trainer))
 }
 
-/// Asset names a train job produces under the chosen trainer.
-fn train_asset_names(job: &experiments::TrainJob, trainer: TrainerKind) -> Vec<String> {
-    match trainer {
-        TrainerKind::Tree => job.assets.clone(),
-        TrainerKind::Genetic => job.assets.iter().map(|n| format!("{n}-genetic")).collect(),
-    }
-}
-
-/// Run one train job under the genetic trainer (falls back to the tree
-/// path for co-optimized jobs, which the population search does not
-/// model).
-fn run_genetic_job(job: &experiments::TrainJob) -> Vec<remy::TrainedProtocol> {
-    use remy::{GeneticTrainer, TrainBudget, Trainer};
-    if job.co_alternations.is_some() {
-        eprintln!(
-            "[learnability] genetic trainer does not co-optimize; \
-             training {} with the tree trainer",
-            job.assets.join("+")
-        );
-        return experiments::run_train_job(job);
-    }
-    let name = format!("{}-genetic", job.assets[0]);
-    let path = remy::serialize::asset_path(&name);
-    vec![remy::serialize::load_or_train(&path, || {
-        eprintln!("[learnability] genetic-training {name} (no committed asset found)...");
-        let t0 = Instant::now();
-        let budget = TrainBudget::from_config(job.cfg.clone());
-        let pool = remy::EvalPool::new(budget.threads);
-        let mut rng = netsim::rng::SimRng::from_seed(budget.seed);
-        let p = GeneticTrainer::new(budget).train(&name, &job.specs, &pool, &mut rng);
-        eprintln!(
-            "[learnability] genetic-trained {name} in {:.1}s (score {:.3})",
-            t0.elapsed().as_secs_f64(),
-            p.score
-        );
-        p
-    })]
-}
-
 fn cmd_train(exps: &[&'static dyn Experiment], force: bool, trainer: TrainerKind) -> i32 {
     let t0 = Instant::now();
     for e in exps {
@@ -450,10 +401,7 @@ fn cmd_train(exps: &[&'static dyn Experiment], force: bool, trainer: TrainerKind
                     }
                 }
             }
-            let protos = match trainer {
-                TrainerKind::Tree => experiments::run_train_job(&job),
-                TrainerKind::Genetic => run_genetic_job(&job),
-            };
+            let protos = experiments::run_train_job(&job, trainer);
             for p in &protos {
                 eprintln!(
                     "[{:>7.1}s] {} ready ({} whiskers, score {:.3})",
@@ -848,6 +796,24 @@ mod tests {
             train_asset_names(&job, TrainerKind::Genetic),
             vec!["tao-test-genetic"]
         );
+    }
+
+    #[test]
+    fn co_optimized_jobs_name_no_genetic_assets() {
+        // The genetic trainer does not co-optimize, so such a job is
+        // skipped under it: `--force` must find nothing to discard, and
+        // the committed tree assets must never move.
+        let job = experiments::TrainJob::co_optimized(
+            &["tao-a", "tao-b"],
+            vec![remy::ScenarioSpec::diversity()],
+            remy::OptimizerConfig::smoke(),
+            1,
+        );
+        assert_eq!(
+            train_asset_names(&job, TrainerKind::Tree),
+            vec!["tao-a", "tao-b"]
+        );
+        assert!(train_asset_names(&job, TrainerKind::Genetic).is_empty());
     }
 
     #[test]

@@ -345,10 +345,66 @@ pub fn run_experiment_report(exp: &dyn Experiment, opts: &RunOptions) -> RunRepo
     RunReport { fig, poisoned }
 }
 
-/// Execute a training job: load every produced asset if committed,
-/// otherwise train (plain optimization, or joint co-optimization when
-/// [`TrainJob::co_alternations`] is set) and cache the results.
-pub fn run_train_job(job: &TrainJob) -> Vec<TrainedProtocol> {
+/// Which trainer designs a [`TrainJob`]'s protocols.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TrainerKind {
+    /// The whisker-tree hill climb ([`remy::Optimizer`]) — the strategy
+    /// behind every committed asset.
+    Tree,
+    /// The genetic population search ([`remy::GeneticTrainer`]). Its
+    /// protocols are saved under `<asset>-genetic` names so the committed
+    /// tree assets never move. It does not co-optimize, so a
+    /// co-optimized job produces nothing under it.
+    Genetic,
+}
+
+/// Asset names `job` produces under `trainer`.
+pub fn train_asset_names(job: &TrainJob, trainer: TrainerKind) -> Vec<String> {
+    match (trainer, job.co_alternations) {
+        (TrainerKind::Tree, _) => job.assets.clone(),
+        (TrainerKind::Genetic, Some(_)) => Vec::new(),
+        (TrainerKind::Genetic, None) => job.assets.iter().map(|n| format!("{n}-genetic")).collect(),
+    }
+}
+
+/// Execute a training job under `trainer`, the one place a [`TrainJob`]
+/// becomes protocols: load every asset it produces if committed,
+/// otherwise train (one protocol per asset, or joint co-optimization
+/// when [`TrainJob::co_alternations`] is set) and cache the results.
+pub fn run_train_job(job: &TrainJob, trainer: TrainerKind) -> Vec<TrainedProtocol> {
+    let Some(alternations) = job.co_alternations else {
+        return train_asset_names(job, trainer)
+            .iter()
+            .map(|name| {
+                let path = remy::serialize::asset_path(name);
+                remy::serialize::load_or_train(&path, || {
+                    eprintln!("[learnability] training {name} (no committed asset found)...");
+                    let t0 = std::time::Instant::now();
+                    let p = match trainer {
+                        TrainerKind::Tree => {
+                            remy::Optimizer::new(job.specs.clone(), job.cfg.clone()).optimize(name)
+                        }
+                        TrainerKind::Genetic => {
+                            remy::GeneticTrainer::new(job.cfg.clone()).train(name, &job.specs)
+                        }
+                    };
+                    eprintln!(
+                        "[learnability] trained {name} in {:.1}s (score {:.3})",
+                        t0.elapsed().as_secs_f64(),
+                        p.score
+                    );
+                    p
+                })
+            })
+            .collect();
+    };
+    if trainer == TrainerKind::Genetic {
+        eprintln!(
+            "[learnability] the genetic trainer does not co-optimize; skipping {}",
+            job.assets.join(" + ")
+        );
+        return Vec::new();
+    }
     let loaded: Vec<Option<TrainedProtocol>> = job
         .assets
         .iter()
@@ -357,66 +413,38 @@ pub fn run_train_job(job: &TrainJob) -> Vec<TrainedProtocol> {
     if loaded.iter().all(Option::is_some) {
         return loaded.into_iter().flatten().collect();
     }
-    match job.co_alternations {
-        None => job
-            .assets
-            .iter()
-            .map(|n| tao_asset(n, job.specs.clone(), job.cfg.clone()))
-            .collect(),
-        Some(alternations) => {
-            eprintln!(
-                "[learnability] co-optimizing {} (no committed assets found)...",
-                job.assets.join(" + ")
-            );
-            let names: Vec<&str> = job.assets.iter().map(String::as_str).collect();
-            let opt = remy::Optimizer::new(job.specs.clone(), job.cfg.clone());
-            let protos = opt.co_optimize(
-                vec![WhiskerTree::default_tree(); job.assets.len()],
-                alternations,
-                &names,
-            );
-            for p in &protos {
-                let path = remy::serialize::asset_path(&p.name);
-                if let Err(e) = remy::serialize::save(p, &path) {
-                    eprintln!("[learnability] warning: could not save {}: {e}", p.name);
-                }
-            }
-            protos
+    eprintln!(
+        "[learnability] co-optimizing {} (no committed assets found)...",
+        job.assets.join(" + ")
+    );
+    let names: Vec<&str> = job.assets.iter().map(String::as_str).collect();
+    let opt = remy::Optimizer::new(job.specs.clone(), job.cfg.clone());
+    let protos = opt.co_optimize(
+        vec![WhiskerTree::default_tree(); job.assets.len()],
+        alternations,
+        &names,
+    );
+    for p in &protos {
+        let path = remy::serialize::asset_path(&p.name);
+        if let Err(e) = remy::serialize::save(p, &path) {
+            eprintln!("[learnability] warning: could not save {}: {e}", p.name);
         }
     }
+    protos
 }
 
 // ---------------------------------------------------------------------------
 // Shared training budgets and metrics.
 // ---------------------------------------------------------------------------
 
-/// Cost class of a training spec (re-exported from `remy::trainer`, the
-/// single home of the budget presets).
+/// Cost class of a training spec (re-exported from `remy`, the single
+/// home of the budget presets).
 pub use remy::TrainCost;
 
-/// Standard training budget used for all committed protocol assets.
-///
-/// Delegates to [`remy::TrainBudget::for_fidelity`] — the one copy of the
-/// per-fidelity presets (including the `LEARNABILITY_FAST_TRAIN` env
-/// handling) — rendered as the tree trainer's [`OptimizerConfig`].
+/// Standard training budget used for all committed protocol assets:
+/// [`OptimizerConfig::standard`], the one copy of the per-cost presets.
 pub fn train_cfg(cost: TrainCost) -> OptimizerConfig {
-    remy::TrainBudget::for_fidelity(cost).tree_config()
-}
-
-/// Train (or load the committed asset for) a Tao protocol.
-pub fn tao_asset(name: &str, specs: Vec<ScenarioSpec>, cfg: OptimizerConfig) -> TrainedProtocol {
-    let path = remy::serialize::asset_path(name);
-    remy::serialize::load_or_train(&path, || {
-        eprintln!("[learnability] training {name} (no committed asset found)...");
-        let t0 = std::time::Instant::now();
-        let p = remy::Optimizer::new(specs, cfg).optimize(name);
-        eprintln!(
-            "[learnability] trained {name} in {:.1}s (score {:.3})",
-            t0.elapsed().as_secs_f64(),
-            p.score
-        );
-        p
-    })
+    OptimizerConfig::standard(cost)
 }
 
 /// Normalized objective of a flow: `log2(tpt/fair) − δ·log2(delay/base)`,

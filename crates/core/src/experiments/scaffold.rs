@@ -20,7 +20,9 @@
 //! `adversarial`) use the pieces that fit — the roster, [`Grid::mix`],
 //! [`lineup`] — and keep their own row logic.
 
-use super::{mean_normalized_objective, registry, run_train_job, Experiment, Fidelity, TrainJob};
+use super::{
+    mean_normalized_objective, registry, run_train_job, Experiment, Fidelity, TrainJob, TrainerKind,
+};
 use crate::omniscient::omniscient;
 use crate::report::{FigureData, Series, Table, TableData};
 use crate::runner::{
@@ -185,7 +187,8 @@ pub fn lineup(exp: &dyn Experiment) -> Vec<(Contender, Scheme)> {
                                     exp.id()
                                 )
                             });
-                        trained.extend(job.assets.iter().cloned().zip(run_train_job(&job)));
+                        let protos = run_train_job(&job, TrainerKind::Tree);
+                        trained.extend(job.assets.iter().cloned().zip(protos));
                     }
                     let (_, proto) = trained
                         .iter()

@@ -1,10 +1,10 @@
 //! End-to-end pipeline tests: design a protocol with the optimizer, save
 //! it, load it back, and verify it behaves sanely on its design network.
 
-use learnability::lcc_core::{run_homogeneous, Scheme};
-use learnability::netsim::prelude::*;
-use learnability::remy::prelude::*;
-use learnability::remy::serialize;
+use lcc_core::{run_homogeneous, Scheme};
+use netsim::prelude::*;
+use remy::prelude::*;
+use remy::serialize;
 
 /// A very small budget so the test runs in seconds even in debug builds.
 fn tiny_cfg() -> OptimizerConfig {
@@ -51,7 +51,7 @@ fn train_save_load_run() {
 
 #[test]
 fn training_beats_pathological_start_on_fresh_draws() {
-    use learnability::protocols::{Action, WhiskerTree};
+    use protocols::{Action, WhiskerTree};
     // Always-on senders give the objective a smooth gradient in the
     // pacing coordinate even at tiny simulation budgets (1 s ON/OFF
     // bursts quantize deliveries too coarsely for a 3 s simulation).
@@ -72,22 +72,19 @@ fn training_beats_pathological_start_on_fresh_draws() {
     let bad = WhiskerTree::uniform(Action::new(0.0, 0.0, 300.0));
     let trained = Optimizer::new(specs.clone(), tiny_cfg()).optimize_from(bad.clone(), "rescue");
 
-    let scenarios = learnability::remy::draw_scenarios(&specs, 3, 4242);
+    let scenarios = remy::draw_scenarios(&specs, 3, 4242);
     let cfg = EvalConfig {
         sim_duration_s: 3.0,
         event_budget: 1_500_000,
         threads: 2,
         ..Default::default()
     };
-    let u_bad =
-        learnability::remy::evaluate_scenarios(&scenarios, std::slice::from_ref(&bad), &cfg)
-            .mean_utility;
-    let u_new = learnability::remy::evaluate_scenarios(
-        &scenarios,
-        std::slice::from_ref(&trained.tree),
-        &cfg,
-    )
-    .mean_utility;
+    let score = |tree: &WhiskerTree| {
+        remy::EvalPool::new(0)
+            .evaluate(&scenarios, std::slice::from_ref(tree), &cfg)
+            .mean_utility
+    };
+    let (u_bad, u_new) = (score(&bad), score(&trained.tree));
     assert!(
         u_new > u_bad + 1.0,
         "optimizer must escape the pathological start: {u_bad:.2} -> {u_new:.2}"
@@ -96,7 +93,7 @@ fn training_beats_pathological_start_on_fresh_draws() {
 
 #[test]
 fn knockout_mask_flows_through_training_and_execution() {
-    use learnability::protocols::{Signal, SignalMask, TaoCc, WhiskerTree};
+    use protocols::{Signal, SignalMask, TaoCc, WhiskerTree};
     let mut cfg = tiny_cfg();
     cfg.masks = vec![SignalMask::without(Signal::RttRatio)];
     let specs = vec![ScenarioSpec::calibration()];
@@ -118,7 +115,7 @@ fn knockout_mask_flows_through_training_and_execution() {
 
 #[test]
 fn co_optimization_produces_two_distinct_protocols() {
-    use learnability::protocols::WhiskerTree;
+    use protocols::WhiskerTree;
     let specs = vec![ScenarioSpec::diversity()];
     let mut cfg = tiny_cfg();
     cfg.rounds = 1;

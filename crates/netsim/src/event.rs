@@ -318,8 +318,6 @@ pub enum SchedulerKind {
 enum Backend {
     Heap(BinaryHeapScheduler),
     Calendar(CalendarQueue),
-    /// An externally supplied [`Scheduler`] implementation.
-    Custom(Box<dyn Scheduler>),
 }
 
 /// A delay line of an [`EventQueue`] (see the module docs), opened by
@@ -345,13 +343,12 @@ pub struct QueueCounters {
     pub calendar: CalendarStats,
 }
 
-/// Deterministic time-ordered event queue over a pluggable backend.
+/// Deterministic time-ordered event queue over a selectable backend.
 ///
 /// Owns the tie-breaking sequence counter, the same-instant lane, the
 /// delay lines and the held-out head of the selected [`Scheduler`] (see
-/// the module docs). The two built-in backends are enum-dispatched (no
-/// virtual call on the hot path); arbitrary backends plug in through
-/// [`EventQueue::custom`].
+/// the module docs). The two backends are enum-dispatched (no virtual
+/// call on the hot path).
 pub struct EventQueue {
     backend: Backend,
     /// The backend's earliest entry, held out of it: `None` exactly when
@@ -408,10 +405,6 @@ impl EventQueue {
                 None => CalendarQueue::new(),
             }),
         };
-        Self::over(backend)
-    }
-
-    fn over(backend: Backend) -> Self {
         EventQueue {
             backend,
             head: None,
@@ -424,17 +417,11 @@ impl EventQueue {
         }
     }
 
-    /// An event queue over an externally supplied backend.
-    pub fn custom(scheduler: Box<dyn Scheduler>) -> Self {
-        Self::over(Backend::Custom(scheduler))
-    }
-
-    /// Which built-in backend this queue runs on (`None` for custom).
-    pub fn kind(&self) -> Option<SchedulerKind> {
+    /// Which backend this queue runs on.
+    pub fn kind(&self) -> SchedulerKind {
         match &self.backend {
-            Backend::Heap(_) => Some(SchedulerKind::Heap),
-            Backend::Calendar(_) => Some(SchedulerKind::Calendar),
-            Backend::Custom(_) => None,
+            Backend::Heap(_) => SchedulerKind::Heap,
+            Backend::Calendar(_) => SchedulerKind::Calendar,
         }
     }
 
@@ -530,7 +517,6 @@ impl EventQueue {
         match &mut self.backend {
             Backend::Heap(s) => s.insert(spill.at, spill.seq, spill.event),
             Backend::Calendar(s) => s.insert(spill.at, spill.seq, spill.event),
-            Backend::Custom(s) => s.insert(spill.at, spill.seq, spill.event),
         }
     }
 
@@ -571,7 +557,6 @@ impl EventQueue {
                 let next = match &mut self.backend {
                     Backend::Heap(s) => s.pop(),
                     Backend::Calendar(s) => s.pop(),
-                    Backend::Custom(s) => s.pop(),
                 };
                 std::mem::replace(&mut self.head, next).expect("`next` named the head")
             }
@@ -633,7 +618,6 @@ impl EventQueue {
         let backend = match &self.backend {
             Backend::Heap(s) => s.len(),
             Backend::Calendar(s) => s.len(),
-            Backend::Custom(s) => s.len(),
         };
         self.lane.len()
             + self.lines.iter().map(VecDeque::len).sum::<usize>()
@@ -660,7 +644,6 @@ mod tests {
         vec![
             EventQueue::with_kind(SchedulerKind::Heap),
             EventQueue::with_kind(SchedulerKind::Calendar),
-            EventQueue::custom(Box::new(BinaryHeapScheduler::new())),
         ]
     }
 
@@ -862,7 +845,7 @@ mod tests {
         assert_eq!(SchedulerKind::default(), SchedulerKind::Calendar);
         assert_eq!(
             EventQueue::new().kind(),
-            Some(SchedulerKind::Calendar),
+            SchedulerKind::Calendar,
             "default queue runs on the calendar backend"
         );
     }

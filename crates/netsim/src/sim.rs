@@ -359,7 +359,6 @@ pub struct Simulation {
     /// Hard cap on events to guard against pathological protocol settings
     /// (e.g. a candidate action with near-zero pacing during optimization).
     event_budget: u64,
-    scheduler: SchedulerKind,
     /// Running FNV-1a digest over dispatched events (None = disabled).
     event_digest: Option<u64>,
     /// Per flow, a running FNV-1a digest of every acknowledgment its
@@ -574,7 +573,6 @@ impl Simulation {
             events_processed: 0,
             events_by_kind: [0; EventKind::COUNT],
             event_budget: u64::MAX,
-            scheduler,
             event_digest: None,
             ack_digests: Vec::new(),
         }
@@ -582,7 +580,7 @@ impl Simulation {
 
     /// The scheduler backend this simulation dispatches through.
     pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.scheduler
+        self.events.kind()
     }
 
     /// Record queue occupancy of `links` every `period` (Fig 8).

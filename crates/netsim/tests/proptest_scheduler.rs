@@ -229,7 +229,6 @@ proptest! {
         for mut q in [
             EventQueue::with_kind_and_hint(SchedulerKind::Heap, hint),
             EventQueue::with_kind_and_hint(SchedulerKind::Calendar, hint),
-            EventQueue::custom(Box::new(BinaryHeapScheduler::new())),
         ] {
             let mut next_id = 0u64;
             for &s in &seeds {
@@ -321,7 +320,6 @@ proptest! {
         for mut q in [
             EventQueue::with_kind_and_hint(SchedulerKind::Heap, hint),
             EventQueue::with_kind_and_hint(SchedulerKind::Calendar, hint),
-            EventQueue::custom(Box::new(BinaryHeapScheduler::new())),
         ] {
             let lines: Vec<_> = (0..LINES).map(|_| q.line()).collect();
             let mut model = BinaryHeap::new();

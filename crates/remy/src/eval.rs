@@ -169,20 +169,6 @@ pub fn run_scenario_compiled(
     (utility, usage)
 }
 
-/// Simulate one scenario from editing-form trees (compiles them first);
-/// returns the mean Tao utility and usage-annotated tree clones. Prefer
-/// [`run_scenario_compiled`] in loops — this convenience recompiles per
-/// call.
-pub fn run_scenario(
-    scenario: &ConcreteScenario,
-    trees: &[WhiskerTree],
-    cfg: &EvalConfig,
-) -> (f64, Vec<WhiskerTree>) {
-    let compiled: Vec<Arc<CompiledTree>> = trees.iter().map(CompiledTree::compile_shared).collect();
-    let (utility, counts) = run_scenario_compiled(scenario, &compiled, cfg);
-    (utility, annotate(trees, &counts))
-}
-
 /// Clones of `trees` carrying exactly the per-slot usage `counts`.
 fn annotate(trees: &[WhiskerTree], counts: &[UsageCounts]) -> Vec<WhiskerTree> {
     trees
@@ -281,17 +267,6 @@ impl EvalPool {
     }
 }
 
-/// Evaluate `trees` on a batch of scenarios with a pool sized to all
-/// cores. `cfg.threads` caps the concurrency; results are bit-identical
-/// for any thread count.
-pub fn evaluate_scenarios(
-    scenarios: &[ConcreteScenario],
-    trees: &[WhiskerTree],
-    cfg: &EvalConfig,
-) -> EvalResult {
-    EvalPool::new(0).evaluate(scenarios, trees, cfg)
-}
-
 /// `threads`, with 0 meaning every available core.
 fn resolve_threads(threads: usize) -> usize {
     if threads > 0 {
@@ -370,6 +345,15 @@ mod tests {
     use super::*;
     use protocols::Action;
 
+    /// Evaluate on a pool of all cores; `cfg.threads` caps it.
+    fn evaluate(
+        scenarios: &[ConcreteScenario],
+        trees: &[WhiskerTree],
+        cfg: &EvalConfig,
+    ) -> EvalResult {
+        EvalPool::new(0).evaluate(scenarios, trees, cfg)
+    }
+
     fn quick_cfg() -> EvalConfig {
         EvalConfig {
             sim_duration_s: 4.0,
@@ -402,8 +386,8 @@ mod tests {
         let scenarios = draw_scenarios(&specs, 3, 11);
         let tree = WhiskerTree::default_tree();
         let cfg = quick_cfg();
-        let r1 = evaluate_scenarios(&scenarios, std::slice::from_ref(&tree), &cfg);
-        let r2 = evaluate_scenarios(&scenarios, std::slice::from_ref(&tree), &cfg);
+        let r1 = evaluate(&scenarios, std::slice::from_ref(&tree), &cfg);
+        let r2 = evaluate(&scenarios, std::slice::from_ref(&tree), &cfg);
         assert_eq!(r1.per_scenario, r2.per_scenario);
         assert_eq!(r1.mean_utility, r2.mean_utility);
     }
@@ -413,7 +397,7 @@ mod tests {
         let specs = [ScenarioSpec::calibration()];
         let scenarios = draw_scenarios(&specs, 4, 3);
         let tree = WhiskerTree::default_tree();
-        let serial = evaluate_scenarios(
+        let serial = evaluate(
             &scenarios,
             std::slice::from_ref(&tree),
             &EvalConfig {
@@ -421,7 +405,7 @@ mod tests {
                 ..quick_cfg()
             },
         );
-        let parallel = evaluate_scenarios(
+        let parallel = evaluate(
             &scenarios,
             std::slice::from_ref(&tree),
             &EvalConfig {
@@ -441,7 +425,7 @@ mod tests {
         let scenarios = draw_scenarios(&specs, 3, 17);
         let tree = WhiskerTree::default_tree();
         let cfg = quick_cfg();
-        let shared = evaluate_scenarios(&scenarios, std::slice::from_ref(&tree), &cfg);
+        let shared = evaluate(&scenarios, std::slice::from_ref(&tree), &cfg);
         for pool_threads in [1usize, 2, 8] {
             let pool = EvalPool::new(pool_threads);
             assert_eq!(pool.size(), pool_threads, "pool honors its sizing");
@@ -482,7 +466,7 @@ mod tests {
         let specs = [ScenarioSpec::calibration()];
         let scenarios = draw_scenarios(&specs, 2, 5);
         let tree = WhiskerTree::default_tree();
-        let r = evaluate_scenarios(&scenarios, std::slice::from_ref(&tree), &quick_cfg());
+        let r = evaluate(&scenarios, std::slice::from_ref(&tree), &quick_cfg());
         assert!(
             r.usage[0].total_uses() > 0,
             "acks must hit the tree during evaluation"
@@ -498,8 +482,8 @@ mod tests {
         let cfg = quick_cfg();
         let sane = WhiskerTree::uniform(Action::new(1.0, 1.0, 0.25));
         let starved = WhiskerTree::uniform(Action::new(0.0, 0.0, 900.0));
-        let r_sane = evaluate_scenarios(&scenarios, &[sane], &cfg);
-        let r_starved = evaluate_scenarios(&scenarios, &[starved], &cfg);
+        let r_sane = evaluate(&scenarios, &[sane], &cfg);
+        let r_starved = evaluate(&scenarios, &[starved], &cfg);
         assert!(
             r_sane.mean_utility > r_starved.mean_utility,
             "sane={} starved={}",
@@ -518,7 +502,8 @@ mod tests {
             .find(|s| s.roles.contains(&Role::Aimd))
             .expect("p=0.5 over 6 draws");
         let tree = WhiskerTree::default_tree();
-        let (u, usage) = run_scenario(mixed, std::slice::from_ref(&tree), &quick_cfg());
+        let compiled = [CompiledTree::compile_shared(&tree)];
+        let (u, usage) = run_scenario_compiled(mixed, &compiled, &quick_cfg());
         assert!(u.is_finite());
         assert!(usage[0].total_uses() > 0, "the Tao sender used its tree");
     }

@@ -13,7 +13,11 @@
 //! 2. Pick an [`objective::Objective`]: `log(throughput) − δ·log(delay)`
 //!    (§3.2).
 //! 3. Run the [`optimizer::Optimizer`]: hill-climb whisker actions and
-//!    split busy whiskers until the budget is exhausted (§3.3).
+//!    split busy whiskers until the budget is exhausted (§3.3). The
+//!    budget is one [`OptimizerConfig`] (`OptimizerConfig::standard` holds
+//!    the presets the committed assets were trained under); the
+//!    [`trainer::GeneticTrainer`] searches the same function class under
+//!    the same config.
 //! 4. Save the resulting protocol with [`serialize`], and execute it with
 //!    [`protocols::TaoCc`].
 //!
@@ -61,26 +65,26 @@ pub mod space;
 pub mod trainer;
 pub mod verifier;
 
-pub use eval::{draw_scenarios, evaluate_scenarios, EvalConfig, EvalPool, EvalResult};
+pub use eval::{draw_scenarios, EvalConfig, EvalPool, EvalResult};
 pub use objective::Objective;
-pub use optimizer::{Optimizer, OptimizerConfig, TrainedProtocol};
+pub use optimizer::{Optimizer, OptimizerConfig, TrainCost, TrainedProtocol};
 pub use scenario::{
     BufferSpec, ConcreteScenario, CountSpec, Role, RoleSpec, Sample, ScenarioSpec, SenderClassSpec,
     TopologySpec,
 };
 pub use space::{Axis, AxisKind, ScenarioSpace};
-pub use trainer::{GeneticTrainer, TrainBudget, TrainCost, Trainer, TreeTrainer};
+pub use trainer::GeneticTrainer;
 pub use verifier::{verify, VerifyConfig, VerifyReport};
 
 /// Common imports for optimizer users.
 pub mod prelude {
     pub use crate::eval::{EvalConfig, EvalResult};
     pub use crate::objective::Objective;
-    pub use crate::optimizer::{Optimizer, OptimizerConfig, TrainedProtocol};
+    pub use crate::optimizer::{Optimizer, OptimizerConfig, TrainCost, TrainedProtocol};
     pub use crate::scenario::{
         BufferSpec, ConcreteScenario, CountSpec, Role, RoleSpec, Sample, ScenarioSpec,
         SenderClassSpec, TopologySpec,
     };
     pub use crate::space::{Axis, AxisKind, ScenarioSpace};
-    pub use crate::trainer::{GeneticTrainer, TrainBudget, TrainCost, Trainer, TreeTrainer};
+    pub use crate::trainer::GeneticTrainer;
 }

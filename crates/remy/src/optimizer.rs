@@ -27,7 +27,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Minimum utility gain for a candidate to be adopted.
 const IMPROVEMENT_EPS: f64 = 1e-4;
 
-/// Training budget and knobs.
+/// Cost class of a training spec: heavy specs (very fast links, 100-way
+/// multiplexing) get shorter simulations so training budgets stay sane.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TrainCost {
+    Normal,
+    Heavy,
+}
+
+/// The training budget and knobs, read by every trainer: the
+/// [`Optimizer`] field by field, and the
+/// [`GeneticTrainer`](crate::trainer::GeneticTrainer) with `rounds` as
+/// generations and `max_leaves` as its genome-size cap.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct OptimizerConfig {
     /// Scenario draws per spec per evaluation batch.
@@ -40,8 +51,10 @@ pub struct OptimizerConfig {
     pub max_leaves: usize,
     /// Hill-climb step scales, coarse to fine.
     pub scales: Vec<f64>,
-    /// Worker threads (0 = all cores).
+    /// Worker threads (0 = all cores). Never changes results.
     pub threads: usize,
+    /// Root seed of the scenario draws (and of the genetic trainer's
+    /// search).
     pub seed: u64,
     /// Per-simulation event cap.
     pub event_budget: u64,
@@ -82,7 +95,49 @@ impl OptimizerConfig {
         }
     }
 
-    fn eval_config(&self) -> EvalConfig {
+    /// The standard budget every committed protocol asset was designed
+    /// under: the one home of the per-cost presets.
+    ///
+    /// The paper burned a CPU-year per protocol on an 80-core machine;
+    /// these budgets train in minutes and reproduce the *orderings* the
+    /// study is about. `LEARNABILITY_FAST_TRAIN` (any value) slashes them
+    /// further for time-boxed retrains. The committed assets were
+    /// trained with it set, and each asset's description records that
+    /// budget; CI trains nothing. Progress logs are off; `learnability
+    /// train` turns them on for the jobs it runs.
+    pub fn standard(cost: TrainCost) -> Self {
+        let mut cfg = OptimizerConfig {
+            draws_per_eval: 6,
+            sim_duration_s: 8.0,
+            rounds: 8,
+            max_leaves: 8,
+            scales: vec![4.0, 1.0],
+            threads: 0,
+            seed: 0x51C0_2014,
+            event_budget: 8_000_000,
+            masks: Vec::new(),
+            verbose: false,
+        };
+        if cost == TrainCost::Heavy {
+            cfg.sim_duration_s = 3.0;
+            cfg.draws_per_eval = 5;
+            cfg.rounds = 5;
+            cfg.max_leaves = 5;
+            cfg.event_budget = 4_000_000;
+        }
+        if std::env::var("LEARNABILITY_FAST_TRAIN").is_ok() {
+            cfg.rounds = cfg.rounds.min(4);
+            cfg.max_leaves = cfg.max_leaves.min(4);
+            cfg.draws_per_eval = cfg.draws_per_eval.min(4);
+            cfg.sim_duration_s = cfg.sim_duration_s.min(5.0);
+            cfg.scales = vec![4.0];
+            cfg.event_budget = cfg.event_budget.min(2_000_000);
+        }
+        cfg
+    }
+
+    /// The evaluation knobs every candidate evaluation runs with.
+    pub(crate) fn eval_config(&self) -> EvalConfig {
         EvalConfig {
             sim_duration_s: self.sim_duration_s,
             event_budget: self.event_budget,
@@ -115,22 +170,14 @@ pub struct Optimizer {
 
 impl Optimizer {
     pub fn new(specs: Vec<ScenarioSpec>, cfg: OptimizerConfig) -> Self {
-        let pool = EvalPool::new(cfg.threads);
-        Self::with_pool(specs, cfg, pool)
-    }
-
-    /// Build an optimizer that evaluates on `pool` instead of one sized
-    /// from `cfg.threads`. Results are identical either way — the pool
-    /// only carries threads, never randomness.
-    pub fn with_pool(specs: Vec<ScenarioSpec>, cfg: OptimizerConfig, pool: EvalPool) -> Self {
         assert!(
             !specs.is_empty(),
             "optimizer needs at least one training spec"
         );
         Optimizer {
             specs,
+            pool: EvalPool::new(cfg.threads),
             cfg,
-            pool,
             evaluations: AtomicU64::new(0),
         }
     }
@@ -392,7 +439,6 @@ fn split_dimension(tree: &WhiskerTree, leaf: LeafId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate_scenarios;
     use protocols::Action;
 
     #[test]
@@ -414,9 +460,12 @@ mod tests {
             event_budget: 3_000_000,
             ..Default::default()
         };
-        let u_bad = evaluate_scenarios(&scenarios, std::slice::from_ref(&bad), &ecfg).mean_utility;
-        let u_trained =
-            evaluate_scenarios(&scenarios, std::slice::from_ref(&trained.tree), &ecfg).mean_utility;
+        let score = |tree: &WhiskerTree| {
+            EvalPool::new(0)
+                .evaluate(&scenarios, std::slice::from_ref(tree), &ecfg)
+                .mean_utility
+        };
+        let (u_bad, u_trained) = (score(&bad), score(&trained.tree));
         assert!(
             u_trained > u_bad,
             "training must help: bad={u_bad:.3} trained={u_trained:.3}"

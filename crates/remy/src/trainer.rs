@@ -1,33 +1,25 @@
-//! Pluggable protocol trainers: one budget, several search strategies.
+//! The genetic protocol trainer: a second search strategy over the same
+//! budget.
 //!
 //! The paper's learnability question is posed over one function class
 //! (whisker trees) and one search strategy (the greedy improve-then-split
-//! [`Optimizer`]). This module breaks the second hardcoding: a
-//! [`Trainer`] is any procedure that turns training [`ScenarioSpec`]s
-//! into a [`TrainedProtocol`] under a shared [`TrainBudget`], evaluating
-//! candidates on a caller-chosen [`EvalPool`] (a thread count).
+//! [`Optimizer`](crate::optimizer::Optimizer)). [`GeneticTrainer`] breaks
+//! the second hardcoding: a population search over *serialized whisker
+//! genomes* under the same [`OptimizerConfig`] budget. Each genome is a
+//! whisker tree flattened into a point of a per-genome action
+//! [`ScenarioSpace`] (three axes per leaf), mutated with the same bounded
+//! [`ScenarioSpace::mutate_with`] step the adversarial search uses,
+//! selected by deterministic tournaments, and scored with the
+//! claim-by-index parallel evaluation of an [`EvalPool`] of
+//! `cfg.threads` (the sweep engine's map).
 //!
-//! Two implementations ship today:
-//!
-//! * [`TreeTrainer`] — the existing Remy hill-climb, unchanged: it wraps
-//!   [`Optimizer`] around the caller's pool and produces **bit-identical**
-//!   protocols for the same [`OptimizerConfig`] (the committed Tao assets
-//!   and figure goldens do not move).
-//! * [`GeneticTrainer`] — a population search over *serialized whisker
-//!   genomes*: each genome is a whisker tree flattened into a point of a
-//!   per-genome action [`ScenarioSpace`] (three axes per leaf), mutated
-//!   with the same bounded [`ScenarioSpace::mutate_with`] step the
-//!   adversarial search uses, selected by deterministic tournaments, and
-//!   scored with the pool's claim-by-index parallel evaluation (the
-//!   sweep engine's map) — so the result is bit-identical for any thread
-//!   count.
-//!
-//! All trainer randomness flows through one caller-supplied [`SimRng`]
-//! on the calling thread; workers only simulate. That is what makes the
-//! genetic search a pure function of `(specs, budget, rng seed)`.
+//! All trainer randomness flows through one [`SimRng`] seeded from
+//! `cfg.seed` on the calling thread; workers only simulate. So the
+//! genetic search is a pure function of `(specs, cfg)`, bit-identical
+//! for any `cfg.threads`.
 
-use crate::eval::{draw_scenarios, EvalConfig, EvalPool};
-use crate::optimizer::{Optimizer, OptimizerConfig, TrainedProtocol};
+use crate::eval::{draw_scenarios, EvalPool};
+use crate::optimizer::{OptimizerConfig, TrainedProtocol};
 use crate::scenario::{Sample, ScenarioSpec};
 use crate::space::ScenarioSpace;
 use netsim::rng::SimRng;
@@ -36,205 +28,7 @@ use protocols::action::{
     MIN_WINDOW_INCREMENT, MIN_WINDOW_MULTIPLE,
 };
 use protocols::whisker::{LeafId, SIGNAL_MAX};
-use protocols::{Action, SignalMask, WhiskerTree};
-
-/// Cost class of a training spec: heavy specs (very fast links, 100-way
-/// multiplexing) get shorter simulations so training budgets stay sane.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrainCost {
-    Normal,
-    Heavy,
-}
-
-/// The shared training budget every [`Trainer`] reads: evaluation batch
-/// size, simulated time, outer rounds, structure cap, and determinism
-/// knobs. [`TreeTrainer`] maps it 1:1 onto [`OptimizerConfig`];
-/// [`GeneticTrainer`] reads `rounds` as generations and `max_leaves` as
-/// the genome-size cap.
-#[derive(Clone, Debug)]
-pub struct TrainBudget {
-    /// Scenario draws per spec per evaluation batch.
-    pub draws_per_eval: usize,
-    /// Simulated seconds per scenario.
-    pub sim_duration_s: f64,
-    /// Outer rounds (tree: improve-then-split cycles; genetic: generations).
-    pub rounds: usize,
-    /// Structure cap: maximum whiskers per tree / leaves per genome.
-    pub max_leaves: usize,
-    /// Hill-climb step scales, coarse to fine (tree trainer only).
-    pub scales: Vec<f64>,
-    /// Worker threads (0 = all cores). Never changes results.
-    pub threads: usize,
-    /// Root seed for scenario draws (and, via the caller's rng, trainer
-    /// randomness).
-    pub seed: u64,
-    /// Per-simulation event cap.
-    pub event_budget: u64,
-    /// Per-slot signal-knockout masks (§3.4); empty = all signals.
-    pub masks: Vec<SignalMask>,
-    /// Print progress to stderr.
-    pub verbose: bool,
-}
-
-impl Default for TrainBudget {
-    fn default() -> Self {
-        TrainBudget::from_config(OptimizerConfig::default())
-    }
-}
-
-impl TrainBudget {
-    /// View an existing optimizer config as a budget (field-for-field).
-    pub fn from_config(cfg: OptimizerConfig) -> Self {
-        TrainBudget {
-            draws_per_eval: cfg.draws_per_eval,
-            sim_duration_s: cfg.sim_duration_s,
-            rounds: cfg.rounds,
-            max_leaves: cfg.max_leaves,
-            scales: cfg.scales,
-            threads: cfg.threads,
-            seed: cfg.seed,
-            event_budget: cfg.event_budget,
-            masks: cfg.masks,
-            verbose: cfg.verbose,
-        }
-    }
-
-    /// A small budget for unit tests and smoke runs (mirrors
-    /// [`OptimizerConfig::smoke`]).
-    pub fn smoke() -> Self {
-        TrainBudget::from_config(OptimizerConfig::smoke())
-    }
-
-    /// The standard budget used for all committed protocol assets — the
-    /// single source of the per-fidelity presets formerly copied around
-    /// the experiment modules.
-    ///
-    /// The paper burned a CPU-year per protocol on an 80-core machine;
-    /// these budgets train in minutes and reproduce the *orderings* the
-    /// study is about. `LEARNABILITY_FAST_TRAIN=1` slashes budgets
-    /// further for time-boxed retrains (the committed assets' source of
-    /// truth in CI). Progress logs are off; `learnability train` turns
-    /// them on for the jobs it runs.
-    pub fn for_fidelity(cost: TrainCost) -> Self {
-        let mut b = TrainBudget {
-            draws_per_eval: 6,
-            sim_duration_s: 8.0,
-            rounds: 8,
-            max_leaves: 8,
-            scales: vec![4.0, 1.0],
-            threads: 0,
-            seed: 0x51C0_2014,
-            event_budget: 8_000_000,
-            masks: Vec::new(),
-            verbose: false,
-        };
-        if cost == TrainCost::Heavy {
-            b.sim_duration_s = 3.0;
-            b.draws_per_eval = 5;
-            b.rounds = 5;
-            b.max_leaves = 5;
-            b.event_budget = 4_000_000;
-        }
-        if std::env::var("LEARNABILITY_FAST_TRAIN").is_ok() {
-            b.rounds = b.rounds.min(4);
-            b.max_leaves = b.max_leaves.min(4);
-            b.draws_per_eval = b.draws_per_eval.min(4);
-            b.sim_duration_s = b.sim_duration_s.min(5.0);
-            b.scales = vec![4.0];
-            b.event_budget = b.event_budget.min(2_000_000);
-        }
-        b
-    }
-
-    /// The equivalent whisker-tree optimizer config (field-for-field, so
-    /// tree training through the trait is bit-identical to calling
-    /// [`Optimizer`] directly).
-    pub fn tree_config(&self) -> OptimizerConfig {
-        OptimizerConfig {
-            draws_per_eval: self.draws_per_eval,
-            sim_duration_s: self.sim_duration_s,
-            rounds: self.rounds,
-            max_leaves: self.max_leaves,
-            scales: self.scales.clone(),
-            threads: self.threads,
-            seed: self.seed,
-            event_budget: self.event_budget,
-            masks: self.masks.clone(),
-            verbose: self.verbose,
-        }
-    }
-
-    /// The evaluation knobs shared by every trainer.
-    pub fn eval_config(&self) -> EvalConfig {
-        EvalConfig {
-            sim_duration_s: self.sim_duration_s,
-            event_budget: self.event_budget,
-            threads: self.threads,
-            masks: self.masks.clone(),
-        }
-    }
-}
-
-/// A protocol-design strategy: turn training scenario models into one
-/// trained protocol, evaluating candidates on the caller's pool.
-///
-/// Contract: `train` must be a pure function of `(specs, the trainer's
-/// own budget, rng state)` — in particular, bit-identical for any pool
-/// size and `threads` setting. Trainer randomness
-/// must be drawn from `rng` on the calling thread only.
-pub trait Trainer {
-    /// Short id, as spelled on the CLI (`--trainer tree|genetic`).
-    fn id(&self) -> &'static str;
-
-    /// Design a protocol named `name` for the training scenarios.
-    fn train(
-        &self,
-        name: &str,
-        specs: &[ScenarioSpec],
-        pool: &EvalPool,
-        rng: &mut SimRng,
-    ) -> TrainedProtocol;
-}
-
-/// The Remy greedy hill-climb (improve each whisker, split the busiest)
-/// behind the [`Trainer`] trait. Thin wrapper over [`Optimizer`]: same
-/// config, same RNG stream, bit-identical protocols.
-pub struct TreeTrainer {
-    cfg: OptimizerConfig,
-}
-
-impl TreeTrainer {
-    pub fn new(budget: &TrainBudget) -> Self {
-        TreeTrainer {
-            cfg: budget.tree_config(),
-        }
-    }
-
-    /// Wrap an exact optimizer config (bit-identity with direct
-    /// [`Optimizer`] use is per-field, so this is the no-surprises path
-    /// for retraining committed assets).
-    pub fn from_config(cfg: OptimizerConfig) -> Self {
-        TreeTrainer { cfg }
-    }
-}
-
-impl Trainer for TreeTrainer {
-    fn id(&self) -> &'static str {
-        "tree"
-    }
-
-    fn train(
-        &self,
-        name: &str,
-        specs: &[ScenarioSpec],
-        pool: &EvalPool,
-        _rng: &mut SimRng,
-    ) -> TrainedProtocol {
-        // The tree search is fully determined by cfg.seed; the trait rng
-        // is left untouched so tree output never depends on it.
-        Optimizer::with_pool(specs.to_vec(), self.cfg.clone(), *pool).optimize(name)
-    }
-}
+use protocols::{Action, WhiskerTree};
 
 /// Genetic population search over serialized whisker genomes.
 ///
@@ -244,14 +38,14 @@ impl Trainer for TreeTrainer {
 /// the hill-climb explores geometrically). One generation is:
 ///
 /// 1. score every genome on a fresh common-random-number scenario batch
-///    (claim-by-index parallel on the caller's [`EvalPool`]);
+///    (claim-by-index parallel on an [`EvalPool`] of `cfg.threads`);
 /// 2. carry the `elites` best genomes over unchanged (deterministic
 ///    ranking: fitness, then input index);
 /// 3. refill the population with tournament winners mutated by
 ///    [`ScenarioSpace::mutate_with`], occasionally splitting a leaf
 ///    (structural mutation) while under the budget's leaf cap.
 pub struct GeneticTrainer {
-    budget: TrainBudget,
+    cfg: OptimizerConfig,
     /// Genomes per generation.
     pub population: usize,
     /// Genomes drawn per tournament; the fittest becomes the parent.
@@ -265,19 +59,15 @@ pub struct GeneticTrainer {
 }
 
 impl GeneticTrainer {
-    pub fn new(budget: TrainBudget) -> Self {
+    pub fn new(cfg: OptimizerConfig) -> Self {
         GeneticTrainer {
-            budget,
+            cfg,
             population: 10,
             tournament: 3,
             elites: 2,
             strength: 0.15,
             split_prob: 0.2,
         }
-    }
-
-    pub fn budget(&self) -> &TrainBudget {
-        &self.budget
     }
 
     /// The action box a genome of `leaves` leaves serializes into: three
@@ -338,7 +128,7 @@ impl GeneticTrainer {
     /// the serialized action point with `mutate_with`.
     fn mutate_genome(&self, parent: &WhiskerTree, rng: &mut SimRng) -> WhiskerTree {
         let mut child = parent.clone();
-        if child.num_leaves() < self.budget.max_leaves && rng.chance(self.split_prob) {
+        if child.num_leaves() < self.cfg.max_leaves && rng.chance(self.split_prob) {
             let leaf = rng.uniform_u32(0, child.num_leaves() as u32 - 1) as usize;
             let dim = rng.uniform_u32(0, SIGNAL_MAX.len() as u32 - 1) as usize;
             child.split_leaf(LeafId(leaf), dim);
@@ -363,27 +153,19 @@ impl GeneticTrainer {
         }
         best
     }
-}
 
-impl Trainer for GeneticTrainer {
-    fn id(&self) -> &'static str {
-        "genetic"
-    }
-
-    fn train(
-        &self,
-        name: &str,
-        specs: &[ScenarioSpec],
-        pool: &EvalPool,
-        rng: &mut SimRng,
-    ) -> TrainedProtocol {
+    /// Design a protocol named `name` for the training scenarios: a pure
+    /// function of `(specs, cfg)`, bit-identical for any `cfg.threads`.
+    pub fn train(&self, name: &str, specs: &[ScenarioSpec]) -> TrainedProtocol {
         assert!(
             !specs.is_empty(),
             "trainer needs at least one training spec"
         );
-        let cfg = self.budget.eval_config();
+        let pool = EvalPool::new(self.cfg.threads);
+        let rng = &mut SimRng::from_seed(self.cfg.seed);
+        let eval = self.cfg.eval_config();
         let pop_n = self.population.max(2);
-        let generations = self.budget.rounds.max(1);
+        let generations = self.cfg.rounds.max(1);
 
         // Seeded population: the default whisker plus bounded mutants.
         let seed_tree = WhiskerTree::default_tree();
@@ -398,10 +180,10 @@ impl Trainer for GeneticTrainer {
             // schedule as the tree optimizer's rounds.
             let scenarios = draw_scenarios(
                 specs,
-                self.budget.draws_per_eval,
-                self.budget.seed ^ ((generation as u64 + 1) * 0x9E37),
+                self.cfg.draws_per_eval,
+                self.cfg.seed ^ ((generation as u64 + 1) * 0x9E37),
             );
-            let fitness = pool.evaluate_each(&scenarios, &population, &cfg);
+            let fitness = pool.evaluate_each(&scenarios, &population, &eval);
 
             // Deterministic ranking: fitness descending, input index as
             // the tie-break (NaN sinks to the bottom).
@@ -413,7 +195,7 @@ impl Trainer for GeneticTrainer {
                     .then(a.cmp(&b))
             });
             champion = (population[order[0]].clone(), fitness[order[0]]);
-            if self.budget.verbose {
+            if self.cfg.verbose {
                 eprintln!(
                     "[genetic] generation {generation}: best {:.4}, {} leaves",
                     fitness[order[0]],
@@ -441,11 +223,11 @@ impl Trainer for GeneticTrainer {
             score: champion.1,
             description: format!(
                 "genetic trainer: population {pop_n}, {generations} generation(s), \
-                 tournament {}, elites {}, {} training spec(s), budget={:?}",
+                 tournament {}, elites {}, {} training spec(s), cfg={:?}",
                 self.tournament,
                 self.elites,
                 specs.len(),
-                self.budget
+                self.cfg
             ),
         }
     }
@@ -455,44 +237,13 @@ impl Trainer for GeneticTrainer {
 mod tests {
     use super::*;
 
-    fn quick_budget() -> TrainBudget {
-        let mut b = TrainBudget::smoke();
-        b.rounds = 2;
-        b.sim_duration_s = 3.0;
-        b.event_budget = 2_000_000;
-        b
-    }
-
-    #[test]
-    fn budget_round_trips_through_optimizer_config() {
-        let cfg = OptimizerConfig::default();
-        let back = TrainBudget::from_config(cfg.clone()).tree_config();
-        assert_eq!(format!("{cfg:?}"), format!("{back:?}"));
-        let smoke = TrainBudget::smoke().tree_config();
-        assert_eq!(
-            format!("{smoke:?}"),
-            format!("{:?}", OptimizerConfig::smoke())
-        );
-    }
-
-    #[test]
-    fn tree_trainer_matches_direct_optimizer_exactly() {
-        // The trait wrapper must not perturb the optimizer's RNG stream:
-        // same config -> bit-identical protocol (this is what keeps the
-        // committed assets and goldens frozen across the refactor).
-        let specs = vec![ScenarioSpec::calibration()];
+    fn quick_config() -> OptimizerConfig {
         let mut cfg = OptimizerConfig::smoke();
-        cfg.seed = 9;
-        let direct = Optimizer::new(specs.clone(), cfg.clone()).optimize("direct");
-        let pool = EvalPool::new(2);
-        let via_trait = TreeTrainer::from_config(cfg).train(
-            "via-trait",
-            &specs,
-            &pool,
-            &mut SimRng::from_seed(0),
-        );
-        assert_eq!(direct.tree, via_trait.tree);
-        assert_eq!(direct.score, via_trait.score);
+        cfg.rounds = 2;
+        cfg.sim_duration_s = 3.0;
+        cfg.event_budget = 2_000_000;
+        cfg.threads = 2;
+        cfg
     }
 
     #[test]
@@ -512,19 +263,37 @@ mod tests {
     #[test]
     fn genetic_training_is_deterministic_and_improves() {
         let specs = vec![ScenarioSpec::calibration()];
-        let trainer = GeneticTrainer::new(quick_budget());
-        let pool = EvalPool::new(2);
-        let a = trainer.train("a", &specs, &pool, &mut SimRng::from_seed(7));
-        let b = trainer.train("b", &specs, &pool, &mut SimRng::from_seed(7));
-        assert_eq!(a.tree, b.tree, "same rng seed, same genome");
+        let cfg = quick_config();
+        let trainer = GeneticTrainer::new(cfg.clone());
+        let a = trainer.train("a", &specs);
+        let b = trainer.train("b", &specs);
+        assert_eq!(a.tree, b.tree, "same config, same genome");
         assert_eq!(a.score.to_bits(), b.score.to_bits());
         assert!(a.score.is_finite());
-        assert!(a.tree.num_leaves() <= trainer.budget().max_leaves);
+        assert!(a.tree.num_leaves() <= cfg.max_leaves);
     }
 
     #[test]
-    fn trainer_ids_are_the_cli_spellings() {
-        assert_eq!(TreeTrainer::new(&TrainBudget::smoke()).id(), "tree");
-        assert_eq!(GeneticTrainer::new(TrainBudget::smoke()).id(), "genetic");
+    fn genetic_smoke_training_is_pinned() {
+        // The smoke budget at seed 7 on the calibration network (the
+        // perf snapshot's genetic run), recorded before the trainer drew
+        // its pool and rng from the config: one whisker, bit for bit.
+        let mut cfg = OptimizerConfig::smoke();
+        cfg.seed = 7;
+        let p = GeneticTrainer::new(cfg).train("pin", &[ScenarioSpec::calibration()]);
+        let bits = |x: f64| x.to_bits();
+        let leaves = p.tree.leaves();
+        assert_eq!(leaves.len(), 1);
+        let a = leaves[0].action;
+        assert_eq!(
+            [
+                bits(a.window_multiple),
+                bits(a.window_increment),
+                bits(a.intersend_ms)
+            ],
+            [0x3fee0e44aa77f9ff, 0x402411382b781caf, 0x3fd0000000000000]
+        );
+        assert_eq!(p.tree, WhiskerTree::uniform(a));
+        assert_eq!(bits(p.score), 0x403a9928a891af65);
     }
 }
