@@ -50,8 +50,9 @@
 //! cargo run --release -p bench --bin perf_snapshot -- --write # update BENCH_optimizer.json
 //! ```
 
+use lcc_core::runner::{build_protocols, Scheme};
 use netsim::prelude::*;
-use protocols::{Action, TaoCc, WhiskerTree};
+use protocols::{Action, WhiskerTree};
 use remy::{GeneticTrainer, Optimizer, OptimizerConfig, ScenarioSpec};
 use serde_json::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -165,13 +166,8 @@ fn sim_events_per_sec(scheduler: SchedulerKind) -> f64 {
         QueueSpec::drop_tail_bdp(40e6, 0.100, 5.0),
         WorkloadSpec::AlwaysOn,
     );
-    let tree = WhiskerTree::uniform(Action::new(1.0, 1.0, 0.2));
-    let protocols: Vec<Box<dyn netsim::transport::CongestionControl>> = (0..4)
-        .map(|i| {
-            Box::new(TaoCc::new(tree.clone(), format!("tao{i}")))
-                as Box<dyn netsim::transport::CongestionControl>
-        })
-        .collect();
+    let tao = Scheme::tao(WhiskerTree::uniform(Action::new(1.0, 1.0, 0.2)), "tao");
+    let protocols = build_protocols(&vec![tao; 4]);
     let mut sim = Simulation::with_scheduler(&net, protocols, 42, scheduler);
     let start = Instant::now();
     let out = sim.run(SimDuration::from_secs(30));

@@ -31,7 +31,7 @@ use crate::runner::{
 use netsim::flow::FlowOutcome;
 use netsim::sim::RunOutcome;
 use netsim::topology::NetworkConfig;
-use protocols::SignalMask;
+use protocols::{CompiledTree, SignalMask};
 
 /// The vocabulary an experiment module is written in.
 pub mod prelude {
@@ -195,9 +195,9 @@ pub fn lineup(exp: &dyn Experiment) -> Vec<(Contender, Scheme)> {
                         .find(|(n, _)| n == name)
                         .expect("a train job yields every asset it names");
                     Scheme::Tao {
-                        tree: proto.tree.clone(),
+                        tree: CompiledTree::compile_shared(&proto.tree),
                         mask: *mask,
-                        label: c.label.clone(),
+                        label: c.label.as_str().into(),
                     }
                 }
             };

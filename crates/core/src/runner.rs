@@ -6,6 +6,10 @@
 //! throughput and queueing delay across several seeded runs (the ellipses
 //! of Figs 1, 7 and 9 are 1-σ ranges over such runs).
 //!
+//! A flow runs a [`Scheme`] ([`protocols::scheme`]): a Tao scheme holds
+//! its tree compiled once, so a 10⁴-flow point clones it in O(1) per flow
+//! and [`build_protocols`] hands all its senders one arena.
+//!
 //! # The sweep engine
 //!
 //! An experiment's [`sweep`](crate::experiments::Experiment::sweep) is pure
@@ -26,124 +30,15 @@
 use netsim::prelude::*;
 use netsim::trace::Trace;
 use netsim::transport::CongestionControl;
-use protocols::compiled::CompiledTree;
-use protocols::{Cubic, NewReno, Pcc, SignalMask, TaoCc, Vegas, WhiskerTree};
+pub use protocols::Scheme;
 use remy::eval::try_map_indexed;
 use std::collections::HashMap;
-use std::sync::Arc;
 
-/// A congestion-control scheme under test.
-#[derive(Clone)]
-pub enum Scheme {
-    /// A Tao protocol (optionally with a §3.4 signal-knockout mask).
-    Tao {
-        tree: WhiskerTree,
-        mask: SignalMask,
-        label: String,
-    },
-    /// TCP Cubic over whatever queue the network defines.
-    Cubic,
-    /// TCP NewReno (the paper's AIMD incumbent).
-    NewReno,
-    /// TCP Vegas: delay-based, so non-congestive loss costs it less
-    /// window than the loss-based incumbents (the bursty-loss foil).
-    Vegas,
-    /// PCC-style online learner: rate micro-experiments scored by a
-    /// utility function, no offline training (the learned-online foil
-    /// to the offline-designed Tao protocols).
-    Pcc,
-}
-
-impl Scheme {
-    pub fn tao(tree: WhiskerTree, label: impl Into<String>) -> Self {
-        Scheme::Tao {
-            tree,
-            mask: SignalMask::all(),
-            label: label.into(),
-        }
-    }
-
-    /// The scheme family (`tao` covers every trained Tao variant).
-    pub fn family(&self) -> &'static str {
-        match self {
-            Scheme::Tao { .. } => "tao",
-            Scheme::Cubic => "cubic",
-            Scheme::NewReno => "newreno",
-            Scheme::Vegas => "vegas",
-            Scheme::Pcc => "pcc",
-        }
-    }
-
-    pub fn label(&self) -> String {
-        match self {
-            Scheme::Tao { label, .. } => label.clone(),
-            fixed => fixed.family().into(),
-        }
-    }
-
-    /// Whether `self` and `other` build the same controller: a Tao's
-    /// label only names it.
-    fn same_protocol(&self, other: &Scheme) -> bool {
-        match (self, other) {
-            (
-                Scheme::Tao { tree, mask, .. },
-                Scheme::Tao {
-                    tree: t, mask: m, ..
-                },
-            ) => mask == m && tree == t,
-            _ => std::mem::discriminant(self) == std::mem::discriminant(other),
-        }
-    }
-
-    pub fn build(&self) -> Box<dyn CongestionControl> {
-        match self {
-            Scheme::Tao { tree, mask, label } => {
-                Box::new(TaoCc::with_mask(tree.clone(), *mask, label.clone()))
-            }
-            Scheme::Cubic => Box::new(Cubic::new()),
-            Scheme::NewReno => Box::new(NewReno::new()),
-            Scheme::Vegas => Box::new(Vegas::new()),
-            Scheme::Pcc => Box::new(Pcc::new()),
-        }
-    }
-}
-
-/// Build one congestion-control instance per flow, compiling each
-/// distinct Tao tree exactly once and sharing the compiled arena (and the
-/// label) across all its senders. [`Scheme::build`] compiles per call,
-/// which is fine for ten flows and pathological for a 10^4-sender
-/// `many_flows` cell — the homogeneous scheme vector would clone and
-/// flatten the identical tree ten thousand times.
+/// Build one congestion-control instance per flow: each scheme's
+/// [`Scheme::build`], so the senders of one Tao scheme share the arena it
+/// compiled once, however many flows it runs on.
 pub fn build_protocols(schemes: &[Scheme]) -> Vec<Box<dyn CongestionControl>> {
-    let mut compiled: Vec<(&WhiskerTree, SignalMask, Arc<CompiledTree>)> = Vec::new();
-    let mut names: Vec<Arc<str>> = Vec::new();
-    schemes
-        .iter()
-        .map(|s| -> Box<dyn CongestionControl> {
-            match s {
-                Scheme::Tao { tree, mask, label } => {
-                    let shared = compiled
-                        .iter()
-                        .find(|(t, m, _)| *m == *mask && *t == tree)
-                        .map(|(_, _, c)| c.clone())
-                        .unwrap_or_else(|| {
-                            let c = CompiledTree::compile_shared(tree);
-                            compiled.push((tree, *mask, c.clone()));
-                            c
-                        });
-                    let name = match names.iter().find(|n| ***n == **label) {
-                        Some(n) => n.clone(),
-                        None => {
-                            names.push(label.as_str().into());
-                            names[names.len() - 1].clone()
-                        }
-                    };
-                    Box::new(TaoCc::from_compiled(shared, *mask, name))
-                }
-                other => other.build(),
-            }
-        })
-        .collect()
+    schemes.iter().map(Scheme::build).collect()
 }
 
 /// A gateway queue discipline a sweep cell can select per network (the
@@ -305,8 +200,9 @@ pub struct SweepPoint {
 impl SweepPoint {
     /// Whether a seed runs the same simulation under `self` and `other`:
     /// everything [`run_cell`] reads but the key, the axis position and
-    /// the seed range. Cheap fields first; a 10⁴-flow network compares
-    /// last.
+    /// the seed range (and a Tao's label, see [`Scheme::same_protocol`]:
+    /// shared arenas compare by pointer, separately compiled ones by
+    /// content). Cheap fields first; a 10⁴-flow network compares last.
     fn same_simulation(&self, other: &SweepPoint) -> bool {
         self.duration_s == other.duration_s
             && self.trace == other.trace
@@ -566,7 +462,8 @@ mod tests {
     use super::*;
     use netsim::topology::dumbbell;
     use netsim::workload::WorkloadSpec;
-    use protocols::Action;
+    use protocols::{Action, Signal, SignalMask, TaoCc, WhiskerTree};
+    use std::sync::Arc;
 
     fn net() -> NetworkConfig {
         dumbbell(
@@ -865,6 +762,49 @@ mod tests {
             "c traced its own runs"
         );
         assert_ne!(fingerprint(&outs[3].runs[0]), fingerprint(&outs[0].runs[0]));
+    }
+
+    #[test]
+    fn ten_thousand_senders_share_one_compiled_tree() {
+        let tao = Scheme::tao(WhiskerTree::default_tree(), "tao");
+        let protocols = build_protocols(&vec![tao; 10_000]);
+        let arenas: Vec<&Arc<_>> = protocols
+            .iter()
+            .map(|cc| {
+                cc.as_any()
+                    .and_then(|a| a.downcast_ref::<TaoCc>())
+                    .expect("a Tao scheme builds a TaoCc")
+                    .compiled_tree()
+            })
+            .collect();
+        assert_eq!(arenas.len(), 10_000);
+        assert!(arenas.iter().all(|a| Arc::ptr_eq(a, arenas[0])));
+        assert!(protocols.iter().all(|cc| cc.name() == "tao"));
+    }
+
+    #[test]
+    fn tao_identity_is_tree_and_mask_not_label() {
+        let load = || {
+            remy::serialize::load(&remy::serialize::asset_path("tao-calibration"))
+                .expect("committed asset")
+                .tree
+        };
+        let point = |scheme: Scheme| SweepPoint::homogeneous("k", 0.0, net(), scheme, 0..1, 4.0);
+        let a = point(Scheme::tao(load(), "first"));
+        // The same asset loaded and compiled again, under another label.
+        let b = point(Scheme::tao(load(), "second"));
+        assert!(a.same_simulation(&b));
+        let Scheme::Tao { tree, label, .. } = a.schemes[0].clone() else {
+            unreachable!()
+        };
+        let masked = point(Scheme::Tao {
+            tree,
+            mask: SignalMask::without(Signal::RecEwma),
+            label,
+        });
+        assert!(!a.same_simulation(&masked));
+        let other = point(Scheme::tao(WhiskerTree::default_tree(), "first"));
+        assert!(!a.same_simulation(&other));
     }
 
     #[test]

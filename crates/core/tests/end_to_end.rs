@@ -93,7 +93,7 @@ fn training_beats_pathological_start_on_fresh_draws() {
 
 #[test]
 fn knockout_mask_flows_through_training_and_execution() {
-    use protocols::{Signal, SignalMask, TaoCc, WhiskerTree};
+    use protocols::{CompiledTree, Signal, SignalMask, WhiskerTree};
     let mut cfg = tiny_cfg();
     cfg.masks = vec![SignalMask::without(Signal::RttRatio)];
     let specs = vec![ScenarioSpec::calibration()];
@@ -101,12 +101,12 @@ fn knockout_mask_flows_through_training_and_execution() {
 
     // Execute with the same mask: the rtt_ratio coordinate of the memory
     // point must always read zero.
-    let cc = TaoCc::with_mask(
-        trained.tree.clone(),
-        SignalMask::without(Signal::RttRatio),
-        "masked",
-    );
-    let _ = cc; // construction suffices; memory masking is unit-tested
+    let masked = Scheme::Tao {
+        tree: CompiledTree::compile_shared(&trained.tree),
+        mask: SignalMask::without(Signal::RttRatio),
+        label: "masked".into(),
+    };
+    let _ = masked.build(); // construction suffices; memory masking is unit-tested
 
     // And the tree itself is a valid WhiskerTree.
     assert!(trained.tree.num_leaves() >= 1);

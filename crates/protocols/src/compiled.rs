@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 /// Child link in the arena: index into `nodes` or, with the high bit set,
 /// into `leaves`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct NodeRef(u32);
 
 const LEAF_BIT: u32 = 1 << 31;
@@ -57,7 +57,7 @@ impl NodeRef {
 }
 
 /// One internal split in the arena.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Node {
     dim: u32,
     split_at: f64,
@@ -68,7 +68,7 @@ struct Node {
 /// A compiled leaf: the whisker's box and action (usage stats live in
 /// [`UsageCounts`], not here, so the tree itself is immutable and
 /// shareable across senders).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CompiledLeaf {
     pub domain: MemoryRange,
     pub action: Action,
@@ -77,8 +77,9 @@ pub struct CompiledLeaf {
     pub pacing: SimDuration,
 }
 
-/// Immutable, contiguous compilation of a [`WhiskerTree`].
-#[derive(Clone, Debug)]
+/// Immutable, contiguous compilation of a [`WhiskerTree`]. Equal trees
+/// compile to equal arenas.
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompiledTree {
     nodes: Vec<Node>,
     leaves: Vec<CompiledLeaf>,

@@ -20,6 +20,8 @@
 //!
 //! All protocols implement [`netsim::transport::CongestionControl`] and
 //! plug into the simulator's reliability layer.
+//! A [`Scheme`] names which of them runs on a flow; [`Scheme::build`] is
+//! the one place a scheme becomes a controller.
 
 pub mod action;
 pub mod compiled;
@@ -28,6 +30,7 @@ pub mod cubic;
 pub mod memory;
 pub mod newreno;
 pub mod pcc;
+pub mod scheme;
 pub mod tao;
 pub mod vegas;
 pub mod whisker;
@@ -39,6 +42,7 @@ pub use cubic::Cubic;
 pub use memory::{Memory, MemoryPoint, Signal, SignalMask, NUM_SIGNALS};
 pub use newreno::NewReno;
 pub use pcc::Pcc;
+pub use scheme::Scheme;
 pub use tao::TaoCc;
 pub use vegas::Vegas;
 pub use whisker::{LeafId, MemoryRange, Whisker, WhiskerTree};

@@ -15,7 +15,7 @@
 
 use crate::compiled::{CompiledTree, UsageCounts};
 use crate::memory::{Memory, SignalMask};
-use crate::whisker::{MemoryRange, WhiskerTree};
+use crate::whisker::MemoryRange;
 use netsim::packet::Ack;
 use netsim::time::{SimDuration, SimTime};
 use netsim::transport::{AckInfo, CongestionControl};
@@ -40,18 +40,9 @@ pub struct TaoCc {
 }
 
 impl TaoCc {
-    pub fn new(tree: WhiskerTree, name: impl Into<Arc<str>>) -> Self {
-        Self::with_mask(tree, SignalMask::all(), name)
-    }
-
-    /// Executor with a §3.4 signal-knockout mask.
-    pub fn with_mask(tree: WhiskerTree, mask: SignalMask, name: impl Into<Arc<str>>) -> Self {
-        Self::from_compiled(CompiledTree::compile_shared(&tree), mask, name)
-    }
-
-    /// Executor over a pre-compiled (and possibly shared) tree — the
-    /// evaluation hot path compiles each candidate once and hands the same
-    /// `Arc` to every sender in every scenario.
+    /// Executor over a pre-compiled (and possibly shared) tree with a §3.4
+    /// signal-knockout mask — [`crate::Scheme::build`] hands every sender
+    /// of one scheme the same `Arc`.
     pub fn from_compiled(
         tree: Arc<CompiledTree>,
         mask: SignalMask,
@@ -160,7 +151,7 @@ impl CongestionControl for TaoCc {
 mod tests {
     use super::*;
     use crate::action::Action;
-    use crate::whisker::LeafId;
+    use crate::whisker::{LeafId, WhiskerTree};
     use netsim::packet::FlowId;
 
     fn ack_at(sent_ms: u64, seq: u64) -> Ack {
@@ -190,10 +181,18 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
+    fn executor(tree: WhiskerTree) -> TaoCc {
+        TaoCc::from_compiled(
+            CompiledTree::compile_shared(&tree),
+            SignalMask::all(),
+            "tao-test",
+        )
+    }
+
     #[test]
     fn applies_action_per_ack() {
         let tree = WhiskerTree::uniform(Action::new(1.0, 2.0, 5.0));
-        let mut cc = TaoCc::new(tree, "tao-test");
+        let mut cc = executor(tree);
         assert_eq!(cc.window(), INITIAL_WINDOW);
         cc.on_ack(t(100), &ack_at(0, 0), &info());
         assert_eq!(cc.window(), INITIAL_WINDOW + 2.0);
@@ -205,7 +204,7 @@ mod tests {
     #[test]
     fn multiplicative_decrease_clamps_at_one() {
         let tree = WhiskerTree::uniform(Action::new(0.5, 0.0, 1.0));
-        let mut cc = TaoCc::new(tree, "tao-test");
+        let mut cc = executor(tree);
         for i in 0..20 {
             cc.on_ack(t(100 + i * 10), &ack_at(i * 10, i), &info());
         }
@@ -215,7 +214,7 @@ mod tests {
     #[test]
     fn reset_restores_initial_state() {
         let tree = WhiskerTree::uniform(Action::new(1.0, 3.0, 2.0));
-        let mut cc = TaoCc::new(tree, "tao-test");
+        let mut cc = executor(tree);
         cc.on_ack(t(100), &ack_at(0, 0), &info());
         assert!(cc.window() > INITIAL_WINDOW);
         cc.reset(t(200));
@@ -236,7 +235,7 @@ mod tests {
         }
         tree.set_leaf_action(LeafId(0), Action::new(1.0, 1.0, 1.0));
         tree.set_leaf_action(LeafId(1), Action::new(0.5, 0.0, 1.0));
-        let mut cc = TaoCc::new(tree, "tao-test");
+        let mut cc = executor(tree);
 
         // RTT == min RTT: ratio 1 -> growth whisker
         cc.on_ack(t(100), &ack_at(0, 0), &info());
@@ -251,7 +250,7 @@ mod tests {
     #[test]
     fn timeout_resets_like_epoch_start() {
         let tree = WhiskerTree::uniform(Action::new(1.0, 5.0, 0.5));
-        let mut cc = TaoCc::new(tree, "tao-test");
+        let mut cc = executor(tree);
         cc.on_ack(t(100), &ack_at(0, 0), &info());
         cc.on_ack(t(120), &ack_at(10, 1), &info());
         assert!(cc.window() > INITIAL_WINDOW);
@@ -262,7 +261,7 @@ mod tests {
     #[test]
     fn usage_counts_accumulate_per_executor() {
         let tree = WhiskerTree::default_tree();
-        let mut cc = TaoCc::new(tree, "tao-test");
+        let mut cc = executor(tree);
         for i in 0..7 {
             cc.on_ack(t(100 + i * 10), &ack_at(i * 10, i), &info());
         }

@@ -14,10 +14,11 @@
 //! the constant factors down:
 //!
 //! 1. **Compile once, share everywhere.** Each call compiles the whisker
-//!    trees into [`CompiledTree`] arenas behind `Arc`s; every sender in
-//!    every scenario walks the same compilation and accumulates usage in
-//!    its own flat [`UsageCounts`] buffer. No per-scenario tree clones,
-//!    no recursive boxed-node walks on the per-ack path.
+//!    trees into [`CompiledTree`] arenas behind `Arc`s; each scenario
+//!    wraps them in one Tao [`Scheme`] per slot, so every sender in every
+//!    scenario walks the same compilation and accumulates usage in its
+//!    own flat [`UsageCounts`] buffer. No per-scenario tree clones, no
+//!    recursive boxed-node walks on the per-ack path.
 //! 2. **One work-stealing map.** [`EvalPool`] is only a thread count;
 //!    each evaluation runs its batch through [`try_map_indexed`], the
 //!    scoped claim-by-atomic-index map the figure sweeps run on too.
@@ -34,8 +35,7 @@
 use crate::objective::Objective;
 use crate::scenario::{ConcreteScenario, Role, ScenarioSpec};
 use netsim::prelude::*;
-use netsim::transport::CongestionControl;
-use protocols::{CompiledTree, NewReno, SignalMask, TaoCc, UsageCounts, WhiskerTree};
+use protocols::{CompiledTree, Scheme, SignalMask, TaoCc, UsageCounts, WhiskerTree};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -95,31 +95,6 @@ pub fn draw_scenarios(specs: &[ScenarioSpec], draws: usize, seed: u64) -> Vec<Co
     out
 }
 
-/// Instantiate the protocol stack for a scenario over pre-compiled trees.
-pub fn build_protocols(
-    scenario: &ConcreteScenario,
-    trees: &[Arc<CompiledTree>],
-    masks: &[SignalMask],
-) -> Vec<Box<dyn CongestionControl>> {
-    scenario
-        .roles
-        .iter()
-        .map(|role| -> Box<dyn CongestionControl> {
-            match *role {
-                Role::Tao { slot } => {
-                    let mask = masks.get(slot).copied().unwrap_or_default();
-                    Box::new(TaoCc::from_compiled(
-                        trees[slot].clone(),
-                        mask,
-                        format!("tao-slot{slot}"),
-                    ))
-                }
-                Role::Aimd => Box::new(NewReno::new()),
-            }
-        })
-        .collect()
-}
-
 /// Simulate one scenario against compiled trees; returns the mean utility
 /// across Tao flows and the flat per-slot whisker-usage counters.
 pub fn run_scenario_compiled(
@@ -127,8 +102,16 @@ pub fn run_scenario_compiled(
     trees: &[Arc<CompiledTree>],
     cfg: &EvalConfig,
 ) -> (f64, Vec<UsageCounts>) {
-    let protocols = build_protocols(scenario, trees, &cfg.masks);
-    let mut sim = Simulation::new(&scenario.net, protocols, scenario.seed);
+    let tao: Vec<Scheme> = trees
+        .iter()
+        .enumerate()
+        .map(|(slot, tree)| Scheme::Tao {
+            tree: tree.clone(),
+            mask: cfg.masks.get(slot).copied().unwrap_or_default(),
+            label: format!("tao-slot{slot}").into(),
+        })
+        .collect();
+    let mut sim = Simulation::new(&scenario.net, scenario.protocols(&tao), scenario.seed);
     sim.set_event_budget(cfg.event_budget);
     let outcome = sim.run(SimDuration::from_secs_f64(cfg.sim_duration_s));
 

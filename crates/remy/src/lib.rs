@@ -18,8 +18,9 @@
 //!    the presets the committed assets were trained under); the
 //!    [`trainer::GeneticTrainer`] searches the same function class under
 //!    the same config.
-//! 4. Save the resulting protocol with [`serialize`], and execute it with
-//!    [`protocols::TaoCc`].
+//! 4. Save the resulting protocol with [`serialize`], and execute it as a
+//!    [`protocols::Scheme`] (`Scheme::tao` compiles the tree once; every
+//!    sender `Scheme::build` makes runs it as a [`protocols::TaoCc`]).
 //!
 //! ```no_run
 //! use remy::prelude::*;
@@ -40,10 +41,11 @@
 //! * **Compiled whisker trees.** Each evaluation compiles the candidate
 //!   [`WhiskerTree`](protocols::WhiskerTree) once into an immutable
 //!   [`protocols::CompiledTree`] arena shared (`Arc`) by every sender in
-//!   every scenario; per-ack lookups walk contiguous nodes, and usage
-//!   statistics accumulate in flat per-executor
-//!   [`protocols::UsageCounts`] buffers instead of per-scenario tree
-//!   clones.
+//!   every scenario (one [`protocols::Scheme`] per slot; the [`verifier`]
+//!   maps roles onto schemes the same way). Per-ack lookups walk
+//!   contiguous nodes, and usage statistics accumulate in flat
+//!   per-executor [`protocols::UsageCounts`] buffers instead of
+//!   per-scenario tree clones.
 //! * **One work-stealing map.** An [`eval::EvalPool`] is a thread count
 //!   (`OptimizerConfig::threads`); each evaluation claims its scenarios
 //!   from an atomic cursor on scoped threads through

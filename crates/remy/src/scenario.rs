@@ -14,7 +14,9 @@ use crate::space::ScenarioSpace;
 use netsim::prelude::*;
 use netsim::queue::QueueSpec;
 use netsim::rng::SimRng;
+use netsim::transport::CongestionControl;
 use netsim::workload::WorkloadSpec;
+use protocols::Scheme;
 use serde::{Deserialize, Serialize};
 
 /// A scalar drawn per scenario sample.
@@ -505,6 +507,20 @@ pub struct ConcreteScenario {
     pub deltas: Vec<f64>,
     /// Seed for the simulation run itself.
     pub seed: u64,
+}
+
+impl ConcreteScenario {
+    /// One controller per flow: a Tao role runs the scheme in its slot of
+    /// `tao`, AIMD cross-traffic runs NewReno.
+    pub fn protocols(&self, tao: &[Scheme]) -> Vec<Box<dyn CongestionControl>> {
+        self.roles
+            .iter()
+            .map(|role| match *role {
+                Role::Tao { slot } => tao[slot].build(),
+                Role::Aimd => Scheme::NewReno.build(),
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

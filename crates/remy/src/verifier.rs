@@ -16,9 +16,9 @@
 //! * **runaway queues** — standing queueing delay beyond a multiple of
 //!   the path RTT on a no-drop buffer.
 
-use crate::scenario::{BufferSpec, ConcreteScenario, Role, ScenarioSpec};
+use crate::scenario::{BufferSpec, ConcreteScenario, ScenarioSpec};
 use netsim::prelude::*;
-use protocols::{TaoCc, WhiskerTree};
+use protocols::{Scheme, WhiskerTree};
 use serde::{Deserialize, Serialize};
 
 /// Verification thresholds.
@@ -141,21 +141,13 @@ pub fn verify(tree: &WhiskerTree, protocol: &str, cfg: &VerifyConfig) -> VerifyR
     let mut violations = Vec::new();
     let probes = adversarial_probes();
     let probes_run = probes.len() * cfg.seeds as usize;
+    // Every probe puts its Tao senders in slot 0.
+    let tao = [Scheme::tao(tree.clone(), protocol)];
 
     for (label, spec) in &probes {
         for seed in 0..cfg.seeds {
             let scenario = spec.sample(0xFEED_0000 + seed);
-            let protocols: Vec<Box<dyn netsim::transport::CongestionControl>> = scenario
-                .roles
-                .iter()
-                .map(|r| -> Box<dyn netsim::transport::CongestionControl> {
-                    match r {
-                        Role::Tao { .. } => Box::new(TaoCc::new(tree.clone(), protocol)),
-                        Role::Aimd => Box::new(protocols::NewReno::new()),
-                    }
-                })
-                .collect();
-            let mut sim = Simulation::new(&scenario.net, protocols, scenario.seed);
+            let mut sim = Simulation::new(&scenario.net, scenario.protocols(&tao), scenario.seed);
             sim.set_event_budget(cfg.event_budget);
             let out = sim.run(SimDuration::from_secs_f64(cfg.sim_duration_s));
 
