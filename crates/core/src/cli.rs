@@ -17,7 +17,7 @@
 //! under `assets/figures/` (or `--json DIR`).
 
 use crate::experiments::{self, train_asset_names, Experiment, Fidelity, RunOptions, TrainerKind};
-use crate::report::{render_figure, Table};
+use crate::report::{render_figure, TableData};
 use protocols::{MemoryPoint, NUM_SIGNALS};
 use remy::TrainedProtocol;
 use std::path::{Path, PathBuf};
@@ -120,7 +120,7 @@ pub fn run(args: &[&str]) -> i32 {
 
 /// The `learnability list` table.
 pub fn list_table() -> String {
-    let mut t = Table::new(
+    let mut t = TableData::new(
         "learnability experiments",
         &["id", "paper artifact", "scheme families", "protocol assets"],
     );

@@ -107,7 +107,7 @@ impl Experiment for Adversarial {
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
         let space = adversarial_space();
-        let mut t = Table::new(
+        let mut t = TableData::new(
             "adversarial search — worst scenario found per scheme (omniscient-normalized \
              score; 0 = omniscient, lower is worse)",
             &[
@@ -169,7 +169,7 @@ impl Experiment for Adversarial {
                 serde_json::to_string(&cert).expect("certificates serialize")
             ));
         }
-        fig.tables.push(TableData::from_table(&t));
+        fig.tables.push(t);
         fig.charts.push(ChartData::from_series(
             "worst-case normalized score by scheme (sweep order: tao, cubic, newreno, vegas, pcc)",
             "scheme index",

@@ -52,7 +52,7 @@ impl Experiment for Aqm {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
         let norm = Norm::omniscient(&calibration::test_network());
 
-        let mut t = Table::new(
+        let mut t = TableData::new(
             "AQM generality — 32 Mbps, 150 ms RTT, 2 senders, 5 BDP buffer",
             &[
                 "gateway",
@@ -77,7 +77,7 @@ impl Experiment for Aqm {
             series.push(scheme, p.x(), obj);
             fig.push_summary(format!("{scheme}_{kind}_objective"), obj);
         }
-        fig.tables.push(TableData::from_table(&t));
+        fig.tables.push(t);
         fig.charts.push(ChartData::from_series(
             "normalized objective by gateway discipline \
              (0 = droptail, 1 = red, 2 = codel, 3 = sfqcodel)",

@@ -60,7 +60,7 @@ impl Experiment for Asymmetry {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
         let norm = Norm::omniscient(&calibration::test_network());
 
-        let mut t = Table::new(
+        let mut t = TableData::new(
             "ACK-path asymmetry — 32 Mbps forward, 150 ms RTT, 2 senders",
             &["reverse slowdown", "scheme", "throughput", "queueing delay"],
         );
@@ -75,7 +75,7 @@ impl Experiment for Asymmetry {
             ]);
             series.push(p.key(), p.x(), norm.objective(&p.runs));
         }
-        fig.tables.push(TableData::from_table(&t));
+        fig.tables.push(t);
         fig.charts.push(ChartData::from_series(
             "normalized objective vs reverse-path slowdown",
             "slowdown (forward rate / reverse rate)",

@@ -72,7 +72,7 @@ impl Experiment for BurstyLoss {
         // is exogenous, so the ideal stays the ideal.
         let norm = Norm::omniscient(&calibration::test_network());
 
-        let mut t = Table::new(
+        let mut t = TableData::new(
             "bursty loss — calibration dumbbell, GE bursts (~10 pkt) at rising severity",
             &[
                 "loss_bad",
@@ -100,7 +100,7 @@ impl Experiment for BurstyLoss {
             series.push(scheme, p.x(), obj);
             fig.push_summary(format!("{scheme}_loss{level}_objective"), obj);
         }
-        fig.tables.push(TableData::from_table(&t));
+        fig.tables.push(t);
         fig.charts.push(ChartData::from_series(
             "normalized objective vs bad-state loss probability",
             "loss_bad",

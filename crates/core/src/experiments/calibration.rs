@@ -48,7 +48,7 @@ impl Experiment for Calibration {
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        let mut t = Table::new(
+        let mut t = TableData::new(
             "Fig 1 — calibration: 32 Mbps, 150 ms RTT, 2 senders, 5 BDP",
             &["scheme", "throughput", "queueing delay"],
         );
@@ -72,7 +72,7 @@ impl Experiment for Calibration {
             "0.00 ms".into(),
         ]);
         fig.push_summary("omniscient_tpt_mbps", omn_tpt);
-        fig.tables.push(TableData::from_table(&t));
+        fig.tables.push(t);
 
         if let Some(tao_tpt) = tao_median_tpt {
             let frac = tao_tpt / omn_tpt;

@@ -68,7 +68,7 @@ impl Experiment for ChurnMginf {
         let roster = self.roster();
 
         let mut series = SeriesSet::new(self.id(), names_at(&MODES, &roster));
-        let mut t = Table::new(
+        let mut t = TableData::new(
             "M/G/inf vs blocked churn — 15 Mbps, 150 ms RTT, 10 slots, mean \
              flow duration 1 s",
             &[
@@ -98,7 +98,7 @@ impl Experiment for ChurnMginf {
             "arrivals per second",
             series.all(),
         ));
-        fig.tables.push(TableData::from_table(&t));
+        fig.tables.push(t);
 
         let max_rate = *arrival_rates(fidelity).last().unwrap();
         for s in roster.iter().map(|c| &c.label) {

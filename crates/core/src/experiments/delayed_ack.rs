@@ -100,7 +100,7 @@ impl Experiment for DelayedAck {
         let roster = self.roster();
         let panels: Vec<String> = slowdowns(fidelity).into_iter().map(panel).collect();
 
-        let mut t = Table::new(
+        let mut t = TableData::new(
             "delayed ACKs — 32 Mbps forward, 150 ms RTT, 4 senders, ack-every-k \
              receivers (40 ms flush), shared drop-tail ACK uplink",
             &[
@@ -131,7 +131,7 @@ impl Experiment for DelayedAck {
                 norm.objective(&p.runs),
             );
         }
-        fig.tables.push(TableData::from_table(&t));
+        fig.tables.push(t);
         fig.charts.push(ChartData::from_series(
             "normalized objective vs ACK stretch factor, by shared-uplink slowdown",
             "k (receiver acknowledges every k-th packet)",

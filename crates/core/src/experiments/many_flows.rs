@@ -223,7 +223,7 @@ impl Experiment for ManyFlows {
         let names = names_at(&TOPOS, &self.roster());
         let mut obj_series = SeriesSet::new(self.id(), names.clone());
         let mut decile_series = SeriesSet::new(self.id(), names);
-        let mut t = Table::new(
+        let mut t = TableData::new(
             "Internet-scale churn — incast (400 Mbps, 4 ms) and access \
              parking lot (2x100 Mbps, 80 ms long path), M/G/inf slots at \
              duty ~0.63",
@@ -281,7 +281,7 @@ impl Experiment for ManyFlows {
             "throughput decile",
             decile_series.all(),
         ));
-        fig.tables.push(TableData::from_table(&t));
+        fig.tables.push(t);
 
         if let (Some(tao), Some(cubic)) = (
             fig.summary_value(&format!("tao_incast_jain_at_{}", max_n as usize)),

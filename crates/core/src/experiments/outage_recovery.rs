@@ -95,7 +95,7 @@ impl Experiment for OutageRecovery {
             baseline.map_or(0.0, mean_delivered)
         };
 
-        let mut t = Table::new(
+        let mut t = TableData::new(
             "outage recovery — 16 Mbps, 100 ms RTT, 6 s up / down_s down, packets dropped while down",
             &[
                 "down_s",
@@ -141,7 +141,7 @@ impl Experiment for OutageRecovery {
                 fig.push_summary(format!("{scheme}_down{level}_recovery_s"), r);
             }
         }
-        fig.tables.push(TableData::from_table(&t));
+        fig.tables.push(t);
         fig.charts.push(ChartData::from_series(
             "recovery overhead (s per blackout) vs blackout length",
             "down_s",

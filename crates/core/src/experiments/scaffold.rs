@@ -24,7 +24,7 @@ use super::{
     mean_normalized_objective, registry, run_train_job, Experiment, Fidelity, TrainJob, TrainerKind,
 };
 use crate::omniscient::omniscient;
-use crate::report::{FigureData, Series, Table, TableData};
+use crate::report::{FigureData, Series, TableData};
 use crate::runner::{
     flow_points, summarize, with_aqm, AqmKind, PointOutcome, Scheme, SummaryStat, SweepPoint,
 };
@@ -42,7 +42,7 @@ pub mod prelude {
     pub use crate::experiments::{
         paper_dumbbell, train_cfg, Experiment, Fidelity, TrainCost, TrainJob,
     };
-    pub use crate::report::{ChartData, FigureData, Table, TableData};
+    pub use crate::report::{ChartData, FigureData, TableData};
     pub use crate::runner::{PointOutcome, Scheme, SweepPoint};
     pub use netsim::prelude::*;
 }
@@ -427,7 +427,7 @@ pub fn sides_table<'a>(
     points: &'a [PointOutcome],
     panel: &str,
 ) -> Vec<(&'a str, String, TptQd)> {
-    let mut t = Table::new(title, headers);
+    let mut t = TableData::new(title, headers);
     let mut rows = Vec::new();
     for p in points.iter().filter(|p| split_key(p.key()).0 == panel) {
         let label = split_key(p.key()).1;
@@ -438,7 +438,7 @@ pub fn sides_table<'a>(
             rows.push((label, side, stats));
         }
     }
-    fig.tables.push(TableData::from_table(&t));
+    fig.tables.push(t);
     rows
 }
 

@@ -77,7 +77,7 @@ impl Experiment for SharedUplink {
         let norm = Norm::omniscient(&base_network());
         let roster = self.roster();
 
-        let mut t = Table::new(
+        let mut t = TableData::new(
             "shared uplink — 32 Mbps forward, 150 ms RTT, 4 senders, one \
              reverse link for all ACKs",
             &[
@@ -104,7 +104,7 @@ impl Experiment for SharedUplink {
             ]);
             series.push(&format!("{label}@{queue}"), p.x(), norm.objective(&p.runs));
         }
-        fig.tables.push(TableData::from_table(&t));
+        fig.tables.push(t);
         fig.charts.push(ChartData::from_series(
             "normalized objective vs shared-uplink slowdown, by reverse ACK queue",
             "slowdown (forward rate / shared reverse rate)",

@@ -117,7 +117,7 @@ impl Experiment for Signals {
             .find(|(k, _)| k.is_none())
             .map(|&(_, o)| o)
             .expect("full protocol present");
-        let mut t = Table::new(
+        let mut t = TableData::new(
             "§3.4 — signal knockout on the calibration network",
             &["protocol", "objective", "harm vs full"],
         );
@@ -132,7 +132,7 @@ impl Experiment for Signals {
             ]);
             fig.push_summary(format!("objective_{}", asset_name(knocked)), objective);
         }
-        fig.tables.push(TableData::from_table(&t));
+        fig.tables.push(t);
 
         let ranked = harms(&rows);
         for &(s, h) in &ranked {

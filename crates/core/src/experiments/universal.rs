@@ -103,7 +103,7 @@ impl Experiment for Universal {
 
     fn summarize(&self, _fidelity: Fidelity, points: &[PointOutcome]) -> FigureData {
         let mut fig = FigureData::new(self.id(), self.paper_artifact());
-        let mut t = Table::new(
+        let mut t = TableData::new(
             "Extension — one protocol for everything (normalized objective, omniscient = 0)",
             &["probe network", "tao-universal", "specialist", "cubic"],
         );
@@ -121,7 +121,7 @@ impl Experiment for Universal {
             t.row([vec![probe.to_string()], cells.to_vec()].concat());
             rows.push((objs[0], objs[1], objs[2]));
         }
-        fig.tables.push(TableData::from_table(&t));
+        fig.tables.push(t);
 
         let wins = rows.iter().filter(|r| r.0 > r.2).count();
         let mean_gap = rows.iter().map(|r| r.1 - r.0).sum::<f64>() / rows.len().max(1) as f64;

@@ -32,10 +32,10 @@ pub use experiments::{run_train_job, Experiment, Fidelity, RunOptions, TrainJob,
 #[doc(hidden)]
 pub use omniscient as omniscient_mod;
 pub use omniscient::{omniscient, proportional_fair, OmniscientFlow};
-pub use report::{render_figure, FigureData, Series, Table};
+pub use report::{render_figure, FigureData, Series, TableData};
 pub use runner::{
-    execute_sweep, flow_points, run_homogeneous, run_mix, run_seeds, summarize, with_sfq_codel,
-    PointOutcome, Scheme, SummaryStat, SweepPoint,
+    execute_sweep, flow_points, run_homogeneous, run_mix, summarize, PointOutcome, Scheme,
+    SummaryStat, SweepPoint,
 };
 pub use search::{
     adversarial_space, find_worst_case, replay, scheme_for_certificate, Certificate, SearchConfig,

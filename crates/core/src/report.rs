@@ -37,61 +37,6 @@ use std::fmt;
 /// regenerate `crates/core/tests/golden/figure_schema.json`.
 pub const FIGURE_SCHEMA_VERSION: u32 = 1;
 
-/// A column-aligned text table.
-#[derive(Clone, Debug)]
-pub struct Table {
-    pub title: String,
-    pub headers: Vec<String>,
-    pub rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
-        Table {
-            title: title.into(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells);
-        self
-    }
-
-    fn widths(&self) -> Vec<usize> {
-        let mut w: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                w[i] = w[i].max(c.len());
-            }
-        }
-        w
-    }
-}
-
-impl fmt::Display for Table {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let w = self.widths();
-        writeln!(f, "== {} ==", self.title)?;
-        let line = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
-            let mut parts = Vec::new();
-            for (i, c) in cells.iter().enumerate() {
-                parts.push(format!("{:<width$}", c, width = w[i]));
-            }
-            writeln!(f, "| {} |", parts.join(" | "))
-        };
-        line(f, &self.headers)?;
-        let total: usize = w.iter().sum::<usize>() + 3 * w.len() + 1;
-        writeln!(f, "{}", "-".repeat(total))?;
-        for row in &self.rows {
-            line(f, row)?;
-        }
-        Ok(())
-    }
-}
-
 /// A named (x, y) series, one per scheme per figure.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Series {
@@ -243,7 +188,8 @@ impl ChartData {
     }
 }
 
-/// A paper table as structured rows.
+/// A paper table as structured rows; its `Display` is the column-aligned
+/// text table the report prints.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TableData {
     pub title: String,
@@ -252,20 +198,49 @@ pub struct TableData {
 }
 
 impl TableData {
-    pub fn to_table(&self) -> Table {
-        Table {
-            title: self.title.clone(),
-            headers: self.headers.clone(),
-            rows: self.rows.clone(),
+    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+        TableData {
+            title: title.into(),
+            headers: headers.iter().map(|s| s.to_string()).collect(),
+            rows: Vec::new(),
         }
     }
 
-    pub fn from_table(t: &Table) -> Self {
-        TableData {
-            title: t.title.clone(),
-            headers: t.headers.clone(),
-            rows: t.rows.clone(),
+    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
+        self.rows.push(cells);
+        self
+    }
+
+    fn widths(&self) -> Vec<usize> {
+        let mut w: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        for row in &self.rows {
+            for (i, c) in row.iter().enumerate() {
+                w[i] = w[i].max(c.len());
+            }
         }
+        w
+    }
+}
+
+impl fmt::Display for TableData {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let w = self.widths();
+        writeln!(f, "== {} ==", self.title)?;
+        let line = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
+            let mut parts = Vec::new();
+            for (i, c) in cells.iter().enumerate() {
+                parts.push(format!("{:<width$}", c, width = w[i]));
+            }
+            writeln!(f, "| {} |", parts.join(" | "))
+        };
+        line(f, &self.headers)?;
+        let total: usize = w.iter().sum::<usize>() + 3 * w.len() + 1;
+        writeln!(f, "{}", "-".repeat(total))?;
+        for row in &self.rows {
+            line(f, row)?;
+        }
+        Ok(())
     }
 }
 
@@ -370,7 +345,7 @@ pub fn render_figure(fig: &FigureData) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     for t in &fig.tables {
-        write!(out, "{}", t.to_table()).unwrap();
+        write!(out, "{t}").unwrap();
     }
     for c in &fig.charts {
         let series: Vec<Series> = c.series.iter().map(SeriesData::to_series).collect();
@@ -388,7 +363,7 @@ mod tests {
 
     #[test]
     fn table_formats_aligned() {
-        let mut t = Table::new("demo", &["scheme", "tpt (Mbps)"]);
+        let mut t = TableData::new("demo", &["scheme", "tpt (Mbps)"]);
         t.row(vec!["cubic".into(), "9.41".into()]);
         t.row(vec!["tao-1000x".into(), "10.02".into()]);
         let s = t.to_string();
@@ -399,7 +374,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn table_rejects_ragged_rows() {
-        let mut t = Table::new("x", &["a", "b"]);
+        let mut t = TableData::new("x", &["a", "b"]);
         t.row(vec!["only-one".into()]);
     }
 

@@ -114,14 +114,6 @@ pub fn with_aqm(net: &NetworkConfig, kind: AqmKind) -> NetworkConfig {
     out
 }
 
-/// Replace every finite drop-tail queue in a network with sfqCoDel of the
-/// same byte capacity (the "Cubic-over-sfqCoDel" configuration: sfqCoDel
-/// runs at the bottleneck gateways). Infinite buffers get a finite 5-BDP
-/// stand-in — sfqCoDel needs a shared finite pool.
-pub fn with_sfq_codel(net: &NetworkConfig) -> NetworkConfig {
-    with_aqm(net, AqmKind::SfqCodel)
-}
-
 /// Event cap for every test-side simulation (protects sweeps against
 /// degenerate protocol settings; training has its own budget knob).
 /// Public because certificate replay (`crate::search::replay`) must apply
@@ -146,18 +138,6 @@ pub fn run_homogeneous(
 ) -> RunOutcome {
     let schemes = vec![scheme.clone(); net.flows.len()];
     run_mix(net, &schemes, seed, duration_s)
-}
-
-/// Run a mix over several seeds.
-pub fn run_seeds(
-    net: &NetworkConfig,
-    schemes: &[Scheme],
-    seeds: std::ops::Range<u64>,
-    duration_s: f64,
-) -> Vec<RunOutcome> {
-    seeds
-        .map(|seed| run_mix(net, schemes, seed, duration_s))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -492,7 +472,7 @@ mod tests {
     #[test]
     fn sfq_codel_cuts_cubic_queueing_delay() {
         let fifo = net();
-        let sfq = with_sfq_codel(&fifo);
+        let sfq = with_aqm(&fifo, AqmKind::SfqCodel);
         let out_fifo = run_homogeneous(&fifo, &Scheme::Cubic, 7, 30.0);
         let out_sfq = run_homogeneous(&sfq, &Scheme::Cubic, 7, 30.0);
         let qd_fifo: f64 = out_fifo
@@ -538,7 +518,9 @@ mod tests {
 
     #[test]
     fn flow_points_filters() {
-        let out = run_seeds(&net(), &[Scheme::Cubic, Scheme::Cubic], 0..3, 10.0);
+        let out: Vec<RunOutcome> = (0..3)
+            .map(|seed| run_mix(&net(), &[Scheme::Cubic, Scheme::Cubic], seed, 10.0))
+            .collect();
         let (tpt_all, _) = flow_points(&out, |_| true);
         let (tpt_f0, _) = flow_points(&out, |f| f == 0);
         assert_eq!(tpt_all.len(), 6);
@@ -548,7 +530,7 @@ mod tests {
     #[test]
     fn sfq_conversion_gives_infinite_buffers_a_cap() {
         let inf = dumbbell(1, 8e6, 0.1, QueueSpec::infinite(), WorkloadSpec::AlwaysOn);
-        let sfq = with_sfq_codel(&inf);
+        let sfq = with_aqm(&inf, AqmKind::SfqCodel);
         match sfq.links[0].queue {
             QueueSpec::SfqCodel { capacity_bytes, .. } => assert!(capacity_bytes > 0),
             _ => panic!("expected sfqCoDel"),
@@ -558,7 +540,7 @@ mod tests {
     #[test]
     fn sfq_conversion_preserves_finite_capacity() {
         let fifo = net();
-        let sfq = with_sfq_codel(&fifo);
+        let sfq = with_aqm(&fifo, AqmKind::SfqCodel);
         assert_eq!(
             sfq.links[0].queue.capacity_bytes(),
             fifo.links[0].queue.capacity_bytes()

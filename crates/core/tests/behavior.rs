@@ -1,9 +1,10 @@
 //! Behavioural tests pinning the qualitative phenomena the paper's
 //! experiments rely on — independent of any trained asset.
 
-use learnability::lcc_core::{omniscient, run_homogeneous, run_mix, with_sfq_codel, Scheme};
-use learnability::netsim::prelude::*;
-use learnability::protocols::{Action, WhiskerTree};
+use lcc_core::runner::{with_aqm, AqmKind};
+use lcc_core::{omniscient, run_homogeneous, run_mix, Scheme};
+use netsim::prelude::*;
+use protocols::{Action, WhiskerTree};
 
 /// Cubic fills drop-tail buffers: its queueing delay grows with buffer
 /// size while throughput stays pinned at the link rate.
@@ -39,7 +40,7 @@ fn sfq_codel_isolates_flows() {
         QueueSpec::drop_tail_bdp(10e6, 0.100, 5.0),
         WorkloadSpec::AlwaysOn,
     );
-    let sfq = with_sfq_codel(&fifo);
+    let sfq = with_aqm(&fifo, AqmKind::SfqCodel);
     // A paced, delay-minded sender vs Cubic.
     let gentle = Scheme::tao(WhiskerTree::uniform(Action::new(0.9, 1.0, 1.0)), "gentle");
     let mix = [gentle, Scheme::Cubic];
@@ -168,7 +169,7 @@ fn omniscient_dominates_simulated_schemes() {
         WorkloadSpec::on_off_1s(),
     );
     let ideal = omniscient(&net);
-    let obj = learnability::remy::Objective::default();
+    let obj = remy::Objective::default();
     let ideal_u = obj.utility(ideal[0].throughput_bps, ideal[0].delay_s);
     for scheme in [Scheme::Cubic, Scheme::NewReno] {
         let out = run_homogeneous(&net, &scheme, 23, 30.0);
@@ -188,8 +189,8 @@ fn omniscient_dominates_simulated_schemes() {
 /// against itself but is squeezed out by loss-driven TCP.
 #[test]
 fn vegas_good_alone_squeezed_by_newreno() {
-    use learnability::netsim::transport::CongestionControl;
-    use learnability::protocols::Vegas;
+    use netsim::transport::CongestionControl;
+    use protocols::Vegas;
     let net = netsim::topology::dumbbell_mixed(
         10e6,
         0.100,
@@ -224,10 +225,8 @@ fn vegas_good_alone_squeezed_by_newreno() {
     // Mixed: Vegas vs NewReno — Vegas backs off as NewReno fills the
     // buffer, losing well over half the fair share.
     let mixed = {
-        let ccs: Vec<Box<dyn CongestionControl>> = vec![
-            Box::new(Vegas::new()),
-            Box::new(learnability::protocols::NewReno::new()),
-        ];
+        let ccs: Vec<Box<dyn CongestionControl>> =
+            vec![Box::new(Vegas::new()), Box::new(protocols::NewReno::new())];
         let mut sim = netsim::sim::Simulation::new(&net, ccs, 5);
         sim.run(netsim::time::SimDuration::from_secs(30))
     };

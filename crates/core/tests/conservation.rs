@@ -4,6 +4,7 @@
 //! the config's and the reverse and delay-only links its flows' return
 //! paths were lowered to.
 
+use lcc_core::runner::{with_aqm, AqmKind};
 use lcc_core::{run_homogeneous, run_mix, Scheme};
 use netsim::prelude::*;
 use protocols::{Action, WhiskerTree};
@@ -118,7 +119,7 @@ fn invariants_under_sfq_codel() {
         QueueSpec::drop_tail_bdp(8e6, 0.080, 3.0),
         WorkloadSpec::AlwaysOn,
     );
-    let net = lcc_core::with_sfq_codel(&fifo);
+    let net = with_aqm(&fifo, AqmKind::SfqCodel);
     for scheme in schemes_under_test() {
         let out = run_homogeneous(&net, &scheme, 3, duration);
         check_invariants(&net, &out, duration);

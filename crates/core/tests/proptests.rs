@@ -1,12 +1,12 @@
 //! Property-based tests over the whole stack: simulator invariants must
 //! hold for arbitrary (bounded) network configurations and protocol
-//! parameters, and the whisker-tree data structure must stay a partition
-//! of memory space under arbitrary split sequences.
+//! parameters, and the experiment layer's statistics must behave for any
+//! input. (The whisker tree's partition property lives with the tree, in
+//! the `protocols` crate's tests.)
 
-use learnability::netsim::prelude::*;
-use learnability::protocols::whisker::{LeafId, SIGNAL_MAX};
-use learnability::protocols::{Action, WhiskerTree, NUM_SIGNALS};
+use netsim::prelude::*;
 use proptest::prelude::*;
+use protocols::{Action, WhiskerTree};
 
 fn arb_action() -> impl Strategy<Value = Action> {
     (0.0f64..2.0, -32.0f64..32.0, 0.01f64..50.0).prop_map(|(m, b, tau)| Action::new(m, b, tau))
@@ -34,11 +34,11 @@ proptest! {
             QueueSpec::drop_tail_bdp(rate, rtt, bdp_mult),
             WorkloadSpec::AlwaysOn,
         );
-        let scheme = learnability::lcc_core::Scheme::tao(
+        let scheme = lcc_core::Scheme::tao(
             WhiskerTree::uniform(action),
             "prop",
         );
-        let out = learnability::lcc_core::run_homogeneous(&net, &scheme, seed, 5.0);
+        let out = lcc_core::run_homogeneous(&net, &scheme, seed, 5.0);
         let f = &out.flows[0];
         prop_assert!(f.throughput_bps <= rate * 1.02);
         if f.packets_delivered > 0 {
@@ -51,47 +51,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// After arbitrary split sequences the whisker tree remains a
-    /// partition: every point routes to exactly one leaf whose domain
-    /// contains it.
-    #[test]
-    fn whisker_tree_stays_a_partition(
-        splits in proptest::collection::vec((0usize..8, 0usize..NUM_SIGNALS), 0..12),
-        probes in proptest::collection::vec(
-            (0.0f64..4000.0, 0.0f64..4000.0, 0.0f64..4000.0, 0.0f64..64.0),
-            1..20
-        ),
-    ) {
-        let mut tree = WhiskerTree::default_tree();
-        for (leaf, dim) in splits {
-            let n = tree.num_leaves();
-            tree.split_leaf(LeafId(leaf % n), dim);
-        }
-        // Leaves tile the space: volumes sum to the whole.
-        let total_volume: f64 = tree
-            .leaves()
-            .iter()
-            .map(|w| (0..NUM_SIGNALS).map(|d| w.domain.width(d)).product::<f64>())
-            .sum();
-        let whole: f64 = SIGNAL_MAX.iter().product();
-        prop_assert!(((total_volume - whole) / whole).abs() < 1e-9);
-
-        for (a, b, c, d) in probes {
-            let p = [a, b, c, d];
-            // exactly one leaf contains the point
-            let holders = tree
-                .leaves()
-                .iter()
-                .filter(|w| w.domain.contains(&p))
-                .count();
-            prop_assert_eq!(holders, 1, "point {:?} in {} leaves", p, holders);
-            // and lookup agrees with that leaf
-            let act = tree.action_for(&p);
-            let holder = tree.leaves().into_iter().find(|w| w.domain.contains(&p)).unwrap();
-            prop_assert_eq!(act, holder.action);
-        }
-    }
 
     /// Applying any action sequence keeps the window within legal bounds.
     #[test]
@@ -111,7 +70,7 @@ proptest! {
     #[test]
     fn proportional_fair_single_link(n in 1usize..12, cap in 1e6f64..1e9) {
         let routes: Vec<Vec<usize>> = (0..n).map(|_| vec![0]).collect();
-        let rates = learnability::lcc_core::proportional_fair(&[cap], &routes);
+        let rates = lcc_core::proportional_fair(&[cap], &routes);
         let total: f64 = rates.iter().sum();
         prop_assert!((total - cap).abs() / cap < 1e-6);
         for r in &rates {
@@ -122,9 +81,9 @@ proptest! {
     /// Summary statistics are order-invariant and bounded by extremes.
     #[test]
     fn summarize_properties(mut xs in proptest::collection::vec(-1e6f64..1e6, 1..50)) {
-        let s1 = learnability::lcc_core::summarize(&xs);
+        let s1 = lcc_core::summarize(&xs);
         xs.reverse();
-        let s2 = learnability::lcc_core::summarize(&xs);
+        let s2 = lcc_core::summarize(&xs);
         prop_assert!((s1.mean - s2.mean).abs() < 1e-6);
         prop_assert!((s1.median - s2.median).abs() < 1e-9);
         let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -13,8 +13,9 @@
 //! * leaves live in a flat `Vec` ordered exactly like
 //!   `WhiskerTree::leaves()`, making [`LeafId`] an O(1) index,
 //! * usage statistics accumulate in a separate flat [`UsageCounts`]
-//!   buffer per executor, so evaluation never clones trees to collect
-//!   counts.
+//!   buffer per executor. It is the only record of whisker usage: the
+//!   optimizer orders whiskers by its counts and splits at its mean
+//!   observations, and the tree itself carries none.
 
 use crate::action::Action;
 use crate::memory::{MemoryPoint, NUM_SIGNALS};
@@ -221,15 +222,6 @@ impl UsageCounts {
         }
     }
 
-    /// Add a pre-aggregated (count, observation-sum) pair to one leaf.
-    pub fn add_raw(&mut self, leaf: LeafId, count: u64, obs_sum: &MemoryPoint) {
-        let slot = &mut self.counts[leaf.0];
-        slot.0 += count;
-        for (acc, v) in slot.1.iter_mut().zip(obs_sum) {
-            *acc += v;
-        }
-    }
-
     pub fn use_count(&self, leaf: LeafId) -> u64 {
         self.counts[leaf.0].0
     }
@@ -240,6 +232,20 @@ impl UsageCounts {
 
     pub fn total_uses(&self) -> u64 {
         self.counts.iter().map(|(c, _)| *c).sum()
+    }
+
+    /// The most used leaf (the last of equal maxima), or `None` when no
+    /// leaf fired.
+    pub fn most_used(&self) -> Option<LeafId> {
+        let (leaf, uses, _) = self.iter().max_by_key(|&(_, uses, _)| uses)?;
+        (uses > 0).then_some(leaf)
+    }
+
+    /// Mean memory point observed inside `leaf` (`None` if it never
+    /// fired): where the optimizer splits it.
+    pub fn mean_observation(&self, leaf: LeafId) -> Option<MemoryPoint> {
+        let (count, sum) = &self.counts[leaf.0];
+        (*count > 0).then(|| sum.map(|v| v / *count as f64))
     }
 
     /// Fold another counter set into this one (index-aligned).
@@ -293,11 +299,11 @@ mod tests {
 
     fn split_a_lot() -> WhiskerTree {
         let mut t = WhiskerTree::default_tree();
-        t.split_leaf(LeafId(0), 0);
-        t.split_leaf(LeafId(1), 3);
-        t.split_leaf(LeafId(0), 1);
-        t.split_leaf(LeafId(3), 2);
-        t.split_leaf(LeafId(2), 0);
+        t.split_leaf(LeafId(0), 0, None);
+        t.split_leaf(LeafId(1), 3, None);
+        t.split_leaf(LeafId(0), 1, None);
+        t.split_leaf(LeafId(3), 2, None);
+        t.split_leaf(LeafId(2), 0, None);
         t
     }
 
@@ -361,5 +367,33 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total_uses(), total);
         assert_eq!(total as usize, probe_points().len());
+    }
+
+    #[test]
+    fn most_used_takes_the_last_of_equal_maxima() {
+        let mut usage = UsageCounts::new(3);
+        assert_eq!(usage.most_used(), None, "no leaf fired");
+        let p = [1.0; NUM_SIGNALS];
+        for leaf in [0, 1, 1, 2, 2] {
+            usage.record(LeafId(leaf), &p);
+        }
+        assert_eq!(usage.most_used(), Some(LeafId(2)));
+        usage.record(LeafId(0), &p);
+        usage.record(LeafId(0), &p);
+        assert_eq!(usage.most_used(), Some(LeafId(0)));
+        usage.reset();
+        assert_eq!(usage.most_used(), None);
+    }
+
+    #[test]
+    fn mean_observation_averages_the_recorded_points() {
+        let mut usage = UsageCounts::new(2);
+        usage.record(LeafId(1), &[10.0, 20.0, 30.0, 1.0]);
+        usage.record(LeafId(1), &[30.0, 40.0, 50.0, 3.0]);
+        assert_eq!(usage.mean_observation(LeafId(0)), None);
+        assert_eq!(
+            usage.mean_observation(LeafId(1)),
+            Some([20.0, 30.0, 40.0, 2.0])
+        );
     }
 }

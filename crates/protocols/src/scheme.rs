@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn a_cloned_tao_scheme_shares_its_compiled_tree() {
         let mut tree = WhiskerTree::default_tree();
-        tree.split_leaf(LeafId(0), 3);
+        tree.split_leaf(LeafId(0), 3, None);
         let tao = Scheme::tao(tree, "tao");
         let (Scheme::Tao { tree: a, .. }, Scheme::Tao { tree: b, .. }) = (&tao, &tao.clone())
         else {

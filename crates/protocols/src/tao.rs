@@ -76,11 +76,6 @@ impl TaoCc {
         &self.usage
     }
 
-    /// Total whisker lookups recorded so far.
-    pub fn total_uses(&self) -> u64 {
-        self.usage.total_uses()
-    }
-
     /// The compiled tree this executor runs.
     pub fn compiled_tree(&self) -> &Arc<CompiledTree> {
         &self.tree
@@ -226,7 +221,7 @@ mod tests {
     fn different_whiskers_fire_by_memory_state() {
         // Split on rtt_ratio: calm regime grows, congested regime shrinks.
         let mut tree = WhiskerTree::default_tree();
-        tree.split_leaf(LeafId(0), 3);
+        tree.split_leaf(LeafId(0), 3, None);
         // after midpoint split at rtt_ratio = 32, re-split lower half to
         // get a useful boundary near 2.0
         match &mut tree {
@@ -265,26 +260,24 @@ mod tests {
         for i in 0..7 {
             cc.on_ack(t(100 + i * 10), &ack_at(i * 10, i), &info());
         }
-        assert_eq!(cc.total_uses(), 7);
+        assert_eq!(cc.usage().total_uses(), 7);
     }
 
     #[test]
     fn shared_compiled_tree_keeps_counts_separate() {
         let mut tree = WhiskerTree::default_tree();
-        tree.split_leaf(LeafId(0), 3);
+        tree.split_leaf(LeafId(0), 3, None);
         let compiled = CompiledTree::compile_shared(&tree);
         let mut a = TaoCc::from_compiled(compiled.clone(), SignalMask::all(), "a");
         let mut b = TaoCc::from_compiled(compiled, SignalMask::all(), "b");
         a.on_ack(t(100), &ack_at(0, 0), &info());
         a.on_ack(t(110), &ack_at(5, 1), &info());
         b.on_ack(t(100), &ack_at(0, 0), &info());
-        assert_eq!(a.total_uses(), 2);
-        assert_eq!(b.total_uses(), 1);
-        // counts fold back into the editing tree
-        let mut merged = tree.clone();
-        merged.reset_counts();
-        merged.absorb_usage(a.usage());
-        merged.absorb_usage(b.usage());
+        assert_eq!(a.usage().total_uses(), 2);
+        assert_eq!(b.usage().total_uses(), 1);
+        // counts fold together leaf by leaf
+        let mut merged = a.usage().clone();
+        merged.merge(b.usage());
         assert_eq!(merged.total_uses(), 3);
     }
 }

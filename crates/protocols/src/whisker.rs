@@ -58,46 +58,18 @@ impl MemoryRange {
     }
 }
 
-/// A leaf of the tree: one box and its action, plus usage statistics the
-/// optimizer reads (how often the whisker fired, and the mean memory point
-/// observed inside it, used as the split point).
+/// A leaf of the tree: one box and its action. How often a whisker
+/// fires, and where, is recorded apart from the tree, in
+/// [`UsageCounts`](crate::compiled::UsageCounts).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Whisker {
     pub domain: MemoryRange,
     pub action: Action,
-    #[serde(default)]
-    pub use_count: u64,
-    #[serde(default)]
-    pub obs_sum: MemoryPoint,
 }
 
 impl Whisker {
     pub fn new(domain: MemoryRange, action: Action) -> Self {
-        Whisker {
-            domain,
-            action,
-            use_count: 0,
-            obs_sum: [0.0; NUM_SIGNALS],
-        }
-    }
-
-    fn observe(&mut self, p: &MemoryPoint) {
-        self.use_count += 1;
-        for (acc, v) in self.obs_sum.iter_mut().zip(p) {
-            *acc += v;
-        }
-    }
-
-    /// Mean observed memory point (None if never used).
-    pub fn mean_observation(&self) -> Option<MemoryPoint> {
-        if self.use_count == 0 {
-            return None;
-        }
-        let mut m = self.obs_sum;
-        for v in &mut m {
-            *v /= self.use_count as f64;
-        }
-        Some(m)
+        Whisker { domain, action }
     }
 }
 
@@ -135,14 +107,6 @@ impl WhiskerTree {
         self.leaf_for(&p).action
     }
 
-    /// Look up and record usage (executor path).
-    pub fn use_action_for(&mut self, point: &MemoryPoint) -> Action {
-        let p = MemoryRange::clamp_point(point);
-        let w = self.leaf_for_mut(&p);
-        w.observe(&p);
-        w.action
-    }
-
     fn leaf_for(&self, p: &MemoryPoint) -> &Whisker {
         match self {
             WhiskerTree::Leaf(w) => w,
@@ -156,24 +120,6 @@ impl WhiskerTree {
                     below.leaf_for(p)
                 } else {
                     above.leaf_for(p)
-                }
-            }
-        }
-    }
-
-    fn leaf_for_mut(&mut self, p: &MemoryPoint) -> &mut Whisker {
-        match self {
-            WhiskerTree::Leaf(w) => w,
-            WhiskerTree::Node {
-                dim,
-                split_at,
-                below,
-                above,
-            } => {
-                if p[*dim] < *split_at {
-                    below.leaf_for_mut(p)
-                } else {
-                    above.leaf_for_mut(p)
                 }
             }
         }
@@ -232,17 +178,6 @@ impl WhiskerTree {
         self.leaves().into_iter().nth(id.0)
     }
 
-    /// The most heavily used leaf, if any use was recorded.
-    pub fn most_used_leaf(&self) -> Option<LeafId> {
-        let leaves = self.leaves();
-        let (idx, best) = leaves.iter().enumerate().max_by_key(|(_, w)| w.use_count)?;
-        if best.use_count == 0 {
-            None
-        } else {
-            Some(LeafId(idx))
-        }
-    }
-
     pub fn set_leaf_action(&mut self, id: LeafId, action: Action) -> bool {
         match self.leaf_mut_by_id(id) {
             Some(w) => {
@@ -253,96 +188,19 @@ impl WhiskerTree {
         }
     }
 
-    /// Clear all usage statistics (between optimizer evaluations).
-    pub fn reset_counts(&mut self) {
-        match self {
-            WhiskerTree::Leaf(w) => {
-                w.use_count = 0;
-                w.obs_sum = [0.0; NUM_SIGNALS];
-            }
-            WhiskerTree::Node { below, above, .. } => {
-                below.reset_counts();
-                above.reset_counts();
-            }
-        }
-    }
-
-    /// Merge usage statistics from a structurally identical tree (the
-    /// optimizer runs per-sender clones and folds their counts back).
-    pub fn absorb_counts(&mut self, other: &WhiskerTree) {
-        match (self, other) {
-            (WhiskerTree::Leaf(a), WhiskerTree::Leaf(b)) => {
-                a.use_count += b.use_count;
-                for i in 0..NUM_SIGNALS {
-                    a.obs_sum[i] += b.obs_sum[i];
-                }
-            }
-            (
-                WhiskerTree::Node {
-                    below: b1,
-                    above: a1,
-                    ..
-                },
-                WhiskerTree::Node {
-                    below: b2,
-                    above: a2,
-                    ..
-                },
-            ) => {
-                b1.absorb_counts(b2);
-                a1.absorb_counts(a2);
-            }
-            _ => panic!("absorb_counts on structurally different trees"),
-        }
-    }
-
-    /// Fold flat per-leaf usage counters (as accumulated by executors
-    /// against a [`crate::compiled::CompiledTree`]) into this tree's
-    /// whiskers. Counter index i maps to the i-th in-order leaf — the
-    /// same order `leaves()` and [`LeafId`] use.
-    pub fn absorb_usage(&mut self, usage: &crate::compiled::UsageCounts) {
-        fn walk(t: &mut WhiskerTree, idx: &mut usize, usage: &crate::compiled::UsageCounts) {
-            match t {
-                WhiskerTree::Leaf(w) => {
-                    let id = LeafId(*idx);
-                    *idx += 1;
-                    w.use_count += usage.use_count(id);
-                    let obs = usage.obs_sum(id);
-                    for (acc, v) in w.obs_sum.iter_mut().zip(obs) {
-                        *acc += v;
-                    }
-                }
-                WhiskerTree::Node { below, above, .. } => {
-                    walk(below, idx, usage);
-                    walk(above, idx, usage);
-                }
-            }
-        }
-        assert_eq!(
-            usage.len(),
-            self.num_leaves(),
-            "usage counters do not match tree shape"
-        );
-        let mut idx = 0;
-        walk(self, &mut idx, usage);
-    }
-
-    /// Snapshot this tree's per-leaf usage into a flat counter set (the
-    /// inverse of [`absorb_usage`](Self::absorb_usage)).
-    pub fn usage_snapshot(&self) -> crate::compiled::UsageCounts {
-        let mut usage = crate::compiled::UsageCounts::new(self.num_leaves());
-        for (i, w) in self.leaves().iter().enumerate() {
-            usage.add_raw(LeafId(i), w.use_count, &w.obs_sum);
-        }
-        usage
-    }
-
-    /// Split a leaf along `dim`. The split point is the mean observed
-    /// value in that dimension (falling back to the box midpoint), clamped
-    /// strictly inside the box. Both children inherit the parent action.
-    /// Returns false if the leaf doesn't exist or the box is too thin.
-    pub fn split_leaf(&mut self, id: LeafId, dim: usize) -> bool {
-        fn walk(t: &mut WhiskerTree, id: usize, dim: usize, counter: &mut usize) -> bool {
+    /// Split a leaf along `dim` at `at` (the optimizer passes the mean
+    /// memory point observed inside the leaf), falling back to the box
+    /// midpoint when `at` is `None` or not strictly inside the box. Both
+    /// children inherit the parent action. Returns false if the leaf
+    /// doesn't exist or the box is too thin.
+    pub fn split_leaf(&mut self, id: LeafId, dim: usize, at: Option<f64>) -> bool {
+        fn walk(
+            t: &mut WhiskerTree,
+            id: usize,
+            dim: usize,
+            at: Option<f64>,
+            counter: &mut usize,
+        ) -> bool {
             match t {
                 WhiskerTree::Leaf(w) => {
                     let mine = *counter;
@@ -355,10 +213,7 @@ impl WhiskerTree {
                     if hi - lo < 1e-9 {
                         return false;
                     }
-                    let mut at = w
-                        .mean_observation()
-                        .map(|m| m[dim])
-                        .unwrap_or_else(|| w.domain.midpoint(dim));
+                    let mut at = at.unwrap_or_else(|| w.domain.midpoint(dim));
                     // keep the split strictly interior
                     let eps = (hi - lo) * 1e-6;
                     if at <= lo + eps || at >= hi - eps {
@@ -378,17 +233,12 @@ impl WhiskerTree {
                     true
                 }
                 WhiskerTree::Node { below, above, .. } => {
-                    walk(below, id, dim, counter) || walk(above, id, dim, counter)
+                    walk(below, id, dim, at, counter) || walk(above, id, dim, at, counter)
                 }
             }
         }
         let mut counter = 0;
-        walk(self, id.0, dim, &mut counter)
-    }
-
-    /// Total recorded uses across all leaves.
-    pub fn total_uses(&self) -> u64 {
-        self.leaves().iter().map(|w| w.use_count).sum()
+        walk(self, id.0, dim, at, &mut counter)
     }
 }
 
@@ -398,7 +248,7 @@ impl fmt::Display for WhiskerTree {
         for (i, w) in self.leaves().iter().enumerate() {
             writeln!(
                 f,
-                "  [{i}] rec[{:.1},{:.1}) slow[{:.1},{:.1}) send[{:.1},{:.1}) rttr[{:.2},{:.2}) -> {} (uses={})",
+                "  [{i}] rec[{:.1},{:.1}) slow[{:.1},{:.1}) send[{:.1},{:.1}) rttr[{:.2},{:.2}) -> {}",
                 w.domain.lower[0],
                 w.domain.upper[0],
                 w.domain.lower[1],
@@ -407,8 +257,7 @@ impl fmt::Display for WhiskerTree {
                 w.domain.upper[2],
                 w.domain.lower[3],
                 w.domain.upper[3],
-                w.action,
-                w.use_count
+                w.action
             )?;
         }
         Ok(())
@@ -435,7 +284,7 @@ mod tests {
     #[test]
     fn split_routes_points_to_children() {
         let mut t = WhiskerTree::default_tree();
-        assert!(t.split_leaf(LeafId(0), 3)); // split on rtt_ratio at midpoint 32
+        assert!(t.split_leaf(LeafId(0), 3, None)); // split on rtt_ratio at midpoint 32
         assert_eq!(t.num_leaves(), 2);
         let low = Action::new(1.0, 5.0, 1.0);
         let high = Action::new(0.5, -5.0, 10.0);
@@ -448,69 +297,43 @@ mod tests {
     #[test]
     fn split_uses_mean_observation() {
         let mut t = WhiskerTree::default_tree();
+        let compiled = crate::compiled::CompiledTree::compile(&t);
+        let mut usage = crate::compiled::UsageCounts::new(1);
         // record uses clustered around rec_ewma = 100
-        for _ in 0..10 {
-            t.use_action_for(&[100.0, 0.0, 0.0, 1.0]);
+        for rec in [90.0, 100.0, 110.0] {
+            let p = [rec, 0.0, 0.0, 1.0];
+            usage.record(compiled.lookup(&p), &p);
         }
-        assert!(t.split_leaf(LeafId(0), 0));
+        let mean = usage.mean_observation(LeafId(0)).map(|m| m[0]);
+        assert!(t.split_leaf(LeafId(0), 0, mean));
         match &t {
             WhiskerTree::Node { dim, split_at, .. } => {
                 assert_eq!(*dim, 0);
-                assert!(
-                    (*split_at - 100.0).abs() < 1e-6,
-                    "split at mean, got {split_at}"
-                );
+                assert_eq!(*split_at, 100.0, "split lands at the given point");
             }
             _ => panic!("expected node"),
         }
     }
 
     #[test]
-    fn use_counting_and_most_used() {
-        let mut t = WhiskerTree::default_tree();
-        t.split_leaf(LeafId(0), 3);
-        // leaf 0: rtt_ratio < 32; leaf 1: >= 32
-        for _ in 0..5 {
-            t.use_action_for(&[0.0, 0.0, 0.0, 1.0]);
+    fn split_outside_the_box_falls_back_to_the_midpoint() {
+        for at in [None, Some(0.0), Some(4000.0), Some(-5.0)] {
+            let mut t = WhiskerTree::default_tree();
+            assert!(t.split_leaf(LeafId(0), 0, at));
+            let WhiskerTree::Node { split_at, .. } = t else {
+                panic!("expected node");
+            };
+            assert_eq!(split_at, 2000.0, "at={at:?}");
         }
-        t.use_action_for(&[0.0, 0.0, 0.0, 40.0]);
-        assert_eq!(t.most_used_leaf(), Some(LeafId(0)));
-        assert_eq!(t.total_uses(), 6);
-        t.reset_counts();
-        assert_eq!(t.total_uses(), 0);
-        assert_eq!(t.most_used_leaf(), None);
-    }
-
-    #[test]
-    fn absorb_counts_merges() {
-        let mut a = WhiskerTree::default_tree();
-        a.split_leaf(LeafId(0), 0);
-        let mut b = a.clone();
-        a.use_action_for(&[10.0, 0.0, 0.0, 1.0]);
-        b.use_action_for(&[10.0, 0.0, 0.0, 1.0]);
-        b.use_action_for(&[3000.0, 0.0, 0.0, 1.0]);
-        a.absorb_counts(&b);
-        let leaves = a.leaves();
-        assert_eq!(leaves[0].use_count, 2);
-        assert_eq!(leaves[1].use_count, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "structurally different")]
-    fn absorb_counts_rejects_mismatch() {
-        let mut a = WhiskerTree::default_tree();
-        let mut b = WhiskerTree::default_tree();
-        b.split_leaf(LeafId(0), 0);
-        a.absorb_counts(&b);
     }
 
     #[test]
     fn repeated_splits_partition_cleanly() {
         let mut t = WhiskerTree::default_tree();
         // split a few times along different dims
-        assert!(t.split_leaf(LeafId(0), 0));
-        assert!(t.split_leaf(LeafId(0), 1));
-        assert!(t.split_leaf(LeafId(2), 3));
+        assert!(t.split_leaf(LeafId(0), 0, None));
+        assert!(t.split_leaf(LeafId(0), 1, None));
+        assert!(t.split_leaf(LeafId(2), 3, None));
         assert_eq!(t.num_leaves(), 4);
         // each leaf's domain must contain its own midpoint and route back
         // to itself
@@ -528,7 +351,7 @@ mod tests {
     #[test]
     fn serde_round_trip_preserves_structure() {
         let mut t = WhiskerTree::default_tree();
-        t.split_leaf(LeafId(0), 2);
+        t.split_leaf(LeafId(0), 2, None);
         t.set_leaf_action(LeafId(1), Action::new(0.7, -1.0, 5.0));
         let json = serde_json::to_string(&t).unwrap();
         let back: WhiskerTree = serde_json::from_str(&json).unwrap();
@@ -538,8 +361,8 @@ mod tests {
     #[test]
     fn leaf_by_id_matches_leaves_order() {
         let mut t = WhiskerTree::default_tree();
-        t.split_leaf(LeafId(0), 0);
-        t.split_leaf(LeafId(1), 1);
+        t.split_leaf(LeafId(0), 0, None);
+        t.split_leaf(LeafId(1), 1, None);
         let leaves = t.leaves();
         for (i, leaf) in leaves.iter().enumerate() {
             assert_eq!(t.leaf_by_id(LeafId(i)).unwrap().domain, leaf.domain);

@@ -1,14 +1,16 @@
 //! Property-based tests of the protocol implementations: EWMA bounds,
-//! AIMD invariants, Cubic's window discipline, and serde stability of the
-//! whisker tree.
+//! AIMD invariants, Cubic's window discipline, and the whisker tree's
+//! serde stability, compilation, usage counting and partition of memory
+//! space.
 
 use netsim::packet::{Ack, FlowId};
 use netsim::time::{SimDuration, SimTime};
 use netsim::transport::{AckInfo, CongestionControl};
 use proptest::prelude::*;
-use protocols::whisker::MemoryRange;
+use protocols::whisker::{MemoryRange, SIGNAL_MAX};
 use protocols::{
     Action, CompiledTree, Cubic, LeafId, Memory, NewReno, SignalMask, UsageCounts, WhiskerTree,
+    NUM_SIGNALS,
 };
 
 /// Build a whisker tree from an arbitrary split script and give every
@@ -17,7 +19,7 @@ fn build_random_tree(splits: &[(usize, usize)], m: f64, b: f64, tau: f64) -> Whi
     let mut tree = WhiskerTree::default_tree();
     for (leaf, dim) in splits {
         let n = tree.num_leaves();
-        tree.split_leaf(LeafId(leaf % n), *dim);
+        tree.split_leaf(LeafId(leaf % n), *dim, None);
     }
     for i in 0..tree.num_leaves() {
         let f = i as f64;
@@ -169,7 +171,7 @@ proptest! {
         let mut tree = WhiskerTree::default_tree();
         for (i, d) in dims.iter().enumerate() {
             let n = tree.num_leaves();
-            tree.split_leaf(protocols::LeafId(i % n), *d);
+            tree.split_leaf(protocols::LeafId(i % n), *d, None);
         }
         let n = tree.num_leaves();
         tree.set_leaf_action(protocols::LeafId(n / 2), Action::new(m, b, tau));
@@ -215,13 +217,13 @@ proptest! {
         }
     }
 
-    /// Usage recorded against the compiled tree folds back into the
-    /// recursive tree exactly as executing the recursive tree would have:
-    /// `use_action_for` on a tree clone and `UsageCounts::record` +
-    /// `absorb_usage` agree leaf by leaf (counts and observation sums),
-    /// and flat counters round-trip through `usage_snapshot`.
+    /// Usage recorded through `CompiledTree::lookup` is exactly a
+    /// brute-force count over the tree's leaves: each clamped point is
+    /// charged to the one leaf whose domain contains it, counts and
+    /// observation sums bit for bit; `most_used` and `mean_observation`
+    /// read the same numbers.
     #[test]
-    fn usage_counts_round_trip_absorb(
+    fn usage_counts_match_brute_force(
         splits in proptest::collection::vec((0usize..16, 0usize..4), 0..10),
         probes in proptest::collection::vec(
             (0.0f64..8000.0, 0.0f64..4000.0, 0.0f64..4000.0, 0.0f64..100.0),
@@ -230,34 +232,73 @@ proptest! {
     ) {
         let tree = build_random_tree(&splits, 1.0, 0.0, 1.0);
         let compiled = CompiledTree::compile(&tree);
-
-        // Reference: execute against a recursive-tree clone.
-        let mut reference = tree.clone();
-        // Compiled path: flat counters.
+        let leaves = tree.leaves();
         let mut counts = UsageCounts::new(compiled.num_leaves());
+        let mut brute = vec![(0u64, [0.0; NUM_SIGNALS]); leaves.len()];
         for (a, b, c, d) in &probes {
             let p = [*a, *b, *c, *d];
-            reference.use_action_for(&p);
             let clamped = MemoryRange::clamp_point(&p);
-            counts.record(compiled.lookup_clamped(&clamped), &clamped);
+            counts.record(compiled.lookup(&p), &clamped);
+            let i = leaves.iter().position(|w| w.domain.contains(&clamped)).unwrap();
+            brute[i].0 += 1;
+            for (acc, v) in brute[i].1.iter_mut().zip(&clamped) {
+                *acc += v;
+            }
         }
+        for (i, (uses, sum)) in brute.iter().enumerate() {
+            let leaf = LeafId(i);
+            prop_assert_eq!(counts.use_count(leaf), *uses);
+            prop_assert_eq!(counts.obs_sum(leaf).map(f64::to_bits), sum.map(f64::to_bits));
+            let mean = (*uses > 0).then(|| sum.map(|v| v / *uses as f64));
+            prop_assert_eq!(counts.mean_observation(leaf), mean);
+        }
+        let max = brute.iter().map(|(uses, _)| *uses).max().unwrap();
+        let last_max = brute.iter().rposition(|(uses, _)| *uses == max).unwrap();
+        prop_assert_eq!(counts.most_used(), Some(LeafId(last_max)));
+    }
+}
 
-        let mut absorbed = tree.clone();
-        absorbed.reset_counts();
-        absorbed.absorb_usage(&counts);
-        prop_assert_eq!(&absorbed, &reference, "absorb_usage must equal direct execution");
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // absorb_counts (tree-to-tree merge) agrees with flat merge.
-        let mut doubled_tree = absorbed.clone();
-        doubled_tree.absorb_counts(&reference);
-        let mut doubled_flat = counts.clone();
-        doubled_flat.merge(&counts);
-        let mut via_flat = tree.clone();
-        via_flat.reset_counts();
-        via_flat.absorb_usage(&doubled_flat);
-        prop_assert_eq!(&doubled_tree, &via_flat);
+    /// After arbitrary split sequences the whisker tree remains a
+    /// partition: every point routes to exactly one leaf whose domain
+    /// contains it.
+    #[test]
+    fn whisker_tree_stays_a_partition(
+        splits in proptest::collection::vec((0usize..8, 0usize..NUM_SIGNALS), 0..12),
+        probes in proptest::collection::vec(
+            (0.0f64..4000.0, 0.0f64..4000.0, 0.0f64..4000.0, 0.0f64..64.0),
+            1..20
+        ),
+    ) {
+        let mut tree = WhiskerTree::default_tree();
+        for (leaf, dim) in splits {
+            let n = tree.num_leaves();
+            tree.split_leaf(LeafId(leaf % n), dim, None);
+        }
+        // Leaves tile the space: volumes sum to the whole.
+        let total_volume: f64 = tree
+            .leaves()
+            .iter()
+            .map(|w| (0..NUM_SIGNALS).map(|d| w.domain.width(d)).product::<f64>())
+            .sum();
+        let whole: f64 = SIGNAL_MAX.iter().product();
+        prop_assert!(((total_volume - whole) / whole).abs() < 1e-9);
 
-        // snapshot is the exact inverse of absorb_usage
-        prop_assert_eq!(&absorbed.usage_snapshot(), &counts);
+        for (a, b, c, d) in probes {
+            let p = [a, b, c, d];
+            // exactly one leaf contains the point
+            let holders = tree
+                .leaves()
+                .iter()
+                .filter(|w| w.domain.contains(&p))
+                .count();
+            prop_assert_eq!(holders, 1, "point {:?} in {} leaves", p, holders);
+            // and lookup agrees with that leaf
+            let act = tree.action_for(&p);
+            let holder = tree.leaves().into_iter().find(|w| w.domain.contains(&p)).unwrap();
+            prop_assert_eq!(act, holder.action);
+        }
     }
 }

@@ -17,8 +17,10 @@
 //!    trees into [`CompiledTree`] arenas behind `Arc`s; each scenario
 //!    wraps them in one Tao [`Scheme`] per slot, so every sender in every
 //!    scenario walks the same compilation and accumulates usage in its
-//!    own flat [`UsageCounts`] buffer. No per-scenario tree clones, no
-//!    recursive boxed-node walks on the per-ack path.
+//!    own flat [`UsageCounts`] buffer. The merged buffers are the
+//!    result's usage as they stand: no tree is cloned, per scenario or
+//!    per evaluation, and no recursive boxed-node walk runs on the
+//!    per-ack path.
 //! 2. **One work-stealing map.** [`EvalPool`] is only a thread count;
 //!    each evaluation runs its batch through [`try_map_indexed`], the
 //!    scoped claim-by-atomic-index map the figure sweeps run on too.
@@ -29,7 +31,7 @@
 //! 3. **Deterministic merge.** Per-scenario results land in index-order
 //!    slots and are folded on the calling thread in input order, so the
 //!    result is bit-identical for any worker count — `threads: 1` and
-//!    `threads: N` produce the same utilities *and* the same usage trees.
+//!    `threads: N` produce the same utilities *and* the same usage counts.
 //!    A panicking scenario panics the caller with its message.
 
 use crate::objective::Objective;
@@ -79,8 +81,9 @@ pub struct EvalResult {
     pub mean_utility: f64,
     /// Per-scenario utilities, in input order.
     pub per_scenario: Vec<f64>,
-    /// Trees carrying merged whisker-usage counts from all runs.
-    pub usage: Vec<WhiskerTree>,
+    /// Per-slot whisker usage merged over all runs, index-aligned with
+    /// each slot's in-order leaves.
+    pub usage: Vec<UsageCounts>,
 }
 
 /// Draw `draws` concrete scenarios from each spec, deterministically in
@@ -152,20 +155,6 @@ pub fn run_scenario_compiled(
     (utility, usage)
 }
 
-/// Clones of `trees` carrying exactly the per-slot usage `counts`.
-fn annotate(trees: &[WhiskerTree], counts: &[UsageCounts]) -> Vec<WhiskerTree> {
-    trees
-        .iter()
-        .zip(counts)
-        .map(|(t, c)| {
-            let mut annotated = t.clone();
-            annotated.reset_counts();
-            annotated.absorb_usage(c);
-            annotated
-        })
-        .collect()
-}
-
 /// Evaluation workers: a thread count, nothing else. Each
 /// [`evaluate`](Self::evaluate) runs its batch on scoped threads through
 /// [`try_map_indexed`] (the calling thread participates, so a pool of
@@ -209,7 +198,7 @@ impl EvalPool {
         });
 
         let mut per_scenario = Vec::with_capacity(scenarios.len());
-        let mut slot_usage: Vec<UsageCounts> = compiled
+        let mut usage: Vec<UsageCounts> = compiled
             .iter()
             .map(|t| UsageCounts::new(t.num_leaves()))
             .collect();
@@ -218,7 +207,7 @@ impl EvalPool {
                 run.unwrap_or_else(|msg| panic!("scenario evaluation panicked: {msg}"));
             per_scenario.push(u);
             for (slot, c) in counts.iter().enumerate() {
-                slot_usage[slot].merge(c);
+                usage[slot].merge(c);
             }
         }
 
@@ -226,7 +215,7 @@ impl EvalPool {
         EvalResult {
             mean_utility,
             per_scenario,
-            usage: annotate(trees, &slot_usage),
+            usage,
         }
     }
 

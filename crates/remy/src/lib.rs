@@ -44,8 +44,10 @@
 //!   every scenario (one [`protocols::Scheme`] per slot; the [`verifier`]
 //!   maps roles onto schemes the same way). Per-ack lookups walk
 //!   contiguous nodes, and usage statistics accumulate in flat
-//!   per-executor [`protocols::UsageCounts`] buffers instead of
-//!   per-scenario tree clones.
+//!   per-executor [`protocols::UsageCounts`] buffers, the one record of
+//!   whisker usage: an evaluation returns them merged per slot, and the
+//!   optimizer orders and splits whiskers from them without cloning a
+//!   tree.
 //! * **One work-stealing map.** An [`eval::EvalPool`] is a thread count
 //!   (`OptimizerConfig::threads`); each evaluation claims its scenarios
 //!   from an atomic cursor on scoped threads through

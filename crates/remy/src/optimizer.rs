@@ -8,9 +8,15 @@
 //!    climb the action's three coordinates against the mean objective on
 //!    a fixed batch of sampled scenarios (common random numbers keep the
 //!    comparison fair), with step sizes sweeping coarse → fine.
-//! 2. **Structure refinement** — when no action improves, split the
+//! 2. **Structure refinement** — at the end of every round, split the
 //!    most-used whisker at the mean observed memory point along its most
 //!    informative dimension, letting the mapping specialize.
+//!
+//! Both moves read whisker usage from the evaluation's per-slot
+//! [`UsageCounts`](protocols::UsageCounts), the one record of it: the use
+//! counts order the whiskers and pick the one to split, and that
+//! whisker's mean observation is the split point. The trees carry no
+//! counts of their own.
 //!
 //! Fresh scenario draws between rounds keep the protocol from overfitting
 //! one batch. [`Optimizer::co_optimize`] alternates optimization across
@@ -273,19 +279,17 @@ impl Optimizer {
             let (base_score, mut score) = (base.mean_utility, base.mean_utility);
 
             // Whiskers ordered by usage, busiest first.
-            let mut order: Vec<(usize, u64)> = base.usage[slot]
-                .leaves()
+            let mut order: Vec<(LeafId, u64)> = base.usage[slot]
                 .iter()
-                .enumerate()
-                .map(|(i, w)| (i, w.use_count))
+                .map(|(leaf, uses, _)| (leaf, uses))
                 .collect();
             order.sort_by_key(|&(_, uses)| std::cmp::Reverse(uses));
 
-            for (leaf_idx, uses) in order {
+            for (leaf, uses) in order {
                 if uses == 0 {
                     continue;
                 }
-                self.improve_leaf(trees, slot, LeafId(leaf_idx), &mut batch, &mut score);
+                self.improve_leaf(trees, slot, leaf, &mut batch, &mut score);
             }
 
             if self.cfg.verbose {
@@ -307,20 +311,15 @@ impl Optimizer {
             if trees[slot].num_leaves() < self.cfg.max_leaves && round + 1 < self.cfg.rounds {
                 // Usage on the final actions of this round: the base tree
                 // or the last candidate adopted, both scored already.
-                let usage = &batch.evaluate(self, trees).usage;
-                let Some(target) = usage[slot].most_used_leaf() else {
+                let usage = &batch.evaluate(self, trees).usage[slot];
+                let Some(target) = usage.most_used() else {
                     continue;
                 };
-                let dim = split_dimension(&usage[slot], target);
-                let tree = &mut trees[slot];
-                // Copy observation stats into the live tree so the split
-                // lands at the observed mean.
-                tree.reset_counts();
-                tree.absorb_counts(&usage[slot]);
-                if !tree.split_leaf(target, dim) {
+                let dim = split_dimension(&trees[slot], target);
+                let at = usage.mean_observation(target).map(|mean| mean[dim]);
+                if !trees[slot].split_leaf(target, dim, at) {
                     continue;
                 }
-                tree.reset_counts();
                 if self.cfg.verbose {
                     eprintln!(
                         "[remy] split leaf {:?} on dim {dim}; now {} leaves",
@@ -539,7 +538,7 @@ mod tests {
     #[test]
     fn leaf_sets_tell_slots_apart() {
         let mut two = WhiskerTree::default_tree();
-        two.split_leaf(LeafId(0), 0);
+        two.split_leaf(LeafId(0), 0, None);
         let one = WhiskerTree::default_tree();
         assert_ne!(
             leaf_set(&[two.clone(), one.clone()]),
@@ -553,7 +552,7 @@ mod tests {
         let mut tree = WhiskerTree::default_tree();
         // Shrink dim 0 by splitting on it; the next split should prefer
         // another (still full-width) axis.
-        tree.split_leaf(LeafId(0), 0);
+        tree.split_leaf(LeafId(0), 0, None);
         let d = split_dimension(&tree, LeafId(0));
         assert_ne!(d, 0, "dim 0 is now half-width, pick a full-width axis");
     }

@@ -124,14 +124,15 @@ impl GeneticTrainer {
         }
     }
 
-    /// One bounded mutation: maybe split a leaf (structural), then perturb
-    /// the serialized action point with `mutate_with`.
+    /// One bounded mutation: maybe split a leaf at its midpoint
+    /// (structural), then perturb the serialized action point with
+    /// `mutate_with`.
     fn mutate_genome(&self, parent: &WhiskerTree, rng: &mut SimRng) -> WhiskerTree {
         let mut child = parent.clone();
         if child.num_leaves() < self.cfg.max_leaves && rng.chance(self.split_prob) {
             let leaf = rng.uniform_u32(0, child.num_leaves() as u32 - 1) as usize;
             let dim = rng.uniform_u32(0, SIGNAL_MAX.len() as u32 - 1) as usize;
-            child.split_leaf(LeafId(leaf), dim);
+            child.split_leaf(LeafId(leaf), dim, None);
         }
         let space = Self::genome_space(child.num_leaves());
         let point = Self::genome_point(&child);
@@ -249,8 +250,8 @@ mod tests {
     #[test]
     fn genome_serialization_round_trips() {
         let mut tree = WhiskerTree::default_tree();
-        tree.split_leaf(LeafId(0), 0);
-        tree.split_leaf(LeafId(1), 2);
+        tree.split_leaf(LeafId(0), 0, None);
+        tree.split_leaf(LeafId(1), 2, None);
         let point = GeneticTrainer::genome_point(&tree);
         assert_eq!(point.len(), 9);
         let mut back = tree.clone();

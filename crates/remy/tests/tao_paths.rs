@@ -2,10 +2,14 @@
 //! evaluation (`run_scenario_compiled`, with and without a signal mask)
 //! and the collapse verifier. Both build their senders from a committed
 //! asset, so a change to how a tree becomes controllers must leave these
-//! utilities, usage counts and reports exactly where they are.
+//! utilities, usage counts and reports exactly where they are. The tree
+//! optimizer (`optimize` and `co_optimize` at the smoke budget) is pinned
+//! the same way: a change to how usage steers it must leave its scores,
+//! evaluation counts and trees where they are.
 
-use protocols::{CompiledTree, LeafId, Signal, SignalMask, UsageCounts};
+use protocols::{CompiledTree, LeafId, Signal, SignalMask, UsageCounts, WhiskerTree};
 use remy::eval::{draw_scenarios, run_scenario_compiled, EvalConfig};
+use remy::optimizer::{Optimizer, OptimizerConfig};
 use remy::scenario::ScenarioSpec;
 use remy::serialize::{asset_path, load};
 use remy::verifier::{verify, VerifyConfig};
@@ -95,5 +99,59 @@ fn verifier_report_is_pinned() {
         fnv1a(FNV_OFFSET, json.as_bytes()),
         0xe72186881aa92ef5,
         "verify({ASSET}) report moved"
+    );
+}
+
+/// Every leaf's domain bounds and action, bit for bit.
+fn leaf_set_digest(tree: &WhiskerTree) -> u64 {
+    tree.leaves().iter().fold(FNV_OFFSET, |h, w| {
+        let a = w.action;
+        let action = [a.window_multiple, a.window_increment, a.intersend_ms];
+        (w.domain.lower.iter())
+            .chain(&w.domain.upper)
+            .chain(&action)
+            .fold(h, |h, v| fnv1a(h, &v.to_bits().to_le_bytes()))
+    })
+}
+
+/// The smoke budget on one thread.
+fn smoke_budget() -> OptimizerConfig {
+    OptimizerConfig {
+        threads: 1,
+        ..OptimizerConfig::smoke()
+    }
+}
+
+#[test]
+fn optimizer_is_pinned() {
+    let opt = Optimizer::new(vec![ScenarioSpec::calibration()], smoke_budget());
+    let p = opt.optimize("pin");
+    assert_eq!(p.score.to_bits(), 0x403a39dd13407a37);
+    assert_eq!(opt.evaluations(), 176);
+    assert_eq!(p.tree.num_leaves(), 2);
+    assert_eq!(leaf_set_digest(&p.tree), 0x8dcb963e0e693a2e);
+}
+
+#[test]
+fn co_optimizer_is_pinned() {
+    let opt = Optimizer::new(vec![ScenarioSpec::diversity()], smoke_budget());
+    let out = opt.co_optimize(vec![WhiskerTree::default_tree(); 2], 2, &["a", "b"]);
+    let got: Vec<(u64, usize, u64)> = out
+        .iter()
+        .map(|p| {
+            (
+                p.score.to_bits(),
+                p.tree.num_leaves(),
+                leaf_set_digest(&p.tree),
+            )
+        })
+        .collect();
+    assert_eq!(opt.evaluations(), 409);
+    assert_eq!(
+        got,
+        [
+            (0x404b53fe571afd64, 2, 0x63d5f32eef35a9f0),
+            (0x404b67227d085338, 2, 0x3a01ebc1789186f4),
+        ]
     );
 }
