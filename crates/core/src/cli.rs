@@ -310,6 +310,15 @@ fn cmd_replay(path: &Path) -> i32 {
             failures += 1;
             continue;
         }
+        if !(cert.duration_s.is_finite() && cert.duration_s > 0.0) || cert.seeds.is_empty() {
+            let (d, n) = (cert.duration_s, cert.seeds.len());
+            eprintln!(
+                "[{}] invalid certificate: duration_s {d} with {n} seeds",
+                cert.scheme
+            );
+            failures += 1;
+            continue;
+        }
         let scheme = match crate::search::scheme_for_certificate(cert) {
             Ok(s) => s,
             Err(e) => {
@@ -401,7 +410,13 @@ fn cmd_train(exps: &[&'static dyn Experiment], force: bool, trainer: TrainerKind
                     }
                 }
             }
-            let protos = experiments::run_train_job(&job, trainer);
+            let protos = match experiments::run_train_job(&job, trainer) {
+                Ok(protos) => protos,
+                Err(err) => {
+                    eprintln!("error: experiment '{}': {err}", e.id());
+                    return 1;
+                }
+            };
             for p in &protos {
                 eprintln!(
                     "[{:>7.1}s] {} ready ({} whiskers, score {:.3})",
@@ -695,6 +710,36 @@ mod tests {
         let path = dir.join("invalid-net.json");
         std::fs::write(&path, fig.to_json()).unwrap();
         assert_eq!(run(&["replay", path.to_str().unwrap()]), 1);
+    }
+
+    #[test]
+    fn replay_rejects_a_certificate_without_duration_or_seeds() {
+        // A non-positive duration, or no seeds, fails replay as an
+        // invalid certificate instead of panicking in
+        // `SimDuration::from_secs_f64` or reading as a `-inf` mismatch.
+        let golden = std::fs::read_to_string(super::default_json_dir().join("adversarial.json"))
+            .expect("the adversarial golden is committed");
+        let fig = crate::report::FigureData::from_json(&golden).unwrap();
+        let cert = crate::experiments::adversarial::certificates_from_figure(&fig).remove(0);
+        let dir = std::env::temp_dir().join("lcc-replay-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("invalid-cert.json");
+        let edits: [fn(&mut crate::search::Certificate); 3] = [
+            |c| c.duration_s = -5.0,
+            |c| c.duration_s = 0.0,
+            |c| c.seeds.clear(),
+        ];
+        for edit in edits {
+            let mut bad = cert.clone();
+            edit(&mut bad);
+            let mut fig = crate::report::FigureData::new("adversarial", "test");
+            fig.notes.push(format!(
+                "CERTIFICATE: {}",
+                serde_json::to_string(&bad).unwrap()
+            ));
+            std::fs::write(&path, fig.to_json()).unwrap();
+            assert_eq!(run(&["replay", path.to_str().unwrap()]), 1);
+        }
     }
 
     #[test]

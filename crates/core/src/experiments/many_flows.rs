@@ -27,9 +27,8 @@
 //!
 //! This sweep is also the engine's scale gate: a 10⁴-flow cell exercises
 //! the calendar queue's dequeue-rate retune, the packet arena and 10⁴
-//! flows' reliability state at the population the
-//! `sim_events_per_sec_10k` and `sim_peak_heap_mb_10k` perf-gate metrics
-//! track.
+//! flows' reliability state at the population the benchmark's
+//! `scale_10k` workload times and sizes.
 
 use super::multiplexing;
 use super::scaffold::prelude::*;

@@ -371,7 +371,8 @@ pub fn train_asset_names(job: &TrainJob, trainer: TrainerKind) -> Vec<String> {
 /// becomes protocols: load every asset it produces if committed,
 /// otherwise train (one protocol per asset, or joint co-optimization
 /// when [`TrainJob::co_alternations`] is set) and cache the results.
-pub fn run_train_job(job: &TrainJob, trainer: TrainerKind) -> Vec<TrainedProtocol> {
+/// Only a missing asset trains ([`remy::serialize::load_if_present`]).
+pub fn run_train_job(job: &TrainJob, trainer: TrainerKind) -> Result<Vec<TrainedProtocol>, String> {
     let Some(alternations) = job.co_alternations else {
         return train_asset_names(job, trainer)
             .iter()
@@ -403,15 +404,15 @@ pub fn run_train_job(job: &TrainJob, trainer: TrainerKind) -> Vec<TrainedProtoco
             "[learnability] the genetic trainer does not co-optimize; skipping {}",
             job.assets.join(" + ")
         );
-        return Vec::new();
+        return Ok(Vec::new());
     }
-    let loaded: Vec<Option<TrainedProtocol>> = job
+    let loaded = job
         .assets
         .iter()
-        .map(|n| remy::serialize::load(&remy::serialize::asset_path(n)).ok())
-        .collect();
+        .map(|n| remy::serialize::load_if_present(&remy::serialize::asset_path(n)))
+        .collect::<Result<Vec<_>, _>>()?;
     if loaded.iter().all(Option::is_some) {
-        return loaded.into_iter().flatten().collect();
+        return Ok(loaded.into_iter().flatten().collect());
     }
     eprintln!(
         "[learnability] co-optimizing {} (no committed assets found)...",
@@ -430,7 +431,7 @@ pub fn run_train_job(job: &TrainJob, trainer: TrainerKind) -> Vec<TrainedProtoco
             eprintln!("[learnability] warning: could not save {}: {e}", p.name);
         }
     }
-    protos
+    Ok(protos)
 }
 
 // ---------------------------------------------------------------------------

@@ -187,7 +187,8 @@ pub fn lineup(exp: &dyn Experiment) -> Vec<(Contender, Scheme)> {
                                     exp.id()
                                 )
                             });
-                        let protos = run_train_job(&job, TrainerKind::Tree);
+                        let protos = run_train_job(&job, TrainerKind::Tree)
+                            .unwrap_or_else(|e| panic!("experiment '{}': {e}", exp.id()));
                         trained.extend(job.assets.iter().cloned().zip(protos));
                     }
                     let (_, proto) = trained

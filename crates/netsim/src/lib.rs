@@ -67,10 +67,10 @@
 //!   kept in flight (and keep that capacity across epochs), the
 //!   calendar's slab to the most timers ever pending at once. At steady
 //!   state the hot handlers and the scheduler allocate nothing (tracked by
-//!   the `sim_allocs_per_event_*` perf-gate metrics), and nothing is
+//!   the benchmark's `netsim.sim.allocs_per_event` row), and nothing is
 //!   reserved from a path's bandwidth-delay product, which at 10⁴ flows
 //!   with sub-packet fair shares would be most of the heap
-//!   (`sim_peak_heap_mb_10k`).
+//!   (`netsim.sim.kb_per_flow`).
 //! * **Per-flow state without idle padding.** At 10⁴ flows each word of
 //!   a flow slot costs 80 kB, so the slots hold what is live: sentinels
 //!   instead of `Option`s in the sender slot, the transport and its ring
@@ -141,11 +141,11 @@
 //!   end-to-end-tested in `tests/proptest_scheduler.rs` and
 //!   `tests/scheduler_determinism.rs`).
 //!
-//! Measure with `benchmark/run.sh` (the repo's benchmark: engine event
+//! Measure with `benchmark/run.sh`, the repo's benchmark: the
+//! `scale_10k` and `path_zoo` workloads end to end, and engine event
 //! throughput, calendar vs heap hold costs and per-discipline link costs
-//! in its per-layer ledger) and `cargo run --release -p bench --bin
-//! perf_snapshot` (events/sec of a fixed dumbbell under both backends,
-//! written to `BENCH_optimizer.json`).
+//! in its per-layer ledger. `scripts/bench_gate.sh BASE` judges a change
+//! against its parent on those workloads.
 
 #![deny(missing_docs)]
 

@@ -57,8 +57,9 @@
 //!
 //! Measured by the repo's benchmark (`benchmark/run.sh`: the
 //! `train_calibration` workload and the `remy.*` rows of its per-layer
-//! ledger); `cargo run --release -p bench --bin perf_snapshot -- --write`
-//! records the smoke-training wall time in `BENCH_optimizer.json`.
+//! ledger), which `scripts/bench_gate.sh BASE` runs on a change and its
+//! parent. The genetic trainer is in no workload; its smoke-budget result
+//! is pinned by `trainer::tests::genetic_smoke_training_is_pinned`.
 
 pub mod eval;
 pub mod objective;

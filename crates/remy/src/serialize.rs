@@ -68,13 +68,27 @@ pub fn asset_path(name: &str) -> PathBuf {
     assets_dir().join(format!("{name}.json"))
 }
 
+/// Load the asset at `path`, or `Ok(None)` when no file is there. Any
+/// other read or parse error is an `Err` naming the file: an asset that
+/// exists but cannot be read is reported, never trained over.
+pub fn load_if_present(path: &Path) -> Result<Option<TrainedProtocol>, String> {
+    match load(path) {
+        Ok(p) => Ok(Some(p)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(format!("cannot load asset {}: {e}", path.display())),
+    }
+}
+
 /// Load the asset at `path` if present; otherwise run `train`, save the
 /// result there, and return it. This mirrors the paper's workflow:
 /// protocols are designed offline (CPU-intensive) and published;
-/// evaluations reuse them.
-pub fn load_or_train(path: &Path, train: impl FnOnce() -> TrainedProtocol) -> TrainedProtocol {
-    if let Ok(p) = load(path) {
-        return p;
+/// evaluations reuse them. Only a missing file trains ([`load_if_present`]).
+pub fn load_or_train(
+    path: &Path,
+    train: impl FnOnce() -> TrainedProtocol,
+) -> Result<TrainedProtocol, String> {
+    if let Some(p) = load_if_present(path)? {
+        return Ok(p);
     }
     let p = train();
     if let Err(e) = save(&p, path) {
@@ -83,7 +97,7 @@ pub fn load_or_train(path: &Path, train: impl FnOnce() -> TrainedProtocol) -> Tr
             path.display()
         );
     }
-    p
+    Ok(p)
 }
 
 #[cfg(test)]
@@ -133,15 +147,36 @@ mod tests {
         let p1 = load_or_train(&path, || {
             trained_calls += 1;
             proto("cache-test")
-        });
+        })
+        .unwrap();
         assert_eq!(trained_calls, 1);
         // second call hits the cache
         let p2 = load_or_train(&path, || {
             trained_calls += 1;
             proto("other")
-        });
+        })
+        .unwrap();
         assert_eq!(trained_calls, 1);
         assert_eq!(p1.tree, p2.tree);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_or_train_refuses_a_corrupt_asset() {
+        // Only a missing file trains: a file holding garbage is an error
+        // naming it, the trainer never runs, and the bytes stay.
+        let dir = std::env::temp_dir().join(format!("remy-corrupt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("corrupt.json");
+        let garbage = b"{\"name\": \"trunc";
+        std::fs::write(&path, garbage).unwrap();
+        let err = load_or_train(&path, || panic!("a corrupt asset must not be retrained"))
+            .expect_err("a corrupt asset is an error");
+        assert!(
+            err.contains("corrupt.json"),
+            "the error names the file: {err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), garbage, "the bytes stay");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -276,9 +276,10 @@ mod tests {
 
     #[test]
     fn genetic_smoke_training_is_pinned() {
-        // The smoke budget at seed 7 on the calibration network (the
-        // perf snapshot's genetic run), recorded before the trainer drew
-        // its pool and rng from the config: one whisker, bit for bit.
+        // The smoke budget at seed 7 on the calibration network,
+        // recorded before the trainer drew its pool and rng from the
+        // config: one whisker, bit for bit. No benchmark workload runs
+        // the genetic trainer, so this pin is what catches a change to it.
         let mut cfg = OptimizerConfig::smoke();
         cfg.seed = 7;
         let p = GeneticTrainer::new(cfg).train("pin", &[ScenarioSpec::calibration()]);

@@ -1,0 +1,71 @@
+#!/usr/bin/env bash
+# The benchmark at BASE and at the current checkout, compared under the
+# bounds of BENCHMARK.json:
+#
+#   scripts/bench_gate.sh BASE
+#
+# Checks BASE out in a `git worktree`, runs `benchmark/run.sh --all
+# --runs 3` there and then here (each side builds in its own tree's
+# `benchmark/target`), and judges the two with `benchmark/run.sh
+# --compare`. Writes target/bench-gate/{base,head}.json and compare.txt,
+# and appends the table to $GITHUB_STEP_SUMMARY when that is set.
+#
+# Exits 1 when a compare row reads `worse` or either side's `--all`
+# fails (a failed output check ends it non-zero); `unresolved` and
+# `DIFFERS` rows are printed but pass (an engine change may move exact
+# counts on purpose). When BENCHMARK.json or benchmark/ differ between
+# BASE and here the two sides would not run the same benchmark: it says
+# so and exits 0 without measuring. A bad argument, an unresolvable
+# BASE or a failed `--compare` exits 2.
+set -euo pipefail
+[ $# -eq 1 ] || { echo "usage: scripts/bench_gate.sh BASE" >&2; exit 2; }
+runs=3
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+cd "$root"
+
+base=$(git rev-parse --verify --quiet "$1^{commit}") || {
+    echo "error: BASE '$1' does not name a commit" >&2
+    exit 2
+}
+if ! git diff --quiet "$base" -- BENCHMARK.json benchmark/; then
+    echo "skip: BENCHMARK.json or benchmark/ differ between $1 and this checkout," \
+        "so the two sides would not run the same benchmark; nothing compared"
+    exit 0
+fi
+
+out="$root/target/bench-gate"
+tree="$out/base-tree"
+mkdir -p "$out"
+rm -rf "$tree" "$out"/{base,head}.json "$out/compare.txt"
+git worktree prune
+git worktree add --quiet --detach "$tree" "$base"
+trap 'git worktree remove --force "$tree"' EXIT
+unset CARGO_TARGET_DIR
+
+# A run whose output check fails exits non-zero, and so does `--all`;
+# the failure itself is on stderr as `[benchmark] FAILED ...`.
+measure() { # DIR RESULTS
+    (cd "$1" && benchmark/run.sh --all --runs "$runs" --out "$2") || {
+        echo "FAIL: the benchmark failed in $1" >&2
+        exit 1
+    }
+}
+measure "$tree" "$out/base.json"
+measure "$root" "$out/head.json"
+
+code=0
+benchmark/run.sh --compare "$out/base.json" "$out/head.json" >"$out/compare.txt" || code=$?
+[ "$code" -le 1 ] || { echo "error: --compare failed (exit $code)" >&2; exit 2; }
+echo "== $1 ($base) against this checkout =="
+cat "$out/compare.txt"
+if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
+    printf '### Benchmark, %s against head\n\n```\n%s\n```\n' "$1" "$(cat "$out/compare.txt")" \
+        >>"$GITHUB_STEP_SUMMARY"
+fi
+
+worse=$(awk '$3 == "worse"' "$out/compare.txt")
+if [ -n "$worse" ]; then
+    printf 'FAIL: worse than %s on:\n%s\n' "$1" "$worse"
+    exit 1
+fi
+echo "PASS: no row worse than $1, every output check passed"
