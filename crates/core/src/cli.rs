@@ -60,6 +60,10 @@ run options:
   --json DIR                    write FigureData JSON here
                                 (default: assets/figures/)
   --no-json                     skip the JSON artifacts
+
+every command also takes:
+  --assets DIR                  use DIR, not the checkout's assets/, for
+                                protocol assets and figure JSON (DIR/figures/)
 ";
 
 /// Entry point for the `learnability` binary.
@@ -71,6 +75,13 @@ pub fn main() -> ! {
 
 /// Run the CLI on pre-parsed arguments; returns the process exit code.
 pub fn run(args: &[&str]) -> i32 {
+    let (args, assets) = match take_assets_dir(args) {
+        Ok(split) => split,
+        Err(e) => return usage_error(&e),
+    };
+    if assets.is_some() {
+        remy::serialize::set_assets_dir(assets);
+    }
     match args.first() {
         Some(&"list") => {
             print!("{}", list_table());
@@ -78,24 +89,15 @@ pub fn run(args: &[&str]) -> i32 {
         }
         Some(&"run") => match parse_run(&args[1..]) {
             Ok((exps, opts, json_dir)) => cmd_run(&exps, &opts, json_dir.as_deref()),
-            Err(e) => {
-                eprintln!("error: {e}\n\n{USAGE}");
-                2
-            }
+            Err(e) => usage_error(&e),
         },
         Some(&"train") => match parse_train(&args[1..]) {
             Ok((exps, force, trainer)) => cmd_train(&exps, force, trainer),
-            Err(e) => {
-                eprintln!("error: {e}\n\n{USAGE}");
-                2
-            }
+            Err(e) => usage_error(&e),
         },
         Some(&"assets") => cmd_assets(&args[1..]),
         Some(&"replay") => match args.get(2) {
-            Some(extra) => {
-                eprintln!("error: unexpected replay argument '{extra}'\n\n{USAGE}");
-                2
-            }
+            Some(extra) => usage_error(&format!("unexpected replay argument '{extra}'")),
             None => {
                 let path = args
                     .get(1)
@@ -108,14 +110,30 @@ pub fn run(args: &[&str]) -> i32 {
             print!("{USAGE}");
             0
         }
-        other => {
-            match other {
-                Some(cmd) => eprintln!("error: unknown command '{cmd}'\n\n{USAGE}"),
-                None => eprint!("{USAGE}"),
-            }
+        Some(cmd) => usage_error(&format!("unknown command '{cmd}'")),
+        None => {
+            eprint!("{USAGE}");
             2
         }
     }
+}
+
+/// Report a usage error; returns its exit code.
+fn usage_error(e: &str) -> i32 {
+    eprintln!("error: {e}\n\n{USAGE}");
+    2
+}
+
+/// Split `--assets DIR` out of the arguments: the rest, in order, and
+/// the directory, if one was named.
+fn take_assets_dir<'a>(args: &[&'a str]) -> Result<(Vec<&'a str>, Option<PathBuf>), String> {
+    let mut rest = args.to_vec();
+    let Some(i) = rest.iter().position(|&a| a == "--assets") else {
+        return Ok((rest, None));
+    };
+    let dir = PathBuf::from(rest.get(i + 1).ok_or("--assets needs a directory")?);
+    rest.drain(i..i + 2);
+    Ok((rest, Some(dir)))
 }
 
 /// The `learnability list` table.
@@ -395,21 +413,33 @@ fn parse_train(args: &[&str]) -> Result<(Vec<&'static dyn Experiment>, bool, Tra
     Ok((exps, force, trainer))
 }
 
+/// The assets `train --force` discards: every asset the experiments'
+/// jobs produce under `trainer`, each once, in first-mention order.
+fn discard_list(exps: &[&'static dyn Experiment], trainer: TrainerKind) -> Vec<String> {
+    let mut seen = std::collections::HashSet::new();
+    exps.iter()
+        .flat_map(|e| e.train_specs())
+        .flat_map(|job| train_asset_names(&job, trainer))
+        .filter(|name| seen.insert(name.clone()))
+        .collect()
+}
+
 fn cmd_train(exps: &[&'static dyn Experiment], force: bool, trainer: TrainerKind) -> i32 {
     let t0 = Instant::now();
+    if force {
+        // Discard everything first: an asset several experiments share
+        // then trains once, for the first of them, and loads for the rest.
+        for name in discard_list(exps, trainer) {
+            let path = remy::serialize::asset_path(&name);
+            if std::fs::remove_file(&path).is_ok() {
+                eprintln!("[learnability] discarded cached {}", path.display());
+            }
+        }
+    }
     for e in exps {
         let s = Instant::now();
         for mut job in e.train_specs() {
             job.cfg.verbose = true;
-            if force {
-                // Discard cached assets so the trainer actually retrains.
-                for name in train_asset_names(&job, trainer) {
-                    let path = remy::serialize::asset_path(&name);
-                    if std::fs::remove_file(&path).is_ok() {
-                        eprintln!("[learnability] discarded cached {}", path.display());
-                    }
-                }
-            }
             let protos = match experiments::run_train_job(&job, trainer) {
                 Ok(protos) => protos,
                 Err(err) => {
@@ -467,8 +497,7 @@ fn cmd_assets(args: &[&str]) -> i32 {
                 .collect::<Option<Vec<f64>>>()
                 .and_then(|v| v.try_into().ok());
             let Some(point @ [rec, slow, send, rttr]) = point else {
-                eprintln!("error: probe needs {NUM_SIGNALS} numbers\n\n{USAGE}");
-                return 2;
+                return usage_error(&format!("probe needs {NUM_SIGNALS} numbers"));
             };
             load_asset(name).map_or_else(
                 |code| code,
@@ -512,13 +541,7 @@ fn cmd_assets(args: &[&str]) -> i32 {
             }
             i32::from(flagged + unreadable > 0)
         }
-        _ => {
-            eprintln!(
-                "error: unknown assets command '{}'\n\n{USAGE}",
-                args.join(" ")
-            );
-            2
-        }
+        _ => usage_error(&format!("unknown assets command '{}'", args.join(" "))),
     }
 }
 
@@ -827,6 +850,53 @@ mod tests {
 
         let (_, _, trainer) = parse_train(&["calibration", "--trainer", "tree"]).unwrap();
         assert_eq!(trainer, TrainerKind::Tree);
+    }
+
+    #[test]
+    fn force_discards_each_named_asset_once() {
+        // `train all --force` used to discard and retrain tao-calibration
+        // once per experiment naming it. The discard list (computing it
+        // trains nothing) names every asset once.
+        let all = select(Some("all")).unwrap();
+        let sharing = all
+            .iter()
+            .filter(|e| {
+                e.train_specs()
+                    .iter()
+                    .any(|j| j.assets.iter().any(|a| a == "tao-calibration"))
+            })
+            .count();
+        assert!(sharing > 1, "tao-calibration is shared ({sharing})");
+        for trainer in [TrainerKind::Tree, TrainerKind::Genetic] {
+            let names = discard_list(&all, trainer);
+            let mut unique = names.clone();
+            unique.sort();
+            unique.dedup();
+            assert_eq!(unique.len(), names.len(), "{names:?}");
+            for job in all.iter().flat_map(|e| e.train_specs()) {
+                for name in train_asset_names(&job, trainer) {
+                    assert!(names.contains(&name), "{name} is not discarded");
+                }
+            }
+        }
+        let tree = discard_list(&all, TrainerKind::Tree);
+        assert_eq!(tree[0], "tao-calibration", "first-mention order");
+    }
+
+    #[test]
+    fn assets_dir_is_split_out_of_any_position() {
+        let (rest, dir) = take_assets_dir(&["assets", "--assets", "/tmp/a", "list"]).unwrap();
+        assert_eq!(rest, ["assets", "list"]);
+        assert_eq!(dir, Some(PathBuf::from("/tmp/a")));
+        let (rest, dir) = take_assets_dir(&["run", "rtt", "--no-json"]).unwrap();
+        assert_eq!(rest, ["run", "rtt", "--no-json"]);
+        assert_eq!(dir, None);
+        assert!(take_assets_dir(&["train", "rtt", "--assets"]).is_err());
+        assert_eq!(
+            run(&["replay", "--assets"]),
+            2,
+            "a missing DIR is a usage error"
+        );
     }
 
     #[test]

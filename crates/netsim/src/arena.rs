@@ -2,20 +2,21 @@
 //!
 //! Every data packet and every acknowledgment spends most of its
 //! simulated life *inside the scheduler* — as the payload of an
-//! `Arrive`, `TxComplete` or `Propagated` event waiting to fire. Carrying the full 48-byte [`Packet`] by value in
-//! [`crate::event::Event`] made the event enum the widest thing the
-//! calendar queue moves: every bucket insert, swap-remove and today-
-//! buffer drain memmoved the packet along with it.
+//! `Arrive`, `TxComplete` or `Propagated` event waiting to fire. Carrying
+//! the full 48-byte [`Packet`] by value in [`crate::event::Event`] made
+//! the event enum the widest thing the calendar queue moves: every bucket
+//! insert, swap-remove and today-buffer drain memmoved the packet along
+//! with it.
 //!
-//! The arena breaks that coupling. The engine parks the packet here when
-//! it schedules the event and gets back a [`PktId`] — an 8-byte
-//! slot-plus-generation handle that the event carries instead. When the
-//! event fires, the engine takes the packet back out and the slot returns
-//! to a free-list for the next schedule. At steady state the hot
-//! Arrive → TxComplete → Propagated → Arrive chain recycles the same few
-//! slots per in-flight packet and the arena performs **zero heap
-//! allocations** — the slab grows to the peak number of simultaneously
-//! scheduled packets and then stays put.
+//! The arena breaks that coupling. A packet is parked here when it
+//! enters its first link, and its events carry the 8-byte [`PktId`]
+//! (slot plus generation) instead. It keeps that slot through every hop,
+//! read and rewritten in place ([`PacketArena::get`],
+//! [`PacketArena::get_mut`]), until [`PacketArena::take`] frees it at a
+//! terminal fate — or while a link queue, which stores packets by value,
+//! holds it. Freed slots return to a free-list, so at steady state the
+//! arena performs **zero heap allocations**: the slab grows to the peak
+//! number of parked packets and then stays put.
 //!
 //! The generation tag exists for safety, not semantics: each slot counts
 //! how many times it has been freed, and a [`PktId`] is only valid while
@@ -78,6 +79,15 @@ impl PacketArena {
     pub fn get(&self, id: PktId) -> &Packet {
         let (gen, pkt) = &self.slots[id.slot as usize];
         debug_assert_eq!(*gen, id.gen, "stale PktId read");
+        pkt
+    }
+
+    /// The parked packet, to rewrite in place (a hop forward, or a data
+    /// packet turned into its acknowledgment).
+    #[inline]
+    pub fn get_mut(&mut self, id: PktId) -> &mut Packet {
+        let (gen, pkt) = &mut self.slots[id.slot as usize];
+        debug_assert_eq!(*gen, id.gen, "stale PktId write");
         pkt
     }
 

@@ -30,12 +30,12 @@
 //! Nearly a fifth of what the engine schedules fires at the instant
 //! already being dispatched: the `Arrive` a sender's transmission, a hop
 //! forward or an acknowledgment entering a reverse link produces. Such an
-//! event carries a later insertion seq than everything
-//! [`EventQueue::pop_batch`] just handed out, and `pop_batch` hands out
-//! the *whole* instant, so it sorts exactly after the current batch and
-//! before everything else pending.
-//! [`EventQueue::schedule`] therefore appends it to a plain `Vec` — the
-//! lane — which the next `pop_batch` returns as the next batch.
+//! event carries a later insertion seq than everything pending, so it
+//! sorts after every line and backend entry still due at that instant and
+//! before everything later. [`EventQueue::schedule`] therefore appends it
+//! to a plain FIFO — the lane — and [`EventQueue::pop`], one event at a
+//! time, hands out the instant's remaining line and backend entries
+//! first, then the lane in seq order.
 //!
 //! # Delay lines
 //!
@@ -74,8 +74,9 @@ pub enum Event {
     /// Packet-carrying events store a [`PktId`] handle into the engine's
     /// [`crate::arena::PacketArena`] rather than the packet itself, so
     /// the scheduler moves 16-byte events instead of 56-byte ones and
-    /// the hot Arrive → TxComplete → Propagated chain recycles arena
-    /// slots instead of copying packets through every bucket operation.
+    /// the hot Arrive → TxComplete → Propagated chain keeps the packet
+    /// in one arena slot instead of copying it through every bucket
+    /// operation.
     Arrive {
         /// Link whose ingress queue receives the packet.
         link: LinkId,
@@ -202,6 +203,17 @@ impl Event {
             Event::LinkDown { .. } => EventKind::LinkDown,
             Event::LinkUp { .. } => EventKind::LinkUp,
             Event::AckTimer { .. } => EventKind::AckTimer,
+        }
+    }
+
+    /// The arena handle a packet-carrying event holds.
+    #[inline]
+    pub fn pkt(&self) -> Option<PktId> {
+        match *self {
+            Event::Arrive { pkt, .. }
+            | Event::TxComplete { pkt, .. }
+            | Event::Propagated { pkt, .. } => Some(pkt),
+            _ => None,
         }
     }
 }
@@ -359,13 +371,12 @@ pub struct EventQueue {
     /// `(at, seq, line)` of each nonempty line's front, earliest on top.
     fronts: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     next_seq: u64,
-    /// The instant [`pop_batch`](Self::pop_batch) last handed out: no
-    /// line and no backend entry is at it, so whatever is scheduled for
-    /// it next goes to `lane`.
+    /// The instant [`pop`](Self::pop) last handed out: whatever is
+    /// scheduled for it from now on goes to `lane`.
     lane_at: Option<SimTime>,
-    /// Events scheduled for `lane_at` since that batch, in seq order —
-    /// the next batch (see the module docs).
-    lane: Vec<Event>,
+    /// Events scheduled for `lane_at` while it was being dispatched, in
+    /// seq order (see the module docs).
+    lane: VecDeque<Event>,
     counters: QueueCounters,
 }
 
@@ -412,7 +423,7 @@ impl EventQueue {
             fronts: BinaryHeap::new(),
             next_seq: 0,
             lane_at: None,
-            lane: Vec::new(),
+            lane: VecDeque::new(),
             counters: QueueCounters::default(),
         }
     }
@@ -441,14 +452,14 @@ impl EventQueue {
     }
 
     /// Schedule `event` to fire at `at`. Time only moves forward through
-    /// the queue: `at` must not precede the instant
-    /// [`pop_batch`](Self::pop_batch) last handed out.
+    /// the queue: `at` must not precede the instant [`pop`](Self::pop)
+    /// last handed out.
     #[inline]
     pub fn schedule(&mut self, at: SimTime, event: Event) {
         let seq = self.reserve_seq();
         if self.lane_at == Some(at) {
             self.counters.lane += 1;
-            self.lane.push(event);
+            self.lane.push_back(event);
         } else {
             self.insert_reserved(at, seq, event);
         }
@@ -463,7 +474,7 @@ impl EventQueue {
         let seq = self.reserve_seq();
         if self.lane_at == Some(at) {
             self.counters.lane += 1;
-            self.lane.push(event);
+            self.lane.push_back(event);
             return;
         }
         let q = &mut self.lines[line.0 as usize];
@@ -496,13 +507,13 @@ impl EventQueue {
 
     /// Insert `event` into the backend at `(at, seq)`, `seq` drawn earlier
     /// from [`reserve_seq`](Self::reserve_seq) and used at most once. `at`
-    /// must be later than the instant `pop_batch` last handed out: a
-    /// reserved seq may predate the lane's, so it cannot join it.
+    /// must be later than the instant `pop` last handed out: a reserved
+    /// seq may predate the lane's, so it cannot join it.
     #[inline]
     pub fn insert_reserved(&mut self, at: SimTime, seq: u64, event: Event) {
         debug_assert!(
             self.lane_at.is_none_or(|t| at > t),
-            "scheduled into the past of the batch being dispatched"
+            "scheduled into the past of the instant being dispatched"
         );
         self.counters.backend += 1;
         let entry = Entry { at, seq, event };
@@ -563,46 +574,18 @@ impl EventQueue {
         }
     }
 
-    /// Pop the earliest event (FIFO among same-instant events).
+    /// Pop the earliest event (FIFO among same-instant events): a line or
+    /// backend entry due at the instant last handed out, then that
+    /// instant's lane, then the next instant.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        if !self.lane.is_empty() {
-            let at = self.lane_at.expect("a nonempty lane has its instant");
-            return Some((at, self.lane.remove(0)));
-        }
-        let (_, source) = self.next()?;
-        let e = self.take(source);
-        Some((e.at, e.event))
-    }
-
-    /// Pop the earliest event plus every further event scheduled for the
-    /// same instant, appending their payloads to `buf` in exact pop
-    /// order, and return the shared firing time (`None` when the queue
-    /// is empty). `buf` is not cleared — the caller owns its lifecycle
-    /// and reuses its allocation across batches.
-    ///
-    /// Draining a whole instant before dispatching is indistinguishable
-    /// from popping one event at a time: anything the caller schedules
-    /// while working through `buf` carries a later insertion seq than
-    /// every event drained here, so it sorts after them even at the same
-    /// instant and is picked up by the next call — through the lane,
-    /// since no line and no backend entry is left at the returned time.
-    #[inline]
-    pub fn pop_batch(&mut self, buf: &mut Vec<Event>) -> Option<SimTime> {
-        if !self.lane.is_empty() {
-            buf.append(&mut self.lane);
-            return self.lane_at;
-        }
-        let (at, source) = self.next()?;
-        self.lane_at = Some(at);
-        buf.push(self.take(source).event);
-        while let Some((t, source)) = self.next() {
-            if t != at {
-                break;
+        match self.next() {
+            Some((at, source)) if self.lane.is_empty() || self.lane_at == Some(at) => {
+                self.lane_at = Some(at);
+                Some((at, self.take(source).event))
             }
-            buf.push(self.take(source).event);
+            _ => Some((self.lane_at?, self.lane.pop_front()?)),
         }
-        Some(at)
     }
 
     /// Time of the next event without removing it.
@@ -708,59 +691,48 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pop_batch_matches_single_pops() {
-        // Same schedule drained two ways must yield the same flat event
-        // order, with batches exactly covering the same-instant runs.
-        let schedule = |q: &mut EventQueue| {
-            let t = |n: u64| SimTime::from_nanos(n);
-            let mut i = 0u32;
-            for &(at, count) in &[
-                (100u64, 3usize),
-                (200, 1),
-                (200, 2),
-                (5_000, 90),
-                (7_000, 1),
-            ] {
-                for _ in 0..count {
-                    q.schedule(t(at), wake(i));
-                    i += 1;
-                }
-            }
-        };
-        for (mut a, mut b) in queues_under_test().into_iter().zip(queues_under_test()) {
-            schedule(&mut a);
-            schedule(&mut b);
-            let mut batched: Vec<(u64, u32)> = Vec::new();
-            let mut buf = Vec::new();
-            while let Some(at) = a.pop_batch(&mut buf) {
-                for ev in buf.drain(..) {
-                    match ev {
-                        Event::SenderWake { flow } => batched.push((at.as_nanos(), flow.0)),
-                        other => panic!("unexpected event {other:?}"),
-                    }
-                }
-                // Nothing left at this instant after a batch.
-                assert_ne!(a.peek_time(), Some(at), "batch drained the instant");
-            }
-            let mut single: Vec<(u64, u32)> = Vec::new();
-            while let Some((at, ev)) = b.pop() {
-                match ev {
-                    Event::SenderWake { flow } => single.push((at.as_nanos(), flow.0)),
-                    other => panic!("unexpected event {other:?}"),
-                }
-            }
-            assert_eq!(batched, single);
-        }
+    /// Pop one event as `(nanos, flow)`.
+    fn popped(q: &mut EventQueue) -> Option<(u64, u32)> {
+        q.pop().map(|(at, ev)| match ev {
+            Event::SenderWake { flow } => (at.as_nanos(), flow.0),
+            other => panic!("unexpected event {other:?}"),
+        })
     }
 
-    fn flows(buf: &mut Vec<Event>) -> Vec<u32> {
-        buf.drain(..)
-            .map(|ev| match ev {
-                Event::SenderWake { flow } => flow.0,
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect()
+    #[test]
+    fn pop_hands_out_the_instant_before_its_lane() {
+        // What only one-at-a-time popping meets: events scheduled for the
+        // instant being dispatched while line and backend entries at that
+        // instant remain. Those entries carry earlier seqs, so they go
+        // first, then the lane, in seq order.
+        for mut q in queues_under_test() {
+            let t = SimTime::from_nanos;
+            let line = q.line();
+            q.schedule(t(100), wake(0));
+            q.schedule_on(line, t(100), wake(1));
+            q.schedule(t(100), wake(2));
+            q.schedule(t(200), wake(3));
+            assert_eq!(popped(&mut q), Some((100, 0)));
+            // What dispatching wake 0 schedules: two at its instant (the
+            // lane) and one on the line, later.
+            q.schedule(t(100), wake(4));
+            q.schedule_on(line, t(150), wake(5));
+            q.schedule(t(100), wake(6));
+            assert_eq!(q.len(), 6);
+            assert_eq!(q.peek_time(), Some(t(100)));
+            assert_eq!(popped(&mut q), Some((100, 1)), "the line before the lane");
+            assert_eq!(
+                popped(&mut q),
+                Some((100, 2)),
+                "the backend before the lane"
+            );
+            assert_eq!(popped(&mut q), Some((100, 4)));
+            q.schedule(t(100), wake(7));
+            let rest: Vec<_> = std::iter::from_fn(|| popped(&mut q)).collect();
+            assert_eq!(rest, vec![(100, 6), (100, 7), (150, 5), (200, 3)]);
+            assert!(q.is_empty());
+            assert_eq!(q.counters().lane, 3);
+        }
     }
 
     #[test]
@@ -770,26 +742,21 @@ mod tests {
             q.schedule(t(100), wake(0));
             q.schedule(t(100), wake(1));
             q.schedule(t(200), wake(2));
-            let mut buf = Vec::new();
-            assert_eq!(q.pop_batch(&mut buf), Some(t(100)));
-            assert_eq!(flows(&mut buf), vec![0, 1]);
-            // What dispatching that batch schedules: two more at the
-            // instant (the lane), one between it and the next.
+            assert_eq!(popped(&mut q), Some((100, 0)));
+            assert_eq!(popped(&mut q), Some((100, 1)));
+            // What dispatching them schedules: two more at the instant
+            // (the lane), one between it and the next.
             q.schedule(t(100), wake(3));
             q.schedule(t(150), wake(4));
             q.schedule(t(100), wake(5));
             assert_eq!(q.len(), 4, "the lane counts");
             assert!(!q.is_empty());
             assert_eq!(q.peek_time(), Some(t(100)));
-            assert_eq!(q.pop_batch(&mut buf), Some(t(100)));
-            assert_eq!(flows(&mut buf), vec![3, 5]);
-            // A single pop serves the lane first, too.
+            assert_eq!(popped(&mut q), Some((100, 3)));
+            // Scheduled while the lane drains: it queues behind wake 5.
             q.schedule(t(100), wake(6));
-            assert_eq!(q.pop().map(|(at, _)| at), Some(t(100)));
-            assert_eq!(q.pop_batch(&mut buf), Some(t(150)));
-            assert_eq!(q.pop_batch(&mut buf), Some(t(200)));
-            assert_eq!(flows(&mut buf), vec![4, 2]);
-            assert_eq!(q.pop_batch(&mut buf), None);
+            let rest: Vec<_> = std::iter::from_fn(|| popped(&mut q)).collect();
+            assert_eq!(rest, vec![(100, 5), (100, 6), (150, 4), (200, 2)]);
             assert!(q.is_empty());
         }
     }
@@ -802,9 +769,8 @@ mod tests {
             let seq = q.reserve_seq();
             q.schedule(t, wake(2));
             q.insert_reserved(t, seq, wake(1));
-            let mut buf = Vec::new();
-            assert_eq!(q.pop_batch(&mut buf), Some(t));
-            assert_eq!(flows(&mut buf), vec![0, 1, 2]);
+            let order: Vec<_> = std::iter::from_fn(|| popped(&mut q)).collect();
+            assert_eq!(order, vec![(500, 0), (500, 1), (500, 2)]);
         }
     }
 
@@ -821,19 +787,10 @@ mod tests {
             q.schedule_on(a, t(100), wake(4));
             assert_eq!(q.len(), 5);
             assert_eq!(q.peek_time(), Some(t(100)));
-            let mut buf = Vec::new();
-            let mut batches = Vec::new();
-            while let Some(at) = q.pop_batch(&mut buf) {
-                batches.push((at.as_nanos(), flows(&mut buf)));
-            }
+            let order: Vec<_> = std::iter::from_fn(|| popped(&mut q)).collect();
             assert_eq!(
-                batches,
-                vec![
-                    (100, vec![4]),
-                    (200, vec![1]),
-                    (300, vec![0, 2]),
-                    (400, vec![3])
-                ]
+                order,
+                vec![(100, 4), (200, 1), (300, 0), (300, 2), (400, 3)]
             );
             let c = q.counters();
             assert_eq!((c.lane, c.line, c.backend, c.fallback), (0, 3, 2, 1));

@@ -59,9 +59,10 @@
 //! * **Allocation-free packet events.** The 48-byte `Packet` never rides
 //!   inside the event enum: scheduled packets park in a generation-
 //!   indexed arena ([`arena::PacketArena`]) and events carry an 8-byte
-//!   handle, so the calendar queue moves slim payloads and the
-//!   Arrive → TxComplete → Propagated chain recycles slots through a
-//!   free-list instead of touching the heap. Loss detection counts what
+//!   handle, so the calendar queue moves slim payloads; a packet keeps
+//!   one slot from its first link to its fate (see "One packet, one
+//!   slot" in [`sim`]), and freed slots recycle through a free-list
+//!   instead of touching the heap. Loss detection counts what
 //!   it declares lost instead of collecting it. What still allocates is
 //!   growth: a flow's reliability rings grow to the largest window it has
 //!   kept in flight (and keep that capacity across epochs), the
@@ -120,8 +121,9 @@
 //!   the paper path's per-ACK 1 Gbps serialization is folded into its
 //!   delay-only link's delay once.
 //! * **The scheduler only sees events that have to wait.** Events due at
-//!   the instant being dispatched ride a plain `Vec` lane past the
-//!   backend ([`event::EventQueue`]); a flow keeps one armed `RtoCheck`
+//!   the instant being dispatched ride a FIFO lane past the backend,
+//!   served by [`event::EventQueue::pop`] after the instant's other
+//!   entries; a flow keeps one armed `RtoCheck`
 //!   that re-inserts itself at the current deadline under a reserved
 //!   queue position instead of one check per ACK; and only the pending
 //!   pacing wake clears the pending-wake marker, so wakes stop breeding

@@ -34,6 +34,16 @@
 //! packet's `Propagated` at entry, so a paper-path ACK costs one event.
 //! Faults are held per link, `None` off the config's links.
 //!
+//! # One packet, one slot
+//!
+//! A packet keeps its [`PacketArena`] slot from its first link to its
+//! fate: each event reuses the handle, a hop forward rewrites the hop in
+//! place, and an immediate-ACK receiver overwrites the data packet with
+//! its ACK. The slot is freed when the sender consumes the ACK, a queue
+//! or fault drops the packet, corruption destroys it, its epoch is stale
+//! or a delayed-ACK receiver holds it — and while a link queue, which
+//! holds packets by value, has it.
+//!
 //! # Endpoint policies
 //!
 //! Receivers are first-class: each flow may carry a
@@ -57,9 +67,10 @@
 //!
 //! * **Same-instant events skip the scheduler.** An event scheduled for
 //!   the instant being dispatched — the `Arrive` of a transmission, of a
-//!   hop forward, of an acknowledgment at a reverse link — sorts after the
-//!   whole current batch, so [`EventQueue`] appends it to a lane that
-//!   becomes the next batch (see [`crate::event`]).
+//!   hop forward, of an acknowledgment at a reverse link — sorts after
+//!   everything already pending at that instant, so [`EventQueue`]
+//!   appends it to a FIFO lane that `pop` serves once the instant's line
+//!   and backend entries are out (see [`crate::event`]).
 //! * **One armed `RtoCheck` per flow.** Every valid ACK moves the RTO
 //!   deadline, and a check used to be scheduled at each new deadline;
 //!   all but the last found themselves superseded when they fired
@@ -122,7 +133,7 @@
 //! the queue sends it to the backend. The backend keeps the timers: 12 %
 //! of what the quick figures dispatch.
 
-use crate::arena::PacketArena;
+use crate::arena::{PacketArena, PktId};
 use crate::event::{Event, EventKind, EventQueue, Line, QueueCounters, SchedulerKind};
 use crate::flow::{FlowOutcome, FlowStats, OnTimeTracker};
 use crate::link::{Link, Offer};
@@ -335,8 +346,8 @@ pub struct Simulation {
     now: SimTime,
     events: EventQueue,
     /// Backing store for packets parked inside scheduled events (see
-    /// [`crate::arena`]); slots recycle through the free-list, so at
-    /// steady state scheduling a packet event allocates nothing.
+    /// "One packet, one slot" in the module docs); slots recycle through
+    /// the free-list, so at steady state a packet event allocates nothing.
     arena: PacketArena,
     /// The config's links, then the lowering's (see
     /// [`RunOutcome::link_queues`] for the layout).
@@ -653,34 +664,28 @@ impl Simulation {
             }
         }
 
-        // Batched stepping: drain each instant's same-time run in one
-        // queue round-trip (the queue answers the "more at this instant?"
-        // question in O(1) from its line fronts and held-out backend
-        // head), then dispatch the run with the clock advanced once.
-        // Events scheduled while a batch is dispatched carry later
-        // insertion seqs, so they sort after every batch member and are
-        // picked up by the next `pop_batch` — the dispatch order,
-        // digests, budget accounting and truncation point are identical
-        // to one-at-a-time popping.
+        // One event at a time, in `(time, seq)` order: the queue hands
+        // out an instant's line and backend entries, then what
+        // dispatching them scheduled for the same instant (its lane).
         let mut truncated = false;
-        let mut batch: Vec<Event> = Vec::new();
-        'event_loop: while let Some(at) = self.events.pop_batch(&mut batch) {
-            if at > end {
+        while let Some((at, ev)) = self.events.pop() {
+            if at > end || self.events_processed == self.event_budget {
+                // Not dispatched: the run ends here, and the event's
+                // packet leaves the arena.
+                truncated = at <= end;
+                self.events_processed += u64::from(truncated);
+                if let Some(pkt) = ev.pkt() {
+                    self.arena.take(pkt);
+                }
                 break;
             }
+            self.events_processed += 1;
             self.now = at;
-            for ev in batch.drain(..) {
-                self.events_processed += 1;
-                if self.events_processed > self.event_budget {
-                    truncated = true;
-                    break 'event_loop;
-                }
-                self.events_by_kind[ev.kind() as usize] += 1;
-                if let Some(digest) = &mut self.event_digest {
-                    *digest = fold_event(*digest, at, &ev, &self.arena);
-                }
-                self.dispatch(ev, end);
+            self.events_by_kind[ev.kind() as usize] += 1;
+            if let Some(digest) = &mut self.event_digest {
+                *digest = fold_event(*digest, at, &ev, &self.arena);
             }
+            self.dispatch(ev, end);
         }
         self.now = end;
 
@@ -735,18 +740,9 @@ impl Simulation {
 
     fn dispatch(&mut self, ev: Event, end: SimTime) {
         match ev {
-            Event::Arrive { link, pkt } => {
-                let pkt = self.arena.take(pkt);
-                self.handle_arrive(link, pkt)
-            }
-            Event::TxComplete { link, pkt } => {
-                let pkt = self.arena.take(pkt);
-                self.handle_tx_complete(link, pkt)
-            }
-            Event::Propagated { link, pkt } => {
-                let pkt = self.arena.take(pkt);
-                self.handle_propagated(link, pkt)
-            }
+            Event::Arrive { link, pkt } => self.handle_arrive(link, pkt),
+            Event::TxComplete { link, pkt } => self.handle_tx_complete(link, pkt),
+            Event::Propagated { link, pkt } => self.handle_propagated(link, pkt),
             Event::SenderWake { flow } => {
                 let i = flow.0 as usize;
                 // Only the pending wake clears the marker: a stale one
@@ -769,8 +765,9 @@ impl Simulation {
         }
     }
 
-    fn handle_arrive(&mut self, link: LinkId, pkt: Packet) {
+    fn handle_arrive(&mut self, link: LinkId, id: PktId) {
         let l = link.0 as usize;
+        let pkt = *self.arena.get(id);
         // Ingress fault checks.
         if let Some(f) = &mut self.faults[l] {
             match f.spec {
@@ -787,6 +784,7 @@ impl Simulation {
                         f.bad = !f.bad;
                     }
                     if lost {
+                        self.arena.take(id);
                         self.stats[pkt.flow.0 as usize].drops.fault += 1;
                         return;
                     }
@@ -795,6 +793,7 @@ impl Simulation {
                     drop_while_down: true,
                     ..
                 } if self.links[l].is_down() => {
+                    self.arena.take(id);
                     self.stats[pkt.flow.0 as usize].drops.fault += 1;
                     return;
                 }
@@ -802,16 +801,17 @@ impl Simulation {
             }
         }
         match self.links[l].offer(pkt, self.now) {
-            Offer::StartTx(d) => {
-                let pkt = self.arena.alloc(pkt);
-                self.events.schedule_on(
-                    self.tx_line[l],
-                    self.now + d,
-                    Event::TxComplete { link, pkt },
-                )
+            Offer::StartTx(d) => self.events.schedule_on(
+                self.tx_line[l],
+                self.now + d,
+                Event::TxComplete { link, pkt: id },
+            ),
+            // The link's queue holds the packet by value from here.
+            Offer::Queued => {
+                self.arena.take(id);
             }
-            Offer::Queued => {}
             Offer::Dropped => {
+                self.arena.take(id);
                 let st = &mut self.stats[pkt.flow.0 as usize];
                 match pkt.dir() {
                     PacketDir::Data => st.drops.forward += 1,
@@ -826,18 +826,16 @@ impl Simulation {
         }
     }
 
-    fn handle_tx_complete(&mut self, link: LinkId, pkt: Packet) {
+    fn handle_tx_complete(&mut self, link: LinkId, id: PktId) {
         let l = link.0 as usize;
-        // The finished packet begins propagating (its freed arena slot is
-        // immediately reclaimed here — the steady-state recycle).
-        let id = self.arena.alloc(pkt);
+        // The finished packet propagates in the slot it crossed in.
         self.events.schedule_on(
             self.prop_line[l],
             self.now + self.links[l].delay(),
             Event::Propagated { link, pkt: id },
         );
         // Pull the next packet from the queue.
-        if let Some((next, d)) = self.links[l].tx_complete(&pkt, self.now) {
+        if let Some((next, d)) = self.links[l].tx_complete(self.arena.get(id), self.now) {
             let next = self.arena.alloc(next);
             self.events.schedule_on(
                 self.tx_line[l],
@@ -850,9 +848,8 @@ impl Simulation {
     /// The one way a packet enters a link: a real link's ingress takes it
     /// at this instant, through the same-instant lane; a delay-only link
     /// hands it to its far end `delay` later, on its propagation line.
-    fn enter(&mut self, link: LinkId, pkt: Packet) {
+    fn enter(&mut self, link: LinkId, pkt: PktId) {
         let l = link.0 as usize;
-        let pkt = self.arena.alloc(pkt);
         if self.links[l].is_delay_only() {
             let at = self.now + self.links[l].delay();
             self.events
@@ -865,13 +862,15 @@ impl Simulation {
     /// The one way a packet leaves a link: on to the next hop of the path
     /// its direction selects, or delivered — data to the receiver, an ACK
     /// to the sender.
-    fn handle_propagated(&mut self, link: LinkId, pkt: Packet) {
+    fn handle_propagated(&mut self, link: LinkId, id: PktId) {
+        let pkt = *self.arena.get(id);
         // Corruption destroys the packet *after* it crossed the link: it
         // consumed serialization capacity and queue space (unlike a queue
         // drop, which never transmits) but is discarded at the far end.
         if let Some(f) = &mut self.faults[link.0 as usize] {
             if let FaultSpec::Corruption { prob } = f.spec {
                 if f.rng.chance(prob) {
+                    self.arena.take(id);
                     self.stats[pkt.flow.0 as usize].drops.fault += 1;
                     return;
                 }
@@ -886,12 +885,12 @@ impl Simulation {
         .links(&self.routes);
         let next_hop = pkt.hop() as usize + 1;
         if let Some(&next) = path.get(next_hop) {
-            let mut fwd = pkt;
-            fwd.set_hop(next_hop as u8);
-            return self.enter(next, fwd);
+            self.arena.get_mut(id).set_hop(next_hop as u8);
+            return self.enter(next, id);
         }
         debug_assert_eq!(path[pkt.hop() as usize], link);
         if pkt.dir() == PacketDir::Ack {
+            self.arena.take(id);
             return self.handle_ack(pkt.flow, pkt.as_ack());
         }
 
@@ -899,25 +898,29 @@ impl Simulation {
         let rx = &mut self.receivers[flow];
         if rx.epoch != pkt.epoch {
             // Stale packet from a previous burst: ignore entirely.
+            self.arena.take(id);
             return;
         }
         if rx.seen.insert(pkt.seq) {
             let delay = self.now - pkt.sent_at;
             self.stats[flow].record_delivery(pkt.size(), delay);
         }
-        self.receive(flow, pkt);
+        self.receive(flow, id);
     }
 
     /// The receiver's acknowledgment decision for a delivered data
     /// packet: the immediate per-packet selective ACK when the flow has
     /// no (non-trivial) [`ReceiverSpec`] — the historical engine, bit for
     /// bit — or the delayed-ACK state machine otherwise.
-    fn receive(&mut self, flow: usize, pkt: Packet) {
+    fn receive(&mut self, flow: usize, id: PktId) {
         if self.receivers[flow].policy.is_none() {
-            let ack = Packet::ack_for(&pkt, self.now);
-            self.emit_ack(flow, ack);
+            // The acknowledgment takes the data packet's slot.
+            let pkt = self.arena.get_mut(id);
+            *pkt = Packet::ack_for(pkt, self.now);
+            self.emit_ack(flow, id);
             return;
         }
+        let pkt = self.arena.take(id);
         // Only seq-consecutive in-order runs coalesce: a gap (or a
         // duplicate) means the held acknowledgment must go out on its
         // own before this delivery starts a new run — folding across the
@@ -978,14 +981,15 @@ impl Simulation {
         if let Some(w) = rwnd {
             ack.rwnd = w as u16;
         }
+        let ack = self.arena.alloc(ack);
         self.emit_ack(flow, ack);
     }
 
     /// The single ACK gateway: every acknowledgment — immediate or
     /// coalesced — leaves the receiver here, onto the flow's return path.
-    fn emit_ack(&mut self, flow: usize, ack_pkt: Packet) {
+    fn emit_ack(&mut self, flow: usize, ack: PktId) {
         let first = self.routes[self.senders[flow].return_path.start as usize];
-        self.enter(first, ack_pkt);
+        self.enter(first, ack);
     }
 
     /// A receiver's delayed-ACK flush timer fired: emit the held partial
@@ -1209,6 +1213,7 @@ impl Simulation {
             }
             let first_link = self.routes[s.data_path.start as usize];
             let had_outstanding = s.transport.in_flight() > 1;
+            let pkt = self.arena.alloc(pkt);
             self.enter(first_link, pkt);
             if !had_outstanding {
                 self.reschedule_rto(i);
@@ -1333,34 +1338,23 @@ fn outage_dwell(mean_s: f64, scheduled: bool, rng: &mut SimRng) -> SimDuration {
 /// workload timer folds a zero where the generation it no longer carries
 /// used to be, so digests stay comparable with recorded ones.
 /// Packet-carrying events resolve their [`crate::arena::PktId`] through
-/// `arena` — the handle is still live here because the digest folds
-/// *before* dispatch frees the slot — and fold exactly the words the
-/// by-value representation folded, so digests are unchanged across the
-/// arena refactor.
+/// `arena` — the digest folds *before* dispatch, which may rewrite or
+/// free the slot — and fold exactly the words the by-value
+/// representation folded, so digests are unchanged across the arena
+/// refactor.
 fn fold_event(digest: u64, at: SimTime, ev: &Event, arena: &PacketArena) -> u64 {
     let digest = fnv(digest, at.as_nanos());
+    let packet = |tag: u64, link: LinkId, pkt: PktId| {
+        let pkt = arena.get(pkt);
+        fnv(
+            fnv(fnv(digest, tag), link.0 as u64),
+            pkt.seq ^ ((pkt.flow.0 as u64) << 48),
+        )
+    };
     match ev {
-        Event::Arrive { link, pkt } => {
-            let pkt = arena.get(*pkt);
-            fnv(
-                fnv(fnv(digest, 1), link.0 as u64),
-                pkt.seq ^ ((pkt.flow.0 as u64) << 48),
-            )
-        }
-        Event::TxComplete { link, pkt } => {
-            let pkt = arena.get(*pkt);
-            fnv(
-                fnv(fnv(digest, 2), link.0 as u64),
-                pkt.seq ^ ((pkt.flow.0 as u64) << 48),
-            )
-        }
-        Event::Propagated { link, pkt } => {
-            let pkt = arena.get(*pkt);
-            fnv(
-                fnv(fnv(digest, 3), link.0 as u64),
-                pkt.seq ^ ((pkt.flow.0 as u64) << 48),
-            )
-        }
+        Event::Arrive { link, pkt } => packet(1, *link, *pkt),
+        Event::TxComplete { link, pkt } => packet(2, *link, *pkt),
+        Event::Propagated { link, pkt } => packet(3, *link, *pkt),
         Event::SenderWake { flow } => fnv(fnv(digest, 5), flow.0 as u64),
         Event::RtoCheck { flow, gen } => fnv(fnv(fnv(digest, 6), flow.0 as u64), *gen),
         Event::WorkloadToggle { flow } => fnv(fnv(fnv(digest, 7), flow.0 as u64), 0),
@@ -1994,6 +1988,76 @@ mod tests {
             "min one-way follows the data path: {}",
             out.flows[0].min_one_way_s
         );
+    }
+
+    #[test]
+    fn every_parked_packet_is_pending_or_freed() {
+        // The arena leak check. Whatever the queue, return path, fault and
+        // receiver, and whether the run stops at its duration or its event
+        // budget, the packet events still queued afterwards are exactly
+        // the arena's live slots, each handle of its slot's current
+        // generation (`take` panics on a stale or doubled one).
+        let (rate, rtt) = (10e6, 0.060);
+        let queues = [
+            QueueSpec::DropTail {
+                capacity_bytes: Some(30_000),
+            },
+            QueueSpec::red_default(rate, rtt, 1.0),
+            QueueSpec::codel_default(rate, rtt, 1.0),
+            QueueSpec::sfq_codel_default(rate, rtt, 1.0),
+        ];
+        let slow_acks = QueueSpec::DropTail {
+            capacity_bytes: Some(2_000),
+        };
+        let returns = [
+            None,
+            Some(ReverseSpec::per_flow(1e6, 0.020)),
+            Some(ReverseSpec::shared(1e6, 0.020, slow_acks)),
+        ];
+        let faults = [
+            None,
+            Some(FaultSpec::gilbert_elliott(0.3, 0.05, 0.3)),
+            Some(FaultSpec::Outage {
+                up_s: 0.4,
+                down_s: 0.1,
+                scheduled: false,
+                drop_while_down: true,
+            }),
+            Some(FaultSpec::Corruption { prob: 0.02 }),
+        ];
+        let receivers = [ReceiverSpec::default(), ReceiverSpec::delayed(4, 0.005)];
+        // Off dwells shorter than the RTT: packets of an ended burst
+        // arrive in the next one's epoch.
+        let churn = WorkloadSpec::churn(20.0, 0.2);
+        for queue in &queues {
+            for ret in &returns {
+                for fault in &faults {
+                    for rx in &receivers {
+                        for budget in [u64::MAX, 3_000] {
+                            let mut net = dumbbell(3, rate, rtt, queue.clone(), churn.clone())
+                                .with_receiver(rx.clone());
+                            net.links[0].reverse = ret.clone();
+                            net.links[0].fault = fault.clone();
+                            let mut sim =
+                                Simulation::new(&net, (0..3).map(|_| fixed(40.0)).collect(), 7);
+                            sim.set_event_budget(budget);
+                            let out = sim.run(SimDuration::from_millis(2_500));
+                            let live = sim.arena.live();
+                            let mut pending = 0;
+                            while let Some((_, ev)) = sim.events.pop() {
+                                if let Some(pkt) = ev.pkt() {
+                                    sim.arena.take(pkt);
+                                    pending += 1;
+                                }
+                            }
+                            let case = format!("{queue:?} {ret:?} {fault:?} {rx:?} {budget}");
+                            assert_eq!(pending, live, "{case}");
+                            assert_eq!(out.truncated, budget != u64::MAX, "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! They also pin what the engine's [`EventQueue`] adds in front of its
 //! backend: whatever mix of plain schedules, delay-line appends (in
 //! order, or out of order and so sent to the backend), reserved
-//! positions and same-instant lane hits it is fed, `pop_batch` hands out
-//! exactly the batches a plain `BinaryHeap<(time, seq)>` holds — on every
+//! positions and same-instant lane hits it is fed, `pop` hands out
+//! exactly the order a plain `BinaryHeap<(time, seq)>` pops — on every
 //! backend, across forced retunes and sparse global-minimum pops.
 
 use netsim::calendar::CalendarQueue;
@@ -178,11 +178,10 @@ fn width_hint() -> impl Strategy<Value = u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// An [`EventQueue`] drained by `pop_batch`, with everything the
-    /// handlers schedule for the instant being dispatched riding the
-    /// same-instant lane, dispatches the sequence a plain heap popped one
-    /// event at a time does — and `len`, `is_empty` and `peek_time` count
-    /// the lane.
+    /// An [`EventQueue`], with everything the handlers schedule for the
+    /// instant being dispatched riding the same-instant lane, dispatches
+    /// the sequence a plain heap does — and after every pop `len`,
+    /// `is_empty` and `peek_time` count the lane.
     #[test]
     fn lane_dispatches_what_a_plain_heap_does(
         hint_nanos in width_hint(),
@@ -236,16 +235,13 @@ proptest! {
                 next_id += 1;
             }
             let mut got = Vec::new();
-            let mut batch = Vec::new();
-            while let Some(at) = q.pop_batch(&mut batch) {
-                for ev in batch.drain(..) {
-                    let id = wake_flow(&ev) as u64;
-                    got.push((at, id));
-                    for t in children(id, at.as_nanos()) {
-                        if next_id < MAX_EVENTS {
-                            q.schedule(SimTime::from_nanos(t), wake(next_id));
-                            next_id += 1;
-                        }
+            while let Some((at, ev)) = q.pop() {
+                let id = wake_flow(&ev) as u64;
+                got.push((at, id));
+                for t in children(id, at.as_nanos()) {
+                    if next_id < MAX_EVENTS {
+                        q.schedule(SimTime::from_nanos(t), wake(next_id));
+                        next_id += 1;
                     }
                 }
                 let (len, peek) = state_after[got.len() - 1];
@@ -259,10 +255,11 @@ proptest! {
 }
 
 /// One scripted [`EventQueue`] operation. Times are offsets from the
-/// instant the last batch handed out, as the engine schedules.
+/// instant the last pop handed out, as the engine schedules.
 #[derive(Clone, Copy, Debug)]
 enum QueueOp {
-    /// `schedule` (offset 0 is a lane hit once a batch has been popped).
+    /// `schedule` (offset 0 is a lane hit once an event has been popped,
+    /// whether or not line and backend entries at that instant remain).
     Schedule(u64),
     /// `schedule_on` a line, `offset` past the instant: out of order with
     /// the line's tail whenever the tail lies further out (the fallback).
@@ -273,7 +270,9 @@ enum QueueOp {
     Reserve,
     /// Claim the oldest unclaimed reservation, strictly after the instant.
     Claim(u64),
-    /// One `pop_batch`.
+    /// One `pop`.
+    Pop,
+    /// Pops until the earliest pending instant is drained.
     Batch,
 }
 
@@ -288,7 +287,8 @@ fn decode_queue_op(mode: u8, raw: u64) -> QueueOp {
     };
     let line = (raw >> 4) as usize % LINES;
     match mode {
-        0 | 1 => QueueOp::Batch,
+        0 => QueueOp::Pop,
+        1 => QueueOp::Batch,
         2 => QueueOp::Schedule(offset),
         3 => QueueOp::Schedule(0),
         4 => QueueOp::OnLine(line, offset),
@@ -305,12 +305,25 @@ fn same_state(q: &EventQueue, model: &BinaryHeap<Reverse<(SimTime, u64)>>) {
     assert_eq!(q.peek_time(), model.peek().map(|Reverse((at, _))| *at));
 }
 
+/// Pop `q` and the model once each, require the same `(time, seq)`, and
+/// check `q`'s state after the pop. Returns the popped time.
+fn pop_both(
+    q: &mut EventQueue,
+    model: &mut BinaryHeap<Reverse<(SimTime, u64)>>,
+) -> Option<SimTime> {
+    let got = q.pop().map(|(at, ev)| (at, wake_flow(&ev) as u64));
+    assert_eq!(got, model.pop().map(|Reverse(e)| e));
+    same_state(q, model);
+    got.map(|(at, _)| at)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// Lane, delay lines (appends and fallbacks), reserved positions and
-    /// the backend together hand out, batch for batch, what a plain heap
-    /// of `(time, seq)` holds — on every backend.
+    /// the backend together hand out, pop for pop and so instant for
+    /// instant, what a plain heap of `(time, seq)` holds — on every
+    /// backend.
     #[test]
     fn queue_batches_are_the_plain_heap_s(
         hint_nanos in width_hint(),
@@ -326,29 +339,21 @@ proptest! {
             let mut tails = [SimTime::ZERO; LINES];
             let mut reserved = std::collections::VecDeque::new();
             let (mut seq, mut floor, mut scheduled) = (0u64, 0u64, 0u64);
-            let mut buf = Vec::new();
             for &(mode, raw) in &script {
                 let at = |offset: u64| SimTime::from_nanos(floor + offset);
                 let pushed = match decode_queue_op(mode, raw) {
-                    QueueOp::Batch => {
-                        let got = q.pop_batch(&mut buf);
-                        let Some(Reverse((first, _))) = model.peek().copied() else {
-                            prop_assert_eq!(got, None);
-                            continue;
-                        };
-                        prop_assert_eq!(got, Some(first));
-                        let mut want = Vec::new();
-                        while let Some(&Reverse((t, s))) = model.peek() {
-                            if t != first {
-                                break;
-                            }
-                            model.pop();
-                            want.push(s as u32);
+                    QueueOp::Pop => {
+                        if let Some(t) = pop_both(&mut q, &mut model) {
+                            floor = t.as_nanos();
                         }
-                        let popped: Vec<u32> = buf.drain(..).map(|e| wake_flow(&e)).collect();
-                        prop_assert_eq!(popped, want, "batch at {:?}", first);
-                        floor = first.as_nanos();
-                        same_state(&q, &model);
+                        continue;
+                    }
+                    QueueOp::Batch => {
+                        let Some(t) = pop_both(&mut q, &mut model) else { continue };
+                        while q.peek_time() == Some(t) {
+                            pop_both(&mut q, &mut model);
+                        }
+                        floor = t.as_nanos();
                         continue;
                     }
                     QueueOp::Schedule(offset) => {
@@ -387,28 +392,25 @@ proptest! {
             let c = q.counters();
             prop_assert_eq!(c.lane + c.line + c.backend, scheduled, "every event routed once");
             prop_assert!(c.fallback <= c.backend);
-            while let Some(first) = q.pop_batch(&mut buf) {
-                let mut want = Vec::new();
-                while let Some(&Reverse((t, s))) = model.peek() {
-                    if t != first {
-                        break;
-                    }
-                    model.pop();
-                    want.push(s as u32);
-                }
-                let popped: Vec<u32> = buf.drain(..).map(|e| wake_flow(&e)).collect();
-                prop_assert_eq!(popped, want, "drain batch at {:?}", first);
-                same_state(&q, &model);
-            }
+            while pop_both(&mut q, &mut model).is_some() {}
             prop_assert!(model.is_empty());
         }
     }
 }
 
-/// `pop_batch` on the held-out head of a calendar whose pops all take the
+/// Pop two events of one instant: they must share it, and leave nothing
+/// else at it.
+fn pop_pair(q: &mut EventQueue, round: u64) {
+    let (a, _) = q.pop().expect("a pair is pending");
+    let (b, _) = q.pop().expect("a pair is pending");
+    assert_eq!(a, b, "pair {round} came out split");
+    assert_ne!(q.peek_time(), Some(a), "pair {round} drained its instant");
+}
+
+/// `pop` on the held-out head of a calendar whose pops all take the
 /// sparse global-minimum search still hands out whole instants.
 #[test]
-fn pop_batch_drains_the_instant_after_a_global_min_pop() {
+fn pop_drains_the_instant_after_a_global_min_pop() {
     // One-nanosecond days, sixteen of them to a year: pairs a microsecond
     // apart are many dry years from each other, so every backend pop
     // after the first walks a whole year and falls to the direct search.
@@ -416,17 +418,14 @@ fn pop_batch_drains_the_instant_after_a_global_min_pop() {
     for seq in 0..32u64 {
         q.schedule(SimTime::from_nanos(1 + (seq / 2) * 1_000), wake(seq));
     }
-    let mut buf = Vec::new();
     for pair in 0..16u64 {
-        q.pop_batch(&mut buf);
-        assert_eq!(buf.len(), 2, "pair {pair} came out split");
-        buf.clear();
+        pop_pair(&mut q, pair);
     }
 }
 
 /// The same across a width retune of the calendar backend.
 #[test]
-fn pop_batch_drains_the_instant_across_a_retune() {
+fn pop_drains_the_instant_across_a_retune() {
     let mut q = EventQueue::with_kind(SchedulerKind::Calendar);
     let mut seq = 0u64;
     let mut push = |q: &mut EventQueue, nanos: u64| {
@@ -449,11 +448,8 @@ fn pop_batch_drains_the_instant_across_a_retune() {
     let rebuilds = q.counters().calendar.rebuilds;
     // Hold model: every pop scans the 80-entry day (degenerate); once the
     // post-rebuild cooldown has passed, the sixteenth such pop retunes.
-    let mut buf = Vec::new();
     for round in 0..1_200 {
-        q.pop_batch(&mut buf);
-        assert_eq!(buf.len(), 2, "round {round} came out split");
-        buf.clear();
+        pop_pair(&mut q, round);
         push(&mut q, next_pair);
         push(&mut q, next_pair);
         next_pair += 500;
