@@ -1,6 +1,8 @@
 //! `learnability <run|train|assets|replay> --assets DIR` reads and writes
-//! protocol assets in DIR and nowhere under the checkout's `assets/`.
-//! The binary is run as a child process: the override is process-wide.
+//! protocol assets in DIR and nowhere under the checkout's `assets/`, and
+//! `train` loads every job's assets before it trains: only a missing
+//! asset trains. The binary is run as a child process: the override is
+//! process-wide.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -81,4 +83,70 @@ fn run_train_and_replay_follow_the_named_directory() {
         "{err}"
     );
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Whether stderr shows a job training or co-optimizing.
+fn trained(err: &str) -> bool {
+    err.contains("training") || err.contains("co-optimizing")
+}
+
+#[test]
+fn train_refuses_a_corrupt_asset() {
+    // Only a missing asset trains: a file holding garbage is an error
+    // naming it, nothing trains, and the bytes stay.
+    let dir = scratch("corrupt", &[]);
+    let path = dir.join("tao-calibration.json");
+    let garbage = b"{\"name\": \"trunc";
+    fs::write(&path, garbage).unwrap();
+    let (code, _, err) = learnability(&["train", "calibration", "--assets", dir.to_str().unwrap()]);
+    assert_eq!(code, 1, "{err}");
+    assert!(err.contains(&path.display().to_string()), "{err}");
+    assert!(!trained(&err), "{err}");
+    assert_eq!(fs::read(&path).unwrap(), garbage, "the bytes stay");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn train_loads_single_and_co_optimized_assets() {
+    // `diversity` trains two single assets and one co-optimized pair;
+    // with all four present, every job loads and none trains.
+    let assets = [
+        "tao-tpt-naive",
+        "tao-del-naive",
+        "tao-tpt-coopt",
+        "tao-del-coopt",
+    ];
+    let dir = scratch("diversity", &assets);
+    let d = dir.to_str().unwrap();
+    let (code, _, err) = learnability(&["train", "diversity", "--assets", d]);
+    assert_eq!(code, 0, "{err}");
+    assert!(!trained(&err), "{err}");
+    for a in assets {
+        assert!(err.contains(&format!("{a} ready")), "{err}");
+    }
+    // A corrupt half of the pair fails the job, naming that file.
+    let path = dir.join("tao-del-coopt.json");
+    fs::write(&path, b"not json").unwrap();
+    let (code, _, err) = learnability(&["train", "diversity", "--assets", d]);
+    assert_eq!(code, 1, "{err}");
+    assert!(err.contains(&path.display().to_string()), "{err}");
+    assert!(!trained(&err), "{err}");
+    assert_eq!(fs::read(&path).unwrap(), b"not json", "the bytes stay");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn train_has_one_trainer() {
+    // The whisker-tree hill climb is the only trainer: no flag picks
+    // another, and the usage text offers none.
+    let (code, _, err) = learnability(&["train", "calibration", "--trainer", "genetic"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(
+        err.contains("unexpected train argument '--trainer'"),
+        "{err}"
+    );
+    let (code, usage, _) = learnability(&["--help"]);
+    assert_eq!(code, 0);
+    assert!(usage.contains("train <ids|all> [--force]"), "{usage}");
+    assert!(!usage.contains("--trainer"), "{usage}");
 }

@@ -16,7 +16,7 @@
 //! [`FigureData`](crate::report::FigureData) JSON artifact per experiment
 //! under `assets/figures/` (or `--json DIR`).
 
-use crate::experiments::{self, train_asset_names, Experiment, Fidelity, RunOptions, TrainerKind};
+use crate::experiments::{self, Experiment, Fidelity, RunOptions};
 use crate::report::{render_figure, TableData};
 use protocols::{MemoryPoint, NUM_SIGNALS};
 use remy::TrainedProtocol;
@@ -30,14 +30,8 @@ commands:
   list                          list every experiment
   run <ids|all> [options]       run experiment(s), print tables, emit JSON
                                 (<ids> may be comma-separated: run rtt,aqm)
-  train <ids|all> [--force] [--trainer tree|genetic]
-                                train missing protocol assets
-                                (--force discards cached assets first;
-                                --trainer genetic runs the population
-                                search instead of the whisker-tree hill
-                                climb, producing '<asset>-genetic' assets
-                                so the committed tree assets never move;
-                                it skips co-optimized jobs)
+  train <ids|all> [--force]     train missing protocol assets
+                                (--force discards cached assets first)
   replay [figure.json]          re-measure every worst-case certificate in
                                 an adversarial figure on both scheduler
                                 backends; fails unless each score
@@ -92,7 +86,7 @@ pub fn run(args: &[&str]) -> i32 {
             Err(e) => usage_error(&e),
         },
         Some(&"train") => match parse_train(&args[1..]) {
-            Ok((exps, force, trainer)) => cmd_train(&exps, force, trainer),
+            Ok((exps, force)) => cmd_train(&exps, force),
             Err(e) => usage_error(&e),
         },
         Some(&"assets") => cmd_assets(&args[1..]),
@@ -389,47 +383,35 @@ fn write_json(fig: &crate::report::FigureData, path: &Path) -> std::io::Result<(
     std::fs::write(path, json)
 }
 
-fn parse_train(args: &[&str]) -> Result<(Vec<&'static dyn Experiment>, bool, TrainerKind), String> {
+fn parse_train(args: &[&str]) -> Result<(Vec<&'static dyn Experiment>, bool), String> {
     let exps = select(args.first().copied())?;
     let mut force = false;
-    let mut trainer = TrainerKind::Tree;
-    let mut it = args[1..].iter();
-    while let Some(&flag) = it.next() {
+    for &flag in &args[1..] {
         match flag {
             "--force" => force = true,
-            "--trainer" => {
-                trainer = match it.next().copied() {
-                    Some("tree") => TrainerKind::Tree,
-                    Some("genetic") => TrainerKind::Genetic,
-                    Some(other) => {
-                        return Err(format!("unknown trainer '{other}' (tree or genetic)"))
-                    }
-                    None => return Err("--trainer needs a value (tree or genetic)".into()),
-                };
-            }
             other => return Err(format!("unexpected train argument '{other}'")),
         }
     }
-    Ok((exps, force, trainer))
+    Ok((exps, force))
 }
 
 /// The assets `train --force` discards: every asset the experiments'
-/// jobs produce under `trainer`, each once, in first-mention order.
-fn discard_list(exps: &[&'static dyn Experiment], trainer: TrainerKind) -> Vec<String> {
+/// jobs produce, each once, in first-mention order.
+fn discard_list(exps: &[&'static dyn Experiment]) -> Vec<String> {
     let mut seen = std::collections::HashSet::new();
     exps.iter()
         .flat_map(|e| e.train_specs())
-        .flat_map(|job| train_asset_names(&job, trainer))
+        .flat_map(|job| job.assets)
         .filter(|name| seen.insert(name.clone()))
         .collect()
 }
 
-fn cmd_train(exps: &[&'static dyn Experiment], force: bool, trainer: TrainerKind) -> i32 {
+fn cmd_train(exps: &[&'static dyn Experiment], force: bool) -> i32 {
     let t0 = Instant::now();
     if force {
         // Discard everything first: an asset several experiments share
         // then trains once, for the first of them, and loads for the rest.
-        for name in discard_list(exps, trainer) {
+        for name in discard_list(exps) {
             let path = remy::serialize::asset_path(&name);
             if std::fs::remove_file(&path).is_ok() {
                 eprintln!("[learnability] discarded cached {}", path.display());
@@ -440,7 +422,7 @@ fn cmd_train(exps: &[&'static dyn Experiment], force: bool, trainer: TrainerKind
         let s = Instant::now();
         for mut job in e.train_specs() {
             job.cfg.verbose = true;
-            let protos = match experiments::run_train_job(&job, trainer) {
+            let protos = match experiments::run_train_job(&job) {
                 Ok(protos) => protos,
                 Err(err) => {
                     eprintln!("error: experiment '{}': {err}", e.id());
@@ -493,11 +475,13 @@ fn cmd_assets(args: &[&str]) -> i32 {
         ["probe", name, signals @ ..] => {
             let point: Option<MemoryPoint> = signals
                 .iter()
-                .map(|s| s.parse().ok())
+                .map(|s| s.parse().ok().filter(|v: &f64| !v.is_nan()))
                 .collect::<Option<Vec<f64>>>()
                 .and_then(|v| v.try_into().ok());
             let Some(point @ [rec, slow, send, rttr]) = point else {
-                return usage_error(&format!("probe needs {NUM_SIGNALS} numbers"));
+                return usage_error(&format!(
+                    "probe needs {NUM_SIGNALS} numbers, none of them NaN"
+                ));
             };
             load_asset(name).map_or_else(
                 |code| code,
@@ -817,39 +801,13 @@ mod tests {
         assert_eq!(
             run(&["train", "calibration", "--fidelity", "full"]),
             2,
-            "train only accepts --force and --trainer"
+            "train only accepts --force"
         );
         assert_eq!(
             run(&["train", "calibration", "--force", "--wat"]),
             2,
             "trailing junk after --force rejected"
         );
-        assert_eq!(
-            run(&["train", "calibration", "--trainer", "annealing"]),
-            2,
-            "unknown trainer rejected"
-        );
-        assert_eq!(
-            run(&["train", "calibration", "--trainer"]),
-            2,
-            "--trainer needs a value"
-        );
-    }
-
-    #[test]
-    fn train_arg_parsing_selects_the_trainer() {
-        let (exps, force, trainer) = parse_train(&["calibration"]).unwrap();
-        assert_eq!(exps[0].id(), "calibration");
-        assert!(!force);
-        assert_eq!(trainer, TrainerKind::Tree);
-
-        let (_, force, trainer) =
-            parse_train(&["calibration", "--trainer", "genetic", "--force"]).unwrap();
-        assert!(force, "flags parse in any order");
-        assert_eq!(trainer, TrainerKind::Genetic);
-
-        let (_, _, trainer) = parse_train(&["calibration", "--trainer", "tree"]).unwrap();
-        assert_eq!(trainer, TrainerKind::Tree);
     }
 
     #[test]
@@ -867,20 +825,17 @@ mod tests {
             })
             .count();
         assert!(sharing > 1, "tao-calibration is shared ({sharing})");
-        for trainer in [TrainerKind::Tree, TrainerKind::Genetic] {
-            let names = discard_list(&all, trainer);
-            let mut unique = names.clone();
-            unique.sort();
-            unique.dedup();
-            assert_eq!(unique.len(), names.len(), "{names:?}");
-            for job in all.iter().flat_map(|e| e.train_specs()) {
-                for name in train_asset_names(&job, trainer) {
-                    assert!(names.contains(&name), "{name} is not discarded");
-                }
+        let names = discard_list(&all);
+        let mut unique = names.clone();
+        unique.sort();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "{names:?}");
+        for job in all.iter().flat_map(|e| e.train_specs()) {
+            for name in &job.assets {
+                assert!(names.contains(name), "{name} is not discarded");
             }
         }
-        let tree = discard_list(&all, TrainerKind::Tree);
-        assert_eq!(tree[0], "tao-calibration", "first-mention order");
+        assert_eq!(names[0], "tao-calibration", "first-mention order");
     }
 
     #[test]
@@ -900,38 +855,6 @@ mod tests {
     }
 
     #[test]
-    fn genetic_assets_ride_under_suffixed_names() {
-        let job = experiments::TrainJob::single(
-            "tao-test",
-            vec![remy::ScenarioSpec::link_speed_range(1.0, 2.0)],
-            remy::OptimizerConfig::smoke(),
-        );
-        assert_eq!(train_asset_names(&job, TrainerKind::Tree), vec!["tao-test"]);
-        assert_eq!(
-            train_asset_names(&job, TrainerKind::Genetic),
-            vec!["tao-test-genetic"]
-        );
-    }
-
-    #[test]
-    fn co_optimized_jobs_name_no_genetic_assets() {
-        // The genetic trainer does not co-optimize, so such a job is
-        // skipped under it: `--force` must find nothing to discard, and
-        // the committed tree assets must never move.
-        let job = experiments::TrainJob::co_optimized(
-            &["tao-a", "tao-b"],
-            vec![remy::ScenarioSpec::diversity()],
-            remy::OptimizerConfig::smoke(),
-            1,
-        );
-        assert_eq!(
-            train_asset_names(&job, TrainerKind::Tree),
-            vec!["tao-a", "tao-b"]
-        );
-        assert!(train_asset_names(&job, TrainerKind::Genetic).is_empty());
-    }
-
-    #[test]
     fn assets_commands_check_their_arguments() {
         assert_eq!(run(&["assets"]), 2);
         assert_eq!(run(&["assets", "frobnicate"]), 2);
@@ -941,6 +864,11 @@ mod tests {
         assert_eq!(
             run(&["assets", "probe", "tao-2x", "20", "20", "20", "x"]),
             2
+        );
+        assert_eq!(
+            run(&["assets", "probe", "tao-2x", "nan", "1", "1", "1"]),
+            2,
+            "a NaN coordinate is a usage error"
         );
         assert_eq!(run(&["assets", "show", "no-such-asset"]), 1);
         assert_eq!(

@@ -7,7 +7,7 @@
 //! delay, and considerably ahead of both human-designed baselines.
 
 use super::scaffold::prelude::*;
-use remy::ScenarioSpec;
+use remy::{OptimizerConfig, ScenarioSpec, TrainCost};
 
 pub const ASSET: &str = "tao-calibration";
 
@@ -36,7 +36,7 @@ impl Experiment for Calibration {
         vec![TrainJob::single(
             ASSET,
             vec![ScenarioSpec::calibration()],
-            train_cfg(TrainCost::Normal),
+            OptimizerConfig::standard(TrainCost::Normal),
         )]
     }
 

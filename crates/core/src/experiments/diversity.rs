@@ -12,7 +12,8 @@
 
 use super::scaffold::prelude::*;
 use remy::{
-    BufferSpec, CountSpec, Objective, RoleSpec, Sample, ScenarioSpec, SenderClassSpec, TopologySpec,
+    BufferSpec, CountSpec, Objective, OptimizerConfig, RoleSpec, Sample, ScenarioSpec,
+    SenderClassSpec, TopologySpec, TrainCost,
 };
 
 pub const ASSET_TPT_NAIVE: &str = "tao-tpt-naive";
@@ -107,19 +108,19 @@ impl Experiment for Diversity {
             TrainJob::single(
                 ASSET_TPT_NAIVE,
                 vec![naive_spec(Objective::throughput_sensitive().delta)],
-                train_cfg(TrainCost::Normal),
+                OptimizerConfig::standard(TrainCost::Normal),
             ),
             TrainJob::single(
                 ASSET_DEL_NAIVE,
                 vec![naive_spec(Objective::delay_sensitive().delta)],
-                train_cfg(TrainCost::Normal),
+                OptimizerConfig::standard(TrainCost::Normal),
             ),
             // Co-optimization trains both slots together on the diversity
             // spec, producing the pair as two assets of one run.
             TrainJob::co_optimized(
                 &[ASSET_TPT_COOPT, ASSET_DEL_COOPT],
                 vec![ScenarioSpec::diversity()],
-                train_cfg(TrainCost::Normal),
+                OptimizerConfig::standard(TrainCost::Normal),
                 2,
             ),
         ]

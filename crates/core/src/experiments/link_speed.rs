@@ -9,7 +9,7 @@
 
 use super::log_grid;
 use super::scaffold::prelude::*;
-use remy::ScenarioSpec;
+use remy::{OptimizerConfig, ScenarioSpec, TrainCost};
 
 /// The four trained operating ranges, as (asset name, lo Mbps, hi Mbps).
 pub const RANGES: [(&str, f64, f64); 4] = [
@@ -74,7 +74,7 @@ impl Experiment for LinkSpeed {
                 TrainJob::single(
                     name,
                     vec![ScenarioSpec::link_speed_range(lo, hi)],
-                    train_cfg(cost),
+                    OptimizerConfig::standard(cost),
                 )
             })
             .collect()

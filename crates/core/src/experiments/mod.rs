@@ -345,90 +345,62 @@ pub fn run_experiment_report(exp: &dyn Experiment, opts: &RunOptions) -> RunRepo
     RunReport { fig, poisoned }
 }
 
-/// Which trainer designs a [`TrainJob`]'s protocols.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrainerKind {
-    /// The whisker-tree hill climb ([`remy::Optimizer`]) — the strategy
-    /// behind every committed asset.
-    Tree,
-    /// The genetic population search ([`remy::GeneticTrainer`]). Its
-    /// protocols are saved under `<asset>-genetic` names so the committed
-    /// tree assets never move. It does not co-optimize, so a
-    /// co-optimized job produces nothing under it.
-    Genetic,
-}
-
-/// Asset names `job` produces under `trainer`.
-pub fn train_asset_names(job: &TrainJob, trainer: TrainerKind) -> Vec<String> {
-    match (trainer, job.co_alternations) {
-        (TrainerKind::Tree, _) => job.assets.clone(),
-        (TrainerKind::Genetic, Some(_)) => Vec::new(),
-        (TrainerKind::Genetic, None) => job.assets.iter().map(|n| format!("{n}-genetic")).collect(),
-    }
-}
-
-/// Execute a training job under `trainer`, the one place a [`TrainJob`]
-/// becomes protocols: load every asset it produces if committed,
-/// otherwise train (one protocol per asset, or joint co-optimization
-/// when [`TrainJob::co_alternations`] is set) and cache the results.
-/// Only a missing asset trains ([`remy::serialize::load_if_present`]).
-pub fn run_train_job(job: &TrainJob, trainer: TrainerKind) -> Result<Vec<TrainedProtocol>, String> {
-    let Some(alternations) = job.co_alternations else {
-        return train_asset_names(job, trainer)
-            .iter()
-            .map(|name| {
-                let path = remy::serialize::asset_path(name);
-                remy::serialize::load_or_train(&path, || {
-                    eprintln!("[learnability] training {name} (no committed asset found)...");
-                    let t0 = std::time::Instant::now();
-                    let p = match trainer {
-                        TrainerKind::Tree => {
-                            remy::Optimizer::new(job.specs.clone(), job.cfg.clone()).optimize(name)
-                        }
-                        TrainerKind::Genetic => {
-                            remy::GeneticTrainer::new(job.cfg.clone()).train(name, &job.specs)
-                        }
-                    };
-                    eprintln!(
-                        "[learnability] trained {name} in {:.1}s (score {:.3})",
-                        t0.elapsed().as_secs_f64(),
-                        p.score
-                    );
-                    p
-                })
-            })
-            .collect();
-    };
-    if trainer == TrainerKind::Genetic {
-        eprintln!(
-            "[learnability] the genetic trainer does not co-optimize; skipping {}",
-            job.assets.join(" + ")
-        );
-        return Ok(Vec::new());
-    }
-    let loaded = job
+/// Execute a training job, the one place a [`TrainJob`] becomes
+/// protocols. Every asset the job names is loaded with
+/// [`remy::serialize::load_if_present`]; when all are there they are
+/// returned. Otherwise the job trains ([`remy::Optimizer::optimize`], or
+/// [`remy::Optimizer::co_optimize`] when [`TrainJob::co_alternations`]
+/// is set) and each protocol is saved under its asset name. Only a
+/// missing asset trains: an unreadable one is an `Err` naming the file.
+pub fn run_train_job(job: &TrainJob) -> Result<Vec<TrainedProtocol>, String> {
+    let paths: Vec<_> = job
         .assets
         .iter()
-        .map(|n| remy::serialize::load_if_present(&remy::serialize::asset_path(n)))
+        .map(|n| remy::serialize::asset_path(n))
+        .collect();
+    let loaded = paths
+        .iter()
+        .map(|p| remy::serialize::load_if_present(p))
         .collect::<Result<Vec<_>, _>>()?;
-    if loaded.iter().all(Option::is_some) {
-        return Ok(loaded.into_iter().flatten().collect());
+    if let Some(protos) = loaded.into_iter().collect() {
+        return Ok(protos);
     }
-    eprintln!(
-        "[learnability] co-optimizing {} (no committed assets found)...",
-        job.assets.join(" + ")
-    );
-    let names: Vec<&str> = job.assets.iter().map(String::as_str).collect();
+    let t0 = std::time::Instant::now();
     let opt = remy::Optimizer::new(job.specs.clone(), job.cfg.clone());
-    let protos = opt.co_optimize(
-        vec![WhiskerTree::default_tree(); job.assets.len()],
-        alternations,
-        &names,
-    );
-    for p in &protos {
-        let path = remy::serialize::asset_path(&p.name);
-        if let Err(e) = remy::serialize::save(p, &path) {
-            eprintln!("[learnability] warning: could not save {}: {e}", p.name);
+    let protos = match job.co_alternations {
+        None => job
+            .assets
+            .iter()
+            .map(|name| {
+                eprintln!("[learnability] training {name} (no committed asset found)...");
+                opt.optimize(name)
+            })
+            .collect(),
+        Some(alternations) => {
+            eprintln!(
+                "[learnability] co-optimizing {} (no committed assets found)...",
+                job.assets.join(" + ")
+            );
+            let names: Vec<&str> = job.assets.iter().map(String::as_str).collect();
+            opt.co_optimize(
+                vec![WhiskerTree::default_tree(); names.len()],
+                alternations,
+                &names,
+            )
+        }
+    };
+    for (p, path) in protos.iter().zip(&paths) {
+        eprintln!(
+            "[learnability] trained {} in {:.1}s (score {:.3})",
+            p.name,
+            t0.elapsed().as_secs_f64(),
+            p.score
+        );
+        if let Err(e) = remy::serialize::save(p, path) {
+            eprintln!(
+                "[learnability] warning: could not save asset {}: {e}",
+                path.display()
+            );
         }
     }
     Ok(protos)
@@ -437,16 +409,6 @@ pub fn run_train_job(job: &TrainJob, trainer: TrainerKind) -> Result<Vec<Trained
 // ---------------------------------------------------------------------------
 // Shared training budgets and metrics.
 // ---------------------------------------------------------------------------
-
-/// Cost class of a training spec (re-exported from `remy`, the single
-/// home of the budget presets).
-pub use remy::TrainCost;
-
-/// Standard training budget used for all committed protocol assets:
-/// [`OptimizerConfig::standard`], the one copy of the per-cost presets.
-pub fn train_cfg(cost: TrainCost) -> OptimizerConfig {
-    OptimizerConfig::standard(cost)
-}
 
 /// Normalized objective of a flow: `log2(tpt/fair) − δ·log2(delay/base)`,
 /// so the omniscient protocol sits at 0. Returns `None` for flows that
@@ -514,6 +476,7 @@ pub fn log_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remy::TrainCost;
 
     #[test]
     fn grids_have_correct_endpoints() {
@@ -548,8 +511,8 @@ mod tests {
 
     #[test]
     fn heavy_budget_is_cheaper() {
-        let n = train_cfg(TrainCost::Normal);
-        let h = train_cfg(TrainCost::Heavy);
+        let n = OptimizerConfig::standard(TrainCost::Normal);
+        let h = OptimizerConfig::standard(TrainCost::Heavy);
         assert!(h.sim_duration_s < n.sim_duration_s);
         assert!(h.rounds < n.rounds);
     }

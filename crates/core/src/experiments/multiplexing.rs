@@ -9,7 +9,7 @@
 //! repeated drops).
 
 use super::scaffold::prelude::*;
-use remy::{BufferSpec, ScenarioSpec};
+use remy::{BufferSpec, OptimizerConfig, ScenarioSpec, TrainCost};
 
 /// Trained multiplexing ranges: (asset name, max senders in training).
 pub const RANGES: [(&str, u32); 5] = [
@@ -67,7 +67,7 @@ impl Experiment for Multiplexing {
                 TrainJob::single(
                     name,
                     vec![ScenarioSpec::multiplexing(n, BufferSpec::BdpMultiple(5.0))],
-                    train_cfg(cost),
+                    OptimizerConfig::standard(cost),
                 )
             })
             .collect()

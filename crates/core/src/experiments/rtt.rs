@@ -8,7 +8,7 @@
 //! protocol over the whole sweep.
 
 use super::scaffold::prelude::*;
-use remy::ScenarioSpec;
+use remy::{OptimizerConfig, ScenarioSpec, TrainCost};
 
 /// Trained RTT ranges: (asset name, lo ms, hi ms).
 pub const RANGES: [(&str, f64, f64); 4] = [
@@ -55,7 +55,7 @@ impl Experiment for Rtt {
                 TrainJob::single(
                     name,
                     vec![ScenarioSpec::rtt_range(lo, hi)],
-                    train_cfg(TrainCost::Normal),
+                    OptimizerConfig::standard(TrainCost::Normal),
                 )
             })
             .collect()

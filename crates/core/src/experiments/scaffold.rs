@@ -20,9 +20,7 @@
 //! `adversarial`) use the pieces that fit — the roster, [`Grid::mix`],
 //! [`lineup`] — and keep their own row logic.
 
-use super::{
-    mean_normalized_objective, registry, run_train_job, Experiment, Fidelity, TrainJob, TrainerKind,
-};
+use super::{mean_normalized_objective, registry, run_train_job, Experiment, Fidelity, TrainJob};
 use crate::omniscient::omniscient;
 use crate::report::{FigureData, Series, TableData};
 use crate::runner::{
@@ -39,9 +37,7 @@ pub mod prelude {
         flow_sum, jobs_of, names_at, sides_table, split_key, Contender, Grid, Norm, SeriesSet,
         TptQd,
     };
-    pub use crate::experiments::{
-        paper_dumbbell, train_cfg, Experiment, Fidelity, TrainCost, TrainJob,
-    };
+    pub use crate::experiments::{paper_dumbbell, Experiment, Fidelity, TrainJob};
     pub use crate::report::{ChartData, FigureData, TableData};
     pub use crate::runner::{PointOutcome, Scheme, SweepPoint};
     pub use netsim::prelude::*;
@@ -187,7 +183,7 @@ pub fn lineup(exp: &dyn Experiment) -> Vec<(Contender, Scheme)> {
                                     exp.id()
                                 )
                             });
-                        let protos = run_train_job(&job, TrainerKind::Tree)
+                        let protos = run_train_job(&job)
                             .unwrap_or_else(|e| panic!("experiment '{}': {e}", exp.id()));
                         trained.extend(job.assets.iter().cloned().zip(protos));
                     }

@@ -9,7 +9,7 @@
 
 use super::scaffold::prelude::*;
 use protocols::{Signal, SignalMask};
-use remy::{Objective, ScenarioSpec};
+use remy::{Objective, OptimizerConfig, ScenarioSpec, TrainCost};
 
 /// The knockout set, in table order: the full protocol, then one knockout
 /// per signal.
@@ -76,7 +76,7 @@ impl Experiment for Signals {
         KNOCKOUTS
             .iter()
             .map(|&knocked| {
-                let mut cfg = train_cfg(TrainCost::Normal);
+                let mut cfg = OptimizerConfig::standard(TrainCost::Normal);
                 cfg.masks = vec![mask_for(knocked)];
                 TrainJob::single(asset_name(knocked), vec![ScenarioSpec::calibration()], cfg)
             })

@@ -11,6 +11,7 @@
 use super::scaffold::prelude::*;
 use crate::runner::TraceSpec;
 use netsim::trace::Trace;
+use remy::{OptimizerConfig, TrainCost};
 use std::fmt;
 
 pub const ASSET_NAIVE: &str = "tao-tcp-naive";
@@ -66,12 +67,12 @@ impl Experiment for TcpAware {
             TrainJob::single(
                 ASSET_NAIVE,
                 vec![remy::ScenarioSpec::tcp_naive()],
-                train_cfg(TrainCost::Normal),
+                OptimizerConfig::standard(TrainCost::Normal),
             ),
             TrainJob::single(
                 ASSET_AWARE,
                 vec![remy::ScenarioSpec::tcp_aware()],
-                train_cfg(TrainCost::Normal),
+                OptimizerConfig::standard(TrainCost::Normal),
             ),
         ]
     }

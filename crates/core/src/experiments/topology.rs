@@ -11,7 +11,7 @@
 
 use super::scaffold::prelude::*;
 use crate::omniscient;
-use remy::ScenarioSpec;
+use remy::{OptimizerConfig, ScenarioSpec, TrainCost};
 
 pub const ASSET_ONE: &str = "tao-onebottleneck";
 pub const ASSET_TWO: &str = "tao-twobottleneck";
@@ -82,12 +82,12 @@ impl Experiment for Topology {
             TrainJob::single(
                 ASSET_ONE,
                 vec![ScenarioSpec::one_bottleneck_model()],
-                train_cfg(TrainCost::Normal),
+                OptimizerConfig::standard(TrainCost::Normal),
             ),
             TrainJob::single(
                 ASSET_TWO,
                 vec![ScenarioSpec::two_bottleneck_model()],
-                train_cfg(TrainCost::Normal),
+                OptimizerConfig::standard(TrainCost::Normal),
             ),
         ]
     }

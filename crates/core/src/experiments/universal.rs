@@ -11,7 +11,7 @@
 //! sweep.
 
 use super::scaffold::prelude::*;
-use remy::{BufferSpec, OptimizerConfig, ScenarioSpec};
+use remy::{BufferSpec, OptimizerConfig, ScenarioSpec, TrainCost};
 
 pub const ASSET: &str = "tao-universal";
 
@@ -29,7 +29,7 @@ pub fn training_specs() -> Vec<ScenarioSpec> {
 /// evaluation, so it gets the heavy budget — with one extra whisker of
 /// headroom, since the union model is more varied.
 fn universal_cfg() -> OptimizerConfig {
-    let mut cfg = super::train_cfg(TrainCost::Heavy);
+    let mut cfg = OptimizerConfig::standard(TrainCost::Heavy);
     cfg.max_leaves = 10;
     cfg
 }
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn universal_budget_has_extra_headroom() {
         let cfg = universal_cfg();
-        let heavy = super::super::train_cfg(TrainCost::Heavy);
+        let heavy = OptimizerConfig::standard(TrainCost::Heavy);
         assert_eq!(cfg.max_leaves, 10);
         assert_eq!(cfg.sim_duration_s, heavy.sim_duration_s);
         let jobs = Universal.train_specs();

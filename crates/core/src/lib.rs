@@ -28,7 +28,7 @@ pub mod report;
 pub mod runner;
 pub mod search;
 
-pub use experiments::{run_train_job, Experiment, Fidelity, RunOptions, TrainJob, TrainerKind};
+pub use experiments::{run_train_job, Experiment, Fidelity, RunOptions, TrainJob};
 #[doc(hidden)]
 pub use omniscient as omniscient_mod;
 pub use omniscient::{omniscient, proportional_fair, OmniscientFlow};

@@ -218,25 +218,6 @@ impl EvalPool {
             usage,
         }
     }
-
-    /// Evaluate each tree *independently* (as a single-slot population
-    /// member, not co-optimized slots) on one common-random-number
-    /// batch; returns mean utilities in input order. The population
-    /// trainer's fitness pass.
-    pub fn evaluate_each(
-        &self,
-        scenarios: &[ConcreteScenario],
-        trees: &[WhiskerTree],
-        cfg: &EvalConfig,
-    ) -> Vec<f64> {
-        trees
-            .iter()
-            .map(|t| {
-                self.evaluate(scenarios, std::slice::from_ref(t), cfg)
-                    .mean_utility
-            })
-            .collect()
-    }
 }
 
 /// `threads`, with 0 meaning every available core.

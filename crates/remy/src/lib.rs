@@ -15,9 +15,7 @@
 //! 3. Run the [`optimizer::Optimizer`]: hill-climb whisker actions and
 //!    split busy whiskers until the budget is exhausted (§3.3). The
 //!    budget is one [`OptimizerConfig`] (`OptimizerConfig::standard` holds
-//!    the presets the committed assets were trained under); the
-//!    [`trainer::GeneticTrainer`] searches the same function class under
-//!    the same config.
+//!    the presets the committed assets were trained under).
 //! 4. Save the resulting protocol with [`serialize`], and execute it as a
 //!    [`protocols::Scheme`] (`Scheme::tao` compiles the tree once; every
 //!    sender `Scheme::build` makes runs it as a [`protocols::TaoCc`]).
@@ -58,8 +56,7 @@
 //! Measured by the repo's benchmark (`benchmark/run.sh`: the
 //! `train_calibration` workload and the `remy.*` rows of its per-layer
 //! ledger), which `scripts/bench_gate.sh BASE` runs on a change and its
-//! parent. The genetic trainer is in no workload; its smoke-budget result
-//! is pinned by `trainer::tests::genetic_smoke_training_is_pinned`.
+//! parent.
 
 pub mod eval;
 pub mod objective;
@@ -67,7 +64,6 @@ pub mod optimizer;
 pub mod scenario;
 pub mod serialize;
 pub mod space;
-pub mod trainer;
 pub mod verifier;
 
 pub use eval::{draw_scenarios, EvalConfig, EvalPool, EvalResult};
@@ -78,7 +74,6 @@ pub use scenario::{
     TopologySpec,
 };
 pub use space::{Axis, AxisKind, ScenarioSpace};
-pub use trainer::GeneticTrainer;
 pub use verifier::{verify, VerifyConfig, VerifyReport};
 
 /// Common imports for optimizer users.
@@ -91,5 +86,4 @@ pub mod prelude {
         SenderClassSpec, TopologySpec,
     };
     pub use crate::space::{Axis, AxisKind, ScenarioSpace};
-    pub use crate::trainer::GeneticTrainer;
 }

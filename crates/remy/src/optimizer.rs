@@ -41,10 +41,7 @@ pub enum TrainCost {
     Heavy,
 }
 
-/// The training budget and knobs, read by every trainer: the
-/// [`Optimizer`] field by field, and the
-/// [`GeneticTrainer`](crate::trainer::GeneticTrainer) with `rounds` as
-/// generations and `max_leaves` as its genome-size cap.
+/// The [`Optimizer`]'s training budget and knobs, the one budget type.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct OptimizerConfig {
     /// Scenario draws per spec per evaluation batch.
@@ -59,8 +56,7 @@ pub struct OptimizerConfig {
     pub scales: Vec<f64>,
     /// Worker threads (0 = all cores). Never changes results.
     pub threads: usize,
-    /// Root seed of the scenario draws (and of the genetic trainer's
-    /// search).
+    /// Root seed of the scenario draws.
     pub seed: u64,
     /// Per-simulation event cap.
     pub event_budget: u64,

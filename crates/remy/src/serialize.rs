@@ -79,27 +79,6 @@ pub fn load_if_present(path: &Path) -> Result<Option<TrainedProtocol>, String> {
     }
 }
 
-/// Load the asset at `path` if present; otherwise run `train`, save the
-/// result there, and return it. This mirrors the paper's workflow:
-/// protocols are designed offline (CPU-intensive) and published;
-/// evaluations reuse them. Only a missing file trains ([`load_if_present`]).
-pub fn load_or_train(
-    path: &Path,
-    train: impl FnOnce() -> TrainedProtocol,
-) -> Result<TrainedProtocol, String> {
-    if let Some(p) = load_if_present(path)? {
-        return Ok(p);
-    }
-    let p = train();
-    if let Err(e) = save(&p, path) {
-        eprintln!(
-            "[remy] warning: could not save asset {}: {e}",
-            path.display()
-        );
-    }
-    Ok(p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,47 +116,6 @@ mod tests {
     #[test]
     fn load_missing_is_error() {
         assert!(load(Path::new("/nonexistent/proto.json")).is_err());
-    }
-
-    #[test]
-    fn load_or_train_caches() {
-        let dir = std::env::temp_dir().join(format!("remy-lot-{}", std::process::id()));
-        let path = dir.join("cache-test.json");
-        let mut trained_calls = 0;
-        let p1 = load_or_train(&path, || {
-            trained_calls += 1;
-            proto("cache-test")
-        })
-        .unwrap();
-        assert_eq!(trained_calls, 1);
-        // second call hits the cache
-        let p2 = load_or_train(&path, || {
-            trained_calls += 1;
-            proto("other")
-        })
-        .unwrap();
-        assert_eq!(trained_calls, 1);
-        assert_eq!(p1.tree, p2.tree);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_or_train_refuses_a_corrupt_asset() {
-        // Only a missing file trains: a file holding garbage is an error
-        // naming it, the trainer never runs, and the bytes stay.
-        let dir = std::env::temp_dir().join(format!("remy-corrupt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corrupt.json");
-        let garbage = b"{\"name\": \"trunc";
-        std::fs::write(&path, garbage).unwrap();
-        let err = load_or_train(&path, || panic!("a corrupt asset must not be retrained"))
-            .expect_err("a corrupt asset is an error");
-        assert!(
-            err.contains("corrupt.json"),
-            "the error names the file: {err}"
-        );
-        assert_eq!(std::fs::read(&path).unwrap(), garbage, "the bytes stay");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
