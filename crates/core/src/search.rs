@@ -26,8 +26,8 @@
 //! committed certificates on both scheduler backends and fails on any
 //! bit drift.
 
-use crate::experiments::{mean_normalized_objective, Fidelity};
-use crate::omniscient::omniscient;
+use crate::experiments::scaffold::Norm;
+use crate::experiments::Fidelity;
 use crate::runner::{execute_sweep, with_aqm, AqmKind, Scheme, SweepPoint, TEST_EVENT_BUDGET};
 use netsim::event::SchedulerKind;
 use netsim::prelude::*;
@@ -258,6 +258,8 @@ pub struct SearchResult {
 struct Scored {
     point: Vec<f64>,
     net: NetworkConfig,
+    /// The omniscient point `score` is normalised against.
+    norm: Norm,
     score: f64,
 }
 
@@ -298,14 +300,15 @@ fn evaluate_batch(
             }
             continue;
         }
-        let omn = omniscient(&outcome.point.net);
-        let score = mean_normalized_objective(&outcome.runs, omn[0].throughput_bps, omn[0].delay_s);
+        let norm = Norm::omniscient(&outcome.point.net);
+        let score = norm.objective(&outcome.runs);
         if !score.is_finite() {
             continue;
         }
         scored.push(Scored {
             point: p.clone(),
             net: outcome.point.net,
+            norm,
             score,
         });
     }
@@ -352,17 +355,11 @@ pub fn find_worst_case(scheme: &Scheme, asset: Option<&str>, cfg: &SearchConfig)
         net: best.net,
         seeds: cfg.seeds.clone().collect(),
         duration_s: cfg.duration_s,
-        fair_tpt_bps: 0.0, // filled below from the winning net
-        base_delay_s: 0.0,
+        fair_tpt_bps: best.norm.fair_tpt_bps,
+        base_delay_s: best.norm.base_delay_s,
         score: best.score,
         score_bits: best.score.to_bits(),
         candidates_evaluated: evaluated,
-    });
-    let certificate = certificate.map(|mut c| {
-        let omn = omniscient(&c.net);
-        c.fair_tpt_bps = omn[0].throughput_bps;
-        c.base_delay_s = omn[0].delay_s;
-        c
     });
     SearchResult {
         certificate,
@@ -406,7 +403,11 @@ pub fn replay(cert: &Certificate, scheme: &Scheme, kind: SchedulerKind) -> f64 {
             sim.run(SimDuration::from_secs_f64(cert.duration_s))
         })
         .collect();
-    mean_normalized_objective(&runs, cert.fair_tpt_bps, cert.base_delay_s)
+    Norm {
+        fair_tpt_bps: cert.fair_tpt_bps,
+        base_delay_s: cert.base_delay_s,
+    }
+    .objective(&runs)
 }
 
 #[cfg(test)]

@@ -81,6 +81,15 @@ fn packet_events_ride_delay_lines() {
         let q = out.queue;
         assert_eq!(q.fallback, 0, "{name}: every line was filled in order");
         assert!(q.backend < q.line, "{name}: the backend holds the timers");
+        // The calendar's days are sized for timers, not for packet
+        // serializations: a width seeded from the link's serialization
+        // time makes Tao's pops scan 4.24 keys each here.
+        assert!(
+            q.calendar.scanned <= 4 * q.calendar.pops,
+            "{name}: {} keys scanned over {} calendar pops",
+            q.calendar.scanned,
+            q.calendar.pops
+        );
         // Per packet: a lane Arrive, three line events (its TxComplete and
         // Propagated, and its ACK's Propagated on the delay-only return
         // link) and at most one pacing wake; PCC's wake per packet puts it

@@ -4,9 +4,9 @@
 //! simulated life *inside the scheduler* — as the payload of an
 //! `Arrive`, `TxComplete` or `Propagated` event waiting to fire. Carrying
 //! the full 48-byte [`Packet`] by value in [`crate::event::Event`] made
-//! the event enum the widest thing the calendar queue moves: every bucket
-//! insert, swap-remove and today-buffer drain memmoved the packet along
-//! with it.
+//! the event enum the widest thing the scheduler moved: every bucket
+//! insert and swap-remove of the calendar queue that then held packet
+//! events memmoved the packet along with it.
 //!
 //! The arena breaks that coupling. A packet is parked here when it
 //! enters its first link, and its events carry the 8-byte [`PktId`]

@@ -7,12 +7,13 @@
 //! and pop are O(1) amortized when the bucket width matches the typical
 //! inter-event spacing.
 //!
-//! In the engine it holds timers: pacing wakes, RTO checks, workload,
-//! outage and flush timers, plus the rare packet event that could not
-//! ride its delay line. The packet events themselves — serializations,
-//! propagations, returning acknowledgments — are scheduled in an order
-//! known in advance and wait in the [`crate::event::EventQueue`]'s delay
-//! lines instead.
+//! In the engine it holds only timers: pacing wakes, RTO checks,
+//! workload, outage and flush timers, plus the rare packet event that
+//! could not ride its delay line. The packet events themselves —
+//! serializations, propagations, returning acknowledgments — are
+//! scheduled in an order known in advance and wait in the
+//! [`crate::event::EventQueue`]'s delay lines and same-instant lane
+//! instead, so no packet burst reaches a day.
 //!
 //! This implementation preserves the exact `(time, insertion-seq)` total
 //! order of the [`crate::event::BinaryHeapScheduler`] reference — ties at
@@ -36,12 +37,14 @@
 //! # Tuning knobs (all self-adjusting)
 //!
 //! * **Bucket width** is a power of two nanoseconds (`1 << shift`), so
-//!   the time→bucket hash is a shift-and-mask, not a division. It is
-//!   seeded from [`CalendarQueue::with_width_hint`] (the simulation
-//!   engine passes the bottleneck serialization time) and re-estimated
-//!   on every resize as three times the mean gap among the earliest
-//!   pending events — head-local density, deliberately blind to the
-//!   far-future timer tail (see [`estimate_shift`](self)).
+//!   the time→bucket hash is a shift-and-mask, not a division. It starts
+//!   at 2^13 ns ≈ 8.2 µs: the engine passes no hint, because a timer's
+//!   spacing is not a link's serialization time (seeded from the fastest
+//!   link's, Tao's pops on the calibration dumbbell scan 4.24 keys each
+//!   instead of 2.69). It is re-estimated on every resize as three times
+//!   the mean gap among the earliest pending entries — head-local
+//!   density, deliberately blind to the far-future timer tail (see
+//!   [`estimate_shift`](self)).
 //! * **Dequeue-rate retune.** The standing population is not what pops:
 //!   among 10⁴ flows' RTO, arrival and departure timers the head gap is
 //!   long, while short-lived pacing wakes and re-armed checks come and go
@@ -69,25 +72,6 @@
 //! year waits in its bucket and is skipped by the day scan until its
 //! year comes around; if the queue goes sparse, the pop path jumps
 //! straight to the global minimum instead of walking empty days.
-//!
-//! # The today buffer (oversized tie runs)
-//!
-//! No bucket width can spread a same-instant tie burst — a window blast
-//! released in one ack batch puts thousands of entries at a single
-//! instant, and every pop would rescan them all, O(k²) per burst. The fix
-//! is a **sort-and-drain buffer**: when a pop finds more than
-//! [`TODAY_DRAIN`] entries due at the minimum instant of the current day,
-//! the whole run is unlinked from its day, its slab indices are sorted
-//! once by seq (O(k log k)), and drained front-to-front in O(1) pops.
-//! While the buffer is active its front is the global minimum, so pops
-//! bypass the bucket walk entirely. Inserts at exactly the buffered
-//! instant join the buffer at their seq position (the engine's monotonic
-//! seq makes that the back, O(1)); inserts at later times take the
-//! ordinary bucket path untouched; inserts before the buffered instant
-//! return the remainder to its day first and rewind as usual. Only
-//! same-instant runs are buffered — a day that is merely *wide* (many
-//! distinct instants) still goes through the scan path and its
-//! degeneracy accounting, so a mis-tuned width retunes exactly as before.
 
 use crate::event::{Entry, Event, Scheduler};
 use crate::time::{SimDuration, SimTime};
@@ -117,14 +101,13 @@ const RETUNE_AFTER: u32 = 16;
 /// Head-of-queue entries measured for a width estimate.
 const WIDTH_SAMPLE: usize = 64;
 
-/// Floor on the degeneracy-retune cooldown, in pops. After a retune
-/// rebuild, degenerate pops are ignored for `max(len, this)` pops: a
-/// rebuild costs O(len), so spacing retunes at least `len` pops apart
-/// caps their amortized cost at O(1) per pop. Without the cooldown, a
-/// same-instant tie burst — which no bucket width can spread out — makes
-/// every pop in its day "degenerate" and triggers an O(len) rebuild
-/// every [`RETUNE_AFTER`] pops, turning one oversized day into a
-/// throughput collapse.
+/// Floor on the degeneracy-retune cooldown, in pops. After a rebuild,
+/// degenerate pops are ignored for `max(len, this)` pops: a rebuild
+/// costs O(len), so spacing rebuilds at least `len` pops apart bounds
+/// their amortized cost at O(1) per pop, whatever the pops in between
+/// scan. Without it, a day no width can spread (entries at one instant)
+/// or a horizon the width cannot reach would rebuild every
+/// [`RETUNE_AFTER`] pops.
 const RETUNE_COOLDOWN_MIN: u64 = 1024;
 
 /// Mean keys scanned per pop, over a scan-cost window, above which the
@@ -141,13 +124,6 @@ const RETUNE_MIN_LEN: usize = 1024;
 /// Pops a day retuned from the dequeue rate is sized for, before the
 /// width rounds up to a power of two.
 const DAY_POPS: u64 = 2;
-
-/// Same-instant entries found by one pop before it stops rescanning and
-/// instead extracts the whole run into the sorted today buffer (see the
-/// module docs). At or below this, per-pop scans of the run are cheaper
-/// than a sort; above it, the O(k log k) sort amortizes to less than the
-/// O(k) rescan every subsequent pop of the run would pay.
-pub const TODAY_DRAIN: usize = 64;
 
 /// The end of a list: no next slot, or an empty day.
 const NIL: u32 = u32::MAX;
@@ -174,8 +150,6 @@ pub struct CalendarStats {
     pub scanned: u64,
     /// Rebuilds: growth, shrinkage and width retunes.
     pub rebuilds: u64,
-    /// Oversized same-instant runs sorted into the today buffer.
-    pub drains: u64,
 }
 
 /// Bucketed calendar queue ordered by `(time, seq)`.
@@ -205,16 +179,6 @@ pub struct CalendarQueue {
     /// Degenerate pops are ignored until `stats.pops` passes this mark
     /// (see [`RETUNE_COOLDOWN_MIN`]).
     cooldown_until: u64,
-    /// Sort-and-drain buffer for an oversized same-instant run (see the
-    /// module docs): slab indices of entries all due at `today_at`,
-    /// sorted ascending by seq, with `today_cursor` marking the drain
-    /// front. Entries here still count in `len` but are on no day's
-    /// list. Empty (`cursor == len`) means the buffer is inactive.
-    today: Vec<u32>,
-    /// The single instant (nanos) every buffered entry fires at.
-    today_at: u64,
-    /// Drain front of `today`; entries before it are already popped.
-    today_cursor: usize,
     stats: CalendarStats,
     /// `stats.pops`, `stats.scanned` and the dequeue time (nanos) when
     /// the current scan-cost window opened: at the last rebuild or scan
@@ -236,11 +200,10 @@ impl CalendarQueue {
         Self::with_shift(DEFAULT_SHIFT)
     }
 
-    /// A queue whose initial bucket width approximates `expected_gap`
-    /// (the typical spacing between pending events — the simulation
-    /// engine passes the bottleneck link's per-packet serialization
-    /// time). The width self-tunes afterwards; the hint only avoids
-    /// early rebuild churn.
+    /// A queue whose initial bucket width approximates `expected_gap`,
+    /// the typical spacing between pending entries. The width self-tunes
+    /// afterwards; the hint only sets where it starts (the simulation
+    /// engine gives none, tests and probes pin a width with it).
     pub fn with_width_hint(expected_gap: SimDuration) -> Self {
         Self::with_shift(shift_for_width(expected_gap.as_nanos().saturating_mul(3)))
     }
@@ -257,9 +220,6 @@ impl CalendarQueue {
             len: 0,
             degenerate_pops: 0,
             cooldown_until: 0,
-            today: Vec::new(),
-            today_at: 0,
-            today_cursor: 0,
             stats: CalendarStats::default(),
             window: (0, 0, 0),
             check_at: RETUNE_COOLDOWN_MIN,
@@ -350,16 +310,8 @@ impl CalendarQueue {
     /// in their slots; only the links change.
     fn rebuild(&mut self, nbuckets: usize) {
         debug_assert!(nbuckets.is_power_of_two());
-        // Chain every pending entry into one list: an active today buffer
-        // rejoins the population, then every day's list.
+        // Chain every pending entry into one list.
         let mut all = NIL;
-        for k in self.today_cursor..self.today.len() {
-            let i = self.today[k];
-            self.slab[i as usize].next = all;
-            all = i;
-        }
-        self.today.clear();
-        self.today_cursor = 0;
         for b in 0..self.heads.len() {
             let mut i = std::mem::replace(&mut self.heads[b], NIL);
             while i != NIL {
@@ -438,58 +390,6 @@ impl CalendarQueue {
         }
     }
 
-    /// Move every entry due at exactly `at` from the cursor day into the
-    /// today buffer and sort the run once by seq. Callers pop the front
-    /// via [`Self::pop_from_today`].
-    fn start_today_drain(&mut self, at: u64) {
-        debug_assert!(self.today.is_empty());
-        let (mut prev, mut i) = (NIL, self.heads[self.cursor]);
-        while i != NIL {
-            let next = self.slab[i as usize].next;
-            if self.slab[i as usize].at == at {
-                self.unlink(self.cursor, prev, i);
-                self.today.push(i);
-            } else {
-                prev = i;
-            }
-            i = next;
-        }
-        let slab = &self.slab;
-        self.today.sort_unstable_by_key(|&i| slab[i as usize].seq);
-        self.today_at = at;
-        self.today_cursor = 0;
-    }
-
-    /// Pop the front of the active today buffer. The buffer front is the
-    /// global minimum: it fires at the minimum pending instant (nothing
-    /// predates the current day, and the buffered instant was the
-    /// in-day minimum when drained — inserts at it join the buffer,
-    /// inserts before it flush the buffer first), and the buffer is
-    /// seq-sorted.
-    fn pop_from_today(&mut self) -> Entry {
-        let i = self.today[self.today_cursor];
-        self.today_cursor += 1;
-        self.len -= 1;
-        if self.today_cursor == self.today.len() {
-            self.today.clear();
-            self.today_cursor = 0;
-        }
-        self.release(i)
-    }
-
-    /// Return the undrained remainder of the today buffer to its day
-    /// (used before an insert earlier than the buffered instant; the
-    /// rewound walk will find the entries where the hash says they
-    /// live).
-    fn flush_today(&mut self) {
-        let bucket = self.bucket_of(self.today_at);
-        for k in self.today_cursor..self.today.len() {
-            self.link(self.today[k], bucket);
-        }
-        self.today.clear();
-        self.today_cursor = 0;
-    }
-
     /// Locate the entry with the global minimum `(at, seq)` as `(bucket,
     /// previous slot, slot)`. O(n + buckets); only used when the day walk
     /// comes up dry (sparse queue or a time horizon saturating u64
@@ -517,30 +417,6 @@ impl Scheduler for CalendarQueue {
             self.rebuild(self.heads.len() * 2);
         }
         let nanos = at.as_nanos();
-        if self.today_cursor < self.today.len() {
-            if nanos == self.today_at {
-                // The insert fires at the buffered instant: merge it at
-                // its seq position. The engine's seq is monotonic, so
-                // this is an O(1) append at the back.
-                let i = self.alloc(nanos, seq, event);
-                let slab = &self.slab;
-                let pos = self.today_cursor
-                    + self.today[self.today_cursor..]
-                        .partition_point(|&j| slab[j as usize].seq < seq);
-                self.today.insert(pos, i);
-                self.len += 1;
-                return;
-            }
-            if nanos < self.today_at {
-                // Inserting before the buffered instant: the buffer is
-                // no longer the global front. Return it to its day and
-                // fall through to the ordinary path (which rewinds if
-                // the insert also predates the current day).
-                self.flush_today();
-            }
-            // nanos > today_at: later entries take the ordinary bucket
-            // path; the drained run stays the global front.
-        }
         // Keep the no-entry-before-day_start invariant: inserts into the
         // past (or into an empty queue whose walk position is stale)
         // rewind the day walk to the new entry.
@@ -557,9 +433,6 @@ impl Scheduler for CalendarQueue {
             return None;
         }
         self.stats.pops += 1;
-        if self.today_cursor < self.today.len() {
-            return Some(self.pop_from_today());
-        }
         if self.len < self.heads.len() / 4 && self.heads.len() > MIN_BUCKETS {
             self.rebuild(self.heads.len() / 2);
         }
@@ -577,37 +450,19 @@ impl Scheduler for CalendarQueue {
             let (mut prev, mut i) = (NIL, self.heads[self.cursor]);
             let (mut best_prev, mut best_i) = (NIL, NIL);
             let mut best = (u64::MAX, u64::MAX);
-            let mut ties = 0usize;
             let mut scanned = 0usize;
             while i != NIL {
                 let s = &self.slab[i as usize];
                 scanned += 1;
-                if s.at <= day_last {
-                    if s.at < best.0 {
-                        best = (s.at, s.seq);
-                        (best_prev, best_i) = (prev, i);
-                        ties = 1;
-                    } else if s.at == best.0 {
-                        ties += 1;
-                        if s.seq < best.1 {
-                            best = (s.at, s.seq);
-                            (best_prev, best_i) = (prev, i);
-                        }
-                    }
+                if s.at <= day_last && (s.at, s.seq) < best {
+                    best = (s.at, s.seq);
+                    (best_prev, best_i) = (prev, i);
                 }
                 prev = i;
                 i = s.next;
             }
             if best_i != NIL {
                 self.stats.scanned += scanned as u64;
-                if ties > TODAY_DRAIN {
-                    // Oversized same-instant run: no width can spread it,
-                    // and per-pop rescans would make it O(k²). Sort the
-                    // run once and drain it (module docs).
-                    self.stats.drains += 1;
-                    self.start_today_drain(best.0);
-                    return Some(self.pop_from_today());
-                }
                 self.unlink(self.cursor, best_prev, best_i);
                 let entry = self.release(best_i);
                 self.len -= 1;
@@ -654,46 +509,27 @@ fn shift_for_width(width_nanos: u64) -> u32 {
 
 /// Width heuristic over the pending entries' `times`: three times the
 /// mean gap across the *earlier half* of the population (never fewer
-/// than [`WIDTH_SAMPLE`] entries). Pop cost is governed by event density
-/// near the head of the queue — the far-future timer tail must not
-/// influence the estimate (a global mean would let one 60 s RTO timer
-/// widen the buckets that the microsecond-scale packet events live in),
-/// which rules out a full-span mean; but a head sample must also be deep
-/// enough that a same-instant burst (64 senders released by one ack
-/// batch) cannot collapse the estimate to nanoseconds and leave every pop
-/// marching over empty days. Half the population is both: burst-proof at
-/// scale, tail-blind because timers sort last. The head is found with an
-/// O(n) partial selection, not a full sort. Returns `None` when the whole
-/// sampled head is a single instant (ties pop FIFO from one bucket
-/// regardless of width, so any width serves).
+/// than [`WIDTH_SAMPLE`] entries). Pop cost is governed by density near
+/// the head of the queue, so the far-future tail must not influence the
+/// estimate (a global mean would let one 60 s RTO deadline widen the
+/// days the microsecond-scale pacing wakes live in); but the sample must
+/// also be deep enough that a few timers armed at one instant cannot
+/// collapse it to nanoseconds. Half the population is both. The head is
+/// found with an O(n) partial selection, not a full sort. Returns `None`
+/// when the whole sampled head is a single instant (ties pop FIFO from
+/// one bucket regardless of width, so the current width serves).
 fn estimate_shift(mut times: Vec<u64>) -> Option<u32> {
     let n = times.len();
     if n < 2 {
         return None;
     }
     let k = (n / 2).clamp(WIDTH_SAMPLE.min(n - 1), n - 1);
-    times.select_nth_unstable(k);
-    let head = &times[..=k];
-    let min = *head.iter().min().expect("head is nonempty");
-    let kth = head[k];
-    if kth > min {
-        let mean_gap = (kth - min) / k as u64;
-        return Some(shift_for_width(mean_gap.saturating_mul(3).max(1)));
-    }
-    // The whole sampled head is one instant (a tie burst — e.g. a window
-    // blast's RTO deadlines). Widen the sample to the 90th percentile so
-    // the burst cannot zero the estimate; only give up when even that
-    // span is a single instant.
-    let k90 = (9 * n / 10).clamp(k, n - 1);
-    if k90 == k {
+    let (head, &mut kth, _) = times.select_nth_unstable(k);
+    let min = head.iter().copied().min().unwrap_or(kth);
+    if kth == min {
         return None;
     }
-    times.select_nth_unstable(k90);
-    let p90 = times[k90];
-    if p90 == min {
-        return None;
-    }
-    let mean_gap = (p90 - min) / k90 as u64;
+    let mean_gap = (kth - min) / k as u64;
     Some(shift_for_width(mean_gap.saturating_mul(3).max(1)))
 }
 
@@ -831,10 +667,10 @@ mod tests {
     }
 
     #[test]
-    fn oversized_tie_burst_drains_in_order() {
+    fn long_tie_burst_pops_in_order() {
         let mut q = CalendarQueue::new();
-        // Far more same-instant entries than TODAY_DRAIN, plus stragglers
-        // on both sides of the burst.
+        // 640 same-instant entries, plus stragglers on both sides of the
+        // burst.
         let mut expect = Vec::new();
         let mut seq = 0u64;
         for &at in &[500u64, 900] {
@@ -842,7 +678,7 @@ mod tests {
             expect.push((at, seq));
             seq += 1;
         }
-        for _ in 0..10 * TODAY_DRAIN {
+        for _ in 0..640 {
             q.insert(t(700), seq, wake(1));
             expect.push((700, seq));
             seq += 1;
@@ -852,21 +688,19 @@ mod tests {
     }
 
     #[test]
-    fn inserts_into_active_today_buffer_stay_sorted() {
+    fn inserts_during_a_tie_burst_stay_sorted() {
         let mut q = CalendarQueue::new();
         let base = 1_000_000u64;
-        let n = 200u64; // > TODAY_DRAIN ties at one instant
+        let n = 200u64; // ties at one instant
         for seq in 0..n {
             q.insert(t(base), seq, wake(0));
         }
-        // First pop activates the buffer.
         assert_eq!(q.pop().unwrap().seq, 0);
-        assert!(q.today_cursor < q.today.len(), "buffer is active");
-        // One insert at the buffered instant (later seq — pops after the
-        // remaining ties) and one a few ns later (ordinary bucket path).
+        // One insert at the burst's instant (later seq — pops after the
+        // remaining ties) and one a few ns later.
         q.insert(t(base), n, wake(2));
         q.insert(t(base + 5), n + 1, wake(2));
-        // A later-day insert while the buffer is active.
+        // A later-day insert while the burst drains.
         q.insert(t(base + 50_000_000), n + 2, wake(3));
         let rest = drain_sorted(&mut q);
         let mut expect: Vec<(u64, u64)> = (1..=n).map(|s| (base, s)).collect();
@@ -876,17 +710,15 @@ mod tests {
     }
 
     #[test]
-    fn insert_before_buffered_instant_flushes_and_rewinds() {
+    fn insert_before_a_draining_tie_burst_rewinds() {
         let mut q = CalendarQueue::new();
         let base = 10_000_000u64;
         for seq in 0..100u64 {
             q.insert(t(base), seq, wake(0));
         }
         assert_eq!(q.pop().unwrap().seq, 0);
-        assert!(q.today_cursor < q.today.len(), "buffer is active");
-        // Insert earlier than the buffered day: buffer must flush back.
+        // Insert earlier than the burst's day: the walk must rewind to it.
         q.insert(t(5), 100, wake(1));
-        assert_eq!(q.today.len(), 0, "buffer flushed");
         assert_eq!(q.pop().unwrap().seq, 100);
         for seq in 1..100u64 {
             assert_eq!(q.pop().unwrap().seq, seq);
@@ -932,10 +764,10 @@ mod tests {
     }
 
     impl CalendarQueue {
-        /// Bytes the queue holds allocated: slab, day heads, today buffer.
+        /// Bytes the queue holds allocated: slab and day heads.
         fn storage_bytes(&self) -> usize {
             self.slab.capacity() * std::mem::size_of::<Slot>()
-                + (self.heads.capacity() + self.today.capacity()) * std::mem::size_of::<u32>()
+                + self.heads.capacity() * std::mem::size_of::<u32>()
         }
     }
 

@@ -404,10 +404,11 @@ impl EventQueue {
         Self::with_kind_and_hint(kind, None)
     }
 
-    /// An event queue on the chosen backend, with an expected inter-event
-    /// spacing hint (the calendar queue seeds its bucket width from it;
-    /// the heap ignores it). The queue self-tunes either way — the hint
-    /// only avoids early resize churn.
+    /// An event queue on the chosen backend, with an expected spacing
+    /// between the backend's entries: the calendar queue starts its
+    /// bucket width from it, the heap ignores it. The engine passes none
+    /// ([`Self::with_kind`]); tests and the benchmark's hold probes use
+    /// it to pin a calendar width.
     pub fn with_kind_and_hint(kind: SchedulerKind, spacing_hint: Option<SimDuration>) -> Self {
         let backend = match kind {
             SchedulerKind::Heap => Backend::Heap(BinaryHeapScheduler::new()),

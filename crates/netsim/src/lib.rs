@@ -96,18 +96,19 @@
 //! * **O(1) amortized timers.** The engine schedules through a
 //!   pluggable [`event::Scheduler`]; the default backend is a bucketed
 //!   calendar queue ([`calendar::CalendarQueue`]) whose bucket width is a
-//!   power-of-two nanosecond span seeded from the bottleneck
-//!   serialization time, re-estimated from the live event population
-//!   on every resize, and re-derived from the dequeue rate when a large
-//!   queue's pops keep scanning crowded days (see the `calendar` module
-//!   docs for the tuning knobs). Entries live in one slab and a day is a
-//!   linked list through it, so the queue holds about 40 bytes per
-//!   pending timer plus 4 per bucket, whatever a day once held. The
-//!   `BinaryHeap` backend stays
-//!   selectable per simulation ([`event::SchedulerKind::Heap`] through
-//!   [`sim::Simulation::with_scheduler`]) as the O(log n) reference; on
-//!   timers alone the two run close, and the calendar does not reliably
-//!   beat the heap even with 2×10⁴ of them standing.
+//!   power-of-two nanosecond span, re-estimated from the live timer
+//!   population on every resize and re-derived from the dequeue rate
+//!   when a large queue's pops keep scanning crowded days (see the
+//!   `calendar` module docs for the tuning knobs). Entries live in one
+//!   slab and a day is a linked list through it, so the queue holds
+//!   about 40 bytes per pending timer plus 4 per bucket, whatever a day
+//!   once held. The `BinaryHeap` backend stays selectable per simulation
+//!   ([`event::SchedulerKind::Heap`] through
+//!   [`sim::Simulation::with_scheduler`]) as the O(log n) reference. On
+//!   few timers the two run close; with the ~3×10⁴ timers the
+//!   benchmark's `scale_10k` workload keeps standing, making the heap the
+//!   default cost 27 % of its wall time (3.35 → 4.25 s on a shared
+//!   2-vCPU box).
 //! * **No float work the per-ACK path can do without.** The RTT
 //!   estimator and the RTO scale by their RFC 6298 gains in integers —
 //!   `(n·x + d/2) >> log2 d`, exact for every duration the simulator
@@ -134,7 +135,7 @@
 //!   [`sim::RunOutcome::events_by_kind`] keeps the waste visible, and
 //!   [`sim::RunOutcome::queue`] counts where each event waited (lane,
 //!   line, backend, line fallbacks) and what the calendar did (pops,
-//!   keys scanned, rebuilds, today-buffer drains).
+//!   keys scanned, rebuilds).
 //! * **Determinism is load-bearing.** All of the above preserve the
 //!   bit-for-bit `(config, protocols, seed) → outcome` contract that the
 //!   optimizer's common-random-number comparisons rest on. Both scheduler

@@ -89,14 +89,6 @@ impl Link {
         serialization(bytes, self.rate_bps)
     }
 
-    /// Typical spacing between the per-packet events this link generates
-    /// while busy: one full data packet's serialization time. The engine
-    /// takes the minimum over all links to seed the calendar scheduler's
-    /// bucket width (see [`crate::calendar::CalendarQueue`]).
-    pub fn event_spacing_hint(&self) -> SimDuration {
-        self.data_tx
-    }
-
     /// Time to serialize `pkt` onto the wire.
     #[inline]
     fn pkt_tx_time(&self, pkt: &Packet) -> SimDuration {

@@ -524,24 +524,7 @@ impl Simulation {
             })
             .collect();
         faults.resize_with(links.len(), || None);
-        // Seed the calendar queue's bucket width with the tightest
-        // per-packet event spacing in the topology: the fastest config
-        // link's data serialization time, or a reverse link's ACK
-        // serialization time if that is tighter. The queue self-tunes
-        // from there.
-        let spacing_hint = links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !l.is_delay_only())
-            .map(|(i, l)| {
-                if i < config.links.len() {
-                    l.event_spacing_hint()
-                } else {
-                    l.tx_time(ACK_BYTES)
-                }
-            })
-            .min();
-        let mut events = EventQueue::with_kind_and_hint(scheduler, spacing_hint);
+        let mut events = EventQueue::with_kind(scheduler);
         let tx_line = links.iter().map(|_| events.line()).collect();
         let prop_line = links.iter().map(|_| events.line()).collect();
         Simulation {
