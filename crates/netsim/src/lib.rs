@@ -64,8 +64,10 @@
 //!   slot" in [`sim`]), and freed slots recycle through a free-list
 //!   instead of touching the heap. Loss detection counts what
 //!   it declares lost instead of collecting it. What still allocates is
-//!   growth: a flow's reliability rings grow to the largest window it has
-//!   kept in flight (and keep that capacity across epochs), the
+//!   growth: a runtime's reliability rings grow to the largest window a
+//!   transfer it served has kept in flight (and keep that capacity for
+//!   the next transfer), the pool of runtimes to the most slots ever ON
+//!   at once, the
 //!   calendar's slab to the most timers ever pending at once. At steady
 //!   state the hot handlers and the scheduler allocate nothing (tracked by
 //!   the benchmark's `netsim.sim.allocs_per_event` row), and nothing is
@@ -73,14 +75,17 @@
 //!   with sub-packet fair shares would be most of the heap
 //!   (`netsim.sim.kb_per_flow`).
 //! * **Per-flow state without idle padding.** At 10⁴ flows each word of
-//!   a flow slot costs 80 kB, so the slots hold what is live: sentinels
-//!   instead of `Option`s in the sender slot, the transport and its ring
-//!   slots (16 and 8 bytes, the value itself), data and ACK routes as
+//!   a flow slot costs 80 kB, so the slots hold what outlives an OFF
+//!   period and nothing else: the transport, its rings, pacing and the
+//!   RTO timer are a pooled runtime that only live transfers hold (see
+//!   "Idle slots" in [`sim`]); ring slots are the value itself (16 and 8
+//!   bytes), sentinels stand in for `Option`s, data and ACK routes are
 //!   ranges of one per-simulation route table, and the delayed-ACK state
-//!   boxed where only delayed-ACK receivers pay for it. Compile-time
-//!   asserts hold the sender slot to 400 bytes and the receiver slot to
-//!   64; a built 10⁴-flow cell holds about 0.67 kB per flow, controller
-//!   included (`netsim.sim.kb_per_flow` in the benchmark).
+//!   is boxed where only delayed-ACK receivers pay for it. Compile-time
+//!   asserts hold the sender slot to 160 bytes (it is 144), a runtime to
+//!   256 (240) and the receiver slot to 64 (56); a built 10⁴-flow cell
+//!   holds about 0.41 kB per flow, controller included
+//!   (`netsim.sim.kb_per_flow` in the benchmark, from 0.67).
 //! * **Packet events bypass the priority queue.** A link's
 //!   serializations and its propagations (on a delay-only link, every
 //!   packet that enters it) are each scheduled in an order known in

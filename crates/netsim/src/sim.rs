@@ -44,6 +44,32 @@
 //! or a delayed-ACK receiver holds it — and while a link queue, which
 //! holds packets by value, has it.
 //!
+//! # Idle slots
+//!
+//! A flow slot holds only what must outlive an OFF period; most slots of
+//! a churn cell are idle at any instant, and all of them when it is
+//! built. The state only a live transfer touches — the [`Transport`]
+//! with its rings, the controller's cached window and pacing interval,
+//! the last send time and the RTO timer — is a pooled runtime the slot
+//! takes when it turns ON (the last one freed, else a new one) and hands
+//! back, with its rings' capacity, when it turns OFF. What stays per
+//! slot, and why:
+//!
+//! * the controller, the workload process, the RNG and the routes: the
+//!   flow's identity across its epochs;
+//! * `active_flows`, `on` and the ON-time tracker: the workload state
+//!   machine runs while the slot is OFF;
+//! * `pending_wake`: a pacing wake queued by an ended epoch still fires,
+//!   and still clears it;
+//! * the transport's epoch and RTO generation, saved at turn-OFF and
+//!   adopted by the next runtime before it starts an epoch: packets and
+//!   `RtoCheck`s of an ended epoch stay stale across OFF periods;
+//! * the receiver: data of an ended epoch is still delivered, and
+//!   deduplicated, after its sender turned OFF.
+//!
+//! Moving state between the two changes no event: the runtime's fields
+//! are reset at every turn-ON, as the slot's were.
+//!
 //! # Endpoint policies
 //!
 //! Receivers are first-class: each flow may carry a
@@ -176,15 +202,11 @@ impl Route {
     }
 }
 
+/// What a flow slot keeps whether or not it is ON: its controller,
+/// workload process, RNG and routes, its ON bookkeeping, and the counts a
+/// live transfer must carry on from (see "Idle slots" in the module docs).
 struct SenderSlot {
     cc: Box<dyn CongestionControl>,
-    /// `cc.window()` as a packet count and `cc.intersend()`, read after
-    /// every callback that can change them (`reset`, `on_ack`, `on_loss`,
-    /// `on_timeout`; both are `&self` functions of the controller's
-    /// state), so the send loop makes no virtual call.
-    window: usize,
-    intersend: SimDuration,
-    transport: Transport,
     workload: crate::workload::Workload,
     /// The links this flow's data crosses, and those its ACKs cross back
     /// (see "Data and return paths" in the module docs).
@@ -193,15 +215,35 @@ struct SenderSlot {
     /// Concurrent transfers hosted by this slot (unblocked M/G/∞ churn);
     /// the slot is ON while this is nonzero.
     active_flows: u32,
+    /// ON: the slot holds a `pool` entry.
     on: bool,
     on_tracker: OnTimeTracker,
-    /// Time of the last transmission, for pacing (`SimTime::MAX`: none
-    /// this epoch).
-    last_send: SimTime,
     /// Firing time of the earliest queued SenderWake (`SimTime::MAX`:
     /// none); cleared only by that wake, so a later one is never
     /// scheduled twice.
     pending_wake: SimTime,
+    /// The transport's epoch and RTO generation while the slot is OFF
+    /// (its runtime holds the current ones while it is ON).
+    epoch: u32,
+    rto_gen: u64,
+    rng: SimRng,
+}
+
+/// What only a live transfer touches: the reliability layer with its
+/// rings, the controller's cached outputs, pacing and the RTO timer. A
+/// slot takes one from the [`RuntimePool`] when it turns ON and hands it
+/// back when it turns OFF.
+struct FlowRuntime {
+    /// `cc.window()` as a packet count and `cc.intersend()`, read after
+    /// every callback that can change them (`reset`, `on_ack`, `on_loss`,
+    /// `on_timeout`; both are `&self` functions of the controller's
+    /// state), so the send loop makes no virtual call.
+    window: usize,
+    intersend: SimDuration,
+    transport: Transport,
+    /// Time of the last transmission, for pacing (`SimTime::MAX`: none
+    /// this epoch).
+    last_send: SimTime,
     /// Current RTO deadline (valid only at the matching rto_gen).
     rto_deadline: SimTime,
     /// Queue seq reserved for a check at `rto_deadline` (see "Timers and
@@ -210,22 +252,84 @@ struct SenderSlot {
     /// Firing time of the queued RtoCheck of the current generation that
     /// will carry the deadline forward (`SimTime::MAX`: none is queued).
     rto_armed: SimTime,
-    rng: SimRng,
 }
 
-impl SenderSlot {
+impl FlowRuntime {
     /// Refresh the cached window and pacing interval after a callback.
-    fn read_cc(&mut self) {
-        self.window = self.cc.window() as usize;
-        self.intersend = self.cc.intersend();
+    fn read_cc(&mut self, cc: &dyn CongestionControl) {
+        self.window = cc.window() as usize;
+        self.intersend = cc.intersend();
+    }
+}
+
+/// The runtimes of live transfers. An entry is freed when its slot turns
+/// OFF and taken again, last freed first, by the next slot to turn ON, so
+/// the pool holds no more entries than the most slots ever ON at once.
+struct RuntimePool {
+    entries: Vec<FlowRuntime>,
+    free: Vec<u32>,
+    /// Per slot, the entry it holds while ON. Kept apart from the slots:
+    /// at 4 bytes a slot it stays cached, so a handler finds the runtime
+    /// without first waiting for the slot's cache line (as a slot field
+    /// it cost a 10⁴-slot incast cell ~5 % more run time on a shared
+    /// 2-vCPU Xeon).
+    held: Vec<u32>,
+}
+
+impl RuntimePool {
+    fn new(slots: usize) -> Self {
+        RuntimePool {
+            entries: Vec::new(),
+            free: Vec::new(),
+            held: vec![0; slots],
+        }
+    }
+
+    /// An entry for `flow`, its transport carrying on from the slot's
+    /// `epoch` and `rto_gen`; every other field is reset by `turn_on`.
+    fn take(&mut self, flow: FlowId, epoch: u32, rto_gen: u64) -> &mut FlowRuntime {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.entries.push(FlowRuntime {
+                window: 0,
+                intersend: SimDuration::ZERO,
+                transport: Transport::new(flow),
+                last_send: SimTime::MAX,
+                rto_deadline: SimTime::MAX,
+                rto_seq: 0,
+                rto_armed: SimTime::MAX,
+            });
+            self.entries.len() as u32 - 1
+        });
+        self.held[flow.0 as usize] = id;
+        let rt = &mut self.entries[id as usize];
+        rt.transport.resume(flow, epoch, rto_gen);
+        rt
+    }
+
+    /// Free slot `i`'s entry, abandoning its transfer; returns the epoch
+    /// and RTO generation the slot keeps for the next [`take`](Self::take).
+    fn put_back(&mut self, i: usize) -> (u32, u64) {
+        let id = self.held[i];
+        let transport = &mut self.entries[id as usize].transport;
+        transport.abort();
+        self.free.push(id);
+        (transport.epoch(), transport.rto_gen())
+    }
+
+    /// The entry ON slot `i` holds.
+    fn get(&mut self, i: usize) -> &mut FlowRuntime {
+        &mut self.entries[self.held[i] as usize]
     }
 }
 
 /// Per-flow engine state stays within these sizes: at 10⁴ flows each
-/// word of a slot costs 80 kB (`sim_peak_heap_mb_10k`,
-/// `netsim.sim.kb_per_flow`).
-const _FLOW_SLOTS_STAY_SMALL: () =
-    assert!(std::mem::size_of::<SenderSlot>() <= 400 && std::mem::size_of::<ReceiverSlot>() <= 64);
+/// word of a slot costs 80 kB (`netsim.sim.kb_per_flow`). A runtime entry
+/// is paid only per live transfer.
+const _FLOW_SLOTS_STAY_SMALL: () = assert!(
+    std::mem::size_of::<SenderSlot>() <= 160
+        && std::mem::size_of::<FlowRuntime>() <= 256
+        && std::mem::size_of::<ReceiverSlot>() <= 64
+);
 
 /// Runtime state of one config link's [`FaultSpec`] process: the
 /// per-link child RNG (forked only for links that declare a fault, so
@@ -359,6 +463,8 @@ pub struct Simulation {
     /// Per link, the delay line of its `Propagated` events.
     prop_line: Vec<Line>,
     senders: Vec<SenderSlot>,
+    /// Runtimes of the live transfers (see "Idle slots" in the module docs).
+    pool: RuntimePool,
     receivers: Vec<ReceiverSlot>,
     /// Fault-process state per link (`None` = no fault declared).
     faults: Vec<Option<FaultState>>,
@@ -425,9 +531,6 @@ impl Simulation {
             .enumerate()
             .map(|(i, cc)| SenderSlot {
                 cc,
-                window: 0,
-                intersend: SimDuration::ZERO,
-                transport: Transport::new(FlowId(i as u32)),
                 workload: crate::workload::Workload::new(config.flows[i].workload.clone()),
                 data_path: Route::push(
                     &mut routes,
@@ -437,11 +540,9 @@ impl Simulation {
                 active_flows: 0,
                 on: false,
                 on_tracker: OnTimeTracker::default(),
-                last_send: SimTime::MAX,
                 pending_wake: SimTime::MAX,
-                rto_deadline: SimTime::MAX,
-                rto_seq: 0,
-                rto_armed: SimTime::MAX,
+                epoch: 0,
+                rto_gen: 0,
                 rng: root.fork(0x2222 + i as u64),
             })
             .collect();
@@ -536,6 +637,7 @@ impl Simulation {
             tx_line,
             prop_line,
             senders,
+            pool: RuntimePool::new(n),
             receivers: config
                 .flows
                 .iter()
@@ -1005,7 +1107,8 @@ impl Simulation {
                 *digest = fnv(*digest, word);
             }
         }
-        let outcome = s.transport.on_ack(self.now, &ack);
+        let rt = self.pool.get(i);
+        let outcome = rt.transport.on_ack(self.now, &ack);
         if !outcome.valid {
             return;
         }
@@ -1016,7 +1119,7 @@ impl Simulation {
         if let Some(info) = &outcome.info {
             s.cc.on_ack(self.now, &ack, info);
         }
-        s.read_cc();
+        rt.read_cc(&*s.cc);
         self.reschedule_rto(i);
         self.try_send(i);
     }
@@ -1024,37 +1127,41 @@ impl Simulation {
     fn handle_rto(&mut self, flow: FlowId, gen: u64) {
         let i = flow.0 as usize;
         let s = &mut self.senders[i];
-        if !s.on || gen != s.transport.rto_gen() {
+        if !s.on {
+            return;
+        }
+        let rt = self.pool.get(i);
+        if gen != rt.transport.rto_gen() {
             return;
         }
         // A live check leaves the queue here; if it is the armed one,
         // nothing of this generation is known to be queued any more.
-        let armed = s.rto_armed == self.now;
+        let armed = rt.rto_armed == self.now;
         if armed {
-            s.rto_armed = SimTime::MAX;
+            rt.rto_armed = SimTime::MAX;
         }
-        if self.now < s.rto_deadline {
+        if self.now < rt.rto_deadline {
             // Superseded deadline. The armed check carries the timer to
             // the current one, at the queue position reserved for it.
             if armed {
-                s.rto_armed = s.rto_deadline;
+                rt.rto_armed = rt.rto_deadline;
                 self.events.insert_reserved(
-                    s.rto_deadline,
-                    s.rto_seq,
+                    rt.rto_deadline,
+                    rt.rto_seq,
                     Event::RtoCheck { flow, gen },
                 );
             }
             return;
         }
-        if s.transport.in_flight() == 0 && !s.transport.has_retx_pending() {
+        if rt.transport.in_flight() == 0 && !rt.transport.has_retx_pending() {
             return;
         }
         self.stats[i].timeouts += 1;
         s.cc.on_timeout(self.now);
-        s.read_cc();
+        rt.read_cc(&*s.cc);
         // Bumps the RTO generation: every queued check is dead.
-        s.transport.on_timeout();
-        s.rto_armed = SimTime::MAX;
+        rt.transport.on_timeout();
+        rt.rto_armed = SimTime::MAX;
         self.reschedule_rto(i);
         self.try_send(i);
     }
@@ -1125,14 +1232,16 @@ impl Simulation {
 
     fn turn_on(&mut self, i: usize) {
         let s = &mut self.senders[i];
+        debug_assert!(!s.on, "a slot turns ON once per OFF");
         s.on = true;
         s.on_tracker.turn_on(self.now);
-        let epoch = s.transport.start_epoch();
+        let rt = self.pool.take(FlowId(i as u32), s.epoch, s.rto_gen);
+        let epoch = rt.transport.start_epoch();
         s.cc.reset(self.now);
-        s.read_cc();
-        s.last_send = SimTime::MAX;
-        s.rto_deadline = SimTime::MAX;
-        s.rto_armed = SimTime::MAX;
+        rt.read_cc(&*s.cc);
+        rt.last_send = SimTime::MAX;
+        rt.rto_deadline = SimTime::MAX;
+        rt.rto_armed = SimTime::MAX;
         let rx = &mut self.receivers[i];
         rx.epoch = epoch;
         rx.seen.clear();
@@ -1147,9 +1256,7 @@ impl Simulation {
         s.on = false;
         let d = s.on_tracker.turn_off(self.now);
         self.stats[i].on_time += d;
-        s.transport.abort();
-        s.rto_deadline = SimTime::MAX;
-        s.rto_armed = SimTime::MAX;
+        (s.epoch, s.rto_gen) = self.pool.put_back(i);
     }
 
     /// Send as many packets as window and pacing allow; schedule a pacing
@@ -1160,19 +1267,20 @@ impl Simulation {
             if !s.on {
                 return;
             }
+            let rt = self.pool.get(i);
             // Effective window: the congestion window, capped by the
             // receiver's advertised window when one has been seen this
             // epoch.
-            let window = match s.transport.peer_rwnd() {
-                Some(r) => s.window.min(r as usize),
-                None => s.window,
+            let window = match rt.transport.peer_rwnd() {
+                Some(r) => rt.window.min(r as usize),
+                None => rt.window,
             };
-            if s.transport.in_flight() >= window {
+            if rt.transport.in_flight() >= window {
                 return;
             }
             // Pacing check.
-            if s.last_send != SimTime::MAX && !s.intersend.is_zero() {
-                let allowed = s.last_send + s.intersend;
+            if rt.last_send != SimTime::MAX && !rt.intersend.is_zero() {
+                let allowed = rt.last_send + rt.intersend;
                 if allowed > self.now {
                     if allowed < s.pending_wake {
                         s.pending_wake = allowed;
@@ -1186,16 +1294,16 @@ impl Simulation {
                     return;
                 }
             }
-            let Some(pkt) = s.transport.produce(self.now, window) else {
+            let Some(pkt) = rt.transport.produce(self.now, window) else {
                 return;
             };
-            s.last_send = self.now;
+            rt.last_send = self.now;
             self.stats[i].transmissions += 1;
             if pkt.is_retx() {
                 self.stats[i].retransmissions += 1;
             }
             let first_link = self.routes[s.data_path.start as usize];
-            let had_outstanding = s.transport.in_flight() > 1;
+            let had_outstanding = rt.transport.in_flight() > 1;
             let pkt = self.arena.alloc(pkt);
             self.enter(first_link, pkt);
             if !had_outstanding {
@@ -1210,27 +1318,27 @@ impl Simulation {
     /// generation is already queued at or before it — see "Timers and the
     /// same-instant lane" in the module docs.
     fn reschedule_rto(&mut self, i: usize) {
-        let s = &mut self.senders[i];
-        if s.transport.in_flight() == 0 && !s.transport.has_retx_pending() {
-            s.transport.bump_rto_gen();
-            s.rto_deadline = SimTime::MAX;
-            s.rto_armed = SimTime::MAX;
+        let rt = self.pool.get(i);
+        if rt.transport.in_flight() == 0 && !rt.transport.has_retx_pending() {
+            rt.transport.bump_rto_gen();
+            rt.rto_deadline = SimTime::MAX;
+            rt.rto_armed = SimTime::MAX;
             return;
         }
-        let base = s.transport.oldest_outstanding_at().unwrap_or(self.now);
-        let deadline = base.max(self.now) + s.transport.rto();
+        let base = rt.transport.oldest_outstanding_at().unwrap_or(self.now);
+        let deadline = base.max(self.now) + rt.transport.rto();
         let seq = self.events.reserve_seq();
-        if deadline != s.rto_deadline {
+        if deadline != rt.rto_deadline {
             // An unchanged deadline keeps its earliest reservation.
-            s.rto_deadline = deadline;
-            s.rto_seq = seq;
+            rt.rto_deadline = deadline;
+            rt.rto_seq = seq;
         }
-        if deadline < s.rto_armed {
-            s.rto_armed = deadline;
-            let gen = s.transport.rto_gen();
+        if deadline < rt.rto_armed {
+            rt.rto_armed = deadline;
+            let gen = rt.transport.rto_gen();
             self.events.insert_reserved(
                 deadline,
-                s.rto_seq,
+                rt.rto_seq,
                 Event::RtoCheck {
                     flow: FlowId(i as u32),
                     gen,
@@ -1700,15 +1808,96 @@ mod tests {
         let started = out.flows.iter().filter(|f| f.transmissions > 0).count();
         assert!(started > slots / 2, "only {started} flows ever sent");
         let capacity: usize = sim
-            .senders
+            .pool
+            .entries
             .iter()
-            .map(|s| s.transport.ring_capacity())
+            .map(|rt| rt.transport.ring_capacity())
             .sum();
         let peak_in_flight = started * window as usize;
         assert!(
             capacity <= 4 * peak_in_flight,
             "rings hold {capacity} slots for at most {peak_in_flight} packets in flight"
         );
+    }
+
+    #[test]
+    fn runtime_pool_holds_live_transfers_only() {
+        // 10³ M/G/∞ slots at duty 1 − e^{−1}: no entry at build, and
+        // after the run fewer entries than slots, one per ON slot.
+        let slots = 1_000;
+        let net = dumbbell(
+            slots,
+            100e6,
+            0.020,
+            QueueSpec::infinite(),
+            WorkloadSpec::churn_mginf(0.5, 2.0),
+        );
+        let mut sim = Simulation::new(&net, (0..slots).map(|_| fixed(4.0)).collect(), 3);
+        assert!(sim.pool.entries.is_empty(), "a built cell holds no runtime");
+        sim.run(SimDuration::from_secs(5));
+        let entries = sim.pool.entries.len();
+        assert!(entries < slots, "{entries} entries for {slots} slots");
+        let mut held: Vec<u32> = (0..slots)
+            .filter(|&i| sim.senders[i].on)
+            .map(|i| sim.pool.held[i])
+            .collect();
+        assert!(held.len() > slots / 3, "only {} slots ON", held.len());
+        held.extend(&sim.pool.free);
+        held.sort_unstable();
+        let every: Vec<u32> = (0..entries as u32).collect();
+        assert_eq!(held, every, "each entry held by one ON slot or free");
+    }
+
+    #[test]
+    fn alternating_slots_share_one_runtime_and_keep_their_counts() {
+        // Two slots whose ON periods alternate, on a receiver that never
+        // acknowledges a first transmission, so progress is by timeout.
+        // Both hand one runtime back and forth, and each slot's epoch and
+        // RTO generation add up what each of its own ON periods counts in
+        // a run of its own.
+        let stalled = ReceiverSpec {
+            ack_every: 1000,
+            flush_timer_s: None,
+            rwnd_packets: None,
+        };
+        let periods = [[(0.5, 3.0), (6.0, 8.5)], [(3.5, 5.5), (9.0, 11.5)]];
+        let run = |slots: &[&[(f64, f64)]]| {
+            let mut net = dumbbell(
+                slots.len(),
+                10e6,
+                0.020,
+                QueueSpec::infinite(),
+                WorkloadSpec::AlwaysOn,
+            )
+            .with_receiver(stalled.clone());
+            for (f, on) in net.flows.iter_mut().zip(slots) {
+                let switches = on
+                    .iter()
+                    .flat_map(|&(up, down)| [(up, true), (down, false)]);
+                f.workload = WorkloadSpec::Schedule(switches.collect());
+            }
+            let mut sim = Simulation::new(&net, slots.iter().map(|_| fixed(8.0)).collect(), 1);
+            let out = sim.run(SimDuration::from_secs(12));
+            let counts = |s: &SenderSlot| (s.epoch, s.rto_gen);
+            let slots: Vec<_> = sim.senders.iter().map(counts).collect();
+            let timeouts: Vec<_> = out.flows.iter().map(|f| f.timeouts).collect();
+            (slots, timeouts, sim.pool.entries.len())
+        };
+        let (slots, timeouts, entries) = run(&[&periods[0], &periods[1]]);
+        assert_eq!(entries, 1, "one runtime, handed back and forth");
+        for (i, own) in periods.iter().enumerate() {
+            let (mut epoch, mut rto_gen, mut alone_timeouts) = (0, 0, 0);
+            for period in own {
+                let (counts, t, _) = run(&[std::slice::from_ref(period)]);
+                epoch += counts[0].0;
+                rto_gen += counts[0].1;
+                alone_timeouts += t[0];
+            }
+            assert_eq!(slots[i], (epoch, rto_gen), "slot {i}");
+            assert_eq!(epoch, 2);
+            assert!(timeouts[i] > 0, "slot {i} timed out");
+            assert_eq!(timeouts[i], alone_timeouts, "slot {i}");
+        }
     }
 
     #[test]

@@ -361,6 +361,17 @@ impl Transport {
         self.rto_gen
     }
 
+    /// Hand this (possibly reused) reliability layer to `flow`, carrying on
+    /// from that flow's `epoch` and RTO generation `rto_gen`, so packets
+    /// and timers of the flow's earlier epochs stay stale. Call
+    /// [`start_epoch`](Self::start_epoch) before sending; the rings keep
+    /// their capacity.
+    pub fn resume(&mut self, flow: FlowId, epoch: u32, rto_gen: u64) {
+        self.flow = flow;
+        self.epoch = epoch;
+        self.rto_gen = rto_gen;
+    }
+
     /// Begin a new epoch (workload turned ON): abandon all in-flight state.
     pub fn start_epoch(&mut self) -> u32 {
         self.epoch = self.epoch.wrapping_add(1);

@@ -8,10 +8,12 @@
 //!
 //! The executor walks a [`CompiledTree`] — the whisker tree flattened
 //! into a contiguous arena — and records per-whisker usage in a flat
-//! [`UsageCounts`] buffer. The compiled tree is immutable and shared
-//! (`Arc`) so many senders in one simulation, and many simulations in one
-//! evaluation batch, reuse a single compilation instead of cloning the
-//! recursive tree per sender.
+//! [`UsageCounts`] buffer, allocated at the first recorded use: only
+//! training reads it, and a sender that never acknowledges anything (an
+//! idle slot of a 10⁴-sender cell) holds none. The compiled tree is
+//! immutable and shared (`Arc`) so many senders in one simulation, and
+//! many simulations in one evaluation batch, reuse a single compilation
+//! instead of cloning the recursive tree per sender.
 
 use crate::compiled::{CompiledTree, UsageCounts};
 use crate::memory::{Memory, SignalMask};
@@ -27,7 +29,8 @@ pub const INITIAL_WINDOW: f64 = 2.0;
 /// Runtime executor for a Tao protocol.
 pub struct TaoCc {
     tree: Arc<CompiledTree>,
-    usage: UsageCounts,
+    /// `None` until the first acknowledgment records a use.
+    usage: Option<UsageCounts>,
     memory: Memory,
     cwnd: f64,
     intersend: SimDuration,
@@ -48,10 +51,9 @@ impl TaoCc {
         mask: SignalMask,
         name: impl Into<Arc<str>>,
     ) -> Self {
-        let usage = UsageCounts::new(tree.num_leaves());
         let mut cc = TaoCc {
             tree,
-            usage,
+            usage: None,
             memory: Memory::new(mask),
             cwnd: INITIAL_WINDOW,
             intersend: SimDuration::ZERO,
@@ -70,10 +72,10 @@ impl TaoCc {
     }
 
     /// Usage statistics collected during execution (the optimizer reads
-    /// these after an evaluation run). Index-aligned with the tree's
-    /// in-order leaves.
-    pub fn usage(&self) -> &UsageCounts {
-        &self.usage
+    /// these after an evaluation run), index-aligned with the tree's
+    /// in-order leaves; `None` while no use has been recorded.
+    pub fn usage(&self) -> Option<&UsageCounts> {
+        self.usage.as_ref()
     }
 
     /// The compiled tree this executor runs.
@@ -101,7 +103,9 @@ impl CongestionControl for TaoCc {
         self.memory.on_ack(now, ack);
         let p = MemoryRange::clamp_point(&self.memory.point());
         let leaf = self.tree.lookup_clamped(&p);
-        self.usage.record(leaf, &p);
+        self.usage
+            .get_or_insert_with(|| UsageCounts::new(self.tree.num_leaves()))
+            .record(leaf, &p);
         let leaf = self.tree.leaf(leaf);
         self.cwnd = leaf.action.apply_to_window(self.cwnd);
         self.intersend = leaf.pacing;
@@ -260,7 +264,46 @@ mod tests {
         for i in 0..7 {
             cc.on_ack(t(100 + i * 10), &ack_at(i * 10, i), &info());
         }
-        assert_eq!(cc.usage().total_uses(), 7);
+        assert_eq!(cc.usage().unwrap().total_uses(), 7);
+    }
+
+    #[test]
+    fn usage_buffer_is_allocated_at_the_first_ack() {
+        // Split on rtt_ratio at 2, so the acks below fire both leaves.
+        let mut tree = WhiskerTree::default_tree();
+        tree.split_leaf(LeafId(0), 3, None);
+        match &mut tree {
+            WhiskerTree::Node { split_at, .. } => *split_at = 2.0,
+            _ => unreachable!(),
+        }
+        let scheme = crate::Scheme::tao(tree, "tao");
+        let crate::Scheme::Tao { tree: compiled, .. } = &scheme else {
+            unreachable!()
+        };
+        let mut cc = scheme.build();
+        let tao = |cc: &dyn CongestionControl| -> Option<UsageCounts> {
+            let any = cc.as_any().expect("a Tao sender exposes itself");
+            any.downcast_ref::<TaoCc>().unwrap().usage().cloned()
+        };
+        cc.reset(t(0));
+        cc.on_loss(t(1));
+        cc.on_timeout(t(2));
+        assert_eq!(tao(&*cc), None, "no buffer before the first ack");
+        // The counts a buffer allocated up front records: the same
+        // memory updates and the same clamped lookups, leaf by leaf.
+        let mut memory = Memory::new(SignalMask::all());
+        let mut expect = UsageCounts::new(compiled.num_leaves());
+        for i in 0..40 {
+            let (now, ack) = (t(100 + i * 7), ack_at(i * 3 + (i % 5) * 20, i));
+            cc.on_ack(now, &ack, &info());
+            memory.on_ack(now, &ack);
+            let p = MemoryRange::clamp_point(&memory.point());
+            expect.record(compiled.lookup_clamped(&p), &p);
+        }
+        let usage = tao(&*cc).expect("allocated by the first ack");
+        assert_eq!(usage.len(), compiled.num_leaves());
+        assert_eq!(usage, expect);
+        assert!(usage.iter().all(|(_, n, _)| n > 0), "both leaves fired");
     }
 
     #[test]
@@ -273,11 +316,11 @@ mod tests {
         a.on_ack(t(100), &ack_at(0, 0), &info());
         a.on_ack(t(110), &ack_at(5, 1), &info());
         b.on_ack(t(100), &ack_at(0, 0), &info());
-        assert_eq!(a.usage().total_uses(), 2);
-        assert_eq!(b.usage().total_uses(), 1);
+        assert_eq!(a.usage().unwrap().total_uses(), 2);
+        assert_eq!(b.usage().unwrap().total_uses(), 1);
         // counts fold together leaf by leaf
-        let mut merged = a.usage().clone();
-        merged.merge(b.usage());
+        let mut merged = a.usage().unwrap().clone();
+        merged.merge(b.usage().unwrap());
         assert_eq!(merged.total_uses(), 3);
     }
 }
