@@ -150,3 +150,27 @@ fn train_has_one_trainer() {
     assert!(usage.contains("train <ids|all> [--force]"), "{usage}");
     assert!(!usage.contains("--trainer"), "{usage}");
 }
+
+#[test]
+fn verify_fails_a_collapsing_asset_and_passes_a_sane_one() {
+    // The committed calibration Tao collapses on the probes.
+    let dir = scratch("verify-cal", &["tao-calibration"]);
+    let (code, out, err) = learnability(&["assets", "verify", "--assets", dir.to_str().unwrap()]);
+    assert_eq!(code, 1, "{err}");
+    let verdict = format!("FAIL {:<22} (10 probes, 234 violations)", "tao-calibration");
+    assert!(out.starts_with(&verdict), "{out}");
+    fs::remove_dir_all(&dir).ok();
+    // One uniform leaf, window <- 0.5w + 1 at 2 ms pacing: a steady
+    // 2-packet window, harmless on every probe.
+    let dir = scratch("verify-sane", &[]);
+    let sane = r#"{"name": "sane", "score": 0.0, "description": "uniform",
+        "tree": {"Leaf": {"domain": {"lower": [0.0, 0.0, 0.0, 0.0],
+                                     "upper": [4000.0, 4000.0, 4000.0, 64.0]},
+                          "action": {"window_multiple": 0.5, "window_increment": 1.0,
+                                     "intersend_ms": 2.0}}}}"#;
+    fs::write(dir.join("sane.json"), sane).unwrap();
+    let (code, out, err) = learnability(&["assets", "verify", "--assets", dir.to_str().unwrap()]);
+    assert_eq!(code, 0, "{out}{err}");
+    assert!(out.starts_with("PASS sane"), "{out}");
+    fs::remove_dir_all(&dir).ok();
+}

@@ -18,7 +18,9 @@
 
 use crate::experiments::{self, Experiment, Fidelity, RunOptions};
 use crate::report::{render_figure, TableData};
-use protocols::{MemoryPoint, NUM_SIGNALS};
+use crate::runner::execute_sweep;
+use crate::search::{collapse_probes, judge_collapse, Finding, COLLAPSE_CELLS};
+use protocols::{MemoryPoint, Scheme, NUM_SIGNALS};
 use remy::TrainedProtocol;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -42,8 +44,10 @@ commands:
   assets show NAME              one asset's training model and whisker tree
   assets probe NAME REC SLOW SEND RTTR
                                 the action NAME takes at that memory point
-  assets verify                 run the congestion-collapse verifier on
-                                every asset (exits 1 if any is flagged)
+  assets verify                 run every asset on the five collapse
+                                probes (2 seeds each, all cores) and
+                                flag retransmission collapse, starvation
+                                and runaway queues (exits 1 if any is)
 
 run options:
   --fidelity quick|full         compute budget (default: quick)
@@ -495,33 +499,28 @@ fn cmd_assets(args: &[&str]) -> i32 {
             )
         }
         ["verify"] => {
-            use remy::verifier::{verify, VerifyConfig};
-            let cfg = VerifyConfig::default();
+            let mut schemes = Vec::new();
+            let unreadable = each_asset(|p| schemes.push(Scheme::tao(p.tree.clone(), &p.name)));
+            // One sweep batch of every asset's probe cells, on all cores.
+            let cells = execute_sweep(schemes.iter().flat_map(collapse_probes).collect(), 0);
             let mut flagged = 0;
-            let unreadable = each_asset(|p| {
-                let report = verify(&p.tree, &p.name, &cfg);
-                if report.passed() {
-                    println!(
-                        "PASS {:<22} ({} probes)",
-                        report.protocol, report.probes_run
-                    );
-                    return;
+            for (scheme, cells) in schemes.iter().zip(cells.chunks(COLLAPSE_CELLS)) {
+                let findings: Vec<Finding> = cells.iter().flat_map(judge_collapse).collect();
+                let (name, n) = (scheme.label(), findings.len());
+                if n == 0 {
+                    println!("PASS {name:<22} ({COLLAPSE_CELLS} probes)");
+                    continue;
                 }
                 flagged += 1;
-                println!(
-                    "FAIL {:<22} ({} probes, {} violations)",
-                    report.protocol,
-                    report.probes_run,
-                    report.violations.len()
-                );
-                for v in report.violations.iter().take(4) {
+                println!("FAIL {name:<22} ({COLLAPSE_CELLS} probes, {n} violations)");
+                for v in findings.iter().take(4) {
                     println!("       [{:?}] {} — {}", v.kind, v.probe, v.detail);
                 }
-            });
+            }
             if flagged > 0 {
                 println!("\n{flagged} protocol(s) flagged — see above.");
             } else if unreadable == 0 {
-                println!("\nall protocol assets pass the collapse verifier.");
+                println!("\nall protocol assets pass the collapse check.");
             }
             i32::from(flagged + unreadable > 0)
         }

@@ -63,12 +63,11 @@ pub mod universal;
 
 use crate::report::{FigureData, RunMeta};
 use crate::runner::{PointOutcome, SweepPoint};
-use netsim::flow::FlowOutcome;
 use netsim::queue::QueueSpec;
 use netsim::topology::{dumbbell, NetworkConfig};
 use netsim::workload::WorkloadSpec;
 use protocols::WhiskerTree;
-use remy::{Objective, OptimizerConfig, ScenarioSpec, TrainedProtocol};
+use remy::{OptimizerConfig, ScenarioSpec, TrainedProtocol};
 use std::sync::OnceLock;
 
 /// How much compute to spend. `Quick` regenerates every figure's *shape*
@@ -407,47 +406,8 @@ pub fn run_train_job(job: &TrainJob) -> Result<Vec<TrainedProtocol>, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared training budgets and metrics.
+// Shared test networks and sweep grids.
 // ---------------------------------------------------------------------------
-
-/// Normalized objective of a flow: `log2(tpt/fair) − δ·log2(delay/base)`,
-/// so the omniscient protocol sits at 0. Returns `None` for flows that
-/// never turned on.
-pub fn normalized_objective(
-    out: &FlowOutcome,
-    fair_tpt_bps: f64,
-    base_delay_s: f64,
-    delta: f64,
-) -> Option<f64> {
-    if out.on_time_s <= 0.0 {
-        return None;
-    }
-    let obj = Objective::new(delta);
-    let delay = if out.packets_delivered == 0 {
-        base_delay_s
-    } else {
-        out.avg_delay_s
-    };
-    Some(obj.normalized_utility(out.throughput_bps, delay, fair_tpt_bps, base_delay_s))
-}
-
-/// Mean normalized objective over the flows of several runs.
-pub fn mean_normalized_objective(
-    outcomes: &[netsim::sim::RunOutcome],
-    fair_tpt_bps: f64,
-    base_delay_s: f64,
-) -> f64 {
-    let vals: Vec<f64> = outcomes
-        .iter()
-        .flat_map(|run| run.flows.iter())
-        .filter_map(|f| normalized_objective(f, fair_tpt_bps, base_delay_s, 1.0))
-        .collect();
-    if vals.is_empty() {
-        f64::NEG_INFINITY
-    } else {
-        vals.iter().sum::<f64>() / vals.len() as f64
-    }
-}
 
 /// The paper's testing dumbbell (Tables 1b–4b): `senders` sharing one
 /// `rate_bps` bottleneck at minimum RTT `rtt_s`, behind a 5-BDP drop-tail
@@ -515,32 +475,6 @@ mod tests {
         let h = OptimizerConfig::standard(TrainCost::Heavy);
         assert!(h.sim_duration_s < n.sim_duration_s);
         assert!(h.rounds < n.rounds);
-    }
-
-    #[test]
-    fn normalized_objective_zero_at_ideal() {
-        let f = FlowOutcome {
-            flow: 0,
-            throughput_bps: 5e6,
-            avg_delay_s: 0.075,
-            avg_queueing_delay_s: 0.0,
-            min_one_way_s: 0.075,
-            bytes_delivered: 1,
-            packets_delivered: 1,
-            on_time_s: 1.0,
-            drops: netsim::flow::DropStats::default(),
-            timeouts: 0,
-            losses: 0,
-            transmissions: 0,
-            retransmissions: 0,
-        };
-        let v = normalized_objective(&f, 5e6, 0.075, 1.0).unwrap();
-        assert!(v.abs() < 1e-12);
-        let never_on = FlowOutcome {
-            on_time_s: 0.0,
-            ..f
-        };
-        assert!(normalized_objective(&never_on, 5e6, 0.075, 1.0).is_none());
     }
 
     #[test]

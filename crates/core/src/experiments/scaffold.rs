@@ -20,7 +20,7 @@
 //! `adversarial`) use the pieces that fit — the roster, [`Grid::mix`],
 //! [`lineup`] — and keep their own row logic.
 
-use super::{mean_normalized_objective, registry, run_train_job, Experiment, Fidelity, TrainJob};
+use super::{registry, run_train_job, Experiment, Fidelity, TrainJob};
 use crate::omniscient::omniscient;
 use crate::report::{FigureData, Series, TableData};
 use crate::runner::{
@@ -30,6 +30,7 @@ use netsim::flow::FlowOutcome;
 use netsim::sim::RunOutcome;
 use netsim::topology::NetworkConfig;
 use protocols::{CompiledTree, SignalMask};
+use remy::Objective;
 
 /// The vocabulary an experiment module is written in.
 pub mod prelude {
@@ -463,9 +464,26 @@ impl Norm {
         }
     }
 
-    /// Mean normalized objective of `runs` (omniscient = 0).
+    /// Mean of `log2(tpt/fair) − log2(delay/base)` over the flows of `runs`
+    /// that turned on (omniscient = 0; a flow that delivered nothing is
+    /// charged the base delay); −∞ when none did.
     pub fn objective(&self, runs: &[RunOutcome]) -> f64 {
-        mean_normalized_objective(runs, self.fair_tpt_bps, self.base_delay_s)
+        let (obj, fair, base) = (Objective::new(1.0), self.fair_tpt_bps, self.base_delay_s);
+        let vals: Vec<f64> = (runs.iter().flat_map(|run| &run.flows))
+            .filter(|f| f.on_time_s > 0.0)
+            .map(|f| {
+                let delay = match f.packets_delivered {
+                    0 => base,
+                    _ => f.avg_delay_s,
+                };
+                obj.normalized_utility(f.throughput_bps, delay, fair, base)
+            })
+            .collect();
+        if vals.is_empty() {
+            f64::NEG_INFINITY
+        } else {
+            vals.iter().sum::<f64>() / vals.len() as f64
+        }
     }
 }
 
@@ -604,5 +622,40 @@ mod tests {
         let jobs = jobs_of(&Multiplexing, &["tao-mux-10", "tao-mux-100"]);
         let assets: Vec<&str> = jobs.iter().map(|j| j.assets[0].as_str()).collect();
         assert_eq!(assets, ["tao-mux-10", "tao-mux-100"]);
+    }
+
+    #[test]
+    fn normalized_objective_zero_at_ideal() {
+        let f = FlowOutcome {
+            flow: 0,
+            throughput_bps: 5e6,
+            avg_delay_s: 0.075,
+            avg_queueing_delay_s: 0.0,
+            min_one_way_s: 0.075,
+            bytes_delivered: 1,
+            packets_delivered: 1,
+            on_time_s: 1.0,
+            drops: netsim::flow::DropStats::default(),
+            timeouts: 0,
+            losses: 0,
+            transmissions: 0,
+            retransmissions: 0,
+        };
+        let norm = Norm {
+            fair_tpt_bps: 5e6,
+            base_delay_s: 0.075,
+        };
+        let mut run = crate::runner::run_homogeneous(&net(), &Scheme::Cubic, 0, 0.1);
+        run.flows = vec![f.clone()];
+        assert!(norm.objective(std::slice::from_ref(&run)).abs() < 1e-12);
+        // A flow that never turned on is left out of the mean.
+        run.flows.push(FlowOutcome {
+            on_time_s: 0.0,
+            throughput_bps: 0.0,
+            ..f
+        });
+        assert!(norm.objective(std::slice::from_ref(&run)).abs() < 1e-12);
+        run.flows.remove(0);
+        assert_eq!(norm.objective(&[run]), f64::NEG_INFINITY);
     }
 }

@@ -25,10 +25,17 @@
 //! IEEE-754 bits of the recorded score. `learnability replay` re-runs
 //! committed certificates on both scheduler backends and fails on any
 //! bit drift.
+//!
+//! The same engine checks for congestion collapse "mechanistically", as
+//! the paper's closing question asks: `learnability assets verify` runs
+//! fixed [`collapse_probes`] far outside any training range as one sweep,
+//! and [`judge_collapse`] flags collapse, starvation and runaway queues.
 
 use crate::experiments::scaffold::Norm;
 use crate::experiments::Fidelity;
-use crate::runner::{execute_sweep, with_aqm, AqmKind, Scheme, SweepPoint, TEST_EVENT_BUDGET};
+use crate::runner::{
+    execute_sweep, with_aqm, AqmKind, PointOutcome, Scheme, SweepPoint, TEST_EVENT_BUDGET,
+};
 use netsim::event::SchedulerKind;
 use netsim::prelude::*;
 use netsim::queue::QueueSpec;
@@ -36,7 +43,9 @@ use netsim::rng::SimRng;
 use netsim::topology::{dumbbell, FaultSpec};
 use netsim::transport::CongestionControl;
 use netsim::workload::WorkloadSpec;
-use remy::{Sample, ScenarioSpace};
+use remy::{
+    BufferSpec, CountSpec, Sample, ScenarioSpace, ScenarioSpec, SenderClassSpec, TopologySpec,
+};
 use serde::{Deserialize, Serialize};
 
 /// Axis names of [`adversarial_space`], in declared (draw) order.
@@ -410,6 +419,130 @@ pub fn replay(cert: &Certificate, scheme: &Scheme, kind: SchedulerKind) -> f64 {
     .objective(&runs)
 }
 
+/// The collapse probes, `(label, link Mbps, senders, buffer)`: one Tao
+/// slot on a 100 ms dumbbell, every sender almost always on.
+#[rustfmt::skip]
+const PROBES: [(&str, f64, u32, BufferSpec); 5] = [
+    ("slow-link-tiny-buffer", 0.5, 2, BufferSpec::BdpMultiple(0.5)),
+    ("fast-link", 500.0, 2, BufferSpec::BdpMultiple(1.0)),
+    ("heavy-mux-finite", 15.0, 64, BufferSpec::BdpMultiple(1.0)),
+    ("heavy-mux-nodrop", 15.0, 64, BufferSpec::Infinite),
+    ("lone-sender-nodrop", 10.0, 1, BufferSpec::Infinite),
+];
+const PROBE_SEEDS: u64 = 2;
+const PROBE_DURATION_S: f64 = 12.0;
+/// Collapse is *sustained* waste, not a thrashed 2-packet buffer:
+/// retransmissions must exceed twice the deliveries.
+const MAX_RETX_RATIO: f64 = 2.0;
+/// An ON flow starves below `min(equal share × MIN_SHARE_FRACTION, floor)`;
+/// the floor keeps cautious protocols on fast links from reading as starved.
+const MIN_SHARE_FRACTION: f64 = 0.05;
+const STARVATION_FLOOR_BPS: f64 = 100_000.0;
+/// A no-drop queue is runaway beyond this multiple of the minimum RTT.
+const MAX_QUEUE_RTT_MULTIPLE: f64 = 20.0;
+
+/// Cells [`collapse_probes`] gives each scheme.
+pub const COLLAPSE_CELLS: usize = PROBES.len() * PROBE_SEEDS as usize;
+
+/// The collapse cells of `scheme`: one single-seed point per `(probe,
+/// seed)` in that order, keyed `probe/seedN`, holding the network and
+/// simulation seed of the probe's draw at `0xFEED_0000 + seed`.
+pub fn collapse_probes(scheme: &Scheme) -> Vec<SweepPoint> {
+    let mut points = Vec::new();
+    for (label, mbps, senders, buffer) in PROBES {
+        let spec = ScenarioSpec {
+            topology: TopologySpec::Dumbbell {
+                link_mbps: Sample::Fixed(mbps),
+                rtt_ms: Sample::Fixed(100.0),
+            },
+            classes: vec![SenderClassSpec {
+                workload: WorkloadSpec::almost_continuous(),
+                ..SenderClassSpec::tao(0, CountSpec::Fixed(senders))
+            }],
+            buffer,
+        };
+        for seed in 0..PROBE_SEEDS {
+            let draw = spec.sample(0xFEED_0000 + seed);
+            points.push(SweepPoint::homogeneous(
+                format!("{label}/seed{seed}"),
+                0.0,
+                draw.net,
+                scheme.clone(),
+                draw.seed..draw.seed + 1,
+                PROBE_DURATION_S,
+            ));
+        }
+    }
+    points
+}
+
+/// What [`judge_collapse`] flags; a panicked cell, or a run the event
+/// budget cut short, is flagged too, so neither passes as a measurement.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CollapseKind {
+    RetransmissionCollapse,
+    Starvation,
+    RunawayQueue,
+    Truncated,
+    Poisoned,
+}
+
+/// One collapse indicator in one probe cell (`probe` is its key).
+#[derive(Clone, Debug)]
+pub struct Finding {
+    pub probe: String,
+    pub kind: CollapseKind,
+    pub detail: String,
+}
+
+/// The collapse indicators of one probe cell, run by run, flow by flow,
+/// check by check. A flow is judged once it was ON for longer than the
+/// path's minimum RTT.
+pub fn judge_collapse(cell: &PointOutcome) -> Vec<Finding> {
+    use CollapseKind::*;
+    let net = &cell.point.net;
+    let rtt = net.min_rtt(0).as_secs_f64();
+    let no_drop = net.links.iter().all(|l| l.queue == QueueSpec::infinite());
+    let mut found: Vec<(CollapseKind, String)> = (cell.poisoned.iter())
+        .map(|(seed, msg)| (Poisoned, format!("seed {seed}: {msg}")))
+        .collect();
+    for run in &cell.runs {
+        if run.truncated {
+            let events = run.events_processed;
+            found.push((Truncated, format!("stopped after {events} events")));
+        }
+        let share = net.links[0].rate_bps / run.flows.len() as f64;
+        let starve_below = (share * MIN_SHARE_FRACTION).min(STARVATION_FLOOR_BPS);
+        for f in run.flows.iter().filter(|f| f.on_time_s > rtt) {
+            let (flow, retx, delivered) = (f.flow, f.retransmissions, f.packets_delivered);
+            // 0/0 is NaN, which no threshold flags; r/0 is infinite.
+            let ratio = retx as f64 / delivered as f64;
+            if ratio > MAX_RETX_RATIO {
+                let d = format!("retx/delivered = {ratio:.2} ({retx} retx, {delivered} delivered)");
+                found.push((RetransmissionCollapse, format!("flow {flow}: {d}")));
+            }
+            let tpt = f.throughput_bps;
+            if tpt < starve_below {
+                let d = format!("{tpt:.0} bps below starvation line {starve_below:.0} bps");
+                found.push((Starvation, format!("flow {flow}: {d} (share {share:.0})")));
+            }
+            let qd = f.avg_queueing_delay_s;
+            if no_drop && qd > MAX_QUEUE_RTT_MULTIPLE * rtt {
+                let d = format!("queueing delay {qd:.2}s > {MAX_QUEUE_RTT_MULTIPLE}x RTT");
+                found.push((RunawayQueue, format!("flow {flow}: {d}")));
+            }
+        }
+    }
+    let probe = cell.key();
+    (found.into_iter())
+        .map(|(kind, detail)| Finding {
+            probe: probe.to_string(),
+            kind,
+            detail,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,6 +663,89 @@ mod tests {
             .certificate
             .unwrap();
         assert_eq!(a, b);
+    }
+
+    /// The judge's findings on the seed-0 cell of every probe, cut to
+    /// `duration_s` simulated seconds.
+    fn short_check(tree: protocols::WhiskerTree, duration_s: f64) -> Vec<Finding> {
+        let points = collapse_probes(&Scheme::tao(tree, "probe"))
+            .into_iter()
+            .step_by(PROBE_SEEDS as usize)
+            .map(|p| SweepPoint { duration_s, ..p })
+            .collect();
+        execute_sweep(points, 0)
+            .iter()
+            .flat_map(judge_collapse)
+            .collect()
+    }
+
+    #[test]
+    fn sane_protocol_passes() {
+        // window <- 0.5w + 1, lightly paced: steady 2-packet window,
+        // harmless even on the 2-packet adversarial buffer.
+        let tree = protocols::WhiskerTree::uniform(protocols::Action::new(0.5, 1.0, 2.0));
+        let findings = short_check(tree, 5.0);
+        assert!(findings.is_empty(), "sane protocol flagged: {findings:?}");
+    }
+
+    #[test]
+    fn blaster_is_flagged() {
+        // Maximal aggression with negligible pacing: floods every buffer.
+        // Its event rate grows with its window (a 3 s heavy-mux run makes
+        // 78 M events), so one simulated second has to show it.
+        let tree = protocols::WhiskerTree::uniform(protocols::Action::new(2.0, 32.0, 0.002));
+        let findings = short_check(tree, 1.0);
+        assert!(findings.iter().any(|v| matches!(
+            v.kind,
+            CollapseKind::RetransmissionCollapse | CollapseKind::RunawayQueue
+        )));
+    }
+
+    #[test]
+    fn zombie_is_flagged_as_starved() {
+        // A protocol that effectively never sends (maximal pacing).
+        let tree = protocols::WhiskerTree::uniform(protocols::Action::new(0.0, 0.0, 1000.0));
+        let findings = short_check(tree, 5.0);
+        assert!(findings.iter().any(|v| v.kind == CollapseKind::Starvation));
+    }
+
+    #[test]
+    fn poisoned_and_truncated_cells_are_flagged() {
+        // A cell measures only if it ran to its duration: a panicked cell
+        // has no runs to judge, and a truncated run covers a prefix.
+        let mut point = collapse_probes(&Scheme::NewReno).swap_remove(0);
+        point.duration_s = 0.5;
+        let mut broken = point.clone();
+        broken.schemes.pop(); // one scheme short of the flows: the cell panics
+        let mut cells = execute_sweep(vec![point, broken], 0);
+        cells[0].runs[0].truncated = true;
+        let kinds: Vec<CollapseKind> = cells
+            .iter()
+            .flat_map(judge_collapse)
+            .map(|f| f.kind)
+            .collect();
+        assert_eq!(kinds, [CollapseKind::Truncated, CollapseKind::Poisoned]);
+    }
+
+    #[test]
+    fn collapse_findings_are_pinned() {
+        // Every finding on the calibration Tao, bit for bit, as the
+        // five-probe check reported them before it ran on the sweep.
+        const ASSET: &str = "tao-calibration";
+        let path = remy::serialize::asset_path(ASSET);
+        let tree = remy::serialize::load(&path).expect("committed asset").tree;
+        let cells = execute_sweep(collapse_probes(&Scheme::tao(tree, ASSET)), 0);
+        assert_eq!(cells.iter().map(|c| c.runs.len()).sum::<usize>(), 10);
+        let findings: Vec<Finding> = cells.iter().flat_map(judge_collapse).collect();
+        assert_eq!(findings.len(), 234);
+        let digest = findings.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            format!("{}|{:?}|{}\n", v.probe, v.kind, v.detail)
+                .bytes()
+                .fold(h, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        });
+        assert_eq!(digest, 0x0be2_7282_4c2d_76ec, "{ASSET} findings moved");
     }
 
     #[test]

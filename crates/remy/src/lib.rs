@@ -39,9 +39,9 @@
 //! * **Compiled whisker trees.** Each evaluation compiles the candidate
 //!   [`WhiskerTree`](protocols::WhiskerTree) once into an immutable
 //!   [`protocols::CompiledTree`] arena shared (`Arc`) by every sender in
-//!   every scenario (one [`protocols::Scheme`] per slot; the [`verifier`]
-//!   maps roles onto schemes the same way). Per-ack lookups walk
-//!   contiguous nodes, and usage statistics accumulate in flat
+//!   every scenario (one [`protocols::Scheme`] per slot, which
+//!   [`scenario::ConcreteScenario::protocols`] maps roles onto). Per-ack
+//!   lookups walk contiguous nodes, and usage statistics accumulate in flat
 //!   per-executor [`protocols::UsageCounts`] buffers, the one record of
 //!   whisker usage: an evaluation returns them merged per slot, and the
 //!   optimizer orders and splits whiskers from them without cloning a
@@ -64,7 +64,6 @@ pub mod optimizer;
 pub mod scenario;
 pub mod serialize;
 pub mod space;
-pub mod verifier;
 
 pub use eval::{draw_scenarios, EvalConfig, EvalPool, EvalResult};
 pub use objective::Objective;
@@ -74,7 +73,6 @@ pub use scenario::{
     TopologySpec,
 };
 pub use space::{Axis, AxisKind, ScenarioSpace};
-pub use verifier::{verify, VerifyConfig, VerifyReport};
 
 /// Common imports for optimizer users.
 pub mod prelude {

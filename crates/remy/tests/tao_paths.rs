@@ -1,8 +1,9 @@
-//! Bit pins for remy's two ways of running a trained Tao: the training
+//! Bit pins for remy's way of running a trained Tao: the training
 //! evaluation (`run_scenario_compiled`, with and without a signal mask)
-//! and the collapse verifier. Both build their senders from a committed
-//! asset, so a change to how a tree becomes controllers must leave these
-//! utilities, usage counts and reports exactly where they are. The tree
+//! builds its senders from a committed asset, so a change to how a tree
+//! becomes controllers must leave these utilities and usage counts
+//! exactly where they are (the collapse probes, which run a Tao through
+//! the sweep engine, are pinned in `lcc_core::search`). The tree
 //! optimizer (`optimize` and `co_optimize` at the smoke budget) is pinned
 //! the same way: a change to how usage steers it must leave its scores,
 //! evaluation counts and trees where they are.
@@ -12,7 +13,6 @@ use remy::eval::{draw_scenarios, run_scenario_compiled, EvalConfig};
 use remy::optimizer::{Optimizer, OptimizerConfig};
 use remy::scenario::ScenarioSpec;
 use remy::serialize::{asset_path, load};
-use remy::verifier::{verify, VerifyConfig};
 
 const ASSET: &str = "tao-calibration";
 
@@ -84,21 +84,6 @@ fn masked_evaluation_is_pinned() {
             (0x403b45c1fcdfbc8d, 0x38b0, 0x195a428022cace9c),
             (0x403b2d180b798f83, 0x2b7b, 0x54f222319b9070c1),
         ]
-    );
-}
-
-#[test]
-fn verifier_report_is_pinned() {
-    let tree = load(&asset_path(ASSET)).expect("committed asset").tree;
-    let report = verify(&tree, ASSET, &VerifyConfig::default());
-    assert_eq!(report.protocol, ASSET);
-    assert_eq!(report.probes_run, 10);
-    assert_eq!(report.violations.len(), 234);
-    let json = serde_json::to_string(&report).expect("report serializes");
-    assert_eq!(
-        fnv1a(FNV_OFFSET, json.as_bytes()),
-        0xe72186881aa92ef5,
-        "verify({ASSET}) report moved"
     );
 }
 
