@@ -476,7 +476,7 @@ impl Norm {
                     0 => base,
                     _ => f.avg_delay_s,
                 };
-                obj.normalized_utility(f.throughput_bps, delay, fair, base)
+                obj.utility(f.throughput_bps, delay) - obj.utility(fair, base)
             })
             .collect();
         if vals.is_empty() {
@@ -648,6 +648,15 @@ mod tests {
         let mut run = crate::runner::run_homogeneous(&net(), &Scheme::Cubic, 0, 0.1);
         run.flows = vec![f.clone()];
         assert!(norm.objective(std::slice::from_ref(&run)).abs() < 1e-12);
+        // Half the fair throughput at twice the base delay scores −2.
+        let slow = FlowOutcome {
+            throughput_bps: 2.5e6,
+            avg_delay_s: 0.150,
+            ..f.clone()
+        };
+        let mut worse = run.clone();
+        worse.flows = vec![slow];
+        assert!((norm.objective(&[worse]) + 2.0).abs() < 1e-12);
         // A flow that never turned on is left out of the mean.
         run.flows.push(FlowOutcome {
             on_time_s: 0.0,

@@ -34,14 +34,14 @@
 use crate::experiments::scaffold::Norm;
 use crate::experiments::Fidelity;
 use crate::runner::{
-    execute_sweep, with_aqm, AqmKind, PointOutcome, Scheme, SweepPoint, TEST_EVENT_BUDGET,
+    build_protocols, execute_sweep, with_aqm, AqmKind, PointOutcome, Scheme, SweepPoint,
+    TEST_EVENT_BUDGET,
 };
 use netsim::event::SchedulerKind;
 use netsim::prelude::*;
 use netsim::queue::QueueSpec;
 use netsim::rng::SimRng;
 use netsim::topology::{dumbbell, FaultSpec};
-use netsim::transport::CongestionControl;
 use netsim::workload::WorkloadSpec;
 use remy::{
     BufferSpec, CountSpec, Sample, ScenarioSpace, ScenarioSpec, SenderClassSpec, TopologySpec,
@@ -401,12 +401,12 @@ pub fn scheme_for_certificate(cert: &Certificate) -> Result<Scheme, String> {
 /// must equal `cert.score` bit for bit on *both* backends — that is the
 /// reproducibility claim a certificate makes.
 pub fn replay(cert: &Certificate, scheme: &Scheme, kind: SchedulerKind) -> f64 {
+    let schemes = vec![scheme.clone(); cert.net.flows.len()];
     let runs: Vec<RunOutcome> = cert
         .seeds
         .iter()
         .map(|&seed| {
-            let protocols: Vec<Box<dyn CongestionControl>> =
-                (0..cert.net.flows.len()).map(|_| scheme.build()).collect();
+            let protocols = build_protocols(&schemes);
             let mut sim = Simulation::with_scheduler(&cert.net, protocols, seed, kind);
             sim.set_event_budget(TEST_EVENT_BUDGET);
             sim.run(SimDuration::from_secs_f64(cert.duration_s))

@@ -14,8 +14,9 @@
 //!    (§3.2).
 //! 3. Run the [`optimizer::Optimizer`]: hill-climb whisker actions and
 //!    split busy whiskers until the budget is exhausted (§3.3). The
-//!    budget is one [`OptimizerConfig`] (`OptimizerConfig::standard` holds
-//!    the presets the committed assets were trained under).
+//!    budget is one [`OptimizerConfig`]; `OptimizerConfig::standard` (also
+//!    its `Default`) is the budget every committed asset was trained
+//!    under, and retraining reproduces each asset byte for byte.
 //! 4. Save the resulting protocol with [`serialize`], and execute it as a
 //!    [`protocols::Scheme`] (`Scheme::tao` compiles the tree once; every
 //!    sender `Scheme::build` makes runs it as a [`protocols::TaoCc`]).

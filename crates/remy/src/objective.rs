@@ -72,24 +72,6 @@ impl Objective {
         };
         Some(self.utility(out.throughput_bps, delay))
     }
-
-    /// Normalized utility relative to an ideal allocation: zero when the
-    /// flow achieves `fair_tpt_bps` at `base_delay_s` (the omniscient
-    /// protocol's operating point). This is the y-axis of Figs 2–4.
-    pub fn normalized_utility(
-        &self,
-        throughput_bps: f64,
-        delay_s: f64,
-        fair_tpt_bps: f64,
-        base_delay_s: f64,
-    ) -> f64 {
-        self.utility(throughput_bps, delay_s) - self.utility(fair_tpt_bps, base_delay_s)
-    }
-
-    /// Sum of utilities over a set of flows (ignoring never-ON flows).
-    pub fn total_utility(&self, flows: &[FlowOutcome]) -> f64 {
-        flows.iter().filter_map(|f| self.flow_utility(f)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -159,10 +141,12 @@ mod tests {
 
     #[test]
     fn normalized_zero_at_ideal_point() {
+        // The normalized objective of Figs 2–4 is the utility gap to the
+        // omniscient operating point (fair share at base delay).
         let obj = Objective::default();
-        let z = obj.normalized_utility(5e6, 0.075, 5e6, 0.075);
-        assert!(z.abs() < 1e-12);
-        let worse = obj.normalized_utility(2.5e6, 0.150, 5e6, 0.075);
+        let ideal = obj.utility(5e6, 0.075);
+        assert!((obj.utility(5e6, 0.075) - ideal).abs() < 1e-12);
+        let worse = obj.utility(2.5e6, 0.150) - ideal;
         assert!((worse + 2.0).abs() < 1e-12, "half tpt, double delay = -2");
     }
 
@@ -170,13 +154,5 @@ mod tests {
     fn delta_presets() {
         assert_eq!(Objective::throughput_sensitive().delta, 0.1);
         assert_eq!(Objective::delay_sensitive().delta, 10.0);
-    }
-
-    #[test]
-    fn total_skips_never_on() {
-        let obj = Objective::default();
-        let flows = vec![outcome(1e6, 0.1, 5.0), outcome(0.0, 0.0, 0.0)];
-        let solo = obj.flow_utility(&flows[0]).unwrap();
-        assert!((obj.total_utility(&flows) - solo).abs() < 1e-12);
     }
 }

@@ -21,6 +21,11 @@
 //! Fresh scenario draws between rounds keep the protocol from overfitting
 //! one batch. [`Optimizer::co_optimize`] alternates optimization across
 //! several tree slots for the sender-diversity experiment (§4.6).
+//!
+//! The budget is one [`OptimizerConfig`]. [`OptimizerConfig::standard`]
+//! is the budget every committed asset was designed under; a trained
+//! protocol's description records it, minus the knobs that never change
+//! a result (`threads`, `verbose`), so a retrain reproduces the file.
 
 use crate::eval::{draw_scenarios, EvalConfig, EvalPool, EvalResult};
 use crate::scenario::{ConcreteScenario, ScenarioSpec};
@@ -67,19 +72,9 @@ pub struct OptimizerConfig {
 }
 
 impl Default for OptimizerConfig {
+    /// The standard budget, [`OptimizerConfig::standard`]`(Normal)`.
     fn default() -> Self {
-        OptimizerConfig {
-            draws_per_eval: 8,
-            sim_duration_s: 12.0,
-            rounds: 12,
-            max_leaves: 16,
-            scales: vec![4.0, 1.0],
-            threads: 0,
-            seed: 0xC0FFEE,
-            event_budget: 30_000_000,
-            masks: Vec::new(),
-            verbose: false,
-        }
+        OptimizerConfig::standard(TrainCost::Normal)
     }
 }
 
@@ -92,50 +87,62 @@ impl OptimizerConfig {
             rounds: 2,
             max_leaves: 2,
             scales: vec![4.0],
+            threads: 0,
+            seed: 0xC0FFEE,
             event_budget: 3_000_000,
-            ..Default::default()
+            masks: Vec::new(),
+            verbose: false,
         }
     }
 
-    /// The standard budget every committed protocol asset was designed
-    /// under: the one home of the per-cost presets.
+    /// The budget every committed protocol asset was designed under, and
+    /// the one `learnability train` designs with. Heavy specs (very fast
+    /// links, 100-way multiplexing) get shorter simulations; nothing else
+    /// differs.
     ///
     /// The paper burned a CPU-year per protocol on an 80-core machine;
-    /// these budgets train in minutes and reproduce the *orderings* the
-    /// study is about. `LEARNABILITY_FAST_TRAIN` (any value) slashes them
-    /// further for time-boxed retrains. The committed assets were
-    /// trained with it set, and each asset's description records that
-    /// budget; CI trains nothing. Progress logs are off; `learnability
-    /// train` turns them on for the jobs it runs.
+    /// this budget trains all 28 assets in under a minute and reproduces
+    /// the *orderings* the study is about. Raising it means changing this
+    /// function and retraining every asset once. Progress logs are off;
+    /// `learnability train` turns them on for the jobs it runs.
     pub fn standard(cost: TrainCost) -> Self {
-        let mut cfg = OptimizerConfig {
-            draws_per_eval: 6,
-            sim_duration_s: 8.0,
-            rounds: 8,
-            max_leaves: 8,
-            scales: vec![4.0, 1.0],
+        OptimizerConfig {
+            draws_per_eval: 4,
+            sim_duration_s: match cost {
+                TrainCost::Normal => 5.0,
+                TrainCost::Heavy => 3.0,
+            },
+            rounds: 4,
+            max_leaves: 4,
+            scales: vec![4.0],
             threads: 0,
             seed: 0x51C0_2014,
-            event_budget: 8_000_000,
+            event_budget: 2_000_000,
             masks: Vec::new(),
             verbose: false,
-        };
-        if cost == TrainCost::Heavy {
-            cfg.sim_duration_s = 3.0;
-            cfg.draws_per_eval = 5;
-            cfg.rounds = 5;
-            cfg.max_leaves = 5;
-            cfg.event_budget = 4_000_000;
         }
-        if std::env::var("LEARNABILITY_FAST_TRAIN").is_ok() {
-            cfg.rounds = cfg.rounds.min(4);
-            cfg.max_leaves = cfg.max_leaves.min(4);
-            cfg.draws_per_eval = cfg.draws_per_eval.min(4);
-            cfg.sim_duration_s = cfg.sim_duration_s.min(5.0);
-            cfg.scales = vec![4.0];
-            cfg.event_budget = cfg.event_budget.min(2_000_000);
-        }
-        cfg
+    }
+
+    /// The budget as a trained protocol's description records it: every
+    /// field that can move a result, so neither `threads` nor `verbose`.
+    fn describe(&self) -> String {
+        let OptimizerConfig {
+            draws_per_eval,
+            sim_duration_s,
+            rounds,
+            max_leaves,
+            scales,
+            threads: _,
+            seed,
+            event_budget,
+            masks,
+            verbose: _,
+        } = self;
+        format!(
+            "{{ draws_per_eval: {draws_per_eval}, sim_duration_s: {sim_duration_s:?}, \
+             rounds: {rounds}, max_leaves: {max_leaves}, scales: {scales:?}, seed: {seed:#x}, \
+             event_budget: {event_budget}, masks: {masks:?} }}"
+        )
     }
 
     /// The evaluation knobs every candidate evaluation runs with.
@@ -208,7 +215,11 @@ impl Optimizer {
             name: name.into(),
             tree: trees.pop().expect("one slot"),
             score,
-            description: format!("{} training spec(s), cfg={:?}", self.specs.len(), self.cfg),
+            description: format!(
+                "{} training spec(s), budget {}",
+                self.specs.len(),
+                self.cfg.describe()
+            ),
         }
     }
 
@@ -240,8 +251,8 @@ impl Optimizer {
                 tree,
                 score,
                 description: format!(
-                    "co-optimized ({alternations} alternations), cfg={:?}",
-                    self.cfg
+                    "co-optimized ({alternations} alternations), budget {}",
+                    self.cfg.describe()
                 ),
             })
             .collect()
@@ -501,6 +512,22 @@ mod tests {
             "thread count changed the protocol"
         );
         assert_eq!(serial.score, parallel.score);
+    }
+
+    #[test]
+    fn threads_and_progress_logs_leave_the_saved_asset_alone() {
+        // An asset is a build product: neither knob may reach its bytes,
+        // description included.
+        let save = |threads, verbose| {
+            let cfg = OptimizerConfig {
+                threads,
+                verbose,
+                ..OptimizerConfig::smoke()
+            };
+            let p = Optimizer::new(vec![ScenarioSpec::calibration()], cfg).optimize("same");
+            crate::serialize::to_json(&p)
+        };
+        assert_eq!(save(1, false), save(2, true));
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Legacy whisker keys. The committed assets were saved while each
-//! whisker still carried usage counters (`use_count`, `obs_sum`); usage
-//! now lives only in `protocols::UsageCounts`. The old files must still
-//! load, the stale keys must change nothing, and a saved tree must no
-//! longer write them.
+//! Legacy whisker keys. Older builds saved each whisker with usage
+//! counters (`use_count`, `obs_sum`); usage now lives only in
+//! `protocols::UsageCounts`. Such files must still load, the stale keys
+//! must change nothing, and no committed asset carries them.
 
 use protocols::{Action, LeafId, WhiskerTree};
 use remy::serialize::{assets_dir, from_json, load, to_json};
@@ -49,15 +48,13 @@ fn legacy_usage_keys_are_ignored() {
 
 #[test]
 fn a_saved_tree_writes_no_usage_keys() {
-    let path = assets_dir().join("tao-calibration.json");
-    let raw = std::fs::read_to_string(&path).expect("committed asset");
-    assert!(LEGACY_KEYS.iter().all(|k| raw.contains(k)), "a legacy file");
-    let loaded = from_json(&raw).expect("legacy asset parses");
-    let saved = to_json(&loaded);
-    for key in LEGACY_KEYS {
-        assert!(!saved.contains(key), "{key} written");
+    for path in committed_assets() {
+        let raw = std::fs::read_to_string(&path).expect("committed asset");
+        for key in LEGACY_KEYS {
+            assert!(!raw.contains(key), "{} carries {key}", path.display());
+        }
+        // Each committed file is exactly what saving its protocol writes.
+        let loaded: TrainedProtocol = from_json(&raw).expect("asset parses");
+        assert_eq!(to_json(&loaded), raw, "{}", path.display());
     }
-    let reloaded: TrainedProtocol = from_json(&saved).expect("saved asset parses");
-    assert_eq!(reloaded.tree, loaded.tree);
-    assert_eq!(reloaded.score.to_bits(), loaded.score.to_bits());
 }
