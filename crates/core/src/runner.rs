@@ -289,7 +289,8 @@ impl PointOutcome {
     }
 }
 
-fn run_cell(point: &SweepPoint, seed: u64) -> (RunOutcome, Option<Trace>) {
+/// The simulation a sweep cell runs.
+fn cell_simulation(point: &SweepPoint, seed: u64) -> Simulation {
     assert_eq!(
         point.schemes.len(),
         point.net.flows.len(),
@@ -305,6 +306,11 @@ fn run_cell(point: &SweepPoint, seed: u64) -> (RunOutcome, Option<Trace>) {
             SimDuration::from_millis_f64(tr.interval_ms),
         );
     }
+    sim
+}
+
+fn run_cell(point: &SweepPoint, seed: u64) -> (RunOutcome, Option<Trace>) {
+    let mut sim = cell_simulation(point, seed);
     let run = sim.run(SimDuration::from_secs_f64(point.duration_s));
     let trace = sim.take_trace();
     (run, trace)
@@ -442,7 +448,7 @@ mod tests {
     use super::*;
     use netsim::topology::dumbbell;
     use netsim::workload::WorkloadSpec;
-    use protocols::{Action, Signal, SignalMask, TaoCc, WhiskerTree};
+    use protocols::{Action, NoUsage, Signal, SignalMask, TaoCc, UsageCounts, WhiskerTree};
     use std::sync::Arc;
 
     fn net() -> NetworkConfig {
@@ -746,6 +752,11 @@ mod tests {
         assert_ne!(fingerprint(&outs[3].runs[0]), fingerprint(&outs[0].runs[0]));
     }
 
+    /// The Tao sender `cc` is, when it records no usage.
+    fn silent_tao(cc: &dyn CongestionControl) -> Option<&TaoCc<NoUsage>> {
+        cc.as_any()?.downcast_ref::<TaoCc<NoUsage>>()
+    }
+
     #[test]
     fn ten_thousand_senders_share_one_compiled_tree() {
         let tao = Scheme::tao(WhiskerTree::default_tree(), "tao");
@@ -753,15 +764,42 @@ mod tests {
         let arenas: Vec<&Arc<_>> = protocols
             .iter()
             .map(|cc| {
-                cc.as_any()
-                    .and_then(|a| a.downcast_ref::<TaoCc>())
-                    .expect("a Tao scheme builds a TaoCc")
+                silent_tao(&**cc)
+                    .expect("a Tao scheme builds a TaoCc<NoUsage>")
                     .compiled_tree()
             })
             .collect();
         assert_eq!(arenas.len(), 10_000);
         assert!(arenas.iter().all(|a| Arc::ptr_eq(a, arenas[0])));
-        assert!(protocols.iter().all(|cc| cc.name() == "tao"));
+    }
+
+    #[test]
+    fn a_sweep_tao_cell_records_no_usage() {
+        // Every Tao sender of the simulation a sweep cell runs is a
+        // `TaoCc<NoUsage>`, before and after the run: only training
+        // builds senders with a usage buffer.
+        let load = |name: &str| {
+            remy::serialize::load(&remy::serialize::asset_path(name))
+                .expect("committed asset")
+                .tree
+        };
+        let mix = [
+            Scheme::tao(load("tao-calibration"), "a"),
+            Scheme::Cubic,
+            Scheme::tao(load("tao-mux-100"), "b"),
+        ];
+        let mut three = net();
+        three.flows.push(three.flows[0].clone());
+        let point = SweepPoint::mix("k", 0.0, three, mix.to_vec(), 0..1, 4.0);
+        let mut sim = cell_simulation(&point, 1);
+        sim.run(SimDuration::from_secs_f64(point.duration_s));
+        let senders = sim.into_protocols();
+        for (cc, scheme) in senders.iter().zip(&mix) {
+            let any = cc.as_any();
+            let tao = matches!(scheme, Scheme::Tao { .. });
+            assert_eq!(silent_tao(&**cc).is_some(), tao, "{}", scheme.label());
+            assert!(!any.is_some_and(|a| a.is::<TaoCc<UsageCounts>>()));
+        }
     }
 
     #[test]

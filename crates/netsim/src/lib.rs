@@ -34,7 +34,6 @@
 //!     fn on_timeout(&mut self, _: SimTime) {}
 //!     fn window(&self) -> f64 { 20.0 }
 //!     fn intersend(&self) -> SimDuration { SimDuration::ZERO }
-//!     fn name(&self) -> String { "fixed".into() }
 //! }
 //!
 //! let net = dumbbell(1, 10e6, 0.100, QueueSpec::infinite(), WorkloadSpec::AlwaysOn);
@@ -80,12 +79,15 @@
 //!   RTO timer are a pooled runtime that only live transfers hold (see
 //!   "Idle slots" in [`sim`]); ring slots are the value itself (16 and 8
 //!   bytes), sentinels stand in for `Option`s, data and ACK routes are
-//!   ranges of one per-simulation route table, and the delayed-ACK state
-//!   is boxed where only delayed-ACK receivers pay for it. Compile-time
-//!   asserts hold the sender slot to 160 bytes (it is 144), a runtime to
-//!   256 (240) and the receiver slot to 64 (56); a built 10⁴-flow cell
-//!   holds about 0.41 kB per flow, controller included
-//!   (`netsim.sim.kb_per_flow` in the benchmark, from 0.67).
+//!   ranges of one per-simulation route table, a slot's workload is an
+//!   index into the simulation's interned workload specs, and the
+//!   delayed-ACK state is boxed where only delayed-ACK receivers pay for
+//!   it. Compile-time asserts hold the sender slot to 112 bytes, a
+//!   runtime to 256 (240) and the receiver slot to 64 (56); a built
+//!   10⁴-flow cell holds about 0.35 kB per flow, controller included
+//!   (`netsim.sim.kb_per_flow` in the benchmark, from 0.67 and 0.41). A
+//!   finished run frees the transfer pool, the event queue's storage and
+//!   the packet arena before it builds its outcome.
 //! * **Packet events bypass the priority queue.** A link's
 //!   serializations and its propagations (on a delay-only link, every
 //!   packet that enters it) are each scheduled in an order known in

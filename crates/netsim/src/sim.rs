@@ -56,7 +56,12 @@
 //! slot, and why:
 //!
 //! * the controller, the workload process, the RNG and the routes: the
-//!   flow's identity across its epochs;
+//!   flow's identity across its epochs. The workload process holds an
+//!   index into the simulation's table of distinct workload specs
+//!   (interned in flow order), not a spec of its own; the controller is
+//!   whatever the caller built — outside training, a Tao sender records
+//!   no whisker usage (usage recording is a training-only probe, see
+//!   `protocols::tao`);
 //! * `active_flows`, `on` and the ON-time tracker: the workload state
 //!   machine runs while the slot is OFF;
 //! * `pending_wake`: a pacing wake queued by an ended epoch still fires,
@@ -171,6 +176,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::{FaultSpec, NetworkConfig, ReceiverSpec, ReverseSpec};
 use crate::trace::{QueueSample, Trace};
 use crate::transport::{CongestionControl, Transport};
+use crate::workload::{Workload, WorkloadSpec};
 
 /// A flow's path: a range of [`Simulation::routes`], in hop order.
 #[derive(Clone, Copy)]
@@ -207,7 +213,7 @@ impl Route {
 /// live transfer must carry on from (see "Idle slots" in the module docs).
 struct SenderSlot {
     cc: Box<dyn CongestionControl>,
-    workload: crate::workload::Workload,
+    workload: Workload,
     /// The links this flow's data crosses, and those its ACKs cross back
     /// (see "Data and return paths" in the module docs).
     data_path: Route,
@@ -326,7 +332,7 @@ impl RuntimePool {
 /// word of a slot costs 80 kB (`netsim.sim.kb_per_flow`). A runtime entry
 /// is paid only per live transfer.
 const _FLOW_SLOTS_STAY_SMALL: () = assert!(
-    std::mem::size_of::<SenderSlot>() <= 160
+    std::mem::size_of::<SenderSlot>() <= 112
         && std::mem::size_of::<FlowRuntime>() <= 256
         && std::mem::size_of::<ReceiverSlot>() <= 64
 );
@@ -463,6 +469,9 @@ pub struct Simulation {
     /// Per link, the delay line of its `Propagated` events.
     prop_line: Vec<Line>,
     senders: Vec<SenderSlot>,
+    /// The flows' distinct workload specs, which each slot's
+    /// [`Workload`] indexes.
+    workloads: Vec<WorkloadSpec>,
     /// Runtimes of the live transfers (see "Idle slots" in the module docs).
     pool: RuntimePool,
     receivers: Vec<ReceiverSlot>,
@@ -481,6 +490,8 @@ pub struct Simulation {
     /// Per flow, a running FNV-1a digest of every acknowledgment its
     /// reliability layer processed; empty unless digests are enabled.
     ack_digests: Vec<u64>,
+    /// Whether [`run`](Self::run) has been called (a simulation runs once).
+    ran: bool,
 }
 
 impl Simulation {
@@ -526,12 +537,13 @@ impl Simulation {
             })
             .collect();
         let mut routes = Vec::new();
+        let mut workloads = Vec::new();
         let mut senders: Vec<SenderSlot> = protocols
             .into_iter()
             .enumerate()
             .map(|(i, cc)| SenderSlot {
                 cc,
-                workload: crate::workload::Workload::new(config.flows[i].workload.clone()),
+                workload: Workload::interned(&mut workloads, &config.flows[i].workload),
                 data_path: Route::push(
                     &mut routes,
                     config.flows[i].route.iter().map(|&l| LinkId(l as u32)),
@@ -637,6 +649,7 @@ impl Simulation {
             tx_line,
             prop_line,
             senders,
+            workloads,
             pool: RuntimePool::new(n),
             receivers: config
                 .flows
@@ -671,6 +684,7 @@ impl Simulation {
             event_budget: u64::MAX,
             event_digest: None,
             ack_digests: Vec::new(),
+            ran: false,
         }
     }
 
@@ -699,7 +713,27 @@ impl Simulation {
     }
 
     /// Run for `duration` of simulated time and return per-flow outcomes.
+    ///
+    /// A simulation runs once: the first event past the end is consumed,
+    /// so the queue no longer holds the future. What only the run needed
+    /// — the transfer pool, the event queue's storage and the packet
+    /// arena — is freed before the outcome is built; the controllers
+    /// ([`into_protocols`](Self::into_protocols)), the trace and the ack
+    /// digests stay.
     pub fn run(&mut self, duration: SimDuration) -> RunOutcome {
+        assert!(!self.ran, "a simulation runs once");
+        self.ran = true;
+        let (truncated, queue) = self.simulate(duration);
+        self.pool = RuntimePool::new(0);
+        self.events = EventQueue::with_kind(self.events.kind());
+        self.arena = PacketArena::new();
+        self.outcome(duration, truncated, queue)
+    }
+
+    /// Dispatch every event up to `SimTime::ZERO + duration` (or the event
+    /// budget) and close the ON intervals; returns whether the budget cut
+    /// the run short, and the queue's counters.
+    fn simulate(&mut self, duration: SimDuration) -> (bool, QueueCounters) {
         let end = SimTime::ZERO + duration;
 
         // Prime workload processes. Unblocked (M/G/∞) churn slots draw
@@ -714,11 +748,15 @@ impl Simulation {
                 let first = {
                     let s = &mut self.senders[i];
                     let mut rng = s.rng.fork(0x9999);
-                    s.workload.first_toggle(&mut rng)
+                    s.workload.first_toggle(&self.workloads, &mut rng)
                 };
                 if let Some(t) = first {
                     let flow = FlowId(i as u32);
-                    let ev = if self.senders[i].workload.mginf_rates().is_some() {
+                    let ev = if self.senders[i]
+                        .workload
+                        .mginf_rates(&self.workloads)
+                        .is_some()
+                    {
                         Event::FlowArrival { flow }
                     } else {
                         Event::WorkloadToggle { flow }
@@ -781,7 +819,10 @@ impl Simulation {
                 self.stats[i].on_time += d;
             }
         }
+        (truncated, self.events.counters())
+    }
 
+    fn outcome(&self, duration: SimDuration, truncated: bool, queue: QueueCounters) -> RunOutcome {
         RunOutcome {
             flows: (0..self.senders.len())
                 .map(|i| FlowOutcome::from_stats(i, &self.stats[i], self.min_one_way[i]))
@@ -792,7 +833,7 @@ impl Simulation {
             link_rates_bps: self.links.iter().map(|l| l.rate_bps()).collect(),
             events_processed: self.events_processed,
             events_by_kind: self.events_by_kind,
-            queue: self.events.counters(),
+            queue,
             truncated,
             event_digest: self.event_digest,
         }
@@ -1171,7 +1212,7 @@ impl Simulation {
         let (on, next) = {
             let s = &mut self.senders[i];
             let mut rng = s.rng.fork(0xAAAA ^ self.now.as_nanos());
-            s.workload.toggle(self.now, &mut rng)
+            s.workload.toggle(&self.workloads, self.now, &mut rng)
         };
         if let Some(t) = next {
             self.events.schedule(t, Event::WorkloadToggle { flow });
@@ -1192,7 +1233,10 @@ impl Simulation {
         let i = flow.0 as usize;
         let (next_arrival, duration) = {
             let s = &mut self.senders[i];
-            let (lambda, d) = s.workload.mginf_rates().expect("M/G/inf churn slot");
+            let (lambda, d) = s
+                .workload
+                .mginf_rates(&self.workloads)
+                .expect("M/G/inf churn slot");
             let mut rng = s.rng.fork(0xBBBB ^ self.now.as_nanos());
             // Clamp zero-length draws to 1 µs (same guard as toggles): a
             // zero interarrival would re-fire at this instant with the
@@ -1464,7 +1508,6 @@ mod tests {
     use crate::queue::QueueSpec;
     use crate::topology::dumbbell;
     use crate::transport::AckInfo;
-    use crate::workload::WorkloadSpec;
 
     /// Fixed-window protocol for engine tests.
     struct FixedWindow {
@@ -1483,8 +1526,13 @@ mod tests {
         fn intersend(&self) -> SimDuration {
             self.intersend
         }
-        fn name(&self) -> String {
-            format!("fixed-{}", self.w)
+    }
+
+    impl Simulation {
+        /// [`run`](Self::run), keeping the run's state for inspection.
+        fn run_and_keep_state(&mut self, duration: SimDuration) -> RunOutcome {
+            let (truncated, queue) = self.simulate(duration);
+            self.outcome(duration, truncated, queue)
         }
     }
 
@@ -1834,7 +1882,7 @@ mod tests {
         );
         let mut sim = Simulation::new(&net, (0..slots).map(|_| fixed(4.0)).collect(), 3);
         assert!(sim.pool.entries.is_empty(), "a built cell holds no runtime");
-        sim.run(SimDuration::from_secs(5));
+        sim.run_and_keep_state(SimDuration::from_secs(5));
         let entries = sim.pool.entries.len();
         assert!(entries < slots, "{entries} entries for {slots} slots");
         let mut held: Vec<u32> = (0..slots)
@@ -1846,6 +1894,66 @@ mod tests {
         held.sort_unstable();
         let every: Vec<u32> = (0..entries as u32).collect();
         assert_eq!(held, every, "each entry held by one ON slot or free");
+    }
+
+    #[test]
+    fn a_finished_run_frees_what_only_the_run_needed() {
+        // A churn cell whose run ends with transfers live, packets parked
+        // and events queued: `run` hands back the outcome a run that keeps
+        // its state does, and holds no runtime, event or packet after it.
+        let net = dumbbell(
+            200,
+            20e6,
+            0.020,
+            QueueSpec::infinite(),
+            WorkloadSpec::churn_mginf(0.5, 2.0),
+        );
+        let build = || {
+            let mut sim = Simulation::new(&net, (0..200).map(|_| fixed(4.0)).collect(), 5);
+            sim.enable_event_digest();
+            sim
+        };
+        let mut kept = build();
+        let kept_out = kept.run_and_keep_state(SimDuration::from_secs(3));
+        assert!(!kept.pool.entries.is_empty() && kept.arena.live() > 0 && !kept.events.is_empty());
+        let mut sim = build();
+        let out = sim.run(SimDuration::from_secs(3));
+        assert_eq!(format!("{out:?}"), format!("{kept_out:?}"));
+        assert_eq!(sim.ack_digests(), kept.ack_digests());
+        assert_eq!(sim.pool.entries.capacity(), 0);
+        assert_eq!(sim.arena.capacity(), 0);
+        assert!(sim.events.is_empty());
+        assert_eq!(sim.into_protocols().len(), 200);
+    }
+
+    #[test]
+    #[should_panic(expected = "a simulation runs once")]
+    fn a_simulation_runs_once() {
+        let net = dumbbell(
+            1,
+            10e6,
+            0.020,
+            QueueSpec::infinite(),
+            WorkloadSpec::AlwaysOn,
+        );
+        let mut sim = Simulation::new(&net, vec![fixed(4.0)], 1);
+        sim.run(SimDuration::from_secs(1));
+        sim.run(SimDuration::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "a simulation runs once")]
+    fn a_simulation_without_flows_runs_once() {
+        let net = dumbbell(
+            0,
+            10e6,
+            0.020,
+            QueueSpec::infinite(),
+            WorkloadSpec::AlwaysOn,
+        );
+        let mut sim = Simulation::new(&net, Vec::new(), 1);
+        sim.run(SimDuration::ZERO);
+        sim.run(SimDuration::ZERO);
     }
 
     #[test]
@@ -1877,7 +1985,7 @@ mod tests {
                 f.workload = WorkloadSpec::Schedule(switches.collect());
             }
             let mut sim = Simulation::new(&net, slots.iter().map(|_| fixed(8.0)).collect(), 1);
-            let out = sim.run(SimDuration::from_secs(12));
+            let out = sim.run_and_keep_state(SimDuration::from_secs(12));
             let counts = |s: &SenderSlot| (s.epoch, s.rto_gen);
             let slots: Vec<_> = sim.senders.iter().map(counts).collect();
             let timeouts: Vec<_> = out.flows.iter().map(|f| f.timeouts).collect();
@@ -2213,7 +2321,7 @@ mod tests {
                             let mut sim =
                                 Simulation::new(&net, (0..3).map(|_| fixed(40.0)).collect(), 7);
                             sim.set_event_budget(budget);
-                            let out = sim.run(SimDuration::from_millis(2_500));
+                            let out = sim.run_and_keep_state(SimDuration::from_millis(2_500));
                             let live = sim.arena.live();
                             let mut pending = 0;
                             while let Some((_, ev)) = sim.events.pop() {

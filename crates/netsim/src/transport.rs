@@ -218,9 +218,6 @@ pub trait CongestionControl: Send {
     /// triple). `SimDuration::ZERO` disables pacing.
     fn intersend(&self) -> SimDuration;
 
-    /// Human-readable protocol name for figures and traces.
-    fn name(&self) -> String;
-
     /// Downcast hook: protocols that expose post-run state (e.g. the Tao
     /// executor's whisker usage counts, which the optimizer reads back)
     /// override this to return `self`.

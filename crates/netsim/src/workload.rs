@@ -138,10 +138,13 @@ impl WorkloadSpec {
     }
 }
 
-/// Runtime state of a workload process.
+/// Runtime state of a workload process. Its spec lives in the
+/// simulation's interned table ([`Workload::interned`]), so a slot holds
+/// an index, not a clone: 10⁴ slots sharing one spec store it once.
 #[derive(Debug)]
 pub struct Workload {
-    spec: WorkloadSpec,
+    /// Index of this process's spec in its table.
+    spec: u32,
     on: bool,
     /// Next switchpoint of a `Schedule` spec.
     schedule_pos: u32,
@@ -153,19 +156,30 @@ fn switch_at(&(secs, _): &(f64, bool)) -> SimTime {
 }
 
 impl Workload {
-    /// A workload state machine in its initial state for `spec`.
-    pub fn new(spec: WorkloadSpec) -> Self {
-        if let WorkloadSpec::Schedule(points) = &spec {
+    /// A workload state machine in its initial state for `spec`, which is
+    /// appended to `specs` unless it equals the table's last entry. Flows
+    /// are interned in order, so a run of equal specs (every homogeneous
+    /// cell) costs one entry, and interning `n` flows is `O(n)` however
+    /// many of their specs differ.
+    pub fn interned(specs: &mut Vec<WorkloadSpec>, spec: &WorkloadSpec) -> Self {
+        if let WorkloadSpec::Schedule(points) = spec {
             debug_assert!(
                 points.windows(2).all(|w| w[0].0 <= w[1].0),
                 "schedule must be time-sorted"
             );
         }
+        if specs.last() != Some(spec) {
+            specs.push(spec.clone());
+        }
         Workload {
+            spec: specs.len() as u32 - 1,
             on: matches!(spec, WorkloadSpec::AlwaysOn),
-            spec,
             schedule_pos: 0,
         }
+    }
+
+    fn spec<'a>(&self, specs: &'a [WorkloadSpec]) -> &'a WorkloadSpec {
+        &specs[self.spec as usize]
     }
 
     /// Whether the sender currently has offered load.
@@ -174,16 +188,17 @@ impl Workload {
     }
 
     /// See [`WorkloadSpec::mginf_rates`].
-    pub fn mginf_rates(&self) -> Option<(f64, f64)> {
-        self.spec.mginf_rates()
+    pub fn mginf_rates(&self, specs: &[WorkloadSpec]) -> Option<(f64, f64)> {
+        self.spec(specs).mginf_rates()
     }
 
     /// Time of the first toggle after simulation start, if any.
-    pub fn first_toggle(&mut self, rng: &mut SimRng) -> Option<SimTime> {
-        match &self.spec {
+    pub fn first_toggle(&mut self, specs: &[WorkloadSpec], rng: &mut SimRng) -> Option<SimTime> {
+        let spec = self.spec(specs);
+        match spec {
             WorkloadSpec::AlwaysOn => None,
             WorkloadSpec::OnOff { .. } | WorkloadSpec::Churn { .. } => {
-                let (_, mean_off_s) = self.spec.dwell_means().expect("stochastic spec");
+                let (_, mean_off_s) = spec.dwell_means().expect("stochastic spec");
                 Some(SimTime::ZERO + rng.exp_duration(SimDuration::from_secs_f64(mean_off_s)))
             }
             WorkloadSpec::Schedule(points) => points.first().map(switch_at),
@@ -192,11 +207,17 @@ impl Workload {
 
     /// Apply a toggle at time `now`; returns the new state and the time of
     /// the next toggle (if any).
-    pub fn toggle(&mut self, now: SimTime, rng: &mut SimRng) -> (bool, Option<SimTime>) {
-        match &self.spec {
+    pub fn toggle(
+        &mut self,
+        specs: &[WorkloadSpec],
+        now: SimTime,
+        rng: &mut SimRng,
+    ) -> (bool, Option<SimTime>) {
+        let spec = self.spec(specs);
+        match spec {
             WorkloadSpec::AlwaysOn => (true, None),
             WorkloadSpec::OnOff { .. } | WorkloadSpec::Churn { .. } => {
-                let (mean_on_s, mean_off_s) = self.spec.dwell_means().expect("stochastic spec");
+                let (mean_on_s, mean_off_s) = spec.dwell_means().expect("stochastic spec");
                 self.on = !self.on;
                 let mean = if self.on {
                     SimDuration::from_secs_f64(mean_on_s)
@@ -227,25 +248,31 @@ impl Workload {
 mod tests {
     use super::*;
 
+    /// A workload alone in its own spec table.
+    fn single(spec: WorkloadSpec) -> (Workload, Vec<WorkloadSpec>) {
+        let mut specs = Vec::new();
+        (Workload::interned(&mut specs, &spec), specs)
+    }
+
     #[test]
     fn always_on_never_toggles() {
-        let mut w = Workload::new(WorkloadSpec::AlwaysOn);
+        let (mut w, specs) = single(WorkloadSpec::AlwaysOn);
         let mut rng = SimRng::from_seed(1);
         assert!(w.is_on());
-        assert_eq!(w.first_toggle(&mut rng), None);
+        assert_eq!(w.first_toggle(&specs, &mut rng), None);
     }
 
     #[test]
     fn on_off_alternates() {
-        let mut w = Workload::new(WorkloadSpec::on_off_1s());
+        let (mut w, specs) = single(WorkloadSpec::on_off_1s());
         let mut rng = SimRng::from_seed(2);
         assert!(!w.is_on(), "starts off");
-        let t0 = w.first_toggle(&mut rng).unwrap();
-        let (on, next) = w.toggle(t0, &mut rng);
+        let t0 = w.first_toggle(&specs, &mut rng).unwrap();
+        let (on, next) = w.toggle(&specs, t0, &mut rng);
         assert!(on, "first toggle turns on");
         let t1 = next.unwrap();
         assert!(t1 > t0);
-        let (on, next) = w.toggle(t1, &mut rng);
+        let (on, next) = w.toggle(&specs, t1, &mut rng);
         assert!(!on, "second toggle turns off");
         assert!(next.unwrap() > t1);
     }
@@ -253,14 +280,14 @@ mod tests {
     #[test]
     fn on_off_duty_cycle_statistics() {
         // mean 1s on / 1s off: fraction of time on should approach 1/2
-        let mut w = Workload::new(WorkloadSpec::on_off_1s());
+        let (mut w, specs) = single(WorkloadSpec::on_off_1s());
         let mut rng = SimRng::from_seed(3);
-        let mut now = w.first_toggle(&mut rng).unwrap();
+        let mut now = w.first_toggle(&specs, &mut rng).unwrap();
         let mut on_time = 0.0;
         let mut last = now;
         let mut state = false;
         for _ in 0..20_000 {
-            let (on, next) = w.toggle(now, &mut rng);
+            let (on, next) = w.toggle(&specs, now, &mut rng);
             if state {
                 on_time += (now - last).as_secs_f64();
             }
@@ -275,15 +302,15 @@ mod tests {
     #[test]
     fn churn_duty_cycle_tracks_offered_load() {
         // λ = 0.25 arrivals/s, mean duration 1 s: duty = λd/(1+λd) = 0.2.
-        let mut w = Workload::new(WorkloadSpec::churn(0.25, 1.0));
+        let (mut w, specs) = single(WorkloadSpec::churn(0.25, 1.0));
         let mut rng = SimRng::from_seed(5);
         assert!(!w.is_on(), "slot starts idle");
-        let mut now = w.first_toggle(&mut rng).unwrap();
+        let mut now = w.first_toggle(&specs, &mut rng).unwrap();
         let mut on_time = 0.0;
         let mut last = now;
         let mut state = false;
         for _ in 0..20_000 {
-            let (on, next) = w.toggle(now, &mut rng);
+            let (on, next) = w.toggle(&specs, now, &mut rng);
             if state {
                 on_time += (now - last).as_secs_f64();
             }
@@ -315,19 +342,23 @@ mod tests {
             Some((2.0, 0.5))
         );
         assert_eq!(WorkloadSpec::on_off_1s().mginf_rates(), None);
-        let w = Workload::new(WorkloadSpec::churn_mginf(2.0, 0.5));
+        let (w, specs) = single(WorkloadSpec::churn_mginf(2.0, 0.5));
         assert!(!w.is_on(), "M/G/inf slot starts idle");
-        assert_eq!(w.mginf_rates(), Some((2.0, 0.5)));
+        assert_eq!(w.mginf_rates(&specs), Some((2.0, 0.5)));
     }
 
     #[test]
     fn mginf_first_arrival_matches_blocked_draw() {
         // The first arrival of the unblocked variant is the same exp(1/λ)
         // draw as the blocked one, so sweeps share their burn-in phase.
-        let mut blocked = Workload::new(WorkloadSpec::churn(0.5, 1.0));
-        let mut mginf = Workload::new(WorkloadSpec::churn_mginf(0.5, 1.0));
-        let t_b = blocked.first_toggle(&mut SimRng::from_seed(11)).unwrap();
-        let t_u = mginf.first_toggle(&mut SimRng::from_seed(11)).unwrap();
+        let (mut blocked, specs_blocked) = single(WorkloadSpec::churn(0.5, 1.0));
+        let (mut mginf, specs_mginf) = single(WorkloadSpec::churn_mginf(0.5, 1.0));
+        let t_b = blocked
+            .first_toggle(&specs_blocked, &mut SimRng::from_seed(11))
+            .unwrap();
+        let t_u = mginf
+            .first_toggle(&specs_mginf, &mut SimRng::from_seed(11))
+            .unwrap();
         assert_eq!(t_b, t_u);
     }
 
@@ -345,16 +376,35 @@ mod tests {
     }
 
     #[test]
+    fn interning_keeps_one_entry_per_run_of_equal_specs() {
+        let mut specs = Vec::new();
+        let on_off = WorkloadSpec::on_off_1s();
+        let idx: Vec<u32> = [&on_off, &on_off, &WorkloadSpec::AlwaysOn, &on_off]
+            .into_iter()
+            .map(|s| Workload::interned(&mut specs, s).spec)
+            .collect();
+        assert_eq!(idx, [0, 0, 1, 2]);
+        assert_eq!(specs.len(), 3);
+        // 10⁴ distinct schedules: one entry each, each compared once.
+        let mut specs = Vec::new();
+        for i in 0..10_000 {
+            let w = Workload::interned(&mut specs, &WorkloadSpec::pulse(i as f64, 1e5));
+            assert_eq!(w.spec, i);
+        }
+        assert_eq!(specs.len(), 10_000);
+    }
+
+    #[test]
     fn pulse_schedule() {
-        let mut w = Workload::new(WorkloadSpec::pulse(5.0, 10.0));
+        let (mut w, specs) = single(WorkloadSpec::pulse(5.0, 10.0));
         let mut rng = SimRng::from_seed(4);
         assert!(!w.is_on());
-        let t0 = w.first_toggle(&mut rng).unwrap();
+        let t0 = w.first_toggle(&specs, &mut rng).unwrap();
         assert_eq!(t0, SimTime::from_secs_f64(5.0));
-        let (on, next) = w.toggle(t0, &mut rng);
+        let (on, next) = w.toggle(&specs, t0, &mut rng);
         assert!(on);
         assert_eq!(next, Some(SimTime::from_secs_f64(10.0)));
-        let (on, next) = w.toggle(next.unwrap(), &mut rng);
+        let (on, next) = w.toggle(&specs, next.unwrap(), &mut rng);
         assert!(!on);
         assert_eq!(next, None);
     }

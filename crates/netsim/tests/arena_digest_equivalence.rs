@@ -46,9 +46,6 @@ impl CongestionControl for Aimd {
     fn intersend(&self) -> SimDuration {
         SimDuration::ZERO
     }
-    fn name(&self) -> String {
-        "aimd-test".into()
-    }
 }
 
 /// One point of the scenario cross-product, as raw axis selectors.

@@ -74,9 +74,6 @@ impl CongestionControl for Aimd {
     fn intersend(&self) -> SimDuration {
         SimDuration::ZERO
     }
-    fn name(&self) -> String {
-        "aimd-test".into()
-    }
 }
 
 /// Tao-like: the same AIMD window, paced at twice its ack clock, so the
@@ -109,9 +106,6 @@ impl CongestionControl for PacedAimd {
     fn intersend(&self) -> SimDuration {
         SimDuration::from_secs_f64(self.rtt_s / (2.0 * self.w))
     }
-    fn name(&self) -> String {
-        "paced-aimd-test".into()
-    }
 }
 
 /// PCC-like: a sending rate that moves on every ack and every loss behind
@@ -138,9 +132,6 @@ impl CongestionControl for RatePaced {
     }
     fn intersend(&self) -> SimDuration {
         SimDuration::from_secs_f64(1.0 / self.rate_pps)
-    }
-    fn name(&self) -> String {
-        "rate-paced-test".into()
     }
 }
 

@@ -32,9 +32,6 @@ impl CongestionControl for Aimd {
     fn intersend(&self) -> SimDuration {
         SimDuration::ZERO
     }
-    fn name(&self) -> String {
-        "aimd-test".into()
-    }
 }
 
 /// Single always-on flow over an uncongested (infinite-buffer) dumbbell:

@@ -44,9 +44,6 @@ impl CongestionControl for Aimd {
     fn intersend(&self) -> SimDuration {
         SimDuration::ZERO
     }
-    fn name(&self) -> String {
-        "aimd-test".into()
-    }
 }
 
 /// The AQM disciplines an axis can select (8 Mbps / 120 ms bottleneck).

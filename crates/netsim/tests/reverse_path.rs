@@ -39,9 +39,6 @@ impl CongestionControl for Aimd {
     fn intersend(&self) -> SimDuration {
         SimDuration::ZERO
     }
-    fn name(&self) -> String {
-        "aimd-test".into()
-    }
 }
 
 /// Reverse queue disciplines under test, sized for a slow ACK channel.

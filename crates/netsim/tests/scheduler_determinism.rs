@@ -38,9 +38,6 @@ impl CongestionControl for Aimd {
     fn intersend(&self) -> SimDuration {
         SimDuration::ZERO
     }
-    fn name(&self) -> String {
-        "aimd-test".into()
-    }
 }
 
 struct Run {

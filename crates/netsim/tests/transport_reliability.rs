@@ -20,9 +20,6 @@ impl CongestionControl for Stubborn {
     fn intersend(&self) -> SimDuration {
         SimDuration::ZERO
     }
-    fn name(&self) -> String {
-        "stubborn".into()
-    }
 }
 
 #[test]

@@ -46,10 +46,6 @@ impl CongestionControl for ConstWindow {
     fn intersend(&self) -> SimDuration {
         self.intersend
     }
-
-    fn name(&self) -> String {
-        format!("const-window-{}", self.window)
-    }
 }
 
 #[cfg(test)]

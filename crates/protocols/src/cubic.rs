@@ -27,19 +27,18 @@ pub struct Cubic {
     w_max: f64,
     /// Previous `w_max` for fast convergence.
     w_last_max: f64,
-    /// Start of the current congestion-avoidance epoch.
-    epoch_start: Option<SimTime>,
+    /// Start of the current congestion-avoidance epoch (`SimTime::MAX`:
+    /// none).
+    epoch_start: SimTime,
     /// Time offset at which the cubic touches `w_max`.
     k: f64,
     /// AIMD-tracking estimate for the TCP-friendly region.
     w_est: f64,
     recovery_until: SimTime,
     last_rtt: SimDuration,
-    /// Latest receive-window advertisement, if the receiver sent one;
-    /// clamps [`CongestionControl::window`]. The transport already caps
-    /// the effective window at `min(cwnd, rwnd)` — this belt-and-braces
-    /// clamp keeps the scheme's own view of its window honest too.
-    rwnd: Option<f64>,
+    /// Latest receive-window advertisement (`f64::INFINITY`: none);
+    /// clamps [`CongestionControl::window`] (see `rwnd_capped`).
+    rwnd: f64,
 }
 
 impl Cubic {
@@ -49,12 +48,12 @@ impl Cubic {
             ssthresh: INITIAL_SSTHRESH,
             w_max: 0.0,
             w_last_max: 0.0,
-            epoch_start: None,
+            epoch_start: SimTime::MAX,
             k: 0.0,
             w_est: 0.0,
             recovery_until: SimTime::ZERO,
             last_rtt: SimDuration::from_millis(100),
-            rwnd: None,
+            rwnd: f64::INFINITY,
         }
     }
 
@@ -63,7 +62,7 @@ impl Cubic {
     }
 
     fn enter_epoch(&mut self, now: SimTime) {
-        self.epoch_start = Some(now);
+        self.epoch_start = now;
         self.k = if self.w_max > self.cwnd {
             ((self.w_max - self.cwnd) / C).cbrt()
         } else {
@@ -91,7 +90,7 @@ impl CongestionControl for Cubic {
 
     fn on_ack(&mut self, now: SimTime, _ack: &Ack, info: &AckInfo) {
         if let Some(w) = info.rwnd {
-            self.rwnd = Some(w as f64);
+            self.rwnd = f64::from(w);
         }
         if let Some(rtt) = info.rtt {
             self.last_rtt = rtt;
@@ -100,10 +99,10 @@ impl CongestionControl for Cubic {
             self.cwnd += 1.0;
             return;
         }
-        if self.epoch_start.is_none() {
+        if self.epoch_start == SimTime::MAX {
             self.enter_epoch(now);
         }
-        let t = (now - self.epoch_start.expect("epoch set")).as_secs_f64();
+        let t = (now - self.epoch_start).as_secs_f64();
         let rtt = self.last_rtt.as_secs_f64();
 
         // TCP-friendly region (RFC 8312 §4.2): a NewReno flow would have
@@ -138,7 +137,7 @@ impl CongestionControl for Cubic {
         }
         self.cwnd = (self.cwnd * BETA).max(1.0);
         self.ssthresh = self.cwnd.max(2.0);
-        self.epoch_start = None;
+        self.epoch_start = SimTime::MAX;
         self.recovery_until = now + self.last_rtt;
     }
 
@@ -147,23 +146,16 @@ impl CongestionControl for Cubic {
         self.w_max = self.cwnd;
         self.ssthresh = (self.cwnd * BETA).max(2.0);
         self.cwnd = 1.0;
-        self.epoch_start = None;
+        self.epoch_start = SimTime::MAX;
         self.recovery_until = now + self.last_rtt;
     }
 
     fn window(&self) -> f64 {
-        match self.rwnd {
-            Some(r) => self.cwnd.min(r),
-            None => self.cwnd,
-        }
+        crate::rwnd_capped(self.cwnd, self.rwnd)
     }
 
     fn intersend(&self) -> SimDuration {
         SimDuration::ZERO
-    }
-
-    fn name(&self) -> String {
-        "cubic".into()
     }
 }
 

@@ -43,6 +43,30 @@ pub use memory::{Memory, MemoryPoint, Signal, SignalMask, NUM_SIGNALS};
 pub use newreno::NewReno;
 pub use pcc::Pcc;
 pub use scheme::Scheme;
-pub use tao::TaoCc;
+pub use tao::{NoUsage, TaoCc, UsageRecorder};
 pub use vegas::Vegas;
 pub use whisker::{LeafId, MemoryRange, Whisker, WhiskerTree};
+
+/// Every sender of a 10⁴-flow cell holds one controller, so each word of
+/// one costs 80 kB there (`netsim.sim.kb_per_flow`): these stay within
+/// their sizes, a Tao sender outside training with no usage record.
+const _CONTROLLERS_STAY_SMALL: () = assert!(
+    std::mem::size_of::<Memory>() <= 64
+        && std::mem::size_of::<NoUsage>() == 0
+        && std::mem::size_of::<TaoCc<NoUsage>>() <= 96
+        && std::mem::size_of::<Cubic>() <= 80
+        && std::mem::size_of::<NewReno>() <= 40
+);
+
+/// `cwnd` capped by the latest receive-window advertisement `rwnd`, in
+/// packets (`f64::INFINITY`: none yet). The transport caps the effective
+/// window too; a controller caps its own so its view stays honest.
+fn rwnd_capped(cwnd: f64, rwnd: f64) -> f64 {
+    // A branch, not `cwnd.min(rwnd)`: without an advertisement a NaN
+    // window must stay NaN, and `NaN.min(∞)` is ∞.
+    if rwnd == f64::INFINITY {
+        cwnd
+    } else {
+        cwnd.min(rwnd)
+    }
+}

@@ -101,9 +101,13 @@ pub struct Memory {
     slow_rec_ewma_ms: f64,
     send_ewma_ms: f64,
     rtt_ratio: f64,
-    last_ack_arrival: Option<SimTime>,
-    last_echo_sent: Option<SimTime>,
-    min_rtt: Option<SimDuration>,
+    /// Arrival of the previous acknowledgment (`SimTime::MAX`: none).
+    last_ack_arrival: SimTime,
+    /// Latest sender timestamp echoed in forward order (`SimTime::MAX`:
+    /// none).
+    last_echo_sent: SimTime,
+    /// Smallest nonzero RTT seen (`SimDuration::MAX`: none).
+    min_rtt: SimDuration,
     mask: SignalMask,
 }
 
@@ -114,9 +118,9 @@ impl Memory {
             slow_rec_ewma_ms: 0.0,
             send_ewma_ms: 0.0,
             rtt_ratio: 0.0,
-            last_ack_arrival: None,
-            last_echo_sent: None,
-            min_rtt: None,
+            last_ack_arrival: SimTime::MAX,
+            last_echo_sent: SimTime::MAX,
+            min_rtt: SimDuration::MAX,
             mask,
         }
     }
@@ -127,15 +131,16 @@ impl Memory {
         self.slow_rec_ewma_ms = 0.0;
         self.send_ewma_ms = 0.0;
         self.rtt_ratio = 0.0;
-        self.last_ack_arrival = None;
-        self.last_echo_sent = None;
-        self.min_rtt = None;
+        self.last_ack_arrival = SimTime::MAX;
+        self.last_echo_sent = SimTime::MAX;
+        self.min_rtt = SimDuration::MAX;
     }
 
     /// Update on an acknowledgment arriving at the sender at `now`.
     pub fn on_ack(&mut self, now: SimTime, ack: &Ack) {
         // Receive-side signal: interarrival of acks at the sender.
-        if let Some(last) = self.last_ack_arrival {
+        let last = self.last_ack_arrival;
+        if last != SimTime::MAX {
             let inter_ms = (now - last).as_millis_f64();
             if self.rec_ewma_ms == 0.0 && self.slow_rec_ewma_ms == 0.0 {
                 self.rec_ewma_ms = inter_ms;
@@ -146,10 +151,11 @@ impl Memory {
                     (1.0 - SLOW_ALPHA) * self.slow_rec_ewma_ms + SLOW_ALPHA * inter_ms;
             }
         }
-        self.last_ack_arrival = Some(now);
+        self.last_ack_arrival = now;
 
         // Send-side signal: intersend times between echoed sender stamps.
-        if let Some(last) = self.last_echo_sent {
+        let last = self.last_echo_sent;
+        if last != SimTime::MAX {
             let inter_ms = (ack.echo_sent_at - last).as_millis_f64();
             // Echoes can arrive out of order after loss recovery; only
             // forward progress produces a sample.
@@ -160,21 +166,17 @@ impl Memory {
                     self.send_ewma_ms =
                         (1.0 - FAST_ALPHA) * self.send_ewma_ms + FAST_ALPHA * inter_ms;
                 }
-                self.last_echo_sent = Some(ack.echo_sent_at);
+                self.last_echo_sent = ack.echo_sent_at;
             }
         } else {
-            self.last_echo_sent = Some(ack.echo_sent_at);
+            self.last_echo_sent = ack.echo_sent_at;
         }
 
         // RTT ratio.
         let rtt = now - ack.echo_sent_at;
         if !rtt.is_zero() {
-            let min = match self.min_rtt {
-                Some(m) => m.min(rtt),
-                None => rtt,
-            };
-            self.min_rtt = Some(min);
-            self.rtt_ratio = rtt.as_secs_f64() / min.as_secs_f64();
+            self.min_rtt = self.min_rtt.min(rtt);
+            self.rtt_ratio = rtt.as_secs_f64() / self.min_rtt.as_secs_f64();
         }
     }
 

@@ -23,10 +23,9 @@ pub struct NewReno {
     /// once-per-RTT halving).
     recovery_until: SimTime,
     last_rtt: SimDuration,
-    /// Latest receive-window advertisement; clamps
-    /// [`CongestionControl::window`] (the transport clamps too — this
-    /// keeps the scheme's own view honest).
-    rwnd: Option<f64>,
+    /// Latest receive-window advertisement (`f64::INFINITY`: none);
+    /// clamps [`CongestionControl::window`] (see `rwnd_capped`).
+    rwnd: f64,
 }
 
 impl NewReno {
@@ -36,7 +35,7 @@ impl NewReno {
             ssthresh: INITIAL_SSTHRESH,
             recovery_until: SimTime::ZERO,
             last_rtt: SimDuration::from_millis(100),
-            rwnd: None,
+            rwnd: f64::INFINITY,
         }
     }
 
@@ -56,12 +55,12 @@ impl CongestionControl for NewReno {
         self.cwnd = INITIAL_CWND;
         self.ssthresh = INITIAL_SSTHRESH;
         self.recovery_until = SimTime::ZERO;
-        self.rwnd = None;
+        self.rwnd = f64::INFINITY;
     }
 
     fn on_ack(&mut self, _now: SimTime, _ack: &Ack, info: &AckInfo) {
         if let Some(w) = info.rwnd {
-            self.rwnd = Some(w as f64);
+            self.rwnd = f64::from(w);
         }
         if let Some(rtt) = info.rtt {
             self.last_rtt = rtt;
@@ -90,18 +89,11 @@ impl CongestionControl for NewReno {
     }
 
     fn window(&self) -> f64 {
-        match self.rwnd {
-            Some(r) => self.cwnd.min(r),
-            None => self.cwnd,
-        }
+        crate::rwnd_capped(self.cwnd, self.rwnd)
     }
 
     fn intersend(&self) -> SimDuration {
         SimDuration::ZERO // pure window-based, ack-clocked
-    }
-
-    fn name(&self) -> String {
-        "newreno".into()
     }
 }
 

@@ -97,10 +97,9 @@ pub struct Pcc {
     srtt: SimDuration,
     /// Deterministic per-flow stream for trial-order randomization.
     rng_state: u64,
-    /// Latest receive-window advertisement; clamps
-    /// [`CongestionControl::window`] (the transport clamps too — this
-    /// keeps the scheme's own view honest).
-    rwnd: Option<f64>,
+    /// Latest receive-window advertisement (`f64::INFINITY`: none);
+    /// clamps [`CongestionControl::window`] (see `rwnd_capped`).
+    rwnd: f64,
 }
 
 impl Pcc {
@@ -118,7 +117,7 @@ impl Pcc {
             mi_end: SimTime::ZERO,
             srtt: SimDuration::from_millis(100),
             rng_state: 0x9E37_79B9_7F4A_7C15,
-            rwnd: None,
+            rwnd: f64::INFINITY,
         }
     }
 
@@ -235,7 +234,7 @@ impl CongestionControl for Pcc {
 
     fn on_ack(&mut self, now: SimTime, _ack: &Ack, info: &AckInfo) {
         if let Some(w) = info.rwnd {
-            self.rwnd = Some(w as f64);
+            self.rwnd = f64::from(w);
         }
         if let Some(rtt) = info.rtt {
             // EWMA smoothing keeps the MI length stable across jitter.
@@ -274,18 +273,11 @@ impl CongestionControl for Pcc {
         // (intersend) is the binding control. 2×BDP at the trial rate,
         // capped by any receive-window advertisement.
         let w = (self.trial_rate_pps * self.srtt.as_secs_f64() * 2.0 + 4.0).max(2.0);
-        match self.rwnd {
-            Some(r) => w.min(r),
-            None => w,
-        }
+        crate::rwnd_capped(w, self.rwnd)
     }
 
     fn intersend(&self) -> SimDuration {
         SimDuration::from_secs_f64(1.0 / self.trial_rate_pps)
-    }
-
-    fn name(&self) -> String {
-        "pcc".into()
     }
 }
 

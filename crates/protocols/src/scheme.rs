@@ -8,7 +8,7 @@
 use crate::compiled::CompiledTree;
 use crate::memory::SignalMask;
 use crate::whisker::WhiskerTree;
-use crate::{Cubic, NewReno, Pcc, TaoCc, Vegas};
+use crate::{Cubic, NewReno, NoUsage, Pcc, TaoCc, UsageRecorder, Vegas};
 use netsim::transport::CongestionControl;
 use std::sync::Arc;
 
@@ -80,11 +80,18 @@ impl Scheme {
     }
 
     /// A fresh controller for one sender. Every sender built from one Tao
-    /// scheme shares its compiled tree and its label.
+    /// scheme shares its compiled tree, and records no whisker usage (a
+    /// `TaoCc<NoUsage>`).
     pub fn build(&self) -> Box<dyn CongestionControl> {
+        self.build_with::<NoUsage>()
+    }
+
+    /// [`build`](Self::build), a Tao sender recording its whisker uses in
+    /// a `U`: the optimizer's evaluations pass the recorder they read.
+    pub fn build_with<U: UsageRecorder>(&self) -> Box<dyn CongestionControl> {
         match self {
-            Scheme::Tao { tree, mask, label } => {
-                Box::new(TaoCc::from_compiled(tree.clone(), *mask, label.clone()))
+            Scheme::Tao { tree, mask, .. } => {
+                Box::new(TaoCc::<U>::from_compiled(tree.clone(), *mask))
             }
             Scheme::Cubic => Box::new(Cubic::new()),
             Scheme::NewReno => Box::new(NewReno::new()),

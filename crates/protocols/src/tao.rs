@@ -7,17 +7,21 @@
 //! whisker's action: `cwnd ← m·cwnd + b`, pacing floor τ (§3.5).
 //!
 //! The executor walks a [`CompiledTree`] — the whisker tree flattened
-//! into a contiguous arena — and records per-whisker usage in a flat
-//! [`UsageCounts`] buffer, allocated at the first recorded use: only
-//! training reads it, and a sender that never acknowledges anything (an
-//! idle slot of a 10⁴-sender cell) holds none. The compiled tree is
-//! immutable and shared (`Arc`) so many senders in one simulation, and
-//! many simulations in one evaluation batch, reuse a single compilation
-//! instead of cloning the recursive tree per sender.
+//! into a contiguous arena. The compiled tree is immutable and shared
+//! (`Arc`) so many senders in one simulation, and many simulations in one
+//! evaluation batch, reuse a single compilation instead of cloning the
+//! recursive tree per sender.
+//!
+//! Usage recording is a training-only probe. Which whisker fired, and
+//! where, goes to the executor's [`UsageRecorder`], a type parameter:
+//! every sender [`crate::Scheme::build`] makes — every figure and
+//! benchmark sender — is a `TaoCc<NoUsage>`, whose zero-size recorder
+//! compiles away, and only the optimizer's evaluations build
+//! `TaoCc<UsageCounts>`, one flat buffer per sender.
 
 use crate::compiled::{CompiledTree, UsageCounts};
-use crate::memory::{Memory, SignalMask};
-use crate::whisker::MemoryRange;
+use crate::memory::{Memory, MemoryPoint, SignalMask};
+use crate::whisker::{LeafId, MemoryRange};
 use netsim::packet::Ack;
 use netsim::time::{SimDuration, SimTime};
 use netsim::transport::{AckInfo, CongestionControl};
@@ -26,39 +30,65 @@ use std::sync::Arc;
 /// Initial congestion window at flow (re)start, packets.
 pub const INITIAL_WINDOW: f64 = 2.0;
 
-/// Runtime executor for a Tao protocol.
-pub struct TaoCc {
+/// What a Tao sender does with each whisker use.
+pub trait UsageRecorder: Send + 'static {
+    /// An empty record for the leaves of `tree`.
+    fn for_tree(tree: &CompiledTree) -> Self;
+
+    /// One use of `leaf` at the clamped memory point `p`.
+    fn record(&mut self, leaf: LeafId, p: &MemoryPoint);
+}
+
+/// Records nothing: the recorder of every sender outside training.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NoUsage;
+
+impl UsageRecorder for NoUsage {
+    fn for_tree(_tree: &CompiledTree) -> Self {
+        NoUsage
+    }
+
+    #[inline(always)]
+    fn record(&mut self, _leaf: LeafId, _p: &MemoryPoint) {}
+}
+
+/// Counts every use per leaf, with the memory points it fired at: what
+/// the optimizer orders and splits whiskers by.
+impl UsageRecorder for UsageCounts {
+    fn for_tree(tree: &CompiledTree) -> Self {
+        UsageCounts::new(tree.num_leaves())
+    }
+
+    #[inline]
+    fn record(&mut self, leaf: LeafId, p: &MemoryPoint) {
+        UsageCounts::record(self, leaf, p);
+    }
+}
+
+/// Runtime executor for a Tao protocol, recording whisker usage in a `U`.
+pub struct TaoCc<U> {
     tree: Arc<CompiledTree>,
-    /// `None` until the first acknowledgment records a use.
-    usage: Option<UsageCounts>,
+    usage: U,
     memory: Memory,
     cwnd: f64,
     intersend: SimDuration,
-    /// Shared by every sender a builder makes from one scheme.
-    name: Arc<str>,
-    /// Latest receive-window advertisement; clamps
-    /// [`CongestionControl::window`] (the transport clamps too — this
-    /// keeps the scheme's own view honest).
-    rwnd: Option<f64>,
+    /// Latest receive-window advertisement (`f64::INFINITY`: none);
+    /// clamps [`CongestionControl::window`] (see `rwnd_capped`).
+    rwnd: f64,
 }
 
-impl TaoCc {
+impl<U: UsageRecorder> TaoCc<U> {
     /// Executor over a pre-compiled (and possibly shared) tree with a §3.4
     /// signal-knockout mask — [`crate::Scheme::build`] hands every sender
     /// of one scheme the same `Arc`.
-    pub fn from_compiled(
-        tree: Arc<CompiledTree>,
-        mask: SignalMask,
-        name: impl Into<Arc<str>>,
-    ) -> Self {
+    pub fn from_compiled(tree: Arc<CompiledTree>, mask: SignalMask) -> Self {
         let mut cc = TaoCc {
+            usage: U::for_tree(&tree),
             tree,
-            usage: None,
             memory: Memory::new(mask),
             cwnd: INITIAL_WINDOW,
             intersend: SimDuration::ZERO,
-            name: name.into(),
-            rwnd: None,
+            rwnd: f64::INFINITY,
         };
         cc.apply_current_whisker_pacing();
         cc
@@ -71,11 +101,10 @@ impl TaoCc {
         self.intersend = self.tree.leaf(leaf).pacing;
     }
 
-    /// Usage statistics collected during execution (the optimizer reads
-    /// these after an evaluation run), index-aligned with the tree's
-    /// in-order leaves; `None` while no use has been recorded.
-    pub fn usage(&self) -> Option<&UsageCounts> {
-        self.usage.as_ref()
+    /// The whisker uses recorded so far (the optimizer reads these after
+    /// an evaluation run), index-aligned with the tree's in-order leaves.
+    pub fn usage(&self) -> &U {
+        &self.usage
     }
 
     /// The compiled tree this executor runs.
@@ -88,24 +117,22 @@ impl TaoCc {
     }
 }
 
-impl CongestionControl for TaoCc {
+impl<U: UsageRecorder> CongestionControl for TaoCc<U> {
     fn reset(&mut self, _now: SimTime) {
         self.memory.reset();
         self.cwnd = INITIAL_WINDOW;
-        self.rwnd = None;
+        self.rwnd = f64::INFINITY;
         self.apply_current_whisker_pacing();
     }
 
     fn on_ack(&mut self, now: SimTime, ack: &Ack, info: &AckInfo) {
         if let Some(w) = info.rwnd {
-            self.rwnd = Some(w as f64);
+            self.rwnd = f64::from(w);
         }
         self.memory.on_ack(now, ack);
         let p = MemoryRange::clamp_point(&self.memory.point());
         let leaf = self.tree.lookup_clamped(&p);
-        self.usage
-            .get_or_insert_with(|| UsageCounts::new(self.tree.num_leaves()))
-            .record(leaf, &p);
+        self.usage.record(leaf, &p);
         let leaf = self.tree.leaf(leaf);
         self.cwnd = leaf.action.apply_to_window(self.cwnd);
         self.intersend = leaf.pacing;
@@ -127,18 +154,11 @@ impl CongestionControl for TaoCc {
     }
 
     fn window(&self) -> f64 {
-        match self.rwnd {
-            Some(r) => self.cwnd.min(r),
-            None => self.cwnd,
-        }
+        crate::rwnd_capped(self.cwnd, self.rwnd)
     }
 
     fn intersend(&self) -> SimDuration {
         self.intersend
-    }
-
-    fn name(&self) -> String {
-        self.name.to_string()
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -180,12 +200,9 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
-    fn executor(tree: WhiskerTree) -> TaoCc {
-        TaoCc::from_compiled(
-            CompiledTree::compile_shared(&tree),
-            SignalMask::all(),
-            "tao-test",
-        )
+    /// A training-side executor, so the tests can read its usage.
+    fn executor(tree: WhiskerTree) -> TaoCc<UsageCounts> {
+        TaoCc::from_compiled(CompiledTree::compile_shared(&tree), SignalMask::all())
     }
 
     #[test]
@@ -264,11 +281,11 @@ mod tests {
         for i in 0..7 {
             cc.on_ack(t(100 + i * 10), &ack_at(i * 10, i), &info());
         }
-        assert_eq!(cc.usage().unwrap().total_uses(), 7);
+        assert_eq!(cc.usage().total_uses(), 7);
     }
 
     #[test]
-    fn usage_buffer_is_allocated_at_the_first_ack() {
+    fn only_a_recording_sender_counts_and_both_run_alike() {
         // Split on rtt_ratio at 2, so the acks below fire both leaves.
         let mut tree = WhiskerTree::default_tree();
         tree.split_leaf(LeafId(0), 3, None);
@@ -280,29 +297,34 @@ mod tests {
         let crate::Scheme::Tao { tree: compiled, .. } = &scheme else {
             unreachable!()
         };
-        let mut cc = scheme.build();
-        let tao = |cc: &dyn CongestionControl| -> Option<UsageCounts> {
-            let any = cc.as_any().expect("a Tao sender exposes itself");
-            any.downcast_ref::<TaoCc>().unwrap().usage().cloned()
-        };
-        cc.reset(t(0));
-        cc.on_loss(t(1));
-        cc.on_timeout(t(2));
-        assert_eq!(tao(&*cc), None, "no buffer before the first ack");
-        // The counts a buffer allocated up front records: the same
-        // memory updates and the same clamped lookups, leaf by leaf.
+        let mut silent = scheme.build();
+        let mut recording = scheme.build_with::<UsageCounts>();
+        let any = silent.as_any().expect("a Tao sender exposes itself");
+        assert!(any.is::<TaoCc<NoUsage>>(), "Scheme::build records nothing");
+        // The counts the same memory updates and clamped lookups give,
+        // leaf by leaf; the recorder changes no window or pacing.
         let mut memory = Memory::new(SignalMask::all());
         let mut expect = UsageCounts::new(compiled.num_leaves());
+        for cc in [&mut silent, &mut recording] {
+            cc.reset(t(0));
+            cc.on_loss(t(1));
+            cc.on_timeout(t(2));
+        }
         for i in 0..40 {
             let (now, ack) = (t(100 + i * 7), ack_at(i * 3 + (i % 5) * 20, i));
-            cc.on_ack(now, &ack, &info());
+            for cc in [&mut silent, &mut recording] {
+                cc.on_ack(now, &ack, &info());
+            }
+            assert_eq!(silent.window().to_bits(), recording.window().to_bits());
+            assert_eq!(silent.intersend(), recording.intersend());
             memory.on_ack(now, &ack);
             let p = MemoryRange::clamp_point(&memory.point());
             expect.record(compiled.lookup_clamped(&p), &p);
         }
-        let usage = tao(&*cc).expect("allocated by the first ack");
+        let any = recording.as_any().expect("a Tao sender exposes itself");
+        let usage = any.downcast_ref::<TaoCc<UsageCounts>>().unwrap().usage();
         assert_eq!(usage.len(), compiled.num_leaves());
-        assert_eq!(usage, expect);
+        assert_eq!(*usage, expect);
         assert!(usage.iter().all(|(_, n, _)| n > 0), "both leaves fired");
     }
 
@@ -311,16 +333,16 @@ mod tests {
         let mut tree = WhiskerTree::default_tree();
         tree.split_leaf(LeafId(0), 3, None);
         let compiled = CompiledTree::compile_shared(&tree);
-        let mut a = TaoCc::from_compiled(compiled.clone(), SignalMask::all(), "a");
-        let mut b = TaoCc::from_compiled(compiled, SignalMask::all(), "b");
+        let mut a = TaoCc::<UsageCounts>::from_compiled(compiled.clone(), SignalMask::all());
+        let mut b = TaoCc::<UsageCounts>::from_compiled(compiled, SignalMask::all());
         a.on_ack(t(100), &ack_at(0, 0), &info());
         a.on_ack(t(110), &ack_at(5, 1), &info());
         b.on_ack(t(100), &ack_at(0, 0), &info());
-        assert_eq!(a.usage().unwrap().total_uses(), 2);
-        assert_eq!(b.usage().unwrap().total_uses(), 1);
+        assert_eq!(a.usage().total_uses(), 2);
+        assert_eq!(b.usage().total_uses(), 1);
         // counts fold together leaf by leaf
-        let mut merged = a.usage().unwrap().clone();
-        merged.merge(b.usage().unwrap());
+        let mut merged = a.usage().clone();
+        merged.merge(b.usage());
         assert_eq!(merged.total_uses(), 3);
     }
 }

@@ -32,10 +32,9 @@ pub struct Vegas {
     epoch_start: SimTime,
     last_rtt: SimDuration,
     recovery_until: SimTime,
-    /// Latest receive-window advertisement; clamps
-    /// [`CongestionControl::window`] (the transport clamps too — this
-    /// keeps the scheme's own view honest).
-    rwnd: Option<f64>,
+    /// Latest receive-window advertisement (`f64::INFINITY`: none);
+    /// clamps [`CongestionControl::window`] (see `rwnd_capped`).
+    rwnd: f64,
 }
 
 impl Vegas {
@@ -48,7 +47,7 @@ impl Vegas {
             epoch_start: SimTime::ZERO,
             last_rtt: SimDuration::from_millis(100),
             recovery_until: SimTime::ZERO,
-            rwnd: None,
+            rwnd: f64::INFINITY,
         }
     }
 
@@ -82,7 +81,7 @@ impl CongestionControl for Vegas {
 
     fn on_ack(&mut self, now: SimTime, _ack: &Ack, info: &AckInfo) {
         if let Some(w) = info.rwnd {
-            self.rwnd = Some(w as f64);
+            self.rwnd = f64::from(w);
         }
         let Some(rtt) = info.rtt else {
             return;
@@ -143,18 +142,11 @@ impl CongestionControl for Vegas {
     }
 
     fn window(&self) -> f64 {
-        match self.rwnd {
-            Some(r) => self.cwnd.min(r),
-            None => self.cwnd,
-        }
+        crate::rwnd_capped(self.cwnd, self.rwnd)
     }
 
     fn intersend(&self) -> SimDuration {
         SimDuration::ZERO
-    }
-
-    fn name(&self) -> String {
-        "vegas".into()
     }
 }
 

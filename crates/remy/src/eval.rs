@@ -17,10 +17,11 @@
 //!    trees into [`CompiledTree`] arenas behind `Arc`s; each scenario
 //!    wraps them in one Tao [`Scheme`] per slot, so every sender in every
 //!    scenario walks the same compilation and accumulates usage in its
-//!    own flat [`UsageCounts`] buffer, allocated at its first use. The
-//!    merged buffers are the result's usage as they stand: no tree is
-//!    cloned, per scenario or per evaluation, and no recursive
-//!    boxed-node walk runs on the per-ack path.
+//!    own flat [`UsageCounts`] buffer (a `TaoCc<UsageCounts>`: this is the
+//!    one place senders record usage). The merged buffers are the
+//!    result's usage as they stand: no tree is cloned, per scenario or
+//!    per evaluation, and no recursive boxed-node walk runs on the
+//!    per-ack path.
 //! 2. **One work-stealing map.** [`EvalPool`] is only a thread count;
 //!    each evaluation runs its batch through [`try_map_indexed`], the
 //!    scoped claim-by-atomic-index map the figure sweeps run on too.
@@ -138,18 +139,17 @@ pub fn run_scenario_compiled(
         total / counted as f64
     };
 
-    // Pull whisker-usage counters back out of the Tao executors that
-    // recorded any (a sender allocates its buffer at its first use).
+    // Pull whisker-usage counters back out of the Tao executors.
     let mut usage: Vec<UsageCounts> = trees
         .iter()
         .map(|t| UsageCounts::new(t.num_leaves()))
         .collect();
     for (i, cc) in sim.into_protocols().into_iter().enumerate() {
         if let Role::Tao { slot } = scenario.roles[i] {
-            let tao = cc.as_any().and_then(|any| any.downcast_ref::<TaoCc>());
-            if let Some(counts) = tao.and_then(TaoCc::usage) {
-                usage[slot].merge(counts);
-            }
+            let tao = cc
+                .as_any()
+                .and_then(|any| any.downcast_ref::<TaoCc<UsageCounts>>());
+            usage[slot].merge(tao.expect("a Tao role records usage").usage());
         }
     }
     (utility, usage)
@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn tao_flows_that_never_turn_on_report_zero_usage() {
         // Every flow's first ON comes after the run ends, so no Tao sender
-        // records a use and none allocates a usage buffer.
+        // records a use.
         let mut scenarios = draw_scenarios(&[ScenarioSpec::calibration()], 2, 5);
         for s in &mut scenarios {
             for f in &mut s.net.flows {

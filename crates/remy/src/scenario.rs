@@ -16,7 +16,7 @@ use netsim::queue::QueueSpec;
 use netsim::rng::SimRng;
 use netsim::transport::CongestionControl;
 use netsim::workload::WorkloadSpec;
-use protocols::Scheme;
+use protocols::{Scheme, UsageCounts};
 use serde::{Deserialize, Serialize};
 
 /// A scalar drawn per scenario sample.
@@ -511,12 +511,13 @@ pub struct ConcreteScenario {
 
 impl ConcreteScenario {
     /// One controller per flow: a Tao role runs the scheme in its slot of
-    /// `tao`, AIMD cross-traffic runs NewReno.
+    /// `tao` and records its whisker uses in [`UsageCounts`], which
+    /// training reads back; AIMD cross-traffic runs NewReno.
     pub fn protocols(&self, tao: &[Scheme]) -> Vec<Box<dyn CongestionControl>> {
         self.roles
             .iter()
             .map(|role| match *role {
-                Role::Tao { slot } => tao[slot].build(),
+                Role::Tao { slot } => tao[slot].build_with::<UsageCounts>(),
                 Role::Aimd => Scheme::NewReno.build(),
             })
             .collect()
