@@ -5,6 +5,7 @@
 //! sender was ON — and *delay* — the average per-packet one-way delay
 //! including propagation and queueing.
 
+use crate::packet::DATA_PACKET_BYTES;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -41,10 +42,8 @@ impl DropStats {
 /// Running statistics for one flow.
 #[derive(Clone, Debug, Default)]
 pub struct FlowStats {
-    /// Unique payload bytes delivered to the receiver in the current epoch
-    /// structure (duplicates from retransmission are not double-counted).
-    pub bytes_delivered: u64,
-    /// Unique packets delivered.
+    /// Unique packets delivered (duplicates from retransmission are not
+    /// double-counted); each carries [`DATA_PACKET_BYTES`].
     pub packets_delivered: u64,
     /// Sum of per-packet one-way delays (only for counted packets).
     pub delay_sum: SimDuration,
@@ -64,11 +63,15 @@ pub struct FlowStats {
 }
 
 impl FlowStats {
-    /// Account one in-order delivery of `bytes` with one-way `delay`.
-    pub fn record_delivery(&mut self, bytes: u32, delay: SimDuration) {
-        self.bytes_delivered += bytes as u64;
+    /// Account one in-order delivery with one-way `delay`.
+    pub fn record_delivery(&mut self, delay: SimDuration) {
         self.packets_delivered += 1;
         self.delay_sum += delay;
+    }
+
+    /// Unique payload bytes delivered.
+    pub fn bytes_delivered(&self) -> u64 {
+        self.packets_delivered * u64::from(DATA_PACKET_BYTES)
     }
 
     /// Average throughput in bits/second over ON time. Returns 0 when the
@@ -78,7 +81,7 @@ impl FlowStats {
         if on <= 0.0 {
             0.0
         } else {
-            self.bytes_delivered as f64 * 8.0 / on
+            self.bytes_delivered() as f64 * 8.0 / on
         }
     }
 
@@ -133,7 +136,7 @@ impl FlowOutcome {
             avg_delay_s: avg_delay,
             avg_queueing_delay_s: (avg_delay - min_one_way.as_secs_f64()).max(0.0),
             min_one_way_s: min_one_way.as_secs_f64(),
-            bytes_delivered: stats.bytes_delivered,
+            bytes_delivered: stats.bytes_delivered(),
             packets_delivered: stats.packets_delivered,
             on_time_s: stats.on_time.as_secs_f64(),
             drops: stats.drops,
@@ -192,8 +195,8 @@ mod tests {
     #[test]
     fn throughput_over_on_time() {
         let mut s = FlowStats::default();
-        s.record_delivery(1500, SimDuration::from_millis(80));
-        s.record_delivery(1500, SimDuration::from_millis(120));
+        s.record_delivery(SimDuration::from_millis(80));
+        s.record_delivery(SimDuration::from_millis(120));
         s.on_time = SimDuration::from_secs(2);
         // 3000 bytes over 2 s of ON time = 12 kbit/s
         assert!((s.throughput_bps() - 12_000.0).abs() < 1e-9);
@@ -210,7 +213,7 @@ mod tests {
     #[test]
     fn outcome_queueing_delay() {
         let mut s = FlowStats::default();
-        s.record_delivery(1500, SimDuration::from_millis(100));
+        s.record_delivery(SimDuration::from_millis(100));
         s.on_time = SimDuration::from_secs(1);
         let o = FlowOutcome::from_stats(0, &s, SimDuration::from_millis(75));
         assert!((o.avg_queueing_delay_s - 0.025).abs() < 1e-12);

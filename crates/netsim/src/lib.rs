@@ -78,16 +78,21 @@
 //!   period and nothing else: the transport, its rings, pacing and the
 //!   RTO timer are a pooled runtime that only live transfers hold (see
 //!   "Idle slots" in [`sim`]); ring slots are the value itself (16 and 8
-//!   bytes), sentinels stand in for `Option`s, data and ACK routes are
-//!   ranges of one per-simulation route table, a slot's workload is an
-//!   index into the simulation's interned workload specs, and the
-//!   delayed-ACK state is boxed where only delayed-ACK receivers pay for
-//!   it. Compile-time asserts hold the sender slot to 112 bytes, a
-//!   runtime to 256 (240) and the receiver slot to 64 (56); a built
-//!   10⁴-flow cell holds about 0.35 kB per flow, controller included
-//!   (`netsim.sim.kb_per_flow` in the benchmark, from 0.67 and 0.41). A
-//!   finished run frees the transfer pool, the event queue's storage and
-//!   the packet arena before it builds its outcome.
+//!   bytes), and sentinels stand in for `Option`s. Nor does a slot copy
+//!   what the simulation can derive: a slot's workload and its (data,
+//!   return) path pair are indices into the simulation's interned
+//!   workload specs and paths (a path entry holds the routes, ranges of
+//!   one route table, and the flow's one-way delay floor), whether it is
+//!   ON is whether the runtime pool names an entry for it, its byte count
+//!   is its packet count times [`packet::DATA_PACKET_BYTES`], and the
+//!   delayed-ACK state sits in a side table only delayed-ACK receivers
+//!   have an entry in. Compile-time asserts hold the sender slot to 96
+//!   bytes, a runtime to 256 (240), the receiver slot to 48 and a flow's
+//!   counters ([`flow::FlowStats`]) to 80; a built 10⁴-flow cell holds
+//!   about 0.29 kB per flow, controller included
+//!   (`netsim.sim.kb_per_flow` in the benchmark, from 0.67, 0.41 and
+//!   0.35). A finished run frees the transfer pool, the event queue's
+//!   storage and the packet arena before it builds its outcome.
 //! * **Packet events bypass the priority queue.** A link's
 //!   serializations and its propagations (on a delay-only link, every
 //!   packet that enters it) are each scheduled in an order known in

@@ -26,6 +26,15 @@
 //! instead, and its return path one delay-only link of its forward
 //! propagation plus that serialization.
 //!
+//! The (data path, return path) pairs are interned: a slot holds the
+//! index of its pair in the simulation's path table, whose entry also
+//! holds the pair's one-way delay floor (the data path's propagation —
+//! the reverse chain's for a `reverse_data` flow). A flow that crosses
+//! no private reverse link shares the entry of the first flow with its
+//! route and direction, so the 10⁴ flows of a dumbbell hold one entry
+//! and one copy of its routes; a private reverse link makes a flow's
+//! pair, and its entry, its own.
+//!
 //! A packet enters a link only through `Simulation::enter` and leaves it
 //! only through `handle_propagated`, which forwards it to the next hop of
 //! the path its direction selects, or delivers it: data to the receiver,
@@ -55,22 +64,30 @@
 //! back, with its rings' capacity, when it turns OFF. What stays per
 //! slot, and why:
 //!
-//! * the controller, the workload process, the RNG and the routes: the
+//! * the controller, the workload process, the RNG and the path: the
 //!   flow's identity across its epochs. The workload process holds an
 //!   index into the simulation's table of distinct workload specs
-//!   (interned in flow order), not a spec of its own; the controller is
+//!   (interned in flow order), not a spec of its own, and the path an
+//!   index into its table of distinct path pairs; the controller is
 //!   whatever the caller built — outside training, a Tao sender records
 //!   no whisker usage (usage recording is a training-only probe, see
 //!   `protocols::tao`);
-//! * `active_flows`, `on` and the ON-time tracker: the workload state
-//!   machine runs while the slot is OFF;
+//! * `active_flows` and the ON-time tracker: the workload state machine
+//!   runs while the slot is OFF. Whether the slot is ON is not stored
+//!   in it: it is whether the pool's dense `held` array names a runtime
+//!   for it;
 //! * `pending_wake`: a pacing wake queued by an ended epoch still fires,
 //!   and still clears it;
 //! * the transport's epoch and RTO generation, saved at turn-OFF and
 //!   adopted by the next runtime before it starts an epoch: packets and
 //!   `RtoCheck`s of an ended epoch stay stale across OFF periods;
 //! * the receiver: data of an ended epoch is still delivered, and
-//!   deduplicated, after its sender turned OFF.
+//!   deduplicated, after its sender turned OFF. A delayed-ACK receiver's
+//!   policy state sits in a side table only those receivers have an
+//!   entry in; every other receiver holds the `NONE` index;
+//! * the flow's counters ([`FlowStats`]), beside the slots: its byte
+//!   count is its packet count times [`crate::packet::DATA_PACKET_BYTES`]
+//!   and is not kept.
 //!
 //! Moving state between the two changes no event: the runtime's fields
 //! are reset at every turn-ON, as the slot's were.
@@ -186,8 +203,6 @@ struct Route {
 }
 
 impl Route {
-    const EMPTY: Route = Route { start: 0, len: 0 };
-
     /// The route table's entries from `start` to its end.
     fn since(table: &[LinkId], start: usize) -> Route {
         Route {
@@ -208,21 +223,35 @@ impl Route {
     }
 }
 
+/// The links a flow's data crosses and those its ACKs cross back (see
+/// "Data and return paths" in the module docs), and the flow's one-way
+/// delay floor. Flows with the same pair share one entry of
+/// [`Simulation::paths`].
+struct Path {
+    data: Route,
+    ret: Route,
+    /// Propagation along the data path: the floor under which a
+    /// delivery's one-way delay is queueing-free.
+    min_one_way: SimDuration,
+}
+
+/// An unused `u32` index: a slot that holds no runtime entry, a receiver
+/// without a delayed-ACK state.
+const NONE: u32 = u32::MAX;
+
 /// What a flow slot keeps whether or not it is ON: its controller,
-/// workload process, RNG and routes, its ON bookkeeping, and the counts a
+/// workload process, RNG and path, its ON bookkeeping, and the counts a
 /// live transfer must carry on from (see "Idle slots" in the module docs).
+/// Whether it is ON is whether it holds a runtime
+/// ([`RuntimePool::is_on`]).
 struct SenderSlot {
     cc: Box<dyn CongestionControl>,
     workload: Workload,
-    /// The links this flow's data crosses, and those its ACKs cross back
-    /// (see "Data and return paths" in the module docs).
-    data_path: Route,
-    return_path: Route,
+    /// Index of the flow's [`Path`] in [`Simulation::paths`].
+    path: u32,
     /// Concurrent transfers hosted by this slot (unblocked M/G/∞ churn);
     /// the slot is ON while this is nonzero.
     active_flows: u32,
-    /// ON: the slot holds a `pool` entry.
-    on: bool,
     on_tracker: OnTimeTracker,
     /// Firing time of the earliest queued SenderWake (`SimTime::MAX`:
     /// none); cleared only by that wake, so a later one is never
@@ -274,11 +303,11 @@ impl FlowRuntime {
 struct RuntimePool {
     entries: Vec<FlowRuntime>,
     free: Vec<u32>,
-    /// Per slot, the entry it holds while ON. Kept apart from the slots:
-    /// at 4 bytes a slot it stays cached, so a handler finds the runtime
-    /// without first waiting for the slot's cache line (as a slot field
-    /// it cost a 10⁴-slot incast cell ~5 % more run time on a shared
-    /// 2-vCPU Xeon).
+    /// Per slot, the entry it holds while ON, [`NONE`] while OFF. Kept
+    /// apart from the slots: at 4 bytes a slot it stays cached, so a
+    /// handler finds the runtime without first waiting for the slot's
+    /// cache line (as a slot field it cost a 10⁴-slot incast cell ~5 %
+    /// more run time on a shared 2-vCPU Xeon).
     held: Vec<u32>,
 }
 
@@ -287,8 +316,13 @@ impl RuntimePool {
         RuntimePool {
             entries: Vec::new(),
             free: Vec::new(),
-            held: vec![0; slots],
+            held: vec![NONE; slots],
         }
+    }
+
+    /// Whether slot `i` is ON: it holds an entry.
+    fn is_on(&self, i: usize) -> bool {
+        self.held[i] != NONE
     }
 
     /// An entry for `flow`, its transport carrying on from the slot's
@@ -315,16 +349,17 @@ impl RuntimePool {
     /// Free slot `i`'s entry, abandoning its transfer; returns the epoch
     /// and RTO generation the slot keeps for the next [`take`](Self::take).
     fn put_back(&mut self, i: usize) -> (u32, u64) {
-        let id = self.held[i];
+        let id = std::mem::replace(&mut self.held[i], NONE);
         let transport = &mut self.entries[id as usize].transport;
         transport.abort();
         self.free.push(id);
         (transport.epoch(), transport.rto_gen())
     }
 
-    /// The entry ON slot `i` holds.
-    fn get(&mut self, i: usize) -> &mut FlowRuntime {
-        &mut self.entries[self.held[i] as usize]
+    /// The entry slot `i` holds, if it is ON (no entry sits at [`NONE`]:
+    /// entries are counted in `u32`s).
+    fn get(&mut self, i: usize) -> Option<&mut FlowRuntime> {
+        self.entries.get_mut(self.held[i] as usize)
     }
 }
 
@@ -332,9 +367,10 @@ impl RuntimePool {
 /// word of a slot costs 80 kB (`netsim.sim.kb_per_flow`). A runtime entry
 /// is paid only per live transfer.
 const _FLOW_SLOTS_STAY_SMALL: () = assert!(
-    std::mem::size_of::<SenderSlot>() <= 112
+    std::mem::size_of::<SenderSlot>() <= 96
         && std::mem::size_of::<FlowRuntime>() <= 256
-        && std::mem::size_of::<ReceiverSlot>() <= 64
+        && std::mem::size_of::<ReceiverSlot>() <= 48
+        && std::mem::size_of::<FlowStats>() <= 80
 );
 
 /// Runtime state of one config link's [`FaultSpec`] process: the
@@ -351,15 +387,15 @@ struct FaultState {
 /// Per-flow receiver state: which sequences have been seen this epoch
 /// (deduplicates retransmissions in the delivery stats). Sequences are
 /// near-sequential, so a sliding bitmap replaces the per-delivery hash.
-#[derive(Default)]
 struct ReceiverSlot {
     epoch: u32,
+    /// Index of the receiver's ACK-policy state machine in
+    /// [`Simulation::policies`]; [`NONE`] (every flow whose spec is
+    /// absent or [`ReceiverSpec::is_immediate`]) selects the historical
+    /// immediate per-packet-ack path, bit for bit. Only delayed-ACK
+    /// receivers have an entry.
+    policy: u32,
     seen: SeqTracker,
-    /// ACK-policy state machine; `None` (every flow whose spec is absent
-    /// or [`ReceiverSpec::is_immediate`]) selects the historical
-    /// immediate per-packet-ack path, bit for bit. Boxed: only
-    /// delayed-ACK receivers pay for it.
-    policy: Option<Box<PolicyState>>,
 }
 
 /// Runtime state of one receiver's non-immediate ACK policy.
@@ -462,8 +498,12 @@ pub struct Simulation {
     /// The config's links, then the lowering's (see
     /// [`RunOutcome::link_queues`] for the layout).
     links: Vec<Link>,
-    /// Every flow's data and return paths, end to end ([`Route`]).
+    /// The links of every distinct data and return path, end to end
+    /// ([`Route`]).
     routes: Vec<LinkId>,
+    /// The flows' distinct (data, return) path pairs, which each slot
+    /// indexes.
+    paths: Vec<Path>,
     /// Per link, the delay line of its `TxComplete` events.
     tx_line: Vec<Line>,
     /// Per link, the delay line of its `Propagated` events.
@@ -475,10 +515,11 @@ pub struct Simulation {
     /// Runtimes of the live transfers (see "Idle slots" in the module docs).
     pool: RuntimePool,
     receivers: Vec<ReceiverSlot>,
+    /// The delayed-ACK receivers' policy states, in flow order.
+    policies: Vec<PolicyState>,
     /// Fault-process state per link (`None` = no fault declared).
     faults: Vec<Option<FaultState>>,
     stats: Vec<FlowStats>,
-    min_one_way: Vec<SimDuration>,
     trace: Option<Trace>,
     events_processed: u64,
     events_by_kind: [u64; EventKind::COUNT],
@@ -536,7 +577,6 @@ impl Simulation {
                 Link::new(ls.rate_bps, ls.one_way_delay(), ls.queue.build(salt))
             })
             .collect();
-        let mut routes = Vec::new();
         let mut workloads = Vec::new();
         let mut senders: Vec<SenderSlot> = protocols
             .into_iter()
@@ -544,13 +584,8 @@ impl Simulation {
             .map(|(i, cc)| SenderSlot {
                 cc,
                 workload: Workload::interned(&mut workloads, &config.flows[i].workload),
-                data_path: Route::push(
-                    &mut routes,
-                    config.flows[i].route.iter().map(|&l| LinkId(l as u32)),
-                ),
-                return_path: Route::EMPTY,
+                path: NONE,
                 active_flows: 0,
-                on: false,
                 on_tracker: OnTimeTracker::default(),
                 pending_wake: SimTime::MAX,
                 epoch: 0,
@@ -580,11 +615,29 @@ impl Simulation {
             .collect();
         // The paper's acknowledgment serialization (negligible, 1 Gbps).
         let ack_tx = SimDuration::from_secs_f64(ACK_BYTES as f64 * 8.0 / 1e9);
+        let mut routes = Vec::new();
+        let mut paths = Vec::new();
+        // A flow crossing no private reverse link has the path pair of
+        // every flow with its route and direction: the first such flow
+        // builds the entry the others share. A private link makes a
+        // flow's pair its own.
+        let mut interned = std::collections::HashMap::new();
         // Each return path's closing delay-only hop, as (route slot,
         // delay) in flow order: its link is built once every reverse link
         // has its id.
         let mut delay_hops = Vec::new();
         for (i, f) in config.flows.iter().enumerate() {
+            let key = (f.route.as_slice(), f.reverse_data);
+            if let Some(&id) = interned.get(&key) {
+                senders[i].path = id;
+                continue;
+            }
+            let private = f
+                .route
+                .iter()
+                .any(|&l| uplinks[l].is_none() && config.links[l].reverse.is_some());
+            let forward = (!f.reverse_data)
+                .then(|| Route::push(&mut routes, f.route.iter().map(|&l| LinkId(l as u32))));
             let start = routes.len();
             let mut residual = SimDuration::ZERO;
             for &l in f.route.iter().rev() {
@@ -598,21 +651,35 @@ impl Simulation {
                 }
             }
             let reverse = Route::since(&routes, start);
-            let (ret_start, delay) = if f.reverse_data {
+            let (data, ret_start, delay, min_one_way) = match forward {
+                Some(data) if reverse.len == 0 => {
+                    (data, start, residual + ack_tx, config.min_one_way(i))
+                }
+                Some(data) => (data, start, residual, config.min_one_way(i)),
                 // Validation guarantees a spec on every hop, so the
-                // reverse links cover the whole path.
-                senders[i].data_path = reverse;
-                (routes.len(), config.min_one_way(i) + ack_tx)
-            } else if reverse.len == 0 {
-                (start, residual + ack_tx)
-            } else {
-                (start, residual)
+                // reverse links cover the whole path, and the delay floor
+                // is the reverse chain's.
+                None => (
+                    reverse,
+                    routes.len(),
+                    config.min_one_way(i) + ack_tx,
+                    config.ack_delay(i),
+                ),
             };
             if !delay.is_zero() {
                 delay_hops.push((routes.len(), delay));
                 routes.push(LinkId(u32::MAX));
             }
-            senders[i].return_path = Route::since(&routes, ret_start);
+            let id = paths.len() as u32;
+            paths.push(Path {
+                data,
+                ret: Route::since(&routes, ret_start),
+                min_one_way,
+            });
+            if !private {
+                interned.insert(key, id);
+            }
+            senders[i].path = id;
         }
         let mut by_delay = std::collections::BTreeMap::new();
         for (slot, delay) in delay_hops {
@@ -640,44 +707,38 @@ impl Simulation {
         let mut events = EventQueue::with_kind(scheduler);
         let tx_line = links.iter().map(|_| events.line()).collect();
         let prop_line = links.iter().map(|_| events.line()).collect();
+        let mut policies = Vec::new();
+        let receivers = config
+            .flows
+            .iter()
+            .map(|f| ReceiverSlot {
+                epoch: 0,
+                policy: match f.receiver.as_ref().filter(|r| !r.is_immediate()) {
+                    Some(spec) => {
+                        policies.push(PolicyState::new(spec.clone()));
+                        policies.len() as u32 - 1
+                    }
+                    None => NONE,
+                },
+                seen: SeqTracker::default(),
+            })
+            .collect();
         Simulation {
             now: SimTime::ZERO,
             events,
             arena: PacketArena::new(),
             links,
             routes,
+            paths,
             tx_line,
             prop_line,
             senders,
             workloads,
             pool: RuntimePool::new(n),
-            receivers: config
-                .flows
-                .iter()
-                .map(|f| ReceiverSlot {
-                    epoch: 0,
-                    seen: SeqTracker::default(),
-                    policy: f
-                        .receiver
-                        .as_ref()
-                        .filter(|r| !r.is_immediate())
-                        .map(|spec| Box::new(PolicyState::new(spec.clone()))),
-                })
-                .collect(),
+            receivers,
+            policies,
             faults,
             stats: vec![FlowStats::default(); n],
-            min_one_way: (0..n)
-                .map(|i| {
-                    if config.flows[i].reverse_data {
-                        // The data path is the reverse direction, so the
-                        // propagation floor for delay statistics is the
-                        // reverse chain's.
-                        config.ack_delay(i)
-                    } else {
-                        config.min_one_way(i)
-                    }
-                })
-                .collect(),
             trace: None,
             events_processed: 0,
             events_by_kind: [0; EventKind::COUNT],
@@ -814,7 +875,7 @@ impl Simulation {
 
         // Close out ON intervals.
         for i in 0..self.senders.len() {
-            if self.senders[i].on {
+            if self.pool.is_on(i) {
                 let d = self.senders[i].on_tracker.finish(end);
                 self.stats[i].on_time += d;
             }
@@ -825,7 +886,10 @@ impl Simulation {
     fn outcome(&self, duration: SimDuration, truncated: bool, queue: QueueCounters) -> RunOutcome {
         RunOutcome {
             flows: (0..self.senders.len())
-                .map(|i| FlowOutcome::from_stats(i, &self.stats[i], self.min_one_way[i]))
+                .map(|i| {
+                    let path = &self.paths[self.senders[i].path as usize];
+                    FlowOutcome::from_stats(i, &self.stats[i], path.min_one_way)
+                })
                 .collect(),
             duration_s: duration.as_secs_f64(),
             link_queues: self.links.iter().map(|l| l.queue_stats()).collect(),
@@ -1003,10 +1067,10 @@ impl Simulation {
             }
         }
         let flow = pkt.flow.0 as usize;
-        let s = &self.senders[flow];
+        let path = &self.paths[self.senders[flow].path as usize];
         let path = match pkt.dir() {
-            PacketDir::Data => s.data_path,
-            PacketDir::Ack => s.return_path,
+            PacketDir::Data => path.data,
+            PacketDir::Ack => path.ret,
         }
         .links(&self.routes);
         let next_hop = pkt.hop() as usize + 1;
@@ -1029,7 +1093,7 @@ impl Simulation {
         }
         if rx.seen.insert(pkt.seq) {
             let delay = self.now - pkt.sent_at;
-            self.stats[flow].record_delivery(pkt.size(), delay);
+            self.stats[flow].record_delivery(delay);
         }
         self.receive(flow, id);
     }
@@ -1039,7 +1103,8 @@ impl Simulation {
     /// no (non-trivial) [`ReceiverSpec`] — the historical engine, bit for
     /// bit — or the delayed-ACK state machine otherwise.
     fn receive(&mut self, flow: usize, id: PktId) {
-        if self.receivers[flow].policy.is_none() {
+        let policy = self.receivers[flow].policy as usize;
+        if policy == NONE as usize {
             // The acknowledgment takes the data packet's slot.
             let pkt = self.arena.get_mut(id);
             *pkt = Packet::ack_for(pkt, self.now);
@@ -1051,16 +1116,15 @@ impl Simulation {
         // duplicate) means the held acknowledgment must go out on its
         // own before this delivery starts a new run — folding across the
         // gap would silently acknowledge sequences that never arrived.
-        let breaks_run = self.receivers[flow]
-            .policy
+        let breaks_run = self.policies[policy]
+            .held
             .as_ref()
-            .and_then(|p| p.held.as_ref())
             .is_some_and(|(held, _)| pkt.seq != held.seq + 1);
         if breaks_run {
             self.flush_ack(flow);
         }
         let now = self.now;
-        let p = self.receivers[flow].policy.as_mut().expect("checked above");
+        let p = &mut self.policies[policy];
         p.held = Some((pkt, now));
         p.pending += 1;
         // A retransmitted delivery acknowledges immediately: the sender
@@ -1091,7 +1155,7 @@ impl Simulation {
     /// time, so sender RTT samples include the coalescing delay — the
     /// real cost of a delayed-ACK receiver.
     fn flush_ack(&mut self, flow: usize) {
-        let Some(p) = &mut self.receivers[flow].policy else {
+        let Some(p) = self.policies.get_mut(self.receivers[flow].policy as usize) else {
             return;
         };
         let Some((pkt, recv_at)) = p.held.take() else {
@@ -1114,7 +1178,8 @@ impl Simulation {
     /// The single ACK gateway: every acknowledgment — immediate or
     /// coalesced — leaves the receiver here, onto the flow's return path.
     fn emit_ack(&mut self, flow: usize, ack: PktId) {
-        let first = self.routes[self.senders[flow].return_path.start as usize];
+        let path = &self.paths[self.senders[flow].path as usize];
+        let first = self.routes[path.ret.start as usize];
         self.enter(first, ack);
     }
 
@@ -1123,7 +1188,7 @@ impl Simulation {
     /// timer generation.
     fn handle_ack_timer(&mut self, flow: FlowId, gen: u64) {
         let i = flow.0 as usize;
-        let Some(p) = &mut self.receivers[i].policy else {
+        let Some(p) = self.policies.get_mut(self.receivers[i].policy as usize) else {
             return;
         };
         if gen != p.timer_gen {
@@ -1135,10 +1200,9 @@ impl Simulation {
 
     fn handle_ack(&mut self, flow: FlowId, ack: Ack) {
         let i = flow.0 as usize;
-        let s = &mut self.senders[i];
-        if !s.on {
+        let Some(rt) = self.pool.get(i) else {
             return; // burst already ended; ignore late acks
-        }
+        };
         if let Some(digest) = self.ack_digests.get_mut(i) {
             for word in [
                 self.now.as_nanos(),
@@ -1148,11 +1212,11 @@ impl Simulation {
                 *digest = fnv(*digest, word);
             }
         }
-        let rt = self.pool.get(i);
         let outcome = rt.transport.on_ack(self.now, &ack);
         if !outcome.valid {
             return;
         }
+        let s = &mut self.senders[i];
         self.stats[i].losses += outcome.newly_lost as u64;
         for _ in 0..outcome.newly_lost {
             s.cc.on_loss(self.now);
@@ -1167,11 +1231,9 @@ impl Simulation {
 
     fn handle_rto(&mut self, flow: FlowId, gen: u64) {
         let i = flow.0 as usize;
-        let s = &mut self.senders[i];
-        if !s.on {
+        let Some(rt) = self.pool.get(i) else {
             return;
-        }
-        let rt = self.pool.get(i);
+        };
         if gen != rt.transport.rto_gen() {
             return;
         }
@@ -1198,8 +1260,9 @@ impl Simulation {
             return;
         }
         self.stats[i].timeouts += 1;
-        s.cc.on_timeout(self.now);
-        rt.read_cc(&*s.cc);
+        let cc = &mut self.senders[i].cc;
+        cc.on_timeout(self.now);
+        rt.read_cc(&**cc);
         // Bumps the RTO generation: every queued check is dead.
         rt.transport.on_timeout();
         rt.rto_armed = SimTime::MAX;
@@ -1217,10 +1280,12 @@ impl Simulation {
         if let Some(t) = next {
             self.events.schedule(t, Event::WorkloadToggle { flow });
         }
-        if on && !self.senders[i].on {
-            self.turn_on(i);
-        } else if !on && self.senders[i].on {
-            self.turn_off(i);
+        if on != self.pool.is_on(i) {
+            if on {
+                self.turn_on(i);
+            } else {
+                self.turn_off(i);
+            }
         }
     }
 
@@ -1275,9 +1340,8 @@ impl Simulation {
     }
 
     fn turn_on(&mut self, i: usize) {
+        debug_assert!(!self.pool.is_on(i), "a slot turns ON once per OFF");
         let s = &mut self.senders[i];
-        debug_assert!(!s.on, "a slot turns ON once per OFF");
-        s.on = true;
         s.on_tracker.turn_on(self.now);
         let rt = self.pool.take(FlowId(i as u32), s.epoch, s.rto_gen);
         let epoch = rt.transport.start_epoch();
@@ -1289,7 +1353,7 @@ impl Simulation {
         let rx = &mut self.receivers[i];
         rx.epoch = epoch;
         rx.seen.clear();
-        if let Some(p) = &mut rx.policy {
+        if let Some(p) = self.policies.get_mut(rx.policy as usize) {
             p.reset();
         }
         self.try_send(i);
@@ -1297,7 +1361,6 @@ impl Simulation {
 
     fn turn_off(&mut self, i: usize) {
         let s = &mut self.senders[i];
-        s.on = false;
         let d = s.on_tracker.turn_off(self.now);
         self.stats[i].on_time += d;
         (s.epoch, s.rto_gen) = self.pool.put_back(i);
@@ -1307,11 +1370,9 @@ impl Simulation {
     /// wake-up if the window has room but pacing blocks.
     fn try_send(&mut self, i: usize) {
         loop {
-            let s = &mut self.senders[i];
-            if !s.on {
+            let Some(rt) = self.pool.get(i) else {
                 return;
-            }
-            let rt = self.pool.get(i);
+            };
             // Effective window: the congestion window, capped by the
             // receiver's advertised window when one has been seen this
             // epoch.
@@ -1326,6 +1387,7 @@ impl Simulation {
             if rt.last_send != SimTime::MAX && !rt.intersend.is_zero() {
                 let allowed = rt.last_send + rt.intersend;
                 if allowed > self.now {
+                    let s = &mut self.senders[i];
                     if allowed < s.pending_wake {
                         s.pending_wake = allowed;
                         self.events.schedule(
@@ -1346,7 +1408,8 @@ impl Simulation {
             if pkt.is_retx() {
                 self.stats[i].retransmissions += 1;
             }
-            let first_link = self.routes[s.data_path.start as usize];
+            let path = &self.paths[self.senders[i].path as usize];
+            let first_link = self.routes[path.data.start as usize];
             let had_outstanding = rt.transport.in_flight() > 1;
             let pkt = self.arena.alloc(pkt);
             self.enter(first_link, pkt);
@@ -1362,7 +1425,7 @@ impl Simulation {
     /// generation is already queued at or before it — see "Timers and the
     /// same-instant lane" in the module docs.
     fn reschedule_rto(&mut self, i: usize) {
-        let rt = self.pool.get(i);
+        let rt = self.pool.get(i).expect("an ON slot's RTO");
         if rt.transport.in_flight() == 0 && !rt.transport.has_retx_pending() {
             rt.transport.bump_rto_gen();
             rt.rto_deadline = SimTime::MAX;
@@ -1716,6 +1779,100 @@ mod tests {
     }
 
     #[test]
+    fn flows_derive_their_delay_floor_and_byte_count() {
+        // A slot stores neither its delay floor nor its byte count: each
+        // flow's floor comes from its path entry, its bytes from its
+        // packets, on every kind of path a flow can take.
+        let lot = crate::topology::parking_lot(
+            10e6,
+            5e6,
+            0.030,
+            QueueSpec::infinite(),
+            QueueSpec::infinite(),
+            WorkloadSpec::AlwaysOn,
+        );
+        let bell = dumbbell(
+            3,
+            10e6,
+            0.060,
+            QueueSpec::infinite(),
+            WorkloadSpec::AlwaysOn,
+        );
+        let mut per_flow = lot.clone();
+        per_flow.links[0].reverse = Some(ReverseSpec::per_flow(1e6, 0.020));
+        let mut shared = bell.clone();
+        shared.links[0].reverse = Some(ReverseSpec::shared(1e6, 0.045, QueueSpec::infinite()));
+        let mut upload = shared.clone();
+        upload.flows[1].reverse_data = true;
+        let delayed = lot.with_receiver(ReceiverSpec::delayed(2, 0.005).with_rwnd(8));
+        for (name, net) in [
+            ("dumbbell", bell),
+            ("parking lot", lot),
+            ("per-flow reverse", per_flow),
+            ("shared reverse", shared),
+            ("reverse data", upload),
+            ("delayed ack with rwnd", delayed),
+        ] {
+            let n = net.flows.len();
+            let mut sim = Simulation::new(&net, (0..n).map(|_| fixed(20.0)).collect(), 3);
+            let out = sim.run(SimDuration::from_secs(3));
+            for (i, f) in out.flows.iter().enumerate() {
+                let floor = if net.flows[i].reverse_data {
+                    net.ack_delay(i)
+                } else {
+                    net.min_one_way(i)
+                };
+                assert_eq!(f.min_one_way_s, floor.as_secs_f64(), "{name}, flow {i}");
+                assert!(f.packets_delivered > 0, "{name}, flow {i}");
+                assert_eq!(
+                    f.bytes_delivered,
+                    f.packets_delivered * u64::from(crate::packet::DATA_PACKET_BYTES),
+                    "{name}, flow {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flows_with_one_path_pair_share_one_entry() {
+        // 10⁴ flows over a parking lot's three routes, interleaved: one
+        // path entry per distinct (data, return) pair, and each flow's
+        // entry crosses its own route.
+        let mut net = crate::topology::parking_lot(
+            100e6,
+            100e6,
+            0.040,
+            QueueSpec::infinite(),
+            QueueSpec::infinite(),
+            WorkloadSpec::churn_mginf(0.5, 2.0),
+        );
+        let three = net.flows.clone();
+        net.flows = (0..10_000).map(|i| three[i % 3].clone()).collect();
+        let build = |net: &NetworkConfig| {
+            let n = net.flows.len();
+            Simulation::new(net, (0..n).map(|_| fixed(4.0)).collect(), 1)
+        };
+        let sim = build(&net);
+        assert_eq!(sim.paths.len(), 3);
+        for (i, s) in sim.senders.iter().enumerate() {
+            let data = sim.paths[s.path as usize].data.links(&sim.routes);
+            let route: Vec<LinkId> = net.flows[i]
+                .route
+                .iter()
+                .map(|&l| LinkId(l as u32))
+                .collect();
+            assert_eq!(s.path as usize, i % 3, "flow {i}");
+            assert_eq!(data, route, "flow {i}");
+        }
+        // A private reverse link on the first hop makes the return path
+        // of every flow crossing it its own; the one-hop flows over the
+        // second link still share theirs.
+        net.flows.truncate(30);
+        net.links[0].reverse = Some(ReverseSpec::per_flow(1e6, 0.020));
+        assert_eq!(build(&net).paths.len(), 21);
+    }
+
+    #[test]
     fn trace_records_queue_series() {
         let net = dumbbell(1, 1e6, 0.100, QueueSpec::infinite(), WorkloadSpec::AlwaysOn);
         let mut sim = Simulation::new(&net, vec![fixed(100.0)], 1);
@@ -1886,7 +2043,7 @@ mod tests {
         let entries = sim.pool.entries.len();
         assert!(entries < slots, "{entries} entries for {slots} slots");
         let mut held: Vec<u32> = (0..slots)
-            .filter(|&i| sim.senders[i].on)
+            .filter(|&i| sim.pool.is_on(i))
             .map(|i| sim.pool.held[i])
             .collect();
         assert!(held.len() > slots / 3, "only {} slots ON", held.len());

@@ -75,7 +75,12 @@ impl<T: Slot> WindowMap<T> {
             self.base = key;
         }
         let idx = (key - self.base) as usize;
-        if idx >= self.slots.len() {
+        if idx == self.slots.len() {
+            // The next key, as nearly every transmission's is.
+            self.slots.push_back(value);
+            return;
+        }
+        if idx > self.slots.len() {
             self.slots.resize(idx + 1, T::EMPTY);
         }
         debug_assert!(self.slots[idx].is_empty(), "duplicate key {key}");

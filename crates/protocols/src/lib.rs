@@ -56,6 +56,7 @@ const _CONTROLLERS_STAY_SMALL: () = assert!(
         && std::mem::size_of::<TaoCc<NoUsage>>() <= 96
         && std::mem::size_of::<Cubic>() <= 80
         && std::mem::size_of::<NewReno>() <= 40
+        && std::mem::size_of::<Vegas>() <= 64
 );
 
 /// `cwnd` capped by the latest receive-window advertisement `rwnd`, in

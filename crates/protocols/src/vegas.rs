@@ -26,9 +26,11 @@ pub const BETA: f64 = 3.0;
 pub struct Vegas {
     cwnd: f64,
     ssthresh: f64,
-    base_rtt: Option<SimDuration>,
-    /// Minimum RTT observed within the current adjustment epoch.
-    epoch_min_rtt: Option<SimDuration>,
+    /// Minimum RTT observed (`SimDuration::MAX`: none yet).
+    base_rtt: SimDuration,
+    /// Minimum RTT observed within the current adjustment epoch
+    /// (`SimDuration::MAX`: none yet).
+    epoch_min_rtt: SimDuration,
     epoch_start: SimTime,
     last_rtt: SimDuration,
     recovery_until: SimTime,
@@ -42,8 +44,8 @@ impl Vegas {
         Vegas {
             cwnd: INITIAL_CWND,
             ssthresh: 1e9,
-            base_rtt: None,
-            epoch_min_rtt: None,
+            base_rtt: SimDuration::MAX,
+            epoch_min_rtt: SimDuration::MAX,
             epoch_start: SimTime::ZERO,
             last_rtt: SimDuration::from_millis(100),
             recovery_until: SimTime::ZERO,
@@ -57,7 +59,10 @@ impl Vegas {
 
     /// Estimated queue backlog in packets, from the Vegas diff equation.
     fn backlog(&self, rtt: SimDuration) -> Option<f64> {
-        let base = self.base_rtt?.as_secs_f64();
+        if self.base_rtt == SimDuration::MAX {
+            return None;
+        }
+        let base = self.base_rtt.as_secs_f64();
         let cur = rtt.as_secs_f64();
         if base <= 0.0 || cur <= 0.0 {
             return None;
@@ -87,14 +92,8 @@ impl CongestionControl for Vegas {
             return;
         };
         self.last_rtt = rtt;
-        self.base_rtt = Some(match self.base_rtt {
-            Some(b) => b.min(rtt),
-            None => rtt,
-        });
-        self.epoch_min_rtt = Some(match self.epoch_min_rtt {
-            Some(m) => m.min(rtt),
-            None => rtt,
-        });
+        self.base_rtt = self.base_rtt.min(rtt);
+        self.epoch_min_rtt = self.epoch_min_rtt.min(rtt);
 
         if self.in_slow_start() {
             // Vegas slow start: grow every other RTT, checking backlog.
@@ -111,7 +110,9 @@ impl CongestionControl for Vegas {
         // Congestion avoidance: adjust once per RTT using the epoch's
         // cleanest (minimum) RTT sample.
         if now - self.epoch_start >= self.last_rtt {
-            let sample = self.epoch_min_rtt.unwrap_or(rtt);
+            // The epoch's minimum includes this sample, so it is never
+            // the sentinel here.
+            let sample = self.epoch_min_rtt;
             if let Some(diff) = self.backlog(sample) {
                 if diff < ALPHA {
                     self.cwnd += 1.0;
@@ -121,7 +122,7 @@ impl CongestionControl for Vegas {
             }
             self.cwnd = self.cwnd.max(2.0);
             self.epoch_start = now;
-            self.epoch_min_rtt = None;
+            self.epoch_min_rtt = SimDuration::MAX;
         }
     }
 
