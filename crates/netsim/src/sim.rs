@@ -292,7 +292,10 @@ struct FlowRuntime {
 impl FlowRuntime {
     /// Refresh the cached window and pacing interval after a callback.
     fn read_cc(&mut self, cc: &dyn CongestionControl) {
-        self.window = cc.window() as usize;
+        let window = cc.window();
+        // `NaN as usize` is 0: the flow would stall without a word.
+        debug_assert!(!window.is_nan(), "a controller's window is NaN");
+        self.window = window as usize;
         self.intersend = cc.intersend();
     }
 }

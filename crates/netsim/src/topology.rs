@@ -819,23 +819,7 @@ pub fn dumbbell(
     queue: QueueSpec,
     workload: WorkloadSpec,
 ) -> NetworkConfig {
-    NetworkConfig {
-        links: vec![LinkSpec {
-            rate_bps,
-            delay_s: min_rtt_s,
-            queue,
-            reverse: None,
-            fault: None,
-        }],
-        flows: (0..n_senders)
-            .map(|_| FlowSpec {
-                route: vec![0],
-                workload: workload.clone(),
-                receiver: None,
-                reverse_data: false,
-            })
-            .collect(),
-    }
+    dumbbell_mixed(rate_bps, min_rtt_s, queue, vec![workload; n_senders])
 }
 
 /// Dumbbell with per-flow workloads (used for mixed sender populations,
@@ -939,6 +923,18 @@ mod tests {
         assert_eq!(net.ack_delay(1), SimDuration::from_millis(75));
         assert_eq!(net.bottleneck_rate(0), 32e6);
         net.validate().unwrap();
+    }
+
+    #[test]
+    fn dumbbell_is_dumbbell_mixed_with_one_workload() {
+        let queue = QueueSpec::drop_tail_bdp(12e6, 0.1, 1.0);
+        for n in [0, 1, 3] {
+            let net = dumbbell(n, 12e6, 0.1, queue.clone(), WorkloadSpec::on_off_1s());
+            let mixed =
+                dumbbell_mixed(12e6, 0.1, queue.clone(), vec![WorkloadSpec::on_off_1s(); n]);
+            assert_eq!(net, mixed, "n = {n}");
+            assert_eq!(net.flows.len(), n);
+        }
     }
 
     #[test]

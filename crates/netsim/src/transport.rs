@@ -169,6 +169,10 @@ pub const INITIAL_RTO: SimDuration = SimDuration::from_secs(1);
 pub const MAX_RTO: SimDuration = SimDuration::from_secs(60);
 
 /// Context passed to [`CongestionControl::on_ack`] alongside the ACK itself.
+///
+/// Only `rtt` is read by a controller. `min_rtt`, `in_flight` and `rwnd`
+/// are read by none: they stay only because the benchmark builds an
+/// `AckInfo` literal.
 #[derive(Clone, Copy, Debug)]
 pub struct AckInfo {
     /// RTT sample from the echoed sender timestamp (Karn-filtered: absent
@@ -179,11 +183,9 @@ pub struct AckInfo {
     /// Packets still outstanding after this ack was processed.
     pub in_flight: usize,
     /// Receive-window advertisement carried on this ack, in packets
-    /// (`None` when the receiver advertises nothing — the default).
-    /// The transport already caps the effective window at
-    /// `min(cwnd, rwnd)`; schemes may additionally clamp their own
-    /// window so their internal state never runs ahead of what the
-    /// receiver will accept.
+    /// (`None` when the receiver advertises nothing — the default). The
+    /// engine enforces it: it sends while `in_flight < min(⌊window⌋,
+    /// rwnd)` (see [`Transport::peer_rwnd`]).
     pub rwnd: Option<u32>,
 }
 
@@ -210,8 +212,9 @@ pub trait CongestionControl: Send {
     /// The retransmission timer expired with data outstanding.
     fn on_timeout(&mut self, now: SimTime);
 
-    /// Current congestion window in packets. The transport sends while
-    /// `in_flight < floor(window)`.
+    /// The controller's own congestion window in packets, uncapped: the
+    /// engine sends while `in_flight < floor(window)`, and caps that by
+    /// the receiver's advertisement itself ([`AckInfo::rwnd`]).
     ///
     /// The engine reads this and [`intersend`](Self::intersend) once after
     /// `reset` and after each batch of callbacks, and sends by those

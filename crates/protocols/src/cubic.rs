@@ -36,9 +36,6 @@ pub struct Cubic {
     w_est: f64,
     recovery_until: SimTime,
     last_rtt: SimDuration,
-    /// Latest receive-window advertisement (`f64::INFINITY`: none);
-    /// clamps [`CongestionControl::window`] (see `rwnd_capped`).
-    rwnd: f64,
 }
 
 impl Cubic {
@@ -53,7 +50,6 @@ impl Cubic {
             w_est: 0.0,
             recovery_until: SimTime::ZERO,
             last_rtt: SimDuration::from_millis(100),
-            rwnd: f64::INFINITY,
         }
     }
 
@@ -89,9 +85,6 @@ impl CongestionControl for Cubic {
     }
 
     fn on_ack(&mut self, now: SimTime, _ack: &Ack, info: &AckInfo) {
-        if let Some(w) = info.rwnd {
-            self.rwnd = f64::from(w);
-        }
         if let Some(rtt) = info.rtt {
             self.last_rtt = rtt;
         }
@@ -151,7 +144,7 @@ impl CongestionControl for Cubic {
     }
 
     fn window(&self) -> f64 {
-        crate::rwnd_capped(self.cwnd, self.rwnd)
+        self.cwnd
     }
 
     fn intersend(&self) -> SimDuration {
@@ -276,23 +269,6 @@ mod tests {
         cc.on_timeout(t(500));
         assert_eq!(cc.window(), 1.0);
         assert!(cc.in_slow_start());
-    }
-
-    #[test]
-    fn rwnd_advertisement_clamps_window() {
-        let mut cc = Cubic::new();
-        cc.cwnd = 50.0;
-        cc.ssthresh = 10.0;
-        let mut i = info(100);
-        i.rwnd = Some(8);
-        cc.on_ack(t(100), &ack(), &i);
-        assert!(cc.window() <= 8.0, "rwnd caps the window: {}", cc.window());
-        // A later ack without an advertisement keeps the clamp.
-        cc.on_ack(t(200), &ack(), &info(100));
-        assert!(cc.window() <= 8.0);
-        // reset() clears it with the rest of the state.
-        cc.reset(t(300));
-        assert_eq!(cc.window(), INITIAL_CWND);
     }
 
     #[test]

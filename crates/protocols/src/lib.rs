@@ -15,8 +15,6 @@
 //! * [`pcc::Pcc`] — a PCC-style *online* learner (randomized rate
 //!   micro-experiments scored by a throughput/loss/delay-gradient
 //!   utility): the no-offline-training counterpoint to Tao protocols.
-//! * [`const_window::ConstWindow`] — fixed window/pacing, for calibration
-//!   and tests.
 //!
 //! All protocols implement [`netsim::transport::CongestionControl`] and
 //! plug into the simulator's reliability layer.
@@ -25,7 +23,6 @@
 
 pub mod action;
 pub mod compiled;
-pub mod const_window;
 pub mod cubic;
 pub mod memory;
 pub mod newreno;
@@ -37,7 +34,6 @@ pub mod whisker;
 
 pub use action::Action;
 pub use compiled::{CompiledLeaf, CompiledTree, UsageCounts};
-pub use const_window::ConstWindow;
 pub use cubic::Cubic;
 pub use memory::{Memory, MemoryPoint, Signal, SignalMask, NUM_SIGNALS};
 pub use newreno::NewReno;
@@ -53,21 +49,9 @@ pub use whisker::{LeafId, MemoryRange, Whisker, WhiskerTree};
 const _CONTROLLERS_STAY_SMALL: () = assert!(
     std::mem::size_of::<Memory>() <= 64
         && std::mem::size_of::<NoUsage>() == 0
-        && std::mem::size_of::<TaoCc<NoUsage>>() <= 96
-        && std::mem::size_of::<Cubic>() <= 80
-        && std::mem::size_of::<NewReno>() <= 40
-        && std::mem::size_of::<Vegas>() <= 64
+        && std::mem::size_of::<TaoCc<NoUsage>>() <= 88
+        && std::mem::size_of::<Cubic>() <= 72
+        && std::mem::size_of::<NewReno>() <= 32
+        && std::mem::size_of::<Vegas>() <= 56
+        && std::mem::size_of::<Pcc>() <= 128
 );
-
-/// `cwnd` capped by the latest receive-window advertisement `rwnd`, in
-/// packets (`f64::INFINITY`: none yet). The transport caps the effective
-/// window too; a controller caps its own so its view stays honest.
-fn rwnd_capped(cwnd: f64, rwnd: f64) -> f64 {
-    // A branch, not `cwnd.min(rwnd)`: without an advertisement a NaN
-    // window must stay NaN, and `NaN.min(∞)` is ∞.
-    if rwnd == f64::INFINITY {
-        cwnd
-    } else {
-        cwnd.min(rwnd)
-    }
-}

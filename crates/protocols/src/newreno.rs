@@ -23,9 +23,6 @@ pub struct NewReno {
     /// once-per-RTT halving).
     recovery_until: SimTime,
     last_rtt: SimDuration,
-    /// Latest receive-window advertisement (`f64::INFINITY`: none);
-    /// clamps [`CongestionControl::window`] (see `rwnd_capped`).
-    rwnd: f64,
 }
 
 impl NewReno {
@@ -35,7 +32,6 @@ impl NewReno {
             ssthresh: INITIAL_SSTHRESH,
             recovery_until: SimTime::ZERO,
             last_rtt: SimDuration::from_millis(100),
-            rwnd: f64::INFINITY,
         }
     }
 
@@ -55,13 +51,9 @@ impl CongestionControl for NewReno {
         self.cwnd = INITIAL_CWND;
         self.ssthresh = INITIAL_SSTHRESH;
         self.recovery_until = SimTime::ZERO;
-        self.rwnd = f64::INFINITY;
     }
 
     fn on_ack(&mut self, _now: SimTime, _ack: &Ack, info: &AckInfo) {
-        if let Some(w) = info.rwnd {
-            self.rwnd = f64::from(w);
-        }
         if let Some(rtt) = info.rtt {
             self.last_rtt = rtt;
         }
@@ -89,7 +81,7 @@ impl CongestionControl for NewReno {
     }
 
     fn window(&self) -> f64 {
-        crate::rwnd_capped(self.cwnd, self.rwnd)
+        self.cwnd
     }
 
     fn intersend(&self) -> SimDuration {

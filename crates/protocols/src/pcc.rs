@@ -97,9 +97,6 @@ pub struct Pcc {
     srtt: SimDuration,
     /// Deterministic per-flow stream for trial-order randomization.
     rng_state: u64,
-    /// Latest receive-window advertisement (`f64::INFINITY`: none);
-    /// clamps [`CongestionControl::window`] (see `rwnd_capped`).
-    rwnd: f64,
 }
 
 impl Pcc {
@@ -117,7 +114,6 @@ impl Pcc {
             mi_end: SimTime::ZERO,
             srtt: SimDuration::from_millis(100),
             rng_state: 0x9E37_79B9_7F4A_7C15,
-            rwnd: f64::INFINITY,
         }
     }
 
@@ -233,9 +229,6 @@ impl CongestionControl for Pcc {
     }
 
     fn on_ack(&mut self, now: SimTime, _ack: &Ack, info: &AckInfo) {
-        if let Some(w) = info.rwnd {
-            self.rwnd = f64::from(w);
-        }
         if let Some(rtt) = info.rtt {
             // EWMA smoothing keeps the MI length stable across jitter.
             let s = self.srtt.as_secs_f64() * 0.875 + rtt.as_secs_f64() * 0.125;
@@ -270,10 +263,8 @@ impl CongestionControl for Pcc {
 
     fn window(&self) -> f64 {
         // Rate-based sender: the window only bounds in-flight so pacing
-        // (intersend) is the binding control. 2×BDP at the trial rate,
-        // capped by any receive-window advertisement.
-        let w = (self.trial_rate_pps * self.srtt.as_secs_f64() * 2.0 + 4.0).max(2.0);
-        crate::rwnd_capped(w, self.rwnd)
+        // (intersend) is the binding control: 2×BDP at the trial rate.
+        (self.trial_rate_pps * self.srtt.as_secs_f64() * 2.0 + 4.0).max(2.0)
     }
 
     fn intersend(&self) -> SimDuration {

@@ -72,9 +72,6 @@ pub struct TaoCc<U> {
     memory: Memory,
     cwnd: f64,
     intersend: SimDuration,
-    /// Latest receive-window advertisement (`f64::INFINITY`: none);
-    /// clamps [`CongestionControl::window`] (see `rwnd_capped`).
-    rwnd: f64,
 }
 
 impl<U: UsageRecorder> TaoCc<U> {
@@ -88,7 +85,6 @@ impl<U: UsageRecorder> TaoCc<U> {
             memory: Memory::new(mask),
             cwnd: INITIAL_WINDOW,
             intersend: SimDuration::ZERO,
-            rwnd: f64::INFINITY,
         };
         cc.apply_current_whisker_pacing();
         cc
@@ -121,14 +117,10 @@ impl<U: UsageRecorder> CongestionControl for TaoCc<U> {
     fn reset(&mut self, _now: SimTime) {
         self.memory.reset();
         self.cwnd = INITIAL_WINDOW;
-        self.rwnd = f64::INFINITY;
         self.apply_current_whisker_pacing();
     }
 
-    fn on_ack(&mut self, now: SimTime, ack: &Ack, info: &AckInfo) {
-        if let Some(w) = info.rwnd {
-            self.rwnd = f64::from(w);
-        }
+    fn on_ack(&mut self, now: SimTime, ack: &Ack, _info: &AckInfo) {
         self.memory.on_ack(now, ack);
         let p = MemoryRange::clamp_point(&self.memory.point());
         let leaf = self.tree.lookup_clamped(&p);
@@ -154,7 +146,7 @@ impl<U: UsageRecorder> CongestionControl for TaoCc<U> {
     }
 
     fn window(&self) -> f64 {
-        crate::rwnd_capped(self.cwnd, self.rwnd)
+        self.cwnd
     }
 
     fn intersend(&self) -> SimDuration {

@@ -34,9 +34,6 @@ pub struct Vegas {
     epoch_start: SimTime,
     last_rtt: SimDuration,
     recovery_until: SimTime,
-    /// Latest receive-window advertisement (`f64::INFINITY`: none);
-    /// clamps [`CongestionControl::window`] (see `rwnd_capped`).
-    rwnd: f64,
 }
 
 impl Vegas {
@@ -49,7 +46,6 @@ impl Vegas {
             epoch_start: SimTime::ZERO,
             last_rtt: SimDuration::from_millis(100),
             recovery_until: SimTime::ZERO,
-            rwnd: f64::INFINITY,
         }
     }
 
@@ -85,9 +81,6 @@ impl CongestionControl for Vegas {
     }
 
     fn on_ack(&mut self, now: SimTime, _ack: &Ack, info: &AckInfo) {
-        if let Some(w) = info.rwnd {
-            self.rwnd = f64::from(w);
-        }
         let Some(rtt) = info.rtt else {
             return;
         };
@@ -143,7 +136,7 @@ impl CongestionControl for Vegas {
     }
 
     fn window(&self) -> f64 {
-        crate::rwnd_capped(self.cwnd, self.rwnd)
+        self.cwnd
     }
 
     fn intersend(&self) -> SimDuration {
