@@ -9,8 +9,7 @@
 //! t ∈ [5, 10) s).
 
 use super::scaffold::prelude::*;
-use crate::runner::TraceSpec;
-use netsim::trace::Trace;
+use netsim::probe::QueueTrace;
 use remy::{OptimizerConfig, TrainCost};
 use std::fmt;
 
@@ -90,10 +89,10 @@ impl Experiment for TcpAware {
             let p = grid.mix("fig8", label, 0.0, time_domain_network(), schemes);
             p.seeds = 1..2;
             p.duration_s = 15.0;
-            p.trace = Some(TraceSpec {
-                links: vec![0],
-                interval_ms: 100.0,
-            });
+            p.trace = Some(QueueTrace::new(
+                vec![LinkId(0)],
+                SimDuration::from_millis(100),
+            ));
         }
         grid.into_points()
     }
@@ -204,8 +203,8 @@ impl fmt::Display for TimeDomainResult {
     }
 }
 
-/// Fold a bottleneck queue [`Trace`] into the Fig 8 summary.
-pub fn time_domain_from_trace(trace: &Trace, label: &str) -> TimeDomainResult {
+/// Fold a bottleneck [`QueueTrace`] into the Fig 8 summary.
+pub fn time_domain_from_trace(trace: &QueueTrace, label: &str) -> TimeDomainResult {
     let series = trace.series_for(LinkId(0)).expect("traced link");
     let queue: Vec<(f64, usize)> = series
         .iter()
@@ -250,10 +249,10 @@ mod tests {
         let tree = protocols::WhiskerTree::uniform(protocols::Action::new(0.8, 1.0, 1.0));
         let schemes = vec![Scheme::tao(tree, "demo"), Scheme::NewReno];
         let mut point = SweepPoint::mix("demo", 0.0, time_domain_network(), schemes, 3..4, 15.0);
-        point.trace = Some(TraceSpec {
-            links: vec![0],
-            interval_ms: 100.0,
-        });
+        point.trace = Some(QueueTrace::new(
+            vec![LinkId(0)],
+            SimDuration::from_millis(100),
+        ));
         let out = crate::runner::execute_sweep(vec![point], 1);
         let r = time_domain_from_trace(out[0].traces[0].as_ref().expect("traced"), "demo");
         assert!(

@@ -29,8 +29,6 @@ pub mod runner;
 pub mod search;
 
 pub use experiments::{run_train_job, Experiment, Fidelity, RunOptions, TrainJob};
-#[doc(hidden)]
-pub use omniscient as omniscient_mod;
 pub use omniscient::{omniscient, proportional_fair, OmniscientFlow};
 pub use report::{render_figure, FigureData, Series, TableData};
 pub use runner::{

@@ -28,7 +28,7 @@
 //! outcome.
 
 use netsim::prelude::*;
-use netsim::trace::Trace;
+use netsim::probe::{NoProbe, Probe, QueueTrace};
 use netsim::transport::CongestionControl;
 pub use protocols::Scheme;
 use remy::eval::try_map_indexed;
@@ -144,16 +144,6 @@ pub fn run_homogeneous(
 // The declarative sweep engine.
 // ---------------------------------------------------------------------------
 
-/// Request queue-occupancy tracing for a cell (Fig 8-style time-domain
-/// points).
-#[derive(Clone, Debug, PartialEq)]
-pub struct TraceSpec {
-    /// Link indices to sample.
-    pub links: Vec<usize>,
-    /// Sampling period in milliseconds.
-    pub interval_ms: f64,
-}
-
 /// One point of an experiment's sweep: a concrete network, the scheme mix
 /// on its flows, and the seed range to run. Everything an experiment
 /// evaluates is a list of these — data the engine can enumerate,
@@ -172,9 +162,10 @@ pub struct SweepPoint {
     pub schemes: Vec<Scheme>,
     /// Simulated seconds per run.
     pub duration_s: f64,
-    /// Optional queue tracing (exempt from `--seeds` overrides: traces
-    /// are illustrative single runs, not statistics).
-    pub trace: Option<TraceSpec>,
+    /// Optional queue tracing: the empty recorder each seed's run starts
+    /// from (exempt from `--seeds` overrides: traces are illustrative
+    /// single runs, not statistics).
+    pub trace: Option<QueueTrace>,
 }
 
 impl SweepPoint {
@@ -246,7 +237,7 @@ pub struct PointOutcome {
     pub runs: Vec<RunOutcome>,
     /// Queue traces per seed (populated only when `point.trace` is set),
     /// indexed like `runs`.
-    pub traces: Vec<Option<Trace>>,
+    pub traces: Vec<Option<QueueTrace>>,
     /// `(seed, panic message)` of cells that panicked: the sweep engine
     /// degrades one crashing cell into a flagged hole instead of taking
     /// the whole sweep down (or deadlocking a poisoned slot mutex).
@@ -289,8 +280,8 @@ impl PointOutcome {
     }
 }
 
-/// The simulation a sweep cell runs.
-fn cell_simulation(point: &SweepPoint, seed: u64) -> Simulation {
+/// The simulation a sweep cell runs, reporting to `probe`.
+fn cell_simulation<P: Probe>(point: &SweepPoint, seed: u64, probe: P) -> Simulation<P> {
     assert_eq!(
         point.schemes.len(),
         point.net.flows.len(),
@@ -298,22 +289,20 @@ fn cell_simulation(point: &SweepPoint, seed: u64) -> Simulation {
         point.key
     );
     let protocols = build_protocols(&point.schemes);
-    let mut sim = Simulation::new(&point.net, protocols, seed);
+    let kind = SchedulerKind::default();
+    let mut sim = Simulation::with_probe(&point.net, protocols, seed, kind, probe);
     sim.set_event_budget(TEST_EVENT_BUDGET);
-    if let Some(tr) = &point.trace {
-        sim.enable_trace(
-            tr.links.iter().map(|&l| LinkId(l as u32)).collect(),
-            SimDuration::from_millis_f64(tr.interval_ms),
-        );
-    }
     sim
 }
 
-fn run_cell(point: &SweepPoint, seed: u64) -> (RunOutcome, Option<Trace>) {
-    let mut sim = cell_simulation(point, seed);
-    let run = sim.run(SimDuration::from_secs_f64(point.duration_s));
-    let trace = sim.take_trace();
-    (run, trace)
+/// Run one cell, under a [`QueueTrace`] if the point asks for a trace.
+fn run_cell(point: &SweepPoint, seed: u64) -> (RunOutcome, Option<QueueTrace>) {
+    let duration = SimDuration::from_secs_f64(point.duration_s);
+    let Some(trace) = point.trace.clone() else {
+        return (cell_simulation(point, seed, NoProbe).run(duration), None);
+    };
+    let mut sim = cell_simulation(point, seed, trace);
+    (sim.run(duration), Some(sim.into_probe()))
 }
 
 /// Execute a sweep: expand every point into `(point, seed)` cells, run
@@ -717,10 +706,10 @@ mod tests {
         let b = SweepPoint::homogeneous("b", 1.0, net(), tao(1.0, "second"), 1..3, 4.0);
         // Differs from `a` only in its trace request.
         let mut c = a.clone();
-        c.trace = Some(TraceSpec {
-            links: vec![0],
-            interval_ms: 100.0,
-        });
+        c.trace = Some(QueueTrace::new(
+            vec![LinkId(0)],
+            SimDuration::from_millis(100),
+        ));
         // Another protocol under the same label.
         let d = SweepPoint::homogeneous("d", 0.0, net(), tao(2.0, "first"), 0..1, 4.0);
         let points = vec![a, b, c, d];
@@ -791,7 +780,7 @@ mod tests {
         let mut three = net();
         three.flows.push(three.flows[0].clone());
         let point = SweepPoint::mix("k", 0.0, three, mix.to_vec(), 0..1, 4.0);
-        let mut sim = cell_simulation(&point, 1);
+        let mut sim = cell_simulation(&point, 1, NoProbe);
         sim.run(SimDuration::from_secs_f64(point.duration_s));
         let senders = sim.into_protocols();
         for (cc, scheme) in senders.iter().zip(&mix) {
@@ -830,10 +819,10 @@ mod tests {
     #[test]
     fn sweep_traces_only_when_requested() {
         let mut traced = SweepPoint::homogeneous("t", 0.0, net(), Scheme::Cubic, 0..1, 4.0);
-        traced.trace = Some(TraceSpec {
-            links: vec![0],
-            interval_ms: 100.0,
-        });
+        traced.trace = Some(QueueTrace::new(
+            vec![LinkId(0)],
+            SimDuration::from_millis(100),
+        ));
         let plain = SweepPoint::homogeneous("p", 0.0, net(), Scheme::Cubic, 0..1, 4.0);
         let outs = execute_sweep(vec![traced, plain], 2);
         assert!(outs[0].traces[0].is_some(), "trace requested");

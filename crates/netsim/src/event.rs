@@ -133,8 +133,6 @@ pub enum Event {
         /// Churn slot the transfer departs from.
         flow: FlowId,
     },
-    /// Periodic trace sample (queue occupancy time series, Fig 8).
-    TraceSample,
     /// An [`FaultSpec::Outage`](crate::topology::FaultSpec) blackout
     /// begins on `link`: the link stops starting new transmissions.
     LinkDown {
@@ -175,7 +173,6 @@ pub enum EventKind {
     WorkloadToggle,
     FlowArrival,
     FlowDeparture,
-    TraceSample,
     LinkDown,
     LinkUp,
     AckTimer,
@@ -199,7 +196,6 @@ impl Event {
             Event::WorkloadToggle { .. } => EventKind::WorkloadToggle,
             Event::FlowArrival { .. } => EventKind::FlowArrival,
             Event::FlowDeparture { .. } => EventKind::FlowDeparture,
-            Event::TraceSample => EventKind::TraceSample,
             Event::LinkDown { .. } => EventKind::LinkDown,
             Event::LinkUp { .. } => EventKind::LinkUp,
             Event::AckTimer { .. } => EventKind::AckTimer,
@@ -216,21 +212,6 @@ impl Event {
             _ => None,
         }
     }
-}
-
-/// FNV-1a offset basis: the seed for the run's determinism digests.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-
-/// Fold one 64-bit word into an FNV-1a digest. One shared definition
-/// serves both determinism probes (the engine's dispatch digest and the
-/// transport's ack digest) so the two can never drift apart.
-#[inline]
-pub(crate) fn fnv(mut digest: u64, word: u64) -> u64 {
-    for byte in word.to_le_bytes() {
-        digest ^= byte as u64;
-        digest = digest.wrapping_mul(0x100000001b3);
-    }
-    digest
 }
 
 /// A scheduled event with its firing time and tie-breaking sequence.

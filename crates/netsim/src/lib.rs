@@ -21,6 +21,9 @@
 //! integer nanosecond time, a deterministic event queue, and per-component
 //! forked RNG streams make results bit-identical across runs and platforms.
 //!
+//! Whatever a run records beyond its [`sim::RunOutcome`] — the
+//! determinism digests, Fig 8's queue trace — is a [`probe::Probe`].
+//!
 //! ```
 //! use netsim::prelude::*;
 //!
@@ -171,6 +174,7 @@ pub mod event;
 pub mod flow;
 pub mod link;
 pub mod packet;
+pub mod probe;
 pub mod queue;
 pub mod red;
 pub mod rng;
@@ -179,7 +183,6 @@ pub mod sfq_codel;
 pub mod sim;
 pub mod time;
 pub mod topology;
-pub mod trace;
 pub mod transport;
 pub mod workload;
 

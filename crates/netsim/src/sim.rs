@@ -180,18 +180,27 @@
 //! existed). An event that breaks its line's order would not move either:
 //! the queue sends it to the backend. The backend keeps the timers: 12 %
 //! of what the quick figures dispatch.
+//!
+//! # Probes
+//!
+//! What a run records beyond its [`RunOutcome`] goes through its
+//! [`Probe`] `P` ([`Simulation::with_probe`]), called before each dispatch,
+//! per ACK in `handle_ack`, per queue drop and at the end of the run. It
+//! only reads, so every probe sees the same run, event count included, and
+//! [`NoProbe`]'s empty hooks compile away. A sample is the state at the
+//! start of an instant, taken before its first event is dispatched.
 
 use crate::arena::{PacketArena, PktId};
 use crate::event::{Event, EventKind, EventQueue, Line, QueueCounters, SchedulerKind};
 use crate::flow::{FlowOutcome, FlowStats, OnTimeTracker};
 use crate::link::{Link, Offer};
 use crate::packet::{Ack, FlowId, LinkId, Packet, PacketDir, ACK_BYTES};
+use crate::probe::{NoProbe, Probe};
 use crate::queue::QueueStats;
 use crate::rng::SimRng;
 use crate::seqtrack::SeqTracker;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{FaultSpec, NetworkConfig, ReceiverSpec, ReverseSpec};
-use crate::trace::{QueueSample, Trace};
 use crate::transport::{CongestionControl, Transport};
 use crate::workload::{Workload, WorkloadSpec};
 
@@ -438,7 +447,7 @@ impl PolicyState {
     }
 }
 
-/// Aggregate outcome of a simulation run.
+/// Aggregate outcome of a simulation run, the same under every probe.
 #[derive(Clone, Debug)]
 pub struct RunOutcome {
     /// Per-flow results, indexed by flow id.
@@ -471,11 +480,6 @@ pub struct RunOutcome {
     /// simulated prefix — consumers must treat the outcome as a partial
     /// result, not a converged measurement.
     pub truncated: bool,
-    /// Order-sensitive FNV-1a digest of every dispatched event, when
-    /// enabled via [`Simulation::enable_event_digest`] (`None` otherwise).
-    /// Two runs with equal digests dispatched the identical event
-    /// sequence — the strongest cross-backend determinism check.
-    pub event_digest: Option<u64>,
 }
 
 impl RunOutcome {
@@ -490,8 +494,8 @@ impl RunOutcome {
     }
 }
 
-/// A configured simulation, ready to run.
-pub struct Simulation {
+/// A configured simulation, ready to run, reporting to its probe `P`.
+pub struct Simulation<P: Probe = NoProbe> {
     now: SimTime,
     events: EventQueue,
     /// Backing store for packets parked inside scheduled events (see
@@ -523,17 +527,12 @@ pub struct Simulation {
     /// Fault-process state per link (`None` = no fault declared).
     faults: Vec<Option<FaultState>>,
     stats: Vec<FlowStats>,
-    trace: Option<Trace>,
     events_processed: u64,
     events_by_kind: [u64; EventKind::COUNT],
     /// Hard cap on events to guard against pathological protocol settings
     /// (e.g. a candidate action with near-zero pacing during optimization).
     event_budget: u64,
-    /// Running FNV-1a digest over dispatched events (None = disabled).
-    event_digest: Option<u64>,
-    /// Per flow, a running FNV-1a digest of every acknowledgment its
-    /// reliability layer processed; empty unless digests are enabled.
-    ack_digests: Vec<u64>,
+    probe: P,
     /// Whether [`run`](Self::run) has been called (a simulation runs once).
     ran: bool,
 }
@@ -559,6 +558,19 @@ impl Simulation {
         protocols: Vec<Box<dyn CongestionControl>>,
         seed: u64,
         scheduler: SchedulerKind,
+    ) -> Self {
+        Simulation::with_probe(config, protocols, seed, scheduler, NoProbe)
+    }
+}
+
+impl<P: Probe> Simulation<P> {
+    /// [`Simulation::with_scheduler`], reporting to `probe` as it runs.
+    pub fn with_probe(
+        config: &NetworkConfig,
+        protocols: Vec<Box<dyn CongestionControl>>,
+        seed: u64,
+        scheduler: SchedulerKind,
+        probe: P,
     ) -> Self {
         // Fail here with the validator's message rather than as an
         // index-out-of-bounds somewhere deep in the event loop.
@@ -742,33 +754,12 @@ impl Simulation {
             policies,
             faults,
             stats: vec![FlowStats::default(); n],
-            trace: None,
             events_processed: 0,
             events_by_kind: [0; EventKind::COUNT],
             event_budget: u64::MAX,
-            event_digest: None,
-            ack_digests: Vec::new(),
+            probe,
             ran: false,
         }
-    }
-
-    /// The scheduler backend this simulation dispatches through.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.events.kind()
-    }
-
-    /// Record queue occupancy of `links` every `period` (Fig 8).
-    pub fn enable_trace(&mut self, links: Vec<LinkId>, period: SimDuration) {
-        self.trace = Some(Trace::new(links, period));
-    }
-
-    /// Fold every dispatched event into an order-sensitive digest,
-    /// reported in [`RunOutcome::event_digest`]. Off by default (it costs
-    /// a few ns per event); determinism tests turn it on to prove two
-    /// runs dispatched the identical event sequence.
-    pub fn enable_event_digest(&mut self) {
-        self.event_digest = Some(crate::event::FNV_OFFSET);
-        self.ack_digests = vec![crate::event::FNV_OFFSET; self.senders.len()];
     }
 
     /// Cap the number of processed events (optimizer safety valve).
@@ -782,12 +773,12 @@ impl Simulation {
     /// so the queue no longer holds the future. What only the run needed
     /// — the transfer pool, the event queue's storage and the packet
     /// arena — is freed before the outcome is built; the controllers
-    /// ([`into_protocols`](Self::into_protocols)), the trace and the ack
-    /// digests stay.
+    /// ([`into_protocols`](Self::into_protocols)) and the probe
+    /// ([`into_probe`](Self::into_probe)) stay.
     pub fn run(&mut self, duration: SimDuration) -> RunOutcome {
         assert!(!self.ran, "a simulation runs once");
         self.ran = true;
-        let (truncated, queue) = self.simulate(duration);
+        let (truncated, queue) = P::simulate(self, duration);
         self.pool = RuntimePool::new(0);
         self.events = EventQueue::with_kind(self.events.kind());
         self.arena = PacketArena::new();
@@ -797,7 +788,7 @@ impl Simulation {
     /// Dispatch every event up to `SimTime::ZERO + duration` (or the event
     /// budget) and close the ON intervals; returns whether the budget cut
     /// the run short, and the queue's counters.
-    fn simulate(&mut self, duration: SimDuration) -> (bool, QueueCounters) {
+    pub(crate) fn simulate(&mut self, duration: SimDuration) -> (bool, QueueCounters) {
         let end = SimTime::ZERO + duration;
 
         // Prime workload processes. Unblocked (M/G/∞) churn slots draw
@@ -828,9 +819,6 @@ impl Simulation {
                     self.events.schedule(t, ev);
                 }
             }
-        }
-        if self.trace.is_some() {
-            self.events.schedule(SimTime::ZERO, Event::TraceSample);
         }
         // Prime outage processes: every Outage-faulted link starts up and
         // goes down after its first up dwell.
@@ -869,10 +857,11 @@ impl Simulation {
             self.events_processed += 1;
             self.now = at;
             self.events_by_kind[ev.kind() as usize] += 1;
-            if let Some(digest) = &mut self.event_digest {
-                *digest = fold_event(*digest, at, &ev, &self.arena);
-            }
-            self.dispatch(ev, end);
+            self.probe.on_event(at, &ev, &self.links, &self.arena);
+            self.dispatch(ev);
+        }
+        if !truncated {
+            self.probe.on_end(end, &self.links);
         }
         self.now = end;
 
@@ -902,27 +891,17 @@ impl Simulation {
             events_by_kind: self.events_by_kind,
             queue,
             truncated,
-            event_digest: self.event_digest,
         }
     }
 
-    /// Per-flow running digests of every acknowledgment the reliability
-    /// layer processed — valid or not, folding its arrival time, sequence
-    /// and epoch, echoed transmission index and retransmission flag; the
-    /// determinism tests compare these across scheduler backends. Two runs
-    /// with equal digests fed a flow's transport the identical ack
-    /// sequence. `None` per flow unless
-    /// [`enable_event_digest`](Self::enable_event_digest) was called
-    /// before the run.
-    pub fn ack_digests(&self) -> Vec<Option<u64>> {
-        (0..self.senders.len())
-            .map(|i| self.ack_digests.get(i).copied())
-            .collect()
+    /// The probe, with what it recorded so far.
+    pub fn probe(&self) -> &P {
+        &self.probe
     }
 
-    /// Take the recorded trace (after `run`).
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
+    /// Consume the simulation and hand back its probe.
+    pub fn into_probe(self) -> P {
+        self.probe
     }
 
     /// Consume the simulation and hand back the protocol objects (the
@@ -931,7 +910,7 @@ impl Simulation {
         self.senders.into_iter().map(|s| s.cc).collect()
     }
 
-    fn dispatch(&mut self, ev: Event, end: SimTime) {
+    fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::Arrive { link, pkt } => self.handle_arrive(link, pkt),
             Event::TxComplete { link, pkt } => self.handle_tx_complete(link, pkt),
@@ -951,7 +930,6 @@ impl Simulation {
             Event::WorkloadToggle { flow } => self.handle_toggle(flow),
             Event::FlowArrival { flow } => self.handle_flow_arrival(flow),
             Event::FlowDeparture { flow } => self.handle_flow_departure(flow),
-            Event::TraceSample => self.handle_trace_sample(end),
             Event::LinkDown { link } => self.handle_link_down(link),
             Event::LinkUp { link } => self.handle_link_up(link),
             Event::AckTimer { flow, gen } => self.handle_ack_timer(flow, gen),
@@ -1010,11 +988,7 @@ impl Simulation {
                     PacketDir::Data => st.drops.forward += 1,
                     PacketDir::Ack => st.drops.ack += 1,
                 }
-                if let Some(tr) = &mut self.trace {
-                    if tr.links.contains(&link) {
-                        tr.record_drop(self.now);
-                    }
-                }
+                self.probe.on_drop(self.now, link);
             }
         }
     }
@@ -1206,15 +1180,7 @@ impl Simulation {
         let Some(rt) = self.pool.get(i) else {
             return; // burst already ended; ignore late acks
         };
-        if let Some(digest) = self.ack_digests.get_mut(i) {
-            for word in [
-                self.now.as_nanos(),
-                ack.seq ^ ((ack.epoch as u64) << 48),
-                ack.echo_tx_index ^ ((ack.was_retx as u64) << 63),
-            ] {
-                *digest = fnv(*digest, word);
-            }
-        }
+        self.probe.on_ack(self.now, flow, &ack);
         let outcome = rt.transport.on_ack(self.now, &ack);
         if !outcome.valid {
             return;
@@ -1496,27 +1462,7 @@ impl Simulation {
         self.events
             .schedule(self.now + dwell, Event::LinkDown { link });
     }
-
-    fn handle_trace_sample(&mut self, end: SimTime) {
-        let Some(tr) = &mut self.trace else { return };
-        for (idx, &lid) in tr.links.clone().iter().enumerate() {
-            let l = &self.links[lid.0 as usize];
-            let sample = QueueSample {
-                at: self.now,
-                packets: l.queue_len_packets(),
-                bytes: l.queue_len_bytes(),
-                cum_drops: l.queue_stats().dropped,
-            };
-            tr.record(idx, sample);
-        }
-        let next = self.now + tr.period;
-        if next <= end {
-            self.events.schedule(next, Event::TraceSample);
-        }
-    }
 }
-
-use crate::event::fnv;
 
 /// One outage dwell: exact for scheduled outages, exponential for Markov
 /// ones, clamped to 1 µs so a degenerate draw can never schedule the
@@ -1534,43 +1480,10 @@ fn outage_dwell(mean_s: f64, scheduled: bool, rng: &mut SimRng) -> SimDuration {
     }
 }
 
-/// Fold one dispatched event into the order-sensitive run digest: firing
-/// time, event kind, and the identifying payload (flow/link/seq/gen). A
-/// workload timer folds a zero where the generation it no longer carries
-/// used to be, so digests stay comparable with recorded ones.
-/// Packet-carrying events resolve their [`crate::arena::PktId`] through
-/// `arena` — the digest folds *before* dispatch, which may rewrite or
-/// free the slot — and fold exactly the words the by-value
-/// representation folded, so digests are unchanged across the arena
-/// refactor.
-fn fold_event(digest: u64, at: SimTime, ev: &Event, arena: &PacketArena) -> u64 {
-    let digest = fnv(digest, at.as_nanos());
-    let packet = |tag: u64, link: LinkId, pkt: PktId| {
-        let pkt = arena.get(pkt);
-        fnv(
-            fnv(fnv(digest, tag), link.0 as u64),
-            pkt.seq ^ ((pkt.flow.0 as u64) << 48),
-        )
-    };
-    match ev {
-        Event::Arrive { link, pkt } => packet(1, *link, *pkt),
-        Event::TxComplete { link, pkt } => packet(2, *link, *pkt),
-        Event::Propagated { link, pkt } => packet(3, *link, *pkt),
-        Event::SenderWake { flow } => fnv(fnv(digest, 5), flow.0 as u64),
-        Event::RtoCheck { flow, gen } => fnv(fnv(fnv(digest, 6), flow.0 as u64), *gen),
-        Event::WorkloadToggle { flow } => fnv(fnv(fnv(digest, 7), flow.0 as u64), 0),
-        Event::TraceSample => fnv(digest, 8),
-        Event::FlowArrival { flow } => fnv(fnv(fnv(digest, 9), flow.0 as u64), 0),
-        Event::FlowDeparture { flow } => fnv(fnv(fnv(digest, 10), flow.0 as u64), 0),
-        Event::LinkDown { link } => fnv(fnv(digest, 11), link.0 as u64),
-        Event::LinkUp { link } => fnv(fnv(digest, 12), link.0 as u64),
-        Event::AckTimer { flow, gen } => fnv(fnv(fnv(digest, 13), flow.0 as u64), *gen),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::{Digest, QueueTrace};
     use crate::queue::QueueSpec;
     use crate::topology::dumbbell;
     use crate::transport::AckInfo;
@@ -1594,7 +1507,7 @@ mod tests {
         }
     }
 
-    impl Simulation {
+    impl<P: Probe> Simulation<P> {
         /// [`run`](Self::run), keeping the run's state for inspection.
         fn run_and_keep_state(&mut self, duration: SimDuration) -> RunOutcome {
             let (truncated, queue) = self.simulate(duration);
@@ -1878,17 +1791,19 @@ mod tests {
     #[test]
     fn trace_records_queue_series() {
         let net = dumbbell(1, 1e6, 0.100, QueueSpec::infinite(), WorkloadSpec::AlwaysOn);
-        let mut sim = Simulation::new(&net, vec![fixed(100.0)], 1);
-        sim.enable_trace(vec![LinkId(0)], SimDuration::from_millis(100));
+        let trace = QueueTrace::new(vec![LinkId(0)], SimDuration::from_millis(100));
+        let mut sim =
+            Simulation::with_probe(&net, vec![fixed(100.0)], 1, SchedulerKind::default(), trace);
         sim.run(SimDuration::from_secs(5));
-        let tr = sim.take_trace().unwrap();
+        let tr = sim.into_probe();
         let series = tr.series_for(LinkId(0)).unwrap();
-        assert!(
-            series.len() >= 40,
-            "expect ~50 samples, got {}",
-            series.len()
+        assert_eq!(
+            series.len(),
+            51,
+            "one sample per 100 ms, both ends included"
         );
-        assert!(tr.peak_packets(LinkId(0)) > 50, "standing queue builds");
+        let peak = series.iter().map(|s| s.packets).max().unwrap();
+        assert!(peak > 50, "standing queue builds: peak {peak}");
     }
 
     #[test]
@@ -2069,9 +1984,9 @@ mod tests {
             WorkloadSpec::churn_mginf(0.5, 2.0),
         );
         let build = || {
-            let mut sim = Simulation::new(&net, (0..200).map(|_| fixed(4.0)).collect(), 5);
-            sim.enable_event_digest();
-            sim
+            let protocols = (0..200).map(|_| fixed(4.0)).collect();
+            let digest = Digest::new(200);
+            Simulation::with_probe(&net, protocols, 5, SchedulerKind::default(), digest)
         };
         let mut kept = build();
         let kept_out = kept.run_and_keep_state(SimDuration::from_secs(3));
@@ -2079,7 +1994,7 @@ mod tests {
         let mut sim = build();
         let out = sim.run(SimDuration::from_secs(3));
         assert_eq!(format!("{out:?}"), format!("{kept_out:?}"));
-        assert_eq!(sim.ack_digests(), kept.ack_digests());
+        assert_eq!(sim.probe(), kept.probe());
         assert_eq!(sim.pool.entries.capacity(), 0);
         assert_eq!(sim.arena.capacity(), 0);
         assert!(sim.events.is_empty());
@@ -2298,10 +2213,12 @@ mod tests {
         );
         let explicit = net.with_receiver(crate::topology::ReceiverSpec::default());
         let run = |n: &crate::topology::NetworkConfig| {
-            let mut sim = Simulation::new(n, vec![fixed(80.0), fixed(80.0)], 17);
-            sim.enable_event_digest();
+            let protocols = vec![fixed(80.0), fixed(80.0)];
+            let digest = Digest::new(2);
+            let mut sim =
+                Simulation::with_probe(n, protocols, 17, SchedulerKind::default(), digest);
             let out = sim.run(SimDuration::from_secs(20));
-            (out.event_digest, out.events_processed)
+            (sim.into_probe().events, out.events_processed)
         };
         assert_eq!(run(&net), run(&explicit));
     }

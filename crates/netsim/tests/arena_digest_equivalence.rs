@@ -17,8 +17,18 @@
 //! packets, outages re-park on link-up, churn starts/stops epochs,
 //! delayed-ACK receivers run the AckTimer arm/cancel path), so a slot
 //! recycled one event too early on any chain diverges the digest here.
+//!
+//! The same cross-product holds the probe layer to what it promises: a
+//! probe only reads, so a cell run under no probe, under the digests and
+//! under a queue sampler produces the same outcome, field for field and
+//! event count included, and every dispatch a probe sees is at or after
+//! the one before it.
 
+use netsim::arena::PacketArena;
+use netsim::event::Event;
+use netsim::link::Link;
 use netsim::prelude::*;
+use netsim::probe::{Digest, NoProbe, Probe, QueueTrace};
 use netsim::transport::AckInfo;
 use proptest::prelude::*;
 
@@ -104,17 +114,84 @@ fn build_net(a: Axes) -> NetworkConfig {
     net
 }
 
-fn digest_of(net: &NetworkConfig, kind: SchedulerKind, seed: u64) -> (u64, u64, Vec<Option<u64>>) {
+/// A 10 s run of three AIMD senders on `net`, reporting to `probe`.
+fn simulate<P: Probe>(
+    net: &NetworkConfig,
+    kind: SchedulerKind,
+    seed: u64,
+    probe: P,
+) -> (RunOutcome, P) {
     let protocols: Vec<Box<dyn CongestionControl>> =
         (0..3).map(|_| Box::new(Aimd { w: 2.0 }) as _).collect();
-    let mut sim = Simulation::with_scheduler(net, protocols, seed, kind);
-    sim.enable_event_digest();
+    let mut sim = Simulation::with_probe(net, protocols, seed, kind, probe);
     let out = sim.run(SimDuration::from_secs(10));
-    (
-        out.event_digest.expect("digest enabled"),
-        out.events_processed,
-        sim.ack_digests(),
-    )
+    (out, sim.into_probe())
+}
+
+fn digest_of(net: &NetworkConfig, kind: SchedulerKind, seed: u64) -> (u64, u64, Vec<u64>) {
+    let (out, digest) = simulate(net, kind, seed, Digest::new(3));
+    (digest.events, out.events_processed, digest.acks)
+}
+
+/// An engine invariant riding the probe hook: dispatch times never
+/// decrease, and the run ends at or after the last of them.
+#[derive(Default)]
+struct Monotone {
+    last: SimTime,
+    events: u64,
+}
+
+impl Probe for Monotone {
+    fn on_event(&mut self, at: SimTime, ev: &Event, _links: &[Link], _arena: &PacketArena) {
+        assert!(
+            at >= self.last,
+            "{ev:?} at {at:?} dispatched after {:?}",
+            self.last
+        );
+        self.last = at;
+        self.events += 1;
+    }
+
+    fn on_end(&mut self, end: SimTime, _links: &[Link]) {
+        assert!(
+            end >= self.last,
+            "the run ended at {end:?} before {:?}",
+            self.last
+        );
+    }
+}
+
+/// A cell runs the same under every probe: the outcome is equal field for
+/// field (its `Debug` form prints every field, floats round-trip exact),
+/// `events_processed` and the queue counters included.
+fn assert_probes_change_nothing(net: &NetworkConfig, kind: SchedulerKind, seed: u64) {
+    let (plain, NoProbe) = simulate(net, kind, seed, NoProbe);
+    let plain = format!("{plain:?}");
+    let (digested, _) = simulate(net, kind, seed, Digest::new(3));
+    assert_eq!(
+        plain,
+        format!("{digested:?}"),
+        "the digests changed the run"
+    );
+    let trace = QueueTrace::new(vec![LinkId(0)], SimDuration::from_millis(10));
+    let (traced, trace) = simulate(net, kind, seed, trace);
+    assert_eq!(
+        plain,
+        format!("{traced:?}"),
+        "the queue sampler changed the run"
+    );
+    assert_eq!(
+        trace.series[0].len(),
+        1_001,
+        "a sample every 10 ms, both ends"
+    );
+    let (checked, monotone) = simulate(net, kind, seed, Monotone::default());
+    assert_eq!(
+        plain,
+        format!("{checked:?}"),
+        "the invariant probe changed the run"
+    );
+    assert_eq!(monotone.events, checked.events_processed);
 }
 
 proptest! {
@@ -143,6 +220,21 @@ proptest! {
         // (arena slot assignment is deterministic, not address-dependent).
         let again = digest_of(&net, SchedulerKind::Calendar, seed);
         prop_assert_eq!(cal.0, again.0, "calendar rerun diverged");
+    }
+
+    /// Any cell of the cross-product runs the same under no probe, the
+    /// digests, a queue sampler and an invariant probe.
+    #[test]
+    fn axis_cross_product_runs_the_same_under_every_probe(
+        aqm in 0u8..4,
+        reverse in 0u8..3,
+        fault in 0u8..4,
+        churn in 0u8..3,
+        receiver in 0u8..3,
+        seed in 0u64..1_000,
+    ) {
+        let net = build_net(Axes { aqm, reverse, fault, churn, receiver });
+        assert_probes_change_nothing(&net, SchedulerKind::Calendar, seed);
     }
 }
 
@@ -192,5 +284,6 @@ fn corner_cells_are_digest_identical() {
         assert!(heap.1 > 3_000, "corner {a:?} too small: {} events", heap.1);
         assert_eq!(heap.0, cal.0, "digest diverged at corner {a:?}");
         assert_eq!(heap.2, cal.2, "ack digests diverged at corner {a:?}");
+        assert_probes_change_nothing(&net, SchedulerKind::Heap, 7);
     }
 }

@@ -3,7 +3,7 @@
 //! `tests/fixtures/engine_equivalence.txt` holds, for every cell of the
 //! AQM × return-path × fault × workload × receiver cross-product at a
 //! fixed seed, what each flow's reliability layer saw and did: the
-//! per-flow ack digest ([`Simulation::ack_digests`]) plus
+//! per-flow ack digest ([`Digest::acks`]) plus
 //! `bytes_delivered`, `transmissions`, `retransmissions`, `timeouts` and
 //! the three drop counters, and the run's `events_processed`. It was
 //! recorded on the commit *before* the engine learned to elide scheduler
@@ -38,6 +38,7 @@
 //! (outcomes) or `... record_dispatch` (dispatch sequence).
 
 use netsim::prelude::*;
+use netsim::probe::Digest;
 use std::fmt::Write as _;
 
 const FIXTURE: &str = concat!(
@@ -246,16 +247,17 @@ struct CellRun {
 fn run_cell(index: usize, a: Axes, kind: SchedulerKind) -> CellRun {
     let net = build_net(a);
     let protocols = (0..3).map(|f| sender(f + index)).collect();
-    let mut sim = Simulation::with_scheduler(&net, protocols, 1 + index as u64, kind);
-    sim.enable_event_digest();
+    let digest = Digest::new(net.flows.len());
+    let mut sim = Simulation::with_probe(&net, protocols, 1 + index as u64, kind, digest);
     let out = sim.run(SimDuration::from_secs(6));
     assert!(!out.truncated);
+    let digest = sim.into_probe();
     let flows = out
         .flows
         .iter()
-        .zip(sim.ack_digests())
-        .map(|(f, digest)| FlowRecord {
-            ack_digest: digest.expect("digest enabled"),
+        .zip(digest.acks)
+        .map(|(f, ack_digest)| FlowRecord {
+            ack_digest,
             bytes_delivered: f.bytes_delivered,
             transmissions: f.transmissions,
             retransmissions: f.retransmissions,
@@ -265,7 +267,7 @@ fn run_cell(index: usize, a: Axes, kind: SchedulerKind) -> CellRun {
         .collect();
     CellRun {
         events: out.events_processed,
-        event_digest: out.event_digest.expect("digest enabled"),
+        event_digest: digest.events,
         flows,
     }
 }

@@ -15,6 +15,7 @@
 //!    still dispatches identically on the heap and calendar schedulers.
 
 use netsim::prelude::*;
+use netsim::probe::Digest;
 use netsim::sim::RunOutcome;
 use netsim::transport::AckInfo;
 use proptest::prelude::*;
@@ -105,30 +106,29 @@ fn with_spec(net: &NetworkConfig, spec: ReceiverSpec) -> NetworkConfig {
 
 struct Run {
     outcome: RunOutcome,
-    ack_digests: Vec<Option<u64>>,
+    digest: Digest,
 }
 
 fn run(net: &NetworkConfig, kind: SchedulerKind, seed: u64) -> Run {
     let protocols: Vec<Box<dyn CongestionControl>> = (0..net.flows.len())
         .map(|_| Box::new(Aimd { w: 2.0 }) as _)
         .collect();
-    let mut sim = Simulation::with_scheduler(net, protocols, seed, kind);
-    sim.enable_event_digest();
+    let digest = Digest::new(net.flows.len());
+    let mut sim = Simulation::with_probe(net, protocols, seed, kind, digest);
     let outcome = sim.run(SimDuration::from_secs(10));
-    let ack_digests = sim.ack_digests();
     Run {
         outcome,
-        ack_digests,
+        digest: sim.into_probe(),
     }
 }
 
 fn assert_bit_identical(a: &Run, b: &Run, what: &str) {
     assert_eq!(
-        a.outcome.event_digest, b.outcome.event_digest,
+        a.digest.events, b.digest.events,
         "{what}: dispatched event sequences diverged"
     );
     assert_eq!(
-        a.ack_digests, b.ack_digests,
+        a.digest.acks, b.digest.acks,
         "{what}: per-flow ack sequences diverged"
     );
     assert_eq!(a.outcome.events_processed, b.outcome.events_processed);
@@ -180,7 +180,7 @@ fn rwnd_policy_dispatches_identically_on_both_backends() {
     // one at the same seed.
     let uncapped = run(&axis_net(1, 1, 1, false), SchedulerKind::Calendar, 11);
     assert_ne!(
-        cal.outcome.event_digest, uncapped.outcome.event_digest,
+        cal.digest.events, uncapped.digest.events,
         "rwnd policy should change the event stream"
     );
 }

@@ -9,6 +9,7 @@
 //! exactly where they are defined to coincide.
 
 use netsim::prelude::*;
+use netsim::probe::Digest;
 use netsim::sim::RunOutcome;
 use netsim::topology::ReverseSpec;
 use netsim::transport::AckInfo;
@@ -57,7 +58,7 @@ fn run_single_flow(
     rate_bps: f64,
     queue: QueueSpec,
     seed: u64,
-) -> (RunOutcome, Vec<Option<u64>>) {
+) -> (RunOutcome, Digest) {
     let mut net = dumbbell(
         1,
         8e6,
@@ -73,20 +74,20 @@ fn run_single_flow(
         queue,
         shared,
     });
-    let mut sim = Simulation::new(&net, vec![Box::new(Aimd { w: 2.0 })], seed);
-    sim.enable_event_digest();
+    let protocols: Vec<Box<dyn CongestionControl>> = vec![Box::new(Aimd { w: 2.0 })];
+    let kind = SchedulerKind::default();
+    let mut sim = Simulation::with_probe(&net, protocols, seed, kind, Digest::new(1));
     let out = sim.run(SimDuration::from_secs(15));
-    let acks = sim.ack_digests();
-    (out, acks)
+    (out, sim.into_probe())
 }
 
 #[test]
 fn single_flow_shared_equals_per_flow() {
-    let (sh, sh_acks) = run_single_flow(true, 300e3, QueueSpec::infinite(), 3);
-    let (pf, pf_acks) = run_single_flow(false, 300e3, QueueSpec::infinite(), 3);
+    let (sh, sh_digest) = run_single_flow(true, 300e3, QueueSpec::infinite(), 3);
+    let (pf, pf_digest) = run_single_flow(false, 300e3, QueueSpec::infinite(), 3);
     assert!(sh.events_processed > 10_000, "meaningful run");
-    assert_eq!(sh.event_digest, pf.event_digest);
-    assert_eq!(sh_acks, pf_acks);
+    assert_eq!(sh_digest.events, pf_digest.events);
+    assert_eq!(sh_digest.acks, pf_digest.acks);
     assert_eq!(sh.link_bytes, pf.link_bytes);
 }
 
@@ -104,11 +105,10 @@ proptest! {
     ) {
         let rate = rate_kbps * 1e3;
         let queue = reverse_queue(queue_kind, rate);
-        let (sh, sh_acks) = run_single_flow(true, rate, queue.clone(), seed);
-        let (pf, pf_acks) = run_single_flow(false, rate, queue, seed);
-        prop_assert!(sh.event_digest.is_some());
-        prop_assert_eq!(sh.event_digest, pf.event_digest, "event sequences diverged");
-        prop_assert_eq!(sh_acks, pf_acks, "ack streams diverged");
+        let (sh, sh_digest) = run_single_flow(true, rate, queue.clone(), seed);
+        let (pf, pf_digest) = run_single_flow(false, rate, queue, seed);
+        prop_assert_eq!(sh_digest.events, pf_digest.events, "event sequences diverged");
+        prop_assert_eq!(sh_digest.acks, pf_digest.acks, "ack streams diverged");
         prop_assert_eq!(sh.events_processed, pf.events_processed);
         for (a, b) in sh.flows.iter().zip(&pf.flows) {
             prop_assert_eq!(a.bytes_delivered, b.bytes_delivered);

@@ -9,6 +9,7 @@
 //! optimizer comparison.
 
 use netsim::prelude::*;
+use netsim::probe::{Digest, Probe, QueueTrace};
 use netsim::sim::RunOutcome;
 use netsim::transport::AckInfo;
 use proptest::prelude::*;
@@ -42,12 +43,46 @@ impl CongestionControl for Aimd {
 
 struct Run {
     outcome: RunOutcome,
-    ack_digests: Vec<Option<u64>>,
+    digest: Digest,
     trace: Vec<(SimTime, usize, u64, u64)>,
 }
 
-/// One fixed-seed dumbbell run on the chosen backend, with every
-/// determinism probe enabled.
+/// One AIMD run of `net` for `secs` on the chosen backend, reporting to
+/// `probe`.
+fn simulate<P: Probe>(
+    net: &NetworkConfig,
+    kind: SchedulerKind,
+    seed: u64,
+    secs: u64,
+    probe: P,
+) -> (RunOutcome, P) {
+    let protocols: Vec<Box<dyn CongestionControl>> = (0..net.flows.len())
+        .map(|_| Box::new(Aimd { w: 2.0 }) as _)
+        .collect();
+    let mut sim = Simulation::with_probe(net, protocols, seed, kind, probe);
+    let outcome = sim.run(SimDuration::from_secs(secs));
+    (outcome, sim.into_probe())
+}
+
+/// A fixed-seed run under every determinism probe: the digests, and the
+/// queue of link 0 every 50 ms (a probe changes nothing, so one run per
+/// probe sees the same network).
+fn run(kind: SchedulerKind, seed: u64, secs: u64, net: &NetworkConfig) -> Run {
+    let (outcome, digest) = simulate(net, kind, seed, secs, Digest::new(net.flows.len()));
+    let trace = QueueTrace::new(vec![LinkId(0)], SimDuration::from_millis(50));
+    let (_, trace) = simulate(net, kind, seed, secs, trace);
+    let trace = trace.series[0]
+        .iter()
+        .map(|s| (s.at, s.packets, s.bytes, s.cum_drops))
+        .collect();
+    Run {
+        outcome,
+        digest,
+        trace,
+    }
+}
+
+/// One fixed-seed dumbbell run on the chosen backend.
 fn run_dumbbell(kind: SchedulerKind, seed: u64) -> Run {
     // Finite buffer + ON/OFF workload: drops, timeouts, epoch churn.
     let net = dumbbell(
@@ -59,40 +94,16 @@ fn run_dumbbell(kind: SchedulerKind, seed: u64) -> Run {
         },
         WorkloadSpec::on_off_1s(),
     );
-    let protocols: Vec<Box<dyn CongestionControl>> =
-        (0..3).map(|_| Box::new(Aimd { w: 2.0 }) as _).collect();
-    let mut sim = Simulation::with_scheduler(&net, protocols, seed, kind);
-    assert_eq!(sim.scheduler_kind(), kind);
-    sim.enable_event_digest();
-    sim.enable_trace(vec![LinkId(0)], SimDuration::from_millis(50));
-    let outcome = sim.run(SimDuration::from_secs(20));
-    let ack_digests = sim.ack_digests();
-    let trace = sim
-        .take_trace()
-        .unwrap()
-        .series_for(LinkId(0))
-        .unwrap()
-        .iter()
-        .map(|s| (s.at, s.packets, s.bytes, s.cum_drops))
-        .collect();
-    Run {
-        outcome,
-        ack_digests,
-        trace,
-    }
+    run(kind, seed, 20, &net)
 }
 
 fn assert_bit_identical(a: &Run, b: &Run) {
     assert_eq!(
-        a.outcome.event_digest, b.outcome.event_digest,
+        a.digest.events, b.digest.events,
         "dispatched event sequences diverged"
     );
-    assert!(
-        a.ack_digests.iter().all(|d| d.is_some()),
-        "ack digests must be enabled for this comparison to mean anything"
-    );
     assert_eq!(
-        a.ack_digests, b.ack_digests,
+        a.digest.acks, b.digest.acks,
         "per-flow ack sequences diverged"
     );
     assert_eq!(a.outcome.events_processed, b.outcome.events_processed);
@@ -146,7 +157,7 @@ fn different_seeds_actually_differ() {
     // Guards against the digest machinery trivially returning a constant.
     let a = run_dumbbell(SchedulerKind::Calendar, 1);
     let b = run_dumbbell(SchedulerKind::Calendar, 2);
-    assert_ne!(a.outcome.event_digest, b.outcome.event_digest);
+    assert_ne!(a.digest.events, b.digest.events);
 }
 
 // ---------------------------------------------------------------------------
@@ -208,26 +219,7 @@ fn diversity_net(
 }
 
 fn run_diversity(kind: SchedulerKind, seed: u64, net: &NetworkConfig) -> Run {
-    let protocols: Vec<Box<dyn CongestionControl>> =
-        (0..3).map(|_| Box::new(Aimd { w: 2.0 }) as _).collect();
-    let mut sim = Simulation::with_scheduler(net, protocols, seed, kind);
-    sim.enable_event_digest();
-    sim.enable_trace(vec![LinkId(0), LinkId(1)], SimDuration::from_millis(50));
-    let outcome = sim.run(SimDuration::from_secs(12));
-    let ack_digests = sim.ack_digests();
-    let trace = sim
-        .take_trace()
-        .unwrap()
-        .series_for(LinkId(0))
-        .unwrap()
-        .iter()
-        .map(|s| (s.at, s.packets, s.bytes, s.cum_drops))
-        .collect();
-    Run {
-        outcome,
-        ack_digests,
-        trace,
-    }
+    run(kind, seed, 12, net)
 }
 
 #[test]
@@ -326,36 +318,12 @@ fn fault_net(which: u8, rate: f64) -> NetworkConfig {
     net
 }
 
-/// Like [`run_diversity`] but tracing only the single bottleneck link.
-fn run_fault(kind: SchedulerKind, seed: u64, net: &NetworkConfig) -> Run {
-    let protocols: Vec<Box<dyn CongestionControl>> =
-        (0..3).map(|_| Box::new(Aimd { w: 2.0 }) as _).collect();
-    let mut sim = Simulation::with_scheduler(net, protocols, seed, kind);
-    sim.enable_event_digest();
-    sim.enable_trace(vec![LinkId(0)], SimDuration::from_millis(50));
-    let outcome = sim.run(SimDuration::from_secs(12));
-    let ack_digests = sim.ack_digests();
-    let trace = sim
-        .take_trace()
-        .unwrap()
-        .series_for(LinkId(0))
-        .unwrap()
-        .iter()
-        .map(|s| (s.at, s.packets, s.bytes, s.cum_drops))
-        .collect();
-    Run {
-        outcome,
-        ack_digests,
-        trace,
-    }
-}
-
 #[test]
 fn every_fault_mode_runs_bit_identical_across_backends() {
     for which in 0u8..4 {
         let net = fault_net(which, 0.5);
-        let heap = run_fault(SchedulerKind::Heap, 5, &net);
-        let cal = run_fault(SchedulerKind::Calendar, 5, &net);
+        let heap = run_diversity(SchedulerKind::Heap, 5, &net);
+        let cal = run_diversity(SchedulerKind::Calendar, 5, &net);
         assert!(
             heap.outcome.flows.iter().any(|f| f.drops.fault > 0)
                 || matches!(net.links[0].fault, Some(FaultSpec::Outage { .. })),
@@ -364,7 +332,7 @@ fn every_fault_mode_runs_bit_identical_across_backends() {
         assert_bit_identical(&heap, &cal);
     }
     // The loss modes must be exercised for the equivalence to mean much.
-    let probe = run_fault(SchedulerKind::Calendar, 5, &fault_net(0, 0.5));
+    let probe = run_diversity(SchedulerKind::Calendar, 5, &fault_net(0, 0.5));
     assert!(
         probe.outcome.flows.iter().any(|f| f.drops.fault > 0),
         "GE scenario should produce fault drops"
@@ -406,8 +374,8 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let net = fault_net(which, rate);
-        let heap = run_fault(SchedulerKind::Heap, seed, &net);
-        let cal = run_fault(SchedulerKind::Calendar, seed, &net);
+        let heap = run_diversity(SchedulerKind::Heap, seed, &net);
+        let cal = run_diversity(SchedulerKind::Calendar, seed, &net);
         assert_bit_identical(&heap, &cal);
     }
 }

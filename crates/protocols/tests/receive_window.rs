@@ -17,6 +17,7 @@
 //! prints the observed table in the form `PINS` takes.
 
 use netsim::prelude::*;
+use netsim::probe::Digest;
 use protocols::{Action, Scheme, WhiskerTree};
 
 const RWND: u32 = 6;
@@ -78,7 +79,7 @@ fn receivers() -> [(&'static str, ReceiverSpec); 2] {
     ]
 }
 
-fn run(rate_bps: f64, scheme: &Scheme, receiver: &ReceiverSpec) -> (RunOutcome, Vec<u64>) {
+fn run(rate_bps: f64, scheme: &Scheme, receiver: &ReceiverSpec) -> (RunOutcome, Digest) {
     let net = dumbbell(
         3,
         rate_bps,
@@ -88,11 +89,10 @@ fn run(rate_bps: f64, scheme: &Scheme, receiver: &ReceiverSpec) -> (RunOutcome, 
     )
     .with_receiver(receiver.clone());
     let protocols = (0..3).map(|_| scheme.build()).collect();
-    let mut sim = Simulation::new(&net, protocols, SEED);
-    sim.enable_event_digest();
+    let kind = SchedulerKind::default();
+    let mut sim = Simulation::with_probe(&net, protocols, SEED, kind, Digest::new(3));
     let out = sim.run(SimDuration::from_secs(SECONDS));
-    let acks = sim.ack_digests().into_iter().map(Option::unwrap).collect();
-    (out, acks)
+    (out, sim.into_probe())
 }
 
 #[test]
@@ -102,7 +102,7 @@ fn every_scheme_is_held_to_the_advertised_window() {
     for (link, rate_bps) in LINKS {
         for scheme in schemes() {
             for (name, receiver) in receivers() {
-                let (out, acks) = run(rate_bps, &scheme, &receiver);
+                let (out, digest) = run(rate_bps, &scheme, &receiver);
                 for f in &out.flows {
                     assert!(
                         f.throughput_bps <= cap_bps,
@@ -116,8 +116,8 @@ fn every_scheme_is_held_to_the_advertised_window() {
                     link,
                     scheme.family(),
                     name,
-                    out.event_digest.unwrap(),
-                    [acks[0], acks[1], acks[2]],
+                    digest.events,
+                    [digest.acks[0], digest.acks[1], digest.acks[2]],
                     [0, 1, 2].map(|i| out.flows[i].packets_delivered),
                 ));
             }
