@@ -11,8 +11,8 @@
 //! cargo run --release --example parking_lot
 //! ```
 
-use learnability::lcc_core::{omniscient, run_homogeneous, Scheme};
-use learnability::netsim::prelude::*;
+use lcc_core::{omniscient, run_homogeneous, Scheme};
+use netsim::prelude::*;
 
 fn main() {
     for (r1, r2) in [(30e6, 30e6), (10e6, 100e6)] {

@@ -6,9 +6,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use learnability::lcc_core::{run_homogeneous, Scheme};
-use learnability::netsim::prelude::*;
-use learnability::protocols::{Action, WhiskerTree};
+use lcc_core::{run_homogeneous, Scheme};
+use netsim::prelude::*;
+use protocols::{Action, WhiskerTree};
 
 fn main() {
     // A 20 Mbps dumbbell with 100 ms RTT, 5 BDP of drop-tail buffer, and

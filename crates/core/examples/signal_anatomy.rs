@@ -9,9 +9,9 @@
 //! cargo run --release --example signal_anatomy
 //! ```
 
-use learnability::netsim::packet::FlowId;
-use learnability::netsim::prelude::*;
-use learnability::protocols::{Memory, SignalMask};
+use netsim::packet::FlowId;
+use netsim::prelude::*;
+use protocols::{Memory, SignalMask};
 
 fn main() {
     // Reconstruct the signal stream the way a Tao sender would see it:

@@ -10,9 +10,9 @@
 //! cargo run --release --example tcp_contention
 //! ```
 
-use learnability::lcc_core::{run_mix, Scheme};
-use learnability::netsim::prelude::*;
-use learnability::protocols::{Action, WhiskerTree};
+use lcc_core::{run_mix, Scheme};
+use netsim::prelude::*;
+use protocols::{Action, WhiskerTree};
 
 fn report(title: &str, labels: &[&str], out: &RunOutcome) {
     println!("{title}");

@@ -10,9 +10,9 @@
 //! ```
 //! (Takes a minute or two: it runs a reduced-budget Remy optimization.)
 
-use learnability::lcc_core::{run_homogeneous, Scheme};
-use learnability::netsim::prelude::*;
-use learnability::remy::prelude::*;
+use lcc_core::{run_homogeneous, Scheme};
+use netsim::prelude::*;
+use remy::prelude::*;
 
 fn main() {
     // The designer's network model: a dumbbell whose link speed is only

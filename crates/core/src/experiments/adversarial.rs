@@ -22,7 +22,7 @@
 
 use super::scaffold::{cell_key, lineup, prelude::*};
 use crate::experiments::calibration;
-use crate::report::Series;
+use crate::report::SeriesData;
 use crate::search::{adversarial_space, describe, find_worst_case, Certificate, SearchConfig};
 
 /// Cell key: the scaffold's `panel|label` with the search trail as the
@@ -118,7 +118,7 @@ impl Experiment for Adversarial {
                 "candidates",
             ],
         );
-        let mut series = Series::new("worst_case_score");
+        let mut series = SeriesData::new("worst_case_score");
         for p in points {
             let Some((label, asset, evaluated, point)) = decode_key(p.key()) else {
                 fig.notes

@@ -94,8 +94,8 @@ impl Experiment for Aqm {
             let worst = tao
                 .points
                 .iter()
-                .filter(|&&(x, _)| x > 0.0)
-                .map(|&(_, y)| y)
+                .filter(|p| p.x > 0.0)
+                .map(|p| p.y)
                 .fold(f64::INFINITY, f64::min);
             fig.push_summary("tao_droptail_minus_worst_aqm", home - worst);
             fig.notes.push(format!(

@@ -133,12 +133,13 @@ impl Experiment for Churn {
             if let Some(at_1) = s.value_at(1.0) {
                 fig.push_summary(format!("{name}_churn_objective_at_1hz"), at_1);
             }
-            if let Some(&(x_max, y_max)) = s
+            if let Some(max) = s
                 .points
                 .iter()
-                .max_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN x"))
+                .max_by(|a, b| a.x.partial_cmp(&b.x).expect("no NaN x"))
             {
-                fig.push_summary(format!("{name}_churn_objective_at_{x_max:.0}hz"), y_max);
+                let x_max = max.x;
+                fig.push_summary(format!("{name}_churn_objective_at_{x_max:.0}hz"), max.y);
             }
         }
         // Consistency anchor: churn at λ = 1/s is the same process as the

@@ -22,7 +22,7 @@
 
 use super::{registry, run_train_job, Experiment, Fidelity, TrainJob};
 use crate::omniscient::omniscient;
-use crate::report::{FigureData, Series, TableData};
+use crate::report::{FigureData, SeriesData, TableData};
 use crate::runner::{
     flow_points, summarize, with_aqm, AqmKind, PointOutcome, Scheme, SummaryStat, SweepPoint,
 };
@@ -341,7 +341,7 @@ pub fn names_at(panels: &[impl std::fmt::Display], roster: &[Contender]) -> Vec<
 /// decoded cell labels into.
 pub struct SeriesSet {
     exp: &'static str,
-    series: Vec<Series>,
+    series: Vec<SeriesData>,
 }
 
 impl SeriesSet {
@@ -349,7 +349,7 @@ impl SeriesSet {
     pub fn new(exp: &'static str, names: impl IntoIterator<Item = impl Into<String>>) -> Self {
         SeriesSet {
             exp,
-            series: names.into_iter().map(Series::new).collect(),
+            series: names.into_iter().map(SeriesData::new).collect(),
         }
     }
 
@@ -372,12 +372,12 @@ impl SeriesSet {
         }
     }
 
-    pub fn get(&self, name: &str) -> Option<&Series> {
+    pub fn get(&self, name: &str) -> Option<&SeriesData> {
         self.series.iter().find(|s| s.name == name)
     }
 
     /// The series in legend order (what `ChartData::from_series` takes).
-    pub fn all(&self) -> &[Series] {
+    pub fn all(&self) -> &[SeriesData] {
         &self.series
     }
 }
@@ -587,7 +587,8 @@ mod tests {
     fn routing_an_unknown_label_names_the_experiment() {
         let mut series = SeriesSet::of(&Fixture);
         series.push("vegas", 1.0, 0.5);
-        assert_eq!(series.get("vegas").unwrap().points, vec![(1.0, 0.5)]);
+        let vegas = &series.get("vegas").unwrap().points;
+        assert_eq!((vegas.len(), vegas[0].x, vegas[0].y), (1, 1.0, 0.5));
         series.push("reno", 1.0, 0.5);
     }
 

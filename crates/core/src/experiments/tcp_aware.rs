@@ -89,10 +89,7 @@ impl Experiment for TcpAware {
             let p = grid.mix("fig8", label, 0.0, time_domain_network(), schemes);
             p.seeds = 1..2;
             p.duration_s = 15.0;
-            p.trace = Some(QueueTrace::new(
-                vec![LinkId(0)],
-                SimDuration::from_millis(100),
-            ));
+            p.trace = Some(QueueTrace::new(LinkId(0), SimDuration::from_millis(100)));
         }
         grid.into_points()
     }
@@ -142,7 +139,7 @@ impl Experiment for TcpAware {
         // Fig 8: phase means + sparkline per traced variant.
         for p in points.iter().filter(|p| split_key(p.key()).0 == "fig8") {
             let label = split_key(p.key()).1;
-            let Some(trace) = p.traces.first().and_then(|t| t.as_ref()) else {
+            let Some(trace) = p.traces.first() else {
                 continue;
             };
             let r = time_domain_from_trace(trace, label);
@@ -150,7 +147,8 @@ impl Experiment for TcpAware {
                 format!("fig8_{label}_mean_queue_with_tcp"),
                 r.phase_means[1],
             );
-            fig.push_summary(format!("fig8_{label}_drops"), r.drops.len() as f64);
+            let drops = trace.drop_times.len();
+            fig.push_summary(format!("fig8_{label}_drops"), drops as f64);
             for line in r.to_string().lines() {
                 fig.notes.push(line.to_string());
             }
@@ -169,19 +167,18 @@ fn time_domain_network() -> NetworkConfig {
     network(vec![WorkloadSpec::AlwaysOn, WorkloadSpec::pulse(5.0, 10.0)])
 }
 
-/// Queue-occupancy trace of one Tao variant against pulsed TCP.
+/// One Tao variant's bottleneck trace against pulsed TCP, read for Fig 8.
 #[derive(Debug)]
-pub struct TimeDomainResult {
-    pub label: String,
-    /// (time s, queue packets) samples.
-    pub queue: Vec<(f64, usize)>,
-    /// Times of packet drops at the bottleneck.
-    pub drops: Vec<f64>,
-    /// Mean queue during [0,5) (Tao alone), [5,10) (both), [10,15) (after).
+pub struct TimeDomainResult<'a> {
+    pub label: &'a str,
+    /// The bottleneck's queue samples and drop times.
+    pub trace: &'a QueueTrace,
+    /// Mean queue over [1,5) s (Tao alone), [6,10) s (both) and [11,15) s
+    /// (after): each phase without its first second.
     pub phase_means: [f64; 3],
 }
 
-impl fmt::Display for TimeDomainResult {
+impl fmt::Display for TimeDomainResult<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
@@ -190,12 +187,13 @@ impl fmt::Display for TimeDomainResult {
             self.phase_means[0],
             self.phase_means[1],
             self.phase_means[2],
-            self.drops.len()
+            self.trace.drop_times.len()
         )?;
         // coarse sparkline, one char per 500 ms
-        let max = self.queue.iter().map(|&(_, q)| q).max().unwrap_or(1).max(1);
+        let samples = &self.trace.samples;
+        let max = samples.iter().map(|s| s.packets).max().unwrap_or(1).max(1);
         let mut line = String::new();
-        for &(_, q) in self.queue.iter().step_by(5) {
+        for q in samples.iter().step_by(5).map(|s| s.packets) {
             let lvl = (q * 8 / max).min(7);
             line.push(['_', '.', ':', '-', '=', '+', '*', '#'][lvl]);
         }
@@ -204,22 +202,16 @@ impl fmt::Display for TimeDomainResult {
 }
 
 /// Fold a bottleneck [`QueueTrace`] into the Fig 8 summary.
-pub fn time_domain_from_trace(trace: &QueueTrace, label: &str) -> TimeDomainResult {
-    let series = trace.series_for(LinkId(0)).expect("traced link");
-    let queue: Vec<(f64, usize)> = series
-        .iter()
-        .map(|s| (s.at.as_secs_f64(), s.packets))
-        .collect();
+pub fn time_domain_from_trace<'a>(trace: &'a QueueTrace, label: &'a str) -> TimeDomainResult<'a> {
     let t = |s: f64| netsim::time::SimTime::from_secs_f64(s);
     let phase_means = [
-        trace.mean_packets_in(LinkId(0), t(1.0), t(5.0)),
-        trace.mean_packets_in(LinkId(0), t(6.0), t(10.0)),
-        trace.mean_packets_in(LinkId(0), t(11.0), t(15.0)),
+        trace.mean_packets_in(t(1.0), t(5.0)),
+        trace.mean_packets_in(t(6.0), t(10.0)),
+        trace.mean_packets_in(t(11.0), t(15.0)),
     ];
     TimeDomainResult {
-        label: label.to_string(),
-        queue,
-        drops: trace.drop_times.iter().map(|d| d.as_secs_f64()).collect(),
+        label,
+        trace,
         phase_means,
     }
 }
@@ -249,25 +241,23 @@ mod tests {
         let tree = protocols::WhiskerTree::uniform(protocols::Action::new(0.8, 1.0, 1.0));
         let schemes = vec![Scheme::tao(tree, "demo"), Scheme::NewReno];
         let mut point = SweepPoint::mix("demo", 0.0, time_domain_network(), schemes, 3..4, 15.0);
-        point.trace = Some(QueueTrace::new(
-            vec![LinkId(0)],
-            SimDuration::from_millis(100),
-        ));
+        point.trace = Some(QueueTrace::new(LinkId(0), SimDuration::from_millis(100)));
         let out = crate::runner::execute_sweep(vec![point], 1);
-        let r = time_domain_from_trace(out[0].traces[0].as_ref().expect("traced"), "demo");
+        let r = time_domain_from_trace(&out[0].traces[0], "demo");
         assert!(
             r.phase_means[1] > r.phase_means[2],
             "queue with TCP ({:.1}) should exceed queue after ({:.1})",
             r.phase_means[1],
             r.phase_means[2]
         );
-        assert!(!r.queue.is_empty());
+        assert!(!r.trace.samples.is_empty());
         // NewReno against a 250 kB buffer must overflow it eventually.
-        assert!(!r.drops.is_empty(), "TCP pulse should cause drops");
+        let drops: Vec<f64> = r.trace.drop_times.iter().map(|d| d.as_secs_f64()).collect();
+        assert!(!drops.is_empty(), "TCP pulse should cause drops");
         assert!(
-            r.drops.iter().all(|&d| (5.0..10.5).contains(&d)),
+            drops.iter().all(|&d| (5.0..10.5).contains(&d)),
             "drops happen while TCP active: {:?}",
-            &r.drops[..r.drops.len().min(5)]
+            &drops[..drops.len().min(5)]
         );
     }
 

@@ -130,7 +130,7 @@ impl Experiment for Topology {
                 series.push(name, p.x(), mean);
             }
             // Analytic omniscient reference per swept speed.
-            let xs: Vec<f64> = series.all()[0].points.iter().map(|&(x, _)| x).collect();
+            let xs: Vec<f64> = series.all()[0].points.iter().map(|p| p.x).collect();
             for x in xs {
                 let (l1, l2) = link_speeds(edge, x);
                 series.push("omniscient", x, omniscient_flow1_mbps(l1, l2));
@@ -146,7 +146,7 @@ impl Experiment for Topology {
         for (i, name) in roster.iter().map(|c| c.label.as_str()).enumerate() {
             let ys: Vec<f64> = edge_series
                 .iter()
-                .flat_map(|s| s.all()[i].points.iter().map(|&(_, y)| y))
+                .flat_map(|s| s.all()[i].points.iter().map(|p| p.y))
                 .collect();
             let mean = ys.iter().sum::<f64>() / ys.len().max(1) as f64;
             notes.push(format!("  {name:<18} {mean:>7.2} Mbps"));

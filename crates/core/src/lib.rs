@@ -12,7 +12,7 @@
 //!   declarative [`Experiment`] trait and written on one
 //!   [`experiments::scaffold`].
 //!
-//! Everything is driven by the `learnability` CLI (in the `bench` crate):
+//! Everything is driven by the `learnability` CLI (`src/bin/learnability.rs`):
 //! `learnability list` enumerates the [`experiments::registry()`],
 //! `learnability run <id|all>` executes an experiment's sweep on the
 //! parallel engine ([`runner::execute_sweep`]) and emits a structured
@@ -30,7 +30,7 @@ pub mod search;
 
 pub use experiments::{run_train_job, Experiment, Fidelity, RunOptions, TrainJob};
 pub use omniscient::{omniscient, proportional_fair, OmniscientFlow};
-pub use report::{render_figure, FigureData, Series, TableData};
+pub use report::{render_figure, FigureData, TableData};
 pub use runner::{
     execute_sweep, flow_points, run_homogeneous, run_mix, summarize, PointOutcome, Scheme,
     SummaryStat, SweepPoint,

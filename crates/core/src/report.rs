@@ -27,6 +27,11 @@
 //! [`SummaryItem`] is a stable machine-readable key plus an f64 — the
 //! numbers CI diffs across commits without parsing prose.
 //!
+//! [`SeriesData`] is the one series type: `summarize` builds it
+//! ([`SeriesData::push`]) and reads it back ([`SeriesData::value_at`],
+//! [`SeriesData::mean_in`]), the artifact stores it, and the report prints
+//! it through [`ChartData`]'s `Display`, as [`TableData`]'s prints a table.
+//!
 //! A `threads` field in [`RunMeta`] is deliberately absent: results are
 //! bit-identical for any worker count, so thread count is not provenance.
 
@@ -37,23 +42,42 @@ use std::fmt;
 /// regenerate `crates/core/tests/golden/figure_schema.json`.
 pub const FIGURE_SCHEMA_VERSION: u32 = 1;
 
-/// A named (x, y) series, one per scheme per figure.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Series {
-    pub name: String,
-    pub points: Vec<(f64, f64)>,
+/// `log2(x)` convenience used across figure code.
+pub fn log2(x: f64) -> f64 {
+    x.max(1e-12).log2()
 }
 
-impl Series {
+// ---------------------------------------------------------------------------
+// The serializable result schema.
+// ---------------------------------------------------------------------------
+
+/// One (x, y) sample of a plotted series, with an optional 1-σ error bar.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct PointData {
+    pub x: f64,
+    pub y: f64,
+    pub err: Option<f64>,
+}
+
+/// A named series of [`PointData`] (one scheme on one panel): what a
+/// figure's `summarize` builds and what the artifact stores.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct SeriesData {
+    pub name: String,
+    pub points: Vec<PointData>,
+}
+
+impl SeriesData {
     pub fn new(name: impl Into<String>) -> Self {
-        Series {
+        SeriesData {
             name: name.into(),
             points: Vec::new(),
         }
     }
 
+    /// Append `(x, y)` without an error bar.
     pub fn push(&mut self, x: f64, y: f64) {
-        self.points.push((x, y));
+        self.points.push(PointData { x, y, err: None });
     }
 
     /// Linear interpolation at `x` (clamped to the series range).
@@ -61,7 +85,7 @@ impl Series {
         if self.points.is_empty() {
             return None;
         }
-        let mut pts = self.points.clone();
+        let mut pts: Vec<(f64, f64)> = self.points.iter().map(|p| (p.x, p.y)).collect();
         pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN x"));
         if x <= pts[0].0 {
             return Some(pts[0].1);
@@ -84,8 +108,8 @@ impl Series {
         let ys: Vec<f64> = self
             .points
             .iter()
-            .filter(|(x, _)| *x >= lo && *x <= hi)
-            .map(|(_, y)| *y)
+            .filter(|p| p.x >= lo && p.x <= hi)
+            .map(|p| p.y)
             .collect();
         if ys.is_empty() {
             None
@@ -95,82 +119,8 @@ impl Series {
     }
 }
 
-/// Print a set of series as aligned columns (x, then one column each).
-pub fn format_series(title: &str, x_label: &str, series: &[Series]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    writeln!(out, "== {title} ==").unwrap();
-    let mut xs: Vec<f64> = series
-        .iter()
-        .flat_map(|s| s.points.iter().map(|(x, _)| *x))
-        .collect();
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    xs.dedup();
-    write!(out, "{:>12}", x_label).unwrap();
-    for s in series {
-        write!(out, " {:>18}", s.name).unwrap();
-    }
-    writeln!(out).unwrap();
-    for x in xs {
-        write!(out, "{:>12.3}", x).unwrap();
-        for s in series {
-            match s.points.iter().find(|(px, _)| (px - x).abs() < 1e-9) {
-                Some((_, y)) => write!(out, " {:>18.4}", y).unwrap(),
-                None => write!(out, " {:>18}", "-").unwrap(),
-            }
-        }
-        writeln!(out).unwrap();
-    }
-    out
-}
-
-/// `log2(x)` convenience used across figure code.
-pub fn log2(x: f64) -> f64 {
-    x.max(1e-12).log2()
-}
-
-// ---------------------------------------------------------------------------
-// The serializable result schema.
-// ---------------------------------------------------------------------------
-
-/// One (x, y) sample of a plotted series, with an optional 1-σ error bar.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PointData {
-    pub x: f64,
-    pub y: f64,
-    pub err: Option<f64>,
-}
-
-/// A named series of [`PointData`] (one scheme on one panel).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SeriesData {
-    pub name: String,
-    pub points: Vec<PointData>,
-}
-
-impl SeriesData {
-    /// View as a computational [`Series`] (drops error bars).
-    pub fn to_series(&self) -> Series {
-        Series {
-            name: self.name.clone(),
-            points: self.points.iter().map(|p| (p.x, p.y)).collect(),
-        }
-    }
-
-    /// Lift a computational [`Series`] into the schema (no error bars).
-    pub fn from_series(s: &Series) -> Self {
-        SeriesData {
-            name: s.name.clone(),
-            points: s
-                .points
-                .iter()
-                .map(|&(x, y)| PointData { x, y, err: None })
-                .collect(),
-        }
-    }
-}
-
-/// One figure panel: a titled group of series over a common x axis.
+/// One figure panel: a titled group of series over a common x axis. Its
+/// `Display` prints the series as aligned columns: x, then one column each.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ChartData {
     pub title: String,
@@ -179,12 +129,45 @@ pub struct ChartData {
 }
 
 impl ChartData {
-    pub fn from_series(title: impl Into<String>, x_label: impl Into<String>, s: &[Series]) -> Self {
+    pub fn from_series(
+        title: impl Into<String>,
+        x_label: impl Into<String>,
+        series: &[SeriesData],
+    ) -> Self {
         ChartData {
             title: title.into(),
             x_label: x_label.into(),
-            series: s.iter().map(SeriesData::from_series).collect(),
+            series: series.to_vec(),
         }
+    }
+}
+
+impl fmt::Display for ChartData {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "== {} ==", self.title)?;
+        let mut xs: Vec<f64> = self
+            .series
+            .iter()
+            .flat_map(|s| s.points.iter().map(|p| p.x))
+            .collect();
+        xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        xs.dedup();
+        write!(f, "{:>12}", self.x_label)?;
+        for s in &self.series {
+            write!(f, " {:>18}", s.name)?;
+        }
+        writeln!(f)?;
+        for x in xs {
+            write!(f, "{:>12.3}", x)?;
+            for s in &self.series {
+                match s.points.iter().find(|p| (p.x - x).abs() < 1e-9) {
+                    Some(p) => write!(f, " {:>18.4}", p.y)?,
+                    None => write!(f, " {:>18}", "-")?,
+                }
+            }
+            writeln!(f)?;
+        }
+        Ok(())
     }
 }
 
@@ -319,13 +302,12 @@ impl FigureData {
         self.summary.iter().find(|s| s.key == key).map(|s| s.value)
     }
 
-    pub fn chart_series(&self, chart: usize, name: &str) -> Option<Series> {
+    pub fn chart_series(&self, chart: usize, name: &str) -> Option<&SeriesData> {
         self.charts
             .get(chart)?
             .series
             .iter()
             .find(|s| s.name == name)
-            .map(SeriesData::to_series)
     }
 
     /// Serialize to the canonical pretty-JSON artifact form.
@@ -348,8 +330,7 @@ pub fn render_figure(fig: &FigureData) -> String {
         write!(out, "{t}").unwrap();
     }
     for c in &fig.charts {
-        let series: Vec<Series> = c.series.iter().map(SeriesData::to_series).collect();
-        write!(out, "{}", format_series(&c.title, &c.x_label, &series)).unwrap();
+        write!(out, "{c}").unwrap();
     }
     for n in &fig.notes {
         writeln!(out, "{n}").unwrap();
@@ -380,18 +361,18 @@ mod tests {
 
     #[test]
     fn series_interpolation() {
-        let mut s = Series::new("t");
+        let mut s = SeriesData::new("t");
         s.push(1.0, 10.0);
         s.push(3.0, 30.0);
         assert_eq!(s.value_at(2.0), Some(20.0));
         assert_eq!(s.value_at(0.0), Some(10.0), "clamped low");
         assert_eq!(s.value_at(9.0), Some(30.0), "clamped high");
-        assert_eq!(Series::new("e").value_at(1.0), None);
+        assert_eq!(SeriesData::new("e").value_at(1.0), None);
     }
 
     #[test]
     fn series_mean_in_window() {
-        let mut s = Series::new("t");
+        let mut s = SeriesData::new("t");
         for i in 0..10 {
             s.push(i as f64, (i * 2) as f64);
         }
@@ -401,11 +382,11 @@ mod tests {
 
     #[test]
     fn format_series_merges_x_axes() {
-        let mut a = Series::new("a");
+        let mut a = SeriesData::new("a");
         a.push(1.0, 0.5);
-        let mut b = Series::new("b");
+        let mut b = SeriesData::new("b");
         b.push(2.0, 0.7);
-        let out = format_series("fig", "x", &[a, b]);
+        let out = ChartData::from_series("fig", "x", &[a, b]).to_string();
         assert!(out.contains("fig"));
         // x=1 row has '-' for series b
         let row1: Vec<&str> = out
@@ -424,7 +405,7 @@ mod tests {
 
     fn sample_figure() -> FigureData {
         let mut fig = FigureData::new("demo", "Fig 0");
-        let mut s = Series::new("cubic");
+        let mut s = SeriesData::new("cubic");
         s.push(1.0, -0.5);
         s.push(10.0, -0.25);
         fig.charts
@@ -460,15 +441,6 @@ mod tests {
         assert!(text.contains("== demo chart =="));
         assert!(text.contains("cubic"));
         assert!(text.contains("a finding"));
-    }
-
-    #[test]
-    fn series_conversions_are_lossless_on_xy() {
-        let mut s = Series::new("t");
-        s.push(1.0, 2.0);
-        let sd = SeriesData::from_series(&s);
-        assert_eq!(sd.points[0].err, None);
-        assert_eq!(sd.to_series(), s);
     }
 
     #[test]

@@ -115,17 +115,14 @@ pub fn with_aqm(net: &NetworkConfig, kind: AqmKind) -> NetworkConfig {
 }
 
 /// Event cap for every test-side simulation (protects sweeps against
-/// degenerate protocol settings; training has its own budget knob).
-/// Public because certificate replay (`crate::search::replay`) must apply
-/// the exact budget the sweep engine used to reproduce scores bit for bit.
+/// degenerate protocol settings; training has its own budget knob),
+/// applied by `cell_simulation`. Public for code outside this crate that
+/// builds its own cells under the same cap.
 pub const TEST_EVENT_BUDGET: u64 = 200_000_000;
 
 /// Run one mix of schemes (one per flow) on a network.
 pub fn run_mix(net: &NetworkConfig, schemes: &[Scheme], seed: u64, duration_s: f64) -> RunOutcome {
-    assert_eq!(schemes.len(), net.flows.len(), "one scheme per flow");
-    let protocols = build_protocols(schemes);
-    let mut sim = Simulation::new(net, protocols, seed);
-    sim.set_event_budget(TEST_EVENT_BUDGET);
+    let mut sim = cell_simulation(net, schemes, seed, SchedulerKind::default(), NoProbe);
     sim.run(SimDuration::from_secs_f64(duration_s))
 }
 
@@ -235,9 +232,9 @@ pub struct PointOutcome {
     /// One outcome per *successful* seed, in `point.seeds` order (seeds
     /// whose cell panicked are listed in `poisoned` instead).
     pub runs: Vec<RunOutcome>,
-    /// Queue traces per seed (populated only when `point.trace` is set),
-    /// indexed like `runs`.
-    pub traces: Vec<Option<QueueTrace>>,
+    /// One queue trace per successful seed, indexed like `runs`, when
+    /// `point.trace` is set; empty otherwise.
+    pub traces: Vec<QueueTrace>,
     /// `(seed, panic message)` of cells that panicked: the sweep engine
     /// degrades one crashing cell into a flagged hole instead of taking
     /// the whole sweep down (or deadlocking a poisoned slot mutex).
@@ -280,17 +277,20 @@ impl PointOutcome {
     }
 }
 
-/// The simulation a sweep cell runs, reporting to `probe`.
-fn cell_simulation<P: Probe>(point: &SweepPoint, seed: u64, probe: P) -> Simulation<P> {
-    assert_eq!(
-        point.schemes.len(),
-        point.net.flows.len(),
-        "one scheme per flow (point '{}')",
-        point.key
-    );
-    let protocols = build_protocols(&point.schemes);
-    let kind = SchedulerKind::default();
-    let mut sim = Simulation::with_probe(&point.net, protocols, seed, kind, probe);
+/// The simulation one test-side cell runs — `schemes` (one per flow) on
+/// `net` under `seed` on the `kind` backend, capped at
+/// [`TEST_EVENT_BUDGET`] — reporting to `probe`. Sweep cells, [`run_mix`]
+/// and certificate replay all build here, so they cannot disagree.
+pub(crate) fn cell_simulation<P: Probe>(
+    net: &NetworkConfig,
+    schemes: &[Scheme],
+    seed: u64,
+    kind: SchedulerKind,
+    probe: P,
+) -> Simulation<P> {
+    assert_eq!(schemes.len(), net.flows.len(), "one scheme per flow");
+    let protocols = build_protocols(schemes);
+    let mut sim = Simulation::with_probe(net, protocols, seed, kind, probe);
     sim.set_event_budget(TEST_EVENT_BUDGET);
     sim
 }
@@ -298,10 +298,12 @@ fn cell_simulation<P: Probe>(point: &SweepPoint, seed: u64, probe: P) -> Simulat
 /// Run one cell, under a [`QueueTrace`] if the point asks for a trace.
 fn run_cell(point: &SweepPoint, seed: u64) -> (RunOutcome, Option<QueueTrace>) {
     let duration = SimDuration::from_secs_f64(point.duration_s);
+    let (net, schemes, kind) = (&point.net, &point.schemes, SchedulerKind::default());
     let Some(trace) = point.trace.clone() else {
-        return (cell_simulation(point, seed, NoProbe).run(duration), None);
+        let mut sim = cell_simulation(net, schemes, seed, kind, NoProbe);
+        return (sim.run(duration), None);
     };
-    let mut sim = cell_simulation(point, seed, trace);
+    let mut sim = cell_simulation(net, schemes, seed, kind, trace);
     (sim.run(duration), Some(sim.into_probe()))
 }
 
@@ -352,7 +354,7 @@ pub fn execute_sweep(points: Vec<SweepPoint>, threads: usize) -> Vec<PointOutcom
         match result {
             Ok((run, trace)) => {
                 out[pi].runs.push(run);
-                out[pi].traces.push(trace);
+                out[pi].traces.extend(trace);
             }
             Err(msg) => out[pi].poisoned.push((seed, msg)),
         }
@@ -706,10 +708,7 @@ mod tests {
         let b = SweepPoint::homogeneous("b", 1.0, net(), tao(1.0, "second"), 1..3, 4.0);
         // Differs from `a` only in its trace request.
         let mut c = a.clone();
-        c.trace = Some(QueueTrace::new(
-            vec![LinkId(0)],
-            SimDuration::from_millis(100),
-        ));
+        c.trace = Some(QueueTrace::new(LinkId(0), SimDuration::from_millis(100)));
         // Another protocol under the same label.
         let d = SweepPoint::homogeneous("d", 0.0, net(), tao(2.0, "first"), 0..1, 4.0);
         let points = vec![a, b, c, d];
@@ -733,11 +732,8 @@ mod tests {
             assert_eq!(fingerprint(run), fingerprint(&run_cell(&points[1], seed).0));
         }
         assert_eq!(outs[1].flow_labels()[0], "second");
-        assert!(outs[0].traces.iter().all(Option::is_none));
-        assert!(
-            outs[2].traces.iter().all(Option::is_some),
-            "c traced its own runs"
-        );
+        assert!(outs[0].traces.is_empty());
+        assert_eq!(outs[2].traces.len(), 2, "c traced its own runs");
         assert_ne!(fingerprint(&outs[3].runs[0]), fingerprint(&outs[0].runs[0]));
     }
 
@@ -780,7 +776,8 @@ mod tests {
         let mut three = net();
         three.flows.push(three.flows[0].clone());
         let point = SweepPoint::mix("k", 0.0, three, mix.to_vec(), 0..1, 4.0);
-        let mut sim = cell_simulation(&point, 1, NoProbe);
+        let kind = SchedulerKind::default();
+        let mut sim = cell_simulation(&point.net, &point.schemes, 1, kind, NoProbe);
         sim.run(SimDuration::from_secs_f64(point.duration_s));
         let senders = sim.into_protocols();
         for (cc, scheme) in senders.iter().zip(&mix) {
@@ -819,16 +816,12 @@ mod tests {
     #[test]
     fn sweep_traces_only_when_requested() {
         let mut traced = SweepPoint::homogeneous("t", 0.0, net(), Scheme::Cubic, 0..1, 4.0);
-        traced.trace = Some(QueueTrace::new(
-            vec![LinkId(0)],
-            SimDuration::from_millis(100),
-        ));
+        traced.trace = Some(QueueTrace::new(LinkId(0), SimDuration::from_millis(100)));
         let plain = SweepPoint::homogeneous("p", 0.0, net(), Scheme::Cubic, 0..1, 4.0);
         let outs = execute_sweep(vec![traced, plain], 2);
-        assert!(outs[0].traces[0].is_some(), "trace requested");
-        assert!(outs[1].traces[0].is_none(), "no trace requested");
-        let tr = outs[0].traces[0].as_ref().unwrap();
-        assert!(!tr.series[0].is_empty(), "samples recorded");
+        assert_eq!(outs[0].traces.len(), 1, "trace requested");
+        assert!(outs[1].traces.is_empty(), "no trace requested");
+        assert!(!outs[0].traces[0].samples.is_empty(), "samples recorded");
     }
 
     #[test]

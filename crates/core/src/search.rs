@@ -34,11 +34,11 @@
 use crate::experiments::scaffold::Norm;
 use crate::experiments::Fidelity;
 use crate::runner::{
-    build_protocols, execute_sweep, with_aqm, AqmKind, PointOutcome, Scheme, SweepPoint,
-    TEST_EVENT_BUDGET,
+    cell_simulation, execute_sweep, with_aqm, AqmKind, PointOutcome, Scheme, SweepPoint,
 };
 use netsim::event::SchedulerKind;
 use netsim::prelude::*;
+use netsim::probe::NoProbe;
 use netsim::queue::QueueSpec;
 use netsim::rng::SimRng;
 use netsim::topology::{dumbbell, FaultSpec};
@@ -406,10 +406,8 @@ pub fn replay(cert: &Certificate, scheme: &Scheme, kind: SchedulerKind) -> f64 {
         .seeds
         .iter()
         .map(|&seed| {
-            let protocols = build_protocols(&schemes);
-            let mut sim = Simulation::with_scheduler(&cert.net, protocols, seed, kind);
-            sim.set_event_budget(TEST_EVENT_BUDGET);
-            sim.run(SimDuration::from_secs_f64(cert.duration_s))
+            cell_simulation(&cert.net, &schemes, seed, kind, NoProbe)
+                .run(SimDuration::from_secs_f64(cert.duration_s))
         })
         .collect();
     Norm {

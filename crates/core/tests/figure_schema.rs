@@ -3,7 +3,7 @@
 //! identical JSON across repeated runs and across thread counts.
 
 use lcc_core::report::{
-    ChartData, FigureData, PointData, RunMeta, SeriesData, SummaryItem, TableData,
+    render_figure, ChartData, FigureData, PointData, RunMeta, SeriesData, SummaryItem, TableData,
     FIGURE_SCHEMA_VERSION,
 };
 use protocols::{Action, WhiskerTree};
@@ -96,6 +96,33 @@ fn figure_json_matches_golden_file() {
         "FigureData JSON form changed — if intended, bump FIGURE_SCHEMA_VERSION \
          and regenerate with LEARNABILITY_BLESS=1"
     );
+}
+
+/// Every experiment's committed figure reads back into the schema, writes
+/// out to its own bytes (as `learnability run --json` writes it: `to_json`
+/// and a newline) and renders: the schema types hold everything the
+/// artifacts say, in the form they say it.
+#[test]
+fn every_committed_figure_round_trips_byte_for_byte() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../assets/figures");
+    for exp in lcc_core::experiments::registry() {
+        let path = dir.join(format!("{}.json", exp.id()));
+        let committed =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let fig =
+            FigureData::from_json(&committed).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let mut json = fig.to_json();
+        json.push('\n');
+        assert!(
+            json == committed,
+            "{} changes when rewritten",
+            path.display()
+        );
+        let text = render_figure(&fig);
+        for chart in &fig.charts {
+            assert!(text.contains(&format!("== {} ==", chart.title)));
+        }
+    }
 }
 
 /// Scratch assets dir holding pre-built (untrained) protocol fixtures for

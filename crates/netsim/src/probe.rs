@@ -1,6 +1,6 @@
 //! Observation hooks (see "Probes" in [`crate::sim`]): [`NoProbe`]
 //! records nothing, [`Digest`] folds a run into the determinism tests'
-//! digests, and [`QueueTrace`] samples link queues for Fig 8.
+//! digests, and [`QueueTrace`] samples one link's queue for Fig 8.
 
 use crate::arena::PacketArena;
 use crate::event::{Event, QueueCounters};
@@ -116,44 +116,41 @@ fn fold_event(digest: u64, at: SimTime, ev: &Event, arena: &PacketArena) -> u64 
     }
 }
 
-/// One sampled point of a link's queue.
+/// One sample of the traced link's queue.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QueueSample {
     /// Sample time.
     pub at: SimTime,
     /// Queue occupancy in packets.
     pub packets: usize,
-    /// Queue occupancy in bytes.
-    pub bytes: u64,
-    /// Cumulative drops at this link up to the sample time.
-    pub cum_drops: u64,
 }
 
-/// The queues of chosen links at each multiple of a period up to the run's
-/// end (the state at the start of that instant; none past the last instant
-/// a budget-cut run dispatched) and the times of their queue drops (Fig 8).
+/// One link's queue at each multiple of a period up to the run's end (the
+/// state at the start of that instant; none past the last instant a
+/// budget-cut run dispatched) and the times that queue dropped a packet
+/// (Fig 8).
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueueTrace {
-    /// Which links to sample.
-    pub links: Vec<LinkId>,
+    /// The traced link.
+    pub link: LinkId,
     /// Sampling period.
     pub period: SimDuration,
-    /// Per traced link (same order as `links`): the sampled series.
-    pub series: Vec<Vec<QueueSample>>,
-    /// Times at which a traced link's queue dropped a packet.
+    /// The samples, in time order.
+    pub samples: Vec<QueueSample>,
+    /// Times at which the traced link's queue dropped a packet.
     pub drop_times: Vec<SimTime>,
     /// The next period boundary to sample.
     next: SimTime,
 }
 
 impl QueueTrace {
-    /// An empty recorder sampling `links` every `period`.
-    pub fn new(links: Vec<LinkId>, period: SimDuration) -> Self {
+    /// An empty recorder sampling `link` every `period`.
+    pub fn new(link: LinkId, period: SimDuration) -> Self {
         assert!(!period.is_zero(), "trace period must be positive");
         QueueTrace {
-            series: vec![Vec::new(); links.len()],
-            links,
+            link,
             period,
+            samples: Vec::new(),
             drop_times: Vec::new(),
             next: SimTime::ZERO,
         }
@@ -162,29 +159,17 @@ impl QueueTrace {
     /// Sample every period boundary up to and including `until`.
     fn sample_until(&mut self, until: SimTime, links: &[Link]) {
         while self.next <= until {
-            for (series, &id) in self.series.iter_mut().zip(&self.links) {
-                let l = &links[id.0 as usize];
-                series.push(QueueSample {
-                    at: self.next,
-                    packets: l.queue_len_packets(),
-                    bytes: l.queue_len_bytes(),
-                    cum_drops: l.queue_stats().dropped,
-                });
-            }
+            self.samples.push(QueueSample {
+                at: self.next,
+                packets: links[self.link.0 as usize].queue_len_packets(),
+            });
             self.next += self.period;
         }
     }
 
-    /// The series for a given link id, if traced.
-    pub fn series_for(&self, link: LinkId) -> Option<&[QueueSample]> {
-        let i = self.links.iter().position(|&l| l == link)?;
-        Some(&self.series[i])
-    }
-
     /// Mean queue occupancy (packets) over `[from, to)`; 0 without samples.
-    pub fn mean_packets_in(&self, link: LinkId, from: SimTime, to: SimTime) -> f64 {
-        let window = self.series_for(link).unwrap_or_default().iter();
-        let in_window = window.filter(|p| (from..to).contains(&p.at));
+    pub fn mean_packets_in(&self, from: SimTime, to: SimTime) -> f64 {
+        let in_window = self.samples.iter().filter(|p| (from..to).contains(&p.at));
         let (n, sum) = in_window.fold((0, 0), |(n, sum), p| (n + 1, sum + p.packets));
         sum as f64 / n.max(1) as f64
     }
@@ -196,7 +181,7 @@ impl Probe for QueueTrace {
     }
 
     fn on_drop(&mut self, at: SimTime, link: LinkId) {
-        if self.links.contains(&link) {
+        if link == self.link {
             self.drop_times.push(at);
         }
     }
@@ -221,8 +206,6 @@ mod tests {
         QueueSample {
             at: SimTime::ZERO + SimDuration::from_millis(at_ms),
             packets,
-            bytes: packets as u64 * 1500,
-            cum_drops: 0,
         }
     }
 
@@ -268,30 +251,22 @@ mod tests {
     }
 
     #[test]
-    fn records_and_queries() {
-        let mut tr = QueueTrace::new(vec![LinkId(0)], SimDuration::from_millis(10));
-        tr.series[0].extend([sample(0, 5), sample(10, 9), sample(20, 2)]);
-        assert_eq!(tr.series_for(LinkId(0)).unwrap().len(), 3);
-        assert_eq!(tr.series_for(LinkId(1)), None);
-    }
-
-    #[test]
     fn mean_over_window() {
-        let mut tr = QueueTrace::new(vec![LinkId(0)], SimDuration::from_millis(10));
+        let mut tr = QueueTrace::new(LinkId(0), SimDuration::from_millis(10));
         for (at, p) in [(0, 2), (10, 4), (20, 6), (30, 100)] {
-            tr.series[0].push(sample(at, p));
+            tr.samples.push(sample(at, p));
         }
         let from = SimTime::ZERO;
         let to = SimTime::ZERO + SimDuration::from_millis(25);
-        assert!((tr.mean_packets_in(LinkId(0), from, to) - 4.0).abs() < 1e-12);
+        assert!((tr.mean_packets_in(from, to) - 4.0).abs() < 1e-12);
         // empty window
         let far = SimTime::from_secs_f64(100.0);
-        assert_eq!(tr.mean_packets_in(LinkId(0), far, far), 0.0);
+        assert_eq!(tr.mean_packets_in(far, far), 0.0);
     }
 
     #[test]
     fn drop_times_accumulate() {
-        let mut tr = QueueTrace::new(vec![LinkId(0)], SimDuration::from_millis(1));
+        let mut tr = QueueTrace::new(LinkId(0), SimDuration::from_millis(1));
         tr.on_drop(SimTime::from_secs_f64(1.0), LinkId(0));
         tr.on_drop(SimTime::from_secs_f64(2.0), LinkId(0));
         assert_eq!(tr.drop_times.len(), 2);
@@ -300,7 +275,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "trace period must be positive")]
     fn zero_period_rejected() {
-        QueueTrace::new(vec![LinkId(0)], SimDuration::ZERO);
+        QueueTrace::new(LinkId(0), SimDuration::ZERO);
     }
 
     #[test]
@@ -311,10 +286,10 @@ mod tests {
         // Busy to the end, and idle throughout: a pulse that starts after
         // the end dispatches nothing, so every sample comes from the end.
         for workload in [WorkloadSpec::AlwaysOn, WorkloadSpec::pulse(5.0, 6.0)] {
-            let trace = QueueTrace::new(vec![LinkId(0)], period);
+            let trace = QueueTrace::new(LinkId(0), period);
             let (out, tr) = run_with(&bottleneck(workload.clone()), trace, u64::MAX, end);
             assert!(!out.truncated);
-            let at: Vec<SimTime> = tr.series[0].iter().map(|s| s.at).collect();
+            let at: Vec<SimTime> = tr.samples.iter().map(|s| s.at).collect();
             let want: Vec<SimTime> = (0..=286).map(|k| SimTime::ZERO + period * k).collect();
             assert_eq!(at, want, "{workload:?}");
         }
@@ -336,18 +311,8 @@ mod tests {
         });
         let secs = SimDuration::from_secs(3);
         let period = SimDuration::from_millis(100);
-        let (out, forward) = run_with(
-            &net,
-            QueueTrace::new(vec![LinkId(0)], period),
-            u64::MAX,
-            secs,
-        );
-        let (_, reverse) = run_with(
-            &net,
-            QueueTrace::new(vec![LinkId(1)], period),
-            u64::MAX,
-            secs,
-        );
+        let (out, forward) = run_with(&net, QueueTrace::new(LinkId(0), period), u64::MAX, secs);
+        let (_, reverse) = run_with(&net, QueueTrace::new(LinkId(1), period), u64::MAX, secs);
         let ack_drops: u64 = out.flows.iter().map(|f| f.drops.ack).sum();
         assert!(ack_drops > 0, "the reverse link must drop ACKs");
         assert_eq!(out.link_queues[0].dropped, 0);
@@ -378,13 +343,13 @@ mod tests {
     fn a_truncated_run_records_no_sample_past_its_last_dispatched_instant() {
         let period = SimDuration::from_millis(10);
         let probe = LastDispatched {
-            trace: QueueTrace::new(vec![LinkId(0)], period),
+            trace: QueueTrace::new(LinkId(0), period),
             at: SimTime::ZERO,
         };
         let net = bottleneck(WorkloadSpec::AlwaysOn);
         let (out, last) = run_with(&net, probe, 20_000, SimDuration::from_secs(30));
         assert!(out.truncated);
-        let samples = &last.trace.series[0];
+        let samples = &last.trace.samples;
         assert!(
             last.at > SimTime::ZERO + period,
             "the run got past a sample"

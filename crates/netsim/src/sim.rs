@@ -188,7 +188,11 @@
 //! per ACK in `handle_ack`, per queue drop and at the end of the run. It
 //! only reads, so every probe sees the same run, event count included, and
 //! [`NoProbe`]'s empty hooks compile away. A sample is the state at the
-//! start of an instant, taken before its first event is dispatched.
+//! start of an instant, taken before its first event is dispatched. The
+//! other probes are [`Digest`](crate::probe::Digest), the determinism
+//! tests' event and ACK digests, and
+//! [`QueueTrace`](crate::probe::QueueTrace), one link's queue in packets
+//! at each period boundary and the times it dropped (Fig 8).
 
 use crate::arena::{PacketArena, PktId};
 use crate::event::{Event, EventKind, EventQueue, Line, QueueCounters, SchedulerKind};
@@ -1791,18 +1795,17 @@ mod tests {
     #[test]
     fn trace_records_queue_series() {
         let net = dumbbell(1, 1e6, 0.100, QueueSpec::infinite(), WorkloadSpec::AlwaysOn);
-        let trace = QueueTrace::new(vec![LinkId(0)], SimDuration::from_millis(100));
+        let trace = QueueTrace::new(LinkId(0), SimDuration::from_millis(100));
         let mut sim =
             Simulation::with_probe(&net, vec![fixed(100.0)], 1, SchedulerKind::default(), trace);
         sim.run(SimDuration::from_secs(5));
-        let tr = sim.into_probe();
-        let series = tr.series_for(LinkId(0)).unwrap();
+        let samples = sim.into_probe().samples;
         assert_eq!(
-            series.len(),
+            samples.len(),
             51,
             "one sample per 100 ms, both ends included"
         );
-        let peak = series.iter().map(|s| s.packets).max().unwrap();
+        let peak = samples.iter().map(|s| s.packets).max().unwrap();
         assert!(peak > 50, "standing queue builds: peak {peak}");
     }
 

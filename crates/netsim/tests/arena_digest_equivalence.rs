@@ -173,7 +173,7 @@ fn assert_probes_change_nothing(net: &NetworkConfig, kind: SchedulerKind, seed: 
         format!("{digested:?}"),
         "the digests changed the run"
     );
-    let trace = QueueTrace::new(vec![LinkId(0)], SimDuration::from_millis(10));
+    let trace = QueueTrace::new(LinkId(0), SimDuration::from_millis(10));
     let (traced, trace) = simulate(net, kind, seed, trace);
     assert_eq!(
         plain,
@@ -181,7 +181,7 @@ fn assert_probes_change_nothing(net: &NetworkConfig, kind: SchedulerKind, seed: 
         "the queue sampler changed the run"
     );
     assert_eq!(
-        trace.series[0].len(),
+        trace.samples.len(),
         1_001,
         "a sample every 10 ms, both ends"
     );

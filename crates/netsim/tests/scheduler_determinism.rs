@@ -44,7 +44,7 @@ impl CongestionControl for Aimd {
 struct Run {
     outcome: RunOutcome,
     digest: Digest,
-    trace: Vec<(SimTime, usize, u64, u64)>,
+    trace: QueueTrace,
 }
 
 /// One AIMD run of `net` for `secs` on the chosen backend, reporting to
@@ -69,12 +69,8 @@ fn simulate<P: Probe>(
 /// probe sees the same network).
 fn run(kind: SchedulerKind, seed: u64, secs: u64, net: &NetworkConfig) -> Run {
     let (outcome, digest) = simulate(net, kind, seed, secs, Digest::new(net.flows.len()));
-    let trace = QueueTrace::new(vec![LinkId(0)], SimDuration::from_millis(50));
+    let trace = QueueTrace::new(LinkId(0), SimDuration::from_millis(50));
     let (_, trace) = simulate(net, kind, seed, secs, trace);
-    let trace = trace.series[0]
-        .iter()
-        .map(|s| (s.at, s.packets, s.bytes, s.cum_drops))
-        .collect();
     Run {
         outcome,
         digest,
