@@ -16,7 +16,7 @@
 //! [`FigureData`](crate::report::FigureData) JSON artifact per experiment
 //! under `assets/figures/` (or `--json DIR`).
 
-use crate::experiments::{self, Experiment, Fidelity, RunOptions};
+use crate::experiments::{self, scaffold, Experiment, Fidelity, RunOptions};
 use crate::report::{render_figure, TableData};
 use crate::runner::execute_sweep;
 use crate::search::{collapse_probes, judge_collapse, Finding, COLLAPSE_CELLS};
@@ -141,16 +141,12 @@ pub fn list_table() -> String {
         &["id", "paper artifact", "scheme families", "protocol assets"],
     );
     for e in experiments::registry() {
-        let assets: Vec<String> = e
-            .train_specs()
-            .iter()
-            .flat_map(|j| j.assets.clone())
-            .collect();
+        let roster = e.roster();
         t.row(vec![
             e.id().to_string(),
             e.paper_artifact().to_string(),
-            e.scheme_families().join(", "),
-            assets.join(", "),
+            scaffold::families(&roster).join(", "),
+            scaffold::assets(&roster).join(", "),
         ]);
     }
     t.to_string()
@@ -400,14 +396,15 @@ fn parse_train(args: &[&str]) -> Result<(Vec<&'static dyn Experiment>, bool), St
 }
 
 /// The assets `train --force` discards: every asset the experiments'
-/// jobs produce, each once, in first-mention order.
-fn discard_list(exps: &[&'static dyn Experiment]) -> Vec<String> {
-    let mut seen = std::collections::HashSet::new();
-    exps.iter()
-        .flat_map(|e| e.train_specs())
+/// rosters use, with the rest of a co-optimized job's set, each once, in
+/// registry order.
+fn discard_list(exps: &[&'static dyn Experiment]) -> Result<Vec<String>, String> {
+    let rosters: Vec<_> = exps.iter().map(|e| e.roster()).collect();
+    let assets: Vec<&str> = rosters.iter().flat_map(|r| scaffold::assets(r)).collect();
+    Ok(experiments::jobs_for(&assets)?
+        .into_iter()
         .flat_map(|job| job.assets)
-        .filter(|name| seen.insert(name.clone()))
-        .collect()
+        .collect())
 }
 
 fn cmd_train(exps: &[&'static dyn Experiment], force: bool) -> i32 {
@@ -415,7 +412,14 @@ fn cmd_train(exps: &[&'static dyn Experiment], force: bool) -> i32 {
     if force {
         // Discard everything first: an asset several experiments share
         // then trains once, for the first of them, and loads for the rest.
-        for name in discard_list(exps) {
+        let names = match discard_list(exps) {
+            Ok(names) => names,
+            Err(err) => {
+                eprintln!("error: {err}");
+                return 1;
+            }
+        };
+        for name in names {
             let path = remy::serialize::asset_path(&name);
             if std::fs::remove_file(&path).is_ok() {
                 eprintln!("[learnability] discarded cached {}", path.display());
@@ -424,7 +428,14 @@ fn cmd_train(exps: &[&'static dyn Experiment], force: bool) -> i32 {
     }
     for e in exps {
         let s = Instant::now();
-        for mut job in e.train_specs() {
+        let jobs = match experiments::jobs_for(&scaffold::assets(&e.roster())) {
+            Ok(jobs) => jobs,
+            Err(err) => {
+                eprintln!("error: experiment '{}': {err}", e.id());
+                return 1;
+            }
+        };
+        for mut job in jobs {
             job.cfg.verbose = true;
             let protos = match experiments::run_train_job(&job) {
                 Ok(protos) => protos,
@@ -519,10 +530,12 @@ fn cmd_assets(args: &[&str]) -> i32 {
             }
             if flagged > 0 {
                 println!("\n{flagged} protocol(s) flagged — see above.");
+            } else if schemes.is_empty() {
+                println!("\nno protocol asset was read: nothing verified.");
             } else if unreadable == 0 {
                 println!("\nall protocol assets pass the collapse check.");
             }
-            i32::from(flagged + unreadable > 0)
+            i32::from(flagged + unreadable > 0 || schemes.is_empty())
         }
         _ => usage_error(&format!("unknown assets command '{}'", args.join(" "))),
     }
@@ -575,6 +588,15 @@ fn each_asset(mut visit: impl FnMut(&TrainedProtocol)) -> usize {
 mod tests {
     use super::*;
 
+    /// `universal`'s own asset and the four specialists it scores against.
+    const UNIVERSAL_ASSETS: [&str; 5] = [
+        "tao-universal",
+        "tao-2x",
+        "tao-1000x",
+        "tao-rtt-50-250",
+        "tao-mux-50",
+    ];
+
     #[test]
     fn list_covers_every_registered_experiment() {
         let out = list_table();
@@ -582,6 +604,9 @@ mod tests {
             assert!(out.contains(e.id()), "list must show {}", e.id());
         }
         assert!(out.contains("tao-calibration"));
+        // The asset column is the roster's: specialists included.
+        let row = out.lines().find(|l| l.starts_with("| universal ")).unwrap();
+        assert!(row.contains(&UNIVERSAL_ASSETS.join(", ")), "{row}");
     }
 
     #[test]
@@ -753,7 +778,6 @@ mod tests {
         // A sweep that panics must fail that experiment's run with a
         // non-zero exit instead of taking the process down — the hardened
         // path users hit when one experiment of `run all` is broken.
-        use crate::experiments::TrainJob;
         use crate::report::FigureData;
         use crate::runner::{PointOutcome, SweepPoint};
         struct Broken;
@@ -765,9 +789,6 @@ mod tests {
                 "test fixture"
             }
             fn roster(&self) -> Vec<crate::experiments::scaffold::Contender> {
-                Vec::new()
-            }
-            fn train_specs(&self) -> Vec<TrainJob> {
                 Vec::new()
             }
             fn sweep(&self, _fidelity: Fidelity) -> Vec<SweepPoint> {
@@ -813,18 +834,14 @@ mod tests {
     fn force_discards_each_named_asset_once() {
         // `train all --force` used to discard and retrain tao-calibration
         // once per experiment naming it. The discard list (computing it
-        // trains nothing) names every asset once.
+        // trains nothing) names every owned asset once.
         let all = select(Some("all")).unwrap();
         let sharing = all
             .iter()
-            .filter(|e| {
-                e.train_specs()
-                    .iter()
-                    .any(|j| j.assets.iter().any(|a| a == "tao-calibration"))
-            })
+            .filter(|e| scaffold::assets(&e.roster()).contains(&"tao-calibration"))
             .count();
         assert!(sharing > 1, "tao-calibration is shared ({sharing})");
-        let names = discard_list(&all);
+        let names = discard_list(&all).unwrap();
         let mut unique = names.clone();
         unique.sort();
         unique.dedup();
@@ -834,7 +851,21 @@ mod tests {
                 assert!(names.contains(name), "{name} is not discarded");
             }
         }
-        assert_eq!(names[0], "tao-calibration", "first-mention order");
+        assert_eq!(names[0], "tao-calibration", "registry order");
+    }
+
+    #[test]
+    fn force_discards_what_the_roster_uses() {
+        // A borrower discards its owner's asset, and `universal` its
+        // specialists beside its own.
+        let aqm = experiments::find("aqm").unwrap();
+        assert_eq!(discard_list(&[aqm]).unwrap(), ["tao-calibration"]);
+        let universal = experiments::find("universal").unwrap();
+        let names = discard_list(&[universal]).unwrap();
+        for asset in UNIVERSAL_ASSETS {
+            assert!(names.iter().any(|n| n == asset), "{asset} in {names:?}");
+        }
+        assert_eq!(names.len(), UNIVERSAL_ASSETS.len(), "{names:?}");
     }
 
     #[test]

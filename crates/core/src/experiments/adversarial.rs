@@ -63,13 +63,7 @@ impl Experiment for Adversarial {
     /// The schemes searched, in sweep order: the paper's calibration Tao,
     /// the fixed TCP baselines, and the PCC-style online learner.
     fn roster(&self) -> Vec<Contender> {
-        let fixed = [Scheme::Cubic, Scheme::NewReno, Scheme::Vegas, Scheme::Pcc];
-        Contender::tao_vs(calibration::ASSET, fixed)
-    }
-
-    fn train_specs(&self) -> Vec<TrainJob> {
-        // Attacks the published calibration protocol; trains nothing new.
-        calibration::Calibration.train_specs()
+        Contender::tao_vs(calibration::ASSET, Scheme::FIXED)
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {

@@ -33,12 +33,6 @@ impl Experiment for Aqm {
         Contender::tao_vs(calibration::ASSET, [Scheme::Cubic, Scheme::NewReno])
     }
 
-    fn train_specs(&self) -> Vec<TrainJob> {
-        // Reuses the calibration asset: the whole point is evaluating a
-        // protocol designed for drop-tail on disciplines it never saw.
-        calibration::Calibration.train_specs()
-    }
-
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
         let base = calibration::test_network();
         let mut grid = Grid::new(self, fidelity);
@@ -116,9 +110,6 @@ mod tests {
 
     #[test]
     fn sweep_covers_every_discipline_and_scheme() {
-        let jobs = Aqm.train_specs();
-        assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].assets, vec![calibration::ASSET.to_string()]);
         // 4 gateways x 3 contenders, from the committed calibration asset.
         let points = Aqm.sweep(Fidelity::Quick);
         assert_eq!(points.len(), 12);

@@ -41,12 +41,6 @@ impl Experiment for Asymmetry {
         Contender::tao_vs(calibration::ASSET, [Scheme::Cubic, Scheme::NewReno])
     }
 
-    fn train_specs(&self) -> Vec<TrainJob> {
-        // The calibration Tao again: trained with a symmetric, uncongested
-        // reverse path, evaluated where that assumption breaks.
-        calibration::Calibration.train_specs()
-    }
-
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
         let base = calibration::test_network();
         let mut grid = Grid::new(self, fidelity);

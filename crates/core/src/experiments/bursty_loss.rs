@@ -42,12 +42,6 @@ impl Experiment for BurstyLoss {
         Contender::tao_vs(calibration::ASSET, fixed)
     }
 
-    fn train_specs(&self) -> Vec<TrainJob> {
-        // Reuses the calibration asset: the point is evaluating a protocol
-        // that has only ever seen congestive loss.
-        calibration::Calibration.train_specs()
-    }
-
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
         let base = calibration::test_network();
         let mut grid = Grid::new(self, fidelity);
@@ -145,9 +139,6 @@ mod tests {
         assert_eq!(LOSS_BAD[0], 0.0);
         assert!(points[..4].iter().all(|p| p.net.links[0].fault.is_none()));
         assert!(points[4..].iter().all(|p| p.net.links[0].fault.is_some()));
-        let jobs = BurstyLoss.train_specs();
-        assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].assets, vec![calibration::ASSET.to_string()]);
     }
 
     #[test]

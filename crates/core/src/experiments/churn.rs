@@ -17,7 +17,6 @@
 //! multi-hop contention case.
 
 use super::scaffold::prelude::*;
-use crate::experiments::multiplexing;
 
 /// Asset shared with the multiplexing experiment: the 1–10-way Tao.
 pub const ASSET: &str = "tao-mux-10";
@@ -70,12 +69,6 @@ impl Experiment for Churn {
 
     fn roster(&self) -> Vec<Contender> {
         Contender::tao_vs(ASSET, [Scheme::Cubic, Scheme::NewReno])
-    }
-
-    fn train_specs(&self) -> Vec<TrainJob> {
-        // The multiplexing experiment's tao-mux-10 job, so one committed
-        // asset serves both.
-        jobs_of(&multiplexing::Multiplexing, &[ASSET])
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
@@ -186,17 +179,6 @@ mod tests {
         assert_eq!(net.flows[0].route, vec![0, 1]);
         assert_eq!(net.min_rtt(0), SimDuration::from_millis(150));
         assert!(matches!(net.flows[0].workload, WorkloadSpec::Churn { .. }));
-    }
-
-    #[test]
-    fn train_job_matches_multiplexing_asset() {
-        let ours = Churn.train_specs().remove(0);
-        let theirs = multiplexing::Multiplexing
-            .train_specs()
-            .into_iter()
-            .find(|j| j.assets == vec![ASSET.to_string()])
-            .expect("multiplexing declares tao-mux-10");
-        assert_eq!(ours.specs, theirs.specs, "one asset must serve both");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! processes offer similar load and the comparison isolates the burst
 //! structure. Blocked points ride along as the in-sweep baseline.
 
-use super::churn::{arrival_rates, Churn, ASSET, MEAN_DURATION_S, SLOTS};
+use super::churn::{arrival_rates, ASSET, MEAN_DURATION_S, SLOTS};
 use super::scaffold::prelude::*;
 
 /// Arrival-process variants, in series order.
@@ -45,12 +45,6 @@ impl Experiment for ChurnMginf {
 
     fn roster(&self) -> Vec<Contender> {
         Contender::tao_vs(ASSET, [Scheme::Cubic, Scheme::NewReno])
-    }
-
-    fn train_specs(&self) -> Vec<TrainJob> {
-        // The multiplexing experiment's tao-mux-10 job, so one committed
-        // asset serves all three churn-family sweeps.
-        Churn.train_specs()
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
@@ -158,17 +152,6 @@ mod tests {
         assert!((mg - 0.9933).abs() < 1e-3, "{mg}");
         assert!((bl - 5.0 / 6.0).abs() < 1e-9, "{bl}");
         assert!(mg > bl);
-    }
-
-    #[test]
-    fn train_job_matches_multiplexing_asset() {
-        let ours = ChurnMginf.train_specs().remove(0);
-        let theirs = crate::experiments::multiplexing::Multiplexing
-            .train_specs()
-            .into_iter()
-            .find(|j| j.assets == vec![ASSET.to_string()])
-            .expect("multiplexing declares tao-mux-10");
-        assert_eq!(ours.specs, theirs.specs, "one asset must serve both");
     }
 
     #[test]

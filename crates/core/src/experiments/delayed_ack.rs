@@ -78,12 +78,6 @@ impl Experiment for DelayedAck {
         Contender::tao_vs(calibration::ASSET, [Scheme::Cubic, Scheme::NewReno])
     }
 
-    fn train_specs(&self) -> Vec<TrainJob> {
-        // The calibration Tao: designed against per-packet acknowledgment,
-        // evaluated under an ack stream thinned k-fold.
-        calibration::Calibration.train_specs()
-    }
-
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
         let mut grid = Grid::new(self, fidelity);
         for &slowdown in &slowdowns(fidelity) {

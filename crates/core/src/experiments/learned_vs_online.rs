@@ -9,7 +9,7 @@
 //! human-designed yardstick — all normalized against the omniscient
 //! reference, so 0 means "as good as knowing the network exactly".
 
-use super::link_speed::{speed_sweep, test_network, LinkSpeed};
+use super::link_speed::{speed_sweep, test_network};
 use super::scaffold::prelude::*;
 
 /// The offline-learned contender: the broadest-range Tao from the
@@ -35,10 +35,6 @@ impl Experiment for LearnedVsOnline {
             Contender::fixed(Scheme::Pcc),
             Contender::fixed(Scheme::Cubic),
         ]
-    }
-
-    fn train_specs(&self) -> Vec<TrainJob> {
-        jobs_of(&LinkSpeed, &[ASSET])
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
@@ -82,16 +78,6 @@ impl Experiment for LearnedVsOnline {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn train_specs_reuse_the_link_speed_asset() {
-        let jobs = LearnedVsOnline.train_specs();
-        assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].assets, vec![ASSET.to_string()]);
-        // Same asset name as link_speed's broadest range: training once
-        // serves both experiments.
-        assert_eq!(super::super::link_speed::RANGES[0].0, ASSET);
-    }
 
     #[test]
     fn quick_sweep_covers_the_grid() {

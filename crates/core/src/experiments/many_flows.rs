@@ -30,7 +30,6 @@
 //! flows' reliability state at the population the benchmark's
 //! `scale_10k` workload times and sizes.
 
-use super::multiplexing;
 use super::scaffold::prelude::*;
 
 /// Asset shared with the multiplexing experiment's widest range: the
@@ -193,12 +192,6 @@ impl Experiment for ManyFlows {
 
     fn roster(&self) -> Vec<Contender> {
         Contender::tao_vs(ASSET, [Scheme::Cubic, Scheme::NewReno, Scheme::Pcc])
-    }
-
-    fn train_specs(&self) -> Vec<TrainJob> {
-        // The multiplexing experiment's tao-mux-100 job, so the committed
-        // asset serves both and nothing retrains.
-        jobs_of(&multiplexing::Multiplexing, &[ASSET])
     }
 
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
@@ -381,17 +374,6 @@ mod tests {
         let mut hog = vec![0.0; 9];
         hog.push(100.0);
         assert!((jain_index(&hog) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn train_job_matches_multiplexing_asset() {
-        let ours = ManyFlows.train_specs().remove(0);
-        let theirs = multiplexing::Multiplexing
-            .train_specs()
-            .into_iter()
-            .find(|j| j.assets == vec![ASSET.to_string()])
-            .expect("multiplexing declares tao-mux-100");
-        assert_eq!(ours.specs, theirs.specs, "one asset must serve both");
     }
 
     #[test]

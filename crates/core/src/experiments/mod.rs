@@ -25,10 +25,12 @@
 //! | `delayed_ack` | [`delayed_ack`] | extension — delayed/stretch ACK receivers (ack-every-k) crossed with a shared ACK uplink |
 //! | `many_flows` | [`many_flows`] | extension — Internet-scale multiplexing: 10²–10⁴ M/G/∞ churn flows, objective + per-decile fairness |
 //!
-//! An experiment is *data*, not code: [`Experiment::train_specs`] lists the
-//! Tao protocols it needs (trained once, cached as JSON assets like the
-//! protocols the paper published), [`Experiment::roster`] names its
-//! contenders once, [`Experiment::sweep`] expands the testing side into
+//! An experiment is *data*, not code: [`Experiment::roster`] names its
+//! contenders once, Tao protocols by asset name; [`Experiment::train_specs`]
+//! lists the jobs that design the assets it owns (trained once, cached as
+//! JSON assets like the protocols the paper published — an asset has one
+//! owner, and every other experiment evaluating it only names it, see
+//! [`jobs_for`]); [`Experiment::sweep`] expands the testing side into
 //! [`SweepPoint`] cells the shared engine executes in parallel
 //! ([`crate::runner::execute_sweep`]), and [`Experiment::summarize`] folds
 //! the outcomes into a serializable [`FigureData`] from which both the
@@ -120,7 +122,7 @@ impl Fidelity {
 // The Experiment trait and registry.
 // ---------------------------------------------------------------------------
 
-/// One protocol-design run an experiment depends on: the asset name(s) it
+/// One protocol-design run an experiment owns: the asset name(s) it
 /// produces, the training scenario model, and the optimizer budget.
 /// Describing a job is free — nothing trains until [`run_train_job`].
 #[derive(Clone, Debug)]
@@ -159,8 +161,8 @@ impl TrainJob {
     }
 }
 
-/// A paper experiment as declarative data: what to train, what to sweep,
-/// and how to fold sweep outcomes into a figure.
+/// A paper experiment as declarative data: what it compares, what it
+/// trains, what to sweep, and how to fold sweep outcomes into a figure.
 pub trait Experiment: Sync {
     /// Stable CLI id (`learnability run <id>`).
     fn id(&self) -> &'static str;
@@ -170,20 +172,18 @@ pub trait Experiment: Sync {
 
     /// The contenders this experiment compares, in series order — the
     /// single source of its sweep cells ([`scaffold::Grid`]), its series
-    /// ([`scaffold::SeriesSet`]) and its [`Experiment::scheme_families`].
-    /// Description only: no asset is touched.
+    /// ([`scaffold::SeriesSet`]), its scheme families
+    /// ([`scaffold::families`]) and the assets it uses
+    /// ([`scaffold::assets`]). Description only: no asset is touched.
     fn roster(&self) -> Vec<scaffold::Contender>;
 
-    /// The scheme families this experiment evaluates ("tao" covers every
-    /// trained Tao variant). Shown by `learnability list` so users can
-    /// see at a glance which protocols each figure compares.
-    fn scheme_families(&self) -> Vec<&'static str> {
-        scaffold::families(&self.roster())
+    /// The jobs designing the assets this experiment owns — none for one
+    /// that evaluates assets another experiment trains. Description only;
+    /// training happens lazily via [`run_train_job`] / `learnability
+    /// train`.
+    fn train_specs(&self) -> Vec<TrainJob> {
+        Vec::new()
     }
-
-    /// The Tao protocols this experiment needs (description only; training
-    /// happens lazily via [`run_train_job`] / `learnability train`).
-    fn train_specs(&self) -> Vec<TrainJob>;
 
     /// The testing side as sweep cells. Loads (or trains) the protocol
     /// assets it references.
@@ -228,6 +228,26 @@ pub fn registry() -> &'static [&'static dyn Experiment] {
 /// Look up an experiment by CLI id.
 pub fn find(id: &str) -> Option<&'static dyn Experiment> {
     registry().iter().copied().find(|e| e.id() == id)
+}
+
+/// The jobs that train `assets`, each once, in registry order: the one
+/// place an asset is mapped to the job that designs it, in one pass over
+/// the registry's [`Experiment::train_specs`]. A co-optimized job comes
+/// with every asset it names. An asset no job produces is an `Err`
+/// naming it.
+pub fn jobs_for(assets: &[&str]) -> Result<Vec<TrainJob>, String> {
+    let jobs: Vec<TrainJob> = registry()
+        .iter()
+        .flat_map(|e| e.train_specs())
+        .filter(|j| j.assets.iter().any(|a| assets.contains(&a.as_str())))
+        .collect();
+    match assets
+        .iter()
+        .find(|&&a| !jobs.iter().any(|j| j.assets.iter().any(|n| n == a)))
+    {
+        Some(orphan) => Err(format!("no train job produces asset '{orphan}'")),
+        None => Ok(jobs),
+    }
 }
 
 /// Execution knobs for [`run_experiment_report`].
@@ -514,19 +534,63 @@ mod tests {
     #[test]
     fn train_specs_are_descriptions_only() {
         // Describing training must never touch assets or train anything —
-        // `learnability list` depends on this being cheap.
-        for e in registry() {
-            let jobs = e.train_specs();
-            assert!(!jobs.is_empty(), "{} declares its protocols", e.id());
-            for j in &jobs {
-                assert!(!j.assets.is_empty());
-                assert!(!j.specs.is_empty());
-                if let Some(alt) = j.co_alternations {
-                    assert!(alt > 0);
-                    assert!(j.assets.len() > 1, "co-optimization needs several slots");
-                }
+        // `jobs_for`, which every `lineup` calls, depends on this being cheap.
+        let jobs: Vec<TrainJob> = registry().iter().flat_map(|e| e.train_specs()).collect();
+        assert!(!jobs.is_empty(), "the registry owns protocols");
+        for j in &jobs {
+            assert!(!j.assets.is_empty());
+            assert!(!j.specs.is_empty());
+            if let Some(alt) = j.co_alternations {
+                assert!(alt > 0);
+                assert!(j.assets.len() > 1, "co-optimization needs several slots");
             }
         }
+    }
+
+    #[test]
+    fn every_roster_asset_has_exactly_one_owning_job() {
+        let jobs: Vec<(&str, TrainJob)> = registry()
+            .iter()
+            .flat_map(|e| e.train_specs().into_iter().map(|j| (e.id(), j)))
+            .collect();
+        let owned: Vec<&str> = jobs
+            .iter()
+            .flat_map(|(_, j)| j.assets.iter().map(String::as_str))
+            .collect();
+        for (i, a) in owned.iter().enumerate() {
+            assert!(!owned[..i].contains(a), "two jobs name asset '{a}'");
+        }
+        let rosters: Vec<Vec<scaffold::Contender>> =
+            registry().iter().map(|e| e.roster()).collect();
+        let used: Vec<&str> = rosters.iter().flat_map(|r| scaffold::assets(r)).collect();
+        for (e, roster) in registry().iter().zip(&rosters) {
+            for asset in scaffold::assets(roster) {
+                let owners = jobs
+                    .iter()
+                    .filter(|(_, j)| j.assets.iter().any(|a| a == asset));
+                assert_eq!(
+                    owners.count(),
+                    1,
+                    "{}: '{asset}' needs one owning job",
+                    e.id()
+                );
+                let found = jobs_for(&[asset]).unwrap();
+                assert_eq!(found.len(), 1);
+                assert!(found[0].assets.iter().any(|a| a == asset));
+            }
+        }
+        // An owned asset no roster uses would never be trained by `train all`.
+        for (owner, job) in &jobs {
+            assert!(
+                job.assets.iter().any(|a| used.contains(&a.as_str())),
+                "{owner}: {:?} is trained but evaluated nowhere",
+                job.assets
+            );
+        }
+        assert_eq!(
+            jobs_for(&["tao-nowhere"]).unwrap_err(),
+            "no train job produces asset 'tao-nowhere'"
+        );
     }
 
     #[test]
@@ -535,20 +599,18 @@ mod tests {
         // silently start a training run.
         for e in registry() {
             let roster = e.roster();
-            let jobs = e.train_specs();
-            let declared = jobs
-                .iter()
-                .flat_map(|j| j.assets.iter().map(String::as_str));
-            for asset in declared.chain(roster.iter().filter_map(|c| c.asset_name())) {
-                let path = remy::serialize::asset_path(asset);
-                assert!(
-                    path.exists(),
-                    "{}: {} is not committed",
-                    e.id(),
-                    path.display()
-                );
+            for job in jobs_for(&scaffold::assets(&roster)).unwrap() {
+                for asset in &job.assets {
+                    let path = remy::serialize::asset_path(asset);
+                    assert!(
+                        path.exists(),
+                        "{}: {} is not committed",
+                        e.id(),
+                        path.display()
+                    );
+                }
             }
-            let families = e.scheme_families();
+            let families = scaffold::families(&roster);
             let points = e.sweep(Fidelity::Quick);
             assert!(!points.is_empty(), "{} sweeps something", e.id());
             for (i, p) in points.iter().enumerate() {

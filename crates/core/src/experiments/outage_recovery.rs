@@ -71,12 +71,6 @@ impl Experiment for OutageRecovery {
         Contender::tao_vs(calibration::ASSET, [Scheme::Cubic, Scheme::NewReno])
     }
 
-    fn train_specs(&self) -> Vec<TrainJob> {
-        // Reuses the calibration asset: recovery behavior is part of what
-        // the protocol learned, not something trained for here.
-        calibration::Calibration.train_specs()
-    }
-
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
         let mut grid = Grid::new(self, fidelity);
         for &down_s in &DOWN_S {

@@ -5,7 +5,8 @@
 //!    comes from (a trained Tao asset or a fixed scheme) and an optional
 //!    gateway substitution (`cubic-sfqcodel`). A module's
 //!    [`Experiment::roster`] is the single source of its sweep cells, its
-//!    series order and its [`Experiment::scheme_families`].
+//!    series order, its scheme [`families`] and the [`assets`] it uses;
+//!    [`lineup`] loads each asset through the job that owns it.
 //! 2. **Cell identity and routing** — [`Grid`] expands `(panel, x,
 //!    network)` into one [`SweepPoint`] per contender in roster order and
 //!    owns the `panel|label` key ([`cell_key`] / [`split_key`]);
@@ -20,7 +21,7 @@
 //! `adversarial`) use the pieces that fit — the roster, [`Grid::mix`],
 //! [`lineup`] — and keep their own row logic.
 
-use super::{registry, run_train_job, Experiment, Fidelity, TrainJob};
+use super::{jobs_for, run_train_job, Experiment, Fidelity};
 use crate::omniscient::omniscient;
 use crate::report::{FigureData, SeriesData, TableData};
 use crate::runner::{
@@ -35,8 +36,7 @@ use remy::Objective;
 /// The vocabulary an experiment module is written in.
 pub mod prelude {
     pub use super::{
-        flow_sum, jobs_of, names_at, sides_table, split_key, Contender, Grid, Norm, SeriesSet,
-        TptQd,
+        flow_sum, names_at, sides_table, split_key, Contender, Grid, Norm, SeriesSet, TptQd,
     };
     pub use crate::experiments::{paper_dumbbell, Experiment, Fidelity, TrainJob};
     pub use crate::report::{ChartData, FigureData, TableData};
@@ -150,44 +150,38 @@ pub fn families(roster: &[Contender]) -> Vec<&'static str> {
     out
 }
 
-/// The train jobs of `owner` producing `assets`: how an experiment
-/// borrows protocols another experiment trains, so one committed asset
-/// serves both and nothing retrains.
-pub fn jobs_of(owner: &dyn Experiment, assets: &[&str]) -> Vec<TrainJob> {
-    let mut jobs = owner.train_specs();
-    jobs.retain(|j| j.assets.iter().any(|a| assets.contains(&a.as_str())));
-    jobs
+/// The distinct assets a roster names, in first-appearance order: what
+/// the experiment uses. Which job trains each is [`jobs_for`]'s answer.
+pub fn assets(roster: &[Contender]) -> Vec<&str> {
+    let mut out = Vec::new();
+    for name in roster.iter().filter_map(Contender::asset_name) {
+        if !out.contains(&name) {
+            out.push(name);
+        }
+    }
+    out
 }
 
-/// Resolve an experiment's roster into runnable schemes, loading (or
-/// training) each referenced asset once. An asset's train job is one of
-/// the experiment's own `train_specs` (borrowed ones included, see
-/// [`jobs_of`]); the registry-wide fallback exists only for `universal`'s
-/// specialists, which it scores against without declaring their jobs —
-/// asset names are global, like the files.
+/// Resolve an experiment's roster into runnable schemes: every asset it
+/// names is loaded (or trained) once, by the job that owns it
+/// ([`jobs_for`], one pass over the registry). Asset names are global,
+/// like the files: `aqm` loads the `tao-calibration` that `calibration`
+/// trains, and `universal` the specialists of `link_speed`, `rtt` and
+/// `multiplexing`.
 pub fn lineup(exp: &dyn Experiment) -> Vec<(Contender, Scheme)> {
+    let fail = |e: String| -> ! { panic!("experiment '{}': {e}", exp.id()) };
+    let roster = exp.roster();
     let mut trained: Vec<(String, remy::TrainedProtocol)> = Vec::new();
-    exp.roster()
+    for job in jobs_for(&assets(&roster)).unwrap_or_else(|e| fail(e)) {
+        let protos = run_train_job(&job).unwrap_or_else(|e| fail(e));
+        trained.extend(job.assets.into_iter().zip(protos));
+    }
+    roster
         .into_iter()
         .map(|c| {
             let scheme = match &c.source {
                 Source::Fixed(scheme) => scheme.clone(),
                 Source::Asset { name, mask } => {
-                    if !trained.iter().any(|(n, _)| n == name) {
-                        let job = std::iter::once(exp)
-                            .chain(registry().iter().copied())
-                            .flat_map(|e| e.train_specs())
-                            .find(|j| j.assets.contains(name))
-                            .unwrap_or_else(|| {
-                                panic!(
-                                    "experiment '{}': no train job produces asset '{name}'",
-                                    exp.id()
-                                )
-                            });
-                        let protos = run_train_job(&job)
-                            .unwrap_or_else(|e| panic!("experiment '{}': {e}", exp.id()));
-                        trained.extend(job.assets.iter().cloned().zip(protos));
-                    }
                     let (_, proto) = trained
                         .iter()
                         .find(|(n, _)| n == name)
@@ -506,9 +500,6 @@ mod tests {
         fn roster(&self) -> Vec<Contender> {
             Contender::with_cubic_pair([Contender::fixed(Scheme::Vegas)])
         }
-        fn train_specs(&self) -> Vec<TrainJob> {
-            Vec::new()
-        }
         fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
             let mut grid = Grid::new(self, fidelity);
             for panel in ["left", "right"] {
@@ -615,14 +606,6 @@ mod tests {
         let set = SeriesSet::new("fixture", names.clone());
         let legend: Vec<&str> = set.all().iter().map(|s| s.name.as_str()).collect();
         assert_eq!(legend, names);
-    }
-
-    #[test]
-    fn jobs_of_borrows_exactly_the_named_assets() {
-        use crate::experiments::multiplexing::Multiplexing;
-        let jobs = jobs_of(&Multiplexing, &["tao-mux-10", "tao-mux-100"]);
-        let assets: Vec<&str> = jobs.iter().map(|j| j.assets[0].as_str()).collect();
-        assert_eq!(assets, ["tao-mux-10", "tao-mux-100"]);
     }
 
     #[test]

@@ -56,12 +56,6 @@ impl Experiment for SharedUplink {
         Contender::tao_vs(calibration::ASSET, [Scheme::Cubic, Scheme::NewReno])
     }
 
-    fn train_specs(&self) -> Vec<TrainJob> {
-        // The calibration Tao: trained with an uncongested private
-        // reverse path, evaluated where ACKs contend for a shared one.
-        calibration::Calibration.train_specs()
-    }
-
     fn sweep(&self, fidelity: Fidelity) -> Vec<SweepPoint> {
         let mut grid = Grid::new(self, fidelity);
         for &factor in &slowdowns(fidelity) {

@@ -386,13 +386,10 @@ pub fn scheme_for_certificate(cert: &Certificate) -> Result<Scheme, String> {
             .map_err(|e| format!("cannot load asset '{asset}' from {}: {e}", path.display()))?;
         return Ok(Scheme::tao(trained.tree, cert.scheme.clone()));
     }
-    match cert.scheme.as_str() {
-        "cubic" => Ok(Scheme::Cubic),
-        "newreno" => Ok(Scheme::NewReno),
-        "vegas" => Ok(Scheme::Vegas),
-        "pcc" => Ok(Scheme::Pcc),
-        other => Err(format!("unknown scheme '{other}' (and no asset named)")),
-    }
+    Scheme::FIXED
+        .into_iter()
+        .find(|s| s.family() == cert.scheme)
+        .ok_or_else(|| format!("unknown scheme '{}' (and no asset named)", cert.scheme))
 }
 
 /// Re-measure a certificate's score on the chosen scheduler backend,

@@ -174,3 +174,35 @@ fn verify_fails_a_collapsing_asset_and_passes_a_sane_one() {
     assert!(out.starts_with("PASS sane"), "{out}");
     fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn verify_on_an_empty_directory_verifies_nothing_and_fails() {
+    let dir = scratch("verify-empty", &[]);
+    let (code, out, err) = learnability(&["assets", "verify", "--assets", dir.to_str().unwrap()]);
+    assert_eq!(code, 1, "{out}{err}");
+    assert!(out.contains("nothing verified"), "{out}");
+    assert!(!out.contains("pass the collapse check"), "{out}");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn train_readies_every_asset_the_roster_uses() {
+    // `universal` owns one asset and scores four specialists other
+    // experiments own: `train universal` readies all five, training none
+    // that is present.
+    let assets = [
+        "tao-universal",
+        "tao-2x",
+        "tao-1000x",
+        "tao-rtt-50-250",
+        "tao-mux-50",
+    ];
+    let dir = scratch("universal", &assets);
+    let (code, _, err) = learnability(&["train", "universal", "--assets", dir.to_str().unwrap()]);
+    assert_eq!(code, 0, "{err}");
+    assert!(!trained(&err), "{err}");
+    for a in assets {
+        assert!(err.contains(&format!("{a} ready")), "{err}");
+    }
+    fs::remove_dir_all(&dir).ok();
+}

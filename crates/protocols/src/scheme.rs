@@ -36,6 +36,9 @@ pub enum Scheme {
 }
 
 impl Scheme {
+    /// Every scheme that needs no training, in declaration order.
+    pub const FIXED: [Scheme; 4] = [Scheme::Cubic, Scheme::NewReno, Scheme::Vegas, Scheme::Pcc];
+
     /// Compile `tree` into a Tao scheme with every signal enabled.
     pub fn tao(tree: WhiskerTree, label: impl Into<String>) -> Self {
         Scheme::Tao {
